@@ -13,16 +13,12 @@ Run:  python examples/wn18_future_work.py
 
 from repro import StrategyConfig, TrainConfig, train
 from repro.bench import BENCH_NETWORK
-from repro.kg import analyze, make_wn18_like
+from repro.kg import make_wn18_like
 
 
 def main() -> None:
     store = make_wn18_like(scale=0.02)
-    stats = analyze(store)
-    print(f"dataset: {store.summary()}")
-    print(f"  relation gini {stats.relation_gini:.2f}, "
-          f"degree gini {stats.degree_gini:.2f}, "
-          f"{stats.triples_per_entity:.1f} triples/entity\n")
+    print(f"dataset: {store.summary()}\n")
 
     config = TrainConfig(dim=16, batch_size=256, base_lr=5e-3, max_epochs=50,
                          lr_patience=6, lr_warmup_epochs=10,

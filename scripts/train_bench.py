@@ -1,23 +1,24 @@
 #!/usr/bin/env python
-"""Training hot-path benchmark: CSR gradient accumulation vs naive scatter.
+"""Training hot-path benchmark: CSR gradient fold vs reference scatter-add.
 
-Mirrors the trainer's synchronous inner loop (per-rank ``compute_step`` ->
-``combine_sparse`` -> sparse Adam) on a synthetic FB15K-scale graph and
-measures both accumulation kernels:
+Captures a *real* batch gradient block on a synthetic FB15K-scale graph and
+measures the accumulation kernel against the oracle kept in
+``repro._reference``:
 
-* ``accum_ms`` / ``accum_speedup`` — microbenchmark of the fold itself
-  (``SparseRows.from_rows``) on a *real* captured batch gradient block,
-* ``steps_per_sec`` / ``steps_speedup`` — end-to-end synchronous-step
-  throughput per impl (best of ``--repeats`` timed epochs),
-* ``grad_seconds_per_epoch`` — time inside gradient assembly+accumulation
-  per simulated epoch (the component the CSR path attacks),
-* ``bitwise_equal`` — the load-bearing invariant: both impls must produce
-  bit-identical embeddings after several optimiser steps.
+* ``accum_ms`` / ``accum_speedup`` — ``SparseRows.from_rows`` (plan build +
+  fold) vs ``scatter_add_rows`` (``np.unique`` + ``np.add.at``),
+* ``fold_ms_prebuilt_plan`` — ``fold_rows`` alone, the cost the worker pays
+  per fold once its per-batch plan exists,
+* ``bitwise_equal`` — the load-bearing invariant: the fold must produce the
+  reference's rows and sums bit for bit.
+
+End-to-end training throughput is ``train_dense/work_per_s`` in
+``BENCHMARK.json`` (``python perf/run.py``), not this script.
 
 Telemetry lands in ``BENCH_train.json``.  The script exits non-zero when
-the bitwise check fails or a speedup floor is missed (``fb15k`` profile:
-accumulation >= 3x and steps/sec >= 1.5x; ``smoke`` only sanity-checks),
-so CI catches both a broken fold and a performance regression.
+the bitwise check fails or the speedup floor is missed (``fb15k`` profile:
+accumulation >= 3x; ``smoke`` only sanity-checks), so CI catches both a
+broken fold and a performance regression.
 """
 
 from __future__ import annotations
@@ -32,26 +33,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.comm.sparse import SparseRows, combine_sparse
+from repro._reference import scatter_add_rows
+from repro.comm.sparse import SparseRows
 from repro.kg.datasets import make_tiny_kg
 from repro.kg.negative import corrupt_batch, select_all
-from repro.kg.spmat import ACCUM_IMPLS, build_fold_plan, fold_rows
+from repro.kg.spmat import build_fold_plan, fold_rows
 from repro.kg.triples import TripleSet, TripleStore
 from repro.models import ComplEx
-from repro.optim.adam import Adam
 from repro.training.strategy import StrategyConfig
 from repro.training.worker import Worker
 
 #: FB15K's published cardinalities (paper Section 3.3); the training split
 #: is trimmed so one benchmark epoch stays in seconds, not minutes.
 FB15K_PROFILE = dict(n_entities=14_951, n_relations=1_345, n_train=45_000,
-                     dim=32, batch=512, n_ranks=4, steps=30,
-                     min_accum_speedup=3.0, min_steps_speedup=1.5)
-#: CI sanity profile: asserts the loop runs and the impls agree bitwise,
+                     dim=32, batch=512, min_accum_speedup=3.0)
+#: CI sanity profile: asserts the kernel agrees bitwise with the reference,
 #: without pretending tiny-graph timings are meaningful speedups.
 SMOKE_PROFILE = dict(n_entities=300, n_relations=12, n_train=2_400,
-                     dim=8, batch=128, n_ranks=2, steps=10,
-                     min_accum_speedup=0.0, min_steps_speedup=0.0)
+                     dim=8, batch=128, min_accum_speedup=0.0)
 
 
 def build_store(profile: dict, seed: int) -> TripleStore:
@@ -72,43 +71,14 @@ def build_store(profile: dict, seed: int) -> TripleStore:
                        test=split(1_000), name="train-bench")
 
 
-def make_workers(store: TripleStore, profile: dict, impl: str,
-                 seed: int) -> list[Worker]:
-    strategy = StrategyConfig(negatives_sampled=2, negatives_used=2)
-    return [Worker(rank=i, shard=store.train, n_entities=store.n_entities,
-                   strategy=strategy, seed=seed, accum_impl=impl)
-            for i in range(profile["n_ranks"])]
-
-
-def run_steps(model: ComplEx, store: TripleStore, profile: dict, impl: str,
-              seed: int, n_steps: int) -> tuple[ComplEx, float, float]:
-    """Drive the trainer's inner loop; return (model, seconds, grad_secs)."""
-    workers = make_workers(store, profile, impl, seed)
-    opt = Adam(model)
-    for w in workers:
-        w.start_epoch()
-    n_ranks = profile["n_ranks"]
-    grad_seconds = 0.0
-    t0 = time.perf_counter()
-    for step in range(n_steps):
-        outs = [w.compute_step(model, step, profile["batch"])
-                for w in workers]
-        grad_seconds += sum(o.grad_seconds for o in outs)
-        entity = combine_sparse([o.entity_grad for o in outs],
-                                impl=impl).scale(1.0 / n_ranks)
-        relation = combine_sparse([o.relation_grad for o in outs],
-                                  impl=impl).scale(1.0 / n_ranks)
-        opt.entity_state.apply_sparse(model.entity_emb, entity, 1e-3)
-        opt.relation_state.apply_sparse(model.relation_emb, relation, 1e-3)
-    return model, time.perf_counter() - t0, grad_seconds
-
-
 def capture_gradient_block(store: TripleStore, profile: dict,
                            seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A real batch's (entity indices, per-slot gradient rows) pair."""
     model = ComplEx(store.n_entities, store.n_relations, profile["dim"],
                     seed=seed)
-    w = make_workers(store, profile, "csr", seed)[0]
+    w = Worker(rank=0, shard=store.train, n_entities=store.n_entities,
+               strategy=StrategyConfig(negatives_sampled=2, negatives_used=2),
+               seed=seed)
     w.start_epoch()
     pos = w._batch_positives(0, profile["batch"])
     neg = corrupt_batch(pos, store.n_entities, k=2, rng=w.rng)
@@ -137,12 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", choices=("fb15k", "smoke"),
                         default="fb15k")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="synchronous steps per timed epoch "
-                             "(default: profile size)")
-    parser.add_argument("--repeats", type=int, default=4,
-                        help="timed epochs per impl; best is reported "
-                             "(default: 4)")
     parser.add_argument("--accum-reps", type=int, default=100,
                         help="microbenchmark repetitions (default: 100)")
     parser.add_argument("--seed", type=int, default=20220829)
@@ -150,72 +114,36 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     profile = FB15K_PROFILE if args.profile == "fb15k" else SMOKE_PROFILE
-    n_steps = args.steps if args.steps is not None else profile["steps"]
     store = build_store(profile, args.seed)
     print(f"dataset : {store.summary()}")
-    steps_per_epoch = max(1, -(-len(store.train) // profile["batch"]))
 
-    # -- bitwise equivalence across several full optimiser steps ----------
-    finals = {}
-    for impl in ACCUM_IMPLS:
-        model = ComplEx(store.n_entities, store.n_relations, profile["dim"],
-                        seed=args.seed)
-        finals[impl], _, _ = run_steps(model, store, profile, impl,
-                                       args.seed, n_steps=3)
-    bitwise_equal = bool(
-        np.array_equal(finals["naive"].entity_emb.view(np.uint32),
-                       finals["csr"].entity_emb.view(np.uint32))
-        and np.array_equal(finals["naive"].relation_emb.view(np.uint32),
-                           finals["csr"].relation_emb.view(np.uint32)))
-    print(f"bitwise : naive == csr after 3 steps: {bitwise_equal}")
-
-    # -- accumulation microbenchmark on a real gradient block -------------
     idx, vals = capture_gradient_block(store, profile, args.seed)
     n_rows = store.n_entities
-    accum_ms = {}
-    for impl in ACCUM_IMPLS:
-        seconds = time_best(
-            lambda impl=impl: SparseRows.from_rows(idx, vals, n_rows=n_rows,
-                                                   impl=impl),
-            reps=args.accum_reps)
-        accum_ms[impl] = seconds * 1e3
+
+    # -- bitwise equivalence on a real gradient block ---------------------
+    ref_rows, ref_sums = scatter_add_rows(idx, vals)
+    folded = SparseRows.from_rows(idx, vals, n_rows=n_rows)
+    bitwise_equal = bool(
+        np.array_equal(ref_rows, folded.indices)
+        and np.array_equal(ref_sums.view(np.uint32),
+                           folded.values.view(np.uint32)))
+    print(f"bitwise : fold == reference scatter-add: {bitwise_equal}")
+
+    # -- accumulation microbenchmark on the same block --------------------
+    accum_ms = {
+        "csr": time_best(
+            lambda: SparseRows.from_rows(idx, vals, n_rows=n_rows),
+            reps=args.accum_reps) * 1e3,
+        "reference": time_best(lambda: scatter_add_rows(idx, vals),
+                               reps=args.accum_reps) * 1e3,
+    }
     plan = build_fold_plan(idx, n_rows)
     fold_ms = time_best(lambda: fold_rows(plan, vals),
                         reps=args.accum_reps) * 1e3
-    accum_speedup = accum_ms["naive"] / accum_ms["csr"]
-
-    # -- end-to-end synchronous-step throughput ---------------------------
-    # Repeats are interleaved (naive, csr, naive, csr, ...) so slow drift
-    # in machine load biases both impls equally; best-of-repeats is kept.
-    best = {impl: (None, None) for impl in ACCUM_IMPLS}
-    for _ in range(args.repeats):
-        for impl in ACCUM_IMPLS:
-            model = ComplEx(store.n_entities, store.n_relations,
-                            profile["dim"], seed=args.seed)
-            _, seconds, grad_seconds = run_steps(model, store, profile,
-                                                 impl, args.seed, n_steps)
-            if best[impl][0] is None or seconds < best[impl][0]:
-                best[impl] = (seconds, grad_seconds)
-    report = {
-        impl: {
-            "steps_per_sec": n_steps / best[impl][0],
-            "accum_ms": accum_ms[impl],
-            "grad_seconds_per_epoch":
-                best[impl][1] / n_steps * steps_per_epoch,
-        }
-        for impl in ACCUM_IMPLS
-    }
-    steps_speedup = (report["csr"]["steps_per_sec"]
-                     / report["naive"]["steps_per_sec"])
-
-    print(f"{'impl':8s} {'steps/s':>9s} {'accum ms':>9s} {'grad s/epoch':>13s}")
-    for impl in ACCUM_IMPLS:
-        row = report[impl]
-        print(f"{impl:8s} {row['steps_per_sec']:9.2f} "
-              f"{row['accum_ms']:9.3f} {row['grad_seconds_per_epoch']:13.3f}")
-    print(f"speedup : accum {accum_speedup:.2f}x "
-          f"(prebuilt-plan fold {accum_ms['naive'] / fold_ms:.2f}x), "
-          f"end-to-end {steps_speedup:.2f}x")
+    accum_speedup = accum_ms["reference"] / accum_ms["csr"]
+    print(f"accum   : csr {accum_ms['csr']:.3f} ms, reference "
+          f"{accum_ms['reference']:.3f} ms -> {accum_speedup:.2f}x "
+          f"(prebuilt-plan fold {accum_ms['reference'] / fold_ms:.2f}x)")
 
     payload = {
         "profile": args.profile,
@@ -223,13 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         "n_relations": store.n_relations,
         "dim": profile["dim"],
         "batch_size": profile["batch"],
-        "n_ranks": profile["n_ranks"],
-        "steps_timed": n_steps,
-        "steps_per_epoch": steps_per_epoch,
-        "impls": report,
+        "accum_ms": accum_ms,
         "fold_ms_prebuilt_plan": fold_ms,
         "accum_speedup": accum_speedup,
-        "steps_speedup": steps_speedup,
         "bitwise_equal": bitwise_equal,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True)
@@ -238,20 +162,14 @@ def main(argv: list[str] | None = None) -> int:
 
     bad = []
     if not bitwise_equal:
-        bad.append("csr and naive impls diverged bitwise")
-    if not report["csr"]["steps_per_sec"] > 0:
-        bad.append("csr produced no throughput")
+        bad.append("fold and reference scatter-add diverged bitwise")
     if accum_speedup < profile["min_accum_speedup"]:
         bad.append(f"accum_speedup={accum_speedup:.2f}x "
                    f"< {profile['min_accum_speedup']}x floor")
-    if steps_speedup < profile["min_steps_speedup"]:
-        bad.append(f"steps_speedup={steps_speedup:.2f}x "
-                   f"< {profile['min_steps_speedup']}x floor")
     if bad:
         print("FAIL: " + "; ".join(bad), file=sys.stderr)
         return 1
-    print(f"OK: accum {accum_speedup:.2f}x, steps {steps_speedup:.2f}x, "
-          f"bitwise equal")
+    print(f"OK: accum {accum_speedup:.2f}x, bitwise equal")
     return 0
 
 

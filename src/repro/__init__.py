@@ -22,7 +22,7 @@ Subpackages
 ``repro.models``
     ComplEx (the paper's model), DistMult, TransE — closed-form gradients.
 ``repro.optim``
-    Sparse-row Adam, SGD, the paper's plateau lr schedule.
+    Sparse-row Adam, the paper's plateau lr schedule.
 ``repro.compress``
     Gradient-row selection, 1-/2-bit quantization, bit packing, error
     feedback.

@@ -1,0 +1,72 @@
+"""Slow reference kernels kept only as oracles.
+
+Nothing under ``src/repro`` imports this module (a test enforces it).  The
+bitwise property suites, ``benchmarks/test_eval_throughput.py`` and
+``scripts/train_bench.py`` compare the production kernels against these:
+
+* :func:`scatter_add_rows` — the ``np.unique`` + ``np.add.at`` gradient
+  accumulation that :func:`repro.kg.spmat.fold_rows` replays bitwise;
+* :func:`filtered_naive` — the hash-every-candidate known-fact filter that
+  :func:`repro.eval.ranking.scatter_known_nan` matches rank for rank
+  (:func:`rank_triples_reference` is ``rank_triples`` built on it).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .eval.ranking import _ranks_from_scores
+
+
+def scatter_add_rows(indices: np.ndarray, values: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum duplicated row updates in input order.
+
+    Returns ``(sorted unique indices, float32 per-row sums)``.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float32)
+    uniq, inverse = np.unique(indices, return_inverse=True)
+    summed = np.zeros((len(uniq), values.shape[1]), dtype=np.float32)
+    np.add.at(summed, inverse, values)
+    return uniq, summed
+
+
+def filtered_naive(scores: np.ndarray, store,
+                   h: np.ndarray, r: np.ndarray, t: np.ndarray,
+                   tail_side: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Hash every candidate triple against ``store``, mask known ones.
+
+    Returns ``(masked score copy, per-row surviving candidate count)``.
+    """
+    b, n_entities = scores.shape
+    cand = np.arange(n_entities)
+    if tail_side:
+        known = store.is_known(
+            np.repeat(h, n_entities), np.repeat(r, n_entities),
+            np.tile(cand, b)).reshape(b, n_entities)
+        known[np.arange(b), t] = False  # never filter the query itself
+    else:
+        known = store.is_known(
+            np.tile(cand, b), np.repeat(r, n_entities),
+            np.repeat(t, n_entities)).reshape(b, n_entities)
+        known[np.arange(b), h] = False
+    masked = np.where(known, np.nan, scores)
+    return masked, n_entities - known.sum(axis=1)
+
+
+def rank_triples_reference(model, triples, store
+                           ) -> tuple[np.ndarray, np.ndarray,
+                                      np.ndarray, np.ndarray]:
+    """:func:`repro.eval.ranking.rank_triples` over one batch holding every
+    triple, with :func:`filtered_naive` as the known-fact filter."""
+    h, r, t = triples.heads, triples.relations, triples.tails
+
+    def raw_and_filtered(scores, gold, tail_side):
+        true_scores = scores[np.arange(len(gold)), gold]
+        masked, n_cand = filtered_naive(scores, store, h, r, t, tail_side)
+        return (_ranks_from_scores(scores, true_scores),
+                _ranks_from_scores(masked, true_scores, n_cand))
+
+    return (raw_and_filtered(model.score_all_heads(r, t), h, False)
+            + raw_and_filtered(model.score_all_tails(h, r), t, True))

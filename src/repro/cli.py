@@ -77,9 +77,7 @@ import dataclasses
 from .bench.calibration import BENCH_NETWORK
 from .comm.faults import CollectiveFaultError, FaultPlan, RankLossError
 from .comm.topology import HierarchicalNetwork
-from .eval.ranking import FILTER_IMPLS
-from .config import DEFAULT_ACCUM_IMPL, DEFAULT_SEED
-from .kg.spmat import ACCUM_IMPLS
+from .config import DEFAULT_SEED
 from .kg.datasets import load_store, make_fb15k_like, make_fb250k_like
 from .training.checkpoint import CheckpointError
 from .training.elastic import ElasticSupervisor
@@ -117,18 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--patience", type=int, default=6)
     parser.add_argument("--warmup", type=int, default=12)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--filter-impl", choices=sorted(FILTER_IMPLS),
-                        default="csr",
-                        help="filtered-MRR filter implementation: 'csr' uses "
-                             "the precomputed FilterIndex, 'naive' rebuilds "
-                             "the known mask per batch (default: csr)")
-    parser.add_argument("--accum-impl", choices=sorted(ACCUM_IMPLS),
-                        default=DEFAULT_ACCUM_IMPL,
-                        help="gradient accumulation kernel: 'csr' folds "
-                             "per-example blocks through a per-batch "
-                             "incidence CSR, 'naive' is the reference "
-                             "scatter-add; bitwise-identical trajectories "
-                             "(default: %(default)s)")
     parser.add_argument("--eval-chunk-entities", type=int, default=None,
                         metavar="N",
                         help="score at most N candidate entities at a time "
@@ -176,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resume", metavar="PATH",
                         help="resume bitwise-exactly from a checkpoint "
                              "directory (or the newest checkpoint under "
-                             "PATH); all settings except --max-epochs, "
-                             "--accum-impl and the checkpoint flags must "
-                             "match the interrupted run")
+                             "PATH); all settings except --max-epochs "
+                             "and the checkpoint flags must match the "
+                             "interrupted run")
     parser.add_argument("--json", action="store_true",
                         help="emit the summary as JSON instead of text")
     return parser
@@ -491,8 +477,6 @@ def main(argv: list[str] | None = None) -> int:
                          base_lr=args.lr, max_epochs=args.max_epochs,
                          lr_patience=args.patience,
                          lr_warmup_epochs=args.warmup, seed=args.seed,
-                         eval_filter_impl=args.filter_impl,
-                         accum_impl=args.accum_impl,
                          eval_chunk_entities=args.eval_chunk_entities,
                          time_scale=2.0e5,
                          checkpoint_dir=args.checkpoint_dir,

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..spec import Key, each, parse_spec
 from .network import NetworkModel
 
 FAULT_POLICIES = ("retry", "fallback-dense", "fail-fast")
@@ -232,18 +233,29 @@ class FaultPlan:
         slowdown = tuple(sorted(factors.items()))
         return cls(compute_slowdown=slowdown, **kwargs)
 
-    #: Every key the ``--faults`` mini-language accepts (``straggler`` and
-    #: ``rankloss`` may repeat; everything else at most once).
-    PARSE_KEYS = ("seed", "drop", "corrupt", "jitter", "alpha_jitter",
-                  "beta_jitter", "straggler", "rankloss", "retries",
-                  "backoff", "policy")
+    #: The ``--faults`` keys (grammar: :mod:`repro.spec`); ``straggler``
+    #: and ``rankloss`` may repeat, everything else at most once.
+    _KEYS = {
+        "seed": Key(int), "drop": Key(float), "corrupt": Key(float),
+        "jitter": Key(float), "alpha_jitter": Key(float),
+        "beta_jitter": Key(float),
+        "straggler": Key(each(int, float), "rank:factor", repeat=True),
+        "rankloss": Key(each(int, int), "rank:epoch", repeat=True),
+        "retries": Key(int), "backoff": Key(float), "policy": Key(str),
+    }
+    PARSE_KEYS = tuple(_KEYS)
+    #: Spec key -> dataclass field (``jitter`` sets both sigmas).
+    _FIELDS = {"seed": "seed", "drop": "drop_prob",
+               "corrupt": "corruption_prob", "alpha_jitter": "alpha_jitter",
+               "beta_jitter": "beta_jitter", "retries": "max_retries",
+               "backoff": "backoff_base", "policy": "policy"}
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse the CLI's ``--faults`` mini-language.
 
-        Comma-separated ``key=value`` entries; ``straggler`` and
-        ``rankloss`` may repeat::
+        Comma-separated ``key=value`` entries (grammar and strictness:
+        :mod:`repro.spec`); ``straggler`` and ``rankloss`` may repeat::
 
             drop=0.05,corrupt=0.01,jitter=0.2,straggler=2:3.0,\
 rankloss=2:3,policy=fallback-dense
@@ -252,75 +264,19 @@ rankloss=2:3,policy=fallback-dense
         sigmas), ``alpha_jitter``, ``beta_jitter``, ``straggler`` (as
         ``rank:factor``), ``rankloss`` (as ``rank:epoch``, a permanent
         death), ``retries``, ``backoff``, ``policy``.
-
-        Malformed input never passes silently: an unknown key, a repeated
-        non-repeatable key, a missing ``=`` or a bad ``rank:value`` pair
-        each raise :class:`ValueError` naming the offending entry.
         """
-        kwargs: dict = {}
-        stragglers: list[tuple[int, float]] = []
-        losses: list[tuple[int, int]] = []
-        seen: set[str] = set()
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(
-                    f"bad --faults entry {item!r}; expected key=value")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in cls.PARSE_KEYS:
-                raise ValueError(
-                    f"unknown --faults key {key!r}; valid keys are "
-                    f"{', '.join(cls.PARSE_KEYS)}")
-            if key not in ("straggler", "rankloss"):
-                # `jitter` is shorthand for both sigmas, so it collides
-                # with each explicit alpha_jitter/beta_jitter key (but the
-                # two explicit keys are fine together).
-                aliases = ((key, "jitter")
-                           if key in ("alpha_jitter", "beta_jitter")
-                           else ("jitter", "alpha_jitter", "beta_jitter")
-                           if key == "jitter"
-                           else (key,))
-                if any(a in seen for a in aliases):
-                    raise ValueError(
-                        f"duplicate --faults key {key!r} (each key may "
-                        f"appear once; only straggler/rankloss repeat)")
-                seen.add(key)
-            if key == "straggler":
-                rank_str, sep, factor_str = value.partition(":")
-                if not sep:
-                    raise ValueError(
-                        f"bad straggler spec {value!r}; expected rank:factor")
-                stragglers.append((int(rank_str), float(factor_str)))
-            elif key == "rankloss":
-                rank_str, sep, epoch_str = value.partition(":")
-                if not sep:
-                    raise ValueError(
-                        f"bad rankloss spec {value!r}; expected rank:epoch")
-                losses.append((int(rank_str), int(epoch_str)))
-            elif key == "jitter":
-                kwargs["alpha_jitter"] = kwargs["beta_jitter"] = float(value)
-            elif key in ("alpha_jitter", "beta_jitter"):
-                kwargs[key] = float(value)
-            elif key == "drop":
-                kwargs["drop_prob"] = float(value)
-            elif key == "corrupt":
-                kwargs["corruption_prob"] = float(value)
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "retries":
-                kwargs["max_retries"] = int(value)
-            elif key == "backoff":
-                kwargs["backoff_base"] = float(value)
-            elif key == "policy":
-                kwargs["policy"] = value
-        if stragglers:
-            kwargs["compute_slowdown"] = tuple(sorted(stragglers))
-        if losses:
-            kwargs["rank_loss"] = tuple(sorted(losses))
+        entries = parse_spec(
+            "--faults", spec, cls._KEYS,
+            aliases={"jitter": ("alpha_jitter", "beta_jitter")},
+            duplicate_hint="only straggler/rankloss repeat")
+        kwargs = {field: entries[key] for key, field in cls._FIELDS.items()
+                  if key in entries}
+        if "jitter" in entries:
+            kwargs["alpha_jitter"] = kwargs["beta_jitter"] = entries["jitter"]
+        if "straggler" in entries:
+            kwargs["compute_slowdown"] = tuple(sorted(entries["straggler"]))
+        if "rankloss" in entries:
+            kwargs["rank_loss"] = tuple(sorted(entries["rankloss"]))
         return cls(**kwargs)
 
     def describe(self) -> str:

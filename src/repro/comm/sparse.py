@@ -7,12 +7,10 @@ combine operation (sum rows with matching indices) each rank applies after
 gathering everyone's rows.
 
 Both accumulation entry points (:meth:`SparseRows.from_rows` and
-:func:`combine_sparse`) accept an ``impl`` knob: ``"csr"`` (default)
-routes through the sorted-segment CSR fold in :mod:`repro.kg.spmat`,
-``"naive"`` keeps the original ``np.unique`` + ``np.add.at`` scatter as
-the pinned reference.  The two are bitwise identical by construction —
-the CSR fold replays the scatter's exact input-order float additions —
-so switching impls never perturbs a training trajectory.
+:func:`combine_sparse`) sum duplicate rows through the sorted-segment CSR
+fold in :mod:`repro.kg.spmat`, which replays an input-order scatter-add's
+exact float additions (the property suites pin it bitwise against
+``repro._reference.scatter_add_rows``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..kg.spmat import ACCUM_IMPLS, FoldPlan, build_fold_plan, fold_rows
+from ..kg.spmat import FoldPlan, build_fold_plan, fold_rows
 from .payload import sparse_rows_bytes
 
 
@@ -98,20 +96,14 @@ class SparseRows:
 
     @classmethod
     def from_rows(cls, indices: np.ndarray, values: np.ndarray,
-                  n_rows: int, impl: str = "csr",
-                  plan: FoldPlan | None = None) -> "SparseRows":
+                  n_rows: int, plan: FoldPlan | None = None) -> "SparseRows":
         """Build from possibly-unsorted, possibly-duplicated row updates.
 
         Duplicate indices are summed (scatter-add semantics), matching what
         a framework does when the same entity appears several times in a
-        batch.  ``impl="csr"`` folds through a sorted-segment reduction
-        (bitwise identical to the ``"naive"`` scatter-add reference); a
-        caller that already built the batch's :class:`FoldPlan` from
-        ``indices`` can pass it to skip rebuilding the CSR structure.
+        batch.  A caller that already built the batch's :class:`FoldPlan`
+        from ``indices`` can pass it to skip rebuilding the CSR structure.
         """
-        if impl not in ACCUM_IMPLS:
-            raise ValueError(
-                f"unknown impl {impl!r}; choose from {ACCUM_IMPLS}")
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float32)
         if len(indices) == 0:
@@ -119,13 +111,6 @@ class SparseRows:
                        values=np.empty((0, values.shape[1] if values.ndim == 2 else 0),
                                        dtype=np.float32),
                        n_rows=n_rows)
-        if impl == "naive":
-            if plan is not None:
-                raise ValueError("plan is only meaningful with impl='csr'")
-            uniq, inverse = np.unique(indices, return_inverse=True)
-            summed = np.zeros((len(uniq), values.shape[1]), dtype=np.float32)
-            np.add.at(summed, inverse, values)
-            return cls(indices=uniq, values=summed, n_rows=n_rows)
         if plan is None:
             plan = build_fold_plan(indices, n_rows)
         elif plan.n_slots != len(indices) or plan.n_rows != n_rows:
@@ -160,14 +145,12 @@ class SparseRows:
                           n_rows=self.n_rows)
 
 
-def combine_sparse(parts: Iterable[SparseRows],
-                   impl: str = "csr") -> SparseRows:
+def combine_sparse(parts: Iterable[SparseRows]) -> SparseRows:
     """Sum several ranks' sparse row sets into one.
 
     This is what each rank computes locally after an allgather: rows present
     on multiple ranks are added elementwise, rows unique to one rank pass
-    through.  ``impl`` picks the accumulation kernel (see
-    :meth:`SparseRows.from_rows`); both produce bitwise-identical sums.
+    through.
     """
     parts = list(parts)
     if not parts:
@@ -186,4 +169,4 @@ def combine_sparse(parts: Iterable[SparseRows],
                           values=np.empty((0, dim), dtype=np.float32),
                           n_rows=n_rows)
     all_val = np.concatenate([p.values for p in parts])
-    return SparseRows.from_rows(all_idx, all_val, n_rows=n_rows, impl=impl)
+    return SparseRows.from_rows(all_idx, all_val, n_rows=n_rows)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..spec import Key, each, parse_spec
 from .network import NetworkModel, _check_p
 
 
@@ -137,17 +138,25 @@ class HierarchicalNetwork:
         """
         return self.inter.split_time(time, n_messages)
 
-    #: Every key the CLI's ``--net`` mini-language accepts (each at most
-    #: once; ``intra``/``inter`` are ``alpha:beta`` shorthands that collide
-    #: with their explicit ``*_alpha``/``*_beta`` forms).
-    PARSE_KEYS = ("rpn", "intra", "inter", "intra_alpha", "intra_beta",
-                  "inter_alpha", "inter_beta", "flops")
+    #: The ``--net`` keys (grammar: :mod:`repro.spec`), each at most once;
+    #: ``intra``/``inter`` are ``alpha:beta`` shorthands that collide with
+    #: their explicit ``*_alpha``/``*_beta`` forms.
+    _KEYS = {
+        "rpn": Key(int),
+        "intra": Key(each(float, float), "alpha:beta", noun="--net intra"),
+        "inter": Key(each(float, float), "alpha:beta", noun="--net inter"),
+        "intra_alpha": Key(float), "intra_beta": Key(float),
+        "inter_alpha": Key(float), "inter_beta": Key(float),
+        "flops": Key(float),
+    }
+    PARSE_KEYS = tuple(_KEYS)
 
     @classmethod
     def parse(cls, spec: str) -> "HierarchicalNetwork":
         """Parse the CLI's ``--net`` mini-language.
 
-        Comma-separated ``key=value`` entries::
+        Comma-separated ``key=value`` entries (grammar and strictness:
+        :mod:`repro.spec`)::
 
             rpn=4,intra=0.3e-6:2e-11,inter=5e-6:1.25e-10
             rpn=2,inter_alpha=8e-6,flops=5e10
@@ -157,70 +166,25 @@ class HierarchicalNetwork:
         ``inter_alpha`` / ``inter_beta`` (individual components),
         ``flops`` (per-node sustained flop/s, applied to both levels).
         Unset components keep the class defaults.
-
-        Mirrors ``FaultPlan.parse``'s strictness: an unknown key, a
-        repeated key (including a shorthand colliding with its explicit
-        form), a missing ``=`` or a malformed ``alpha:beta`` pair each
-        raise :class:`ValueError` naming the offending entry.
         """
-        values: dict[str, float] = {}
-        rpn = cls.ranks_per_node
-        flops: float | None = None
-        seen: set[str] = set()
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(
-                    f"bad --net entry {item!r}; expected key=value")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in cls.PARSE_KEYS:
-                raise ValueError(
-                    f"unknown --net key {key!r}; valid keys are "
-                    f"{', '.join(cls.PARSE_KEYS)}")
-            # `intra` sets both of that level's components, so it collides
-            # with each explicit intra_alpha/intra_beta key (and likewise
-            # for `inter`); the two explicit keys are fine together.
-            if key in ("intra", "inter"):
-                aliases = (key, f"{key}_alpha", f"{key}_beta")
-            elif key in ("intra_alpha", "intra_beta",
-                         "inter_alpha", "inter_beta"):
-                aliases = (key, key.split("_")[0])
-            else:
-                aliases = (key,)
-            if any(a in seen for a in aliases):
-                raise ValueError(
-                    f"duplicate --net key {key!r} (each key may appear "
-                    f"once; intra/inter collide with their _alpha/_beta "
-                    f"forms)")
-            seen.add(key)
-            if key == "rpn":
-                rpn = int(value)
-            elif key == "flops":
-                flops = float(value)
-            elif key in ("intra", "inter"):
-                alpha_str, sep, beta_str = value.partition(":")
-                if not sep:
-                    raise ValueError(
-                        f"bad --net {key} spec {value!r}; expected "
-                        f"alpha:beta")
-                values[f"{key}_alpha"] = float(alpha_str)
-                values[f"{key}_beta"] = float(beta_str)
-            else:
-                values[key] = float(value)
+        entries = parse_spec(
+            "--net", spec, cls._KEYS,
+            aliases={"intra": ("intra_alpha", "intra_beta"),
+                     "inter": ("inter_alpha", "inter_beta")},
+            duplicate_hint="intra/inter collide with their _alpha/_beta "
+                           "forms")
         defaults = cls()
         models = {}
         for level in ("intra", "inter"):
             base = getattr(defaults, level)
+            alpha, beta = entries.get(level, (
+                entries.get(f"{level}_alpha", base.alpha),
+                entries.get(f"{level}_beta", base.beta)))
             models[level] = NetworkModel(
-                alpha=values.get(f"{level}_alpha", base.alpha),
-                beta=values.get(f"{level}_beta", base.beta),
-                node_flops=flops if flops is not None else base.node_flops)
+                alpha=alpha, beta=beta,
+                node_flops=entries.get("flops", base.node_flops))
         return cls(intra=models["intra"], inter=models["inter"],
-                   ranks_per_node=rpn)
+                   ranks_per_node=entries.get("rpn", cls.ranks_per_node))
 
     def describe(self) -> str:
         """One-line human summary for CLI output."""

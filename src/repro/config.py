@@ -13,11 +13,6 @@ from dataclasses import dataclass
 #: Default RNG seed used across dataset generation, model init and sampling.
 DEFAULT_SEED = 20220829  # ICPP'22 started August 29, 2022
 
-#: Default gradient-accumulation kernel ("csr" = incidence-CSR fold,
-#: "naive" = reference scatter-add); see repro.kg.spmat.  The two produce
-#: bitwise-identical trajectories, so this is purely a speed knob.
-DEFAULT_ACCUM_IMPL = "csr"
-
 #: Paper: "batch-size of 10000" (Section 3.3).  Scaled-down runs override it.
 PAPER_BATCH_SIZE = 10_000
 

@@ -5,12 +5,11 @@ from .classification import (
     evaluate_classification,
     fit_thresholds,
 )
-from .ranking import FILTER_IMPLS, RankingResult, evaluate_ranking, \
-    rank_triples, scatter_known_nan
+from .ranking import RankingResult, evaluate_ranking, rank_triples, \
+    scatter_known_nan
 
 __all__ = [
     "ClassificationResult",
-    "FILTER_IMPLS",
     "RankingResult",
     "evaluate_classification",
     "evaluate_ranking",

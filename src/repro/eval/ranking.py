@@ -10,15 +10,12 @@ Ranks use the conservative convention ``rank = 1 + #{strictly better} +
 #{ties} / 2`` truncated — we use mean-rank-of-ties ("realistic" ranking) to
 avoid rewarding degenerate constant scores.
 
-Two filter implementations produce bitwise-identical ranks:
-
-* ``filter_impl="csr"`` (default) consults the precomputed
-  :class:`~repro.kg.triples.FilterIndex` and scatters each query's short
-  known-fact list into the score matrix — memory and time per batch scale
-  with the number of known facts, not with ``batch * n_entities``.
-* ``filter_impl="naive"`` rebuilds the known mask per batch by hashing
-  every ``batch * n_entities`` candidate triple, kept as the slow
-  reference implementation the property tests compare against.
+The filter consults the precomputed
+:class:`~repro.kg.triples.FilterIndex` and scatters each query's short
+known-fact list into the score matrix (:func:`scatter_known_nan`), so
+memory and time per batch scale with the number of known facts, not with
+``batch * n_entities``.  The property tests pin its ranks bitwise against
+``repro._reference.filtered_naive``, which hashes every candidate triple.
 
 Filtered candidates are masked with ``NaN`` (not ``-inf``): NaN compares
 unequal to everything, so a filtered candidate can never re-enter the tie
@@ -33,8 +30,6 @@ import numpy as np
 
 from ..kg.triples import TripleSet, TripleStore
 from ..models.base import KGEModel
-
-FILTER_IMPLS = ("csr", "naive")
 
 
 @dataclass(frozen=True)
@@ -73,29 +68,6 @@ def _ranks_from_scores(all_scores: np.ndarray, true_scores: np.ndarray,
     return ranks
 
 
-def _filtered_naive(scores: np.ndarray, store: TripleStore,
-                    h: np.ndarray, r: np.ndarray, t: np.ndarray,
-                    tail_side: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Reference path: hash every candidate triple, mask known ones.
-
-    Returns ``(masked score copy, per-row surviving candidate count)``.
-    """
-    b, n_entities = scores.shape
-    cand = np.arange(n_entities)
-    if tail_side:
-        known = store.is_known(
-            np.repeat(h, n_entities), np.repeat(r, n_entities),
-            np.tile(cand, b)).reshape(b, n_entities)
-        known[np.arange(b), t] = False  # never filter the query itself
-    else:
-        known = store.is_known(
-            np.tile(cand, b), np.repeat(r, n_entities),
-            np.repeat(t, n_entities)).reshape(b, n_entities)
-        known[np.arange(b), h] = False
-    masked = np.where(known, np.nan, scores)
-    return masked, n_entities - known.sum(axis=1)
-
-
 def scatter_known_nan(scores: np.ndarray, index,
                       anchor: np.ndarray, r: np.ndarray,
                       tail_side: bool = True,
@@ -128,40 +100,16 @@ def scatter_known_nan(scores: np.ndarray, index,
     return masked, n_entities - (counts - kept_was_masked)
 
 
-def _filtered_csr(scores: np.ndarray, store: TripleStore,
-                  h: np.ndarray, r: np.ndarray, t: np.ndarray,
-                  tail_side: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path: scatter the precomputed per-query filter lists.
-
-    The query triple itself is always in the known set; instead of
-    re-testing membership, its column is restored to the exact score it
-    held before the scatter, which keeps ranks bitwise identical to the
-    naive mask.
-    """
-    if tail_side:
-        return scatter_known_nan(scores, store.filter_index, h, r,
-                                 tail_side=True, keep=t)
-    return scatter_known_nan(scores, store.filter_index, t, r,
-                             tail_side=False, keep=h)
-
-
-_FILTER_FNS = {"csr": _filtered_csr, "naive": _filtered_naive}
-
-
 def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
-                 batch_size: int = 512, filter_impl: str = "csr",
+                 batch_size: int = 512,
                  chunk_entities: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-query ranks: (head_raw, head_filtered, tail_raw, tail_filtered).
 
     ``chunk_entities`` bounds the candidate-scoring working set (see
-    :meth:`~repro.models.base.KGEModel.score_all_tails`); ``filter_impl``
-    selects the known-fact filter implementation.
+    :meth:`~repro.models.base.KGEModel.score_all_tails`).
     """
-    if filter_impl not in _FILTER_FNS:
-        raise ValueError(
-            f"unknown filter_impl {filter_impl!r}; choose from {FILTER_IMPLS}")
-    filter_fn = _FILTER_FNS[filter_impl]
+    index = store.filter_index
     n = len(triples)
     head_raw = np.empty(n)
     head_filt = np.empty(n)
@@ -182,8 +130,10 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
         tail_scores = model.score_all_tails(h, r,
                                             chunk_entities=chunk_entities)
         true_scores = tail_scores[np.arange(b), t]
-        masked, n_cand = filter_fn(tail_scores, store, h, r, t,
-                                   tail_side=True)
+        # The query triple is itself a known fact; keep= restores its
+        # column to the exact pre-scatter score.
+        masked, n_cand = scatter_known_nan(tail_scores, index, h, r,
+                                           tail_side=True, keep=t)
         tail_raw[sl] = _ranks_from_scores(tail_scores, true_scores)
         tail_filt[sl] = _ranks_from_scores(masked, true_scores, n_cand)
 
@@ -191,8 +141,8 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
         head_scores = model.score_all_heads(r, t,
                                             chunk_entities=chunk_entities)
         true_scores = head_scores[np.arange(b), h]
-        masked, n_cand = filter_fn(head_scores, store, h, r, t,
-                                   tail_side=False)
+        masked, n_cand = scatter_known_nan(head_scores, index, t, r,
+                                           tail_side=False, keep=h)
         head_raw[sl] = _ranks_from_scores(head_scores, true_scores)
         head_filt[sl] = _ranks_from_scores(masked, true_scores, n_cand)
 
@@ -203,7 +153,6 @@ def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
                      batch_size: int = 512,
                      max_queries: int | None = None,
                      rng: np.random.Generator | None = None,
-                     filter_impl: str = "csr",
                      chunk_entities: int | None = None) -> RankingResult:
     """Full link-prediction evaluation of one split.
 
@@ -222,7 +171,7 @@ def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
 
     head_raw, head_filt, tail_raw, tail_filt = rank_triples(
         model, triples, store, batch_size=batch_size,
-        filter_impl=filter_impl, chunk_entities=chunk_entities)
+        chunk_entities=chunk_entities)
     filt = np.concatenate([head_filt, tail_filt])
     raw = np.concatenate([head_raw, tail_raw])
     return RankingResult(

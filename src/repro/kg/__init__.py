@@ -1,6 +1,5 @@
 """Knowledge-graph substrate: triples, synthetic datasets, partitioning."""
 
-from .analysis import GraphStats, analyze, describe, gini
 from .datasets import (
     generate_latent_kg,
     load_store,
@@ -25,27 +24,15 @@ from .partition import (
     relation_partition,
     uniform_partition,
 )
-from .spmat import (
-    ACCUM_IMPLS,
-    CSRMatrix,
-    FoldPlan,
-    build_fold_plan,
-    fold_rows,
-)
+from .spmat import FoldPlan, build_fold_plan, fold_rows
 from .triples import FilterIndex, TripleSet, TripleStore, encode_triples
 
 __all__ = [
-    "ACCUM_IMPLS",
-    "CSRMatrix",
     "FilterIndex",
     "FoldPlan",
     "build_fold_plan",
     "fold_rows",
     "mask_known_candidates",
-    "GraphStats",
-    "analyze",
-    "describe",
-    "gini",
     "NegativeBatch",
     "Partition",
     "TripleSet",

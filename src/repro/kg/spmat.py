@@ -6,13 +6,14 @@ slot) into the embedding rows it touches is a sparse matrix product:
 (example-slot x touched-row).  This module builds the CSR structure of
 ``A.T`` once per batch (:class:`FoldPlan`) and applies it with a
 vectorised sorted-segment reduction (:func:`fold_rows`) that is **bitwise
-identical** to the reference ``np.add.at`` scatter — the invariant the
-golden-run suite and the accumulation property tests pin.
+identical** to the reference ``np.add.at`` scatter
+(``repro._reference.scatter_add_rows``) — the invariant the golden-run
+suite and the accumulation property tests pin.
 
 Why not ``np.add.reduceat``: NumPy's reduceat applies SIMD-unrolled
 partial sums even to tiny segments, so its float32 output differs from
 sequential accumulation in the last ulp and cannot be bitwise-pinned
-against the naive path.  The rank-pass reduction below instead adds the
+against the reference.  The rank-pass reduction below instead adds the
 k-th occurrence of every touched row in one vectorised operation per
 rank ``k``, reproducing ``np.add.at``'s exact input-order addition
 sequence (including the ``0.0 + x`` identity, which normalises ``-0.0``)
@@ -21,10 +22,6 @@ with pathologically long duplicate chains (hub entities) fall back to a
 single ``np.add.at`` over the chain tails — float32 addition is
 non-associative, so a chain's sum is inherently sequential and no
 reordering is allowed.
-
-A small general-purpose :class:`CSRMatrix` (matvec / SpMM / dense
-round-trip, no scipy) rides along for consumers that need the incidence
-matrix itself rather than the fused fold.
 """
 
 from __future__ import annotations
@@ -33,15 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Gradient-accumulation implementations accepted everywhere an
-#: ``accum_impl`` knob appears (TrainConfig, CLI, Worker, SparseRows).
-ACCUM_IMPLS = ("naive", "csr")
-
 #: Duplicate-multiplicity rank beyond which :func:`fold_rows` stops
 #: vectorising one-occurrence-per-row passes and flushes the remaining
 #: chain tails with a single scatter-add.  Real KGE batches rarely repeat
 #: an entity more than a handful of times; hub-heavy batches hit the
-#: tail, which degrades gracefully to the naive path's cost.
+#: tail, which degrades gracefully to the scatter-add's cost.
 FOLD_RANK_CUTOVER = 8
 
 
@@ -82,17 +75,6 @@ class FoldPlan:
     def counts(self) -> np.ndarray:
         """Occurrences of each touched row in the batch."""
         return np.diff(self.indptr)
-
-    def incidence(self) -> "CSRMatrix":
-        """The transposed incidence matrix as an explicit binary CSR.
-
-        ``plan.incidence().spmm(G)`` equals :func:`fold_rows(plan, G)` up
-        to float addition order (SpMM uses reduceat; only ``fold_rows``
-        carries the bitwise guarantee).
-        """
-        return CSRMatrix(indptr=self.indptr, indices=self.perm,
-                         data=np.ones(self.n_slots, dtype=np.float32),
-                         shape=(self.nnz_rows, self.n_slots))
 
 
 def build_fold_plan(indices: np.ndarray, n_rows: int) -> FoldPlan:
@@ -185,99 +167,3 @@ def fold_rows(plan: FoldPlan, values: np.ndarray,
                      + np.arange(len(tail_rows)) - segment_start)
         np.add.at(out, tail_rows, values[perm[positions]])
     return out
-
-
-@dataclass
-class CSRMatrix:
-    """Minimal CSR matrix: just enough for incidence-style products.
-
-    Not a scipy replacement — no slicing, no format conversions — but a
-    correct, validated ``(indptr, indices, data)`` triple with matvec and
-    SpMM against dense operands.  Duplicate column entries within a row
-    are allowed (their products simply both contribute to the row sum).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.data = np.asarray(self.data, dtype=np.float32)
-        n_rows, n_cols = self.shape
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError(f"invalid shape {self.shape}")
-        if self.indptr.ndim != 1 or len(self.indptr) != n_rows + 1:
-            raise ValueError(
-                f"indptr must have length shape[0] + 1 = {n_rows + 1}, "
-                f"got {self.indptr.shape}")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
-            raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.shape != self.data.shape or self.indices.ndim != 1:
-            raise ValueError("indices and data must be matching 1-D arrays")
-        if len(self.indices) and (self.indices.min() < 0
-                                  or self.indices.max() >= n_cols):
-            raise ValueError("column indices out of range")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    @classmethod
-    def from_coo(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int]) -> "CSRMatrix":
-        """Build from coordinate triples (stable within each row)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float32)
-        if not (rows.shape == cols.shape == data.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols, data must be matching 1-D arrays")
-        n_rows, _ = shape
-        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError("row indices out of range")
-        order = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr=indptr, indices=cols[order], data=data[order],
-                   shape=shape)
-
-    def _segment_reduce(self, contrib: np.ndarray) -> np.ndarray:
-        """Per-row sums of ``contrib`` (one entry per stored element)."""
-        out_shape = (self.shape[0],) + contrib.shape[1:]
-        out = np.zeros(out_shape, dtype=np.float32)
-        nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
-        if len(nonempty):
-            # Consecutive non-empty rows are contiguous in `contrib`, so
-            # reduceat over their starts sums exactly each row's segment.
-            out[nonempty] = np.add.reduceat(
-                contrib, self.indptr[:-1][nonempty], axis=0)
-        return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` for a dense vector ``x`` of length ``shape[1]``."""
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape != (self.shape[1],):
-            raise ValueError(
-                f"vector shape {x.shape} incompatible with {self.shape}")
-        return self._segment_reduce(self.data * x[self.indices])
-
-    def spmm(self, dense: np.ndarray) -> np.ndarray:
-        """``A @ B`` for a dense ``(shape[1], k)`` matrix ``B``."""
-        dense = np.asarray(dense, dtype=np.float32)
-        if dense.ndim != 2 or dense.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"matrix shape {dense.shape} incompatible with {self.shape}")
-        return self._segment_reduce(self.data[:, None] * dense[self.indices])
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the full matrix (tests and small cases only)."""
-        out = np.zeros(self.shape, dtype=np.float32)
-        for i in range(self.shape[0]):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            np.add.at(out[i], self.indices[lo:hi], self.data[lo:hi])
-        return out

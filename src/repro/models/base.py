@@ -133,7 +133,7 @@ class KGEModel(abc.ABC):
 
     def batch_gradients(
         self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
-        upstream: np.ndarray, l2: float = 0.0, accum_impl: str = "csr",
+        upstream: np.ndarray, l2: float = 0.0,
         entity_plan: FoldPlan | None = None,
         relation_plan: FoldPlan | None = None,
     ) -> tuple[SparseRows, SparseRows]:
@@ -144,12 +144,10 @@ class KGEModel(abc.ABC):
         added to every touched row.
 
         The per-example blocks from :meth:`score_grad` are folded into
-        unique rows by ``accum_impl``: ``"csr"`` (default) applies the
-        incidence-CSR sorted-segment fold, ``"naive"`` the reference
-        scatter-add — bitwise-identical results either way.  A caller that
-        drives many folds per batch (the worker builds the incidence CSR
-        once per step) passes the prebuilt plans: ``entity_plan`` must be
-        built from ``concatenate([h, t])`` over ``n_entities`` and
+        unique rows by the incidence-CSR sorted-segment fold.  A caller
+        that drives many folds per batch (the worker builds the incidence
+        CSR once per step) passes the prebuilt plans: ``entity_plan`` must
+        be built from ``concatenate([h, t])`` over ``n_entities`` and
         ``relation_plan`` from ``r`` over ``n_relations``.
         """
         h = np.asarray(h, dtype=np.int64)
@@ -164,10 +162,9 @@ class KGEModel(abc.ABC):
             g_r = g_r + reg * self.relation_emb[r]
         entity_grad = SparseRows.from_rows(
             np.concatenate([h, t]), np.concatenate([g_h, g_t]),
-            n_rows=self.n_entities, impl=accum_impl, plan=entity_plan)
+            n_rows=self.n_entities, plan=entity_plan)
         relation_grad = SparseRows.from_rows(
-            r, g_r, n_rows=self.n_relations, impl=accum_impl,
-            plan=relation_plan)
+            r, g_r, n_rows=self.n_relations, plan=relation_plan)
         return entity_grad, relation_grad
 
     # -- binary-tier candidate generation ----------------------------------

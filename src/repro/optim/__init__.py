@@ -2,13 +2,10 @@
 
 from .adam import Adam, AdamState
 from .lr_schedule import PlateauScheduler, scaled_initial_lr
-from .sgd import SGD, SGDState
 
 __all__ = [
     "Adam",
     "AdamState",
     "PlateauScheduler",
-    "SGD",
-    "SGDState",
     "scaled_initial_lr",
 ]

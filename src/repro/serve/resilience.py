@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..spec import Key, parse_spec
 from .traffic import BurstSpec, burst_factor_at, validate_bursts
 
 #: Ladder states, shallowest (full service) to deepest (no service).
@@ -183,8 +184,19 @@ class ServeFaultPlan:
     #: both read these, so offered load and modeled load agree.
     bursts: tuple[BurstSpec, ...] = ()
 
-    PARSE_KEYS = ("seed", "spike", "spike_ms", "fail", "sidecar_corrupt",
-                  "burst")
+    #: The ``--serve-faults`` keys (grammar: :mod:`repro.spec`); ``burst``
+    #: may repeat, everything else at most once.
+    _KEYS = {
+        "seed": Key(int), "spike": Key(float), "spike_ms": Key(float),
+        "fail": Key(float), "sidecar_corrupt": Key(int),
+        "burst": Key(lambda start, length, factor: BurstSpec(
+            int(start), int(length), float(factor)),
+            "start:length:factor", repeat=True),
+    }
+    PARSE_KEYS = tuple(_KEYS)
+    #: Spec key -> dataclass field.
+    _FIELDS = {"seed": "seed", "spike": "spike_prob", "spike_ms": "spike_ms",
+               "fail": "fail_prob", "sidecar_corrupt": "sidecar_corrupt_at"}
 
     def __post_init__(self) -> None:
         for name, prob in (("spike", self.spike_prob),
@@ -204,7 +216,8 @@ class ServeFaultPlan:
     def parse(cls, spec: str) -> "ServeFaultPlan":
         """Parse the CLI's ``--serve-faults`` mini-language.
 
-        Comma-separated ``key=value`` entries; ``burst`` may repeat::
+        Comma-separated ``key=value`` entries (grammar and strictness:
+        :mod:`repro.spec`); ``burst`` may repeat::
 
             spike=0.05,spike_ms=25,fail=0.01,burst=1000:2000:8,\\
 sidecar_corrupt=500,seed=7
@@ -212,62 +225,13 @@ sidecar_corrupt=500,seed=7
         Keys: ``seed``, ``spike`` (probability), ``spike_ms``, ``fail``
         (probability), ``sidecar_corrupt`` (arrival index, one-shot),
         ``burst`` (as ``start:length:factor``, an overload phase).
-
-        Malformed input never passes silently: an unknown key, a repeated
-        non-repeatable key, a missing ``=`` or a bad ``start:length:factor``
-        triple each raise :class:`ValueError` naming the offending entry.
         """
-        kwargs: dict = {}
-        bursts: list[BurstSpec] = []
-        seen: set[str] = set()
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(
-                    f"bad --serve-faults entry {item!r}; expected key=value")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in cls.PARSE_KEYS:
-                raise ValueError(
-                    f"unknown --serve-faults key {key!r}; valid keys are "
-                    f"{', '.join(cls.PARSE_KEYS)}")
-            if key != "burst":
-                if key in seen:
-                    raise ValueError(
-                        f"duplicate --serve-faults key {key!r} (each key "
-                        f"may appear once; only burst repeats)")
-                seen.add(key)
-            try:
-                if key == "burst":
-                    parts = value.split(":")
-                    if len(parts) != 3:
-                        raise ValueError(
-                            f"bad burst spec {value!r}; expected "
-                            f"start:length:factor")
-                    bursts.append(BurstSpec(start=int(parts[0]),
-                                            length=int(parts[1]),
-                                            factor=float(parts[2])))
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
-                elif key == "spike":
-                    kwargs["spike_prob"] = float(value)
-                elif key == "spike_ms":
-                    kwargs["spike_ms"] = float(value)
-                elif key == "fail":
-                    kwargs["fail_prob"] = float(value)
-                elif key == "sidecar_corrupt":
-                    kwargs["sidecar_corrupt_at"] = int(value)
-            except ValueError as exc:
-                if "--serve-faults" in str(exc) or "burst spec" in str(exc):
-                    raise
-                raise ValueError(
-                    f"bad --serve-faults value in {item!r}: {exc}") from exc
-        if bursts:
-            kwargs["bursts"] = tuple(sorted(bursts,
-                                            key=lambda b: b.start))
+        entries = parse_spec("--serve-faults", spec, cls._KEYS,
+                             duplicate_hint="only burst repeats")
+        kwargs = {field: entries[key] for key, field in cls._FIELDS.items()
+                  if key in entries}
+        if "burst" in entries:
+            kwargs["bursts"] = tuple(entries["burst"])
         return cls(**kwargs)
 
     @property

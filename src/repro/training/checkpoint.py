@@ -155,11 +155,9 @@ def store_fingerprint(store) -> str:
 
 #: TrainConfig fields a resume is allowed to change: extending the epoch
 #: budget and re-pointing (or disabling) checkpointing do not perturb the
-#: training trajectory up to any given epoch, and the gradient-accumulation
-#: kernel is bitwise-trajectory-neutral (see repro.kg.spmat), so a
-#: checkpoint taken under one ``accum_impl`` resumes under the other.
+#: training trajectory up to any given epoch.
 _RESUMABLE_CONFIG_FIELDS = ("max_epochs", "checkpoint_dir",
-                            "checkpoint_every", "accum_impl")
+                            "checkpoint_every")
 
 
 def config_fingerprint(store, strategy, config, network, faults) -> str:

@@ -41,11 +41,10 @@ from ..compress import factorization as gradzip
 from ..compress.error_feedback import NodeResiduals, ResidualStore
 from ..compress.quantization import dequantize, quantization_error, quantize
 from ..compress.selection import select
-from ..config import DEFAULT_ACCUM_IMPL, DEFAULT_SEED
+from ..config import DEFAULT_SEED
 from ..eval.classification import evaluate_classification
-from ..eval.ranking import FILTER_IMPLS, RankingResult, evaluate_ranking
+from ..eval.ranking import RankingResult, evaluate_ranking
 from ..kg.partition import make_partition
-from ..kg.spmat import ACCUM_IMPLS
 from ..kg.triples import TripleStore
 from ..models import make_model
 from ..optim.adam import Adam
@@ -73,10 +72,6 @@ class TrainConfig:
     max_epochs: int = 500
     eval_max_queries: int = 200
     eval_batch_size: int = 256
-    #: Known-fact filter used by filtered MRR: "csr" scatters the
-    #: precomputed FilterIndex lists (fast), "naive" rebuilds the mask per
-    #: batch (reference implementation).
-    eval_filter_impl: str = "csr"
     #: Cap on candidate entities scored at once during evaluation; bounds
     #: peak scoring memory to batch x chunk instead of batch x n_entities
     #: (None = unchunked).
@@ -91,11 +86,6 @@ class TrainConfig:
     #: Epochs of uniform negatives before hardest-negative selection kicks
     #: in (-1 = follow lr_warmup_epochs).  See Worker.compute_step.
     ss_warmup_epochs: int = -1
-    #: Gradient accumulation kernel: "csr" folds per-example gradient
-    #: blocks through a per-batch incidence CSR (fast), "naive" is the
-    #: reference scatter-add.  Bitwise-identical trajectories either way;
-    #: see repro.kg.spmat.
-    accum_impl: str = DEFAULT_ACCUM_IMPL
 
     #: Simulated-hours scale: multiplies modeled seconds when reporting
     #: hours, letting scaled-down runs report paper-magnitude numbers.
@@ -123,14 +113,6 @@ class TrainConfig:
             raise ValueError(
                 f"compute_time_mode must be 'modeled' or 'measured', "
                 f"got {self.compute_time_mode!r}")
-        if self.accum_impl not in ACCUM_IMPLS:
-            raise ValueError(
-                f"accum_impl must be one of {ACCUM_IMPLS}, "
-                f"got {self.accum_impl!r}")
-        if self.eval_filter_impl not in FILTER_IMPLS:
-            raise ValueError(
-                f"eval_filter_impl must be one of {FILTER_IMPLS}, "
-                f"got {self.eval_filter_impl!r}")
         if self.eval_chunk_entities is not None and self.eval_chunk_entities < 1:
             raise ValueError(
                 f"eval_chunk_entities must be >= 1 or None, "
@@ -249,8 +231,7 @@ class DistributedTrainer:
         self.workers = [
             Worker(rank=i, shard=part.parts[i], n_entities=store.n_entities,
                    strategy=strategy, seed=cfg.seed, l2=cfg.l2,
-                   zero_row_tol=cfg.zero_row_tol, store=store,
-                   accum_impl=cfg.accum_impl)
+                   zero_row_tol=cfg.zero_row_tol, store=store)
             for i in range(n_nodes)
         ]
         entity_width = self.model.entity_emb.shape[1]
@@ -473,7 +454,7 @@ class DistributedTrainer:
                     op_label=f"{kind}_allreduce", network=flat_net)
             except CollectiveGaveUp:
                 self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads, impl=self.config.accum_impl), 0.0
+            return combine_sparse(grads), 0.0
 
         if mode == "hierarchical":
             try:
@@ -481,7 +462,7 @@ class DistributedTrainer:
                                               kind)
             except CollectiveGaveUp:
                 self._dense_fallback(matrix_rows, kind)
-                return combine_sparse(grads, impl=self.config.accum_impl), 0.0
+                return combine_sparse(grads), 0.0
 
         try:
             return self._communicate_allgather(grads, residuals, kind)
@@ -490,7 +471,7 @@ class DistributedTrainer:
             # delivered; resend the step's update as a reliable (and
             # lossless) dense allreduce instead.
             self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads, impl=self.config.accum_impl), 0.0
+            return combine_sparse(grads), 0.0
 
     def _dense_fallback(self, matrix_rows: int, kind: str = "entity") -> None:
         """Resend one step's update as a reliable dense allreduce.
@@ -526,7 +507,7 @@ class DistributedTrainer:
         hierarchical.hier_allreduce_bytes(
             self.cluster, dense_bytes(matrix_rows, width), self._hier_groups,
             op_label=f"{kind}_hier")
-        return combine_sparse(grads, impl=self.config.accum_impl), 0.0
+        return combine_sparse(grads), 0.0
 
     def _communicate_hier_quant(self, grads: list[SparseRows],
                                 residuals: list[ResidualStore] | None,
@@ -568,8 +549,7 @@ class DistributedTrainer:
 
         payloads = []
         for node, members in zip(groups.node_ids, groups.members):
-            node_sum = combine_sparse([processed[r] for r in members],
-                                      impl=self.config.accum_impl)
+            node_sum = combine_sparse([processed[r] for r in members])
             if node_res is not None:
                 node_sum = node_res.inject(node, node_sum)
             q = quantize(node_sum, strategy.quantization_bits,
@@ -581,8 +561,7 @@ class DistributedTrainer:
         node_bytes = [q.nbytes_wire for q in payloads]
         hierarchical.hier_inter_allgatherv_bytes(
             self.cluster, node_bytes, groups, op_label=f"{kind}_hier")
-        combined = combine_sparse([dequantize(q) for q in payloads],
-                                  impl=self.config.accum_impl)
+        combined = combine_sparse([dequantize(q) for q in payloads])
         hierarchical.hier_intra_bcast_bytes(
             self.cluster, sum(node_bytes), groups, op_label=f"{kind}_hier")
 
@@ -622,8 +601,7 @@ class DistributedTrainer:
                 self.cluster, [q.nbytes_wire for q in payloads],
                 algo=strategy.allgather_algo,
                 op_label=f"{kind}_allgather_quant")
-            combined = combine_sparse([dequantize(q) for q in payloads],
-                                      impl=self.config.accum_impl)
+            combined = combine_sparse([dequantize(q) for q in payloads])
         elif self._projections is not None:
             # GradZip comparator: project rows onto the shared basis, ship
             # the skinny factors, reconstruct locally.
@@ -636,8 +614,7 @@ class DistributedTrainer:
                 algo=strategy.allgather_algo,
                 op_label=f"{kind}_allgather_factored")
             combined = combine_sparse(
-                [gradzip.reconstruct(q, projection) for q in payloads],
-                impl=self.config.accum_impl)
+                [gradzip.reconstruct(q, projection) for q in payloads])
         else:
             combined = collectives.allgather_sparse(
                 self.cluster, processed, algo=strategy.allgather_algo,
@@ -654,7 +631,6 @@ class DistributedTrainer:
             result = evaluate_ranking(
                 self.model, split, self.store,
                 batch_size=cfg.eval_batch_size,
-                filter_impl=cfg.eval_filter_impl,
                 chunk_entities=cfg.eval_chunk_entities,
                 max_queries=(cfg.eval_max_queries
                              if split is self.store.valid else None))

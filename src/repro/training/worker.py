@@ -17,7 +17,7 @@ import numpy as np
 from ..comm.sparse import SparseRows
 from ..kg.negative import (corrupt_batch, mask_known_candidates, select_all,
                            select_hardest)
-from ..kg.spmat import ACCUM_IMPLS, build_fold_plan
+from ..kg.spmat import build_fold_plan
 from ..kg.triples import TripleSet, TripleStore
 from ..models.base import KGEModel
 from ..models.loss import logistic_loss
@@ -36,9 +36,6 @@ class StepOutput:
     flops: float
     nonzero_entity_rows: int
     wall_seconds: float
-    #: Seconds spent assembling + accumulating gradients (the fold the
-    #: ``accum_impl`` knob switches); subset of ``wall_seconds``.
-    grad_seconds: float = 0.0
 
 
 class Worker:
@@ -47,16 +44,11 @@ class Worker:
     def __init__(self, rank: int, shard: TripleSet, n_entities: int,
                  strategy: StrategyConfig, seed: int, l2: float = 0.0,
                  zero_row_tol: float = 1e-5,
-                 store: TripleStore | None = None,
-                 accum_impl: str = "csr"):
+                 store: TripleStore | None = None):
         if len(shard) == 0:
             raise ValueError(f"rank {rank} received an empty shard")
         if l2 < 0 or zero_row_tol < 0:
             raise ValueError("l2 and zero_row_tol must be non-negative")
-        if accum_impl not in ACCUM_IMPLS:
-            raise ValueError(
-                f"accum_impl must be one of {ACCUM_IMPLS}, got {accum_impl!r}")
-        self.accum_impl = accum_impl
         self.rank = rank
         self.shard = shard
         self.n_entities = n_entities
@@ -130,19 +122,14 @@ class Worker:
         scores = model.score(h, r, t)
         loss, upstream = logistic_loss(scores, labels)
         n_examples = len(h)
-        t_grad = time.perf_counter()
-        entity_plan = relation_plan = None
-        if self.accum_impl == "csr":
-            # One incidence CSR per batch (example-slot x touched-row),
-            # shared by every fold this step performs over these indices.
-            entity_plan = build_fold_plan(np.concatenate([h, t]),
-                                          self.n_entities)
-            relation_plan = build_fold_plan(r, model.n_relations)
+        # One incidence CSR per batch (example-slot x touched-row), shared
+        # by every fold this step performs over these indices.
+        entity_plan = build_fold_plan(np.concatenate([h, t]),
+                                      self.n_entities)
+        relation_plan = build_fold_plan(r, model.n_relations)
         entity_grad, relation_grad = model.batch_gradients(
             h, r, t, upstream, l2=self.l2 / n_examples,
-            accum_impl=self.accum_impl, entity_plan=entity_plan,
-            relation_plan=relation_plan)
-        grad_seconds = time.perf_counter() - t_grad
+            entity_plan=entity_plan, relation_plan=relation_plan)
 
         nonzero = int((np.linalg.norm(entity_grad.values, axis=1)
                        > self.zero_row_tol).sum())
@@ -151,5 +138,4 @@ class Worker:
         return StepOutput(entity_grad=entity_grad, relation_grad=relation_grad,
                           loss=loss, n_examples=n_examples, flops=float(flops),
                           nonzero_entity_rows=nonzero,
-                          wall_seconds=time.perf_counter() - t_start,
-                          grad_seconds=grad_seconds)
+                          wall_seconds=time.perf_counter() - t_start)

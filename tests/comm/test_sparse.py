@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro._reference import scatter_add_rows
 from repro.comm.sparse import SparseRows, combine_sparse
 from repro.kg.spmat import build_fold_plan
 
@@ -92,15 +93,15 @@ class TestFromRows:
                                  np.empty((0, 3), dtype=np.float32), n_rows=6)
         assert s.nnz_rows == 0
 
-    def test_impls_agree_bitwise(self):
+    def test_agrees_bitwise_with_reference_scatter(self):
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 20, size=200)
         vals = rng.normal(size=(200, 4)).astype(np.float32)
-        naive = SparseRows.from_rows(idx, vals, n_rows=20, impl="naive")
-        csr = SparseRows.from_rows(idx, vals, n_rows=20, impl="csr")
-        np.testing.assert_array_equal(naive.indices, csr.indices)
-        np.testing.assert_array_equal(naive.values.view(np.uint32),
-                                      csr.values.view(np.uint32))
+        ref_idx, ref_vals = scatter_add_rows(idx, vals)
+        got = SparseRows.from_rows(idx, vals, n_rows=20)
+        np.testing.assert_array_equal(ref_idx, got.indices)
+        np.testing.assert_array_equal(ref_vals.view(np.uint32),
+                                      got.values.view(np.uint32))
 
     def test_prebuilt_plan_reused(self):
         idx = np.array([4, 1, 4])
@@ -120,19 +121,6 @@ class TestFromRows:
             SparseRows.from_rows(np.array([0, 1]),
                                  np.zeros((2, 1), dtype=np.float32),
                                  n_rows=9, plan=plan)
-
-    def test_plan_with_naive_rejected(self):
-        plan = build_fold_plan(np.array([0]), 6)
-        with pytest.raises(ValueError):
-            SparseRows.from_rows(np.array([0]),
-                                 np.zeros((1, 1), dtype=np.float32),
-                                 n_rows=6, impl="naive", plan=plan)
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            SparseRows.from_rows(np.array([0]),
-                                 np.zeros((1, 1), dtype=np.float32),
-                                 n_rows=6, impl="scipy")
 
 
 class TestOperations:
@@ -189,22 +177,20 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine_sparse([a, b])
 
-    def test_impls_agree_bitwise(self):
+    def test_agrees_bitwise_with_reference_scatter(self):
         rng = np.random.default_rng(1)
         parts = []
         for _ in range(4):
             idx = np.sort(rng.choice(10, size=5, replace=False))
             vals = rng.normal(size=(5, 3)).astype(np.float32)
             parts.append(SparseRows(indices=idx, values=vals, n_rows=10))
-        naive = combine_sparse(parts, impl="naive")
-        csr = combine_sparse(parts, impl="csr")
-        np.testing.assert_array_equal(naive.indices, csr.indices)
-        np.testing.assert_array_equal(naive.values.view(np.uint32),
-                                      csr.values.view(np.uint32))
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            combine_sparse([make([1], [[1.0]])], impl="blocked")
+        ref_idx, ref_vals = scatter_add_rows(
+            np.concatenate([p.indices for p in parts]),
+            np.concatenate([p.values for p in parts]))
+        got = combine_sparse(parts)
+        np.testing.assert_array_equal(ref_idx, got.indices)
+        np.testing.assert_array_equal(ref_vals.view(np.uint32),
+                                      got.values.view(np.uint32))
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._reference import rank_triples_reference
 from repro.eval.ranking import RankingResult, evaluate_ranking, rank_triples
 from repro.kg.triples import TripleSet, TripleStore
 from repro.models import ComplEx, DistMult
@@ -82,14 +83,13 @@ class NegInfModel(DistMult):
 
 
 class TestDegenerateScores:
-    @pytest.mark.parametrize("filter_impl", ["csr", "naive"])
-    def test_neg_inf_true_score_clamps_to_worst_rank(self, filter_impl):
+    def test_neg_inf_true_score_clamps_to_worst_rank(self):
         """-inf everywhere used to give the true triple a mid-pack tie rank;
         it must get the worst defined rank instead."""
         store = toy_store()
         m = NegInfModel(store.n_entities, store.n_relations, 4, seed=0)
         head_raw, head_filt, tail_raw, tail_filt = rank_triples(
-            m, store.test, store, filter_impl=filter_impl)
+            m, store.test, store)
         # Raw: every one of the 8 entities survives, so worst rank is 8.
         np.testing.assert_array_equal(head_raw, 8.0)
         np.testing.assert_array_equal(tail_raw, 8.0)
@@ -108,22 +108,15 @@ class TestDegenerateScores:
         # filtered, the query itself survives -> 7 candidates remain.
         assert tail_filt[0] == 7.0
 
-    def test_neg_inf_impls_agree(self):
+    def test_neg_inf_agrees_with_reference_filter(self):
         store = toy_store()
         m = NegInfModel(store.n_entities, store.n_relations, 4, seed=0)
-        naive = rank_triples(m, store.test, store, filter_impl="naive")
-        csr = rank_triples(m, store.test, store, filter_impl="csr")
-        for a, b in zip(naive, csr):
+        for a, b in zip(rank_triples_reference(m, store.test, store),
+                        rank_triples(m, store.test, store)):
             np.testing.assert_array_equal(a, b)
 
 
-class TestFilterImplArg:
-    def test_unknown_impl_rejected(self):
-        store = toy_store()
-        m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
-        with pytest.raises(ValueError, match="filter_impl"):
-            rank_triples(m, store.test, store, filter_impl="bitmap")
-
+class TestChunkArg:
     def test_bad_chunk_rejected(self):
         store = toy_store()
         m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.ranking import evaluate_ranking, rank_triples
+from repro._reference import filtered_naive, rank_triples_reference
+from repro.eval.ranking import (evaluate_ranking, rank_triples,
+                                scatter_known_nan)
 from repro.kg.datasets import generate_latent_kg
 from repro.models import ComplEx, DistMult, RotatE, TransE
 
@@ -69,8 +71,28 @@ class TestScoreMonotonicity:
         assert after[0] <= before[0]
 
 
-class TestFilterImplEquivalence:
-    """The CSR fast path must be *bitwise* identical to the naive mask."""
+def assert_filter_matches_reference(model, store):
+    """Masks, surviving counts and ranks all equal the reference filter's."""
+    test = store.test
+    h, r, t = test.heads, test.relations, test.tails
+    for tail_side, scores, anchor, gold in (
+            (True, model.score_all_tails(h, r), h, t),
+            (False, model.score_all_heads(r, t), t, h)):
+        masked, n_cand = scatter_known_nan(scores, store.filter_index,
+                                           anchor, r, tail_side=tail_side,
+                                           keep=gold)
+        ref_masked, ref_n_cand = filtered_naive(scores, store, h, r, t,
+                                                tail_side)
+        # assert_array_equal treats NaNs in matching positions as equal.
+        np.testing.assert_array_equal(masked, ref_masked)
+        np.testing.assert_array_equal(n_cand, ref_n_cand)
+    for a, b in zip(rank_triples_reference(model, test, store),
+                    rank_triples(model, test, store, batch_size=len(test))):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestFilterMatchesReference:
+    """The CSR filter must be *bitwise* identical to the reference mask."""
 
     MODELS = [ComplEx, DistMult, TransE, RotatE]
 
@@ -83,20 +105,13 @@ class TestFilterImplEquivalence:
                                        n_triples=n_entities * 6, seed=seed)
             model_cls = self.MODELS[seed % len(self.MODELS)]
             model = model_cls(n_entities, n_relations, 4, seed=seed + 1)
-            naive = rank_triples(model, store.test, store,
-                                 filter_impl="naive")
-            csr = rank_triples(model, store.test, store, filter_impl="csr")
-            for a, b in zip(naive, csr):
-                np.testing.assert_array_equal(a, b)
+            assert_filter_matches_reference(model, store)
 
     @given(store_and_model())
     @settings(max_examples=15, deadline=None)
-    def test_property_csr_equals_naive(self, sm):
+    def test_property_filter_equals_reference(self, sm):
         store, model = sm
-        naive = rank_triples(model, store.test, store, filter_impl="naive")
-        csr = rank_triples(model, store.test, store, filter_impl="csr")
-        for a, b in zip(naive, csr):
-            np.testing.assert_array_equal(a, b)
+        assert_filter_matches_reference(model, store)
 
     @given(store_and_model(), st.integers(1, 64))
     @settings(max_examples=15, deadline=None)

@@ -1,7 +1,8 @@
 """Unit + property tests for the scipy-free sparse kernels (repro.kg.spmat).
 
 The load-bearing invariant: ``fold_rows`` must be **bitwise** equal to the
-reference ``np.add.at`` scatter for every index pattern — float32 addition
+reference ``np.add.at`` scatter (``repro._reference.scatter_add_rows``) for
+every index pattern — float32 addition
 is non-associative, so this only holds if the fold replays the scatter's
 exact input-order addition sequence.
 """
@@ -12,17 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kg.spmat import (ACCUM_IMPLS, FOLD_RANK_CUTOVER, CSRMatrix,
-                            FoldPlan, build_fold_plan, fold_rows)
-
-
-def scatter_reference(indices, values, n_rows):
-    """The pinned reference: input-order scatter-add onto unique rows."""
-    uniq, inverse = np.unique(np.asarray(indices, dtype=np.int64),
-                              return_inverse=True)
-    out = np.zeros((len(uniq), values.shape[1]), dtype=np.float32)
-    np.add.at(out, inverse, values)
-    return uniq, out
+from repro._reference import scatter_add_rows
+from repro.kg.spmat import FOLD_RANK_CUTOVER, build_fold_plan, fold_rows
 
 
 class TestBuildFoldPlan:
@@ -68,21 +60,11 @@ class TestBuildFoldPlan:
         np.testing.assert_array_equal(plan.perm,
                                       np.argsort(idx, kind="stable"))
 
-    def test_incidence_matches_fold_up_to_rounding(self):
-        rng = np.random.default_rng(1)
-        idx = rng.integers(0, 8, size=60)
-        vals = rng.normal(size=(60, 4)).astype(np.float32)
-        plan = build_fold_plan(idx, n_rows=8)
-        # SpMM uses reduceat (different addition order) — allclose only.
-        np.testing.assert_allclose(plan.incidence().spmm(vals),
-                                   fold_rows(plan, vals),
-                                   rtol=1e-5, atol=1e-6)
-
 
 class TestFoldRows:
     def assert_bitwise_reference(self, idx, vals, n_rows, **kw):
         plan = build_fold_plan(idx, n_rows)
-        uniq, expected = scatter_reference(idx, vals, n_rows)
+        uniq, expected = scatter_add_rows(idx, vals)
         got = fold_rows(plan, vals, **kw)
         np.testing.assert_array_equal(plan.rows, uniq)
         # view as uint32: bitwise equality, not tolerance.
@@ -161,106 +143,8 @@ class TestFoldRows:
                 * 10.0 ** rng.integers(-6, 6, size=(len(idx), 1))
                 ).astype(np.float32)
         plan = build_fold_plan(idx, 15)
-        uniq, expected = scatter_reference(idx, vals, 15)
+        uniq, expected = scatter_add_rows(idx, vals)
         got = fold_rows(plan, vals, cutover=cutover)
         np.testing.assert_array_equal(plan.rows, uniq)
         np.testing.assert_array_equal(got.view(np.uint32),
                                       expected.view(np.uint32))
-
-
-class TestCSRMatrix:
-    def small(self):
-        #  [[1, 0, 2],
-        #   [0, 0, 0],
-        #   [0, 3, 0]]
-        return CSRMatrix(indptr=[0, 2, 2, 3], indices=[0, 2, 1],
-                         data=[1.0, 2.0, 3.0], shape=(3, 3))
-
-    def test_to_dense(self):
-        np.testing.assert_array_equal(
-            self.small().to_dense(),
-            [[1, 0, 2], [0, 0, 0], [0, 3, 0]])
-
-    def test_matvec_matches_dense(self):
-        a = self.small()
-        x = np.array([1.0, -1.0, 0.5], dtype=np.float32)
-        np.testing.assert_allclose(a.matvec(x), a.to_dense() @ x)
-
-    def test_spmm_matches_dense(self):
-        a = self.small()
-        b = np.arange(6, dtype=np.float32).reshape(3, 2)
-        np.testing.assert_allclose(a.spmm(b), a.to_dense() @ b)
-
-    def test_empty_rows_stay_zero(self):
-        a = self.small()
-        assert a.matvec(np.ones(3, dtype=np.float32))[1] == 0.0
-
-    def test_duplicate_columns_sum(self):
-        a = CSRMatrix(indptr=[0, 2], indices=[1, 1], data=[2.0, 3.0],
-                      shape=(1, 3))
-        np.testing.assert_allclose(a.matvec(np.array([0, 1, 0], np.float32)),
-                                   [5.0])
-
-    def test_from_coo_roundtrip(self):
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 6, size=30)
-        cols = rng.integers(0, 4, size=30)
-        data = rng.normal(size=30).astype(np.float32)
-        a = CSRMatrix.from_coo(rows, cols, data, shape=(6, 4))
-        dense = np.zeros((6, 4), dtype=np.float32)
-        np.add.at(dense, (rows, cols), data)
-        np.testing.assert_allclose(a.to_dense(), dense, rtol=1e-6)
-
-    def test_nnz(self):
-        assert self.small().nnz == 3
-
-    def test_validation_rejects_bad_indptr(self):
-        with pytest.raises(ValueError):
-            CSRMatrix(indptr=[0, 1], indices=[0], data=[1.0], shape=(3, 3))
-        with pytest.raises(ValueError):
-            CSRMatrix(indptr=[1, 1, 1, 1], indices=[], data=[], shape=(3, 3))
-        with pytest.raises(ValueError):
-            CSRMatrix(indptr=[0, 2, 1, 3], indices=[0, 1, 2],
-                      data=[1.0, 1.0, 1.0], shape=(3, 3))
-
-    def test_validation_rejects_bad_columns(self):
-        with pytest.raises(ValueError):
-            CSRMatrix(indptr=[0, 1], indices=[3], data=[1.0], shape=(1, 3))
-
-    def test_validation_rejects_mismatched_data(self):
-        with pytest.raises(ValueError):
-            CSRMatrix(indptr=[0, 1], indices=[0], data=[1.0, 2.0],
-                      shape=(1, 3))
-
-    def test_matvec_shape_check(self):
-        with pytest.raises(ValueError):
-            self.small().matvec(np.ones(4, dtype=np.float32))
-
-    def test_spmm_shape_check(self):
-        with pytest.raises(ValueError):
-            self.small().spmm(np.ones((4, 2), dtype=np.float32))
-
-    @given(
-        seed=st.integers(0, 2 ** 16),
-        n_rows=st.integers(1, 8),
-        n_cols=st.integers(1, 8),
-        nnz=st.integers(0, 40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_products_match_dense(self, seed, n_rows, n_cols, nnz):
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n_rows, size=nnz)
-        cols = rng.integers(0, n_cols, size=nnz)
-        data = rng.normal(size=nnz).astype(np.float32)
-        a = CSRMatrix.from_coo(rows, cols, data, shape=(n_rows, n_cols))
-        dense = a.to_dense()
-        x = rng.normal(size=n_cols).astype(np.float32)
-        b = rng.normal(size=(n_cols, 3)).astype(np.float32)
-        np.testing.assert_allclose(a.matvec(x), dense @ x,
-                                   rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(a.spmm(b), dense @ b,
-                                   rtol=1e-4, atol=1e-5)
-
-
-def test_accum_impls_registry():
-    assert ACCUM_IMPLS == ("naive", "csr")

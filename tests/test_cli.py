@@ -93,6 +93,13 @@ class TestMain:
         assert err.startswith("error:")
         assert "frobnicate" in err
 
+    def test_bad_faults_value_exits_2_naming_flag_and_entry(self, tmp_path,
+                                                            capsys):
+        rc = main(self._args(tmp_path, ["--faults", "drop=abc"]))
+        assert rc == 2
+        assert ("error: bad --faults value in 'drop=abc'"
+                in capsys.readouterr().err)
+
 
 class TestFaultExitCodes:
     _args = TestMain._args
@@ -275,23 +282,7 @@ class TestEvalKnobs:
 
     def test_defaults(self):
         args = build_parser().parse_args([])
-        assert args.filter_impl == "csr"
         assert args.eval_chunk_entities is None
-        assert args.accum_impl == "csr"
-
-    def test_unknown_filter_impl_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--filter-impl", "bitmap"])
-
-    def test_unknown_accum_impl_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--accum-impl", "scipy"])
-
-    def test_naive_accum_impl_runs(self, tmp_path, capsys):
-        rc = main(self._args(tmp_path, ["--accum-impl", "naive", "--json"]))
-        assert rc == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["N_epochs"] == 2
 
     def test_json_reports_eval_throughput(self, tmp_path, capsys):
         rc = main(self._args(tmp_path, ["--json"]))
@@ -300,9 +291,8 @@ class TestEvalKnobs:
         assert row["eval_seconds"] > 0
         assert row["eval_queries_per_sec"] > 0
 
-    def test_naive_impl_and_chunking_run(self, tmp_path, capsys):
-        rc = main(self._args(tmp_path, ["--filter-impl", "naive",
-                                        "--eval-chunk-entities", "7",
+    def test_chunking_runs(self, tmp_path, capsys):
+        rc = main(self._args(tmp_path, ["--eval-chunk-entities", "7",
                                         "--json"]))
         assert rc == 0
         row = json.loads(capsys.readouterr().out)

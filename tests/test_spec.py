@@ -1,0 +1,54 @@
+"""The shared ``key=value`` spec parser and the reference-oracle boundary.
+
+The per-flag strictness batteries live with their classes
+(``tests/comm/test_faults.py``, ``tests/comm/test_topology.py``,
+``tests/serve/test_resilience.py``); this file pins what only the shared
+parser can promise: every flag reports a bad value the same way.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.comm.faults import FaultPlan
+from repro.comm.topology import HierarchicalNetwork
+from repro.serve.resilience import ServeFaultPlan
+
+
+@pytest.mark.parametrize("cls, flag, entry", [
+    (FaultPlan, "--faults", "drop=abc"),
+    (FaultPlan, "--faults", "straggler=x:2"),
+    (HierarchicalNetwork, "--net", "rpn=x"),
+    (HierarchicalNetwork, "--net", "intra=a:b"),
+    (ServeFaultPlan, "--serve-faults", "spike=abc"),
+])
+def test_converter_failure_names_flag_and_entry(cls, flag, entry):
+    with pytest.raises(ValueError,
+                       match=f"bad {flag} value in '{entry}': "):
+        cls.parse(entry)
+
+
+def test_too_many_parts_is_a_bad_tuple_not_a_converter_leak():
+    with pytest.raises(ValueError, match="expected rank:factor"):
+        FaultPlan.parse("straggler=1:2.0:3")
+
+
+def test_reference_kernels_are_imported_by_no_production_module():
+    """``repro._reference`` holds test oracles; production must not use it."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in root.rglob("*.py"):
+        if path.name == "_reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "_reference" for name in imported):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []

@@ -182,16 +182,6 @@ def test_max_epochs_and_checkpoint_knobs_may_differ(store, snapshot, tmp_path):
     assert other.restore(path) == 2
 
 
-def test_accum_impl_may_differ_across_resume(store, snapshot):
-    """The accumulation kernel is bitwise-trajectory-neutral, so a
-    checkpoint written under one impl resumes under the other."""
-    _, path = snapshot
-    other = make_trainer(store, max_epochs=4, accum_impl="naive")
-    assert other.restore(path) == 2
-    result = other.run()
-    assert result.epochs >= 2
-
-
 def test_missing_array_rejected(snapshot, tmp_path):
     _, path = snapshot
     dst = _copy_checkpoint(path, tmp_path)

@@ -44,13 +44,7 @@ class TestConstruction:
 
     def test_invalid_eval_knobs_rejected(self):
         with pytest.raises(ValueError):
-            TrainConfig(eval_filter_impl="bitmap")
-        with pytest.raises(ValueError):
             TrainConfig(eval_chunk_entities=0)
-
-    def test_invalid_accum_impl_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(accum_impl="scipy")
 
     def test_relation_partition_builds_disjoint_shards(self, store):
         strat = StrategyConfig(relation_partition=True)
@@ -238,26 +232,6 @@ class TestFullMethod:
         assert r.epochs == 4
         assert np.isfinite(r.test_mrr)
         assert r.bytes_total > 0
-
-
-class TestAccumImplNeutrality:
-    def test_csr_and_naive_runs_bitwise_identical(self, store):
-        """End-to-end: flipping the accumulation kernel must not move a
-        single bit of the trained embeddings (the invariant that lets
-        checkpoints resume across impls and keeps the goldens shared)."""
-        models = {}
-        for impl in ("naive", "csr"):
-            tr = DistributedTrainer(
-                store, rs_1bit_rp_ss(negatives_sampled=5), 3,
-                config=tiny_config(max_epochs=2, accum_impl=impl))
-            tr.run()
-            models[impl] = tr.model
-        np.testing.assert_array_equal(
-            models["naive"].entity_emb.view(np.uint32),
-            models["csr"].entity_emb.view(np.uint32))
-        np.testing.assert_array_equal(
-            models["naive"].relation_emb.view(np.uint32),
-            models["csr"].relation_emb.view(np.uint32))
 
 
 class TestRelationPartitionSemantics:

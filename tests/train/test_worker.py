@@ -234,41 +234,3 @@ class TestFalseNegativeFiltering:
         out = w.compute_step(model, 0, 32)
         assert np.isfinite(out.loss)
         assert np.isfinite(out.entity_grad.values).all()
-
-
-class TestAccumImpl:
-    def test_invalid_impl_rejected(self, store):
-        with pytest.raises(ValueError):
-            Worker(rank=0, shard=store.train, n_entities=store.n_entities,
-                   strategy=baseline_allreduce(), seed=0, accum_impl="dense")
-
-    @pytest.mark.parametrize("ss", [False, True])
-    def test_csr_and_naive_steps_bitwise_equal(self, store, model, ss):
-        strat = (StrategyConfig(sample_selection=True, negatives_sampled=8,
-                                negatives_used=2)
-                 if ss else baseline_allreduce(negatives=2))
-        outs = {}
-        for impl in ("naive", "csr"):
-            w = Worker(rank=0, shard=store.train,
-                       n_entities=store.n_entities, strategy=strat, seed=5,
-                       l2=1e-4, store=store, accum_impl=impl)
-            w.start_epoch()
-            outs[impl] = w.compute_step(model, 0, 48)
-        a, b = outs["naive"], outs["csr"]
-        assert a.loss == b.loss
-        assert a.flops == b.flops
-        np.testing.assert_array_equal(a.entity_grad.indices,
-                                      b.entity_grad.indices)
-        np.testing.assert_array_equal(a.entity_grad.values.view(np.uint32),
-                                      b.entity_grad.values.view(np.uint32))
-        np.testing.assert_array_equal(a.relation_grad.indices,
-                                      b.relation_grad.indices)
-        np.testing.assert_array_equal(
-            a.relation_grad.values.view(np.uint32),
-            b.relation_grad.values.view(np.uint32))
-
-    def test_grad_seconds_reported(self, store, model):
-        w = make_worker(store)
-        w.start_epoch()
-        out = w.compute_step(model, 0, 32)
-        assert 0.0 < out.grad_seconds <= out.wall_seconds
