@@ -1,13 +1,20 @@
 #!/usr/bin/env python
 """CI gate: kill-and-resume must be bitwise identical to a straight run.
 
-Trains the paper's full strategy (DRS+1-bit+RP+SS, 4 simulated nodes) under
-an injected fault plan for ``--epochs`` epochs straight through, then
-re-runs the same configuration but "crashes" it at the midpoint — training
-only to epoch ``epochs // 2`` with checkpointing on — and resumes a fresh
-trainer from the newest checkpoint.  Every deterministic output (epoch
-logs, simulated clock, bytes on the wire, retries, final embeddings) is
-diffed; any mismatch exits non-zero and prints the offending fields.
+Trains the paper's full strategy (DRS+1-bit+RP+SS) with error feedback and
+``collective="auto"`` on 4 simulated ranks, two per node, under an injected
+fault plan for ``--epochs`` epochs straight through, then re-runs the same
+configuration but "crashes" it at the midpoint — training only to epoch
+``epochs // 2`` with checkpointing on — and resumes a fresh trainer from
+the newest checkpoint.  Error feedback on the two-level network is what
+puts rank *and* node residual stores into the checkpoint; with a DRS probe
+every third epoch the default kill point (epoch 3 of 6) is an allgather
+probe, so both kinds are dirty in the snapshot (other ``--epochs`` catch the
+node stores at least), and the script refuses to pass on a snapshot that
+carries no residual row at all.  Every deterministic output (epoch logs,
+simulated clock, bytes on the wire, retries, final embeddings, optimizer
+moments, every residual store) is diffed; any mismatch exits non-zero and
+prints the offending fields.
 
 The checkpoint directory is left in place (default: ``resume-ckpt/``) so CI
 can upload it as an artifact for post-mortem inspection.
@@ -17,24 +24,44 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
+from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
 from repro.training.strategy import drs_1bit_rp_ss
 
 FAULTS = FaultPlan(seed=99, drop_prob=0.02, compute_slowdown=((1, 2.0),),
                    policy="fallback-dense")
+STRATEGY = replace(drs_1bit_rp_ss(), error_feedback=True, collective="auto",
+                   drs_probe_interval=3)
+NETWORK = HierarchicalNetwork.parse(
+    "rpn=2,intra=0.3e-6:2e-11,inter=5e-6:1.25e-10")
 
 
 def build_trainer(store, max_epochs, *, checkpoint_dir=None, every=0):
     cfg = TrainConfig(dim=8, batch_size=128, max_epochs=max_epochs,
                       lr_patience=6, eval_max_queries=30, seed=20220829,
                       checkpoint_dir=checkpoint_dir, checkpoint_every=every)
-    return DistributedTrainer(store, drs_1bit_rp_ss(), 4, config=cfg,
-                              faults=FAULTS)
+    return DistributedTrainer(store, STRATEGY, 4, config=cfg,
+                              network=NETWORK, faults=FAULTS)
+
+
+def residual_stores(trainer) -> dict:
+    """Every error-feedback store of a trainer, rank and node level."""
+    stores = {}
+    for kind, ranks, nodes in (
+            ("entity", trainer._entity_residuals,
+             trainer._hier_entity_residuals),
+            ("relation", trainer._relation_residuals,
+             trainer._hier_relation_residuals)):
+        stores.update({f"{kind}.rank{r}": s for r, s in enumerate(ranks)})
+        stores.update({f"{kind}.node{n}": s
+                       for n, s in nodes.stores.items()})
+    return stores
 
 
 def diff(straight, resumed) -> list[str]:
@@ -69,6 +96,13 @@ def diff(straight, resumed) -> list[str]:
         for part in ("m", "v", "steps"):
             check(f"adam.{name}.{part}",
                   getattr(sa, part).tobytes(), getattr(sb, part).tobytes())
+    ra, rb = residual_stores(straight), residual_stores(resumed)
+    check("residual stores", sorted(ra), sorted(rb))
+    for name in sorted(set(ra) & set(rb)):
+        check(f"residual.{name}.dirty",
+              ra[name]._dirty.tobytes(), rb[name]._dirty.tobytes())
+        check(f"residual.{name}.values",
+              ra[name]._residual.tobytes(), rb[name]._residual.tobytes())
     return bad
 
 
@@ -97,9 +131,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[3/3] resuming fresh trainer from {newest}")
     resumed = build_trainer(store, args.epochs)
     resumed.restore(newest)
+    restored = {name: s.nnz_rows
+                for name, s in residual_stores(resumed).items() if s.nnz_rows}
+    print(f"      residual rows restored: {restored}")
     resumed.run()
 
     bad = diff(straight, resumed)
+    if not restored:
+        bad.append(f"the epoch-{kill_at} snapshot restored no residual row; "
+                   f"the run no longer exercises error-feedback state")
     if bad:
         print(f"\nFAIL: resume diverged from the straight run "
               f"({len(bad)} field(s)):")

@@ -8,7 +8,10 @@ bitwise property suites, ``benchmarks/test_eval_throughput.py`` and
   accumulation that :func:`repro.kg.spmat.fold_rows` replays bitwise;
 * :func:`filtered_naive` — the hash-every-candidate known-fact filter that
   :func:`repro.eval.ranking.scatter_known_nan` matches rank for rank
-  (:func:`rank_triples_reference` is ``rank_triples`` built on it).
+  (:func:`rank_triples_reference` is ``rank_triples`` built on it);
+* :func:`unpack_signs` / :func:`unpack_ternary` — the ``unpackbits`` and
+  shift formulas the lookup tables in :mod:`repro.compress.packing` decode
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,21 @@ def scatter_add_rows(indices: np.ndarray, values: np.ndarray
     summed = np.zeros((len(uniq), values.shape[1]), dtype=np.float32)
     np.add.at(summed, inverse, values)
     return uniq, summed
+
+
+def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
+    """float32 +-1 of shape (rows, dim) from ``np.packbits`` sign bytes."""
+    bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=1)[:, :dim]
+    return np.where(bits > 0, np.float32(1.0), np.float32(-1.0))
+
+
+def unpack_ternary(packed: np.ndarray, dim: int) -> np.ndarray:
+    """float32 (rows, dim) of 2-bit fields minus one, low bits first."""
+    packed = np.asarray(packed, dtype=np.uint8)
+    fields = np.stack([(packed >> shift) & 0b11 for shift in (0, 2, 4, 6)],
+                      axis=2)
+    flat = fields.reshape(len(packed), 4 * packed.shape[1])[:, :dim]
+    return flat.astype(np.float32) - 1.0
 
 
 def filtered_naive(scores: np.ndarray, store,

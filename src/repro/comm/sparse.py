@@ -6,11 +6,14 @@ This module provides the container the allgather path exchanges, plus the
 combine operation (sum rows with matching indices) each rank applies after
 gathering everyone's rows.
 
-Both accumulation entry points (:meth:`SparseRows.from_rows` and
-:func:`combine_sparse`) sum duplicate rows through the sorted-segment CSR
-fold in :mod:`repro.kg.spmat`, which replays an input-order scatter-add's
-exact float additions (the property suites pin it bitwise against
-``repro._reference.scatter_add_rows``).
+Both accumulation entry points replay an input-order scatter-add's exact
+float additions (the property suites pin them bitwise against
+``repro._reference.scatter_add_rows``).  :meth:`SparseRows.from_rows` takes
+arbitrary duplicated updates through the sorted-segment CSR fold in
+:mod:`repro.kg.spmat`; :func:`combine_sparse` knows every part's indices
+are already unique and sorted, so it adds the parts in order into one
+compact accumulator through a row -> slot table, with no concatenation,
+sort or fold plan.
 """
 
 from __future__ import annotations
@@ -163,10 +166,15 @@ def combine_sparse(parts: Iterable[SparseRows]) -> SparseRows:
                 "all parts must describe the same matrix shape; got "
                 f"({p.n_rows}, {p.dim}) vs ({n_rows}, {dim})"
             )
-    all_idx = np.concatenate([p.indices for p in parts])
-    if len(all_idx) == 0:
-        return SparseRows(indices=all_idx,
-                          values=np.empty((0, dim), dtype=np.float32),
-                          n_rows=n_rows)
-    all_val = np.concatenate([p.values for p in parts])
-    return SparseRows.from_rows(all_idx, all_val, n_rows=n_rows)
+    touched = np.zeros(n_rows, dtype=bool)
+    for p in parts:
+        touched[p.indices] = True
+    rows = np.flatnonzero(touched)
+    slot = np.empty(n_rows, dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    # Zero-initialised and added to, never assigned: a lone -0.0 comes out
+    # as 0.0 + -0.0 = +0.0, exactly as the scatter-add leaves it.
+    summed = np.zeros((len(rows), dim), dtype=np.float32)
+    for p in parts:
+        summed[slot[p.indices]] += p.values
+    return SparseRows(indices=rows, values=summed, n_rows=n_rows)

@@ -53,7 +53,7 @@ class ResidualStore:
         if len(dirty_idx) == 0:
             return grad
         residual = SparseRows(indices=dirty_idx,
-                              values=self._residual[dirty_idx].copy(),
+                              values=self._residual[dirty_idx],
                               n_rows=self.n_rows)
         return combine_sparse([grad, residual])
 

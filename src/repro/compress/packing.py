@@ -6,6 +6,10 @@ byte accounting in :mod:`repro.comm.payload` corresponds to real buffers.
 
 * 1-bit codes: sign bits, 8 per byte (``numpy.packbits``).
 * 2-bit codes: ternary {-1, 0, +1} stored as {0b00, 0b01, 0b10}, 4 per byte.
+
+Decoding gathers one row of a 256-entry float32 table per code byte; the
+``unpackbits`` / shift formulas the tables are pinned against live in
+:mod:`repro._reference`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,31 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1)
 
 
-def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`pack_signs`: returns float32 +-1 of shape (rows, dim)."""
+_BYTES = np.arange(256, dtype=np.uint8)[:, None]
+
+#: Row ``b`` holds the eight +-1 signs code byte ``b`` packs (MSB first).
+_SIGN_TABLE = np.where(np.unpackbits(_BYTES, axis=1) > 0,
+                       np.float32(1.0), np.float32(-1.0))
+
+#: Row ``b`` holds the four 2-bit fields of byte ``b`` (low bits first) minus
+#: one: {-1, 0, +1}, and 2 for the field value 0b11 no encoder emits.
+_TERNARY_TABLE = ((_BYTES >> np.arange(0, 8, 2, dtype=np.uint8)) & 0b11
+                  ).astype(np.float32) - 1.0
+
+
+def _decode(table: np.ndarray, packed: np.ndarray, dim: int) -> np.ndarray:
+    """Gather ``table`` rows by code byte: a fresh float32 (rows, dim)."""
     packed = np.asarray(packed, dtype=np.uint8)
     if packed.ndim != 2:
         raise ValueError(f"expected 2-D packed array, got shape {packed.shape}")
-    bits = np.unpackbits(packed, axis=1)[:, :dim]
-    return np.where(bits > 0, np.float32(1.0), np.float32(-1.0))
+    out = table.take(packed, axis=0).reshape(
+        len(packed), packed.shape[1] * table.shape[1])
+    return out if dim >= out.shape[1] else np.ascontiguousarray(out[:, :dim])
+
+
+def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`pack_signs`: returns float32 +-1 of shape (rows, dim)."""
+    return _decode(_SIGN_TABLE, packed, dim)
 
 
 #: Bits set in each possible byte value — the popcount kernel behind
@@ -103,14 +125,4 @@ def pack_ternary(codes: np.ndarray) -> np.ndarray:
 
 def unpack_ternary(packed: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`pack_ternary`: float32 {-1, 0, +1} of shape (rows, dim)."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    if packed.ndim != 2:
-        raise ValueError(f"expected 2-D packed array, got shape {packed.shape}")
-    rows = packed.shape[0]
-    parts = np.empty((rows, packed.shape[1], 4), dtype=np.uint8)
-    parts[:, :, 0] = packed & 0b11
-    parts[:, :, 1] = (packed >> 2) & 0b11
-    parts[:, :, 2] = (packed >> 4) & 0b11
-    parts[:, :, 3] = (packed >> 6) & 0b11
-    flat = parts.reshape(rows, -1)[:, :dim]
-    return flat.astype(np.float32) - 1.0
+    return _decode(_TERNARY_TABLE, packed, dim)

@@ -193,22 +193,28 @@ def dequantize(q: QuantizedRows) -> SparseRows:
                           values=np.empty((0, q.dim), dtype=np.float32),
                           n_rows=q.n_rows)
     if q.bits == 2:
-        ternary = unpack_ternary(q.codes, q.dim)
-        values = ternary * q.scales[:, :1]
+        values = unpack_ternary(q.codes, q.dim)
+        values *= q.scales[:, :1]
     else:
-        signs = unpack_signs(q.codes, q.dim)
+        values = unpack_signs(q.codes, q.dim)
         if q.scales.shape[1] == 1:
-            values = signs * q.scales
+            values *= q.scales
         else:
             # Split statistics: negative elements use scale 0, positive 1.
-            values = np.where(signs < 0, -q.scales[:, :1], q.scales[:, 1:2])
-    return SparseRows(indices=q.indices.copy(),
-                      values=values.astype(np.float32), n_rows=q.n_rows)
+            values = np.where(values < 0, -q.scales[:, :1], q.scales[:, 1:2])
+    return SparseRows(indices=q.indices.copy(), values=values,
+                      n_rows=q.n_rows)
 
 
-def quantization_error(grad: SparseRows, q: QuantizedRows) -> SparseRows:
-    """Residual ``grad - dequantize(q)`` (feeds error feedback)."""
-    approx = dequantize(q)
+def quantization_error(grad: SparseRows, q: QuantizedRows,
+                       approx: SparseRows | None = None) -> SparseRows:
+    """Residual ``grad - dequantize(q)`` (feeds error feedback).
+
+    A caller that already decoded ``q`` passes that ``approx`` so the
+    payload is not unpacked a second time.
+    """
+    if approx is None:
+        approx = dequantize(q)
     if not np.array_equal(approx.indices, grad.indices):
         raise ValueError("quantized payload does not cover the same rows")
     return SparseRows(indices=grad.indices.copy(),

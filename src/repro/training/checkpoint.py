@@ -9,7 +9,13 @@ A checkpoint is a directory holding exactly two files:
     cumulative counters, the epoch logs so far).
 ``state.npz``
     Every array-valued piece of state: embeddings, full Adam moments,
-    error-feedback residuals, and the cluster's virtual clocks.
+    error-feedback residuals, and the cluster's virtual clocks.  A residual
+    store travels as its dirty rows only (schema 3): ``<key>/rows`` (sorted
+    int64 row ids) plus ``<key>/values`` (those rows of the store, float32).
+    Rows outside ``rows`` are exactly zero in the store, so nothing is lost,
+    and a clean store — every rank store after a hierarchical epoch, every
+    relation store under RP — costs two empty arrays instead of a dense
+    matrix.
 
 The determinism contract
 ------------------------
@@ -27,6 +33,12 @@ host wall-clock eval timings, which no two runs of anything share.)
 Both files are written deterministically — sorted keys, fixed zip
 timestamps, atomic renames — so saving, loading and re-saving a checkpoint
 is byte-identical, and a checkpoint can itself be checksummed or diffed.
+The writer streams: every zip entry and every SHA-256 reads the array's own
+buffer and goes straight into the ``.tmp`` file, so writing never holds a
+second copy of the state.  Order on disk is *stale manifest unlinked →
+npz → manifest*: a directory with a readable manifest is always complete,
+also when it is written over an older checkpoint, and a kill at any point
+leaves at worst a manifest-less directory that discovery skips.
 
 Failure modes are loud and distinct: a truncated or bit-flipped file raises
 :class:`CheckpointCorruptError` or :class:`CheckpointChecksumError`, an
@@ -37,8 +49,8 @@ instead of silently resuming a different experiment.  ``max_epochs`` and the
 checkpoint knobs themselves are excluded from the hash, so a resume may
 train longer than the interrupted run intended.
 
-World-size lineage (schema 2)
------------------------------
+World-size lineage
+------------------
 
 The manifest records the ``world_size`` that captured the snapshot plus the
 ``world_lineage`` of every world it has lived through (e.g. ``[4, 3]`` after
@@ -53,7 +65,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import zipfile
@@ -64,12 +75,15 @@ import numpy as np
 
 from ..comm.faults import FaultCounters
 from ..comm.simulator import CommStats
+from ..comm.sparse import SparseRows
 from .metrics import EpochLog
 from .rng import rng_state, set_rng_state
 
-#: Bump on any incompatible change to the manifest or array layout.
+#: Bump on any incompatible change to the manifest or array layout; other
+#: versions are refused with :class:`CheckpointSchemaError`, never converted.
 #: 2: added world_size / world_lineage; dropped n_nodes from the config hash.
-SCHEMA_VERSION = 2
+#: 3: residual stores carry ``rows`` + ``values[rows]``, not dense + mask.
+SCHEMA_VERSION = 3
 
 #: Marker distinguishing our manifests from arbitrary JSON files.
 FORMAT_NAME = "repro-checkpoint"
@@ -134,13 +148,18 @@ class CheckpointState:
 # Fingerprints and checksums
 # ---------------------------------------------------------------------------
 
+def _raw(arr: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array as a uint8 view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def _sha256_array(arr: np.ndarray) -> str:
     """Digest of one array's dtype, shape and C-order bytes."""
     arr = np.ascontiguousarray(arr)
     digest = hashlib.sha256()
     digest.update(arr.dtype.str.encode())
     digest.update(repr(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(_raw(arr))
     return digest.hexdigest()
 
 
@@ -191,6 +210,29 @@ def config_fingerprint(store, strategy, config, network, faults) -> str:
 # in one place, so the manifest schema has a single owner)
 # ---------------------------------------------------------------------------
 
+def _capture_residual(arrays: dict, key: str, store) -> None:
+    """Snapshot one residual store as its dirty rows (clean rows are 0)."""
+    rows = np.flatnonzero(store._dirty)
+    arrays[f"{key}/rows"] = rows
+    arrays[f"{key}/values"] = store._residual[rows]
+
+
+def _restore_residual(store, arrays: dict, key: str) -> None:
+    """Inverse of :func:`_capture_residual`, refusing malformed rows."""
+    rows, values = arrays[f"{key}/rows"], arrays[f"{key}/values"]
+    try:
+        if rows.dtype.kind not in "iu" or values.shape[1:] != (store.dim,):
+            raise ValueError(
+                f"rows {rows.dtype} / values {values.shape} do not fit a "
+                f"({store.n_rows}, {store.dim}) store")
+        store.store(SparseRows(rows, values, store.n_rows))
+    except ValueError as exc:
+        raise CheckpointCorruptError(
+            f"array {key + '/rows'!r} does not index {key + '/values'!r} "
+            f"as sorted in-range dirty rows ({exc}); the checkpoint is "
+            f"corrupt") from exc
+
+
 def capture_state(trainer) -> CheckpointState:
     """Deep-copy everything a bitwise resume needs out of a trainer.
 
@@ -213,8 +255,7 @@ def capture_state(trainer) -> CheckpointState:
         if stores is None:
             continue
         for rank, store in enumerate(stores):
-            arrays[f"residual/{name}/{rank}/values"] = store._residual.copy()
-            arrays[f"residual/{name}/{rank}/dirty"] = store._dirty.copy()
+            _capture_residual(arrays, f"residual/{name}/{rank}", store)
     # Hop-boundary residuals are keyed by stable physical node id (not
     # local rank), so a cross-world restore intersects node sets instead of
     # remapping ranks.
@@ -224,9 +265,7 @@ def capture_state(trainer) -> CheckpointState:
         if node_res is None:
             continue
         for node, store in node_res.stores.items():
-            arrays[f"residual/hier_{name}/{node}/values"] = \
-                store._residual.copy()
-            arrays[f"residual/hier_{name}/{node}/dirty"] = store._dirty.copy()
+            _capture_residual(arrays, f"residual/hier_{name}/{node}", store)
 
     sched = trainer.scheduler
     drs = trainer._drs
@@ -346,13 +385,9 @@ def apply_state(trainer, state: CheckpointState,
         for rank, store in enumerate(stores):
             old = rank_map[rank]
             if old is None:
-                store._residual[:] = 0.0
-                store._dirty[:] = False
-                continue
-            store._residual = np.array(
-                arrays[f"residual/{name}/{old}/values"], dtype=np.float32)
-            store._dirty = np.array(
-                arrays[f"residual/{name}/{old}/dirty"], dtype=bool)
+                store.clear()
+            else:
+                _restore_residual(store, arrays, f"residual/{name}/{old}")
     # Hop-boundary residuals restore by node-id intersection: a node the
     # new world still occupies gets its snapshot back; a freshly (re)grown
     # node starts pristine; a snapshot node with no survivors is dropped
@@ -364,13 +399,10 @@ def apply_state(trainer, state: CheckpointState,
             continue
         for node, store in node_res.stores.items():
             key = f"residual/hier_{name}/{node}"
-            if f"{key}/values" in arrays:
-                store._residual = np.array(arrays[f"{key}/values"],
-                                           dtype=np.float32)
-                store._dirty = np.array(arrays[f"{key}/dirty"], dtype=bool)
+            if f"{key}/rows" in arrays:
+                _restore_residual(store, arrays, key)
             else:
-                store._residual[:] = 0.0
-                store._dirty[:] = False
+                store.clear()
 
     cluster = trainer.cluster
     old_clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
@@ -459,42 +491,70 @@ def apply_state(trainer, state: CheckpointState,
 # Deterministic on-disk format
 # ---------------------------------------------------------------------------
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Run ``write(fh)`` on ``<path>.tmp``, then rename it over ``path``;
+    a failed write removes the half-written ``.tmp``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _npz_bytes(arrays: dict) -> bytes:
-    """Serialise arrays as an npz with fully deterministic bytes.
+def _write_npz(fh, arrays: dict) -> None:
+    """Stream arrays into ``fh`` as an npz with fully deterministic bytes.
 
     ``np.savez`` stamps zip entries with the current time, so two saves of
     identical state would differ; we write the container ourselves with
-    sorted entry order, a fixed 1980-01-01 timestamp and no compression.
-    The result is still a regular npz that ``np.load`` reads.
+    sorted entry order, a fixed 1980-01-01 timestamp and no compression,
+    each entry an npy header followed by the array's own buffer.  The
+    result is still a regular npz that ``np.load`` reads.
     """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
         for name in sorted(arrays):
-            payload = io.BytesIO()
-            np.lib.format.write_array(
-                payload, np.ascontiguousarray(arrays[name]),
-                allow_pickle=False)
+            arr = np.ascontiguousarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy",
                                    date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_STORED
             info.external_attr = 0o644 << 16
-            zf.writestr(info, payload.getvalue())
-    return buf.getvalue()
+            info.file_size = arr.nbytes  # decides zip64 before the write
+            with zf.open(info, "w") as entry:
+                np.lib.format.write_array_header_1_0(
+                    entry, np.lib.format.header_data_from_array_1_0(arr))
+                entry.write(_raw(arr))
+
+
+def _write_pair(npz_path: Path, manifest_path: Path, arrays: dict,
+                manifest: dict) -> None:
+    """Write ``arrays`` and ``manifest``, which gains their checksum table.
+
+    A manifest left by an earlier write goes first, then the npz lands,
+    then the new manifest, each through an atomic rename — so a readable
+    manifest always describes the npz beside it.
+    """
+    manifest["arrays"] = {
+        name: {
+            "sha256": _sha256_array(arr),
+            "dtype": np.ascontiguousarray(arr).dtype.str,
+            "shape": list(np.shape(arr)),
+        }
+        for name, arr in arrays.items()
+    }
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    manifest_path.unlink(missing_ok=True)
+    _atomic_write(npz_path, lambda fh: _write_npz(fh, arrays))
+    _atomic_write(manifest_path, lambda fh: fh.write(text.encode()))
 
 
 def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
     """Write one checkpoint directory (``manifest.json`` + ``state.npz``).
 
-    The npz lands first and the manifest last, each via an atomic rename,
-    so a directory containing a readable manifest is always complete — a
-    kill mid-write leaves at worst a manifest-less directory that
-    :func:`latest_checkpoint` ignores.
+    A kill mid-write leaves at worst a manifest-less directory that
+    :func:`latest_checkpoint` ignores (see :func:`_write_pair`), also when
+    ``path`` already held a checkpoint.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -505,19 +565,10 @@ def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
         "epoch": state.epoch,
         "world_size": state.world_size,
         "world_lineage": list(state.world_lineage),
-        "arrays": {
-            name: {
-                "sha256": _sha256_array(arr),
-                "dtype": np.ascontiguousarray(arr).dtype.str,
-                "shape": list(np.shape(arr)),
-            }
-            for name, arr in state.arrays.items()
-        },
         "state": state.scalars,
     }
-    _atomic_write_bytes(path / ARRAYS_NAME, _npz_bytes(state.arrays))
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _atomic_write_bytes(path / MANIFEST_NAME, text.encode())
+    _write_pair(path / ARRAYS_NAME, path / MANIFEST_NAME, state.arrays,
+                manifest)
     return path
 
 
@@ -566,7 +617,7 @@ def load_checkpoint(path: str | Path,
             f"checkpoint {path} has a manifest but no {ARRAYS_NAME}")
     try:
         with np.load(npz_path, allow_pickle=False) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
+            arrays = {name: data[name] for name in data.files}
     except CheckpointError:
         raise
     except Exception as exc:
@@ -658,7 +709,7 @@ def manifest_digest(path: str | Path) -> str:
 # binary embedding tier is the first).  It deliberately does NOT touch
 # ``manifest.json`` — the checkpoint's own files stay byte-identical, so
 # resume equivalence, pruning and golden diffs are unaffected — but it is
-# validated exactly like the schema-v2 arrays: per-array SHA-256 checksums,
+# validated exactly like the checkpoint's arrays: per-array SHA-256 checksums,
 # a format marker, a schema version, and the same loud error taxonomy.
 
 def write_sidecar(ckpt_dir: str | Path, stem: str, fmt: str, version: int,
@@ -667,27 +718,13 @@ def write_sidecar(ckpt_dir: str | Path, stem: str, fmt: str, version: int,
 
     ``arrays`` land in ``<stem>.npz`` (deterministic bytes, like
     ``state.npz``); ``meta`` plus the per-array checksum table land in
-    ``<stem>.json``.  Both writes are atomic, npz first, so a readable
-    sidecar manifest always describes a complete npz.  Returns the
-    resolved checkpoint directory.
+    ``<stem>.json``, through the same :func:`_write_pair` as a checkpoint,
+    so a readable sidecar manifest always describes a complete npz.
+    Returns the resolved checkpoint directory.
     """
     path = resolve_checkpoint_dir(ckpt_dir)
-    manifest = {
-        "format": fmt,
-        "schema_version": version,
-        "arrays": {
-            name: {
-                "sha256": _sha256_array(arr),
-                "dtype": np.ascontiguousarray(arr).dtype.str,
-                "shape": list(np.shape(arr)),
-            }
-            for name, arr in arrays.items()
-        },
-        "meta": meta,
-    }
-    _atomic_write_bytes(path / f"{stem}.npz", _npz_bytes(arrays))
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _atomic_write_bytes(path / f"{stem}.json", text.encode())
+    manifest = {"format": fmt, "schema_version": version, "meta": meta}
+    _write_pair(path / f"{stem}.npz", path / f"{stem}.json", arrays, manifest)
     return path
 
 

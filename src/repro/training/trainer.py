@@ -547,21 +547,24 @@ class DistributedTrainer:
             self.cluster, [g.nbytes_wire for g in processed], groups,
             op_label=f"{kind}_hier")
 
-        payloads = []
+        # Each payload is decoded once; the same rows feed the node's
+        # residual update and the post-gather combine.
+        node_bytes, decoded = [], []
         for node, members in zip(groups.node_ids, groups.members):
             node_sum = combine_sparse([processed[r] for r in members])
             if node_res is not None:
                 node_sum = node_res.inject(node, node_sum)
             q = quantize(node_sum, strategy.quantization_bits,
                          stat=strategy.quantization_stat, rng=self._sel_rng)
+            approx = dequantize(q)
             if node_res is not None:
-                node_res.store(node, quantization_error(node_sum, q))
-            payloads.append(q)
+                node_res.store(node, quantization_error(node_sum, q, approx))
+            node_bytes.append(q.nbytes_wire)
+            decoded.append(approx)
 
-        node_bytes = [q.nbytes_wire for q in payloads]
         hierarchical.hier_inter_allgatherv_bytes(
             self.cluster, node_bytes, groups, op_label=f"{kind}_hier")
-        combined = combine_sparse([dequantize(q) for q in payloads])
+        combined = combine_sparse(decoded)
         hierarchical.hier_intra_bcast_bytes(
             self.cluster, sum(node_bytes), groups, op_label=f"{kind}_hier")
 
@@ -589,19 +592,20 @@ class DistributedTrainer:
             processed.append(g)
 
         if strategy.quantization_bits:
-            payloads = []
+            rank_bytes, decoded = [], []
             for rank, g in enumerate(processed):
                 q = quantize(g, strategy.quantization_bits,
                              stat=strategy.quantization_stat,
                              rng=self._sel_rng)
+                approx = dequantize(q)
                 if residuals is not None:
-                    residuals[rank].store(quantization_error(g, q))
-                payloads.append(q)
+                    residuals[rank].store(quantization_error(g, q, approx))
+                rank_bytes.append(q.nbytes_wire)
+                decoded.append(approx)
             collectives.allgatherv_bytes(
-                self.cluster, [q.nbytes_wire for q in payloads],
-                algo=strategy.allgather_algo,
+                self.cluster, rank_bytes, algo=strategy.allgather_algo,
                 op_label=f"{kind}_allgather_quant")
-            combined = combine_sparse([dequantize(q) for q in payloads])
+            combined = combine_sparse(decoded)
         elif self._projections is not None:
             # GradZip comparator: project rows onto the shared basis, ship
             # the skinny factors, reconstruct locally.

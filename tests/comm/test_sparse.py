@@ -193,6 +193,95 @@ class TestCombine:
                                       got.values.view(np.uint32))
 
 
+def assert_combine_is_reference_scatter(parts):
+    """``combine_sparse`` == the input-order scatter-add, bit for bit."""
+    before = [p.values.copy() for p in parts]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 2 * max
+        ref_idx, ref_vals = scatter_add_rows(
+            np.concatenate([p.indices for p in parts]),
+            np.concatenate([p.values for p in parts]))
+        got = combine_sparse(parts)
+    np.testing.assert_array_equal(ref_idx, got.indices)
+    assert got.values.dtype == np.float32
+    np.testing.assert_array_equal(ref_vals.view(np.uint32),
+                                  got.values.view(np.uint32))
+    for p, kept in zip(parts, before):  # inputs are shared, never consumed
+        np.testing.assert_array_equal(p.values.view(np.uint32),
+                                      kept.view(np.uint32))
+        assert not np.shares_memory(p.values, got.values)
+
+
+#: Values whose float32 sums depend on order and on how a zero is signed.
+AWKWARD = [0.0, -0.0, 1.0, -1.0, 1e-45, 3.4e38, -3.4e38, 16777216.0,
+           float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def awkward_parts(draw, n_rows=9, dim=3):
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        idx = draw(st.lists(st.integers(0, n_rows - 1), unique=True,
+                            max_size=n_rows))
+        values = draw(hnp.arrays(
+            np.float32, (len(idx), dim),
+            elements=st.one_of(st.sampled_from(AWKWARD),
+                               st.floats(-100, 100, width=32))))
+        parts.append(SparseRows(np.array(sorted(idx), dtype=np.int64),
+                                values, n_rows))
+    return parts
+
+
+class TestCombineReplaysScatterAdd:
+    @given(awkward_parts())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_under_awkward_values(self, parts):
+        assert_combine_is_reference_scatter(parts)
+
+    def test_lone_negative_zero_becomes_positive(self):
+        a = make([4], [[-0.0, 2.0]])
+        out = combine_sparse([a])
+        assert not np.signbit(out.values[0, 0])
+        assert_combine_is_reference_scatter([a])
+
+    def test_negative_zeros_only_stay_negative_when_all_are(self):
+        a = make([1, 2], [[-0.0], [-0.0]])
+        b = make([2, 3], [[-0.0], [0.0]])
+        assert_combine_is_reference_scatter([a, b])
+
+    def test_one_part(self):
+        rng = np.random.default_rng(3)
+        a = make([0, 3, 9], rng.normal(size=(3, 4)))
+        assert_combine_is_reference_scatter([a])
+
+    def test_identical_index_sets(self):
+        rng = np.random.default_rng(4)
+        parts = [make([2, 5, 7], rng.normal(size=(3, 4))) for _ in range(6)]
+        assert_combine_is_reference_scatter(parts)
+
+    def test_disjoint_index_sets(self):
+        rng = np.random.default_rng(5)
+        parts = [make([1, 8], rng.normal(size=(2, 4))),
+                 make([0, 9], rng.normal(size=(2, 4))),
+                 make([4], rng.normal(size=(1, 4)))]
+        assert_combine_is_reference_scatter(parts)
+
+    def test_empty_parts_among_full_ones(self):
+        rng = np.random.default_rng(6)
+        empty = make([], np.empty((0, 4), dtype=np.float32))
+        full = make([3, 4], rng.normal(size=(2, 4)))
+        assert_combine_is_reference_scatter([empty, full, empty, full])
+        out = combine_sparse([empty, empty])
+        assert out.nnz_rows == 0 and out.values.shape == (0, 4)
+        assert out.indices.dtype == np.int64
+
+    def test_sum_order_is_part_order(self):
+        # (2^24 + 1) + 1 differs from (1 + 1) + 2^24 in float32.
+        big, one = make([0], [[16777216.0]]), make([0], [[1.0]])
+        forward = combine_sparse([big, one, one]).values[0, 0]
+        backward = combine_sparse([one, one, big]).values[0, 0]
+        assert forward == 16777216.0 and backward == 16777218.0
+
+
 @st.composite
 def sparse_rows(draw, n_rows=12, dim=3):
     nnz = draw(st.integers(0, n_rows))

@@ -55,6 +55,16 @@ class TestResidualStore:
         assert set(out.indices.tolist()) == {2, 5}
         np.testing.assert_allclose(out.to_dense()[2], [9, 9])
 
+    def test_inject_result_does_not_alias_the_store(self):
+        store = ResidualStore(10, 2)
+        store.store(rows([1, 7], [[0.5, 0.5], [2.0, 2.0]]))
+        out = store.inject(rows([1], [[1, 2]]))
+        assert not np.shares_memory(out.values, store._residual)
+        out.values[:] = 99.0
+        again = store.inject(rows([1], [[1, 2]]))
+        np.testing.assert_allclose(again.to_dense()[[1, 7]],
+                                   [[1.5, 2.5], [2.0, 2.0]])
+
     def test_clear(self):
         store = ResidualStore(10, 2)
         store.store(rows([4], [[1, 1]]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import _reference
 from repro.compress.packing import (
     pack_signs,
     pack_ternary,
@@ -75,3 +76,42 @@ class TestTernaryPacking:
     def test_roundtrip_property(self, codes):
         back = unpack_ternary(pack_ternary(codes), codes.shape[1])
         np.testing.assert_array_equal(back, codes.astype(np.float32))
+
+
+class TestTableDecodeMatchesReference:
+    """The lookup-table decoders are bit-for-bit the ``unpackbits`` / shift
+    formulas kept in ``repro._reference`` — on every byte value (also the
+    0b11 field no encoder emits), widths that are not multiples of 8 or 4,
+    and zero rows."""
+
+    @given(packed=hnp.arrays(np.uint8, st.tuples(st.integers(0, 6),
+                                                 st.integers(1, 9))),
+           trim=st.integers(0, 7))
+    @settings(max_examples=120, deadline=None)
+    def test_signs(self, packed, trim):
+        dim = max(1, min(70, packed.shape[1] * 8 - trim))
+        got = unpack_signs(packed, dim)
+        want = _reference.unpack_signs(packed, dim)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      want.view(np.uint32))
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    @given(packed=hnp.arrays(np.uint8, st.tuples(st.integers(0, 6),
+                                                 st.integers(1, 18))),
+           trim=st.integers(0, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_ternary(self, packed, trim):
+        dim = max(1, min(70, packed.shape[1] * 4 - trim))
+        got = unpack_ternary(packed, dim)
+        want = _reference.unpack_ternary(packed, dim)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      want.view(np.uint32))
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_decoding_never_writes_the_shared_tables(self):
+        packed = np.arange(256, dtype=np.uint8).reshape(32, 8)
+        first = unpack_signs(packed, 64)
+        first *= np.float32(3.0)
+        np.testing.assert_array_equal(np.abs(unpack_signs(packed, 64)), 1.0)

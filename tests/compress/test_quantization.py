@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import _reference
 from repro.comm.sparse import SparseRows
 from repro.compress.quantization import (
     ONE_BIT_STATS,
@@ -180,6 +181,28 @@ class TestQuantizationError:
         q = quantize_1bit(other)
         with pytest.raises(ValueError):
             quantization_error(grad, q)
+        with pytest.raises(ValueError):
+            quantization_error(grad, q, dequantize(q))
+
+    @pytest.mark.parametrize("stat", ONE_BIT_STATS + ("2bit",))
+    def test_supplied_decode_equals_own_decode(self, stat):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(9, 13)).astype(np.float32)
+        values[2] = 0.0
+        values[4, ::2] = 0.0
+        grad = grad_from(values)
+        q = (quantize_2bit(grad, rng=rng) if stat == "2bit"
+             else quantize_1bit(grad, stat=stat))
+        approx = dequantize(q)
+        kept = approx.values.copy()
+        own = quantization_error(grad, q)
+        given_ = quantization_error(grad, q, approx)
+        np.testing.assert_array_equal(own.indices, given_.indices)
+        np.testing.assert_array_equal(own.values.view(np.uint32),
+                                      given_.values.view(np.uint32))
+        # The decode is shared with the combine afterwards: not consumed.
+        np.testing.assert_array_equal(approx.values.view(np.uint32),
+                                      kept.view(np.uint32))
 
 
 class TestEmptyGradients:
@@ -217,3 +240,50 @@ class TestProperties:
         err = quantization_error(grad, q)
         np.testing.assert_allclose(err.values + dequantize(q).values,
                                    values, rtol=1e-4, atol=1e-4)
+
+
+def reference_dequantize(q):
+    """``dequantize`` as it was before the table decode: the reference
+    unpackers, out-of-place arithmetic, one final float32 cast."""
+    if q.bits == 2:
+        values = _reference.unpack_ternary(q.codes, q.dim) * q.scales[:, :1]
+    else:
+        signs = _reference.unpack_signs(q.codes, q.dim)
+        if q.scales.shape[1] == 1:
+            values = signs * q.scales
+        else:
+            values = np.where(signs < 0, -q.scales[:, :1], q.scales[:, 1:2])
+    return values.astype(np.float32)
+
+
+@st.composite
+def gradient_values(draw):
+    """Rows of width 1-70 (so not only multiples of 8 and 4), some of them
+    all zero, some holding zeros among non-zeros."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 70)))
+    values = draw(hnp.arrays(
+        np.float32, shape,
+        elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3, width=32))))
+    zero_rows = draw(st.lists(st.booleans(), min_size=shape[0],
+                              max_size=shape[0]))
+    values[np.array(zero_rows)] = 0.0
+    return values
+
+
+class TestDecodeMatchesReference:
+    @pytest.mark.parametrize("stat", ONE_BIT_STATS)
+    @given(values=gradient_values())
+    @settings(max_examples=40, deadline=None)
+    def test_1bit_every_stat(self, stat, values):
+        q = quantize_1bit(grad_from(values), stat=stat)
+        np.testing.assert_array_equal(
+            dequantize(q).values.view(np.uint32),
+            reference_dequantize(q).view(np.uint32))
+
+    @given(values=gradient_values(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_2bit(self, values, seed):
+        q = quantize_2bit(grad_from(values), rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            dequantize(q).values.view(np.uint32),
+            reference_dequantize(q).view(np.uint32))

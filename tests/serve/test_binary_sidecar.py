@@ -25,7 +25,7 @@ from repro.training.checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointSchemaError,
-    _npz_bytes,
+    _write_npz,
 )
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
@@ -120,7 +120,8 @@ class TestNegative:
         with np.load(npz, allow_pickle=False) as data:
             arrays = {name: np.array(data[name]) for name in data.files}
         arrays["binary/entity_codes"][0, 0] ^= 0xFF
-        npz.write_bytes(_npz_bytes(arrays))
+        with open(npz, "wb") as fh:
+            _write_npz(fh, arrays)
         with pytest.raises(CheckpointChecksumError,
                            match="binary/entity_codes"):
             EmbeddingStore.from_checkpoint(exported, model_name="complex",

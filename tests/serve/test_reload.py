@@ -17,7 +17,7 @@ from repro.serve import (EmbeddingStore, QueryEngine, ServeFaultPlan,
                          export_binary)
 from repro.training.checkpoint import (ARRAYS_NAME, MANIFEST_NAME,
                                        CheckpointChecksumError,
-                                       CheckpointError, _npz_bytes,
+                                       CheckpointError, _write_npz,
                                        manifest_digest)
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
@@ -210,7 +210,8 @@ class TestRollback:
         with np.load(bad / ARRAYS_NAME, allow_pickle=False) as data:
             arrays = {name: np.array(data[name]) for name in data.files}
         arrays["model/entity_emb"][0, 0] += 0.25
-        (bad / ARRAYS_NAME).write_bytes(_npz_bytes(arrays))
+        with open(bad / ARRAYS_NAME, "wb") as fh:
+            _write_npz(fh, arrays)
         assert manifest_digest(bad) != old_store.manifest_digest
 
         with pytest.raises(CheckpointChecksumError):

@@ -22,7 +22,7 @@ from repro.training.checkpoint import (
     CheckpointError,
     CheckpointSchemaError,
     CheckpointWorldMismatchError,
-    _npz_bytes,
+    _write_npz,
     load_for_serving,
 )
 from repro.training.strategy import baseline_allreduce
@@ -149,7 +149,8 @@ class TestNegative:
         with np.load(dst / ARRAYS_NAME, allow_pickle=False) as data:
             arrays = {name: np.array(data[name]) for name in data.files}
         arrays["model/entity_emb"][0, 0] += 0.5
-        (dst / ARRAYS_NAME).write_bytes(_npz_bytes(arrays))
+        with open(dst / ARRAYS_NAME, "wb") as fh:
+            _write_npz(fh, arrays)
         with pytest.raises(CheckpointChecksumError, match="model/entity_emb"):
             EmbeddingStore.from_checkpoint(dst, model_name="complex")
 

@@ -8,6 +8,8 @@ wrong schema, mismatched config) raises its own distinct, actionable error.
 """
 
 import json
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,9 @@ import pytest
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig
 from repro.comm.faults import CollectiveFaultError
+from repro.comm.network import NetworkModel
+from repro.comm.sparse import SparseRows
+from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
 from repro.training import (
     CheckpointChecksumError,
@@ -31,7 +36,9 @@ from repro.training import (
 from repro.training.checkpoint import (
     ARRAYS_NAME,
     MANIFEST_NAME,
-    _npz_bytes,
+    CheckpointState,
+    _write_npz,
+    apply_state,
     capture_state,
 )
 from repro.training.strategy import baseline_allreduce, drs_1bit_rp_ss, rs_1bit
@@ -78,7 +85,8 @@ def _rewrite_npz(path, drop=None, tamper=None, extra=None):
         arrays[tamper] = arr
     if extra is not None:
         arrays[extra] = np.zeros(3)
-    path.write_bytes(_npz_bytes(arrays))
+    with open(path, "wb") as fh:
+        _write_npz(fh, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +99,7 @@ def test_checkpoint_layout_and_manifest(snapshot):
     assert (path / ARRAYS_NAME).is_file()
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert manifest["epoch"] == 2
     assert manifest["world_size"] == 3
     assert manifest["world_lineage"] == [3]
@@ -142,7 +150,7 @@ def test_error_feedback_residuals_are_captured(store):
     state = capture_state(trainer)
     for rank in range(2):
         assert f"residual/entity/{rank}/values" in state.arrays
-        assert f"residual/relation/{rank}/dirty" in state.arrays
+        assert f"residual/relation/{rank}/rows" in state.arrays
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +165,27 @@ def _copy_checkpoint(path, tmp_path):
     return dst
 
 
-def test_wrong_schema_version_rejected(snapshot, tmp_path):
-    _, path = snapshot
+def _with_schema_version(path, tmp_path, version):
     dst = _copy_checkpoint(path, tmp_path)
     manifest = json.loads((dst / MANIFEST_NAME).read_text())
-    manifest["schema_version"] = 999
+    manifest["schema_version"] = version
     (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return dst
+
+
+def test_wrong_schema_version_rejected(snapshot, tmp_path):
+    _, path = snapshot
+    dst = _with_schema_version(path, tmp_path, 999)
     with pytest.raises(CheckpointSchemaError, match="999"):
+        load_checkpoint(dst)
+
+
+def test_schema_2_checkpoints_are_refused_not_converted(snapshot, tmp_path):
+    """Schema 2 stored residuals as dense ``values`` + ``dirty``; there is
+    one reader, so the previous version is refused like any other."""
+    _, path = snapshot
+    dst = _with_schema_version(path, tmp_path, 2)
+    with pytest.raises(CheckpointSchemaError, match="version 2 .*expected 3"):
         load_checkpoint(dst)
 
 
@@ -295,3 +317,269 @@ def test_fail_fast_flushes_a_resumable_checkpoint(store, tmp_path):
     assert path.name == f"failure-epoch-{epoch:04d}"
     state = load_checkpoint(path)  # fully valid and loadable
     assert state.epoch == epoch
+
+
+# ---------------------------------------------------------------------------
+# Overwriting a checkpoint directory: the manifest is still last
+# ---------------------------------------------------------------------------
+
+class _Killed(BaseException):
+    """Stands in for the process dying at a chosen rename."""
+
+
+def test_kill_between_npz_and_manifest_hides_an_overwritten_dir(
+        store, tmp_path, monkeypatch):
+    """Re-writing ``epoch-0002`` (a resume from epoch 1 does) and dying
+    after the npz landed must not leave the *old* manifest describing the
+    *new* arrays: the directory vanishes from discovery and resume falls
+    back to the previous epoch instead of hitting a checksum error."""
+    first = make_trainer(store, checkpoint_dir=str(tmp_path),
+                         checkpoint_every=1, checkpoint_keep=0)
+    first.run()
+    assert latest_checkpoint(tmp_path).name == "epoch-0002"
+
+    other = make_trainer(store, seed=99)  # different arrays, same layout
+    other.run()
+    real_replace = os.replace
+
+    def dying_replace(src, dst):
+        if str(dst).endswith(MANIFEST_NAME):
+            raise _Killed
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", dying_replace)
+    with pytest.raises(_Killed):
+        write_checkpoint(capture_state(other), tmp_path / "epoch-0002")
+    monkeypatch.undo()
+
+    assert [p.name for _, p in list_checkpoints(tmp_path)] == ["epoch-0001"]
+    assert not list(tmp_path.rglob("*.tmp"))
+    resumed = make_trainer(store, checkpoint_keep=0)
+    assert resumed.restore(tmp_path) == 1
+
+    # The next complete write makes the directory visible again.
+    write_checkpoint(capture_state(first), tmp_path / "epoch-0002")
+    assert latest_checkpoint(tmp_path).name == "epoch-0002"
+    assert load_checkpoint(tmp_path / "epoch-0002").epoch == 2
+
+
+def test_failed_write_leaves_no_tmp_file(snapshot, tmp_path, monkeypatch):
+    _, path = snapshot
+    state = load_checkpoint(path)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(state, tmp_path / "never")
+    monkeypatch.undo()
+    assert list((tmp_path / "never").iterdir()) == []
+    assert latest_checkpoint(tmp_path) is None
+
+
+# ---------------------------------------------------------------------------
+# Dirty-row residual storage (schema 3)
+# ---------------------------------------------------------------------------
+
+NET = HierarchicalNetwork(
+    intra=NetworkModel(alpha=1e-7, beta=1e-11),
+    inter=NetworkModel(alpha=5e-6, beta=1.25e-10),
+    ranks_per_node=2)
+
+
+def ef_hier_trainer(store, global_ranks=None, **overrides):
+    """Error feedback on the two-level stack: rank *and* node residuals."""
+    strategy = replace(drs_1bit_rp_ss(), error_feedback=True,
+                       collective="auto", drs_probe_interval=2)
+    network = NET if global_ranks is None else NET.with_membership(global_ranks)
+    return DistributedTrainer(store, strategy, 4, config=config(**overrides),
+                              network=network, global_ranks=global_ranks)
+
+
+def residual_stores(trainer) -> dict:
+    """Every residual store of a trainer by its checkpoint key."""
+    out = {}
+    for name, stores in (("entity", trainer._entity_residuals),
+                         ("relation", trainer._relation_residuals)):
+        for rank, st in enumerate(stores):
+            out[f"residual/{name}/{rank}"] = st
+    for name, node_res in (("entity", trainer._hier_entity_residuals),
+                           ("relation", trainer._hier_relation_residuals)):
+        for node, st in node_res.stores.items():
+            out[f"residual/hier_{name}/{node}"] = st
+    return out
+
+
+def dirty_every_store(trainer, fraction, seed=5):
+    rng = np.random.default_rng(seed)
+    for st in residual_stores(trainer).values():
+        rows = np.flatnonzero(rng.random(st.n_rows) < fraction)
+        values = rng.normal(size=(len(rows), st.dim)).astype(np.float32)
+        values[::3, 0] = -0.0  # a dirty row may hold signed zeros
+        st.store(SparseRows(rows, values, st.n_rows))
+
+
+def assert_same_store(a, b):
+    assert a._dirty.tobytes() == b._dirty.tobytes()
+    assert a._residual.tobytes() == b._residual.tobytes()
+
+
+def assert_pristine(st):
+    assert not st._dirty.any()
+    assert st._residual.tobytes() == bytes(st._residual.nbytes)
+
+
+@pytest.fixture(scope="module")
+def ef_run(store, tmp_path_factory):
+    """Three epochs (hier, allgather probe, hier), one checkpoint each."""
+    root = tmp_path_factory.mktemp("ef-ckpt")
+    trainer = ef_hier_trainer(store, max_epochs=3, checkpoint_dir=str(root),
+                              checkpoint_every=1, checkpoint_keep=0)
+    trainer.run()
+    assert [log.comm_mode for log in trainer.result.logs] == [
+        "hierarchical", "allgather", "hierarchical"]
+    return trainer, root
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0],
+                         ids=["all-clean", "mixed", "all-dirty"])
+def test_residuals_round_trip_through_disk(store, tmp_path, fraction):
+    source = ef_hier_trainer(store)
+    dirty_every_store(source, fraction)
+    path = write_checkpoint(capture_state(source), tmp_path / "snap")
+    state = load_checkpoint(path, source.config_fingerprint())
+    for key, st in residual_stores(source).items():
+        assert state.arrays[f"{key}/rows"].tolist() == \
+            np.flatnonzero(st._dirty).tolist()
+        assert state.arrays[f"{key}/values"].shape == (st.nnz_rows, st.dim)
+
+    target = ef_hier_trainer(store)
+    dirty_every_store(target, 0.7, seed=6)  # stale state must not survive
+    apply_state(target, state)
+    restored = residual_stores(target)
+    for key, st in residual_stores(source).items():
+        assert_same_store(st, restored[key])
+
+
+def test_residuals_follow_rank_map_and_node_ids(store, tmp_path):
+    """Elastic restore: ranks follow ``rank_map`` (``None`` = fresh member),
+    node stores follow physical node ids (intersection of old and new)."""
+    source = ef_hier_trainer(store)  # global ranks 0-3 on nodes 0, 1
+    dirty_every_store(source, 0.5)
+    path = write_checkpoint(capture_state(source), tmp_path / "snap")
+    state = load_checkpoint(path)
+
+    # New world: old ranks 2, 3 survive (node 1); ranks 4, 5 join (node 2).
+    target = ef_hier_trainer(store, global_ranks=(2, 3, 4, 5))
+    dirty_every_store(target, 0.7, seed=6)
+    apply_state(target, state, rank_map=[2, 3, None, None])
+
+    old, new = residual_stores(source), residual_stores(target)
+    for name in ("entity", "relation"):
+        assert_same_store(old[f"residual/{name}/2"], new[f"residual/{name}/0"])
+        assert_same_store(old[f"residual/{name}/3"], new[f"residual/{name}/1"])
+        assert_pristine(new[f"residual/{name}/2"])
+        assert_pristine(new[f"residual/{name}/3"])
+        assert_same_store(old[f"residual/hier_{name}/1"],
+                          new[f"residual/hier_{name}/1"])
+        assert_pristine(new[f"residual/hier_{name}/2"])
+        assert f"residual/hier_{name}/0" not in new
+
+
+def test_trained_residuals_resave_byte_identical(ef_run, tmp_path):
+    _, root = ef_run
+    path = root / "epoch-0002"  # rank and node stores both dirty here
+    state = load_checkpoint(path)
+    assert len(state.arrays["residual/entity/0/rows"]) > 0
+    assert len(state.arrays["residual/hier_entity/0/rows"]) > 0
+    copy = write_checkpoint(state, tmp_path / "copy")
+    for name in (MANIFEST_NAME, ARRAYS_NAME):
+        assert (copy / name).read_bytes() == (path / name).read_bytes()
+
+
+def test_snapshot_stores_dirty_rows_only(ef_run):
+    """The deterministic size gate: a hierarchical epoch leaves every rank
+    store clean (inject + clear) and RP never dirties a relation store, so
+    those cost zero value rows; node stores cost exactly their dirty rows."""
+    trainer, root = ef_run
+    for epoch, log in enumerate(trainer.result.logs, start=1):
+        arrays = load_checkpoint(root / f"epoch-{epoch:04d}").arrays
+        rank_rows = [len(arrays[f"residual/entity/{r}/values"])
+                     for r in range(4)]
+        if log.comm_mode == "hierarchical":
+            assert rank_rows == [0, 0, 0, 0]
+        else:
+            assert all(n > 0 for n in rank_rows)
+        for key in arrays:
+            if key.startswith(("residual/relation/", "residual/hier_relation")):
+                assert len(arrays[key]) == 0
+
+    live = residual_stores(trainer)
+    final = capture_state(trainer).arrays
+    for key, st in live.items():
+        assert len(final[f"{key}/values"]) == int(st._dirty.sum())
+        assert len(final[f"{key}/rows"]) == int(st._dirty.sum())
+    assert all(live[f"residual/hier_entity/{node}"].nnz_rows > 0
+               for node in (0, 1))
+
+
+MALFORMED = {
+    "unsorted": lambda rows, values: (rows[::-1].copy(), values),
+    "duplicate": lambda rows, values: (
+        np.concatenate([rows[:1], rows[:-1]]), values),
+    "out-of-range": lambda rows, values: (rows + 10 ** 6, values),
+    "negative": lambda rows, values: (rows - 10 ** 6, values),
+    "shorter-than-values": lambda rows, values: (rows[:-1], values),
+    "longer-than-values": lambda rows, values: (rows, values[:-1]),
+    "float-rows": lambda rows, values: (rows.astype(np.float64), values),
+    "two-d-rows": lambda rows, values: (rows[:, None], values),
+    "narrow-values": lambda rows, values: (rows, values[:, :1]),
+    "flat-values": lambda rows, values: (rows, values[:, 0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("key", ["residual/entity/1", "residual/hier_entity/0"])
+def test_malformed_residual_rows_are_corrupt_not_numpy_errors(
+        store, ef_run, tmp_path, key, kind):
+    _, root = ef_run
+    state = load_checkpoint(root / "epoch-0002")
+    rows, values = state.arrays[f"{key}/rows"], state.arrays[f"{key}/values"]
+    assert len(rows) >= 2
+    state.arrays[f"{key}/rows"], state.arrays[f"{key}/values"] = \
+        MALFORMED[kind](rows, values)
+    # Through the writer too: its checksums are honest, the rows are not.
+    state = load_checkpoint(write_checkpoint(state, tmp_path / "bad"))
+    with pytest.raises(CheckpointCorruptError, match=f"{key}/rows"):
+        apply_state(ef_hier_trainer(store), state)
+
+
+# ---------------------------------------------------------------------------
+# The writer streams: no second copy of the state is ever held
+# ---------------------------------------------------------------------------
+
+def test_write_checkpoint_never_holds_a_second_copy(tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {f"block/{i}": rng.random((1 << 19,)) for i in range(3)}  # 4 MiB each
+    arrays["mask"] = rng.random(1 << 20) < 0.5
+    arrays["empty"] = np.empty((0, 8), dtype=np.float32)
+    state = CheckpointState(epoch=1, arrays=arrays, scalars={},
+                            config_hash="0" * 64)
+    total = sum(a.nbytes for a in arrays.values())
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        path = write_checkpoint(state, tmp_path / "big")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # One un-streamed array (a ``tobytes``, a ``BytesIO``) is already 31 %.
+    assert peak < 0.25 * total, (peak, total)
+
+    loaded = load_checkpoint(path)
+    for name, arr in arrays.items():
+        assert loaded.arrays[name].tobytes() == arr.tobytes()
+        assert loaded.arrays[name].shape == arr.shape
