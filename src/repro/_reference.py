@@ -11,7 +11,9 @@ bitwise property suites, ``benchmarks/test_eval_throughput.py`` and
   (:func:`rank_triples_reference` is ``rank_triples`` built on it);
 * :func:`unpack_signs` / :func:`unpack_ternary` — the ``unpackbits`` and
   shift formulas the lookup tables in :mod:`repro.compress.packing` decode
-  bit for bit.
+  bit for bit;
+* :func:`best_first` — the full stable argsort the serve path's O(n)
+  selection (:func:`repro.serve.select.best_first`) equals on every row.
 """
 
 from __future__ import annotations
@@ -88,3 +90,12 @@ def rank_triples_reference(model, triples, store
 
     return (raw_and_filtered(model.score_all_heads(r, t), h, False)
             + raw_and_filtered(model.score_all_tails(h, r), t, True))
+
+
+def best_first(row: np.ndarray, take: int) -> np.ndarray:
+    """The full stable argsort that defines
+    :func:`repro.serve.select.best_first`: descending value, ties toward
+    the smaller id, NaN never returned."""
+    row = np.asarray(row)
+    n_valid = int((~np.isnan(row)).sum())
+    return np.argsort(-row, kind="stable")[:min(take, n_valid)]

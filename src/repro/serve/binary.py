@@ -28,11 +28,11 @@ module is the serving half of that result:
   real per-dimension magnitudes via per-byte lookup tables, and
   :meth:`BinaryStore.approx_scores` folds in the per-row scale according
   to the model's score geometry.  The top ``rerank_k`` become the
-  candidate pool the full-precision scorers re-rank.  Selection is
-  exactly deterministic — descending approximate score, exact ties
-  toward the smaller entity id — so ``rerank_k >= n_entities`` always
-  yields the complete, id-ordered entity set and the tiered path
-  collapses onto the dense engine bitwise.
+  candidate pool the full-precision scorers re-rank.  Selection is the
+  serve path's one rule, :func:`~repro.serve.select.best_first` —
+  descending approximate score, exact ties toward the smaller entity id
+  — so ``rerank_k >= n_entities`` always yields the complete, id-ordered
+  entity set and the tiered path collapses onto the dense engine bitwise.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from ..compress.packing import hamming_distances, pack_signs, unpack_signs
 from ..compress.quantization import binarize_matrix
 from ..models.base import KGEModel
 from ..training import checkpoint as ckpt
+from .select import best_first
 
 #: Sidecar file stem: ``binary.npz`` + ``binary.json`` in a checkpoint dir.
 SIDECAR_STEM = "binary"
@@ -64,26 +65,6 @@ _BYTE_SIGNS = ((((np.arange(256)[:, None]
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _selection_keys(scores: np.ndarray) -> np.ndarray:
-    """Map float32 score rows to int64 keys whose *ascending* order is
-    (descending score, ascending entity id).
-
-    The float bits are transposed into a monotone integer (the usual
-    sign-flip trick), then fused with the column id so that exact float
-    ties — including ``-0.0`` vs ``+0.0``, collapsed by adding ``0.0``
-    first — resolve toward the smaller id.  Unique keys mean *any*
-    comparison sort or partition selects and orders identically, which is
-    what lets the candidate stage use ``argpartition`` (O(n)) instead of
-    a full stable argsort without giving up determinism.
-    """
-    m, n = scores.shape
-    s = scores.astype(np.float32, copy=False) + np.float32(0.0)
-    u = np.ascontiguousarray(s).view(np.uint32).astype(np.int64)
-    mapped = np.where(u < 2**31, u + 2**31, 2**32 - 1 - u)
-    return ((np.int64(2**32) - mapped) * np.int64(n)
-            + np.arange(n, dtype=np.int64)[None, :])
 
 
 @dataclass
@@ -186,14 +167,14 @@ class BinaryStore:
             # query makes those dims contribute 0 either way.
             vectors = np.concatenate(
                 [vectors, np.zeros((m, pad), dtype=np.float32)], axis=1)
-        # Batch-innermost LUT layout: each gather below pulls a contiguous
-        # (m,) row per candidate byte, which is the cache-friendly shape
-        # for the coalesced multi-query groups that dominate tail latency.
+        # Batch-innermost LUT layout: each ``take`` below copies a
+        # contiguous (m,) row per candidate byte (several times faster
+        # than the mixed fancy index ``lut[j, codes[:, j], :]``).
         lut = np.ascontiguousarray(np.einsum(
             "mjb,vb->jvm", vectors.reshape(m, n_bytes, 8), _BYTE_SIGNS))
-        acc = lut[0, self.codes[:, 0], :].copy()
+        acc = lut[0].take(self.codes[:, 0], axis=0)
         for j in range(1, n_bytes):
-            acc += lut[j, self.codes[:, j], :]
+            acc += lut[j].take(self.codes[:, j], axis=0)
         return np.ascontiguousarray(acc.T)
 
     def approx_scores(self, vectors: np.ndarray,
@@ -236,33 +217,26 @@ class BinaryStore:
         ``pools`` is ``(batch, k)`` int64 in **ascending id order** (the
         layout the re-rank stage's tie-breaks need); ``order`` is the same
         candidates best-first — the candidate stage's own ranking, kept
-        for recall telemetry.  Selection is deterministic: scores are
-        mapped to unique ``(score, id)`` integer keys
-        (:func:`_selection_keys`), so an O(n) ``argpartition`` picks the
-        same candidates — exact float ties toward the smaller entity id —
-        that a full stable sort would, and ``rerank_k >= n_entities``
-        always yields the complete entity set.  ``masked`` — ``(rows,
-        cols)`` index arrays of known facts from the CSR filter — sinks
-        known candidates to ``-inf`` so a partial pool never wastes slots
-        on answers the re-rank stage must filter anyway.
+        for recall telemetry.  Each row is selected by
+        :func:`~repro.serve.select.best_first`, so ``rerank_k >=
+        n_entities`` always yields the complete entity set.  ``masked``
+        — ``(rows, cols)`` index arrays of known facts from the CSR
+        filter — sinks known candidates to ``-inf`` so a partial pool
+        never wastes slots on answers the re-rank stage must filter
+        anyway; a NaN approximation (non-finite embedding) sinks with
+        them and is dropped by the re-rank's own NaN.
         """
         if rerank_k < 1:
             raise ValueError(f"rerank_k must be >= 1, got {rerank_k}")
         scores = self.approx_scores(vectors, geometry=geometry)
-        if masked is not None:
-            rows, cols = masked
-            if len(rows):
-                scores[rows, cols] = -np.inf
+        if masked is not None and len(masked[0]):
+            scores[masked[0], masked[1]] = -np.inf
+        if np.isnan(scores.max(initial=-np.inf)):  # max propagates NaN
+            scores[np.isnan(scores)] = -np.inf
         take = min(int(rerank_k), self.n_entities)
-        keys = _selection_keys(scores)
-        if take >= self.n_entities:
-            order = np.argsort(keys, axis=1)
-        else:
-            part = np.argpartition(keys, take - 1, axis=1)[:, :take]
-            ranked = np.argsort(np.take_along_axis(keys, part, axis=1),
-                                axis=1)
-            order = np.take_along_axis(part, ranked, axis=1)
-        order = np.ascontiguousarray(order, dtype=np.int64)
+        order = np.empty((len(scores), take), dtype=np.int64)
+        for i, row in enumerate(scores):
+            order[i] = best_first(row, take)
         return np.sort(order, axis=1), order
 
 

@@ -24,13 +24,12 @@ Link-prediction queries run in one of two **memory tiers**:
     the exact filtered-evaluation path.
 ``tier="binary"``
     Two stages.  Stage 1 scores every entity from the 1-bit
-    :class:`~repro.serve.binary.BinaryStore` alone: the Hamming distance
-    between the sign pattern of the model's full-precision
-    :meth:`~repro.models.base.KGEModel.query_vector` and the packed codes
-    (packed XOR + popcount — 32x less state touched than dense scoring),
-    weighted by each candidate's stored scale per the model's score
-    geometry, keeping the best ``rerank_k`` candidates (exact ties break
-    toward the smaller entity id).  Stage 2
+    :class:`~repro.serve.binary.BinaryStore` alone: the model's
+    full-precision :meth:`~repro.models.base.KGEModel.query_vector` is
+    folded into a 256-entry lookup table per code byte, one gather per
+    stored byte gives the exact ``q . sign(t)`` (32x less state touched
+    than dense scoring), weighted by each candidate's stored scale per
+    the model's score geometry, keeping the best ``rerank_k``.  Stage 2
     re-ranks *only that pool* with the full-precision scorers.  Known
     facts are pushed behind every unknown candidate in stage 1 and
     NaN-masked in stage 2, so filtering semantics match the dense tier.
@@ -66,10 +65,11 @@ engine behaves exactly as before):
   breaker re-arms; any validation failure rolls back to the old store,
   which never stopped serving.
 
-Determinism contract: top-k ordering is *descending score, ascending
-entity id* (stable sort), the scores returned are the bytes the scoring
-blocks produced, and a cache hit returns the identical immutable result
-object a cold miss computed.
+Determinism contract: every ranking is
+:func:`~repro.serve.select.best_first` (*descending score, ascending
+entity id*), the scores returned are the bytes the scoring blocks
+produced, and a cache hit returns the identical immutable result object
+a cold miss computed.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .binary import check_geometry
 from .cache import LRUCache
 from .resilience import (ResilienceController, ServeFaultPlan, ShedResponse,
                          SidecarCorruptionError, SLOConfig)
+from .select import best_first
 from .stats import ServeStats
 from .store import EmbeddingStore
 
@@ -114,17 +115,10 @@ class TopKResult:
 
 
 def _topk_row(row: np.ndarray, k: int) -> TopKResult:
-    """Top-k of one score row under the tie-break contract.
-
-    NaN entries (filtered-out candidates) never appear: ``-row`` keeps
-    them NaN and NumPy's stable argsort sinks NaN to the end, so they can
-    only surface once every real candidate is exhausted — which the
-    surviving-candidate cap prevents.
-    """
-    n_valid = int((~np.isnan(row)).sum())
-    take = min(k, n_valid)
-    order = np.argsort(-row, kind="stable")[:take]
-    return TopKResult(entities=order.astype(np.int64), scores=row[order])
+    """Top-k of one score row; NaN entries (filtered-out candidates)
+    never appear."""
+    order = best_first(row, k)
+    return TopKResult(entities=order, scores=row[order])
 
 
 def _agreement(entities: np.ndarray, order_row: np.ndarray) -> float:
@@ -374,8 +368,8 @@ class QueryEngine:
         m = len(anchors)
         rels = np.full(m, rel, dtype=np.int64)
 
-        # Stage 1: pack the query vectors' signs, rank every entity by the
-        # scale-weighted packed-XOR-popcount score, keep the best rerank_k.
+        # Stage 1: rank every entity by the scale-weighted per-byte LUT
+        # score of the query vectors, keep the best rerank_k.
         t0 = time.perf_counter()
         vectors = model.query_vector(anchors, rels, tail_side=tail_side)
         masked = None
@@ -406,9 +400,8 @@ class QueryEngine:
                                         masked, n)
             results = []
             for i in range(m):
-                # Pools are ascending-sorted, so the stable argsort inside
-                # _topk_row breaks score ties toward the smaller entity id
-                # — the dense tier's contract.
+                # Pools are ascending-sorted, so ties break toward the
+                # smaller entity id — the dense tier's contract.
                 local = _topk_row(scores[i], k)
                 results.append(TopKResult(
                     entities=pools[i][local.entities],
@@ -454,10 +447,12 @@ class QueryEngine:
         the raw row (which would marry the real part of one coordinate to
         the imaginary part of another).  Ties break toward the smaller
         entity id, so an entity is always its own nearest neighbor when
-        ``exclude_self=False``.
+        ``exclude_self=False``; a non-finite row is not a candidate.
         """
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; one of {METRICS}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         e = int(e)
         if not 0 <= e < self.store.n_entities:
             raise ValueError(f"entity id {e} outside "
@@ -490,7 +485,7 @@ class QueryEngine:
                 diff_im = im - im[e]
                 sq = sq + np.einsum("ij,ij->i", diff_im, diff_im)
             values = np.sqrt(sq)
-            ranking = values  # ascending
+            ranking = -values  # nearest first: best_first descends
         else:
             dots = re @ re[e]
             self_sq = re[e] @ re[e]
@@ -501,15 +496,13 @@ class QueryEngine:
                 norms_sq = norms_sq + np.einsum("ij,ij->i", im, im)
             denom = np.sqrt(norms_sq) * np.sqrt(self_sq)
             values = dots / np.maximum(denom, 1e-12)
-            ranking = -values  # similarity: descending
+            ranking = values
         if exclude_self:
+            # NaN is "not a candidate", exactly like a non-finite row.
             ranking = ranking.copy()
-            ranking[e] = np.inf
-        order = np.argsort(ranking, kind="stable")
-        take = min(k, len(order) - (1 if exclude_self else 0))
-        order = order[:take]
-        result = TopKResult(entities=order.astype(np.int64),
-                            scores=values[order])
+            ranking[e] = np.nan
+        order = best_first(ranking, k)
+        result = TopKResult(entities=order, scores=values[order])
         self.cache.put(key, result)
         self.stats.record("nearest", time.perf_counter() - start,
                           cache_hit=False)

@@ -51,6 +51,8 @@ class ServeStats:
         # recall proxy (overlap between the re-ranked answer and the pure
         # Hamming-ordered answer).  Populated only when a tiered engine
         # serves; every derived rate below is 0.0 on an empty window.
+        # ``by_tier`` is the lifetime count beside those windows.
+        self.by_tier: dict[str, int] = {}
         self._tier_candidate_s: dict[str, array] = {}
         self._tier_rerank_s: dict[str, array] = {}
         self._tier_agreement: dict[str, array] = {}
@@ -106,6 +108,7 @@ class ServeStats:
         (fraction of the final top-k that the candidate stage alone would
         have ranked in its own top-k; 1.0 means re-ranking changed
         nothing)."""
+        self.by_tier[tier] = self.by_tier.get(tier, 0) + 1
         for window, value in ((self._tier_candidate_s, candidate_seconds),
                               (self._tier_rerank_s, rerank_seconds),
                               (self._tier_agreement, agreement)):
@@ -195,7 +198,7 @@ class ServeStats:
             rer = self._view(self._tier_rerank_s[tier])
             agree = self._view(self._tier_agreement[tier])
             entry = {
-                "n_queries": len(self._tier_candidate_s[tier]),
+                "n_queries": self.by_tier[tier],
                 "mean_agreement": _mean(agree),
                 "candidate_mean_ms": _mean(cand) * 1e3,
                 "rerank_mean_ms": _mean(rer) * 1e3,

@@ -24,12 +24,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _reference
 from repro.compress.packing import unpack_signs
 from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import EmbeddingStore, QueryEngine
-from repro.serve.binary import BinaryStore, _selection_keys, binarize_model
+from repro.serve.binary import _BYTE_SIGNS, BinaryStore, binarize_model
+from repro.serve.select import best_first
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -144,6 +146,29 @@ class TestPackedScoring:
             .astype(np.float32)
         assert store.sign_dots(queries).tobytes() == expect.tobytes()
 
+    @given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=70, deadline=None)
+    def test_sign_dots_is_the_fancy_index_gather_bitwise(self, width,
+                                                         n_queries, seed):
+        """The ``take`` gather adds the same float32 table rows in the
+        same byte order as the mixed fancy index it replaced (formula
+        kept here), at every width incl. non-multiples of 8."""
+        rng = np.random.default_rng(seed)
+        store = binarize_model(_Model(
+            rng.normal(size=(23, width)).astype(np.float32)))
+        queries = rng.normal(size=(n_queries, width)).astype(np.float32)
+        n_bytes = store.codes.shape[1]
+        padded = np.zeros((n_queries, 8 * n_bytes), dtype=np.float32)
+        padded[:, :width] = queries
+        lut = np.ascontiguousarray(np.einsum(
+            "mjb,vb->jvm", padded.reshape(n_queries, n_bytes, 8),
+            _BYTE_SIGNS))
+        acc = lut[0, store.codes[:, 0], :].copy()
+        for j in range(1, n_bytes):
+            acc += lut[j, store.codes[:, j], :]
+        assert store.sign_dots(queries).tobytes() == \
+            np.ascontiguousarray(acc.T).tobytes()
+
 
 score_rows = st.lists(
     st.lists(st.one_of(finite32,
@@ -157,13 +182,13 @@ class TestSelection:
     @given(score_rows)
     @settings(max_examples=80, deadline=None)
     def test_keys_reproduce_the_stable_sort(self, rows):
-        """The O(n) key selection is *defined* by the stable argsort of
+        """The O(n) selection is *defined* by the stable argsort of
         negated scores: same total order on every input, repeated values
         and mixed-sign zeros included."""
         width = max(len(r) for r in rows)
         scores = np.array([r + [0.0] * (width - len(r)) for r in rows],
                           dtype=np.float32)
-        got = np.argsort(_selection_keys(scores), axis=1)
+        got = np.stack([best_first(row, width) for row in scores])
         expect = np.argsort(-scores, axis=1, kind="stable")
         assert np.array_equal(got, expect)
 
@@ -186,6 +211,44 @@ class TestSelection:
         scores = store.approx_scores(queries)
         ranked = np.take_along_axis(scores, order, axis=1)
         assert (np.diff(ranked, axis=1) <= 0).all()
+
+    @given(entity_matrix(), st.integers(1, 15),
+           st.sampled_from(["dot", "distance"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_pools_equal_oracle_built_pools_under_masking(
+            self, matrix, rerank_k, geometry, seed):
+        """``(pools, order)`` are the stable-argsort oracle's, with known
+        facts sunk to ``-inf`` first — both geometries, coarse queries so
+        approximate scores tie."""
+        store = binarize_model(_Model(matrix))
+        rng = np.random.default_rng(seed)
+        queries = rng.integers(-1, 2, size=(3, store.width)) \
+            .astype(np.float32)
+        known = rng.random((3, store.n_entities)) < 0.3
+        masked = np.nonzero(known)
+        pools, order = store.candidate_pools(queries, rerank_k,
+                                             masked=masked,
+                                             geometry=geometry)
+        scores = store.approx_scores(queries, geometry=geometry)
+        scores[masked] = -np.inf
+        take = min(rerank_k, store.n_entities)
+        expect = np.stack([_reference.best_first(row, take)
+                           for row in scores])
+        assert order.dtype == pools.dtype == np.int64
+        assert np.array_equal(order, expect)
+        assert np.array_equal(pools, np.sort(expect, axis=1))
+
+    def test_non_finite_approximations_sink_instead_of_raising(self):
+        """A NaN entity row has a NaN approximate score; the pool stays
+        rectangular, with that entity behind every real candidate."""
+        matrix = np.arange(1, 25, dtype=np.float32).reshape(6, 4)
+        matrix[2] = np.nan
+        store = binarize_model(_Model(matrix))
+        queries = np.ones((2, 4), dtype=np.float32)
+        pools, order = store.candidate_pools(queries, 6)
+        assert pools.shape == (2, 6)
+        assert (order[:, -1] == 2).all()
+        assert 2 not in store.candidate_pools(queries, 5)[0]
 
 
 @st.composite

@@ -289,6 +289,18 @@ class TestStatsWindow:
         assert snap["busy_seconds"] == pytest.approx(0.5)
         assert snap["mean_ms"] == pytest.approx(10.0)
 
+    def test_per_tier_query_count_is_lifetime_not_buffer_length(self):
+        stats = ServeStats(window=4)
+        for i in range(1, 12):
+            stats.record("topk_tails", 0.01, cache_hit=False)
+            stats.record_tier("binary", 0.004, 0.006, 1.0)
+            # Never the trimmed buffer length (which saw-tooths 4..8).
+            assert stats.snapshot()["tiers"]["binary"]["n_queries"] == i
+        snap = stats.snapshot()
+        assert snap["n_queries"] == snap["tiers"]["binary"]["n_queries"] == 11
+        assert snap["tiers"]["binary"]["candidate_mean_ms"] == \
+            pytest.approx(4.0)
+
     def test_unbounded_default_unchanged(self):
         stats = ServeStats()
         for _ in range(100):

@@ -1,0 +1,201 @@
+"""The serve path's one selection kernel, and its call sites, bitwise.
+
+``repro.serve.select.best_first`` is *defined* as the full stable argsort
+kept in ``repro._reference``; these tests pin that definition on hostile
+rows (signed zeros, infinities, NaN, heavy duplication, ties straddling
+the cut), then pin every place the serve path ranks — dense top-k, the
+binary tier's pools and re-rank, embedding-space neighbors — against an
+engine whose selection *is* the oracle, entities and score bytes.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import _reference
+from repro.kg.datasets import generate_latent_kg
+from repro.models import MODEL_REGISTRY, make_model
+from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import binary as binary_module
+from repro.serve import engine as engine_module
+from repro.serve.select import best_first
+
+MODEL_NAMES = sorted(MODEL_REGISTRY)
+
+SPECIAL = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0, -1.0,
+           1e-40, 2.5]
+
+
+@st.composite
+def hostile_row(draw):
+    """float32 rows drawn from a *small* alphabet, so most entries tie."""
+    alphabet = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL),
+                  st.floats(-1e6, 1e6, allow_nan=False, width=32)),
+        min_size=1, max_size=5))
+    n = draw(st.integers(1, 60))
+    cells = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    return np.array(cells, dtype=np.float32)
+
+
+class TestKernel:
+    @given(hostile_row(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_stable_argsort_oracle(self, row, data):
+        n_valid = int((~np.isnan(row)).sum())
+        take = data.draw(st.sampled_from([1, max(n_valid, 1), len(row) + 3])
+                         | st.integers(1, len(row) + 3))
+        got = best_first(row, take)
+        expect = _reference.best_first(row, take)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+        assert not np.isnan(row[got]).any()
+
+    def test_all_tied_all_nan_and_empty(self):
+        tied = np.full(9, -0.0, dtype=np.float32)
+        tied[::2] = 0.0
+        assert np.array_equal(best_first(tied, 4), [0, 1, 2, 3])
+        assert np.array_equal(best_first(tied, 99), np.arange(9))
+        nan = np.full(5, np.nan, dtype=np.float32)
+        assert best_first(nan, 3).shape == (0,)
+        assert best_first(np.empty(0, dtype=np.float32), 3).shape == (0,)
+
+    def test_tie_class_straddling_the_cut_keeps_smaller_ids(self):
+        row = np.array([1.0, 5.0, 1.0, np.nan, 1.0, 7.0, 1.0],
+                       dtype=np.float32)
+        assert np.array_equal(best_first(row, 4), [5, 1, 0, 2])
+
+    def test_at_least_3x_faster_than_the_sort_at_fb15k_width(self):
+        """In-process ratio, not a wall-clock floor: both sides run here,
+        best of N, on the row shape ``serve_hot`` ranks (14,951 scores,
+        k = 10).  Measured ~30x; the gate is 3x."""
+        rng = np.random.default_rng(0)
+        row = rng.normal(size=14_951).astype(np.float32)
+        row[rng.integers(0, len(row), 40)] = np.nan
+
+        def best_of(fn, repeats=15):
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                fn(row, 10)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert np.array_equal(best_first(row, 10),
+                              _reference.best_first(row, 10))
+        assert best_of(_reference.best_first) >= 3.0 * best_of(best_first)
+
+
+@pytest.fixture
+def oracle_selection(monkeypatch):
+    """Swap the kernel for the full stable argsort at both import sites."""
+    def install():
+        monkeypatch.setattr(engine_module, "best_first",
+                            _reference.best_first)
+        monkeypatch.setattr(binary_module, "best_first",
+                            _reference.best_first)
+    return install
+
+
+def _same_answers(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.entities.dtype == rb.entities.dtype == np.int64
+        assert ra.entities.tobytes() == rb.entities.tobytes()
+        assert ra.scores.tobytes() == rb.scores.tobytes()
+
+
+class TestCallSitesEqualTheOracleEngine:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_latent_kg(60, 5, 420, seed=5)
+
+    def _served(self, graph, name):
+        model = make_model(name, graph.n_entities, graph.n_relations, 4,
+                           seed=6)
+        # Coarse embeddings: many exactly tied scores, so the tie-break
+        # is exercised, not just the order of distinct values.
+        model.entity_emb[:] = np.round(model.entity_emb * 4) / 4
+        model.relation_emb[:] = np.round(model.relation_emb * 4) / 4
+        return EmbeddingStore.from_model(model, dataset=graph,
+                                         with_binary=True)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("tails", [True, False])
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("tier, rerank_k", [
+        ("dense", 1), ("binary", 20), ("binary", 60)])
+    def test_topk(self, graph, oracle_selection, name, tails, filtered,
+                  tier, rerank_k):
+        served = self._served(graph, name)
+        train = graph.train
+        anchors = train.heads if tails else train.tails
+        queries = list(zip(anchors[:40], train.relations[:40]))
+
+        def answers(k):
+            engine = QueryEngine(served, cache_capacity=0, tier=tier,
+                                 rerank_k=rerank_k)
+            return engine.topk_batch(queries, k=k, filtered=filtered,
+                                     tail_side=tails)
+
+        got = {k: answers(k) for k in (1, 7, 200)}
+        oracle_selection()
+        for k, ours in got.items():
+            _same_answers(ours, answers(k))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_nearest(self, graph, oracle_selection, name, metric,
+                     exclude_self):
+        served = self._served(graph, name)
+
+        def answers():
+            engine = QueryEngine(served, cache_capacity=0)
+            return [engine.nearest_entities(e, k=k, metric=metric,
+                                            exclude_self=exclude_self)
+                    for e in (0, 17, 59) for k in (1, 9, 200)]
+
+        got = answers()
+        oracle_selection()
+        _same_answers(got, answers())
+
+
+class TestNearestCandidates:
+    """``nearest_entities`` speaks the kernel's NaN convention: the query
+    entity under ``exclude_self`` and any non-finite row are simply not
+    candidates, and ``k`` is validated like every other top-k."""
+
+    def _engine(self, bad_row=7):
+        model = make_model("transe", 50, 2, 4, seed=3)
+        model.entity_emb[bad_row] = np.nan
+        return QueryEngine(EmbeddingStore.from_model(model))
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_exclude_self_never_returns_self_beside_a_bad_row(self, metric):
+        result = self._engine().nearest_entities(3, k=49, metric=metric)
+        assert len(result) == 48
+        assert 3 not in result.entities and 7 not in result.entities
+        assert np.isfinite(result.scores).all()
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_include_self_drops_only_the_bad_row(self, metric):
+        result = self._engine().nearest_entities(3, k=50, metric=metric,
+                                                 exclude_self=False)
+        assert len(result) == 49
+        assert result.entities[0] == 3
+        assert 7 not in result.entities
+        assert np.array_equal(np.sort(result.entities),
+                              np.delete(np.arange(50), 7))
+
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_one_raises_like_topk(self, k):
+        engine = self._engine()
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            engine.nearest_entities(3, k=k)
+        # Refused before admission and cache lookup: nothing was counted.
+        assert engine.snapshot()["n_queries"] == 0
+        assert engine.cache.misses == 0

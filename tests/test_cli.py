@@ -386,3 +386,13 @@ class TestServeCli:
                    "--query", "99999,0"])
         assert rc == 2
         assert "entity id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--query", "3,1"),
+                                             ("--nearest", "3")])
+    def test_topk_below_one_exits_2_for_every_query_kind(
+            self, served_checkpoint, capsys, flag, value):
+        ckpt, _ = served_checkpoint
+        rc = main(["serve", "--checkpoint", ckpt, "--no-filter",
+                   flag, value, "--topk", "-1"])
+        assert rc == 2
+        assert "k must be >= 1, got -1" in capsys.readouterr().err
