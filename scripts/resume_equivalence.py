@@ -52,16 +52,7 @@ def build_trainer(store, max_epochs, *, checkpoint_dir=None, every=0):
 
 def residual_stores(trainer) -> dict:
     """Every error-feedback store of a trainer, rank and node level."""
-    stores = {}
-    for kind, ranks, nodes in (
-            ("entity", trainer._entity_residuals,
-             trainer._hier_entity_residuals),
-            ("relation", trainer._relation_residuals,
-             trainer._hier_relation_residuals)):
-        stores.update({f"{kind}.rank{r}": s for r, s in enumerate(ranks)})
-        stores.update({f"{kind}.node{n}": s
-                       for n, s in nodes.stores.items()})
-    return stores
+    return {key: s for key, _, s in trainer.exchange.residual_stores()}
 
 
 def diff(straight, resumed) -> list[str]:

@@ -33,7 +33,7 @@ def _charge(cluster: Cluster, op: str, nbytes_total: int, n_messages: int,
     under the ``fallback-dense`` policy, the time already burned on failed
     attempts is charged as an ``*_aborted`` record before the
     :class:`~repro.comm.faults.CollectiveGaveUp` signal propagates to the
-    caller (the trainer's degradation path).
+    caller (the gradient exchange's degradation path).
 
     ``hop`` labels the record's link class (see
     :data:`repro.comm.simulator.HOPS`); ``network`` overrides the cost
@@ -99,7 +99,7 @@ def allreduce_bytes(cluster: Cluster, nbytes: int, algo: str = "ring",
     dense matrix — this helper charges that dense cost.
 
     ``network`` overrides the cost model (default: the cluster's own).  The
-    trainer's explicit collective stack uses it to price a *genuinely flat*
+    exchange's explicit collective stack uses it to price a *genuinely flat*
     ring over a two-level topology — every hop on the between-node link —
     where the cluster's :class:`~repro.comm.topology.HierarchicalNetwork`
     would otherwise fold in its lump hierarchical approximation.
@@ -125,8 +125,8 @@ def allgatherv_bytes(cluster: Cluster, block_bytes: Sequence[int],
                      algo: str = "ring", op_label: str = "allgatherv") -> float:
     """Charge the cost of an allgatherv of opaque blocks; return the time.
 
-    Used directly by the trainer for quantized payloads whose combination
-    happens after local dequantisation.
+    Used directly by the gradient exchange for encoded payloads, whose
+    combination happens after local decoding.
     """
     p = cluster.n_ranks
     if len(block_bytes) != p:

@@ -375,7 +375,7 @@ class FaultInjector:
     def reliable(self):
         """Context in which collectives never give up (retry until done).
 
-        Used by the trainer's ``fallback-dense`` path so the fallback
+        Used by the exchange's ``fallback-dense`` path so the fallback
         allreduce itself cannot abort recursively.  Faults (drops, jitter)
         still cost time inside the context.
         """

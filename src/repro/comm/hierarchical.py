@@ -160,7 +160,7 @@ def _tree_rounds(fanout: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Charge-only per-hop primitives (the trainer's entry points; data combination
+# Charge-only per-hop primitives (the exchange's entry points; data combination
 # happens caller-side, exactly as with allreduce_bytes/allgatherv_bytes)
 # ---------------------------------------------------------------------------
 

@@ -94,10 +94,6 @@ class NodeResiduals:
         self.stores: dict[int, ResidualStore] = {
             node: ResidualStore(n_rows, dim) for node in ids}
 
-    @property
-    def node_ids(self) -> list[int]:
-        return sorted(self.stores)
-
     def inject(self, node: int, grad: SparseRows) -> SparseRows:
         """Fold node ``node``'s stored residual into its hop-boundary sum."""
         return self.stores[node].inject(grad)

@@ -15,13 +15,10 @@ exactly the comparison the paper makes qualitatively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..comm.payload import sparse_rows_bytes
-from ..comm.simulator import CommRecord
+from .exchange import push_pull_time
 from .strategy import StrategyConfig
 from .trainer import DistributedTrainer, TrainConfig
 
@@ -40,10 +37,11 @@ class ParameterServerTopology:
 class ParameterServerTrainer(DistributedTrainer):
     """Synchronous parameter-server variant of the trainer.
 
-    Reuses the entire local-compute pipeline; only ``_communicate`` is
-    replaced with the pull/push cost model.  Strategy compression flags are
-    ignored (classic PS pushes full-precision rows), matching the paper's
-    framing of the PS design as the unoptimised alternative.
+    Reuses the entire local-compute pipeline; only the exchange's move
+    stage differs — the pull/push cost model instead of an allgatherv (see
+    :class:`~repro.training.exchange.GradientExchange`).  No compression
+    strategy is on (classic PS pushes full-precision rows), matching the
+    paper's framing of the PS design as the unoptimised alternative.
     """
 
     def __init__(self, store, n_nodes: int, config: TrainConfig | None = None,
@@ -57,31 +55,7 @@ class ParameterServerTrainer(DistributedTrainer):
         self.topology = topology or ParameterServerTopology()
         if self.topology.n_servers >= n_nodes and n_nodes > 1:
             raise ValueError("servers must be fewer than total nodes")
-
-    def _communicate(self, grads, mode, matrix_rows, residuals=None,
-                     kind="entity"):
-        """Pull/push through the server tier; return the lossless sum."""
-        from ..comm.sparse import combine_sparse
-
-        if self.n_nodes == 1:
-            return grads[0], 0.0
-        net = self.network
-        s = self.topology.n_servers
-        dim = grads[0].dim if grads else self._entity_width
-
-        # Each worker pushes its gradient rows and pulls the same rows back
-        # after the server applies updates.  The server tier must absorb
-        # every worker's traffic: ingress bytes / (s * bandwidth).
-        per_worker_bytes = [sparse_rows_bytes(g.nnz_rows, dim) for g in grads]
-        total = 2 * sum(per_worker_bytes)  # push + pull
-        server_time = net.transfer_time(total / s, n_messages=2 * len(grads))
-        worker_time = max(net.transfer_time(2 * b, n_messages=2)
-                          for b in per_worker_bytes)
-        time = max(server_time, worker_time)
-        self.cluster.charge_collective(CommRecord(
-            op="ps_push_pull", nbytes_total=int(total),
-            n_messages=2 * len(grads), time=time))
-        return combine_sparse(grads), 0.0
+        self.exchange.n_servers = self.topology.n_servers
 
 
 def parameter_server_time_per_step(n_workers: int, n_servers: int,
@@ -91,11 +65,7 @@ def parameter_server_time_per_step(n_workers: int, n_servers: int,
     if n_workers < 1 or n_servers < 1:
         raise ValueError("n_workers and n_servers must be >= 1")
     per_worker = sparse_rows_bytes(rows_per_worker, dim)
-    total = 2 * per_worker * n_workers
-    server_time = network.transfer_time(total / n_servers,
-                                        n_messages=2 * n_workers)
-    worker_time = network.transfer_time(2 * per_worker, n_messages=2)
-    return max(server_time, worker_time)
+    return push_pull_time([per_worker] * n_workers, n_servers, network)
 
 
 def allreduce_time_per_step(n_nodes: int, matrix_rows: int, dim: int,

@@ -250,25 +250,11 @@ def capture_state(trainer) -> CheckpointState:
         arrays[f"adam/{name}/m"] = state.m.copy()
         arrays[f"adam/{name}/v"] = state.v.copy()
         arrays[f"adam/{name}/steps"] = state.steps.copy()
-    for name, stores in (("entity", trainer._entity_residuals),
-                         ("relation", trainer._relation_residuals)):
-        if stores is None:
-            continue
-        for rank, store in enumerate(stores):
-            _capture_residual(arrays, f"residual/{name}/{rank}", store)
-    # Hop-boundary residuals are keyed by stable physical node id (not
-    # local rank), so a cross-world restore intersects node sets instead of
-    # remapping ranks.
-    for name, node_res in (
-            ("entity", getattr(trainer, "_hier_entity_residuals", None)),
-            ("relation", getattr(trainer, "_hier_relation_residuals", None))):
-        if node_res is None:
-            continue
-        for node, store in node_res.stores.items():
-            _capture_residual(arrays, f"residual/hier_{name}/{node}", store)
+    for key, _, store in trainer.exchange.residual_stores():
+        _capture_residual(arrays, key, store)
 
     sched = trainer.scheduler
-    drs = trainer._drs
+    drs = trainer.exchange.drs
     result = trainer.result
     stats = trainer.cluster.stats
     injector = trainer.cluster.faults
@@ -288,7 +274,7 @@ def capture_state(trainer) -> CheckpointState:
         },
         "rng": {
             "trainer": rng_state(trainer.rng),
-            "selection": rng_state(trainer._sel_rng),
+            "selection": rng_state(trainer.exchange.rng),
             "workers": [rng_state(w.rng) for w in trainer.workers],
         },
         "result": {
@@ -305,7 +291,7 @@ def capture_state(trainer) -> CheckpointState:
             "by_op": {op: list(v) for op, v in stats.by_op.items()},
             "by_hop": {hop: list(v) for hop, v in stats.by_hop.items()},
         },
-        "fallbacks": trainer._fallbacks,
+        "fallbacks": trainer.exchange.fallbacks,
         "faults": (None if injector is None else {
             "calls": injector._calls,
             "counters": dataclasses.asdict(injector.counters),
@@ -378,31 +364,21 @@ def apply_state(trainer, state: CheckpointState,
         opt.m = np.array(arrays[f"adam/{name}/m"], dtype=np.float32)
         opt.v = np.array(arrays[f"adam/{name}/v"], dtype=np.float32)
         opt.steps = np.array(arrays[f"adam/{name}/steps"], dtype=np.int64)
-    for name, stores in (("entity", trainer._entity_residuals),
-                         ("relation", trainer._relation_residuals)):
-        if stores is None:
-            continue
-        for rank, store in enumerate(stores):
+    # Rank stores follow ``rank_map`` (a fresh member starts pristine).
+    # Hop-boundary stores restore by node-id intersection: a node the new
+    # world still occupies gets its snapshot back; a freshly (re)grown node
+    # starts pristine; a snapshot node with no survivors is dropped (its
+    # residual died with its last member, as a real node buffer would).
+    for key, rank, store in trainer.exchange.residual_stores():
+        if rank is not None:
             old = rank_map[rank]
-            if old is None:
-                store.clear()
-            else:
-                _restore_residual(store, arrays, f"residual/{name}/{old}")
-    # Hop-boundary residuals restore by node-id intersection: a node the
-    # new world still occupies gets its snapshot back; a freshly (re)grown
-    # node starts pristine; a snapshot node with no survivors is dropped
-    # (its residual died with its last member, as a real node buffer would).
-    for name, node_res in (
-            ("entity", getattr(trainer, "_hier_entity_residuals", None)),
-            ("relation", getattr(trainer, "_hier_relation_residuals", None))):
-        if node_res is None:
-            continue
-        for node, store in node_res.stores.items():
-            key = f"residual/hier_{name}/{node}"
-            if f"{key}/rows" in arrays:
-                _restore_residual(store, arrays, key)
-            else:
-                store.clear()
+            key = None if old is None else f"{key.rpartition('/')[0]}/{old}"
+        elif f"{key}/rows" not in arrays:
+            key = None
+        if key is None:
+            store.clear()
+        else:
+            _restore_residual(store, arrays, key)
 
     cluster = trainer.cluster
     old_clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
@@ -433,13 +409,13 @@ def apply_state(trainer, state: CheckpointState,
     trainer.scheduler.n_decays = int(sched["n_decays"])
     trainer.scheduler.epoch = int(sched["epoch"])
 
-    drs = scalars["drs"]
-    trainer._drs.current = str(drs["current"])
-    trainer._drs.switched = bool(drs["switched"])
-    trainer._drs.last_allreduce_comm = float(drs["last_allreduce_comm"])
-    trainer._drs.probes = int(drs["probes"])
-    trainer._drs.probe_comms = {str(mode): float(t) for mode, t
-                                in drs.get("probe_comms", {}).items()}
+    saved, drs = scalars["drs"], trainer.exchange.drs
+    drs.current = str(saved["current"])
+    drs.switched = bool(saved["switched"])
+    drs.last_allreduce_comm = float(saved["last_allreduce_comm"])
+    drs.probes = int(saved["probes"])
+    drs.probe_comms = {str(mode): float(t) for mode, t
+                       in saved.get("probe_comms", {}).items()}
 
     rng = scalars["rng"]
     if len(rng["workers"]) != old_world:
@@ -447,7 +423,7 @@ def apply_state(trainer, state: CheckpointState,
             f"checkpoint carries {len(rng['workers'])} worker RNG states "
             f"for a world of {old_world} ranks")
     set_rng_state(trainer.rng, rng["trainer"])
-    set_rng_state(trainer._sel_rng, rng["selection"])
+    set_rng_state(trainer.exchange.rng, rng["selection"])
     for worker, old in zip(trainer.workers, rank_map):
         if old is not None:
             set_rng_state(worker.rng, rng["workers"][old])
@@ -461,7 +437,7 @@ def apply_state(trainer, state: CheckpointState,
     result.converged = bool(partial["converged"])
     result.logs = [EpochLog(**log) for log in partial["logs"]]
 
-    trainer._fallbacks = int(scalars["fallbacks"])
+    trainer.exchange.fallbacks = int(scalars["fallbacks"])
     faults = scalars["faults"]
     if (faults is None) != (cluster.faults is None):
         raise CheckpointCorruptError(

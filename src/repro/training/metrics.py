@@ -51,7 +51,7 @@ class EpochLog:
     loss: float
     val_mrr: float
     lr: float
-    comm_mode: str                 # "allreduce" or "allgather" actually used
+    comm_mode: str                 # "allreduce" | "hierarchical" | "allgather"
     epoch_time: float              # simulated seconds for this epoch
     compute_time: float
     comm_time: float

@@ -87,7 +87,6 @@ class StrategyConfig:
 
     comm_mode: str = "allreduce"
     selection: str = "none"
-    selection_scale: float = 1.0
     quantization_bits: int = 0
     quantization_stat: str = "max"
     relation_partition: bool = False

@@ -11,8 +11,10 @@ The synchronous step
 
 1. every rank computes local gradients (real NumPy math, including the
    hardest-negative forward pass when SS is on);
-2. the entity gradient is combined: dense allreduce **or** sparse/quantized
-   allgather, per the current mode (DRS probes and switches between them);
+2. the entity gradient is combined by the
+   :class:`~repro.training.exchange.GradientExchange`: dense allreduce
+   (flat or two-level) **or** sparse/quantized allgather, per the current
+   mode (DRS probes and switches between them);
 3. the relation gradient is combined the same way — unless relation
    partition is on, in which case it is applied locally at full precision
    with no communication at all;
@@ -25,22 +27,19 @@ The synchronous step
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..comm import collectives, hierarchical
-from ..comm.faults import CollectiveFaultError, CollectiveGaveUp, FaultPlan, \
-    RankLossError
+from ..comm.faults import CollectiveFaultError, FaultPlan, RankLossError
 from ..comm.network import DEFAULT_NETWORK, NetworkModel
-from ..comm.payload import dense_bytes
 from ..comm.simulator import Cluster
-from ..comm.sparse import SparseRows, combine_sparse
-from ..compress import factorization as gradzip
-from ..compress.error_feedback import NodeResiduals, ResidualStore
-from ..compress.quantization import dequantize, quantization_error, quantize
-from ..compress.selection import select
+from ..comm.sparse import SparseRows
+# perf/test_perf.py pins ``repro.training.trainer.quantize is
+# repro.compress.quantization.quantize`` (importer patching); the next
+# benchmark PR repoints it at repro.training.exchange and drops this.
+from ..compress.quantization import quantize  # noqa: F401
 from ..config import DEFAULT_SEED
 from ..eval.classification import evaluate_classification
 from ..eval.ranking import RankingResult, evaluate_ranking
@@ -50,8 +49,9 @@ from ..models import make_model
 from ..optim.adam import Adam
 from ..optim.lr_schedule import PlateauScheduler, scaled_initial_lr
 from . import checkpoint as ckpt
+from .exchange import GradientExchange
 from .metrics import EpochLog, EvalTimer, TrainResult
-from .rng import selection_rng, trainer_rng
+from .rng import trainer_rng
 from .strategy import StrategyConfig
 from .worker import Worker
 
@@ -128,62 +128,10 @@ class TrainConfig:
                 f"checkpoint_keep must be >= 0, got {self.checkpoint_keep}")
 
 
-@dataclass
-class _DrsState:
-    """Dynamic comm-mode switch state (paper Section 4.1, extended).
-
-    The paper's DRS is a two-way probe: run allreduce, probe allgather every
-    k-th epoch, switch permanently when the probe's comm time wins.  The
-    topology-aware collective stack extends this to a per-probe choice over
-    several challengers (``probe_modes``): probe epochs cycle through them,
-    and once every challenger has a measurement, the cheapest one commits —
-    but only if it also beats the incumbent ``default_mode``'s last measured
-    comm time by the margin.  With the default single-challenger tuple this
-    reduces *exactly* to the paper's rule.
-    """
-
-    #: Mode every epoch uses after the switch commits (the winning probe).
-    current: str = "allreduce"
-    switched: bool = False
-    #: Incumbent (default-mode) comm time of the most recent default epoch.
-    #: Named for the paper's allreduce incumbent; kept for checkpoint
-    #: compatibility even when ``default_mode`` is hierarchical.
-    last_allreduce_comm: float = float("inf")
-    probes: int = 0
-    #: Probe must beat margin * last incumbent comm to commit the switch
-    #: (1.0 = paper's strict comparison; < 1 is hysteresis against jitter).
-    switch_margin: float = 1.0
-    #: Mode of every non-probe epoch before the switch.
-    default_mode: str = "allreduce"
-    #: Challenger modes, probed round-robin on probe epochs.
-    probe_modes: tuple = ("allgather",)
-    #: Most recent comm-time measurement per challenger mode.
-    probe_comms: dict = field(default_factory=dict)
-
-    def mode_for_epoch(self, epoch: int, probe_interval: int) -> str:
-        if self.switched:
-            return self.current
-        if epoch > 0 and epoch % probe_interval == 0:
-            return self.probe_modes[self.probes % len(self.probe_modes)]
-        return self.default_mode
-
-    def observe(self, epoch_mode: str, comm_time: float) -> None:
-        if self.switched:
-            return
-        if epoch_mode == self.default_mode:
-            self.last_allreduce_comm = comm_time
-            return
-        # Probe epoch result: record it; decide once every challenger has
-        # a measurement (ties break toward the earlier probe_modes entry).
-        self.probes += 1
-        self.probe_comms[epoch_mode] = comm_time
-        if not all(m in self.probe_comms for m in self.probe_modes):
-            return
-        winner = min(self.probe_modes, key=lambda m: self.probe_comms[m])
-        if self.probe_comms[winner] \
-                < self.switch_margin * self.last_allreduce_comm:
-            self.switched = True
-            self.current = winner
+#: ``TrainResult`` counter each step of a transport mode feeds.
+_STEP_COUNTERS = {"allreduce": "allreduce_steps",
+                  "hierarchical": "hier_steps",
+                  "allgather": "allgather_steps"}
 
 
 class DistributedTrainer:
@@ -207,7 +155,6 @@ class DistributedTrainer:
         #: Original-world identity of each local rank (identity for a
         #: freshly launched job; survivors' ids for an elastic world).
         self.global_ranks = self.cluster.global_ranks
-        self._fallbacks = 0
         self.eval_timer = EvalTimer()
 
         cfg = self.config
@@ -234,18 +181,12 @@ class DistributedTrainer:
                    zero_row_tol=cfg.zero_row_tol, store=store)
             for i in range(n_nodes)
         ]
-        entity_width = self.model.entity_emb.shape[1]
-        relation_width = self.model.relation_emb.shape[1]
-        if strategy.error_feedback:
-            self._entity_residuals = [
-                ResidualStore(store.n_entities, entity_width)
-                for _ in range(n_nodes)]
-            self._relation_residuals = [
-                ResidualStore(store.n_relations, relation_width)
-                for _ in range(n_nodes)]
-        else:
-            self._entity_residuals = None
-            self._relation_residuals = None
+        #: Everything between the ranks' gradients and the combined update
+        #: (selection, quantization, residuals, collectives, DRS).
+        self.exchange = GradientExchange(self.cluster, strategy, {
+            "entity": (*self.model.entity_emb.shape, cfg.zero_row_tol),
+            "relation": (*self.model.relation_emb.shape, None),
+        }, seed=cfg.seed)
 
         lr0 = scaled_initial_lr(cfg.base_lr, n_nodes, cap=cfg.lr_scale_cap)
         self.scheduler = PlateauScheduler(lr0, patience=cfg.lr_patience,
@@ -260,49 +201,6 @@ class DistributedTrainer:
         shard_mean = int(np.mean([len(w.shard) for w in self.workers]))
         self.steps_per_epoch = max(1, math.ceil(
             shard_mean / min(cfg.batch_size, shard_mean)))
-
-        self._entity_width = entity_width
-        self._relation_width = relation_width
-        if strategy.factorization_rank:
-            self._projections = {
-                entity_width: gradzip.shared_projection(
-                    entity_width, min(strategy.factorization_rank,
-                                      entity_width), seed=cfg.seed),
-                relation_width: gradzip.shared_projection(
-                    relation_width, min(strategy.factorization_rank,
-                                        relation_width), seed=cfg.seed),
-            }
-        else:
-            self._projections = None
-        self._sel_rng = selection_rng(cfg.seed)
-
-        # Topology-aware collective stack (collective != "flat"): node
-        # groups are resolved once per world from the network's membership
-        # (the elastic supervisor's survivor occupancy) or the global rank
-        # ids.  Over a flat NetworkModel the groups degenerate to
-        # singletons and the hierarchical stack *is* the flat ring, so
-        # "hier" is always safe to request.
-        if strategy.collective != "flat":
-            self._hier_groups = hierarchical.resolve_groups(
-                self.network, n_nodes, global_ranks=self.global_ranks)
-        else:
-            self._hier_groups = None
-        if strategy.error_feedback and self._hier_groups is not None:
-            # Hop-boundary error feedback: the *node* owns the error its
-            # boundary quantizer makes, keyed by stable physical node id so
-            # residual ownership survives elastic membership changes.
-            self._hier_entity_residuals = NodeResiduals(
-                self._hier_groups.node_ids, store.n_entities, entity_width)
-            self._hier_relation_residuals = NodeResiduals(
-                self._hier_groups.node_ids, store.n_relations,
-                relation_width)
-        else:
-            self._hier_entity_residuals = None
-            self._hier_relation_residuals = None
-        self._dense_mode = self._resolve_dense_mode()
-        self._drs = _DrsState(switch_margin=strategy.drs_switch_margin,
-                              default_mode=self._dense_mode,
-                              probe_modes=self._resolve_probe_modes())
 
         #: The (partial, then final) outcome of this trainer's run.  Lives
         #: on the instance so checkpoints can capture cumulative counters
@@ -366,267 +264,6 @@ class DistributedTrainer:
         return state.epoch
 
     # ------------------------------------------------------------------
-
-    def _resolve_dense_mode(self) -> str:
-        """Which dense collective non-allgather steps use.
-
-        ``flat`` and ``hier`` are explicit requests; ``auto`` compares the
-        alpha-beta cost of a genuinely flat ring (every hop priced on the
-        between-node link, as a topology-unaware stack would run) against
-        the two-level stack, both on the dense entity payload, and takes
-        the cheaper — preferring flat on ties, so a flat
-        :class:`~repro.comm.network.NetworkModel` always resolves to flat.
-        """
-        collective = self.strategy.collective
-        if collective == "flat" or self.n_nodes == 1:
-            return "allreduce"
-        if collective == "hier":
-            return "hierarchical"
-        nbytes = float(dense_bytes(self.store.n_entities, self._entity_width))
-        _, inter = hierarchical.hop_models(self.network)
-        flat_time = inter.allreduce_ring_time(nbytes, self.n_nodes)
-        hier_time = self.network.allreduce_ring_time(nbytes, self.n_nodes)
-        return "hierarchical" if hier_time < flat_time else "allreduce"
-
-    def _resolve_probe_modes(self) -> tuple:
-        """DRS challenger modes (cycled on probe epochs).
-
-        The paper's two-way rule probes allgather only; with
-        ``collective="auto"`` on a multi-rank world the dense mode the cost
-        model did *not* pick joins the rotation, making the switch a
-        three-way measured choice among flat-ring, hierarchical and
-        allgather.
-        """
-        if self.strategy.comm_mode != "dynamic":
-            return ("allgather",)
-        if self.strategy.collective == "auto" and self.n_nodes > 1:
-            other = ("hierarchical" if self._dense_mode == "allreduce"
-                     else "allreduce")
-            return ("allgather", other)
-        return ("allgather",)
-
-    def _epoch_mode(self, epoch: int) -> str:
-        mode = self.strategy.comm_mode
-        if mode == "dynamic":
-            return self._drs.mode_for_epoch(epoch,
-                                            self.strategy.drs_probe_interval)
-        if mode == "allreduce" and self._dense_mode == "hierarchical":
-            return "hierarchical"
-        return mode
-
-    def _communicate(self, grads: list[SparseRows], mode: str,
-                     matrix_rows: int,
-                     residuals: list[ResidualStore] | None = None,
-                     kind: str = "entity") -> tuple[SparseRows, float]:
-        """Combine per-rank gradients; return (combined, selection sparsity).
-
-        The allreduce path is lossless and dense on the wire; the
-        hierarchical path is the two-level stack (dense and lossless
-        without quantization, re-quantized at the hop boundary with it);
-        the allgather path first applies row selection and quantization per
-        rank.  ``residuals`` (one store per rank, matching this matrix)
-        enables error feedback around the quantizer.  ``kind`` ("entity" or
-        "relation") prefixes every collective's op label so comm stats
-        attribute traffic per gradient matrix — the relation partition's
-        no-communication invariant is then directly auditable as the
-        absence of any ``relation_*`` op.
-        """
-        strategy = self.strategy
-        if self.n_nodes == 1:
-            return grads[0], 0.0
-
-        if mode == "allreduce":
-            try:
-                width = (self._entity_width if kind == "entity"
-                         else self._relation_width)
-                flat_net = None
-                if self._hier_groups is not None:
-                    # With an explicit collective stack, "allreduce" means
-                    # a genuinely flat single-level ring: every hop priced
-                    # on the between-node link, not the cluster network's
-                    # lump hierarchical approximation.
-                    _, flat_net = hierarchical.hop_models(self.network)
-                    if flat_net is self.network:
-                        flat_net = None
-                collectives.allreduce_bytes(
-                    self.cluster, dense_bytes(matrix_rows, width),
-                    algo=strategy.allreduce_algo,
-                    op_label=f"{kind}_allreduce", network=flat_net)
-            except CollectiveGaveUp:
-                self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads), 0.0
-
-        if mode == "hierarchical":
-            try:
-                return self._communicate_hier(grads, matrix_rows, residuals,
-                                              kind)
-            except CollectiveGaveUp:
-                self._dense_fallback(matrix_rows, kind)
-                return combine_sparse(grads), 0.0
-
-        try:
-            return self._communicate_allgather(grads, residuals, kind)
-        except CollectiveGaveUp:
-            # fallback-dense policy: the compressed gather could not be
-            # delivered; resend the step's update as a reliable (and
-            # lossless) dense allreduce instead.
-            self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads), 0.0
-
-    def _dense_fallback(self, matrix_rows: int, kind: str = "entity") -> None:
-        """Resend one step's update as a reliable dense allreduce.
-
-        Engaged by the ``fallback-dense`` degradation policy after a
-        collective exhausted its retry budget (the aborted attempt's time
-        is already on the clocks).  The fallback itself runs with
-        unbounded retries so it cannot abort recursively.
-        """
-        width = (self._entity_width if kind == "entity"
-                 else self._relation_width)
-        with self.cluster.faults.reliable():
-            collectives.allreduce_bytes(
-                self.cluster, dense_bytes(matrix_rows, width),
-                algo=self.strategy.allreduce_algo,
-                op_label=f"{kind}_fallback_dense")
-        self._fallbacks += 1
-
-    def _communicate_hier(self, grads: list[SparseRows], matrix_rows: int,
-                          residuals: list[ResidualStore] | None,
-                          kind: str = "entity") -> tuple[SparseRows, float]:
-        """The two-level path of :meth:`_communicate`.
-
-        Without quantization this is a dense, lossless allreduce over the
-        hierarchical stack — bitwise identical combination to the flat
-        allreduce branch, only the charged hops differ.  With quantization
-        it delegates to the hop-boundary re-quantizing variant.
-        """
-        if self.strategy.quantization_bits:
-            return self._communicate_hier_quant(grads, residuals, kind)
-        width = (self._entity_width if kind == "entity"
-                 else self._relation_width)
-        hierarchical.hier_allreduce_bytes(
-            self.cluster, dense_bytes(matrix_rows, width), self._hier_groups,
-            op_label=f"{kind}_hier")
-        return combine_sparse(grads), 0.0
-
-    def _communicate_hier_quant(self, grads: list[SparseRows],
-                                residuals: list[ResidualStore] | None,
-                                kind: str = "entity"
-                                ) -> tuple[SparseRows, float]:
-        """Compressed two-level path: re-quantization at the hop boundary.
-
-        Per rank: inject then **clear** the rank residual (this path never
-        re-stores it — the node-level store owns the compression error from
-        here on, and a rank residual left dirty would re-apply every
-        epoch), then row selection.  The intra hop gathers the selected
-        rows at full precision (on-node bandwidth is nearly free; an
-        on-node quantize would spend accuracy for nothing).  Each node then
-        combines its members' rows, folds in its node residual, and
-        quantizes *once* — the expensive inter ring carries 1-bit/2-bit
-        codes, and no payload survives more than one lossy encode per
-        traversal.  The intra broadcast fans the gathered codes back out.
-        """
-        strategy = self.strategy
-        groups = self._hier_groups
-        node_res = (self._hier_entity_residuals if kind == "entity"
-                    else self._hier_relation_residuals)
-        dropped = kept = 0
-        processed: list[SparseRows] = []
-        for rank, grad in enumerate(grads):
-            g = grad
-            if residuals is not None:
-                g = residuals[rank].inject(g)
-                residuals[rank].clear()
-            if strategy.selection != "none":
-                g, stats = select(g, strategy.selection, self._sel_rng)
-                dropped += stats.rows_in - stats.rows_kept
-                kept += stats.rows_kept
-            processed.append(g)
-
-        hierarchical.hier_intra_gather_bytes(
-            self.cluster, [g.nbytes_wire for g in processed], groups,
-            op_label=f"{kind}_hier")
-
-        # Each payload is decoded once; the same rows feed the node's
-        # residual update and the post-gather combine.
-        node_bytes, decoded = [], []
-        for node, members in zip(groups.node_ids, groups.members):
-            node_sum = combine_sparse([processed[r] for r in members])
-            if node_res is not None:
-                node_sum = node_res.inject(node, node_sum)
-            q = quantize(node_sum, strategy.quantization_bits,
-                         stat=strategy.quantization_stat, rng=self._sel_rng)
-            approx = dequantize(q)
-            if node_res is not None:
-                node_res.store(node, quantization_error(node_sum, q, approx))
-            node_bytes.append(q.nbytes_wire)
-            decoded.append(approx)
-
-        hierarchical.hier_inter_allgatherv_bytes(
-            self.cluster, node_bytes, groups, op_label=f"{kind}_hier")
-        combined = combine_sparse(decoded)
-        hierarchical.hier_intra_bcast_bytes(
-            self.cluster, sum(node_bytes), groups, op_label=f"{kind}_hier")
-
-        total_rows = dropped + kept
-        sparsity = dropped / total_rows if total_rows else 0.0
-        return combined, sparsity
-
-    def _communicate_allgather(self, grads: list[SparseRows],
-                               residuals: list[ResidualStore] | None,
-                               kind: str = "entity"
-                               ) -> tuple[SparseRows, float]:
-        """The lossy allgather path of :meth:`_communicate`."""
-        strategy = self.strategy
-        dropped = kept = 0
-        processed: list[SparseRows] = []
-        for rank, grad in enumerate(grads):
-            # Natural sparsity: rows that are numerically zero never travel.
-            g = grad
-            if residuals is not None:
-                g = residuals[rank].inject(g)
-            if strategy.selection != "none":
-                g, stats = select(g, strategy.selection, self._sel_rng)
-                dropped += stats.rows_in - stats.rows_kept
-                kept += stats.rows_kept
-            processed.append(g)
-
-        if strategy.quantization_bits:
-            rank_bytes, decoded = [], []
-            for rank, g in enumerate(processed):
-                q = quantize(g, strategy.quantization_bits,
-                             stat=strategy.quantization_stat,
-                             rng=self._sel_rng)
-                approx = dequantize(q)
-                if residuals is not None:
-                    residuals[rank].store(quantization_error(g, q, approx))
-                rank_bytes.append(q.nbytes_wire)
-                decoded.append(approx)
-            collectives.allgatherv_bytes(
-                self.cluster, rank_bytes, algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_quant")
-            combined = combine_sparse(decoded)
-        elif self._projections is not None:
-            # GradZip comparator: project rows onto the shared basis, ship
-            # the skinny factors, reconstruct locally.
-            width = processed[0].dim if processed[0].nnz_rows else \
-                self._entity_width
-            projection = self._projections.get(width)
-            payloads = [gradzip.compress(g, projection) for g in processed]
-            collectives.allgatherv_bytes(
-                self.cluster, [q.nbytes_wire for q in payloads],
-                algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_factored")
-            combined = combine_sparse(
-                [gradzip.reconstruct(q, projection) for q in payloads])
-        else:
-            combined = collectives.allgather_sparse(
-                self.cluster, processed, algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_sparse")
-
-        total_rows = dropped + kept
-        sparsity = dropped / total_rows if total_rows else 0.0
-        return combined, sparsity
 
     def _rank_split(self, split) -> RankingResult:
         """Filtered-ranking evaluation of one split, wall-clock timed."""
@@ -712,7 +349,7 @@ class DistributedTrainer:
         result.comm_by_hop = {hop: list(v) for hop, v
                               in self.cluster.stats.by_hop.items()}
         result.comm_retries = self.cluster.stats.retries
-        result.comm_fallbacks = self._fallbacks
+        result.comm_fallbacks = self.exchange.fallbacks
         result.straggler_skew = self.cluster.straggler_skew
 
         test = self._rank_split(self.store.test)
@@ -727,12 +364,18 @@ class DistributedTrainer:
         result.eval_queries = self.eval_timer.queries
         return result
 
+    def _apply(self, kind: str, grad: SparseRows) -> None:
+        """Adam-update one embedding matrix with ``grad`` averaged over
+        the world (the shared replica's step, see the module docstring)."""
+        getattr(self.optimizer, f"{kind}_state").apply_sparse(
+            getattr(self.model, f"{kind}_emb"),
+            grad.scale(1.0 / self.n_nodes), self.scheduler.lr)
+
     def _run_epoch(self, epoch: int) -> None:
         """One full synchronous epoch: steps, validation, scheduling, log."""
         cfg = self.config
         strategy = self.strategy
         result = self.result
-        zero_tol = cfg.zero_row_tol
         if self.cluster.faults is not None:
             lost = self.cluster.faults.lost_ranks(epoch)
             if lost:
@@ -745,7 +388,8 @@ class DistributedTrainer:
         ss_warmup = (cfg.lr_warmup_epochs if cfg.ss_warmup_epochs < 0
                      else cfg.ss_warmup_epochs)
         ss_active = epoch > ss_warmup
-        mode = self._epoch_mode(epoch)
+        mode = self.exchange.mode_for_epoch(epoch)
+        counter = _STEP_COUNTERS[mode]
         epoch_start = self.cluster.elapsed
         comm_before = self.cluster.stats.time_total
         bytes_before = self.cluster.stats.nbytes_total
@@ -770,27 +414,11 @@ class DistributedTrainer:
             nonzero_rows_sum += float(
                 np.mean([o.nonzero_entity_rows for o in outputs]))
 
-            # Entity gradients always travel; drop numerically-zero rows
-            # whenever the wire format is sparse (the baseline's sparse
-            # updates): every allgather step, and hierarchical steps whose
-            # hop boundary re-quantizes — a dense hierarchical step carries
-            # the full matrix just like allreduce.
-            sparse_wire = mode == "allgather" or (
-                mode == "hierarchical" and strategy.quantization_bits > 0)
-            entity_parts = [
-                o.entity_grad.select(
-                    np.linalg.norm(o.entity_grad.values, axis=1) > zero_tol)
-                if sparse_wire else o.entity_grad
-                for o in outputs
-            ]
-            entity_combined, sparsity = self._communicate(
-                entity_parts, mode, self.store.n_entities,
-                residuals=self._entity_residuals, kind="entity")
+            # Entity gradients always travel.
+            combined, sparsity = self.exchange.exchange(
+                "entity", [o.entity_grad for o in outputs], mode)
             sparsity_sum += sparsity
-            entity_combined = entity_combined.scale(1.0 / self.n_nodes)
-            self.optimizer.entity_state.apply_sparse(
-                self.model.entity_emb, entity_combined, self.scheduler.lr)
-
+            self._apply("entity", combined)
             if strategy.relation_partition and self.n_nodes > 1:
                 # Relations are disjoint across ranks: each rank applies
                 # its own full-precision gradient, no communication.
@@ -801,27 +429,12 @@ class DistributedTrainer:
                 # partition is semantically lossless, not a p-times lr
                 # inflation on relation rows.
                 for o in outputs:
-                    self.optimizer.relation_state.apply_sparse(
-                        self.model.relation_emb,
-                        o.relation_grad.scale(1.0 / self.n_nodes),
-                        self.scheduler.lr)
+                    self._apply("relation", o.relation_grad)
             else:
-                relation_parts = [o.relation_grad for o in outputs]
-                relation_combined, _ = self._communicate(
-                    relation_parts, mode, self.store.n_relations,
-                    residuals=self._relation_residuals, kind="relation")
-                relation_combined = relation_combined.scale(
-                    1.0 / self.n_nodes)
-                self.optimizer.relation_state.apply_sparse(
-                    self.model.relation_emb, relation_combined,
-                    self.scheduler.lr)
-
-            if mode == "allreduce":
-                result.allreduce_steps += 1
-            elif mode == "hierarchical":
-                result.hier_steps += 1
-            else:
-                result.allgather_steps += 1
+                combined, _ = self.exchange.exchange(
+                    "relation", [o.relation_grad for o in outputs], mode)
+                self._apply("relation", combined)
+            setattr(result, counter, getattr(result, counter) + 1)
 
         comm_time = self.cluster.stats.time_total - comm_before
         val_mrr, eval_time = self._evaluate_validation()
@@ -833,10 +446,9 @@ class DistributedTrainer:
 
         lr_used = self.scheduler.lr
         self.scheduler.step(val_mrr)
-        if strategy.comm_mode == "dynamic":
-            self._drs.observe(mode, comm_time)
-            if self._drs.switched and result.drs_switch_epoch == 0:
-                result.drs_switch_epoch = epoch
+        self.exchange.observe(mode, comm_time)
+        if self.exchange.drs.switched and result.drs_switch_epoch == 0:
+            result.drs_switch_epoch = epoch
 
         result.logs.append(EpochLog(
             epoch=epoch, loss=epoch_loss / self.steps_per_epoch,

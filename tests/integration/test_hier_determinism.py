@@ -24,8 +24,8 @@ from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
 from repro.training import drs_1bit_rp_ss, latest_checkpoint, rs_1bit
 from repro.training.elastic import ElasticSupervisor
+from repro.training.exchange import DrsState
 from repro.training.strategy import baseline_allreduce
-from repro.training.trainer import _DrsState
 
 from .test_determinism import assert_identical
 
@@ -153,16 +153,16 @@ class TestCompressedHierDeterminism:
 
 class TestThreeWayDrs:
     def test_probe_epochs_cycle_challengers(self):
-        drs = _DrsState(default_mode="hierarchical",
-                        probe_modes=("allgather", "allreduce"))
+        drs = DrsState(default_mode="hierarchical",
+                       probe_modes=("allgather", "allreduce"))
         assert drs.mode_for_epoch(1, 2) == "hierarchical"
         assert drs.mode_for_epoch(2, 2) == "allgather"
         drs.observe("allgather", 1.0)
         assert drs.mode_for_epoch(4, 2) == "allreduce"
 
     def test_commit_waits_for_all_challengers(self):
-        drs = _DrsState(default_mode="hierarchical",
-                        probe_modes=("allgather", "allreduce"))
+        drs = DrsState(default_mode="hierarchical",
+                       probe_modes=("allgather", "allreduce"))
         drs.observe("hierarchical", 10.0)
         drs.observe("allgather", 1.0)
         assert not drs.switched
@@ -171,8 +171,8 @@ class TestThreeWayDrs:
         assert drs.current == "allgather"
 
     def test_incumbent_keeps_seat_when_cheapest(self):
-        drs = _DrsState(default_mode="hierarchical",
-                        probe_modes=("allgather", "allreduce"))
+        drs = DrsState(default_mode="hierarchical",
+                       probe_modes=("allgather", "allreduce"))
         drs.observe("hierarchical", 0.5)
         drs.observe("allgather", 1.0)
         drs.observe("allreduce", 2.0)
@@ -180,14 +180,14 @@ class TestThreeWayDrs:
         assert drs.mode_for_epoch(1, 2) == "hierarchical"
 
     def test_single_challenger_reduces_to_paper_rule(self):
-        legacy = _DrsState()
+        legacy = DrsState()
         legacy.observe("allreduce", 2.0)
         legacy.observe("allgather", 1.0)
         assert legacy.switched and legacy.current == "allgather"
 
     def test_ties_break_toward_earlier_challenger(self):
-        drs = _DrsState(default_mode="hierarchical",
-                        probe_modes=("allgather", "allreduce"))
+        drs = DrsState(default_mode="hierarchical",
+                       probe_modes=("allgather", "allreduce"))
         drs.observe("hierarchical", 10.0)
         drs.observe("allgather", 1.0)
         drs.observe("allreduce", 1.0)
@@ -203,8 +203,8 @@ class TestThreeWayDrs:
                   for i in range(len(times))]
         states = []
         for _ in range(2):
-            drs = _DrsState(default_mode="hierarchical",
-                            probe_modes=("allgather", "allreduce"))
+            drs = DrsState(default_mode="hierarchical",
+                           probe_modes=("allgather", "allreduce"))
             for mode, t in zip(rounds, times):
                 drs.observe(mode, t)
             states.append((drs.switched, drs.current, drs.probes,

@@ -124,13 +124,14 @@ def test_restore_roundtrips_exact_state(store, snapshot):
     assert other.scheduler.lr == trainer.scheduler.lr
     assert other.scheduler.best == trainer.scheduler.best
     assert other.scheduler.epoch == trainer.scheduler.epoch
-    assert other._drs.switched == trainer._drs.switched
+    assert other.exchange.drs.switched == trainer.exchange.drs.switched
     assert other.result.logs == trainer.result.logs
     assert other.cluster.stats.nbytes_total == trainer.cluster.stats.nbytes_total
     assert other.cluster.elapsed == trainer.cluster.elapsed
     # RNG streams continue from the identical position.
     assert other.rng.bit_generator.state == trainer.rng.bit_generator.state
-    assert (other._sel_rng.random(4) == trainer._sel_rng.random(4)).all()
+    assert (other.exchange.rng.random(4)
+            == trainer.exchange.rng.random(4)).all()
     for wa, wb in zip(trainer.workers, other.workers):
         assert (wa.rng.random(4) == wb.rng.random(4)).all()
 
@@ -399,16 +400,7 @@ def ef_hier_trainer(store, global_ranks=None, **overrides):
 
 def residual_stores(trainer) -> dict:
     """Every residual store of a trainer by its checkpoint key."""
-    out = {}
-    for name, stores in (("entity", trainer._entity_residuals),
-                         ("relation", trainer._relation_residuals)):
-        for rank, st in enumerate(stores):
-            out[f"residual/{name}/{rank}"] = st
-    for name, node_res in (("entity", trainer._hier_entity_residuals),
-                           ("relation", trainer._hier_relation_residuals)):
-        for node, st in node_res.stores.items():
-            out[f"residual/hier_{name}/{node}"] = st
-    return out
+    return {key: st for key, _, st in trainer.exchange.residual_stores()}
 
 
 def dirty_every_store(trainer, fraction, seed=5):

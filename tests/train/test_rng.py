@@ -67,11 +67,11 @@ def test_equal_config_trainers_produce_identical_streams():
     a = DistributedTrainer(store, drs_1bit_rp_ss(), 3, config=cfg)
     b = DistributedTrainer(store, drs_1bit_rp_ss(), 3, config=cfg)
     assert rng_state(a.rng) == rng_state(b.rng)
-    assert rng_state(a._sel_rng) == rng_state(b._sel_rng)
+    assert rng_state(a.exchange.rng) == rng_state(b.exchange.rng)
     for wa, wb in zip(a.workers, b.workers):
         assert rng_state(wa.rng) == rng_state(wb.rng)
     # ... and keep producing the same draws.
-    assert (a._sel_rng.random(32) == b._sel_rng.random(32)).all()
+    assert (a.exchange.rng.random(32) == b.exchange.rng.random(32)).all()
     for wa, wb in zip(a.workers, b.workers):
         assert (wa.rng.integers(0, 1 << 30, 32)
                 == wb.rng.integers(0, 1 << 30, 32)).all()
