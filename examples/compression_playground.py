@@ -46,8 +46,8 @@ def main() -> None:
     r = np.concatenate([pos.relations, nr])
     t = np.concatenate([pos.tails, nt])
     labels = np.concatenate([np.ones(len(pos)), -np.ones(len(nh))])
-    _, upstream = logistic_loss(model.score(h, r, t), labels)
-    grad, _ = model.batch_gradients(h, r, t, upstream)
+    _, grad, _ = model.batch_gradients(
+        h, r, t, lambda scores: logistic_loss(scores, labels))
 
     dense = dense_bytes(grad.n_rows, grad.dim)
     print(f"entity gradient: {grad.nnz_rows}/{grad.n_rows} non-zero rows, "

@@ -10,18 +10,27 @@ identical** to the reference ``np.add.at`` scatter
 (``repro._reference.scatter_add_rows``) — the invariant the golden-run
 suite and the accumulation property tests pin.
 
-Why not ``np.add.reduceat``: NumPy's reduceat applies SIMD-unrolled
-partial sums even to tiny segments, so its float32 output differs from
-sequential accumulation in the last ulp and cannot be bitwise-pinned
-against the reference.  The rank-pass reduction below instead adds the
-k-th occurrence of every touched row in one vectorised operation per
-rank ``k``, reproducing ``np.add.at``'s exact input-order addition
-sequence (including the ``0.0 + x`` identity, which normalises ``-0.0``)
-while replacing its per-element dispatch with whole-array gathers.  Rows
-with pathologically long duplicate chains (hub entities) fall back to a
-single ``np.add.at`` over the chain tails — float32 addition is
-non-associative, so a chain's sum is inherently sequential and no
-reordering is allowed.
+Why not ``np.add.reduceat``: its SIMD-unrolled partial sums differ from
+sequential accumulation in the last ulp, so it cannot be bitwise-pinned.
+Float32 addition is non-associative, so a row's sum is inherently
+sequential; the fold vectorises around that sequence in two directions:
+
+* **Short chains across rows.**  The k-th occurrence of every touched row
+  is added in one whole-array gather + add per rank ``k`` below
+  :data:`FOLD_RANK_CUTOVER`, in the scatter-add's exact input order,
+  including the ``0.0 + x`` first touch that normalises ``-0.0``.  Entity
+  indices live here (under 0.1 % of an FB15K batch's slots past rank 8).
+* **Long chains down columns.**  A row with more occurrences continues
+  from its partial sum with one left-to-right sum down its own slot block,
+  vectorised across the row's columns.  For Zipf-skewed relations this is
+  the common case, not a tail: 44 % of a dense batch's relation slots sit
+  past rank 8 (the head relation alone is a chain of 200-300), and 98 %
+  once relation partition leaves a rank two relations.
+
+The column sum is ``np.add.reduce(axis=0)``, which walks the rows in order
+only while a row has at least two columns: one column is a contiguous 1-D
+reduction, which NumPy sums *pairwise*, so width 1 takes
+``np.add.accumulate`` instead.
 """
 
 from __future__ import annotations
@@ -30,11 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Duplicate-multiplicity rank beyond which :func:`fold_rows` stops
-#: vectorising one-occurrence-per-row passes and flushes the remaining
-#: chain tails with a single scatter-add.  Real KGE batches rarely repeat
-#: an entity more than a handful of times; hub-heavy batches hit the
-#: tail, which degrades gracefully to the scatter-add's cost.
+#: Occurrence rank at which :func:`fold_rows` goes from rank passes to column
+#: sums; measured flat between 6 and 12 on all three training workloads.
 FOLD_RANK_CUTOVER = 8
 
 
@@ -121,12 +127,9 @@ def fold_rows(plan: FoldPlan, values: np.ndarray,
 
     Returns a ``(plan.nnz_rows, width)`` float32 block where row ``j`` is
     the sum of ``values[i]`` over every slot ``i`` with
-    ``indices[i] == plan.rows[j]`` — bitwise identical to::
-
-        np.add.at(np.zeros(...), inverse, values)
-
-    because every row's occurrences are added in input order, one
-    addition at a time (vectorised *across* rows, never within one).
+    ``indices[i] == plan.rows[j]`` — bitwise identical to the reference
+    scatter-add into zeros: every row's occurrences are added in input
+    order, across rows for the first ``cutover``, down columns after.
     """
     values = np.asarray(values, dtype=np.float32)
     if values.ndim != 2:
@@ -155,15 +158,21 @@ def fold_rows(plan: FoldPlan, values: np.ndarray,
         out[sel] += values[perm[starts[sel] + k]]
         k += 1
     if max_count > k:
-        # Chain tails: every remaining occurrence, grouped by row in
-        # input order.  np.add.at walks them sequentially, continuing
-        # each row's partial sum exactly where the rank passes left it.
+        # One gather lays every long row's remaining occurrences out as
+        # consecutive blocks, each led by a spare slot (occurrence k - 1)
+        # that is overwritten with the row's partial sum, so the block's
+        # column sum continues the chain where the rank passes left it.
         sel = np.flatnonzero(counts > k)
-        remaining = counts[sel] - k
-        tail_rows = np.repeat(sel, remaining)
-        segment_start = np.repeat(np.cumsum(remaining) - remaining,
-                                  remaining)
-        positions = (np.repeat(starts[sel] + k, remaining)
-                     + np.arange(len(tail_rows)) - segment_start)
-        np.add.at(out, tail_rows, values[perm[positions]])
+        lengths = counts[sel] - (k - 1)
+        ends = np.cumsum(lengths)
+        begins = ends - lengths
+        positions = (np.arange(ends[-1])
+                     + np.repeat(starts[sel] + (k - 1) - begins, lengths))
+        chains = values[perm[positions]]
+        chains[begins] = out[sel]
+        for row, lo, hi in zip(sel.tolist(), begins.tolist(), ends.tolist()):
+            if width == 1:
+                out[row] = np.add.accumulate(chains[lo:hi], axis=0)[-1]
+            else:
+                np.add.reduce(chains[lo:hi], axis=0, out=out[row])
     return out

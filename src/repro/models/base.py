@@ -1,22 +1,24 @@
 """Common interface and shared machinery for KGE models.
 
 Every model holds two float32 embedding matrices (entities and relations)
-and exposes a vectorised ``score`` plus a closed-form ``score_grad`` — the
-gradients an autodiff framework would produce, written out by hand so the
-whole system runs on NumPy.  Batch gradients come back as
-:class:`~repro.comm.sparse.SparseRows` because only the rows touched by the
-batch are non-zero (the fact the paper's whole communication strategy rests
-on).
+and is, for training, two elementwise kernels over *gathered* rows: a
+forward that scores a batch and keeps what its derivative needs, and a
+closed-form backward — the gradients an autodiff framework would produce,
+written out by hand so the whole system runs on NumPy.  :class:`KGEModel`
+owns what surrounds them: one gather per batch, the loss hand-off, the L2
+term and the fold into :class:`~repro.comm.sparse.SparseRows` (only the
+rows a batch touches are non-zero — the fact the paper's whole
+communication strategy rests on).
 """
 
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
 from ..comm.sparse import SparseRows
-from ..kg.spmat import FoldPlan
 
 
 class KGEModel(abc.ABC):
@@ -62,21 +64,79 @@ class KGEModel(abc.ABC):
         self.relation_emb = rng.uniform(-bound, bound,
                                         size=(n_relations, width)).astype(np.float32)
 
-    # -- abstract scoring -------------------------------------------------
+    # -- the two training kernels, and what is built on them -----------------
+
+    @abc.abstractmethod
+    def _forward(self, e_h: np.ndarray, e_r: np.ndarray, e_t: np.ndarray
+                 ) -> tuple[np.ndarray, tuple]:
+        """Scores of gathered ``(batch, width)`` rows, and whatever
+        :meth:`_backward` reuses of the way there."""
+
+    @abc.abstractmethod
+    def _backward(self, saved: tuple, upstream: np.ndarray, g_h: np.ndarray,
+                  g_r: np.ndarray, g_t: np.ndarray) -> None:
+        """Write the per-example gradients of ``sum(upstream * score)`` for
+        the head, relation and tail rows into three caller-owned blocks;
+        ``saved`` is :meth:`_forward`'s; ``upstream`` is ``(batch, 1)``."""
 
     @abc.abstractmethod
     def score(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Triple scores; higher = more plausible.  Shapes broadcast 1-D."""
+        """Triple scores of three equally long 1-D index arrays; higher =
+        more plausible.  :meth:`_forward` over :meth:`_gather`, defined on
+        each model because ``perf/spans.py`` traces overrides."""
 
-    @abc.abstractmethod
+    def _gather(self, h: np.ndarray, r: np.ndarray, t: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A triple batch's embedding rows: the only place scoring or
+        differentiating one indexes the two matrices."""
+        return (self.entity_emb[np.asarray(h, dtype=np.int64)],
+                self.relation_emb[np.asarray(r, dtype=np.int64)],
+                self.entity_emb[np.asarray(t, dtype=np.int64)])
+
+    def _slot_gradients(self, h, r, t, loss_fn, l2: float
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Gather -> forward -> ``loss_fn`` -> backward -> L2, per slot.
+        Heads and tails are the halves of one ``(2 * batch, width)`` block
+        (the fold's layout), relations a block of their own: none alias, so
+        the L2 term (``2 * l2 * row`` per occurrence) is added in place."""
+        e_h, e_r, e_t = self._gather(h, r, t)
+        scores, saved = self._forward(e_h, e_r, e_t)
+        loss, upstream = loss_fn(scores)
+        batch = len(e_h)
+        g_entity = np.empty((2 * batch, e_h.shape[1]), dtype=np.float32)
+        g_relation = np.empty_like(e_r)
+        self._backward(saved, np.asarray(upstream, dtype=np.float32)[:, None],
+                       g_entity[:batch], g_relation, g_entity[batch:])
+        if l2 > 0.0:
+            reg = np.float32(2.0 * l2)
+            g_entity[:batch] += reg * e_h
+            g_entity[batch:] += reg * e_t
+            g_relation += reg * e_r
+        return loss, g_entity, g_relation
+
     def score_grad(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
                    upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-example gradients of ``sum(upstream * score)``.
+        """Per-example gradients of ``sum(upstream * score)``: ``(g_h, g_r,
+        g_t)`` of shape ``(batch, width)`` each, sharing no memory."""
+        _, g_entity, g_relation = self._slot_gradients(
+            h, r, t, lambda scores: (0.0, upstream), 0.0)
+        batch = len(g_relation)
+        return g_entity[:batch], g_relation, g_entity[batch:]
 
-        Returns ``(g_h, g_r, g_t)`` with shape ``(batch, width)`` each —
-        the gradient contribution of every example to its head, relation
-        and tail embedding rows.
-        """
+    def batch_gradients(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
+                        loss_fn, l2: float = 0.0
+                        ) -> tuple[float, SparseRows, SparseRows]:
+        """One fused local step: ``(loss, entity gradient, relation
+        gradient)``, the per-slot blocks folded into unique rows.
+        ``loss_fn`` maps the batch's scores to ``(loss, dL/dscore)``; with
+        ``l2 > 0`` every touched row also gets the batch L2 penalty."""
+        loss, g_entity, g_relation = self._slot_gradients(h, r, t, loss_fn, l2)
+        return (loss,
+                SparseRows.from_rows(np.concatenate([h, t]), g_entity,
+                                     n_rows=self.n_entities),
+                SparseRows.from_rows(r, g_relation, n_rows=self.n_relations))
+
+    # -- candidate scoring (chunked driver) --------------------------------
 
     @abc.abstractmethod
     def score_tails_block(self, h: np.ndarray, r: np.ndarray,
@@ -92,8 +152,6 @@ class KGEModel(abc.ABC):
     def score_heads_block(self, r: np.ndarray, t: np.ndarray,
                           lo: int, hi: int) -> np.ndarray:
         """Scores of (e, r_i, t_i) for candidate entities ``e in [lo, hi)``."""
-
-    # -- candidate scoring (chunked driver) --------------------------------
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray,
                         chunk_entities: int | None = None) -> np.ndarray:
@@ -128,44 +186,6 @@ class KGEModel(abc.ABC):
             hi = min(lo + chunk_entities, self.n_entities)
             out[:, lo:hi] = block_fn(a, b, lo, hi)
         return out
-
-    # -- gradient assembly -------------------------------------------------
-
-    def batch_gradients(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
-        upstream: np.ndarray, l2: float = 0.0,
-        entity_plan: FoldPlan | None = None,
-        relation_plan: FoldPlan | None = None,
-    ) -> tuple[SparseRows, SparseRows]:
-        """Accumulate per-example gradients into sparse row sets.
-
-        ``upstream`` is dL/dscore per example.  With ``l2 > 0`` the usual
-        batch L2 penalty gradient (``2 * l2 * embedding`` per occurrence) is
-        added to every touched row.
-
-        The per-example blocks from :meth:`score_grad` are folded into
-        unique rows by the incidence-CSR sorted-segment fold.  A caller
-        that drives many folds per batch (the worker builds the incidence
-        CSR once per step) passes the prebuilt plans: ``entity_plan`` must
-        be built from ``concatenate([h, t])`` over ``n_entities`` and
-        ``relation_plan`` from ``r`` over ``n_relations``.
-        """
-        h = np.asarray(h, dtype=np.int64)
-        r = np.asarray(r, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        upstream = np.asarray(upstream, dtype=np.float32)
-        g_h, g_r, g_t = self.score_grad(h, r, t, upstream)
-        if l2 > 0.0:
-            reg = np.float32(2.0 * l2)
-            g_h = g_h + reg * self.entity_emb[h]
-            g_t = g_t + reg * self.entity_emb[t]
-            g_r = g_r + reg * self.relation_emb[r]
-        entity_grad = SparseRows.from_rows(
-            np.concatenate([h, t]), np.concatenate([g_h, g_t]),
-            n_rows=self.n_entities, plan=entity_plan)
-        relation_grad = SparseRows.from_rows(
-            r, g_r, n_rows=self.n_relations, plan=relation_plan)
-        return entity_grad, relation_grad
 
     # -- binary-tier candidate generation ----------------------------------
 
@@ -238,14 +258,24 @@ class KGEModel(abc.ABC):
         """
         if self.width_factor == 1:
             return self.entity_emb, None
-        return self.entity_emb[:, :self.dim], self.entity_emb[:, self.dim:]
+        return self._split(self.entity_emb)
+
+    def _split(self, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """View a ``[real | imag]`` block as its (real, imag) halves."""
+        return emb[..., :self.dim], emb[..., self.dim:]
+
+    def _split_copy(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The halves as contiguous copies, for the training kernels: an
+        elementwise pass over a half *view*, whose rows NumPy cannot
+        collapse into one flat loop, costs several times more per element."""
+        re, im = self._split(rows)
+        return np.ascontiguousarray(re), np.ascontiguousarray(im)
 
     # -- parameter access --------------------------------------------------
 
     def copy(self) -> "KGEModel":
         """Deep copy (each simulated rank gets its own replica)."""
-        clone = self.__class__(self.n_entities, self.n_relations, self.dim,
-                               seed=self.seed)
+        clone = copy.copy(self)
         clone.entity_emb = self.entity_emb.copy()
         clone.relation_emb = self.relation_emb.copy()
         return clone

@@ -18,22 +18,20 @@ class DistMult(KGEModel):
     width_factor = 1
 
     def score(self, h, r, t):
-        e_h = self.entity_emb[np.asarray(h, dtype=np.int64)]
-        e_r = self.relation_emb[np.asarray(r, dtype=np.int64)]
-        e_t = self.entity_emb[np.asarray(t, dtype=np.int64)]
-        return np.sum(e_h * e_r * e_t, axis=-1)
+        return self._forward(*self._gather(h, r, t))[0]
 
-    def score_grad(self, h, r, t, upstream):
-        e_h = self.entity_emb[np.asarray(h, dtype=np.int64)]
-        e_r = self.relation_emb[np.asarray(r, dtype=np.int64)]
-        e_t = self.entity_emb[np.asarray(t, dtype=np.int64)]
-        u = np.asarray(upstream, dtype=np.float32)[:, None]
+    def _forward(self, e_h, e_r, e_t):
+        return np.sum(e_h * e_r * e_t, axis=-1), (e_h, e_r, e_t)
+
+    def _backward(self, saved, u, g_h, g_r, g_t):
+        e_h, e_r, e_t = saved
         # (u * e_r) and (u * e_h) are each needed twice; sharing them keeps
-        # the same left-to-right evaluation order, so results are bitwise
-        # unchanged while one full-block multiply is saved per step.
+        # the left-to-right evaluation order of u * e_r * e_t and friends.
         ur = u * e_r
         uh = u * e_h
-        return ur * e_t, uh * e_t, uh * e_r
+        np.multiply(ur, e_t, out=g_h)
+        np.multiply(uh, e_t, out=g_r)
+        np.multiply(uh, e_r, out=g_t)
 
     def score_tails_block(self, h, r, lo, hi):
         e_h = self.entity_emb[np.asarray(h, dtype=np.int64)]

@@ -34,41 +34,34 @@ class RotatE(KGEModel):
         self.relation_emb = rng.uniform(
             -np.pi, np.pi, size=(n_relations, dim)).astype(np.float32)
 
-    def _split(self, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return emb[..., :self.dim], emb[..., self.dim:]
+    def score(self, h, r, t):
+        return self._forward(*self._gather(h, r, t))[0]
 
-    def _residual(self, h, r, t):
-        """(u, v, m): real/imag residual of h*e^{i theta} - t and modulus."""
-        h_re, h_im = self._split(self.entity_emb[np.asarray(h, dtype=np.int64)])
-        t_re, t_im = self._split(self.entity_emb[np.asarray(t, dtype=np.int64)])
-        theta = self.relation_emb[np.asarray(r, dtype=np.int64)]
+    def _forward(self, e_h, theta, e_t):
+        h_re, h_im = self._split_copy(e_h)
+        t_re, t_im = self._split_copy(e_t)
         cos, sin = np.cos(theta), np.sin(theta)
         hr_re = h_re * cos - h_im * sin
         hr_im = h_re * sin + h_im * cos
+        # (u, v): real/imag residual of h * e^{i theta} - t; m its modulus.
         u = hr_re - t_re
         v = hr_im - t_im
         m = np.sqrt(np.maximum(u * u + v * v, 1e-12))
-        return u, v, m, hr_re, hr_im, cos, sin
+        return -m.sum(axis=-1), (u, v, m, hr_re, hr_im, cos, sin)
 
-    def score(self, h, r, t):
-        _, _, m, *_ = self._residual(h, r, t)
-        return -m.sum(axis=-1)
-
-    def score_grad(self, h, r, t, upstream):
-        u, v, m, hr_re, hr_im, cos, sin = self._residual(h, r, t)
-        w = np.asarray(upstream, dtype=np.float32)[:, None]
+    def _backward(self, saved, w, g_h, g_r, g_t):
+        u, v, m, hr_re, hr_im, cos, sin = saved
+        dim = self.dim
         du = -u / m  # d score / d u
         dv = -v / m
         # d u/d h_re = cos, d v/d h_re = sin; d u/d h_im = -sin, d v/d h_im = cos
-        g_h = np.concatenate([w * (du * cos + dv * sin),
-                              w * (-du * sin + dv * cos)], axis=1)
-        # d u/d t_re = -1, d v/d t_im = -1
-        g_t = np.concatenate([w * (-du), w * (-dv)], axis=1)
+        np.multiply(w, du * cos + dv * sin, out=g_h[:, :dim])
+        np.multiply(w, -du * sin + dv * cos, out=g_h[:, dim:])
         # d u/d theta = -hr_im, d v/d theta = hr_re
-        g_r = w * (du * (-hr_im) + dv * hr_re)
-        # Every operand above is float32, so the products already are; an
-        # astype here would copy all three blocks once per batch.
-        return g_h, g_r, g_t
+        np.multiply(w, du * (-hr_im) + dv * hr_re, out=g_r)
+        # d u/d t_re = -1, d v/d t_im = -1
+        np.multiply(w, -du, out=g_t[:, :dim])
+        np.multiply(w, -dv, out=g_t[:, dim:])
 
     def _rotated_heads(self, h, r):
         h_re, h_im = self._split(self.entity_emb[np.asarray(h, dtype=np.int64)])
@@ -125,10 +118,3 @@ class RotatE(KGEModel):
     def flops_per_example(self, backward: bool = True) -> int:
         forward = 16 * self.dim
         return forward * (4 if backward else 1)
-
-    def copy(self) -> "RotatE":
-        clone = RotatE(self.n_entities, self.n_relations, self.dim,
-                       seed=self.seed)
-        clone.entity_emb = self.entity_emb.copy()
-        clone.relation_emb = self.relation_emb.copy()
-        return clone

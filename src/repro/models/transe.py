@@ -28,31 +28,26 @@ class TransE(KGEModel):
         super().__init__(n_entities, n_relations, dim, seed=seed)
         self.norm = norm
 
-    def _diff(self, h, r, t) -> np.ndarray:
-        return (self.entity_emb[np.asarray(h, dtype=np.int64)]
-                + self.relation_emb[np.asarray(r, dtype=np.int64)]
-                - self.entity_emb[np.asarray(t, dtype=np.int64)])
-
     def score(self, h, r, t):
-        d = self._diff(h, r, t)
-        if self.norm == 1:
-            return -np.abs(d).sum(axis=-1)
-        return -np.sqrt(np.maximum(np.sum(d * d, axis=-1), 1e-12))
+        return self._forward(*self._gather(h, r, t))[0]
 
-    def score_grad(self, h, r, t, upstream):
-        d = self._diff(h, r, t)
-        u = np.asarray(upstream, dtype=np.float32)[:, None]
+    def _forward(self, e_h, e_r, e_t):
+        diff = e_h + e_r - e_t
         if self.norm == 1:
-            dd = -np.sign(d).astype(np.float32)
+            return -np.abs(diff).sum(axis=-1), (diff, None)
+        lengths = np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), 1e-12))
+        return -lengths, (diff, lengths)
+
+    def _backward(self, saved, u, g_h, g_r, g_t):
+        diff, lengths = saved
+        if self.norm == 1:
+            slope = -np.sign(diff)
         else:
-            lengths = np.sqrt(np.maximum(np.sum(d * d, axis=-1, keepdims=True),
-                                         1e-12))
-            dd = (-d / lengths).astype(np.float32)
-        g = u * dd
-        # d phi/d h = g, d phi/d r = g, d phi/d t = -g.  The head and
-        # relation blocks alias the same array; the accumulation fold only
-        # reads them, so no defensive copy is paid per batch.
-        return g, g, -g
+            slope = -diff / lengths[:, None]
+        # d phi/d h = d phi/d r = u * slope, d phi/d t = -(u * slope).
+        np.multiply(u, slope, out=g_h)
+        g_r[...] = g_h
+        np.negative(g_h, out=g_t)
 
     def score_tails_block(self, h, r, lo, hi):
         base = (self.entity_emb[np.asarray(h, dtype=np.int64)]
@@ -93,10 +88,3 @@ class TransE(KGEModel):
     def flops_per_example(self, backward: bool = True) -> int:
         forward = 4 * self.dim
         return forward * (4 if backward else 1)
-
-    def copy(self) -> "TransE":
-        clone = TransE(self.n_entities, self.n_relations, self.dim,
-                       seed=self.seed, norm=self.norm)
-        clone.entity_emb = self.entity_emb.copy()
-        clone.relation_emb = self.relation_emb.copy()
-        return clone

@@ -2,9 +2,9 @@
 
 A :class:`Worker` owns one shard of the training triples and performs the
 purely local part of a synchronous step: draw negatives (optionally with
-the paper's hardest-negative selection), run the forward pass, compute the
-closed-form gradients, and account the flops the modeled-compute timing
-path charges.
+the paper's hardest-negative selection), hand the batch to the model's
+fused forward / loss / backward / fold step, and account the flops the
+modeled-compute timing path charges.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from ..comm.sparse import SparseRows
 from ..kg.negative import (corrupt_batch, mask_known_candidates, select_all,
                            select_hardest)
-from ..kg.spmat import build_fold_plan
 from ..kg.triples import TripleSet, TripleStore
 from ..models.base import KGEModel
 from ..models.loss import logistic_loss
@@ -119,17 +118,10 @@ class Worker:
         t = np.concatenate([pos.tails, nt])
         labels = np.concatenate([np.ones(b), -np.ones(len(nh))])
 
-        scores = model.score(h, r, t)
-        loss, upstream = logistic_loss(scores, labels)
         n_examples = len(h)
-        # One incidence CSR per batch (example-slot x touched-row), shared
-        # by every fold this step performs over these indices.
-        entity_plan = build_fold_plan(np.concatenate([h, t]),
-                                      self.n_entities)
-        relation_plan = build_fold_plan(r, model.n_relations)
-        entity_grad, relation_grad = model.batch_gradients(
-            h, r, t, upstream, l2=self.l2 / n_examples,
-            entity_plan=entity_plan, relation_plan=relation_plan)
+        loss, entity_grad, relation_grad = model.batch_gradients(
+            h, r, t, lambda scores: logistic_loss(scores, labels),
+            l2=self.l2 / n_examples)
 
         nonzero = int((np.linalg.norm(entity_grad.values, axis=1)
                        > self.zero_row_tol).sum())

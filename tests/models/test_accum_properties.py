@@ -1,11 +1,14 @@
-"""Property suite: gradient accumulation is bitwise-equal to the reference.
+"""Property suite: the fused training step is bitwise-equal to its oracle.
 
-The goldens' embeddings predate the incidence-CSR fold, so
-``KGEModel.batch_gradients`` must produce SparseRows **bitwise identical**
-to an input-order scatter-add (``repro._reference.scatter_add_rows``) for
+The goldens' embeddings predate the incidence-CSR fold and the fused
+gather / forward / backward kernels, so ``KGEModel.batch_gradients`` must
+produce a loss and SparseRows **bitwise identical** to the unfused
+pipeline — ``score`` -> loss -> ``score_grad`` -> out-of-place L2 ->
+input-order scatter-add (``repro._reference.scatter_add_rows``) — for
 every model and index pattern.  These properties pin that across all four
 scoring models under duplicate head/tail indices, single-example batches
-and active L2 regularisation.
+and active L2 regularisation, and once more through ``Worker.compute_step``
+with and without hardest-negative selection.
 """
 
 import numpy as np
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro._reference import scatter_add_rows
 from repro.comm.sparse import SparseRows
-from repro.kg.spmat import build_fold_plan
-from repro.models import MODEL_REGISTRY, make_model
+from repro.kg.datasets import make_tiny_kg
+from repro.models import MODEL_REGISTRY, logistic_loss, make_model
+from repro.training.strategy import StrategyConfig
+from repro.training.worker import Worker
 
 N_ENTITIES = 12
 N_RELATIONS = 5
@@ -25,8 +30,10 @@ DIM = 4
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 
-def reference_gradients(model, h, r, t, upstream, l2=0.0):
-    """batch_gradients' assembly, accumulated by the reference scatter."""
+def reference_gradients(model, h, r, t, loss_fn, l2=0.0):
+    """The whole local step, unfused: every stage gathers for itself, L2
+    is added out of place, the reference scatter accumulates."""
+    loss, upstream = loss_fn(model.score(h, r, t))
     g_h, g_r, g_t = model.score_grad(h, r, t, upstream)
     if l2 > 0.0:
         reg = np.float32(2.0 * l2)
@@ -36,8 +43,14 @@ def reference_gradients(model, h, r, t, upstream, l2=0.0):
     e_idx, e_val = scatter_add_rows(np.concatenate([h, t]),
                                     np.concatenate([g_h, g_t]))
     r_idx, r_val = scatter_add_rows(r, g_r)
-    return (SparseRows(e_idx, e_val, n_rows=model.n_entities),
+    return (loss, SparseRows(e_idx, e_val, n_rows=model.n_entities),
             SparseRows(r_idx, r_val, n_rows=model.n_relations))
+
+
+def assert_same_step(expected, got):
+    assert expected[0] == got[0]
+    assert_same_sparse(expected[1], got[1])
+    assert_same_sparse(expected[2], got[2])
 
 
 def assert_same_sparse(a, b):
@@ -73,45 +86,19 @@ class TestBitwiseEquivalence:
         model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=seed)
         rng = np.random.default_rng(seed)
         upstream = rng.normal(size=len(h)).astype(np.float32)
-
-        e_naive, r_naive = reference_gradients(model, h, r, t, upstream,
-                                               l2=l2)
-        e_csr, r_csr = model.batch_gradients(h, r, t, upstream, l2=l2)
-        assert_same_sparse(e_naive, e_csr)
-        assert_same_sparse(r_naive, r_csr)
-
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_prebuilt_plans_equal_implicit(self, name):
-        """Passing the worker's per-batch plans must change nothing."""
-        rng = np.random.default_rng(7)
-        b = 40
-        h = rng.integers(0, N_ENTITIES, size=b)
-        r = rng.integers(0, N_RELATIONS, size=b)
-        t = rng.integers(0, N_ENTITIES, size=b)
-        upstream = rng.normal(size=b).astype(np.float32)
-        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=1)
-
-        entity_plan = build_fold_plan(np.concatenate([h, t]), N_ENTITIES)
-        relation_plan = build_fold_plan(r, N_RELATIONS)
-        e_implicit, r_implicit = model.batch_gradients(
-            h, r, t, upstream, l2=1e-4)
-        e_planned, r_planned = model.batch_gradients(
-            h, r, t, upstream, l2=1e-4,
-            entity_plan=entity_plan, relation_plan=relation_plan)
-        assert_same_sparse(e_implicit, e_planned)
-        assert_same_sparse(r_implicit, r_planned)
+        fixed = lambda scores: (0.0, upstream)
+        assert_same_step(reference_gradients(model, h, r, t, fixed, l2=l2),
+                         model.batch_gradients(h, r, t, fixed, l2=l2))
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_single_example_batch(self, name):
         model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=2)
         h = np.array([3]); r = np.array([1]); t = np.array([3])
-        upstream = np.array([-0.5], dtype=np.float32)
-        e_naive, r_naive = reference_gradients(model, h, r, t, upstream)
-        e_csr, r_csr = model.batch_gradients(h, r, t, upstream)
-        assert_same_sparse(e_naive, e_csr)
-        assert_same_sparse(r_naive, r_csr)
+        fixed = lambda scores: (0.0, np.array([-0.5], dtype=np.float32))
+        got = model.batch_gradients(h, r, t, fixed)
+        assert_same_step(reference_gradients(model, h, r, t, fixed), got)
         # h == t: the entity gradient folds both contributions into row 3.
-        assert list(e_csr.indices) == [3]
+        assert list(got[1].indices) == [3]
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_every_example_hits_one_entity(self, name):
@@ -124,9 +111,89 @@ class TestBitwiseEquivalence:
         r = np.arange(b, dtype=np.int64) % N_RELATIONS
         rng = np.random.default_rng(4)
         upstream = rng.normal(size=b).astype(np.float32)
-        e_naive, r_naive = reference_gradients(model, h, r, t, upstream,
-                                               l2=1e-3)
-        e_csr, r_csr = model.batch_gradients(h, r, t, upstream, l2=1e-3)
-        assert_same_sparse(e_naive, e_csr)
-        assert_same_sparse(r_naive, r_csr)
-        assert e_csr.nnz_rows == 1
+        fixed = lambda scores: (0.0, upstream)
+        got = model.batch_gradients(h, r, t, fixed, l2=1e-3)
+        assert_same_step(
+            reference_gradients(model, h, r, t, fixed, l2=1e-3), got)
+        assert got[1].nnz_rows == 1
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_score_grad_blocks_do_not_alias(self, name):
+        """The fused step adds the L2 term to each block in place, so a
+        model that hands one array back as two blocks (TransE's head and
+        relation gradients are equal) would leak the entity penalty into
+        the relation gradient."""
+        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=5)
+        h = np.array([0, 1, 2]); r = np.array([0, 1, 0]); t = np.array([3, 4, 5])
+        g_h, g_r, g_t = model.score_grad(h, r, t, np.ones(3, dtype=np.float32))
+        assert not np.shares_memory(g_h, g_r)
+        assert not np.shares_memory(g_h, g_t)
+        assert not np.shares_memory(g_r, g_t)
+
+
+class RecordingArray(np.ndarray):
+    """Counts how often *this* array is indexed; arrays derived from it
+    (gathered rows, half views) start their own count."""
+
+    def __array_finalize__(self, obj):
+        self.reads = 0
+
+    def __getitem__(self, item):
+        self.reads += 1
+        return super().__getitem__(item)
+
+
+def make_worker(store, ss, l2):
+    strategy = StrategyConfig(negatives_sampled=6 if ss else 2,
+                              negatives_used=2, sample_selection=ss)
+    worker = Worker(rank=0, shard=store.train, n_entities=store.n_entities,
+                    strategy=strategy, seed=9, l2=l2, store=store)
+    worker.start_epoch()
+    return worker
+
+
+class TestFusedWorkerStep:
+    BATCH = 64
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-6])
+    @pytest.mark.parametrize("ss", [False, True], ids=["uniform", "ss"])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_compute_step_equals_unfused_oracle(self, name, ss, l2):
+        store = make_tiny_kg(seed=1)
+        model = make_model(name, store.n_entities, store.n_relations, DIM,
+                           seed=2)
+        batches = []
+        fused = model.batch_gradients
+
+        def spy(h, r, t, loss_fn, l2=0.0):
+            batches.append((h, r, t, l2))
+            return fused(h, r, t, loss_fn, l2=l2)
+
+        model.batch_gradients = spy
+        worker = make_worker(store, ss, l2)
+        for step in range(3):
+            out = worker.compute_step(model, step, self.BATCH)
+            h, r, t, step_l2 = batches[-1]
+            assert step_l2 == l2 / len(h)
+            labels = np.concatenate([np.ones(self.BATCH),
+                                     -np.ones(len(h) - self.BATCH)])
+            expected = reference_gradients(
+                model, h, r, t, lambda s: logistic_loss(s, labels), l2=step_l2)
+            assert_same_step(expected,
+                             (out.loss, out.entity_grad, out.relation_grad))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_one_gather_per_batch(self, name):
+        """A training batch indexes the entity matrix twice (heads, tails)
+        and the relation matrix once; hardest-negative selection adds one
+        more forward over the candidates, nothing else."""
+        store = make_tiny_kg(seed=1)
+        model = make_model(name, store.n_entities, store.n_relations, DIM,
+                           seed=2)
+        model.entity_emb = model.entity_emb.view(RecordingArray)
+        model.relation_emb = model.relation_emb.view(RecordingArray)
+        for ss, forwards in ((False, 1), (True, 2)):
+            model.entity_emb.reads = model.relation_emb.reads = 0
+            make_worker(store, ss, l2=1e-6).compute_step(model, 0, self.BATCH)
+            assert model.entity_emb.reads == 2 * forwards
+            assert model.relation_emb.reads == forwards

@@ -57,7 +57,8 @@ class TestBatchAccumulation:
     def test_batch_gradients_sum_per_example_grads(self, mb):
         """SparseRows accumulation equals an explicit scatter-add."""
         model, h, r, t, upstream = mb
-        eg, rg = model.batch_gradients(h, r, t, upstream, l2=0.0)
+        _, eg, rg = model.batch_gradients(
+            h, r, t, lambda scores: (0.0, upstream), l2=0.0)
         g_h, g_r, g_t = model.score_grad(h, r, t, upstream)
 
         expected_e = np.zeros((10, g_h.shape[1]), dtype=np.float64)

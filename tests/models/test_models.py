@@ -100,7 +100,9 @@ class TestScoring:
         m = maker()
         rng = np.random.default_rng(4)
         h, r, t = batch(rng)
-        eg, rg = m.batch_gradients(h, r, t, rng.normal(size=6))
+        upstream = rng.normal(size=6)
+        _, eg, rg = m.batch_gradients(h, r, t,
+                                      lambda scores: (0.0, upstream))
         assert eg.n_rows == 12 and rg.n_rows == 4
         assert set(eg.indices.tolist()) == set(h.tolist()) | set(t.tolist())
         assert set(rg.indices.tolist()) == set(r.tolist())
@@ -187,7 +189,8 @@ class TestL2Regularisation:
         m = ComplEx(8, 3, 4, seed=0)
         h, r, t = np.array([0]), np.array([0]), np.array([1])
         zero_up = np.zeros(1, dtype=np.float32)
-        eg, rg = m.batch_gradients(h, r, t, zero_up, l2=0.5)
+        _, eg, rg = m.batch_gradients(
+            h, r, t, lambda scores: (0.0, zero_up), l2=0.5)
         # With zero upstream the only gradient is 2 * l2 * embedding.
         np.testing.assert_allclose(
             eg.to_dense()[0], m.entity_emb[0], rtol=1e-5)
@@ -196,8 +199,9 @@ class TestL2Regularisation:
 
     def test_no_l2_means_no_decay(self):
         m = ComplEx(8, 3, 4, seed=0)
-        eg, _ = m.batch_gradients(np.array([0]), np.array([0]),
-                                  np.array([1]), np.zeros(1), l2=0.0)
+        _, eg, _ = m.batch_gradients(np.array([0]), np.array([0]),
+                                     np.array([1]),
+                                     lambda scores: (0.0, np.zeros(1)), l2=0.0)
         np.testing.assert_allclose(eg.to_dense(), 0.0)
 
 
