@@ -55,7 +55,6 @@ from .kg import (
     make_fb15k_like,
     make_fb250k_like,
     make_tiny_kg,
-    make_wn18_like,
     relation_partition,
     uniform_partition,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "make_fb250k_like",
     "make_model",
     "make_tiny_kg",
-    "make_wn18_like",
     "relation_partition",
     "rs",
     "rs_1bit",

@@ -1,8 +1,8 @@
 """Slow reference kernels kept only as oracles.
 
 Nothing under ``src/repro`` imports this module (a test enforces it).  The
-bitwise property suites, ``benchmarks/test_eval_throughput.py`` and
-``scripts/train_bench.py`` compare the production kernels against these:
+bitwise property suites and the in-process ratio gates under ``tests/``
+compare the production kernels against these:
 
 * :func:`scatter_add_rows` — the ``np.unique`` + ``np.add.at`` gradient
   accumulation that :func:`repro.kg.spmat.fold_rows` replays bitwise;

@@ -12,14 +12,9 @@ from .calibration import (
 )
 from .harness import (
     bench_store,
-    elastic_summary_row,
-    eval_summary_row,
     fault_summary_row,
     hop_breakdown,
-    monotonically_decreasing,
     print_baseline_table,
-    print_eval_table,
-    print_elastic_table,
     print_fault_table,
     print_serve_table,
     print_series,
@@ -39,16 +34,11 @@ __all__ = [
     "QUICK",
     "active_profile",
     "bench_store",
-    "elastic_summary_row",
-    "eval_summary_row",
     "fault_summary_row",
     "hop_breakdown",
-    "monotonically_decreasing",
     "paper",
     "report",
     "print_baseline_table",
-    "print_eval_table",
-    "print_elastic_table",
     "print_fault_table",
     "print_serve_table",
     "print_series",

@@ -166,60 +166,6 @@ def fault_summary_row(result: TrainResult) -> dict:
     }
 
 
-def eval_summary_row(result: TrainResult) -> dict:
-    """Eval-performance columns of one run: wall seconds and throughput."""
-    return {
-        "method": result.strategy_label,
-        "nodes": result.n_nodes,
-        "eval_seconds": round(result.eval_seconds, 3),
-        "eval_queries": result.eval_queries,
-        "queries_per_sec": round(result.eval_queries_per_sec, 1),
-    }
-
-
-def print_eval_table(title: str, results: list[TrainResult]) -> None:
-    """Eval throughput report: measured ranking queries/sec per run."""
-    header = ["method", "nodes", "eval(s)", "queries", "q/s"]
-    rows = []
-    for res in results:
-        row = eval_summary_row(res)
-        rows.append([row["method"], row["nodes"], row["eval_seconds"],
-                     row["eval_queries"], row["queries_per_sec"]])
-    print_table(title, header, rows,
-                widths=[max(len(r.strategy_label) for r in results) + 2,
-                        5, 10, 9, 10])
-
-
-def elastic_summary_row(result: TrainResult) -> dict:
-    """Elastic-recovery columns of one run: restarts, lineage, overhead."""
-    overhead = (result.recovery_time / result.total_time
-                if result.total_time > 0 else 0.0)
-    return {
-        "method": result.strategy_label,
-        "nodes": result.n_nodes,
-        "restarts": result.restarts,
-        "world_lineage": "->".join(str(w) for w in result.world_lineage),
-        "recovery_hours": result.recovery_time / 3600.0,
-        "recovery_overhead": round(overhead, 4),
-    }
-
-
-def print_elastic_table(title: str, results: list[TrainResult]) -> None:
-    """Elastic report: recovery overhead next to the usual outcome columns."""
-    header = ["method", "nodes", "restarts", "lineage", "recovery(h)",
-              "overhead", "TT(h)", "MRR"]
-    rows = []
-    for res in results:
-        row = elastic_summary_row(res)
-        rows.append([row["method"], row["nodes"], row["restarts"],
-                     row["world_lineage"], row["recovery_hours"],
-                     row["recovery_overhead"], res.total_hours,
-                     res.test_mrr])
-    print_table(title, header, rows,
-                widths=[max(len(r.strategy_label) for r in results) + 2,
-                        5, 8, 10, 11, 9, 10, 10])
-
-
 def serve_summary_row(snapshot: dict) -> dict:
     """Serving-telemetry columns of one traffic replay snapshot.
 
@@ -274,12 +220,6 @@ def print_fault_table(title: str, results: list[TrainResult]) -> None:
 # ---------------------------------------------------------------------------
 # Shape checks (the qualitative claims benchmarks assert)
 # ---------------------------------------------------------------------------
-
-def monotonically_decreasing(values, tolerance: float = 0.0) -> bool:
-    """True if the sequence trends down (each step may regress <= tolerance)."""
-    values = list(values)
-    return all(b <= a + tolerance for a, b in zip(values, values[1:]))
-
 
 def trend_slope(values) -> float:
     """Least-squares slope of a series against its index."""

@@ -3,12 +3,8 @@
 from .collectives import (
     ALLGATHER_ALGOS,
     ALLREDUCE_ALGOS,
-    allgather_objects,
     allgather_sparse,
     allgatherv_bytes,
-    allreduce,
-    allreduce_scalar,
-    broadcast,
 )
 from .faults import (
     FAULT_POLICIES,
@@ -20,10 +16,7 @@ from .faults import (
 )
 from .hierarchical import (
     NodeGroups,
-    hier_allgather,
-    hier_allreduce,
     hier_allreduce_bytes,
-    hier_reduce_scatter,
     hop_models,
     resolve_groups,
 )
@@ -59,19 +52,12 @@ __all__ = [
     "DEFAULT_NETWORK",
     "NetworkModel",
     "SparseRows",
-    "allgather_objects",
     "allgather_sparse",
     "allgatherv_bytes",
-    "allreduce",
-    "allreduce_scalar",
-    "broadcast",
     "combine_sparse",
     "compression_ratio",
     "dense_bytes",
-    "hier_allgather",
-    "hier_allreduce",
     "hier_allreduce_bytes",
-    "hier_reduce_scatter",
     "hop_models",
     "quantized_rows_bytes",
     "resolve_groups",

@@ -1,9 +1,12 @@
 """Collective operations over a simulated :class:`~repro.comm.simulator.Cluster`.
 
-Each collective takes the per-rank payloads, performs the *real* data
-combination in NumPy, charges the algorithm-aware modeled time to the
-cluster, and returns what every rank would hold afterwards.  Supported
-algorithms mirror what Cray MPICH / Horovod would pick:
+The collectives here are charge-only: each takes the payload *sizes*,
+charges the algorithm-aware modeled time to the cluster (through the fault
+injector when one is attached) and returns that time.  The data combination
+happens caller-side, in :mod:`repro.training.exchange`.  The one exception
+is :func:`allgather_sparse`, which also combines the rows it charges for —
+it is the oracle the exchange's raw flat allgather is tested against.
+Supported algorithms mirror what Cray MPICH / Horovod would pick:
 
 * allreduce: ``ring`` (default, bandwidth-optimal) or ``recursive_doubling``
 * allgatherv: ``ring`` (default) or ``bruck`` (latency-optimal)
@@ -57,37 +60,6 @@ def _charge(cluster: Cluster, op: str, nbytes_total: int, n_messages: int,
         op=op, nbytes_total=nbytes_total, n_messages=n_messages,
         time=time, retries=retries, hop=hop))
     return time
-
-
-def allreduce(cluster: Cluster, buffers: Sequence[np.ndarray],
-              algo: str = "ring") -> np.ndarray:
-    """Sum-allreduce dense float buffers, one per rank.
-
-    Returns the elementwise sum (which every rank holds after the call).
-    """
-    _check_parts(cluster, buffers, "allreduce")
-    shape = buffers[0].shape
-    for b in buffers[1:]:
-        if b.shape != shape:
-            raise ValueError(f"allreduce buffers must match shapes: {b.shape} != {shape}")
-    result = np.zeros(shape, dtype=np.float64)
-    for b in buffers:
-        result += b
-    result = result.astype(buffers[0].dtype)
-
-    nbytes = int(buffers[0].nbytes)
-    p = cluster.n_ranks
-    if algo == "ring":
-        time = cluster.network.allreduce_ring_time(nbytes, p)
-        n_messages = 2 * (p - 1)
-    elif algo == "recursive_doubling":
-        time = cluster.network.allreduce_recursive_doubling_time(nbytes, p)
-        n_messages = max(0, int(np.ceil(np.log2(p)))) if p > 1 else 0
-    else:
-        raise ValueError(f"unknown allreduce algorithm {algo!r}; "
-                         f"choose from {ALLREDUCE_ALGOS}")
-    _charge(cluster, f"allreduce_{algo}", nbytes, n_messages, time)
-    return result
 
 
 def allreduce_bytes(cluster: Cluster, nbytes: int, algo: str = "ring",
@@ -155,58 +127,7 @@ def allgather_sparse(cluster: Cluster, parts: Sequence[SparseRows],
     Every rank receives everyone's ``(indices, values)`` blocks and locally
     sums rows with matching indices — the paper's "sparse update" path.
     """
-    _check_parts(cluster, parts, op_label)
     allgatherv_bytes(cluster, [part.nbytes_wire for part in parts], algo=algo,
                      op_label=op_label)
     return combine_sparse(parts)
 
-
-def allgather_objects(cluster: Cluster, parts: Sequence[object],
-                      nbytes_each: Sequence[int],
-                      algo: str = "ring", op_label: str = "allgather") -> list:
-    """Allgather arbitrary payload objects with explicit byte sizes.
-
-    Returns the list of all parts (what every rank would hold).
-    """
-    _check_parts(cluster, parts, op_label)
-    allgatherv_bytes(cluster, list(nbytes_each), algo=algo, op_label=op_label)
-    return list(parts)
-
-
-def broadcast(cluster: Cluster, value: np.ndarray, root: int = 0) -> np.ndarray:
-    """Broadcast a dense buffer from ``root`` to all ranks."""
-    if not 0 <= root < cluster.n_ranks:
-        raise ValueError(f"root {root} out of range")
-    value = np.asarray(value)
-    time = cluster.network.broadcast_time(int(value.nbytes), cluster.n_ranks)
-    rounds = max(0, int(np.ceil(np.log2(cluster.n_ranks)))) if cluster.n_ranks > 1 else 0
-    _charge(cluster, "broadcast", int(value.nbytes), rounds, time)
-    return value
-
-
-def allreduce_scalar(cluster: Cluster, values: Sequence[float],
-                     op: str = "sum") -> float:
-    """Tiny scalar allreduce (timings, convergence flags, probe results)."""
-    _check_parts(cluster, values, "allreduce_scalar")
-    arr = np.asarray(values, dtype=np.float64)
-    if op == "sum":
-        result = float(arr.sum())
-    elif op == "max":
-        result = float(arr.max())
-    elif op == "min":
-        result = float(arr.min())
-    else:
-        raise ValueError(f"unknown scalar reduce op {op!r}")
-    p = cluster.n_ranks
-    time = cluster.network.allreduce_recursive_doubling_time(8, p)
-    n_messages = max(0, int(np.ceil(np.log2(p)))) if p > 1 else 0
-    _charge(cluster, f"allreduce_scalar_{op}", 8, n_messages, time)
-    return result
-
-
-def _check_parts(cluster: Cluster, parts: Sequence, op: str) -> None:
-    if len(parts) != cluster.n_ranks:
-        raise ValueError(
-            f"{op}: expected one payload per rank "
-            f"({cluster.n_ranks}), got {len(parts)}"
-        )

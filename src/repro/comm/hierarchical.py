@@ -21,16 +21,18 @@ Every hop charges its own :class:`~repro.comm.simulator.CommRecord` with
 attributable per link class, and the fault injector jitters each hop with
 that hop's own alpha/beta split.
 
-Bitwise contract
-----------------
+Charge-only
+-----------
 
-With compression off, :func:`hier_allreduce` performs *exactly* the flat
-collective's float accumulation (same operand order, same dtypes) — only
-the charged time and records differ.  The Hypothesis suite pins this across
-world sizes and uneven node occupancies.  On a flat
-:class:`~repro.comm.network.NetworkModel` the node groups degenerate to
-singletons: the intra hops vanish and the inter ring spans all ranks, so
-the hierarchical stack gracefully *is* the flat one.
+Every function here charges hop records and returns the charged time; none
+touches gradient data.  The exchange (:mod:`repro.training.exchange`)
+combines caller-side in the flat collective's operand order, so with
+compression off the two-level dense exchange equals the flat one bitwise
+and only the clocks and records differ
+(``tests/train/test_exchange.py`` pins this on uneven node occupancies).
+On a flat :class:`~repro.comm.network.NetworkModel` the node groups
+degenerate to singletons: the intra hops vanish and the inter ring spans
+all ranks, so the hierarchical stack gracefully *is* the flat one.
 """
 
 from __future__ import annotations
@@ -39,14 +41,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .collectives import _charge
 from .simulator import Cluster
 
 __all__ = [
     "NodeGroups", "resolve_groups", "hop_models",
-    "hier_allreduce", "hier_reduce_scatter", "hier_allgather",
     "hier_allreduce_bytes", "hier_intra_reduce_bytes",
     "hier_inter_ring_bytes", "hier_intra_gather_bytes",
     "hier_inter_allgatherv_bytes", "hier_intra_bcast_bytes",
@@ -160,8 +159,7 @@ def _tree_rounds(fanout: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Charge-only per-hop primitives (the exchange's entry points; data combination
-# happens caller-side, exactly as with allreduce_bytes/allgatherv_bytes)
+# Per-hop primitives (the exchange's entry points)
 # ---------------------------------------------------------------------------
 
 def hier_intra_reduce_bytes(cluster: Cluster, nbytes: int, groups: NodeGroups,
@@ -177,27 +175,15 @@ def hier_intra_reduce_bytes(cluster: Cluster, nbytes: int, groups: NodeGroups,
 
 
 def hier_inter_ring_bytes(cluster: Cluster, nbytes: int, groups: NodeGroups,
-                          op_label: str = "hier",
-                          half: bool = False) -> float:
-    """Charge the inter-node ring allreduce of node representatives.
-
-    ``half=True`` charges only the reduce-scatter half of the ring (the
-    symmetric allgather half is the other 2(p-1)/2 steps).
-    """
+                          op_label: str = "hier") -> float:
+    """Charge the inter-node ring allreduce of node representatives."""
     nodes = groups.n_nodes
     if nodes <= 1:
         return 0.0
     _, inter = hop_models(cluster.network)
     time = inter.allreduce_ring_time(float(nbytes), nodes)
-    messages = 2 * (nodes - 1)
-    suffix = "inter_ring"
-    if half:
-        # A ring allreduce is reduce-scatter + allgather of equal cost.
-        time /= 2.0
-        messages = nodes - 1
-        suffix = "inter_reduce_scatter"
-    return _charge(cluster, f"{op_label}_{suffix}", int(nbytes), messages,
-                   time, hop="inter", network=inter)
+    return _charge(cluster, f"{op_label}_inter_ring", int(nbytes),
+                   2 * (nodes - 1), time, hop="inter", network=inter)
 
 
 def hier_intra_gather_bytes(cluster: Cluster, member_bytes: Sequence[int],
@@ -267,89 +253,3 @@ def hier_allreduce_bytes(cluster: Cluster, nbytes: int, groups: NodeGroups,
     total += hier_inter_ring_bytes(cluster, nbytes, groups, op_label)
     total += hier_intra_bcast_bytes(cluster, nbytes, groups, op_label)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Data-moving collectives (tests and small payloads; the trainer uses the
-# byte-charging forms above with caller-side combination)
-# ---------------------------------------------------------------------------
-
-def _check_buffers(buffers: Sequence[np.ndarray], groups: NodeGroups,
-                   op: str) -> None:
-    if len(buffers) != groups.n_ranks:
-        raise ValueError(
-            f"{op}: expected one buffer per rank ({groups.n_ranks}), "
-            f"got {len(buffers)}")
-    shape = buffers[0].shape
-    for b in buffers[1:]:
-        if b.shape != shape:
-            raise ValueError(
-                f"{op} buffers must match shapes: {b.shape} != {shape}")
-
-
-def _flat_order_sum(buffers: Sequence[np.ndarray]) -> np.ndarray:
-    # Identical accumulation to collectives.allreduce: float64 running sum
-    # in rank order, cast back to the input dtype.  Hierarchy changes who
-    # talks to whom, not the arithmetic — this is the bitwise contract.
-    result = np.zeros(buffers[0].shape, dtype=np.float64)
-    for b in buffers:
-        result += b
-    return result.astype(buffers[0].dtype)
-
-
-def hier_allreduce(cluster: Cluster, buffers: Sequence[np.ndarray],
-                   groups: NodeGroups,
-                   op_label: str = "hier_allreduce") -> np.ndarray:
-    """Hierarchical sum-allreduce of dense per-rank buffers.
-
-    Bitwise-identical result to :func:`repro.comm.collectives.allreduce`
-    (ring algo); the difference is purely in what the clocks are charged
-    and how the records are labeled.
-    """
-    _check_buffers(buffers, groups, "hier_allreduce")
-    result = _flat_order_sum(buffers)
-    hier_allreduce_bytes(cluster, int(buffers[0].nbytes), groups,
-                         op_label=op_label)
-    return result
-
-
-def hier_reduce_scatter(cluster: Cluster, buffers: Sequence[np.ndarray],
-                        groups: NodeGroups,
-                        op_label: str = "hier_reduce_scatter") -> np.ndarray:
-    """Hierarchical reduce-scatter: intra reduce + inter ring first half.
-
-    Returns the full reduced buffer (each rank conceptually owns its
-    ``1/p`` shard of it); composing with :func:`hier_allgather` on the
-    shards reconstitutes the allreduce at the same total cost.
-    """
-    _check_buffers(buffers, groups, "hier_reduce_scatter")
-    result = _flat_order_sum(buffers)
-    nbytes = int(buffers[0].nbytes)
-    hier_intra_reduce_bytes(cluster, nbytes, groups, op_label)
-    hier_inter_ring_bytes(cluster, nbytes, groups, op_label, half=True)
-    return result
-
-
-def hier_allgather(cluster: Cluster, parts: Sequence[object],
-                   nbytes_each: Sequence[int], groups: NodeGroups,
-                   op_label: str = "hier_allgather") -> list:
-    """Hierarchical allgather of opaque per-rank payloads.
-
-    In-node gather, one concatenated block per node over the inter ring,
-    then the in-node broadcast of the full result.  Returns all parts in
-    rank order (what every rank holds afterwards).
-    """
-    if len(parts) != groups.n_ranks:
-        raise ValueError(
-            f"hier_allgather: expected one payload per rank "
-            f"({groups.n_ranks}), got {len(parts)}")
-    if len(nbytes_each) != groups.n_ranks:
-        raise ValueError(
-            f"hier_allgather: expected {groups.n_ranks} sizes, "
-            f"got {len(nbytes_each)}")
-    sizes = [int(b) for b in nbytes_each]
-    hier_intra_gather_bytes(cluster, sizes, groups, op_label)
-    node_bytes = [sum(sizes[i] for i in group) for group in groups.members]
-    hier_inter_allgatherv_bytes(cluster, node_bytes, groups, op_label)
-    hier_intra_bcast_bytes(cluster, sum(sizes), groups, op_label)
-    return list(parts)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..kg.spmat import FoldPlan, build_fold_plan, fold_rows
+from ..kg.spmat import build_fold_plan, fold_rows
 from .payload import sparse_rows_bytes
 
 
@@ -99,13 +99,12 @@ class SparseRows:
 
     @classmethod
     def from_rows(cls, indices: np.ndarray, values: np.ndarray,
-                  n_rows: int, plan: FoldPlan | None = None) -> "SparseRows":
+                  n_rows: int) -> "SparseRows":
         """Build from possibly-unsorted, possibly-duplicated row updates.
 
         Duplicate indices are summed (scatter-add semantics), matching what
         a framework does when the same entity appears several times in a
-        batch.  A caller that already built the batch's :class:`FoldPlan`
-        from ``indices`` can pass it to skip rebuilding the CSR structure.
+        batch.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float32)
@@ -114,13 +113,7 @@ class SparseRows:
                        values=np.empty((0, values.shape[1] if values.ndim == 2 else 0),
                                        dtype=np.float32),
                        n_rows=n_rows)
-        if plan is None:
-            plan = build_fold_plan(indices, n_rows)
-        elif plan.n_slots != len(indices) or plan.n_rows != n_rows:
-            raise ValueError(
-                f"fold plan ({plan.n_slots} slots over {plan.n_rows} rows) "
-                f"does not match the update ({len(indices)} slots over "
-                f"{n_rows} rows)")
+        plan = build_fold_plan(indices, n_rows)
         return cls(indices=plan.rows, values=fold_rows(plan, values),
                    n_rows=n_rows)
 

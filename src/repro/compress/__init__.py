@@ -1,5 +1,5 @@
 """Gradient compression: selection, quantization, packing, error feedback,
-plus the related-work comparators (top-k, Aji threshold, Wangni, GradZip)."""
+plus the related-work comparator GradZip (:mod:`.factorization`)."""
 
 from . import factorization
 from .error_feedback import NodeResiduals, ResidualStore
@@ -20,7 +20,6 @@ from .selection import (
     select,
     threshold_selection,
 )
-from .topk import threshold_elements, topk_rows, wangni_rows
 
 __all__ = [
     "NodeResiduals",
@@ -39,10 +38,7 @@ __all__ = [
     "quantize_2bit",
     "random_selection",
     "select",
-    "threshold_elements",
     "threshold_selection",
-    "topk_rows",
     "unpack_signs",
-    "wangni_rows",
     "unpack_ternary",
 ]

@@ -49,6 +49,3 @@ FB15K_SPEC = PaperDatasetSpec("FB15K", n_entities=14_951, n_relations=1_345,
                               n_triples=600_000)
 FB250K_SPEC = PaperDatasetSpec("FB250K", n_entities=240_000, n_relations=9_280,
                                n_triples=16_000_000)
-
-WN18_SPEC = PaperDatasetSpec("WN18", n_entities=40_943, n_relations=18,
-                             n_triples=151_442)

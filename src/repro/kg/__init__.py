@@ -6,7 +6,6 @@ from .datasets import (
     make_fb15k_like,
     make_fb250k_like,
     make_tiny_kg,
-    make_wn18_like,
     save_store,
 )
 from .negative import (
@@ -47,7 +46,6 @@ __all__ = [
     "make_fb250k_like",
     "make_partition",
     "make_tiny_kg",
-    "make_wn18_like",
     "relation_partition",
     "save_store",
     "select_all",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_SEED, FB15K_SPEC, FB250K_SPEC, WN18_SPEC
+from ..config import DEFAULT_SEED, FB15K_SPEC, FB250K_SPEC
 from .triples import TripleSet, TripleStore, encode_triples
 
 #: Above this many entities the exhaustive E x E mining would exceed ~200MB
@@ -226,23 +226,6 @@ def make_fb250k_like(scale: float = 1.0, seed: int = DEFAULT_SEED,
     kwargs.setdefault("relation_zipf", 0.75)
     return generate_latent_kg(n_e, n_r, n_t, seed=seed,
                               name=f"fb250k-like(scale={scale})", **kwargs)
-
-
-def make_wn18_like(scale: float = 1.0, seed: int = DEFAULT_SEED,
-                   **kwargs) -> TripleStore:
-    """WN18-like graph (future-work dataset): very few relations, sparse.
-
-    WordNet has only 18 relations and ~3.7 triples per entity — the
-    opposite regime from Freebase, which stresses relation partitioning
-    (only 18 balanced splits exist) and gradient sparsity (most entity
-    rows are untouched per batch).
-    """
-    n_e, n_r, n_t = _scaled(WN18_SPEC, scale, min_relations=18)
-    kwargs.setdefault("latent_dim", 4)
-    kwargs.setdefault("noise_fraction", 0.05)
-    kwargs.setdefault("relation_zipf", 0.6)
-    return generate_latent_kg(n_e, n_r, n_t, seed=seed,
-                              name=f"wn18-like(scale={scale})", **kwargs)
 
 
 def make_tiny_kg(seed: int = DEFAULT_SEED, n_entities: int = 80,

@@ -24,7 +24,7 @@ stack the same treatment.  Three pieces:
   milliseconds — never ``time.perf_counter()`` — the full trajectory
   (states, transition indices, shed decisions) is a pure function of
   ``(seed, plan)``: two replays of the same plan produce byte-identical
-  transition logs, which is what lets chaos benchmarks gate on it.
+  transition logs, which is what lets the chaos tests gate on it.
 * :class:`ShedResponse` — the explicit degraded answer.  A shed query is
   not an exception: the engine returns a typed response carrying the
   taxonomy (``overload``, ``cache_only_miss``, ``scorer_failure``) so

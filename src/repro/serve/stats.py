@@ -6,15 +6,16 @@ cache_hit)`` observation.  Latencies are kept in a compact ``array('d')``
 server passes ``window=N`` to bound each buffer to the most recent ``N``
 observations (exact percentiles *within the window*), while counters and
 summed-time totals always cover the whole lifetime.  ``snapshot()`` folds
-everything into the flat dict the CLI, the traffic benchmark and
-``BENCH_serve.json`` share.
+everything into the flat dict the CLI and :func:`repro.serve.replay`
+report.
 
 When a :class:`~repro.serve.resilience.ResilienceController` is attached
 to the engine, the snapshot grows a ``resilience`` section: per-state
 query counts, the shed taxonomy, the full state-transition log (byte-
 identical across runs of the same ``(seed, plan)`` — the determinism
-surface the chaos benchmark gates on), breaker/reload counters and
-virtual-latency percentiles from the admission controller's queue model.
+surface ``tests/serve/test_resilience.py`` gates on), breaker/reload
+counters and virtual-latency percentiles from the admission controller's
+queue model.
 """
 
 from __future__ import annotations

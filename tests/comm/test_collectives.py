@@ -1,16 +1,13 @@
-"""Unit tests for simulated collectives: data correctness + cost charging."""
+"""Unit tests for simulated collectives: cost charging, and the sparse
+combine of the one collective that still moves data."""
 
 import numpy as np
 import pytest
 
 from repro.comm.collectives import (
-    allgather_objects,
     allgather_sparse,
     allgatherv_bytes,
-    allreduce,
     allreduce_bytes,
-    allreduce_scalar,
-    broadcast,
 )
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
@@ -20,44 +17,6 @@ from repro.comm.sparse import SparseRows
 @pytest.fixture
 def cluster():
     return Cluster(3, NetworkModel(alpha=1e-6, beta=1e-9))
-
-
-class TestAllreduce:
-    def test_sum_matches_numpy(self, cluster):
-        rng = np.random.default_rng(0)
-        bufs = [rng.normal(size=(4, 5)).astype(np.float32) for _ in range(3)]
-        out = allreduce(cluster, bufs)
-        np.testing.assert_allclose(out, np.sum(bufs, axis=0), rtol=1e-5,
-                                   atol=1e-6)
-
-    def test_charges_time_and_bytes(self, cluster):
-        bufs = [np.ones((2, 2), dtype=np.float32)] * 3
-        allreduce(cluster, bufs)
-        assert cluster.elapsed > 0
-        assert cluster.stats.nbytes_total == 16
-
-    def test_wrong_part_count_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            allreduce(cluster, [np.ones(2)] * 2)
-
-    def test_shape_mismatch_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            allreduce(cluster, [np.ones(2), np.ones(3), np.ones(2)])
-
-    def test_unknown_algo_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            allreduce(cluster, [np.ones(2)] * 3, algo="tree")
-
-    def test_recursive_doubling_same_result(self, cluster):
-        bufs = [np.full(4, float(i)) for i in range(3)]
-        out = allreduce(cluster, bufs, algo="recursive_doubling")
-        np.testing.assert_allclose(out, [3.0] * 4)
-
-    def test_single_rank_free(self):
-        c = Cluster(1)
-        out = allreduce(c, [np.ones(3)])
-        np.testing.assert_allclose(out, np.ones(3))
-        assert c.elapsed == 0.0
 
 
 class TestAllreduceBytes:
@@ -74,6 +33,15 @@ class TestAllreduceBytes:
         t = allreduce_bytes(cluster, 4096, algo="ring")
         assert t == pytest.approx(
             cluster.network.allreduce_ring_time(4096, 3))
+
+    def test_unknown_algo_rejected(self, cluster):
+        with pytest.raises(ValueError):
+            allreduce_bytes(cluster, 16, algo="tree")
+
+    def test_single_rank_free(self):
+        c = Cluster(1)
+        assert allreduce_bytes(c, 1 << 20) == 0.0
+        assert c.elapsed == 0.0
 
 
 class TestAllgatherSparse:
@@ -103,6 +71,11 @@ class TestAllgatherSparse:
         allgather_sparse(c_bruck, parts, algo="bruck")
         assert c_bruck.elapsed < c_ring.elapsed
 
+    def test_wrong_part_count_rejected(self, cluster):
+        part = SparseRows(np.array([0]), np.array([[1.0]], np.float32), 5)
+        with pytest.raises(ValueError):
+            allgather_sparse(cluster, [part] * 2)
+
 
 class TestAllgathervBytes:
     def test_block_count_must_match(self, cluster):
@@ -116,36 +89,3 @@ class TestAllgathervBytes:
     def test_unknown_algo_rejected(self, cluster):
         with pytest.raises(ValueError):
             allgatherv_bytes(cluster, [1, 1, 1], algo="hypercube")
-
-
-class TestAllgatherObjects:
-    def test_returns_all_parts(self, cluster):
-        out = allgather_objects(cluster, ["a", "b", "c"], [1, 2, 3])
-        assert out == ["a", "b", "c"]
-        assert cluster.stats.nbytes_total == 6
-
-
-class TestBroadcast:
-    def test_returns_root_value(self, cluster):
-        v = np.arange(4)
-        out = broadcast(cluster, v, root=1)
-        np.testing.assert_array_equal(out, v)
-
-    def test_invalid_root_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            broadcast(cluster, np.ones(2), root=3)
-
-
-class TestScalarAllreduce:
-    def test_sum(self, cluster):
-        assert allreduce_scalar(cluster, [1.0, 2.0, 3.0], op="sum") == 6.0
-
-    def test_max(self, cluster):
-        assert allreduce_scalar(cluster, [1.0, 5.0, 3.0], op="max") == 5.0
-
-    def test_min(self, cluster):
-        assert allreduce_scalar(cluster, [1.0, 5.0, 3.0], op="min") == 1.0
-
-    def test_unknown_op_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            allreduce_scalar(cluster, [1.0] * 3, op="prod")

@@ -14,15 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.comm.collectives import (
     allgather_sparse,
     allgatherv_bytes,
-    allreduce,
     allreduce_bytes,
-    allreduce_scalar,
-    broadcast,
 )
 from repro.comm.faults import FaultInjector, FaultPlan
 from repro.comm.network import NetworkModel
@@ -57,7 +53,6 @@ class TestZeroFaultByteIdentity:
             cluster.advance_compute(0, 1e-3)
             allreduce_bytes(cluster, nbytes)
             allgatherv_bytes(cluster, [nbytes] * p)
-            allreduce_scalar(cluster, [1.0] * p)
             cluster.advance_compute_all(1e-4)
             clocks.append(cluster.clocks.copy())
             stats.append((cluster.stats.calls, cluster.stats.nbytes_total,
@@ -71,14 +66,9 @@ class TestZeroFaultByteIdentity:
     @settings(max_examples=40, deadline=None)
     def test_data_movement_identical(self, p, n_rows, dim, seed):
         rng = np.random.default_rng(seed)
-        buffers = [rng.normal(size=(n_rows, dim)).astype(np.float32)
-                   for _ in range(p)]
         parts = _random_sparse_parts(rng, p, n_rows, dim)
         clean = Cluster(p, NET)
         nulled = Cluster(p, NET, faults=FaultPlan(seed=seed))
-        out_a = allreduce(clean, buffers)
-        out_b = allreduce(nulled, buffers)
-        np.testing.assert_array_equal(out_a, out_b)
         comb_a = allgather_sparse(clean, parts)
         comb_b = allgather_sparse(nulled, parts)
         np.testing.assert_array_equal(comb_a.to_dense(), comb_b.to_dense())
@@ -164,21 +154,14 @@ class TestFaultsNeverCorruptDeliveredData:
     @given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4),
            st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
-    def test_allreduce_data_unchanged_under_faults(self, p, n_rows, dim, seed):
-        rng = np.random.default_rng(seed)
-        buffers = [rng.normal(size=(n_rows, dim)).astype(np.float32)
-                   for _ in range(p)]
+    def test_sparse_data_unchanged(self, p, n_rows, dim, seed):
+        parts = _random_sparse_parts(np.random.default_rng(seed), p, n_rows,
+                                     dim)
         plan = FaultPlan(drop_prob=0.4, corruption_prob=0.2, seed=seed)
-        clean = allreduce(Cluster(p, NET), buffers)
-        faulty = allreduce(Cluster(p, NET, faults=plan), buffers)
-        np.testing.assert_array_equal(clean, faulty)
-
-    @given(st.integers(2, 5), st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_broadcast_data_unchanged_under_faults(self, p, seed):
-        rng = np.random.default_rng(seed)
-        value = rng.normal(size=16).astype(np.float32)
-        plan = FaultPlan(drop_prob=0.4, seed=seed)
-        clean = broadcast(Cluster(p, NET), value)
-        faulty = broadcast(Cluster(p, NET, faults=plan), value)
-        np.testing.assert_array_equal(clean, faulty)
+        clean, faulty = Cluster(p, NET), Cluster(p, NET, faults=plan)
+        out_clean = allgather_sparse(clean, parts)
+        out_faulty = allgather_sparse(faulty, parts)
+        np.testing.assert_array_equal(out_clean.indices, out_faulty.indices)
+        np.testing.assert_array_equal(out_clean.values, out_faulty.values)
+        if faulty.stats.retries > 0:
+            assert faulty.elapsed > clean.elapsed

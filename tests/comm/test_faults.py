@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.comm.collectives import allgatherv_bytes, allreduce, allreduce_bytes
+from repro.comm.collectives import (allgather_sparse, allgatherv_bytes,
+                                    allreduce_bytes)
 from repro.comm.faults import (
     FAULT_POLICIES,
     CollectiveFaultError,
@@ -13,6 +14,7 @@ from repro.comm.faults import (
 )
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster, CommRecord, CommStats
+from repro.comm.sparse import SparseRows
 from repro.comm.tracing import ClusterTracer
 
 NET = NetworkModel(alpha=1e-6, beta=1e-9)
@@ -202,12 +204,14 @@ class TestDropsAndRetries:
 class TestJitter:
     def test_jitter_perturbs_time_but_not_data(self):
         plan = FaultPlan(alpha_jitter=0.5, beta_jitter=0.5, seed=2)
-        payloads = [np.full((4, 4), float(i), np.float32) for i in range(3)]
+        payloads = [SparseRows(np.arange(4), np.full((4, 4), float(i),
+                                                     np.float32), 4)
+                    for i in range(3)]
         clean = Cluster(3, NET)
         noisy = Cluster(3, NET, faults=plan)
-        out_clean = allreduce(clean, payloads)
-        out_noisy = allreduce(noisy, payloads)
-        np.testing.assert_array_equal(out_clean, out_noisy)
+        out_clean = allgather_sparse(clean, payloads)
+        out_noisy = allgather_sparse(noisy, payloads)
+        np.testing.assert_array_equal(out_clean.values, out_noisy.values)
         assert noisy.elapsed != clean.elapsed
         assert noisy.stats.retries == 0
 
@@ -226,7 +230,7 @@ class TestTracingIntegration:
         plan = FaultPlan(drop_prob=0.5, seed=1)
         cluster = Cluster(4, NET, faults=plan)
         with ClusterTracer(cluster) as tracer:
-            allreduce(cluster, [np.ones(64, np.float32)] * 4)
+            allreduce_bytes(cluster, 256)
         event = tracer.comm_events()[0]
         assert event.args.get("retries", 0) == cluster.stats.retries
         assert event.args["retries"] > 0

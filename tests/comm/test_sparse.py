@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro._reference import scatter_add_rows
 from repro.comm.sparse import SparseRows, combine_sparse
-from repro.kg.spmat import build_fold_plan
 
 
 def make(indices, values, n_rows=10):
@@ -102,25 +101,6 @@ class TestFromRows:
         np.testing.assert_array_equal(ref_idx, got.indices)
         np.testing.assert_array_equal(ref_vals.view(np.uint32),
                                       got.values.view(np.uint32))
-
-    def test_prebuilt_plan_reused(self):
-        idx = np.array([4, 1, 4])
-        vals = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
-        plan = build_fold_plan(idx, 6)
-        s = SparseRows.from_rows(idx, vals, n_rows=6, plan=plan)
-        assert list(s.indices) == [1, 4]
-        np.testing.assert_allclose(s.values, [[2.0], [4.0]])
-
-    def test_mismatched_plan_rejected(self):
-        plan = build_fold_plan(np.array([0, 1]), 6)
-        with pytest.raises(ValueError):
-            SparseRows.from_rows(np.array([0, 1, 2]),
-                                 np.zeros((3, 1), dtype=np.float32),
-                                 n_rows=6, plan=plan)
-        with pytest.raises(ValueError):
-            SparseRows.from_rows(np.array([0, 1]),
-                                 np.zeros((2, 1), dtype=np.float32),
-                                 n_rows=9, plan=plan)
 
 
 class TestOperations:

@@ -1,6 +1,5 @@
 """Unit tests for the hierarchical network topology model."""
 
-import numpy as np
 import pytest
 
 from repro.comm.network import NetworkModel
@@ -165,7 +164,7 @@ class TestTrainerIntegration:
 
     def test_cluster_accepts_hierarchical_network(self, net):
         cluster = Cluster(8, net)
-        from repro.comm.collectives import allreduce
-        out = allreduce(cluster, [np.ones(4, dtype=np.float32)] * 8)
-        np.testing.assert_allclose(out, 8.0)
-        assert cluster.elapsed > 0
+        from repro.comm.collectives import allreduce_bytes
+        time = allreduce_bytes(cluster, 16)
+        assert time == net.allreduce_ring_time(16, 8)
+        assert cluster.elapsed == time > 0

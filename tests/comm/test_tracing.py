@@ -2,10 +2,9 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.comm.collectives import allreduce
+from repro.comm.collectives import allreduce_bytes
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.tracing import ClusterTracer
@@ -20,7 +19,7 @@ class TestLifecycle:
     def test_records_comm_and_compute(self, cluster):
         with ClusterTracer(cluster) as tracer:
             cluster.advance_compute(0, 0.5)
-            allreduce(cluster, [np.ones(8, np.float32)] * 3)
+            allreduce_bytes(cluster, 32)
         assert len(tracer.compute_events()) == 1
         assert len(tracer.comm_events()) == 1
         event = tracer.comm_events()[0]
@@ -42,7 +41,7 @@ class TestLifecycle:
     def test_events_timestamps_consistent(self, cluster):
         with ClusterTracer(cluster) as tracer:
             cluster.advance_compute(1, 2.0)
-            allreduce(cluster, [np.ones(4, np.float32)] * 3)
+            allreduce_bytes(cluster, 16)
         comm = tracer.comm_events()[0]
         # Collective starts at the straggler's clock (rank 1 at t=2).
         assert comm.start == pytest.approx(2.0)
@@ -119,7 +118,7 @@ class TestExport:
     def test_chrome_trace_schema(self, cluster):
         with ClusterTracer(cluster) as tracer:
             cluster.advance_compute(0, 0.25)
-            allreduce(cluster, [np.ones(4, np.float32)] * 3)
+            allreduce_bytes(cluster, 16)
         trace = tracer.to_chrome_trace()
         assert all(ev["ph"] == "X" for ev in trace)
         assert all("ts" in ev and "dur" in ev for ev in trace)
@@ -129,7 +128,7 @@ class TestExport:
 
     def test_save_is_valid_json(self, cluster, tmp_path):
         with ClusterTracer(cluster) as tracer:
-            allreduce(cluster, [np.ones(4, np.float32)] * 3)
+            allreduce_bytes(cluster, 16)
         path = tmp_path / "trace.json"
         tracer.save(str(path))
         loaded = json.loads(path.read_text())

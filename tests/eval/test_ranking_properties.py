@@ -1,5 +1,7 @@
 """Property-based tests for the ranking metrics."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro._reference import filtered_naive, rank_triples_reference
 from repro.eval.ranking import (evaluate_ranking, rank_triples,
                                 scatter_known_nan)
 from repro.kg.datasets import generate_latent_kg
+from repro.kg.triples import TripleSet, TripleStore
 from repro.models import ComplEx, DistMult, RotatE, TransE
 
 
@@ -134,3 +137,41 @@ class TestFilterMatchesReference:
                                        chunk_entities=chunk)
                 for a, b in zip(full, chunked):
                     np.testing.assert_array_equal(a, b)
+
+    def test_at_least_5x_faster_than_the_reference_at_fb15k_width(self):
+        """In-process ratio, not a wall-clock floor: both sides rank the
+        same 128 triples of a random 14,951-entity store here, best of 3
+        rounds.  Measured ~9x; the gate is 5x.  The filter's working set
+        tracks the known facts per query, not ``batch * n_entities``."""
+        n_entities, n_relations, n_queries = 14_951, 200, 128
+        rng = np.random.default_rng(0)
+
+        def split(n):
+            return TripleSet(heads=rng.integers(0, n_entities, n),
+                             relations=rng.integers(0, n_relations, n),
+                             tails=rng.integers(0, n_entities, n))
+
+        store = TripleStore(n_entities=n_entities, n_relations=n_relations,
+                            train=split(45_000), valid=split(2_000),
+                            test=split(n_queries))
+        model = ComplEx(n_entities, n_relations, 16, seed=1)
+        test = store.test
+        rows, cols, _ = store.filter_index.known_tails(test.heads,
+                                                       test.relations)
+        # naive: three int64 columns and a bool per (query, candidate).
+        assert rows.nbytes + cols.nbytes < \
+            n_queries * n_entities * (3 * 8 + 1) / 100
+
+        # One untimed pass each (the first pays allocator page faults),
+        # then alternate.  Noise can only fail the gate through the fast
+        # side, so it gets five samples per reference pass.
+        rankers = (rank_triples, rank_triples_reference)
+        ranks = [ranker(model, test, store) for ranker in rankers]
+        for a, b in zip(*ranks):
+            np.testing.assert_array_equal(a, b)
+        best = dict.fromkeys(rankers, float("inf"))
+        for ranker in ([rank_triples] * 5 + [rank_triples_reference]) * 3:
+            start = time.perf_counter()
+            ranker(model, test, store)
+            best[ranker] = min(best[ranker], time.perf_counter() - start)
+        assert best[rank_triples_reference] >= 5.0 * best[rank_triples], best

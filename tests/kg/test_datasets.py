@@ -151,23 +151,3 @@ class TestPersistence:
         back = load_store(path)
         assert back.is_known(kg.train.heads[:5], kg.train.relations[:5],
                              kg.train.tails[:5]).all()
-
-
-class TestWn18Like:
-    def test_relation_regime(self):
-        from repro.kg.datasets import make_wn18_like
-        kg = make_wn18_like(scale=0.01)
-        # WordNet regime: very few relations, low triples-per-entity.
-        assert kg.n_relations == 18
-        n = len(kg.train) + len(kg.valid) + len(kg.test)
-        assert n / kg.n_entities < 10
-
-    def test_relation_partition_feasible_up_to_18_workers(self):
-        from repro.kg.datasets import make_wn18_like
-        from repro.kg.partition import relation_partition
-        kg = make_wn18_like(scale=0.01)
-        part = relation_partition(kg.train, 16)
-        assert part.relations_disjoint()
-        import pytest
-        with pytest.raises(ValueError):
-            relation_partition(kg.train, 19)

@@ -97,7 +97,8 @@ class TestRoundTrip:
 
     def test_memory_reduction_is_structural(self):
         """bytes(dense) / bytes(store) = 4w / (w/8 + 4) — the >= 20x the
-        bench gates on needs w >= 64, and holds for every such width."""
+        memory tier promises needs w >= 64, and holds for every such
+        width."""
         for width in (64, 128, 256):
             matrix = np.ones((10, width), dtype=np.float32)
             store = binarize_model(_Model(matrix))

@@ -110,10 +110,14 @@ class TestLadder:
         assert set(res["by_state"]) == {"dense"}
         assert snap["errors"] == 0
         assert engine.resilience.state == "dense"
+        assert res["virtual_p99_ms"] <= engine.slo.deadline_ms
 
     def test_burst_walks_the_ladder_and_recovers(self, store):
         plan = ServeFaultPlan.parse("burst=200:600:8")
-        engine, snap = run_plan(store, plan, n_queries=2000)
+        # stats_window=512 of 2000 queries: the percentile surface covers
+        # only post-burst, post-recovery traffic.
+        engine, snap = run_plan(store, plan, n_queries=2000,
+                                stats_window=512)
         res = snap["resilience"]
         visited = {t["to"] for t in res["transitions"]}
         assert "binary" in visited and "cache_only" in visited
@@ -121,6 +125,10 @@ class TestLadder:
         # After the burst drains, the ladder must walk back to dense.
         assert engine.resilience.state == "dense"
         assert res["transitions"][-1]["to"] == "dense"
+        # ... within 400 arrivals of the burst's end (200 + 600), with the
+        # windowed virtual p99 back under the SLO deadline.
+        assert res["transitions"][-1]["index"] <= 800 + 400
+        assert res["virtual_p99_ms"] <= engine.slo.deadline_ms
         # Transition indices are arrival-ordered; reasons legal; states
         # move one announced rung at a time on recovery.
         indices = [t["index"] for t in res["transitions"]]

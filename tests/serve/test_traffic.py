@@ -192,7 +192,9 @@ class TestReplay:
         snap = replay(engine, traffic, 600, batch_size=50, topk=5)
         assert snap["n_queries"] == 600
         assert sum(snap["by_kind"].values()) == 600
+        assert all(count > 0 for count in snap["by_kind"].values())
         assert snap["cache_hit_rate"] > 0   # tiny vocabulary: many repeats
+        assert 0 < snap["p50_ms"] <= snap["p99_ms"]
         assert snap["wall_seconds"] > 0
         assert snap["wall_queries_per_sec"] > 0
         assert snap["batch_size"] == 50 and snap["topk"] == 5

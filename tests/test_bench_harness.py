@@ -14,7 +14,6 @@ from repro.bench.calibration import (
 )
 from repro.bench.harness import (
     bench_store,
-    monotonically_decreasing,
     reduction,
     run_once,
     trend_slope,
@@ -62,11 +61,6 @@ class TestCalibration:
 
 
 class TestHarnessHelpers:
-    def test_monotonically_decreasing(self):
-        assert monotonically_decreasing([5, 4, 3])
-        assert not monotonically_decreasing([3, 4])
-        assert monotonically_decreasing([5, 5.05, 4], tolerance=0.1)
-
     def test_trend_slope(self):
         assert trend_slope([1, 2, 3, 4]) == pytest.approx(1.0)
         assert trend_slope([4, 3, 2, 1]) == pytest.approx(-1.0)
@@ -139,27 +133,6 @@ class TestPaperConstants:
 
 
 class TestEvalTable:
-    def test_eval_summary_row_columns(self):
-        from repro.bench.harness import eval_summary_row
-        from repro.training.metrics import TrainResult
-        r = TrainResult("DRS+1-bit", 4, 10, 100.0, 0.4,
-                        eval_seconds=2.0, eval_queries=500)
-        row = eval_summary_row(r)
-        assert row == {"method": "DRS+1-bit", "nodes": 4,
-                       "eval_seconds": 2.0, "eval_queries": 500,
-                       "queries_per_sec": 250.0}
-
-    def test_print_eval_table_output(self, capsys):
-        from repro.bench.harness import print_eval_table
-        from repro.training.metrics import TrainResult
-        results = [TrainResult("allreduce", 2, 10, 100.0, 0.4,
-                               eval_seconds=1.0, eval_queries=200)]
-        print_eval_table("eval throughput", results)
-        out = capsys.readouterr().out
-        assert "eval throughput" in out
-        assert "q/s" in out
-        assert "200.0" in out
-
     def test_trainer_populates_eval_fields(self):
         from repro.kg.datasets import make_tiny_kg
         from repro.training.trainer import DistributedTrainer
