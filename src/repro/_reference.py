@@ -12,8 +12,9 @@ compare the production kernels against these:
 * :func:`unpack_signs` / :func:`unpack_ternary` — the ``unpackbits`` and
   shift formulas the lookup tables in :mod:`repro.compress.packing` decode
   bit for bit;
-* :func:`best_first` — the full stable argsort the serve path's O(n)
-  selection (:func:`repro.serve.select.best_first`) equals on every row.
+* :func:`best_first` — the full stable argsort the O(n) top-k rule that
+  serves answers and mines facts (:func:`repro.select.best_first`) equals
+  on every row.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def rank_triples_reference(model, triples, store
 
 def best_first(row: np.ndarray, take: int) -> np.ndarray:
     """The full stable argsort that defines
-    :func:`repro.serve.select.best_first`: descending value, ties toward
+    :func:`repro.select.best_first`: descending value, ties toward
     the smaller id, NaN never returned."""
     row = np.asarray(row)
     n_valid = int((~np.isnan(row)).sum())

@@ -30,7 +30,12 @@ generator falls back to sampled candidate mining (``oversample`` random
 pairs per kept fact) — only relevant near ``scale=1``.
 
 Determinism: every generator is a pure function of its arguments including
-``seed``.
+``seed``, on every host.  Each relation's facts are its top pairs in
+descending score, ties toward the smaller pair id (exhaustive:
+``h * n_entities + t``; sampled: candidate draw order), chosen by
+:func:`repro.select.best_first` — never by a partition whose output order
+depends on the SIMD kernel NumPy dispatches to, which the noise step,
+overwriting facts by position, would turn into a different graph.
 """
 
 from __future__ import annotations
@@ -38,10 +43,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DEFAULT_SEED, FB15K_SPEC, FB250K_SPEC
+from ..select import best_first
 from .triples import TripleSet, TripleStore, encode_triples
 
-#: Above this many entities the exhaustive E x E mining would exceed ~200MB
-#: per relation; the generator switches to sampled candidate mining.
+#: Above this many entities exhaustive mining, which peaks at two E x E
+#: float32 matrices per relation (~390MB at the limit), switches to sampled
+#: candidate mining.
 EXHAUSTIVE_ENTITY_LIMIT = 7000
 
 
@@ -77,33 +84,40 @@ def _allocate_counts(total: int, weights: np.ndarray, minimum: int = 1) -> np.nd
 
 
 def _mine_exhaustive(e_re, e_im, r_re, r_im, rel: int, count: int) -> np.ndarray:
-    """Exactly the top-``count`` (h, t) pairs for one relation."""
+    """Exactly the top-``count`` (h, t) pairs for one relation, best first
+    (ties toward the smaller ``h * n_entities + t``)."""
     hr_re = e_re * r_re[rel] - e_im * r_im[rel]
     hr_im = e_re * r_im[rel] + e_im * r_re[rel]
-    scores = hr_re @ e_re.T + hr_im @ e_im.T
+    scores = hr_re @ e_re.T
+    scores += hr_im @ e_im.T
     np.fill_diagonal(scores, -np.inf)  # forbid self-loops
     count = min(count, scores.size - scores.shape[0])
-    flat = np.argpartition(-scores.ravel(), count - 1)[:count]
-    h, t = np.unravel_index(flat, scores.shape)
+    h, t = np.divmod(best_first(scores.ravel(), count), scores.shape[1])
     rel_col = np.full(count, rel, dtype=np.int64)
-    return np.stack([h.astype(np.int64), rel_col, t.astype(np.int64)], axis=1)
+    return np.stack([h, rel_col, t], axis=1)
 
 
 def _mine_sampled(e_re, e_im, r_re, r_im, rel: int, count: int,
                   oversample: int, rng: np.random.Generator) -> np.ndarray:
-    """Top-``count`` pairs among ``count * oversample`` random candidates."""
+    """Top-``count`` pairs among ``count * oversample`` random candidates,
+    best first (ties toward the earlier candidate)."""
     n_entities = e_re.shape[0]
     m = max(count * oversample, 64)
     h = rng.integers(0, n_entities, size=m)
     t = rng.integers(0, n_entities, size=m)
     ok = h != t
     h, t = h[ok], t[ok]
-    hr_re = e_re[h] * r_re[rel] - e_im[h] * r_im[rel]
-    hr_im = e_re[h] * r_im[rel] + e_im[h] * r_re[rel]
-    scores = np.sum(hr_re * e_re[t] + hr_im * e_im[t], axis=1)
-    take = min(count, len(scores))
-    top = np.argpartition(-scores, take - 1)[:take]
-    rel_col = np.full(take, rel, dtype=np.int64)
+    x_re, x_im = e_re[h], e_im[h]
+    hr_re = x_re * r_re[rel]
+    hr_re -= x_im * r_im[rel]
+    x_re *= r_im[rel]
+    x_im *= r_re[rel]
+    x_re += x_im  # hr_im, in the gathered buffer
+    hr_re *= e_re[t]
+    x_re *= e_im[t]
+    hr_re += x_re
+    top = best_first(hr_re.sum(axis=1), count)
+    rel_col = np.full(len(top), rel, dtype=np.int64)
     return np.stack([h[top], rel_col, t[top]], axis=1)
 
 

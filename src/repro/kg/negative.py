@@ -108,9 +108,9 @@ def mask_known_candidates(scores: np.ndarray,
 
     Degenerate rows where *every* candidate is a known fact (possible on
     dense graphs or tiny entity vocabularies) fall back to the raw,
-    unmasked scores: an all ``-inf`` row would make ``argmax``/
-    ``argpartition`` pick an arbitrary true fact anyway, and with the raw
-    scores restored the selection at least stays deterministic in the
+    unmasked scores: an all ``-inf`` row would make :func:`select_hardest`
+    pick true facts anyway — by position, the first columns of the tie —
+    and with the raw scores restored the selection at least follows the
     model's ordering instead of degenerating on index 0 ties.
     """
     if scores.shape != known.shape:
@@ -142,8 +142,10 @@ def select_hardest(batch: NegativeBatch, scores: np.ndarray,
     if m == 1:
         cols = np.argmax(scores, axis=1)
         return batch.take(cols)
-    # Top-m per row, flattened in row-major order.
-    cols = np.argpartition(-scores, m - 1, axis=1)[:, :m]
+    # Top-m per row, best first with ties toward the smaller column (the
+    # repro.select.best_first rule; a stable sort beats a per-row loop at
+    # these widths), flattened in row-major order.
+    cols = np.argsort(-scores, axis=1, kind="stable")[:, :m]
     rows = np.repeat(np.arange(batch.n_positives), m)
     cols = cols.ravel()
     return (batch.heads[rows, cols], batch.relations[rows, cols],

@@ -29,7 +29,7 @@ module is the serving half of that result:
   :meth:`BinaryStore.approx_scores` folds in the per-row scale according
   to the model's score geometry.  The top ``rerank_k`` become the
   candidate pool the full-precision scorers re-rank.  Selection is the
-  serve path's one rule, :func:`~repro.serve.select.best_first` —
+  serve path's one rule, :func:`~repro.select.best_first` —
   descending approximate score, exact ties toward the smaller entity id
   — so ``rerank_k >= n_entities`` always yields the complete, id-ordered
   entity set and the tiered path collapses onto the dense engine bitwise.
@@ -44,8 +44,8 @@ import numpy as np
 from ..compress.packing import hamming_distances, pack_signs, unpack_signs
 from ..compress.quantization import binarize_matrix
 from ..models.base import KGEModel
+from ..select import best_first
 from ..training import checkpoint as ckpt
-from .select import best_first
 
 #: Sidecar file stem: ``binary.npz`` + ``binary.json`` in a checkpoint dir.
 SIDECAR_STEM = "binary"
@@ -218,7 +218,7 @@ class BinaryStore:
         layout the re-rank stage's tie-breaks need); ``order`` is the same
         candidates best-first — the candidate stage's own ranking, kept
         for recall telemetry.  Each row is selected by
-        :func:`~repro.serve.select.best_first`, so ``rerank_k >=
+        :func:`~repro.select.best_first`, so ``rerank_k >=
         n_entities`` always yields the complete entity set.  ``masked``
         — ``(rows, cols)`` index arrays of known facts from the CSR
         filter — sinks known candidates to ``-inf`` so a partial pool

@@ -66,7 +66,7 @@ engine behaves exactly as before):
   which never stopped serving.
 
 Determinism contract: every ranking is
-:func:`~repro.serve.select.best_first` (*descending score, ascending
+:func:`~repro.select.best_first` (*descending score, ascending
 entity id*), the scores returned are the bytes the scoring blocks
 produced, and a cache hit returns the identical immutable result object
 a cold miss computed.
@@ -80,12 +80,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eval.ranking import scatter_known_nan
+from ..select import best_first
 from ..training import checkpoint as ckpt
 from .binary import check_geometry
 from .cache import LRUCache
 from .resilience import (ResilienceController, ServeFaultPlan, ShedResponse,
                          SidecarCorruptionError, SLOConfig)
-from .select import best_first
 from .stats import ServeStats
 from .store import EmbeddingStore
 

@@ -1,10 +1,20 @@
 """Unit tests for the synthetic dataset generators."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.kg.datasets import (
+    EXHAUSTIVE_ENTITY_LIMIT,
     _allocate_counts,
+    _mine_exhaustive,
     _zipf_weights,
     generate_latent_kg,
     load_store,
@@ -13,6 +23,13 @@ from repro.kg.datasets import (
     make_tiny_kg,
     save_store,
 )
+from repro.kg.negative import NegativeBatch, select_hardest
+from repro.training.checkpoint import store_fingerprint
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__
 
 
 class TestZipfAllocation:
@@ -129,6 +146,72 @@ class TestScaledMakers:
         kg = make_tiny_kg()
         assert kg.n_entities <= 100
         assert len(kg.train) < 1000
+
+
+def host_digests() -> list[str]:
+    """sha256 of two noisy scaled graphs and one seeded m-of-n hardest
+    selection — the outputs a host-dependent top-k order would change."""
+    rng = np.random.default_rng(3)
+    batch = NegativeBatch(*rng.integers(0, 1000, size=(3, 64, 20)))
+    scores = np.round(rng.normal(size=(64, 20)) * 4) / 4  # many ties
+    picked = np.concatenate(select_hardest(batch, scores, m=10))
+    return [store_fingerprint(make_fb15k_like(scale=0.02)),
+            store_fingerprint(make_fb250k_like(scale=0.002)),
+            hashlib.sha256(picked.tobytes()).hexdigest()]
+
+
+class TestHostIndependence:
+    @pytest.mark.skipif(not __cpu_dispatch__,
+                        reason="this NumPy build dispatches no SIMD kernels")
+    def test_same_bytes_with_every_simd_kernel_disabled(self):
+        """Each relation's facts and each row's hardest negatives come out
+        in one order whichever partition kernel NumPy dispatches to."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ,
+                   NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(repro.__file__).parents[1]), str(root),
+                        os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.kg.test_datasets import host_digests; "
+             "print(*host_digests())"],
+            cwd=root, env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == host_digests()
+
+
+class TestPinnedBytes:
+    """Noise-free graphs depend only on each relation's fact *set*, so the
+    top-k rule's order must not move them (digests recorded before it
+    changed)."""
+
+    def test_exhaustive_path(self):
+        kg = generate_latent_kg(300, 24, 2400, seed=20220829)
+        assert store_fingerprint(kg) == (
+            "cbe021a62d7225219e5cc49bc531c0a552c91654b158c85fdefed3afedfa2d0f")
+
+    def test_sampled_path(self):
+        kg = generate_latent_kg(EXHAUSTIVE_ENTITY_LIMIT + 200, 12, 2400,
+                                seed=20220829)
+        assert store_fingerprint(kg) == (
+            "47a49929023308256156dbf9e963d4a2b5c4f162d938b62c2ffe2fe5432969dd")
+
+    def test_exhaustive_mining_peaks_at_two_score_matrices(self):
+        """Deterministic allocation count, not RSS: the score matrix plus
+        the second product's temporary, never a negated copy or an index
+        array as long as the matrix."""
+        rng = np.random.default_rng(0)
+        n = 1495
+        e_re, e_im = rng.normal(size=(2, n, 4)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            facts = _mine_exhaustive(e_re, e_im, r_re, r_im, 1, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert facts.shape == (2000, 3)
+        assert peak <= 2.1 * n * n * np.dtype(np.float32).itemsize
 
 
 class TestPersistence:

@@ -31,7 +31,7 @@ from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import EmbeddingStore, QueryEngine
 from repro.serve.binary import _BYTE_SIGNS, BinaryStore, binarize_model
-from repro.serve.select import best_first
+from repro.select import best_first
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 

@@ -1,11 +1,14 @@
-"""The serve path's one selection kernel, and its call sites, bitwise.
+"""The one selection kernel, and the serve path's call sites, bitwise.
 
-``repro.serve.select.best_first`` is *defined* as the full stable argsort
+``repro.select.best_first`` is *defined* as the full stable argsort
 kept in ``repro._reference``; these tests pin that definition on hostile
 rows (signed zeros, infinities, NaN, heavy duplication, ties straddling
-the cut), then pin every place the serve path ranks — dense top-k, the
-binary tier's pools and re-rank, embedding-space neighbors — against an
-engine whose selection *is* the oracle, entities and score bytes.
+the cut — short rows and rows long enough for the strided pre-threshold,
+with its NaN fallback), then pin every place the serve path ranks — dense
+top-k, the binary tier's pools and re-rank, embedding-space neighbors —
+against an engine whose selection *is* the oracle, entities and score
+bytes.  Fact mining and m-of-n hardest negatives are pinned by digest in
+``tests/kg``.
 """
 
 import time
@@ -16,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _reference
+from repro import select as select_module
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import EmbeddingStore, QueryEngine
 from repro.serve import binary as binary_module
 from repro.serve import engine as engine_module
-from repro.serve.select import best_first
+from repro.select import _LONG, _STRIDE, best_first
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -41,6 +45,39 @@ def hostile_row(draw):
     return np.array(cells, dtype=np.float32)
 
 
+@st.composite
+def long_row(draw):
+    """``(row, take)`` with the row at least ``_LONG * take`` long, so the
+    strided pre-threshold runs; a small alphabet ties the guessed value
+    with unsampled entries, and a NaN sample defeats the guess."""
+    take = draw(st.integers(1, 6))
+    alphabet = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL),
+                  st.floats(-1e6, 1e6, allow_nan=False, width=32)),
+        min_size=1, max_size=6))
+    n = draw(st.integers(_LONG * take, _LONG * take + 3 * _STRIDE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = np.array(alphabet, dtype=np.float32)[
+        rng.integers(0, len(alphabet), n)]
+    if draw(st.booleans()):
+        row[::_STRIDE] = np.nan
+    return row, take
+
+
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """Lengths of the rows the exact pass saw, in call order."""
+    seen = []
+    exact = select_module._best_first
+
+    def spy(row, take):
+        seen.append(row.size)
+        return exact(row, take)
+
+    monkeypatch.setattr(select_module, "_best_first", spy)
+    return seen
+
+
 class TestKernel:
     @given(hostile_row(), st.data())
     @settings(max_examples=400, deadline=None)
@@ -53,6 +90,40 @@ class TestKernel:
         assert got.dtype == np.int64
         assert np.array_equal(got, expect)
         assert not np.isnan(row[got]).any()
+
+    @given(long_row(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_long_rows_equal_the_oracle(self, row_take, data):
+        row, take = row_take
+        take = data.draw(st.sampled_from([take, 1]))
+        assert np.array_equal(best_first(row, take),
+                              _reference.best_first(row, take))
+
+    def test_ties_signed_zeros_infinities_and_nan_around_the_guess(
+            self, exact_passes):
+        """The sample's ``take``-th best is ``-0.0``; unsampled neighbours
+        hold ``+0.0``, ``-0.0``, ``±inf``, NaN and values just either side,
+        so the cut runs through the guess's own tie class."""
+        take = 6
+        rng = np.random.default_rng(1)
+        row = rng.choice(np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-40,
+                                   -1e-40, np.inf], dtype=np.float32),
+                         size=_LONG * take * 3, p=[.1, .1, .3, .2, .2, .03,
+                                                   .04, .03])
+        row[::_STRIDE] = -0.0
+        row[:_STRIDE * (take - 1):_STRIDE] = np.inf
+        assert np.array_equal(best_first(row, take),
+                              _reference.best_first(row, take))
+        assert exact_passes == [int((row >= 0.0).sum())]
+        assert exact_passes[0] < row.size
+
+    def test_nan_sample_falls_back_to_the_whole_row(self, exact_passes):
+        rng = np.random.default_rng(2)
+        row = rng.normal(size=_LONG * 4).astype(np.float32)
+        row[::_STRIDE] = np.nan  # the guess is NaN: nothing survives it
+        assert np.array_equal(best_first(row, 4),
+                              _reference.best_first(row, 4))
+        assert exact_passes == [row.size]
 
     def test_all_tied_all_nan_and_empty(self):
         tied = np.full(9, -0.0, dtype=np.float32)
