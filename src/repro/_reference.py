@@ -6,9 +6,13 @@ compare the production kernels against these:
 
 * :func:`scatter_add_rows` — the ``np.unique`` + ``np.add.at`` gradient
   accumulation that :func:`repro.kg.spmat.fold_rows` replays bitwise;
-* :func:`filtered_naive` — the hash-every-candidate known-fact filter that
-  :func:`repro.eval.ranking.scatter_known_nan` matches rank for rank
-  (:func:`rank_triples_reference` is ``rank_triples`` built on it);
+* :func:`score_grad` — per-example gradients with no loss and no L2, for
+  the gradient checks and the fused-step oracle;
+* :func:`filtered_naive` — the hash-every-candidate known-fact mask that
+  :func:`rank_triples_reference` ranks on; ``rank_triples`` subtracts
+  known competitors' counts instead and matches it rank for rank, and the
+  serving mask (:func:`repro.eval.ranking.scatter_known_nan`) equals it
+  with gold masked too;
 * :func:`unpack_signs` / :func:`unpack_ternary` — the ``unpackbits`` and
   shift formulas the lookup tables in :mod:`repro.compress.packing` decode
   bit for bit;
@@ -21,7 +25,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eval.ranking import _ranks_from_scores
+from .eval.ranking import _realistic_ranks
+
+
+def score_grad(model, h: np.ndarray, r: np.ndarray, t: np.ndarray,
+               upstream: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-example gradients of ``sum(upstream * score)``: ``(g_h, g_r,
+    g_t)`` of shape ``(batch, width)`` each, sharing no memory."""
+    _, g_entity, g_relation = model._slot_gradients(
+        h, r, t, lambda scores: (0.0, upstream), 0.0)
+    batch = len(g_relation)
+    return g_entity[:batch], g_relation, g_entity[batch:]
 
 
 def scatter_add_rows(indices: np.ndarray, values: np.ndarray
@@ -80,14 +95,21 @@ def rank_triples_reference(model, triples, store
                            ) -> tuple[np.ndarray, np.ndarray,
                                       np.ndarray, np.ndarray]:
     """:func:`repro.eval.ranking.rank_triples` over one batch holding every
-    triple, with :func:`filtered_naive` as the known-fact filter."""
+    triple, counting better and tied candidates on :func:`filtered_naive`'s
+    NaN-masked copy."""
     h, r, t = triples.heads, triples.relations, triples.tails
+
+    def ranks(scores, true_scores, n_cand):
+        return _realistic_ranks((scores > true_scores[:, None]).sum(axis=1),
+                                (scores == true_scores[:, None]).sum(axis=1),
+                                true_scores, n_cand)
 
     def raw_and_filtered(scores, gold, tail_side):
         true_scores = scores[np.arange(len(gold)), gold]
         masked, n_cand = filtered_naive(scores, store, h, r, t, tail_side)
-        return (_ranks_from_scores(scores, true_scores),
-                _ranks_from_scores(masked, true_scores, n_cand))
+        everyone = np.full(len(gold), scores.shape[1])
+        return (ranks(scores, true_scores, everyone),
+                ranks(masked, true_scores, n_cand))
 
     return (raw_and_filtered(model.score_all_heads(r, t), h, False)
             + raw_and_filtered(model.score_all_tails(h, r), t, True))

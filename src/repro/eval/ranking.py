@@ -10,16 +10,15 @@ Ranks use the conservative convention ``rank = 1 + #{strictly better} +
 #{ties} / 2`` truncated — we use mean-rank-of-ties ("realistic" ranking) to
 avoid rewarding degenerate constant scores.
 
-The filter consults the precomputed
-:class:`~repro.kg.triples.FilterIndex` and scatters each query's short
-known-fact list into the score matrix (:func:`scatter_known_nan`), so
-memory and time per batch scale with the number of known facts, not with
-``batch * n_entities``.  The property tests pin its ranks bitwise against
-``repro._reference.filtered_naive``, which hashes every candidate triple.
+The filter never masks the score block: better/tie counts are taken once
+on the raw block, and each query's known competitors (its
+:class:`~repro.kg.triples.FilterIndex` list, gold excluded) that beat or
+tie the true score are subtracted.  Filter cost scales with the known
+facts, not ``batch * n_entities``, and the integer counts pin ranks bitwise
+to ``repro._reference.filtered_naive``, which hashes every candidate.
 
-Filtered candidates are masked with ``NaN`` (not ``-inf``): NaN compares
-unequal to everything, so a filtered candidate can never re-enter the tie
-count even when a degenerate model scores the true triple ``-inf``.
+A true score of ``-inf`` or NaN (which beats and ties nothing) clamps to
+the worst defined rank, the number of surviving candidates.
 """
 
 from __future__ import annotations
@@ -44,60 +43,69 @@ class RankingResult:
     n_queries: int
 
 
-def _ranks_from_scores(all_scores: np.ndarray, true_scores: np.ndarray,
-                       n_candidates: np.ndarray | None = None) -> np.ndarray:
-    """Realistic rank of the true entity per query row.
-
-    ``all_scores`` must already have filtered candidates masked to NaN and
-    hold the true triple's score at its own column.  ``n_candidates`` is
-    the per-row count of surviving candidates (true triple included); it
-    defines the worst possible rank, to which a row is clamped when the
-    model scores its true triple ``-inf`` — "impossible" must not be
-    rewarded with a mean-of-ties mid rank.
-    """
-    better = (all_scores > true_scores[:, None]).sum(axis=1)
-    ties = (all_scores == true_scores[:, None]).sum(axis=1)
+def _realistic_ranks(better: np.ndarray, ties: np.ndarray,
+                     true_scores: np.ndarray,
+                     n_candidates: np.ndarray) -> np.ndarray:
+    """The rank rule.  ``better`` / ``ties`` count a row's surviving
+    candidates scoring above / equal to ``true_scores`` (the true entity
+    ties itself); ``n_candidates`` counts the survivors.  That is the worst
+    rank, to which a ``-inf`` or NaN true score clamps instead of earning a
+    mean-of-ties mid rank, or rank 1."""
     # The true entity itself always ties with itself; average remaining ties.
-    ties = np.maximum(ties - 1, 0)
-    ranks = 1.0 + better + ties / 2.0
-    degenerate = np.isneginf(true_scores)
-    if degenerate.any():
-        if n_candidates is None:
-            n_candidates = np.full(len(true_scores), all_scores.shape[1])
-        ranks = np.where(degenerate, n_candidates.astype(np.float64), ranks)
-    return ranks
+    ranks = 1.0 + better + np.maximum(ties - 1, 0) / 2.0
+    degenerate = np.isneginf(true_scores) | np.isnan(true_scores)
+    return np.where(degenerate, n_candidates.astype(np.float64), ranks)
+
+
+def _raw_and_filtered_ranks(scores: np.ndarray, gold: np.ndarray,
+                            known: tuple[np.ndarray, np.ndarray, np.ndarray]
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of each row's ``gold`` column.
+
+    ``known`` is the rows' known candidates in the COO form of
+    :meth:`~repro.kg.triples.FilterIndex.known_tails`.  The query triple
+    itself is never filtered, so gold is dropped from it; the rest are
+    gathered out of ``scores`` and their better/tie counts subtracted from
+    the raw ones.
+    """
+    b, n_entities = scores.shape
+    true_scores = scores[np.arange(b), gold]
+    better = (scores > true_scores[:, None]).sum(axis=1)
+    ties = (scores == true_scores[:, None]).sum(axis=1)
+    rows, cols, _ = known
+    competitor = cols != gold[rows]
+    rows, cols = rows[competitor], cols[competitor]
+    known_scores = scores[rows, cols]
+    known_true = true_scores[rows]
+    known_better = np.bincount(rows[known_scores > known_true], minlength=b)
+    known_ties = np.bincount(rows[known_scores == known_true], minlength=b)
+    raw = _realistic_ranks(better, ties, true_scores, np.full(b, n_entities))
+    filtered = _realistic_ranks(better - known_better, ties - known_ties,
+                                true_scores,
+                                n_entities - np.bincount(rows, minlength=b))
+    return raw, filtered
 
 
 def scatter_known_nan(scores: np.ndarray, index,
                       anchor: np.ndarray, r: np.ndarray,
-                      tail_side: bool = True,
-                      keep: np.ndarray | None = None
+                      tail_side: bool = True
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Mask each query's known candidates to NaN via a CSR filter index.
+    """Mask every known candidate of each query to NaN via a CSR filter
+    index — the serving layer's known-fact exclusion.
 
-    The shared filter primitive behind both filtered evaluation and the
-    serving layer's known-fact exclusion.  ``anchor`` is the fixed entity of
-    each query — the head for tail replacement (``tail_side=True``), the
-    tail otherwise.  ``keep``, when given, names one candidate column per
-    query whose score is restored after the scatter: the evaluation
-    protocol never filters the query triple itself.  ``keep=None`` masks
-    *every* known fact — serving has no gold entity to exempt.
+    ``anchor`` is the fixed entity of each query — the head for tail
+    replacement (``tail_side=True``), the tail otherwise.  Serving has no
+    gold entity to exempt, so every known fact is masked.
 
     Returns ``(masked copy, per-query surviving candidate count)``.
     """
-    b, n_entities = scores.shape
     if tail_side:
         rows, cols, counts = index.known_tails(anchor, r)
     else:
         rows, cols, counts = index.known_heads(r, anchor)
     masked = scores.copy()
     masked[rows, cols] = np.nan
-    if keep is None:
-        return masked, n_entities - counts
-    query_rows = np.arange(b)
-    kept_was_masked = np.isnan(masked[query_rows, keep])
-    masked[query_rows, keep] = scores[query_rows, keep]
-    return masked, n_entities - (counts - kept_was_masked)
+    return masked, scores.shape[1] - counts
 
 
 def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
@@ -121,30 +129,19 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
         h = triples.heads[sl]
         r = triples.relations[sl]
         t = triples.tails[sl]
-        b = len(h)
 
         # Tail replacement: (h, r, *).  The true triple's score is read out
         # of the same candidate matrix so float rounding is identical for
         # the query and its competitors (a separate score() call can differ
-        # in the last bits and flip ties).
-        tail_scores = model.score_all_tails(h, r,
-                                            chunk_entities=chunk_entities)
-        true_scores = tail_scores[np.arange(b), t]
-        # The query triple is itself a known fact; keep= restores its
-        # column to the exact pre-scatter score.
-        masked, n_cand = scatter_known_nan(tail_scores, index, h, r,
-                                           tail_side=True, keep=t)
-        tail_raw[sl] = _ranks_from_scores(tail_scores, true_scores)
-        tail_filt[sl] = _ranks_from_scores(masked, true_scores, n_cand)
-
+        # in the last bits and flip ties).  Each block is dropped before
+        # the next is scored.
+        tail_raw[sl], tail_filt[sl] = _raw_and_filtered_ranks(
+            model.score_all_tails(h, r, chunk_entities=chunk_entities), t,
+            index.known_tails(h, r))
         # Head replacement: (*, r, t)
-        head_scores = model.score_all_heads(r, t,
-                                            chunk_entities=chunk_entities)
-        true_scores = head_scores[np.arange(b), h]
-        masked, n_cand = scatter_known_nan(head_scores, index, t, r,
-                                           tail_side=False, keep=h)
-        head_raw[sl] = _ranks_from_scores(head_scores, true_scores)
-        head_filt[sl] = _ranks_from_scores(masked, true_scores, n_cand)
+        head_raw[sl], head_filt[sl] = _raw_and_filtered_ranks(
+            model.score_all_heads(r, t, chunk_entities=chunk_entities), h,
+            index.known_heads(r, t))
 
     return head_raw, head_filt, tail_raw, tail_filt
 

@@ -69,14 +69,11 @@ class TripleSet:
         order = np.argsort(self.relations, kind="stable")
         return self.subset(order)
 
-    def unique_keys(self) -> np.ndarray:
-        """Encode each triple as one int64 key (for set membership)."""
-        return encode_triples(self.heads, self.relations, self.tails)
-
 
 #: Default key layout: 21 bits per id supports ~2M entities/relations.
 ENTITY_BITS = 21
 RELATION_BITS = 21
+_ENTITY_MASK = (1 << ENTITY_BITS) - 1
 
 
 def encode_triples(h: np.ndarray, r: np.ndarray, t: np.ndarray,
@@ -100,16 +97,19 @@ def encode_triples(h: np.ndarray, r: np.ndarray, t: np.ndarray,
 
 @dataclass(frozen=True)
 class FilterIndex:
-    """CSR-style adjacency over the known triples of a dataset.
+    """The known triples of a dataset: membership plus CSR adjacency.
 
-    The filtered-MRR protocol needs, for every query ``(h, r, ?)``, the set
-    of *known* tails of ``(h, r)`` (and symmetrically the known heads of
-    ``(r, t)``).  That set is static for the whole run, so instead of
-    hashing ``batch * n_entities`` candidate triples per evaluation batch
-    (the naive path), we group all known triples **once**:
+    It is the only known-fact structure.  Negative sampling asks whether
+    a candidate triple is a fact (:meth:`contains`); the filtered-MRR
+    protocol and the serving filter ask for the *known* tails of every
+    query ``(h, r, ?)`` (and symmetrically the known heads of
+    ``(r, t)``).  The set is static for the whole run, so every known
+    triple is grouped **once**:
 
-    * ``_hr_keys[i]`` is the i-th occupied ``(h, r)`` group (packed as one
-      int64); its known tails are ``_hr_tails[_hr_indptr[i]:_hr_indptr[i+1]]``.
+    * ``_keys`` holds the sorted unique packed ``h|r|t`` keys.  Sorted,
+      they are already grouped by ``(h, r)`` with tails ascending, so
+      ``_hr_keys[i]`` is the i-th occupied ``(h, r)`` group and its known
+      tails are the low bits of ``_keys[_hr_indptr[i]:_hr_indptr[i+1]]``.
     * ``_rt_keys`` / ``_rt_indptr`` / ``_rt_heads`` mirror this for the
       head-replacement side.
 
@@ -120,9 +120,9 @@ class FilterIndex:
 
     n_entities: int
     n_relations: int
+    _keys: np.ndarray = field(repr=False)
     _hr_keys: np.ndarray = field(repr=False)
     _hr_indptr: np.ndarray = field(repr=False)
-    _hr_tails: np.ndarray = field(repr=False)
     _rt_keys: np.ndarray = field(repr=False)
     _rt_indptr: np.ndarray = field(repr=False)
     _rt_heads: np.ndarray = field(repr=False)
@@ -132,34 +132,41 @@ class FilterIndex:
                      n_entities: int, n_relations: int) -> "FilterIndex":
         """Group (possibly duplicated) known triples into both adjacencies."""
         keys = np.unique(encode_triples(h, r, t))
-        # Key layout is h|r|t, so the sorted unique keys are already grouped
-        # by (h, r) with tails ascending within each group.
         hr = keys >> ENTITY_BITS
-        tails = keys & ((1 << ENTITY_BITS) - 1)
         hr_keys, hr_indptr = _csr_groups(hr)
         # Head side: re-pack as (r, t, h) and sort once more.
         rel = hr & ((1 << RELATION_BITS) - 1)
+        tails = keys & _ENTITY_MASK
         heads = keys >> (RELATION_BITS + ENTITY_BITS)
         rt_full = np.sort((rel << (2 * ENTITY_BITS)) | (tails << ENTITY_BITS)
                           | heads)
         rt = rt_full >> ENTITY_BITS
-        rt_heads = rt_full & ((1 << ENTITY_BITS) - 1)
+        rt_heads = rt_full & _ENTITY_MASK
         rt_keys, rt_indptr = _csr_groups(rt)
         return cls(n_entities=n_entities, n_relations=n_relations,
-                   _hr_keys=hr_keys, _hr_indptr=hr_indptr, _hr_tails=tails,
+                   _keys=keys, _hr_keys=hr_keys, _hr_indptr=hr_indptr,
                    _rt_keys=rt_keys, _rt_indptr=rt_indptr, _rt_heads=rt_heads)
 
     @property
     def n_triples(self) -> int:
         """Number of distinct known triples indexed."""
-        return len(self._hr_tails)
+        return len(self._keys)
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the index arrays."""
         return sum(a.nbytes for a in (
-            self._hr_keys, self._hr_indptr, self._hr_tails,
+            self._keys, self._hr_keys, self._hr_indptr,
             self._rt_keys, self._rt_indptr, self._rt_heads))
+
+    def contains(self, h: np.ndarray, r: np.ndarray, t: np.ndarray
+                 ) -> np.ndarray:
+        """Vectorised membership test: is each ``(h_i, r_i, t_i)`` known?"""
+        keys = encode_triples(np.atleast_1d(h), np.atleast_1d(r),
+                              np.atleast_1d(t))
+        pos = np.searchsorted(self._keys, keys)
+        pos = np.clip(pos, 0, len(self._keys) - 1)
+        return self._keys[pos] == keys
 
     def known_tails(self, h: np.ndarray, r: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,14 +174,15 @@ class FilterIndex:
 
         Returns ``(rows, tails, counts)``: ``tails[k]`` is a known tail of
         query ``rows[k]`` (rows ascending), and ``counts[i]`` is the number
-        of known tails of query ``i`` — ready to scatter into a
-        ``(batch, n_entities)`` score matrix.
+        of known tails of query ``i`` — the columns of a
+        ``(batch, n_entities)`` score matrix that hold known facts.
         """
         h = np.asarray(h, dtype=np.int64)
         r = np.asarray(r, dtype=np.int64)
         qkeys = (h << RELATION_BITS) | r
-        return _csr_lookup(self._hr_keys, self._hr_indptr, self._hr_tails,
-                           qkeys)
+        rows, keys, counts = _csr_lookup(self._hr_keys, self._hr_indptr,
+                                         self._keys, qkeys)
+        return rows, keys & _ENTITY_MASK, counts
 
     def known_heads(self, r: np.ndarray, t: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,9 +234,9 @@ class TripleStore:
     valid: TripleSet
     test: TripleSet
     name: str = "kg"
-    _known_keys: np.ndarray = field(init=False, repr=False)
-    _filter_index: FilterIndex | None = field(init=False, repr=False,
-                                              default=None)
+    #: Every fact of train+valid+test, built once here so that no first
+    #: use lands inside a timed window.
+    filter_index: FilterIndex = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_entities < 1 or self.n_relations < 1:
@@ -244,44 +252,24 @@ class TripleStore:
                     raise ValueError(
                         f"{split_name} {col_name} ids out of range [0, {limit})"
                     )
-        keys = np.concatenate([
-            self.train.unique_keys(), self.valid.unique_keys(),
-            self.test.unique_keys(),
-        ])
-        self._known_keys = np.unique(keys)
+        splits = (self.train, self.valid, self.test)
+        self.filter_index = FilterIndex.from_triples(
+            np.concatenate([s.heads for s in splits]),
+            np.concatenate([s.relations for s in splits]),
+            np.concatenate([s.tails for s in splits]),
+            self.n_entities, self.n_relations)
 
     @property
     def n_train(self) -> int:
         return len(self.train)
 
-    @property
-    def filter_index(self) -> FilterIndex:
-        """CSR adjacency over train+valid+test, built lazily and cached.
-
-        One build serves every validation epoch and the final test pass —
-        the known-facts structure is static for the whole run.
-        """
-        if self._filter_index is None:
-            heads = np.concatenate([self.train.heads, self.valid.heads,
-                                    self.test.heads])
-            rels = np.concatenate([self.train.relations, self.valid.relations,
-                                   self.test.relations])
-            tails = np.concatenate([self.train.tails, self.valid.tails,
-                                    self.test.tails])
-            self._filter_index = FilterIndex.from_triples(
-                heads, rels, tails, self.n_entities, self.n_relations)
-        return self._filter_index
-
     def is_known(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorised membership test against train+valid+test.
 
-        Used by filtered MRR ("skip the triples which are already present in
-        the dataset") and by negative sampling to reject false negatives.
+        Used by negative sampling and SS masking to reject false negatives;
+        see :meth:`FilterIndex.contains`.
         """
-        keys = encode_triples(np.atleast_1d(h), np.atleast_1d(r), np.atleast_1d(t))
-        pos = np.searchsorted(self._known_keys, keys)
-        pos = np.clip(pos, 0, len(self._known_keys) - 1)
-        return self._known_keys[pos] == keys
+        return self.filter_index.contains(h, r, t)
 
     def relation_counts(self, split: str = "train") -> np.ndarray:
         """Number of triples per relation id in the given split."""

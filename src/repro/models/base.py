@@ -114,15 +114,6 @@ class KGEModel(abc.ABC):
             g_relation += reg * e_r
         return loss, g_entity, g_relation
 
-    def score_grad(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
-                   upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-example gradients of ``sum(upstream * score)``: ``(g_h, g_r,
-        g_t)`` of shape ``(batch, width)`` each, sharing no memory."""
-        _, g_entity, g_relation = self._slot_gradients(
-            h, r, t, lambda scores: (0.0, upstream), 0.0)
-        batch = len(g_relation)
-        return g_entity[:batch], g_relation, g_entity[batch:]
-
     def batch_gradients(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
                         loss_fn, l2: float = 0.0
                         ) -> tuple[float, SparseRows, SparseRows]:

@@ -354,8 +354,7 @@ class QueryEngine:
                                            chunk_entities=self.chunk_entities)
         if filtered:
             scores, _ = scatter_known_nan(scores, self.store.filter_index,
-                                          anchors, rels, tail_side=tail_side,
-                                          keep=None)
+                                          anchors, rels, tail_side=tail_side)
         return [_topk_row(scores[i], k) for i in range(len(anchors))]
 
     def _group_topk_binary(self, anchors: np.ndarray, rel: int,

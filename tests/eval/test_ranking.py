@@ -5,6 +5,7 @@ import pytest
 
 from repro._reference import rank_triples_reference
 from repro.eval.ranking import RankingResult, evaluate_ranking, rank_triples
+from repro.kg.datasets import generate_latent_kg
 from repro.kg.triples import TripleSet, TripleStore
 from repro.models import ComplEx, DistMult
 
@@ -82,6 +83,16 @@ class NegInfModel(DistMult):
         return np.full((len(r), hi - lo), -np.inf, dtype=np.float32)
 
 
+class NaNModel(DistMult):
+    """Diverged scorer: every candidate (true triple included) is NaN."""
+
+    def score_tails_block(self, h, r, lo, hi):
+        return np.full((len(h), hi - lo), np.nan, dtype=np.float32)
+
+    def score_heads_block(self, r, t, lo, hi):
+        return np.full((len(r), hi - lo), np.nan, dtype=np.float32)
+
+
 class TestDegenerateScores:
     def test_neg_inf_true_score_clamps_to_worst_rank(self):
         """-inf everywhere used to give the true triple a mid-pack tie rank;
@@ -114,6 +125,28 @@ class TestDegenerateScores:
         for a, b in zip(rank_triples_reference(m, store.test, store),
                         rank_triples(m, store.test, store)):
             np.testing.assert_array_equal(a, b)
+
+    def test_nan_true_score_clamps_to_worst_rank(self):
+        """NaN counts as neither better nor tied, so a NaN true score used
+        to rank first; it must get the worst defined rank, like -inf."""
+        store = toy_store()
+        m = NaNModel(store.n_entities, store.n_relations, 4, seed=0)
+        head_raw, _, tail_raw, tail_filt = rank_triples(m, store.test, store)
+        np.testing.assert_array_equal(head_raw, 8.0)
+        np.testing.assert_array_equal(tail_raw, 8.0)
+        # Query (1, 1, 0): known tail 2 is filtered -> 7 survivors.
+        assert tail_filt[1] == 7.0
+        for a, b in zip(rank_triples_reference(m, store.test, store),
+                        rank_triples(m, store.test, store)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_diverged_model_does_not_read_as_perfect(self):
+        store = generate_latent_kg(30, 3, 180, seed=0)
+        m = DistMult(30, 3, 4, seed=1)
+        m.entity_emb[:] = np.nan
+        res = evaluate_ranking(m, store.test, store)
+        assert res.hits_at_10 == 0.0
+        assert res.mrr < 0.1
 
 
 class TestChunkArg:
@@ -165,7 +198,6 @@ class TestEvaluateRanking:
 
     def test_subsample_len_minus_one(self):
         """max_queries = len-1 keeps len-1 *distinct* queries."""
-        from repro.kg.datasets import generate_latent_kg
         store = generate_latent_kg(20, 3, 120, seed=0)
         m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
         n = len(store.test)
@@ -186,7 +218,6 @@ class TestEvaluateRanking:
         assert idx[0] == 0 and idx[-1] <= n - 1
 
     def test_rng_subsampling_reproducible_under_fixed_seed(self):
-        from repro.kg.datasets import generate_latent_kg
         store = generate_latent_kg(20, 3, 120, seed=1)
         m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
         a = evaluate_ranking(m, store.test, store, max_queries=3,

@@ -3,9 +3,10 @@
 The goldens' embeddings predate the incidence-CSR fold and the fused
 gather / forward / backward kernels, so ``KGEModel.batch_gradients`` must
 produce a loss and SparseRows **bitwise identical** to the unfused
-pipeline — ``score`` -> loss -> ``score_grad`` -> out-of-place L2 ->
-input-order scatter-add (``repro._reference.scatter_add_rows``) — for
-every model and index pattern.  These properties pin that across all four
+pipeline — ``score`` -> loss -> ``repro._reference.score_grad`` ->
+out-of-place L2 -> input-order scatter-add
+(``repro._reference.scatter_add_rows``) — for every model and index
+pattern.  These properties pin that across all four
 scoring models under duplicate head/tail indices, single-example batches
 and active L2 regularisation, and once more through ``Worker.compute_step``
 with and without hardest-negative selection.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._reference import scatter_add_rows
+from repro._reference import scatter_add_rows, score_grad
 from repro.comm.sparse import SparseRows
 from repro.kg.datasets import make_tiny_kg
 from repro.models import MODEL_REGISTRY, logistic_loss, make_model
@@ -34,7 +35,7 @@ def reference_gradients(model, h, r, t, loss_fn, l2=0.0):
     """The whole local step, unfused: every stage gathers for itself, L2
     is added out of place, the reference scatter accumulates."""
     loss, upstream = loss_fn(model.score(h, r, t))
-    g_h, g_r, g_t = model.score_grad(h, r, t, upstream)
+    g_h, g_r, g_t = score_grad(model, h, r, t, upstream)
     if l2 > 0.0:
         reg = np.float32(2.0 * l2)
         g_h = g_h + reg * model.entity_emb[h]
@@ -125,7 +126,8 @@ class TestBitwiseEquivalence:
         the relation gradient."""
         model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=5)
         h = np.array([0, 1, 2]); r = np.array([0, 1, 0]); t = np.array([3, 4, 5])
-        g_h, g_r, g_t = model.score_grad(h, r, t, np.ones(3, dtype=np.float32))
+        g_h, g_r, g_t = score_grad(model, h, r, t,
+                                   np.ones(3, dtype=np.float32))
         assert not np.shares_memory(g_h, g_r)
         assert not np.shares_memory(g_h, g_t)
         assert not np.shares_memory(g_r, g_t)

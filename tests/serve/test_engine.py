@@ -146,7 +146,7 @@ class TestMicroBatching:
             rels = np.full(len(anchors), rel, dtype=np.int64)
             scores = model.score_all_tails(anchors, rels)
             scores, _ = scatter_known_nan(scores, index, anchors, rels,
-                                          tail_side=True, keep=None)
+                                          tail_side=True)
             for row, anchor in zip(scores, anchors):
                 order = np.argsort(-row, kind="stable")[:8]
                 expected[(int(anchor), rel)] = (order, row[order])

@@ -3,8 +3,14 @@
 The serving contract is that ``topk_tails(h, r, k, filtered=True)`` is the
 top-k of exactly the score row filtered evaluation would rank — byte-equal
 scores, identical tie-break order — with one deliberate divergence: eval
-restores the gold column (the query's own true entity competes), while a
+keeps the gold column (the query's own true entity competes), while a
 live query has no gold entity, so serving masks *every* known fact.
+
+Eval never materialises that row: it counts ranks from the raw block and
+the ``FilterIndex`` known columns.  The row it ranks is defined by the
+oracle ``repro._reference.filtered_naive`` (a NaN-masked copy, gold
+kept), which the eval suite pins rank for rank, so these properties
+compare the serve mask against that oracle.
 
 Bitwise footnote.  The engine scores each (relation, direction) group in
 one block call over the group's *unique anchors*; ``rank_triples`` scores
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._reference import filtered_naive
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
@@ -61,7 +68,7 @@ def grouped_reference(model, index, anchors, rels, k, tail_side=True):
         else:
             scores = model.score_all_heads(full, unique)
         masked, _ = scatter_known_nan(scores, index, unique, full,
-                                      tail_side=tail_side, keep=None)
+                                      tail_side=tail_side)
         for row, anchor in zip(masked, unique):
             n_valid = int((~np.isnan(row)).sum())
             order = np.argsort(-row, kind="stable")[:min(k, n_valid)]
@@ -84,8 +91,8 @@ class TestServeEqualsEval:
 
         reference = grouped_reference(model, store.filter_index, h, r, k)
         eval_rows = model.score_all_tails(h, r)
-        eval_masked, _ = scatter_known_nan(eval_rows, store.filter_index,
-                                           h, r, tail_side=True, keep=t)
+        eval_masked, _ = filtered_naive(eval_rows, store, h, r, t,
+                                        tail_side=True)
         for i, answer in enumerate(answers):
             order, scores, row = reference[(int(h[i]), int(r[i]))]
             assert np.array_equal(answer.entities, order)
@@ -105,9 +112,9 @@ class TestServeEqualsEval:
     @given(serving_case())
     @settings(max_examples=20, deadline=None)
     def test_serve_mask_is_eval_mask_minus_gold(self, case):
-        """On one shared score matrix, the serve-time scatter (keep=None)
-        and the eval scatter (keep=gold) agree everywhere except the gold
-        column, byte for byte."""
+        """On one shared score matrix, the serve-time scatter and the eval
+        protocol's mask (the hash-every-candidate reference, gold kept)
+        agree everywhere except the gold column, byte for byte."""
         store, model, picks, _ = case
         h = store.train.heads[picks]
         r = store.train.relations[picks]
@@ -115,9 +122,9 @@ class TestServeEqualsEval:
         scores = model.score_all_tails(h, r)
 
         serve_mask, serve_cand = scatter_known_nan(
-            scores, store.filter_index, h, r, tail_side=True, keep=None)
-        eval_mask, eval_cand = scatter_known_nan(
-            scores, store.filter_index, h, r, tail_side=True, keep=t)
+            scores, store.filter_index, h, r, tail_side=True)
+        eval_mask, eval_cand = filtered_naive(scores, store, h, r, t,
+                                              tail_side=True)
 
         rows = np.arange(len(picks))
         assert np.isnan(serve_mask[rows, t]).all()
