@@ -30,7 +30,9 @@ Link-prediction queries run in one of two **memory tiers**:
     stored byte gives the exact ``q . sign(t)`` (32x less state touched
     than dense scoring), weighted by each candidate's stored scale per
     the model's score geometry, keeping the best ``rerank_k``.  Stage 2
-    re-ranks *only that pool* with the full-precision scorers.  Known
+    re-ranks *only that pool* with the full-precision scorers.  Both
+    stages run once per window, over every binary-route miss of it
+    stacked into one block.  Known
     facts are pushed behind every unknown candidate in stage 1 and
     NaN-masked in stage 2, so filtering semantics match the dense tier.
     When ``rerank_k >= n_entities`` the pool is the complete id-ordered
@@ -43,10 +45,16 @@ Two serving mechanisms sit on top of raw scoring:
 * an exact-LRU result cache keyed on every input that shapes the answer
   ``(direction, anchor, relation, k, filtered)`` — skewed traffic makes
   even a small cache absorb most of the load;
-* per-``(relation, direction)`` micro-batching: :meth:`topk_batch`
-  coalesces the cache-missing queries that share a relation and direction
-  into **one** chunked scoring call, deduplicating repeated anchors, so a
-  burst of queries against a hot relation costs one matrix pass.
+* micro-batching: :meth:`topk_batch` groups the cache-missing queries
+  per ``(relation, direction)``, deduplicating repeated anchors.  On the
+  dense tier each group is **one** chunked scoring call, so a burst of
+  queries against a hot relation costs one matrix pass.  On the binary
+  tier the whole window is one stage-1 scan and one re-rank per
+  direction, whatever its relations: uniform traffic makes nearly every
+  group a singleton, and a stacked scan reads each code byte once per
+  window instead of once per query.  Every kernel there works
+  row by row, so a partial-pool answer is byte-identical to its query
+  asked alone.
 
 Two resilience mechanisms sit on top of those (both opt-in; a plain
 engine behaves exactly as before):
@@ -237,14 +245,19 @@ class QueryEngine:
 
         ``queries`` is a sequence of ``(anchor, relation)`` pairs (with
         ``tail_side`` fixing the direction) or ``(anchor, relation,
-        tail_side)`` triples (``tail_side=None`` here).  Cache hits are
-        answered immediately; the misses are grouped per ``(relation,
-        direction)``, repeated anchors deduplicated, and each group scored
-        in one chunked block call.  Results come back in query order.
+        tail_side)`` triples (``tail_side=None`` here).  Every id is
+        checked before the first query is admitted, so a rejected batch
+        leaves no trace.  Cache hits are answered immediately; the misses
+        are grouped per ``(relation, direction)`` and repeated anchors
+        deduplicated.  Each dense group is scored in one chunked block
+        call; the binary groups are answered together, one stage-1 scan
+        for the whole batch (:meth:`_window_topk_binary`).  Results come
+        back in query order.
 
-        Latency accounting: a coalesced group's scoring time is split
-        evenly across the queries it answered, so percentiles reflect
-        per-query service cost, not burst size.
+        Latency accounting: a dense group's scoring time is split evenly
+        across the queries it answered, the binary groups' time across
+        all of theirs, so percentiles reflect per-query service cost, not
+        burst size.
 
         Under resilience the misses group per ``(relation, direction,
         route)`` — the ladder may send some queries of a batch through
@@ -254,17 +267,17 @@ class QueryEngine:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         filt = self._resolve_filtered(filtered)
-        results: list = [None] * len(queries)
+        parsed = []
+        for query in queries:
+            anchor, rel, side = (query if tail_side is None
+                                 else (*query, tail_side))
+            anchor, rel = int(anchor), int(rel)
+            self._check_ids(anchor, rel)
+            parsed.append((anchor, rel, bool(side)))
+        results: list = [None] * len(parsed)
         groups: dict[tuple[int, bool, str], list] = {}
 
-        for i, query in enumerate(queries):
-            if tail_side is None:
-                anchor, rel, side = query
-            else:
-                anchor, rel = query
-                side = tail_side
-            anchor, rel, side = int(anchor), int(rel), bool(side)
-            self._check_ids(anchor, rel)
+        for i, (anchor, rel, side) in enumerate(parsed):
             start = time.perf_counter()
             kind = "topk_tails" if side else "topk_heads"
             admission = None
@@ -299,46 +312,52 @@ class QueryEngine:
                     self._complete(admission, self.slo.service_ms(route))
                 groups.setdefault((rel, side, route), []).append((i, anchor))
 
+        pending = []
         for (rel, side, route), members in groups.items():
-            start = time.perf_counter()
             anchors = np.array([a for _, a in members], dtype=np.int64)
             unique, inverse = np.unique(anchors, return_inverse=True)
-            scored, served_route = self._group_topk(route, unique, rel,
-                                                    side, k, filt)
-            elapsed = time.perf_counter() - start
-            share = elapsed / len(members)
+            if route == "binary" and not self._sidecar_trusted():
+                route = "dense"
+            pending.append((rel, side, route, members, unique, inverse))
+
+        binary = [(unique, rel, side)
+                  for rel, side, route, _, unique, _ in pending
+                  if route == "binary"]
+        if binary:
+            start = time.perf_counter()
+            answered = iter(self._window_topk_binary(binary, k, filt))
+            binary_share = (time.perf_counter() - start) / sum(
+                len(members) for _, _, route, members, _, _ in pending
+                if route == "binary")
+        for rel, side, route, members, unique, inverse in pending:
+            if route == "binary":
+                scored, share = next(answered), binary_share
+            else:
+                start = time.perf_counter()
+                scored = self._group_topk_dense(unique, rel, side, k, filt)
+                share = (time.perf_counter() - start) / len(members)
             kind = "topk_tails" if side else "topk_heads"
             for (i, anchor), u in zip(members, inverse):
                 result = scored[u]
                 results[i] = result
-                key = (self._key_for(served_route),
-                       "tails" if side else "heads", anchor, rel, k, filt)
+                key = (self._key_for(route), "tails" if side else "heads",
+                       anchor, rel, k, filt)
                 self.cache.put(key, result)
                 self.stats.record(kind, share, cache_hit=False)
         return results
 
-    def _group_topk(self, route: str, anchors: np.ndarray, rel: int,
-                    tail_side: bool, k: int,
-                    filtered: bool) -> tuple[list[TopKResult], str]:
-        """Score one group of unique anchors through ``route``.
-
-        Returns ``(results, served_route)`` — the route actually used:
-        a binary group falls back to dense (and trips the circuit
-        breaker) when the sidecar fails its checksum mid-query.
-        """
-        if route == "binary":
-            try:
-                if self.resilience is not None:
-                    self.resilience.check_sidecar()
-                return (self._group_topk_binary(anchors, rel, tail_side, k,
-                                                filtered), "binary")
-            except (SidecarCorruptionError,
-                    ckpt.CheckpointChecksumError) as exc:
-                if self.resilience is None:
-                    raise
-                self.resilience.trip_binary(str(exc))
-        return (self._group_topk_dense(anchors, rel, tail_side, k,
-                                       filtered), "dense")
+    def _sidecar_trusted(self) -> bool:
+        """The circuit breaker's check, once per binary group: a sidecar
+        that fails its checksum trips the breaker, and the group that saw
+        it is answered dense."""
+        if self.resilience is None:
+            return True
+        try:
+            self.resilience.check_sidecar()
+        except (SidecarCorruptionError, ckpt.CheckpointChecksumError) as exc:
+            self.resilience.trip_binary(str(exc))
+            return False
+        return True
 
     def _group_topk_dense(self, anchors: np.ndarray, rel: int,
                           tail_side: bool, k: int,
@@ -357,29 +376,49 @@ class QueryEngine:
                                           anchors, rels, tail_side=tail_side)
         return [_topk_row(scores[i], k) for i in range(len(anchors))]
 
-    def _group_topk_binary(self, anchors: np.ndarray, rel: int,
-                           tail_side: bool, k: int,
-                           filtered: bool) -> list[TopKResult]:
-        """Hamming candidate generation, then full-precision re-rank."""
-        model = self.store.model
-        binary = self.store.binary
+    def _window_topk_binary(self, blocks, k: int,
+                            filtered: bool) -> list[list[TopKResult]]:
+        """Hamming candidate generation, then full-precision re-rank, for
+        every binary group of one window at once.
+
+        ``blocks`` holds one ``(unique anchors, relation, tail_side)`` per
+        group; the answers come back per block, in anchor order.  The
+        groups' queries stack into one block of rows: per direction one
+        ``query_vector`` call and one filter lookup, one stage-1 scan of
+        the packed codes for all rows, and per direction one
+        ``score_candidates`` re-rank.  Every kernel on the way works row
+        by row, so on a partial pool each answer is byte-identical to its
+        query asked alone; a complete pool re-ranks group by group through
+        the dense tier's block calls.
+        """
+        model, binary = self.store.model, self.store.binary
         n = self.store.n_entities
+        anchors = np.concatenate([a for a, _, _ in blocks])
+        rels = np.concatenate([np.full(len(a), rel, dtype=np.int64)
+                               for a, rel, _ in blocks])
+        tails = np.concatenate([np.full(len(a), side)
+                                for a, _, side in blocks])
+        sides = [(side, rows) for side in (True, False)
+                 if len(rows := np.flatnonzero(tails == side))]
         m = len(anchors)
-        rels = np.full(m, rel, dtype=np.int64)
 
         # Stage 1: rank every entity by the scale-weighted per-byte LUT
         # score of the query vectors, keep the best rerank_k.
         t0 = time.perf_counter()
-        vectors = model.query_vector(anchors, rels, tail_side=tail_side)
-        masked = None
-        if filtered:
-            if tail_side:
-                rows, cols, _ = self.store.filter_index.known_tails(anchors,
-                                                                    rels)
-            else:
-                rows, cols, _ = self.store.filter_index.known_heads(rels,
-                                                                    anchors)
-            masked = (rows, cols)
+        vectors = np.empty((m, binary.width), dtype=np.float32)
+        known_rows, known_cols = [], []
+        for side, rows in sides:
+            vectors[rows] = model.query_vector(anchors[rows], rels[rows],
+                                               tail_side=side)
+            if filtered:
+                index = self.store.filter_index
+                hit, cols, _ = (
+                    index.known_tails(anchors[rows], rels[rows]) if side
+                    else index.known_heads(rels[rows], anchors[rows]))
+                known_rows.append(rows[hit])
+                known_cols.append(cols)
+        masked = ((np.concatenate(known_rows), np.concatenate(known_cols))
+                  if filtered else None)
         pools, order = binary.candidate_pools(
             vectors, self.rerank_k, masked=masked,
             geometry=model.score_geometry)
@@ -387,50 +426,39 @@ class QueryEngine:
 
         # Stage 2: full-precision re-rank of the pool only.
         t1 = time.perf_counter()
-        take = pools.shape[1]
-        if take >= n:
+        if pools.shape[1] >= n:
             # Complete pool: the dense path *is* the re-rank — same block
-            # calls, same NaN scatter, same tie-breaks, so the result is
-            # bitwise identical to tier="dense".
-            results = self._group_topk_dense(anchors, rel, tail_side, k,
-                                             filtered)
+            # calls per group, same NaN scatter, same tie-breaks, so the
+            # result is bitwise identical to tier="dense".
+            results = [result for a, rel, side in blocks
+                       for result in self._group_topk_dense(a, rel, side, k,
+                                                            filtered)]
         else:
-            scores = self._rerank_pools(anchors, rels, pools, tail_side,
-                                        masked, n)
+            scores = np.empty(pools.shape, dtype=np.float32)
+            for side, rows in sides:
+                scores[rows] = model.score_candidates(
+                    anchors[rows], rels[rows], pools[rows], tail_side=side)
+            if filtered and len(masked[0]):
+                # A partial pool only admits known facts once unknowns run
+                # out; whichever slipped in are NaN-masked exactly like
+                # the dense tier's scatter.
+                known = np.zeros((m, n), dtype=bool)
+                known[masked] = True
+                scores[np.take_along_axis(known, pools, axis=1)] = np.nan
             results = []
-            for i in range(m):
+            for pool, row in zip(pools, scores):
                 # Pools are ascending-sorted, so ties break toward the
                 # smaller entity id — the dense tier's contract.
-                local = _topk_row(scores[i], k)
-                results.append(TopKResult(
-                    entities=pools[i][local.entities],
-                    scores=local.scores))
+                local = _topk_row(row, k)
+                results.append(TopKResult(entities=pool[local.entities],
+                                          scores=local.scores))
         rerank_s = time.perf_counter() - t1
 
-        cand_share = candidate_s / m
-        rerank_share = rerank_s / m
-        for i, result in enumerate(results):
-            self.stats.record_tier("binary", cand_share, rerank_share,
-                                   _agreement(result.entities, order[i]))
-        return results
-
-    def _rerank_pools(self, anchors, rels, pools, tail_side, masked,
-                      n) -> np.ndarray:
-        """Score every (query, pool candidate) pair in one block call."""
-        model = self.store.model
-        m, take = pools.shape
-        scores = np.asarray(
-            model.score_candidates(anchors, rels, pools,
-                                   tail_side=tail_side),
-            dtype=np.float32).reshape(m, take)
-        if masked is not None and len(masked[0]):
-            # A partial pool only admits known facts once unknowns run
-            # out; whichever slipped in are NaN-masked exactly like the
-            # dense tier's scatter.
-            known = np.zeros((m, n), dtype=bool)
-            known[masked] = True
-            scores[np.take_along_axis(known, pools, axis=1)] = np.nan
-        return scores
+        for result, order_row in zip(results, order):
+            self.stats.record_tier("binary", candidate_s / m, rerank_s / m,
+                                   _agreement(result.entities, order_row))
+        bounds = np.cumsum([len(a) for a, _, _ in blocks])
+        return [results[lo:hi] for lo, hi in zip([0, *bounds[:-1]], bounds)]
 
     # -- nearest neighbors ---------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -351,6 +352,28 @@ class TestServeCli:
         assert telemetry["n_queries"] == 301  # 300 replayed + 1 direct
         assert telemetry["p99_ms"] > 0
         assert telemetry["cache_hit_rate"] > 0
+
+    def test_export_then_serve_binary_partial_pool(self, served_checkpoint,
+                                                   tmp_path, capsys):
+        """export-binary, then a resilient binary-tier replay whose pool
+        holds a quarter of the entities: stage 1 really prunes."""
+        ckpt, dataset_file = served_checkpoint
+        ckpt = shutil.copytree(ckpt, tmp_path / "ckpts")
+        assert main(["export-binary", "--checkpoint", str(ckpt)]) == 0
+        n_entities = make_tiny_kg().n_entities
+        capsys.readouterr()
+        rc = main(["serve", "--checkpoint", str(ckpt),
+                   "--dataset-file", dataset_file, "--tier", "binary",
+                   "--rerank-k", str(n_entities // 4), "--resilience",
+                   "--simulate", "300", "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["store"]["filtered"] is True
+        telemetry = out["telemetry"]
+        assert telemetry["n_queries"] == 300
+        assert telemetry["errors"] == 0
+        assert telemetry["resilience"]["shed_total"] == 0
+        assert telemetry["tiers"]["binary"]["n_queries"] > 0
 
     def test_serve_no_filter_skips_dataset(self, served_checkpoint, capsys):
         ckpt, _ = served_checkpoint
