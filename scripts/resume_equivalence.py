@@ -14,7 +14,10 @@ node stores at least), and the script refuses to pass on a snapshot that
 carries no residual row at all.  Every deterministic output (epoch logs,
 simulated clock, bytes on the wire, retries, final embeddings, optimizer
 moments, every residual store) is diffed; any mismatch exits non-zero and
-prints the offending fields.
+prints the offending fields.  Last, the snapshot is served: the checkpoint
+directory loads through ``EmbeddingStore.from_checkpoint``, whose entity
+matrix must be the resumed trainer's and whose ``manifest_digest`` must be
+the SHA-256 of the newest manifest file.
 
 The checkpoint directory is left in place (default: ``resume-ckpt/``) so CI
 can upload it as an artifact for post-mortem inspection.
@@ -23,6 +26,7 @@ can upload it as an artifact for post-mortem inspection.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
 from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
+from repro.serve import EmbeddingStore
+from repro.training.checkpoint import MANIFEST_NAME
 from repro.training.strategy import drs_1bit_rp_ss
 
 FAULTS = FaultPlan(seed=99, drop_prob=0.02, compute_slowdown=((1, 2.0),),
@@ -122,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[3/3] resuming fresh trainer from {newest}")
     resumed = build_trainer(store, args.epochs)
     resumed.restore(newest)
+    restored_entities = resumed.model.entity_emb.tobytes()
     restored = {name: s.nnz_rows
                 for name, s in residual_stores(resumed).items() if s.nnz_rows}
     print(f"      residual rows restored: {restored}")
@@ -131,6 +138,17 @@ def main(argv: list[str] | None = None) -> int:
     if not restored:
         bad.append(f"the epoch-{kill_at} snapshot restored no residual row; "
                    f"the run no longer exercises error-feedback state")
+    served = EmbeddingStore.from_checkpoint(
+        args.out, model_name=resumed.config.model_name)
+    print(f"      served {served.checkpoint_path}: epoch {served.epoch}, "
+          f"manifest sha256 {served.manifest_digest[:12]}...")
+    if served.model.entity_emb.tobytes() != restored_entities:
+        bad.append("served entity matrix differs from the resumed trainer's")
+    newest_digest = hashlib.sha256(
+        (newest / MANIFEST_NAME).read_bytes()).hexdigest()
+    if served.manifest_digest != newest_digest:
+        bad.append(f"served manifest_digest {served.manifest_digest[:12]}... "
+                   f"is not the newest manifest's {newest_digest[:12]}...")
     if bad:
         print(f"\nFAIL: resume diverged from the straight run "
               f"({len(bad)} field(s)):")

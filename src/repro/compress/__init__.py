@@ -1,7 +1,5 @@
-"""Gradient compression: selection, quantization, packing, error feedback,
-plus the related-work comparator GradZip (:mod:`.factorization`)."""
+"""Gradient compression: selection, quantization, packing, error feedback."""
 
-from . import factorization
 from .error_feedback import NodeResiduals, ResidualStore
 from .packing import pack_signs, pack_ternary, unpack_signs, unpack_ternary
 from .quantization import (
@@ -29,7 +27,6 @@ __all__ = [
     "SELECTION_POLICIES",
     "SelectionStats",
     "dequantize",
-    "factorization",
     "pack_signs",
     "pack_ternary",
     "quantization_error",

@@ -270,13 +270,10 @@ def save_sidecar(store: BinaryStore, ckpt_dir) -> "Path":  # noqa: F821
 
 
 def load_sidecar(ckpt_dir) -> BinaryStore:
-    """Load and validate a binary sidecar (checksums, format, geometry)."""
+    """Load and validate the binary sidecar of checkpoint directory
+    ``ckpt_dir`` (checksums, format, geometry)."""
     arrays, meta = ckpt.read_sidecar(ckpt_dir, SIDECAR_STEM, SIDECAR_FORMAT,
                                      SIDECAR_VERSION)
-    missing = sorted({ENTITY_CODES_KEY, ENTITY_SCALES_KEY} - set(arrays))
-    if missing:
-        raise ckpt.CheckpointMissingArrayError(
-            f"binary sidecar under {ckpt_dir} lacks array(s) {missing}")
     try:
         return BinaryStore(codes=arrays[ENTITY_CODES_KEY],
                            scales=arrays[ENTITY_SCALES_KEY],
@@ -291,28 +288,31 @@ def load_sidecar(ckpt_dir) -> BinaryStore:
             f"{exc}") from exc
 
 
-def check_geometry(store: BinaryStore, entity_emb: np.ndarray,
-                   where: str = "binary.npz") -> None:
-    """Refuse a sidecar that does not describe these embeddings.
+def check_geometry(binary: BinaryStore, served) -> None:
+    """Refuse a sidecar that does not describe ``served``'s embeddings.
 
-    Geometry (rows x bit width) must match the dense entity matrix, and
-    when the sidecar recorded the matrix digest it must match too — a
-    sidecar exported from a different checkpoint is a configuration
-    mismatch, the same class of error as resuming the wrong run.
+    Geometry (rows x bit width) must match the store's dense entity
+    matrix, and a recorded matrix digest must equal the store's
+    ``entity_sha``: the digest its loader verified, never a re-hash (an
+    in-memory store hashes once).  A sidecar exported from a different
+    checkpoint is a configuration mismatch, the same class of error as
+    resuming the wrong run.
     """
-    n, width = entity_emb.shape
-    if store.n_entities != n or store.width != width:
+    n, width = served.model.entity_emb.shape
+    if binary.n_entities != n or binary.width != width:
         raise ckpt.CheckpointConfigMismatchError(
-            f"binary sidecar {where} encodes {store.n_entities} entities x "
-            f"{store.width} bits but the checkpoint embeds {n} entities x "
+            f"binary sidecar binary.npz encodes {binary.n_entities} entities x "
+            f"{binary.width} bits but the checkpoint embeds {n} entities x "
             f"{width} dims; the sidecar belongs to a different checkpoint "
             f"— re-run `repro export-binary`")
-    if store.source_entity_sha:
-        actual = ckpt._sha256_array(np.ascontiguousarray(entity_emb))
-        if actual != store.source_entity_sha:
+    if binary.source_entity_sha:
+        if served.entity_sha is None:  # an in-memory store hashes once
+            served.entity_sha = ckpt.array_digest(served.model.entity_emb)
+        actual = served.entity_sha
+        if actual != binary.source_entity_sha:
             raise ckpt.CheckpointConfigMismatchError(
-                f"binary sidecar {where} was exported from an entity matrix "
-                f"with digest {store.source_entity_sha[:12]}... but this "
+                f"binary sidecar binary.npz was exported from an entity matrix "
+                f"with digest {binary.source_entity_sha[:12]}... but this "
                 f"checkpoint's is {actual[:12]}...; the sidecar belongs to "
                 f"a different snapshot — re-run `repro export-binary`")
 
@@ -322,19 +322,19 @@ def export_binary(ckpt_dir, model_name: str = "complex",
     """Post-training export: checkpoint -> binarize -> checksummed sidecar.
 
     Loads the (latest) checkpoint under ``ckpt_dir`` read-only, binarizes
-    its entity matrix, and writes the sidecar into the same directory.
-    Returns ``(checkpoint_dir, summary)`` where the summary reports the
-    measured memory story (dense bytes, binary bytes, reduction factor).
+    its entity matrix, and writes the sidecar, bound to the entity digest
+    the loader verified, into the very directory it loaded.  Returns
+    ``(checkpoint_dir, summary)`` where the summary reports the measured
+    memory story (dense bytes, binary bytes, reduction factor).
     """
     from .store import EmbeddingStore
 
     served = EmbeddingStore.from_checkpoint(ckpt_dir, model_name=model_name)
-    entity_emb = served.model.entity_emb
-    sha = ckpt._sha256_array(np.ascontiguousarray(entity_emb))
     store = binarize_model(served.model, stat=stat,
-                           source_epoch=served.epoch, source_entity_sha=sha)
-    path = save_sidecar(store, ckpt_dir)
-    dense = int(entity_emb.nbytes)
+                           source_epoch=served.epoch,
+                           source_entity_sha=served.entity_sha)
+    path = save_sidecar(store, served.checkpoint_path)
+    dense = int(served.model.entity_emb.nbytes)
     summary = {
         "checkpoint": str(path),
         "model": model_name,

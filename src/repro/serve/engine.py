@@ -161,7 +161,7 @@ class QueryEngine:
                     "sidecar with `repro export-binary` and load with "
                     "with_binary=True, or build the store via "
                     "EmbeddingStore.from_model(..., with_binary=True)")
-            check_geometry(store.binary, store.model.entity_emb)
+            check_geometry(store.binary, store)
         self.store = store
         self.cache = LRUCache(cache_capacity)
         self.stats = ServeStats(window=stats_window)
@@ -612,12 +612,12 @@ class QueryEngine:
             if with_binary is None:
                 with_binary = self.tier == "binary" or old.binary is not None
             name = model_name or old.model_name or "complex"
-            digest = ckpt.manifest_digest(checkpoint)
-            if digest == old.manifest_digest:
+            path = ckpt.resolve_checkpoint_dir(checkpoint)
+            if ckpt.manifest_digest(path) == old.manifest_digest:
                 return {"swapped": False, "reason": "same manifest digest",
-                        "checkpoint": str(checkpoint), "epoch": old.epoch}
+                        "checkpoint": str(path), "epoch": old.epoch}
             new = EmbeddingStore.from_checkpoint(
-                checkpoint, model_name=name, dataset=dataset,
+                path, model_name=name, dataset=dataset,
                 with_binary=with_binary)
         # -- validate the replacement against this engine's contract ------
         if self.tier == "binary" and new.binary is None:
@@ -626,7 +626,7 @@ class QueryEngine:
                 "engine serves tier='binary'; export a sidecar first or "
                 "reload with with_binary=True")
         if new.binary is not None:
-            check_geometry(new.binary, new.model.entity_emb)
+            check_geometry(new.binary, new)
         if new.filter_index is None and old.filter_index is not None:
             if new.n_entities != old.n_entities:
                 raise ValueError(

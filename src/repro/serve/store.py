@@ -1,13 +1,14 @@
 """Read-only embedding store: a training checkpoint made servable.
 
 :class:`EmbeddingStore` is the bridge between the training stack and the
-query engine.  It loads a checkpoint through the read-only path
-(:func:`repro.training.checkpoint.load_for_serving` — full corruption/
+query engine.  It resolves a snapshot once and reads it, with its binary
+sidecar, through the checkpoint module's one reader — full corruption/
 checksum/schema validation, but no config binding and no world
-reconstruction), rebuilds the scoring model around the snapshot's
+reconstruction — then rebuilds the scoring model around the snapshot's
 embedding matrices, and freezes them: every array is marked
 non-writeable, so a serving process can never corrupt the model it
-answers from.
+answers from.  Its identity (``manifest_digest``, ``entity_sha``) is what
+that one load parsed and verified, never a second read of the directory.
 
 The store also owns the known-fact :class:`~repro.kg.triples.FilterIndex`
 when a dataset is attached — the same CSR adjacency filtered evaluation
@@ -56,9 +57,12 @@ class EmbeddingStore:
     #: Optional 1-bit candidate-generation tier (see
     #: :mod:`repro.serve.binary`); required by ``QueryEngine(tier="binary")``.
     binary: BinaryStore | None = None
-    #: SHA-256 of the snapshot's manifest (None for in-memory stores):
-    #: the cheap identity hot reload compares to skip no-op swaps.
+    #: SHA-256 of the manifest bytes the loader parsed (None for in-memory
+    #: stores): the cheap identity hot reload compares to skip no-op swaps.
     manifest_digest: str | None = None
+    #: SHA-256 of ``model.entity_emb`` as a manifest records it: the one
+    #: the loader verified (an in-memory store's is computed on first use).
+    entity_sha: str | None = None
     _frozen: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +92,8 @@ class EmbeddingStore:
         (written by ``repro export-binary``) and cross-checks it against
         the embeddings it claims to describe.
         """
-        state = ckpt.load_for_serving(path)
+        path = ckpt.resolve_checkpoint_dir(path)
+        state = ckpt.load_checkpoint(path)
         try:
             entity_emb = state.arrays[ENTITY_EMB_KEY]
             relation_emb = state.arrays[RELATION_EMB_KEY]
@@ -128,14 +133,15 @@ class EmbeddingStore:
                     f"mask the wrong columns")
             index = dataset.filter_index
 
-        binary = None
-        if with_binary:
-            binary = load_sidecar(ckpt.resolve_checkpoint_dir(path))
-            check_geometry(binary, model.entity_emb)
-        return cls(model=model, filter_index=index, epoch=state.epoch,
-                   world_lineage=tuple(state.world_lineage),
-                   checkpoint_path=str(path), binary=binary,
-                   manifest_digest=ckpt.manifest_digest(path))
+        store = cls(model=model, filter_index=index, epoch=state.epoch,
+                    world_lineage=state.world_lineage,
+                    checkpoint_path=str(path),
+                    binary=load_sidecar(path) if with_binary else None,
+                    manifest_digest=state.manifest_digest,
+                    entity_sha=state.digests[ENTITY_EMB_KEY])
+        if store.binary is not None:
+            check_geometry(store.binary, store)
+        return store
 
     @classmethod
     def from_model(cls, model: KGEModel,

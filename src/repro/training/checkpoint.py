@@ -40,14 +40,24 @@ npz → manifest*: a directory with a readable manifest is always complete,
 also when it is written over an older checkpoint, and a kill at any point
 leaves at worst a manifest-less directory that discovery skips.
 
-Failure modes are loud and distinct: a truncated or bit-flipped file raises
-:class:`CheckpointCorruptError` or :class:`CheckpointChecksumError`, an
-array missing from the npz raises :class:`CheckpointMissingArrayError`, a
-snapshot from an incompatible writer raises :class:`CheckpointSchemaError`,
-and a config-hash mismatch raises :class:`CheckpointConfigMismatchError`
-instead of silently resuming a different experiment.  ``max_epochs`` and the
-checkpoint knobs themselves are excluded from the hash, so a resume may
-train longer than the interrupted run intended.
+One reader serves every consumer — resume, discovery, serving, sidecars.
+A manifest's bytes are read once and parsed into the object plus the
+SHA-256 of those same bytes (the snapshot's identity); its type, format
+marker, schema version, fields and ``arrays`` table are checked there.  One
+array loader then verifies the npz against that table.  A parent directory
+is resolved to one snapshot once per load (:func:`resolve_checkpoint_dir`),
+and :func:`apply_state` parses every section before it writes a trainer
+field.
+
+Failure modes are loud, distinct and typed: a truncated, bit-flipped or
+malformed file raises :class:`CheckpointCorruptError` (naming the file and
+the field) or :class:`CheckpointChecksumError`, an array missing from the
+npz raises :class:`CheckpointMissingArrayError`, a snapshot from an
+incompatible writer raises :class:`CheckpointSchemaError`, and a config-hash
+mismatch raises :class:`CheckpointConfigMismatchError` instead of silently
+resuming a different experiment.  ``max_epochs`` and the checkpoint knobs
+themselves are excluded from the hash, so a resume may train longer than
+the interrupted run intended.
 
 World-size lineage
 ------------------
@@ -68,7 +78,7 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +152,10 @@ class CheckpointState:
     #: Every world size this training lineage has lived through, oldest
     #: first (``(4, 3)`` after one shrink; ``(4, 3, 4)`` after a regrow).
     world_lineage: tuple = ()
+    #: SHA-256 of the manifest bytes this state was parsed from, and the
+    #: per-array SHA-256 it verified (empty for a captured state).
+    manifest_digest: str = ""
+    digests: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +175,13 @@ def _sha256_array(arr: np.ndarray) -> str:
     digest.update(repr(arr.shape).encode())
     digest.update(_raw(arr))
     return digest.hexdigest()
+
+
+def array_digest(arr: np.ndarray) -> str:
+    """The SHA-256 a manifest records for ``arr``.  A loaded snapshot
+    already carries its verified digests (:attr:`CheckpointState.digests`);
+    this is for a matrix that never went through the reader."""
+    return _sha256_array(arr)
 
 
 def store_fingerprint(store) -> str:
@@ -217,7 +238,7 @@ def _capture_residual(arrays: dict, key: str, store) -> None:
     arrays[f"{key}/values"] = store._residual[rows]
 
 
-def _restore_residual(store, arrays: dict, key: str) -> None:
+def _parse_residual(store, arrays: dict, key: str) -> SparseRows:
     """Inverse of :func:`_capture_residual`, refusing malformed rows."""
     rows, values = arrays[f"{key}/rows"], arrays[f"{key}/values"]
     try:
@@ -225,7 +246,7 @@ def _restore_residual(store, arrays: dict, key: str) -> None:
             raise ValueError(
                 f"rows {rows.dtype} / values {values.shape} do not fit a "
                 f"({store.n_rows}, {store.dim}) store")
-        store.store(SparseRows(rows, values, store.n_rows))
+        return SparseRows(rows, values, store.n_rows)
     except ValueError as exc:
         raise CheckpointCorruptError(
             f"array {key + '/rows'!r} does not index {key + '/values'!r} "
@@ -267,7 +288,7 @@ def capture_state(trainer) -> CheckpointState:
         },
         "drs": {
             "current": drs.current, "switched": drs.switched,
-            "last_allreduce_comm": drs.last_allreduce_comm,
+            "last_incumbent_comm": drs.last_incumbent_comm,
             "probes": drs.probes,
             "probe_comms": {mode: float(t)
                             for mode, t in sorted(drs.probe_comms.items())},
@@ -325,6 +346,9 @@ def apply_state(trainer, state: CheckpointState,
     pristine residuals and whatever RNG the caller installed (the elastic
     supervisor hands them a rejoin stream).  Without a ``rank_map``, any
     world-size difference raises :class:`CheckpointWorldMismatchError`.
+
+    A malformed section raises :class:`CheckpointCorruptError` naming it
+    before the first trainer field is written.
     """
     arrays = state.arrays
     scalars = state.scalars
@@ -355,112 +379,131 @@ def apply_state(trainer, state: CheckpointState,
         raise ValueError("rank_map carries no surviving rank; a world of "
                          "entirely fresh members cannot restore a snapshot")
 
-    trainer.model.entity_emb = np.array(arrays["model/entity_emb"],
-                                        dtype=np.float32)
-    trainer.model.relation_emb = np.array(arrays["model/relation_emb"],
-                                          dtype=np.float32)
-    for name, opt in (("entity", trainer.optimizer.entity_state),
-                      ("relation", trainer.optimizer.relation_state)):
-        opt.m = np.array(arrays[f"adam/{name}/m"], dtype=np.float32)
-        opt.v = np.array(arrays[f"adam/{name}/v"], dtype=np.float32)
-        opt.steps = np.array(arrays[f"adam/{name}/steps"], dtype=np.int64)
-    # Rank stores follow ``rank_map`` (a fresh member starts pristine).
-    # Hop-boundary stores restore by node-id intersection: a node the new
-    # world still occupies gets its snapshot back; a freshly (re)grown node
-    # starts pristine; a snapshot node with no survivors is dropped (its
-    # residual died with its last member, as a real node buffer would).
-    for key, rank, store in trainer.exchange.residual_stores():
-        if rank is not None:
-            old = rank_map[rank]
-            key = None if old is None else f"{key.rpartition('/')[0]}/{old}"
-        elif f"{key}/rows" not in arrays:
-            key = None
-        if key is None:
-            store.clear()
-        else:
-            _restore_residual(store, arrays, key)
+    writes = []  # run only once every section has parsed
+
+    def put(obj, **values):
+        writes.extend((setattr, obj, k, v) for k, v in values.items())
 
     cluster = trainer.cluster
-    old_clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
-    old_wait = np.asarray(arrays["cluster/wait"], dtype=np.float64)
-    join_clock = float(max(old_clocks[old] for old in survivors))
-    for rank, old in enumerate(rank_map):
-        if old is None:
-            cluster.clocks[rank] = join_clock
-            cluster.wait_total[rank] = 0.0
-        else:
-            cluster.clocks[rank] = old_clocks[old]
-            cluster.wait_total[rank] = old_wait[old]
-    cluster.records.clear()
-    comm = scalars["comm_stats"]
-    cluster.stats = CommStats(
-        calls=int(comm["calls"]), nbytes_total=int(comm["nbytes_total"]),
-        time_total=float(comm["time_total"]), retries=int(comm["retries"]),
-        by_op={op: [int(v[0]), int(v[1]), float(v[2])]
-               for op, v in comm["by_op"].items()},
-        by_hop={hop: [int(v[0]), int(v[1]), float(v[2]), int(v[3])]
-                for hop, v in comm.get("by_hop", {}).items()})
+    where = "arrays"
+    try:
+        put(trainer.model,
+            entity_emb=np.array(arrays["model/entity_emb"], dtype=np.float32),
+            relation_emb=np.array(arrays["model/relation_emb"],
+                                  dtype=np.float32))
+        for name, opt in (("entity", trainer.optimizer.entity_state),
+                          ("relation", trainer.optimizer.relation_state)):
+            put(opt, m=np.array(arrays[f"adam/{name}/m"], dtype=np.float32),
+                v=np.array(arrays[f"adam/{name}/v"], dtype=np.float32),
+                steps=np.array(arrays[f"adam/{name}/steps"], dtype=np.int64))
+        # Rank stores follow ``rank_map`` (a fresh member starts pristine).
+        # Hop-boundary stores restore by node-id intersection: a node the
+        # new world still occupies gets its snapshot back; a freshly
+        # (re)grown node starts pristine; a snapshot node with no survivors
+        # is dropped (its residual died with its last member, as a real
+        # node buffer would).
+        for key, rank, store in trainer.exchange.residual_stores():
+            if rank is not None:
+                old = rank_map[rank]
+                key = None if old is None else f"{key.rpartition('/')[0]}/{old}"
+            elif f"{key}/rows" not in arrays:
+                key = None
+            writes.append((store.clear,) if key is None else
+                          (store.store, _parse_residual(store, arrays, key)))
+        old_clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
+        old_wait = np.asarray(arrays["cluster/wait"], dtype=np.float64)
+        join_clock = float(max(old_clocks[old] for old in survivors))
+        put(cluster, clocks=np.array([join_clock if old is None else
+                                      old_clocks[old] for old in rank_map]),
+            wait_total=np.array([0.0 if old is None else old_wait[old]
+                                 for old in rank_map]))
+        writes.append((cluster.records.clear,))
 
-    sched = scalars["scheduler"]
-    trainer.scheduler.lr = float(sched["lr"])
-    trainer.scheduler.best = float(sched["best"])
-    trainer.scheduler.bad_epochs = int(sched["bad_epochs"])
-    trainer.scheduler.done = bool(sched["done"])
-    trainer.scheduler.n_decays = int(sched["n_decays"])
-    trainer.scheduler.epoch = int(sched["epoch"])
+        where = "state.comm_stats"
+        comm = scalars["comm_stats"]
+        put(cluster, stats=CommStats(
+            calls=int(comm["calls"]), nbytes_total=int(comm["nbytes_total"]),
+            time_total=float(comm["time_total"]),
+            retries=int(comm["retries"]),
+            by_op={op: [int(v[0]), int(v[1]), float(v[2])]
+                   for op, v in comm["by_op"].items()},
+            by_hop={hop: [int(v[0]), int(v[1]), float(v[2]), int(v[3])]
+                    for hop, v in comm.get("by_hop", {}).items()}))
 
-    saved, drs = scalars["drs"], trainer.exchange.drs
-    drs.current = str(saved["current"])
-    drs.switched = bool(saved["switched"])
-    drs.last_allreduce_comm = float(saved["last_allreduce_comm"])
-    drs.probes = int(saved["probes"])
-    drs.probe_comms = {str(mode): float(t) for mode, t
-                       in saved.get("probe_comms", {}).items()}
+        where = "state.scheduler"
+        sched = scalars["scheduler"]
+        put(trainer.scheduler, lr=float(sched["lr"]),
+            best=float(sched["best"]), bad_epochs=int(sched["bad_epochs"]),
+            done=bool(sched["done"]), n_decays=int(sched["n_decays"]),
+            epoch=int(sched["epoch"]))
 
-    rng = scalars["rng"]
-    if len(rng["workers"]) != old_world:
+        where = "state.drs"
+        saved = scalars["drs"]
+        put(trainer.exchange.drs, current=str(saved["current"]),
+            switched=bool(saved["switched"]),
+            last_incumbent_comm=float(saved["last_incumbent_comm"]),
+            probes=int(saved["probes"]),
+            probe_comms={str(mode): float(t) for mode, t
+                         in saved.get("probe_comms", {}).items()})
+
+        where = "state.rng"
+        rng = scalars["rng"]
+        if len(rng["workers"]) != old_world:
+            raise CheckpointCorruptError(
+                f"checkpoint carries {len(rng['workers'])} worker RNG states "
+                f"for a world of {old_world} ranks")
+        for generator, position in [
+                (trainer.rng, rng["trainer"]),
+                (trainer.exchange.rng, rng["selection"])] + [
+                (worker.rng, rng["workers"][old])
+                for worker, old in zip(trainer.workers, rank_map)
+                if old is not None]:
+            type(generator.bit_generator)(0).state = position  # refuses junk
+            writes.append((set_rng_state, generator, position))
+
+        where = "state.result"
+        partial = scalars["result"]
+        put(trainer.result, allreduce_steps=int(partial["allreduce_steps"]),
+            allgather_steps=int(partial["allgather_steps"]),
+            hier_steps=int(partial.get("hier_steps", 0)),
+            drs_switch_epoch=int(partial["drs_switch_epoch"]),
+            converged=bool(partial["converged"]),
+            logs=[EpochLog(**log) for log in partial["logs"]])
+
+        where = "state.fallbacks"
+        put(trainer.exchange, fallbacks=int(scalars["fallbacks"]))
+        where = "state.faults"
+        faults = scalars["faults"]
+        if (faults is None) != (cluster.faults is None):
+            raise CheckpointCorruptError(
+                "checkpoint fault-injector state does not match the "
+                "trainer's fault plan (the config hash should have caught "
+                "this)")
+        if faults is not None:
+            put(cluster.faults, _calls=int(faults["calls"]),
+                counters=FaultCounters(**{
+                    k: int(v) for k, v in faults["counters"].items()}))
+
+        where = "state.eval_timer"
+        timer = scalars["eval_timer"]
+        put(trainer.eval_timer, seconds=float(timer["seconds"]),
+            queries=int(timer["queries"]), sections=int(timer["sections"]))
+
+        where = "world_lineage"
+        lineage = [int(w) for w in state.world_lineage] or (
+            [int(state.world_size)] if state.world_size else [trainer.n_nodes])
+        if lineage[-1] != trainer.n_nodes:
+            lineage.append(trainer.n_nodes)
+        put(trainer, world_lineage=lineage,
+            _completed_epochs=int(state.epoch), _last_snapshot=None)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:  # what a malformed value raises
         raise CheckpointCorruptError(
-            f"checkpoint carries {len(rng['workers'])} worker RNG states "
-            f"for a world of {old_world} ranks")
-    set_rng_state(trainer.rng, rng["trainer"])
-    set_rng_state(trainer.exchange.rng, rng["selection"])
-    for worker, old in zip(trainer.workers, rank_map):
-        if old is not None:
-            set_rng_state(worker.rng, rng["workers"][old])
-
-    partial = scalars["result"]
-    result = trainer.result
-    result.allreduce_steps = int(partial["allreduce_steps"])
-    result.allgather_steps = int(partial["allgather_steps"])
-    result.hier_steps = int(partial.get("hier_steps", 0))
-    result.drs_switch_epoch = int(partial["drs_switch_epoch"])
-    result.converged = bool(partial["converged"])
-    result.logs = [EpochLog(**log) for log in partial["logs"]]
-
-    trainer.exchange.fallbacks = int(scalars["fallbacks"])
-    faults = scalars["faults"]
-    if (faults is None) != (cluster.faults is None):
-        raise CheckpointCorruptError(
-            "checkpoint fault-injector state does not match the trainer's "
-            "fault plan (the config hash should have caught this)")
-    if faults is not None:
-        cluster.faults._calls = int(faults["calls"])
-        cluster.faults.counters = FaultCounters(**{
-            k: int(v) for k, v in faults["counters"].items()})
-
-    timer = scalars["eval_timer"]
-    trainer.eval_timer.seconds = float(timer["seconds"])
-    trainer.eval_timer.queries = int(timer["queries"])
-    trainer.eval_timer.sections = int(timer["sections"])
-
-    lineage = [int(w) for w in state.world_lineage] or (
-        [int(state.world_size)] if state.world_size else [trainer.n_nodes])
-    if lineage[-1] != trainer.n_nodes:
-        lineage.append(trainer.n_nodes)
-    trainer.world_lineage = lineage
-
-    trainer._completed_epochs = int(state.epoch)
-    trainer._last_snapshot = None
+            f"checkpoint field {where!r} is malformed "
+            f"({type(exc).__name__}: {exc}); the checkpoint is corrupt"
+        ) from exc
+    for write, *args in writes:
+        write(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -548,36 +591,100 @@ def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
     return path
 
 
+# ---------------------------------------------------------------------------
+# The one reader: every snapshot file is parsed and verified here
+# ---------------------------------------------------------------------------
+
+#: Fields every checkpoint manifest carries, with their JSON types.
+_CHECKPOINT_FIELDS = {"config_hash": str, "epoch": int, "world_size": int,
+                      "world_lineage": list, "state": dict}
+
+
+def _read_manifest(path: Path, fmt: str = FORMAT_NAME,
+                   version: int = SCHEMA_VERSION,
+                   fields: dict = _CHECKPOINT_FIELDS) -> tuple[dict, str]:
+    """Parse one manifest; returns it and the SHA-256 of the bytes parsed.
+
+    A missing file raises plain :class:`CheckpointError` and a foreign
+    ``schema_version`` :class:`CheckpointSchemaError`.  Anything else
+    malformed — bad JSON, a non-object, a foreign ``format``, a field of
+    ``fields`` or the ``arrays`` table missing or mistyped — raises
+    :class:`CheckpointCorruptError` naming the file and the field.
+    """
+    try:
+        raw = path.read_bytes()
+        manifest = json.loads(raw)
+    except (FileNotFoundError, NotADirectoryError):
+        raise CheckpointError(
+            f"no checkpoint file {path.name} in {path.parent}") from None
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise CheckpointCorruptError(
+            f"cannot read {path} as JSON ({exc}); the file is corrupt or was "
+            f"torn mid-write") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise CheckpointCorruptError(f"{path} is not a {fmt} manifest")
+    found = manifest.get("schema_version")
+    if found != version:
+        raise CheckpointSchemaError(
+            f"{path} has schema version {found!r} (expected {version}); "
+            f"re-create it with a matching version of repro")
+    for key, kind in {"arrays": dict, **fields}.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            found = repr(value)[:60] if key in manifest else "missing"
+            raise CheckpointCorruptError(
+                f"{path}: field {key!r} is {found}, expected {kind.__name__}")
+    for name, meta in manifest["arrays"].items():
+        if not isinstance(meta, dict) or not isinstance(meta.get("sha256"),
+                                                        str):
+            raise CheckpointCorruptError(
+                f"{path}: field 'arrays.{name}' has no sha256 string")
+    return manifest, hashlib.sha256(raw).hexdigest()
+
+
+def _read_arrays(path: Path, declared: dict) -> dict:
+    """Load an npz without copying it and verify it against ``declared``,
+    a manifest's ``arrays`` table: nothing missing, nothing undeclared,
+    every SHA-256 equal."""
+    try:
+        # Opened here: np.load leaks its own handle when the zip is bad.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+    except Exception as exc:  # a missing file; zipfile, numpy: a dozen kinds
+        raise CheckpointCorruptError(
+            f"cannot read {path} ({exc}); the file is corrupt or was torn "
+            f"mid-write") from exc
+    missing = sorted(set(declared) - set(arrays))
+    if missing:
+        raise CheckpointMissingArrayError(
+            f"{path} is missing declared array(s) {missing}")
+    undeclared = sorted(set(arrays) - set(declared))
+    if undeclared:
+        raise CheckpointCorruptError(
+            f"{path} contains array(s) {undeclared} absent from its "
+            f"manifest; manifest and npz are out of sync")
+    for name, meta in sorted(declared.items()):
+        actual = _sha256_array(arrays[name])
+        if actual != meta["sha256"]:
+            raise CheckpointChecksumError(
+                f"array {name!r} in {path} fails its SHA-256 check "
+                f"(manifest {meta['sha256'][:12]}..., file {actual[:12]}...)")
+    return arrays
+
+
 def load_checkpoint(path: str | Path,
                     expected_config_hash: str | None = None
                     ) -> CheckpointState:
-    """Load and fully validate one checkpoint directory.
+    """Load and fully validate the checkpoint directory ``path`` (one
+    snapshot; :func:`resolve_checkpoint_dir` turns a parent into one).
 
     Raises the most specific :class:`CheckpointError` subclass for each
     failure mode (see module docstring).  When ``expected_config_hash`` is
     given, a mismatch is rejected *before* any array is deserialised.
     """
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise CheckpointError(
-            f"no checkpoint at {path}: missing {MANIFEST_NAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointCorruptError(
-            f"{manifest_path} is not valid JSON ({exc}); the checkpoint "
-            f"is corrupt or was torn mid-write") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
-        raise CheckpointCorruptError(
-            f"{manifest_path} is not a {FORMAT_NAME} manifest")
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise CheckpointSchemaError(
-            f"checkpoint schema version {version!r} is not supported by "
-            f"this build (expected {SCHEMA_VERSION}); re-create the "
-            f"checkpoint with a matching version of repro")
-    config_hash = manifest.get("config_hash", "")
+    manifest, digest = _read_manifest(path / MANIFEST_NAME)
+    config_hash = manifest["config_hash"]
     if expected_config_hash is not None and config_hash != expected_config_hash:
         raise CheckpointConfigMismatchError(
             f"checkpoint config hash {config_hash[:12]}... does not match "
@@ -586,56 +693,24 @@ def load_checkpoint(path: str | Path,
             f"network, fault plan or TrainConfig.  Rebuild the trainer "
             f"with the original settings to resume (only max_epochs and "
             f"the checkpoint knobs may differ).")
-
-    npz_path = path / ARRAYS_NAME
-    if not npz_path.is_file():
-        raise CheckpointCorruptError(
-            f"checkpoint {path} has a manifest but no {ARRAYS_NAME}")
-    try:
-        with np.load(npz_path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointCorruptError(
-            f"cannot read {npz_path} ({exc}); the checkpoint is corrupt "
-            f"or was torn mid-write") from exc
-
-    declared = manifest.get("arrays", {})
-    missing = sorted(set(declared) - set(arrays))
-    if missing:
-        raise CheckpointMissingArrayError(
-            f"{npz_path} is missing declared array(s) {missing}; the "
-            f"checkpoint is incomplete")
-    undeclared = sorted(set(arrays) - set(declared))
-    if undeclared:
-        raise CheckpointCorruptError(
-            f"{npz_path} contains array(s) {undeclared} absent from the "
-            f"manifest; manifest and npz are out of sync")
-    for name, meta in sorted(declared.items()):
-        actual = _sha256_array(arrays[name])
-        if actual != meta.get("sha256"):
-            raise CheckpointChecksumError(
-                f"array {name!r} fails its SHA-256 check "
-                f"(manifest {str(meta.get('sha256'))[:12]}..., "
-                f"file {actual[:12]}...); the checkpoint is corrupt — "
-                f"resume from an earlier snapshot")
-
+    declared = manifest["arrays"]
     return CheckpointState(
-        epoch=int(manifest["epoch"]), arrays=arrays,
+        epoch=manifest["epoch"],
+        arrays=_read_arrays(path / ARRAYS_NAME, declared),
         scalars=manifest["state"], config_hash=config_hash,
-        world_size=int(manifest.get("world_size", 0)),
-        world_lineage=tuple(int(w)
-                            for w in manifest.get("world_lineage", [])))
+        world_size=manifest["world_size"],
+        world_lineage=tuple(manifest["world_lineage"]),
+        manifest_digest=digest,
+        digests={name: meta["sha256"] for name, meta in declared.items()})
 
 
 def resolve_checkpoint_dir(path: str | Path) -> Path:
     """The checkpoint directory ``path`` names: itself if it holds a
     manifest, else the highest-epoch checkpoint under it.
 
-    Shared by the read-only loaders and the sidecar machinery so ``serve``
-    and ``export-binary`` invoked with the same parent directory always
-    agree on which snapshot they mean.
+    Every reader resolves once, here, so ``restore``, ``serve``, hot reload
+    and ``export-binary`` given one parent agree on the snapshot, and one
+    landing mid-load cannot mix two snapshots into one load.
     """
     path = Path(path)
     if (path / MANIFEST_NAME).is_file():
@@ -646,34 +721,16 @@ def resolve_checkpoint_dir(path: str | Path) -> Path:
     return found
 
 
-def load_for_serving(path: str | Path) -> CheckpointState:
-    """Load a checkpoint for read-only consumption (the serving layer).
-
-    ``path`` may be a checkpoint directory or a parent holding several, in
-    which case the highest-epoch snapshot is used.  Validation is the full
-    taxonomy — corrupt JSON, failed checksums, missing arrays and foreign
-    schema versions raise their specific :class:`CheckpointError` subclass
-    exactly as a resume would — but two resume-only gates are deliberately
-    absent: no config fingerprint is demanded (a server does not rebuild
-    the training run, it only reads the embeddings) and a world-lineage
-    mismatch is fine (serving needs no world reconstruction, so a snapshot
-    captured mid-shrink by the elastic supervisor serves as well as any).
-    """
-    return load_checkpoint(resolve_checkpoint_dir(path))
-
-
 def manifest_digest(path: str | Path) -> str:
-    """SHA-256 of a checkpoint's manifest bytes: a cheap snapshot identity.
+    """SHA-256 of the manifest in checkpoint directory ``path``: a cheap
+    snapshot identity.
 
     The manifest embeds every array's checksum, so two checkpoints with
-    equal manifests hold bitwise-equal arrays.  The serving layer's hot
-    reload uses this to detect no-op reloads (poll the same directory,
-    swap only when the snapshot actually changed) without reading the
-    array payload.  ``path`` resolves like every other read (a checkpoint
-    directory, or a parent whose latest snapshot is taken).
+    equal manifests hold bitwise-equal arrays.  Hot reload compares it with
+    the served store's (the digest its loader parsed) to skip no-op swaps
+    without reading the array payload.
     """
-    manifest = resolve_checkpoint_dir(path) / MANIFEST_NAME
-    return hashlib.sha256(manifest.read_bytes()).hexdigest()
+    return _read_manifest(Path(path) / MANIFEST_NAME)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -706,68 +763,14 @@ def write_sidecar(ckpt_dir: str | Path, stem: str, fmt: str, version: int,
 
 def read_sidecar(ckpt_dir: str | Path, stem: str, fmt: str, version: int
                  ) -> tuple[dict, dict]:
-    """Load and fully validate one sidecar; returns ``(arrays, meta)``.
-
-    The failure taxonomy mirrors :func:`load_checkpoint`: a missing sidecar
-    raises plain :class:`CheckpointError` naming both files, unparseable
-    JSON or npz raises :class:`CheckpointCorruptError`, a foreign format or
-    schema version raises :class:`CheckpointSchemaError`, a declared array
-    absent from the npz raises :class:`CheckpointMissingArrayError`, and a
-    checksum mismatch raises :class:`CheckpointChecksumError` naming the
-    array and the file.
-    """
-    path = resolve_checkpoint_dir(ckpt_dir)
-    manifest_path = path / f"{stem}.json"
-    npz_path = path / f"{stem}.npz"
-    if not manifest_path.is_file():
-        raise CheckpointError(
-            f"checkpoint {path} has no {stem}.json sidecar; run the "
-            f"matching export to create {stem}.npz + {stem}.json")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointCorruptError(
-            f"{manifest_path} is not valid JSON ({exc}); the sidecar is "
-            f"corrupt or was torn mid-write") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
-        raise CheckpointSchemaError(
-            f"{manifest_path} is not a {fmt} sidecar manifest")
-    found_version = manifest.get("schema_version")
-    if found_version != version:
-        raise CheckpointSchemaError(
-            f"sidecar {manifest_path} has schema version {found_version!r}, "
-            f"expected {version}; re-run the export with a matching "
-            f"version of repro")
-    if not npz_path.is_file():
-        raise CheckpointCorruptError(
-            f"sidecar {manifest_path} has a manifest but no {npz_path.name}")
-    try:
-        with np.load(npz_path, allow_pickle=False) as data:
-            arrays = {name: np.array(data[name]) for name in data.files}
-    except Exception as exc:
-        raise CheckpointCorruptError(
-            f"cannot read {npz_path} ({exc}); the sidecar is corrupt or "
-            f"was torn mid-write") from exc
-    declared = manifest.get("arrays", {})
-    missing = sorted(set(declared) - set(arrays))
-    if missing:
-        raise CheckpointMissingArrayError(
-            f"{npz_path} is missing declared array(s) {missing}; the "
-            f"sidecar is incomplete")
-    undeclared = sorted(set(arrays) - set(declared))
-    if undeclared:
-        raise CheckpointCorruptError(
-            f"{npz_path} contains array(s) {undeclared} absent from its "
-            f"manifest; manifest and npz are out of sync")
-    for name, spec in sorted(declared.items()):
-        actual = _sha256_array(arrays[name])
-        if actual != spec.get("sha256"):
-            raise CheckpointChecksumError(
-                f"array {name!r} in {npz_path} fails its SHA-256 check "
-                f"(manifest {str(spec.get('sha256'))[:12]}..., file "
-                f"{actual[:12]}...); the sidecar is corrupt — re-run the "
-                f"export")
-    return arrays, manifest.get("meta", {})
+    """Load and fully validate one sidecar in the checkpoint directory
+    ``ckpt_dir``; returns ``(arrays, meta)``.  The reader and the error
+    taxonomy are :func:`load_checkpoint`'s."""
+    path = Path(ckpt_dir)
+    manifest, _ = _read_manifest(path / f"{stem}.json", fmt, version,
+                                 {"meta": dict})
+    return (_read_arrays(path / f"{stem}.npz", manifest["arrays"]),
+            manifest["meta"])
 
 
 # ---------------------------------------------------------------------------
@@ -777,23 +780,20 @@ def read_sidecar(ckpt_dir: str | Path, stem: str, fmt: str, version: int
 def list_checkpoints(root: str | Path) -> list[tuple[int, Path]]:
     """All readable checkpoints directly under ``root``: (epoch, path).
 
-    Sorted by (epoch, name).  Directories without a parseable manifest are
-    skipped — torn writes must not break discovery of older snapshots.
+    Sorted by (epoch, name).  A directory whose manifest the reader refuses
+    (missing, torn, foreign, wrong version, no valid epoch) is skipped:
+    a bad child must not break discovery of older snapshots, so this
+    never raises.
     """
     root = Path(root)
     found: list[tuple[int, Path]] = []
     if not root.is_dir():
         return found
     for child in sorted(root.iterdir()):
-        manifest_path = child / MANIFEST_NAME
-        if not manifest_path.is_file():
-            continue
         try:
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("format") != FORMAT_NAME:
-                continue
-            found.append((int(manifest["epoch"]), child))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            found.append((_read_manifest(child / MANIFEST_NAME)[0]["epoch"],
+                          child))
+        except CheckpointError:
             continue
     found.sort(key=lambda item: (item[0], item[1].name))
     return found

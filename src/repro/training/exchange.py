@@ -9,7 +9,7 @@ the ranks' gradients of one matrix for one step.
    then row selection drops some;
 2. **encode** — whoever puts bytes on the expensive link encodes once (each
    rank on the flat allgather, each node at the two-level hop boundary):
-   1-/2-bit quantization, the GradZip projection, or nothing;
+   1-/2-bit quantization or nothing;
 3. **move** — the transport charges its collectives on the simulated
    cluster: flat allgatherv, two-level gather -> allgatherv -> bcast, or the
    parameter-server push/pull;
@@ -38,7 +38,6 @@ from ..comm.faults import CollectiveGaveUp
 from ..comm.payload import dense_bytes
 from ..comm.simulator import Cluster, CommRecord
 from ..comm.sparse import SparseRows, combine_sparse
-from ..compress import factorization as gradzip
 from ..compress.error_feedback import NodeResiduals, ResidualStore
 from ..compress.quantization import dequantize, quantization_error, quantize
 from ..compress.selection import select
@@ -78,10 +77,9 @@ class DrsState:
     #: Mode every epoch uses after the switch commits (the winning probe).
     current: str = "allreduce"
     switched: bool = False
-    #: Incumbent (default-mode) comm time of the most recent default epoch.
-    #: Named for the paper's allreduce incumbent; kept for checkpoint
-    #: compatibility even when ``default_mode`` is hierarchical.
-    last_allreduce_comm: float = float("inf")
+    #: Incumbent (``default_mode``) comm time of the most recent default
+    #: epoch.
+    last_incumbent_comm: float = float("inf")
     probes: int = 0
     #: Probe must beat margin * last incumbent comm to commit the switch
     #: (1.0 = paper's strict comparison; < 1 is hysteresis against jitter).
@@ -104,7 +102,7 @@ class DrsState:
         if self.switched:
             return
         if epoch_mode == self.default_mode:
-            self.last_allreduce_comm = comm_time
+            self.last_incumbent_comm = comm_time
             return
         # Probe epoch result: record it; decide once every challenger has
         # a measurement (ties break toward the earlier probe_modes entry).
@@ -114,7 +112,7 @@ class DrsState:
             return
         winner = min(self.probe_modes, key=lambda m: self.probe_comms[m])
         if self.probe_comms[winner] \
-                < self.switch_margin * self.last_allreduce_comm:
+                < self.switch_margin * self.last_incumbent_comm:
             self.switched = True
             self.current = winner
 
@@ -133,8 +131,6 @@ class MatrixState:
     rank_residuals: list[ResidualStore] | None = None
     #: One store per physical node around the hop-boundary quantizer.
     node_residuals: NodeResiduals | None = None
-    #: GradZip basis every rank derives from the shared seed.
-    projection: np.ndarray | None = None
 
 
 class GradientExchange:
@@ -186,9 +182,6 @@ class GradientExchange:
                 if self.groups is not None:
                     m.node_residuals = NodeResiduals(self.groups.node_ids,
                                                      n_rows, width)
-            if strategy.factorization_rank:
-                m.projection = gradzip.shared_projection(
-                    width, min(strategy.factorization_rank, width), seed=seed)
             self.matrices[kind] = m
 
         self.drs = self._initial_drs()
@@ -337,7 +330,7 @@ class GradientExchange:
 
         # Each payload is decoded once; the same rows feed the residual
         # update and the combine.
-        decoded, wire, errors = zip(*(self._encode(m, g) for g in sources))
+        decoded, wire, errors = zip(*(self._encode(g) for g in sources))
         if two_level:
             hierarchical.hier_inter_allgatherv_bytes(
                 cluster, wire, groups, op_label=f"{m.kind}_hier")
@@ -347,8 +340,7 @@ class GradientExchange:
                 n_messages=2 * len(wire),
                 time=push_pull_time(wire, self.n_servers, cluster.network)))
         else:
-            codec = ("quant" if strategy.quantization_bits else
-                     "factored" if m.projection is not None else "sparse")
+            codec = "quant" if strategy.quantization_bits else "sparse"
             collectives.allgatherv_bytes(
                 cluster, wire, algo=strategy.allgather_algo,
                 op_label=f"{m.kind}_allgather_{codec}")
@@ -373,7 +365,7 @@ class GradientExchange:
         total_rows = dropped + kept
         return combined, dropped / total_rows if total_rows else 0.0
 
-    def _encode(self, m: MatrixState, g: SparseRows
+    def _encode(self, g: SparseRows
                 ) -> tuple[SparseRows, int, SparseRows | None]:
         """One lossy encode of one rank's or node's rows: the rows as every
         receiver decodes them, their bytes on the wire, and the compression
@@ -386,10 +378,4 @@ class GradientExchange:
             error = (quantization_error(g, q, approx)
                      if strategy.error_feedback else None)
             return approx, q.nbytes_wire, error
-        if m.projection is not None:
-            # GradZip comparator: project rows onto the shared basis, ship
-            # the skinny factors, reconstruct locally.
-            payload = gradzip.compress(g, m.projection)
-            return (gradzip.reconstruct(payload, m.projection),
-                    payload.nbytes_wire, None)
         return g, g.nbytes_wire, None

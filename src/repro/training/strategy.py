@@ -94,10 +94,6 @@ class StrategyConfig:
     negatives_sampled: int = 1
     negatives_used: int = 1
     error_feedback: bool = False
-    #: GradZip-style factorization rank (0 = off).  A related-work
-    #: comparator: the paper reports it converges poorly for KGE
-    #: gradients (Section 2).  Mutually exclusive with quantization.
-    factorization_rank: int = 0
     drs_probe_interval: int = PAPER_DRS_PROBE_INTERVAL
     drs_switch_margin: float = 1.0
     allreduce_algo: str = "ring"
@@ -131,21 +127,10 @@ class StrategyConfig:
         if self.drs_switch_margin <= 0:
             raise ValueError(
                 f"drs_switch_margin must be > 0, got {self.drs_switch_margin}")
-        if self.factorization_rank < 0:
-            raise ValueError("factorization_rank must be >= 0")
-        if self.factorization_rank and self.quantization_bits:
-            raise ValueError(
-                "factorization and quantization are mutually exclusive")
         if self.collective not in COLLECTIVES:
             raise ValueError(
                 f"collective must be one of {COLLECTIVES}, "
                 f"got {self.collective!r}")
-
-    @property
-    def compresses(self) -> bool:
-        """True if any lossy wire compression is active."""
-        return (self.selection != "none" or self.quantization_bits > 0
-                or self.factorization_rank > 0)
 
     def label(self) -> str:
         """Short display name in the paper's Table 5 vocabulary."""
@@ -158,8 +143,6 @@ class StrategyConfig:
             parts.append(self.comm_mode)
         if self.quantization_bits:
             parts.append(f"{self.quantization_bits}-bit")
-        if self.factorization_rank:
-            parts.append(f"fact-r{self.factorization_rank}")
         if self.relation_partition:
             parts.append("RP")
         if self.sample_selection:

@@ -252,14 +252,9 @@ class DistributedTrainer:
         (:class:`~repro.training.checkpoint.CheckpointConfigMismatchError`
         otherwise); returns the epoch training will resume after.
         """
-        path = Path(path)
-        if not (path / ckpt.MANIFEST_NAME).is_file():
-            found = ckpt.latest_checkpoint(path)
-            if found is None:
-                raise ckpt.CheckpointError(f"no checkpoint found under {path}")
-            path = found
         state = ckpt.load_checkpoint(
-            path, expected_config_hash=self.config_fingerprint())
+            ckpt.resolve_checkpoint_dir(path),
+            expected_config_hash=self.config_fingerprint())
         ckpt.apply_state(self, state)
         return state.epoch
 

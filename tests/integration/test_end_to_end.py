@@ -117,33 +117,3 @@ class TestTimingSanity:
         assert r.total_time == pytest.approx(sum(r.series("epoch_time")),
                                              rel=1e-6)
 
-
-class TestFactorizationComparator:
-    def test_factorization_converges_worse_than_1bit(self, store):
-        """Paper Section 2: gradient factorization 'shows poor convergence
-        in practice' for KGE — per-row reconstruction mixes directions.
-        At a comparable compression ratio, 1-bit quantization must reach a
-        clearly better MRR in the same epoch budget."""
-        from dataclasses import replace
-        from repro import rs_1bit
-        from repro.training.strategy import StrategyConfig
-        cfg = config(max_epochs=25, lr_patience=25)
-        one_bit = train(store, rs_1bit(negatives=2), 2, config=cfg)
-        factored = train(
-            store,
-            StrategyConfig(comm_mode="allgather", selection="random",
-                           factorization_rank=3, negatives_sampled=2,
-                           negatives_used=2),
-            2, config=cfg)
-        assert one_bit.test_mrr > factored.test_mrr + 0.03, (
-            f"expected 1-bit ({one_bit.test_mrr:.3f}) to beat "
-            f"factorization ({factored.test_mrr:.3f})")
-
-    def test_factorization_label_and_validation(self):
-        from repro.training.strategy import StrategyConfig
-        strat = StrategyConfig(comm_mode="allgather", factorization_rank=4)
-        assert "fact-r4" in strat.label()
-        assert strat.compresses
-        import pytest
-        with pytest.raises(ValueError):
-            StrategyConfig(quantization_bits=1, factorization_rank=4)

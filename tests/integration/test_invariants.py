@@ -82,8 +82,7 @@ class TestCompressionSafety:
                        quantization_bits=1),
         StrategyConfig(comm_mode="allgather", quantization_bits=2),
         StrategyConfig(comm_mode="allgather", selection="average"),
-        StrategyConfig(comm_mode="allgather", factorization_rank=4),
-    ], ids=["rs+1bit", "2bit", "avg-threshold", "factorization"])
+    ], ids=["rs+1bit", "2bit", "avg-threshold"])
     def test_lossy_paths_keep_model_finite(self, store, strategy):
         result = train(store, strategy, 4, config=cfg())
         assert np.isfinite(result.test_mrr)
@@ -105,10 +104,3 @@ class TestBytesAccounting:
     def test_bytes_total_equals_sum_of_epoch_bytes(self, store):
         r = train(store, baseline_allgather(negatives=2), 4, config=cfg())
         assert r.bytes_total == sum(log.bytes_communicated for log in r.logs)
-
-    def test_factorization_bytes_scale_with_rank(self, store):
-        lo = StrategyConfig(comm_mode="allgather", factorization_rank=2)
-        hi = StrategyConfig(comm_mode="allgather", factorization_rank=8)
-        a = train(store, lo, 4, config=cfg(max_epochs=2))
-        b = train(store, hi, 4, config=cfg(max_epochs=2))
-        assert a.bytes_total < b.bytes_total

@@ -9,12 +9,16 @@ LRU cache must be invalidated on swap so no pre-reload answer — under any
 ``(tier, rerank_k)`` key — survives into the new snapshot's traffic.
 """
 
+import hashlib
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.kg.datasets import make_tiny_kg
 from repro.serve import (EmbeddingStore, QueryEngine, ServeFaultPlan,
                          export_binary)
+from repro.training import checkpoint as ckpt
 from repro.training.checkpoint import (ARRAYS_NAME, MANIFEST_NAME,
                                        CheckpointChecksumError,
                                        CheckpointError, _write_npz,
@@ -277,3 +281,42 @@ class TestBreakerRearm:
         want = _engine_on(ckpt_b, dataset, with_binary=True, tier="binary",
                           rerank_k=12).topk_tails(3, 1, k=4)
         assert got.entities.tobytes() == want.entities.tobytes()
+
+
+class TestSnapshotIdentity:
+    def test_snapshot_landing_mid_load_is_not_claimed(self, dataset,
+                                                      tmp_path, monkeypatch):
+        """``from_checkpoint(parent)`` resolves the parent once.  A snapshot
+        landing while the newest one loads is neither served nor recorded:
+        the store's digest is the manifest it parsed, and a later reload of
+        the parent sees a new digest and swaps."""
+        source = tmp_path / "run"
+        config = TrainConfig(dim=8, batch_size=128, max_epochs=2,
+                             lr_patience=6, eval_max_queries=20, seed=777,
+                             checkpoint_dir=str(source), checkpoint_every=1,
+                             checkpoint_keep=0)
+        DistributedTrainer(dataset, baseline_allreduce(), 2,
+                           config=config).run()
+        parent = tmp_path / "served"
+        parent.mkdir()
+        shutil.copytree(source / "epoch-0001", parent / "epoch-0001")
+
+        real_load = ckpt.load_checkpoint
+
+        def load_then_land(*args, **kwargs):
+            state = real_load(*args, **kwargs)
+            if not (parent / "epoch-0002").exists():
+                shutil.copytree(source / "epoch-0002", parent / "epoch-0002")
+            return state
+
+        monkeypatch.setattr(ckpt, "load_checkpoint", load_then_land)
+        store = EmbeddingStore.from_checkpoint(parent, model_name="complex",
+                                               dataset=dataset)
+        monkeypatch.undo()
+
+        served = (parent / "epoch-0001" / MANIFEST_NAME).read_bytes()
+        assert store.epoch == 1
+        assert store.manifest_digest == hashlib.sha256(served).hexdigest()
+        summary = QueryEngine(store).reload(parent)
+        assert summary["swapped"] is True
+        assert (summary["old_epoch"], summary["new_epoch"]) == (1, 2)

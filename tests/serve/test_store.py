@@ -23,7 +23,6 @@ from repro.training.checkpoint import (
     CheckpointSchemaError,
     CheckpointWorldMismatchError,
     _write_npz,
-    load_for_serving,
 )
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
@@ -134,7 +133,7 @@ class TestNegative:
 
     def test_missing_checkpoint_is_a_clear_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_for_serving(tmp_path)
+            EmbeddingStore.from_checkpoint(tmp_path)
 
     def test_corrupt_manifest(self, snapshot, tmp_path):
         _, path = snapshot

@@ -10,7 +10,6 @@ from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows, combine_sparse
 from repro.comm.topology import HierarchicalNetwork
-from repro.compress import factorization as gradzip
 from repro.training.exchange import GradientExchange
 from repro.training.strategy import StrategyConfig
 
@@ -21,8 +20,7 @@ NET = HierarchicalNetwork(
 #: RotatE-like: the relation matrix is narrower than the entity matrix.
 SHAPES = {"entity": (30, 16), "relation": (6, 8)}
 CODECS = {"raw": {}, "1bit": {"quantization_bits": 1},
-          "2bit": {"quantization_bits": 2},
-          "gradzip": {"factorization_rank": 4}}
+          "2bit": {"quantization_bits": 2}}
 MODES = ("allreduce", "hierarchical", "allgather")
 GIVE_UP = FaultPlan(drop_prob=0.95, max_retries=1, policy="fallback-dense",
                     seed=3)
@@ -107,15 +105,12 @@ OP_LABELS = {
     ("allreduce", "raw"): ("allreduce_ring",),
     ("allreduce", "1bit"): ("allreduce_ring",),
     ("allreduce", "2bit"): ("allreduce_ring",),
-    ("allreduce", "gradzip"): ("allreduce_ring",),
     ("hierarchical", "raw"): DENSE_HIER,
     ("hierarchical", "1bit"): QUANT_HIER,
     ("hierarchical", "2bit"): QUANT_HIER,
-    ("hierarchical", "gradzip"): DENSE_HIER,
     ("allgather", "raw"): ("allgather_sparse_ring",),
     ("allgather", "1bit"): ("allgather_quant_ring",),
     ("allgather", "2bit"): ("allgather_quant_ring",),
-    ("allgather", "gradzip"): ("allgather_factored_ring",),
 }
 
 
@@ -183,21 +178,6 @@ def test_fallback_leaves_every_residual_store_untouched(mode, network,
     level = "hier_entity" if mode == "hierarchical" else "entity"
     assert changed and all(key.startswith(f"residual/{level}/")
                            for key in changed)
-
-
-def test_projection_follows_the_matrix_not_rank_zero():
-    """RotatE-like widths: an empty rank-0 relation part must not select
-    the entity matrix's GradZip basis."""
-    exchange = make_exchange(2, collective="flat", factorization_rank=4)
-    full = random_parts(1, "relation")[0]
-    got, _ = exchange.exchange("relation", [empty_part("relation"), full],
-                               "allgather")
-    basis = gradzip.shared_projection(8, 4, seed=7)
-    want = gradzip.reconstruct(gradzip.compress(full, basis), basis)
-    assert same_rows(got, combine_sparse([empty_part("relation"), want]))
-    assert {kind: m.projection.shape
-            for kind, m in exchange.matrices.items()} == {
-        "entity": (16, 4), "relation": (8, 4)}
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
