@@ -9,6 +9,13 @@ owns what surrounds them: one gather per batch, the loss hand-off, the L2
 term and the fold into :class:`~repro.comm.sparse.SparseRows` (only the
 rows a batch touches are non-zero — the fact the paper's whole
 communication strategy rests on).
+
+For ranking, a dot model (DistMult, ComplEx) writes one more function,
+:meth:`KGEModel.query_vector`: the linear form its score contracts with a
+candidate entity.  The base class scores every candidate from it with one
+contiguous matrix product; the training forward stays the reference it
+agrees with to float tolerance.  Distance models (TransE, RotatE) write
+their own block scorers.
 """
 
 from __future__ import annotations
@@ -129,20 +136,24 @@ class KGEModel(abc.ABC):
 
     # -- candidate scoring (chunked driver) --------------------------------
 
-    @abc.abstractmethod
     def score_tails_block(self, h: np.ndarray, r: np.ndarray,
                           lo: int, hi: int) -> np.ndarray:
         """Scores of (h_i, r_i, e) for candidate entities ``e in [lo, hi)``.
 
-        Returns shape ``(batch, hi - lo)``.  This is the only candidate
-        scoring a model must implement; the chunking driver in
-        :meth:`score_all_tails` builds the full matrix from blocks.
+        Returns shape ``(batch, hi - lo)``; the chunking driver in
+        :meth:`score_all_tails` builds the full matrix from blocks.  A
+        dot-geometry score is linear in the candidate, so the block is one
+        contraction of the :meth:`query_vector` linear form with the
+        contiguous candidate rows.  Distance models override both block
+        scorers.
         """
+        return self.query_vector(h, r) @ self.entity_emb[lo:hi].T
 
-    @abc.abstractmethod
     def score_heads_block(self, r: np.ndarray, t: np.ndarray,
                           lo: int, hi: int) -> np.ndarray:
         """Scores of (e, r_i, t_i) for candidate entities ``e in [lo, hi)``."""
+        return (self.query_vector(t, r, tail_side=False)
+                @ self.entity_emb[lo:hi].T)
 
     def score_all_tails(self, h: np.ndarray, r: np.ndarray,
                         chunk_entities: int | None = None) -> np.ndarray:
@@ -178,27 +189,25 @@ class KGEModel(abc.ABC):
             out[:, lo:hi] = block_fn(a, b, lo, hi)
         return out
 
-    # -- binary-tier candidate generation ----------------------------------
+    # -- the query's side of a candidate score -----------------------------
 
     def query_vector(self, anchors: np.ndarray, rels: np.ndarray,
                      tail_side: bool = True) -> np.ndarray:
-        """Full-precision query vector for Hamming-space candidate search.
+        """Full-precision query vector of each partial triple.
 
         Returns shape ``(batch, entity_width)`` float32: for each partial
         triple — ``(anchor, rel, ?)`` when ``tail_side`` else
-        ``(?, rel, anchor)`` — a vector in *entity* coordinates whose sign
-        pattern predicts good completions: a candidate entity whose sign
-        bits agree with this vector's on more coordinates scores
-        (approximately) higher under :meth:`score`.  For dot-product
-        models the vector is the exact linear form the score contracts
-        with the candidate (``score = q . e_t``); for distance models it
-        is the translation/rotation target the candidate should sit near.
-        The serving layer packs its signs and ranks candidates by packed
-        XOR-popcount against a :class:`~repro.serve.binary.BinaryStore`.
+        ``(?, rel, anchor)`` — a vector in *entity* coordinates.  For
+        dot-product models it is the exact linear form the score contracts
+        with the candidate (``score = q . e``), written nowhere else: the
+        block scorers, :meth:`score_candidates` and the binary tier's
+        stage 1 all contract it.  For distance models it is the
+        translation/rotation target the candidate should sit near.  Either
+        way its sign pattern predicts good completions, which is what the
+        binary tier's :class:`~repro.serve.binary.BinaryStore` scan ranks.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not define a binary-tier query "
-            f"vector")
+            f"{type(self).__name__} does not define a query vector")
 
     def score_candidates(self, anchors: np.ndarray, rels: np.ndarray,
                          candidates: np.ndarray,

@@ -9,6 +9,11 @@ width ``2 * dim``.  The score is the real part of the trilinear product
 
 (equation (1) in the paper, regrouped).  The backward pass is the exact
 closed form of the partial derivatives, vectorised over the batch.
+
+Candidate ranking never splits the entity matrix into halves: ``phi`` is
+linear in the candidate, and :meth:`ComplEx.query_vector` writes that
+linear form in the same ``[real | imag]`` layout, so the base class scores
+every candidate with one contiguous matrix product.
 """
 
 from __future__ import annotations
@@ -63,33 +68,14 @@ class ComplEx(KGEModel):
         np.multiply(u, hr_re, out=g_t[:, :dim])
         np.multiply(u, hr_im, out=g_t[:, dim:])
 
-    def score_tails_block(self, h: np.ndarray, r: np.ndarray,
-                          lo: int, hi: int) -> np.ndarray:
-        h_re, h_im = self._split(self.entity_emb[np.asarray(h, dtype=np.int64)])
-        r_re, r_im = self._split(self.relation_emb[np.asarray(r, dtype=np.int64)])
-        hr_re = h_re * r_re - h_im * r_im
-        hr_im = h_re * r_im + h_im * r_re
-        e_re, e_im = self._split(self.entity_emb[lo:hi])
-        return hr_re @ e_re.T + hr_im @ e_im.T
-
-    def score_heads_block(self, r: np.ndarray, t: np.ndarray,
-                          lo: int, hi: int) -> np.ndarray:
-        r_re, r_im = self._split(self.relation_emb[np.asarray(r, dtype=np.int64)])
-        t_re, t_im = self._split(self.entity_emb[np.asarray(t, dtype=np.int64)])
-        # phi as a function of h: h_re . (r_re t_re + r_im t_im)
-        #                       + h_im . (r_re t_im - r_im t_re)
-        a = r_re * t_re + r_im * t_im
-        b = r_re * t_im - r_im * t_re
-        e_re, e_im = self._split(self.entity_emb[lo:hi])
-        return a @ e_re.T + b @ e_im.T
-
     def query_vector(self, anchors, rels, tail_side: bool = True):
         """The linear form the score contracts with the candidate, in the
         ``[real | imag]`` layout: ``phi = q . e_t`` with
         ``q = (h_re r_re - h_im r_im, h_re r_im + h_im r_re)`` on the tail
         side, and ``phi = q . e_h`` with
         ``q = (r_re t_re + r_im t_im, r_re t_im - r_im t_re)`` on the head
-        side — the same regroupings the block scorers use."""
+        side.  Because ``q`` has the entity rows' layout, every candidate
+        score is one ``2 * dim``-term dot with a contiguous entity row."""
         anchors = np.asarray(anchors, dtype=np.int64)
         rels = np.asarray(rels, dtype=np.int64)
         e_re, e_im = self._split(self.entity_emb[anchors])

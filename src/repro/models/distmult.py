@@ -33,16 +33,6 @@ class DistMult(KGEModel):
         np.multiply(uh, e_t, out=g_r)
         np.multiply(uh, e_r, out=g_t)
 
-    def score_tails_block(self, h, r, lo, hi):
-        e_h = self.entity_emb[np.asarray(h, dtype=np.int64)]
-        e_r = self.relation_emb[np.asarray(r, dtype=np.int64)]
-        return (e_h * e_r) @ self.entity_emb[lo:hi].T
-
-    def score_heads_block(self, r, t, lo, hi):
-        e_r = self.relation_emb[np.asarray(r, dtype=np.int64)]
-        e_t = self.entity_emb[np.asarray(t, dtype=np.int64)]
-        return (e_r * e_t) @ self.entity_emb[lo:hi].T
-
     def query_vector(self, anchors, rels, tail_side: bool = True):
         """The score is symmetric and already linear in the candidate:
         ``phi = (h * r) . t = (r * t) . h``, so the query vector is the

@@ -202,8 +202,16 @@ class QueryEngine:
         Under resilience, a batch of triples is one admission (one
         arrival on the virtual clock), and a degraded ladder answers a
         :class:`ShedResponse` — ``score`` has no cache, so every state
-        past ``binary`` sheds it.
+        past ``binary`` sheds it.  ``h``, ``r`` and ``t`` must be equally
+        long and every id in range; a bad batch raises ``ValueError``
+        before it is admitted.
         """
+        scalar = np.ndim(h) == 0
+        h, r, t = np.atleast_1d(h, r, t)
+        if not len(h) == len(r) == len(t):
+            raise ValueError(f"score needs equally long h, r, t; got "
+                             f"lengths {len(h)}, {len(r)}, {len(t)}")
+        self._check_ids(np.concatenate([h, t]), r)
         start = time.perf_counter()
         admission = None
         if self.resilience is not None:
@@ -215,9 +223,7 @@ class QueryEngine:
             if admission.scorer_fail:
                 return self._shed("score", "scorer_failure", admission,
                                   start)
-        scalar = np.isscalar(h) or getattr(h, "ndim", 0) == 0
-        scores = self.store.model.score(np.atleast_1d(h), np.atleast_1d(r),
-                                        np.atleast_1d(t))
+        scores = self.store.model.score(h, r, t)
         self.stats.record("score", time.perf_counter() - start,
                           cache_hit=None)
         if admission is not None:
@@ -271,9 +277,8 @@ class QueryEngine:
         for query in queries:
             anchor, rel, side = (query if tail_side is None
                                  else (*query, tail_side))
-            anchor, rel = int(anchor), int(rel)
-            self._check_ids(anchor, rel)
-            parsed.append((anchor, rel, bool(side)))
+            parsed.append((int(anchor), int(rel), bool(side)))
+        self._check_ids([a for a, _, _ in parsed], [r for _, r, _ in parsed])
         results: list = [None] * len(parsed)
         groups: dict[tuple[int, bool, str], list] = {}
 
@@ -481,9 +486,7 @@ class QueryEngine:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         e = int(e)
-        if not 0 <= e < self.store.n_entities:
-            raise ValueError(f"entity id {e} outside "
-                             f"[0, {self.store.n_entities})")
+        self._check_ids([e], [])
         start = time.perf_counter()
         admission = None
         if self.resilience is not None:
@@ -647,13 +650,15 @@ class QueryEngine:
 
     # -- misc ----------------------------------------------------------------
 
-    def _check_ids(self, anchor: int, rel: int) -> None:
-        if not 0 <= anchor < self.store.n_entities:
-            raise ValueError(
-                f"entity id {anchor} outside [0, {self.store.n_entities})")
-        if not 0 <= rel < self.store.n_relations:
-            raise ValueError(
-                f"relation id {rel} outside [0, {self.store.n_relations})")
+    def _check_ids(self, entities, rels) -> None:
+        """Raise a ``ValueError`` naming the first entity id, then the
+        first relation id, that is out of range."""
+        for ids, n, what in ((entities, self.store.n_entities, "entity"),
+                             (rels, self.store.n_relations, "relation")):
+            ids = np.asarray(ids)
+            bad = ids[(ids < 0) | (ids >= n)]
+            if len(bad):
+                raise ValueError(f"{what} id {bad[0]} outside [0, {n})")
 
     def snapshot(self) -> dict:
         """Telemetry summary: stats plus live cache counters."""

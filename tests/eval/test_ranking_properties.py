@@ -225,6 +225,9 @@ class TestFilterMatchesReference:
             np.testing.assert_array_equal(a, b)
 
     def test_chunking_bitwise_invariant_all_models(self):
+        """The ranks, not the score bytes, are chunk-invariant: a chunk
+        holding one entity (here 1 and 24) runs through matrix-vector
+        BLAS and may differ in the last bit for the matmul models."""
         store = generate_latent_kg(25, 3, 150, seed=3)
         for model_cls in self.MODELS:
             model = model_cls(25, 3, 8, seed=4)
@@ -262,12 +265,14 @@ class TestFilterMatchesReference:
             best[ranker] = min(best[ranker], time.perf_counter() - start)
         assert best[rank_triples_reference] >= 5.0 * best[rank_triples], best
 
-    def test_one_batch_peaks_under_two_and_a_half_score_blocks(self):
+    def test_one_batch_peaks_under_one_and_a_half_score_blocks(self):
         """Deterministic memory gate: ranking one 128-query batch at
-        14,951 entities allocates at most 2.5x one ``(b, n_entities)``
-        float32 block at its peak.  The filter gathers known columns out
-        of the raw block instead of masking a copy of it, and each side's
-        block is dropped before the other side is scored."""
+        14,951 entities allocates at most 1.5x one ``(b, n_entities)``
+        float32 block at its peak (measured 1.26x).  The filter gathers
+        known columns out of the raw block instead of masking a copy of
+        it, each side's block is dropped before the other side is scored,
+        and a ComplEx block is one product, with no second ``(b, n)``
+        temporary for the imaginary halves."""
         store, model = fb15k_width_store()
         test = store.test
         block = len(test) * store.n_entities * 4
@@ -277,4 +282,4 @@ class TestFilterMatchesReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * block, peak / block
+        assert peak <= 1.5 * block, peak / block

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro._reference import score_grad
-from repro.models import ComplEx, DistMult, TransE, make_model
+from repro.models import (MODEL_REGISTRY, ComplEx, DistMult, KGEModel, TransE,
+                          make_model)
+
+DOT_MODELS = sorted(name for name, cls in MODEL_REGISTRY.items()
+                    if cls.score_geometry == "dot")
+BLOCK_SCORERS = ("score_tails_block", "score_heads_block")
 
 MODELS = [
     pytest.param(lambda: ComplEx(12, 4, 5, seed=0), id="complex"),
@@ -119,6 +124,50 @@ class TestScoring:
         fwd = m.flops_per_example(backward=False)
         bwd = m.flops_per_example(backward=True)
         assert 0 < fwd < bwd
+
+
+class TestDotCandidateScoring:
+    """A dot model's candidate scores are its ``query_vector`` contracted
+    with the contiguous entity matrix, and nothing else."""
+
+    N_ENTITIES = 300
+
+    def queries(self, name, n_queries):
+        model = make_model(name, self.N_ENTITIES, 5, 32, seed=3)
+        rng = np.random.default_rng(n_queries)
+        return (model, rng.integers(0, self.N_ENTITIES, n_queries),
+                rng.integers(0, 5, n_queries))
+
+    @pytest.mark.parametrize("n_queries", [1, 7])
+    @pytest.mark.parametrize("name", DOT_MODELS)
+    def test_blocks_are_one_query_vector_contraction(self, name, n_queries):
+        m, anchors, rels = self.queries(name, n_queries)
+        for side, scores in ((True, m.score_all_tails(anchors, rels)),
+                             (False, m.score_all_heads(rels, anchors))):
+            q = m.query_vector(anchors, rels, tail_side=side)
+            assert scores.tobytes() == (q @ m.entity_emb.T).tobytes()
+
+    @pytest.mark.parametrize("name", DOT_MODELS)
+    def test_rows_agree_with_the_training_forward(self, name):
+        m, anchors, rels = self.queries(name, 7)
+        every = np.arange(self.N_ENTITIES)
+        tails = m.score_all_tails(anchors, rels)
+        heads = m.score_all_heads(rels, anchors)
+        for i, (a, r) in enumerate(zip(anchors, rels)):
+            a = np.full(self.N_ENTITIES, a)
+            r = np.full(self.N_ENTITIES, r)
+            np.testing.assert_allclose(tails[i], m.score(a, r, every),
+                                       rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(heads[i], m.score(every, r, a),
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_only_distance_models_write_block_scorers(self):
+        for cls in MODEL_REGISTRY.values():
+            own = {name for name in BLOCK_SCORERS
+                   if getattr(cls, name) is not getattr(KGEModel, name)}
+            expected = set() if cls.score_geometry == "dot" else set(
+                BLOCK_SCORERS)
+            assert own == expected, cls.__name__
 
 
 class TestComplExSpecifics:

@@ -39,12 +39,34 @@ class TestScore:
                              np.array([3, 4]))
         assert batch.shape == (2,)
         assert batch[0] == value
+        # A list is a batch too, not a scalar.
+        listed = engine.score([1, 1], [2, 2], [3, 4])
+        assert listed.tobytes() == batch.tobytes()
 
     def test_score_matches_model(self, dataset):
         engine = build_engine(dataset, "transe")
         h, r, t = np.array([0, 5]), np.array([1, 3]), np.array([2, 7])
         expected = engine.store.model.score(h, r, t)
         assert engine.score(h, r, t).tobytes() == expected.tobytes()
+
+    def test_bad_ids_raise_before_admission(self, dataset):
+        """A negative id used to wrap to the last entity, one past the end
+        leaked NumPy's IndexError and a short relation array broadcast.
+        Each raises a ValueError naming the culprit now, and the ladder's
+        virtual clock is charged nothing."""
+        engine = build_engine(dataset, "complex", resilience=True)
+        n, n_rel = dataset.n_entities, dataset.n_relations
+        for args, message in [((-1, 0, 5), "entity id -1 "),
+                              ((n, 0, 5), f"entity id {n} "),
+                              ((0, 0, 10**20), "entity id 10{20} "),
+                              ((0, n_rel, 5), f"relation id {n_rel} "),
+                              (([1, 2], [0, 0], [5, -3]), "entity id -3 "),
+                              (([1, 2], [0], [5, 6]), "equally long")]:
+            with pytest.raises(ValueError, match=message):
+                engine.score(*args)
+        ctrl = engine.resilience
+        assert (ctrl.arrivals, ctrl.clock_ms, ctrl.free_ms) == (0, 0.0, 0.0)
+        assert engine.stats.n_queries == 0
 
 
 class TestTopK:

@@ -14,14 +14,16 @@ compare the serve mask against that oracle.
 
 Bitwise footnote.  The engine scores each (relation, direction) group in
 one block call over the group's *unique anchors*; ``rank_triples`` scores
-the mixed evaluation batch.  Regrouping a multi-row batch by relation is
-bitwise-invisible (pinned below by ``test_grouped_equals_mixed_bitwise``),
-but a group that collapses to a **single** row takes BLAS's matrix-vector
-kernel, whose reduction order can differ from the matrix-matrix kernel in
-the last bit for the matmul models (DistMult, ComplEx).  The byte-exact
+the mixed evaluation batch.  For the matmul models (DistMult, ComplEx)
+the batch shape picks the BLAS kernel, and kernels reduce in different
+orders: a single-row group takes matrix-vector BLAS, and OpenBLAS's
+small-matrix path (contraction length >= 32, a few hundred entities)
+reduces a regrouped multi-row block differently too.  The byte-exact
 property therefore compares against a reference built with the engine's
-own call shapes; the mixed-batch eval rows are asserted bitwise-equal for
-multi-anchor groups and to float tolerance always.
+own call shapes; the mixed-batch eval rows are asserted equal to float
+tolerance, and ``TestGroupingOrder`` pins that regrouping moves no id whose
+score differs beyond that tolerance.  The distance models score row by
+row in NumPy, so for them regrouping is bitwise-invisible.
 """
 
 import numpy as np
@@ -33,9 +35,13 @@ from repro._reference import filtered_naive
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
+from repro.select import best_first
 from repro.serve import EmbeddingStore, QueryEngine
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
+DOT_MODELS = [name for name in MODEL_NAMES
+              if MODEL_REGISTRY[name].score_geometry == "dot"]
+DISTANCE_MODELS = [name for name in MODEL_NAMES if name not in DOT_MODELS]
 
 
 @st.composite
@@ -100,14 +106,11 @@ class TestServeEqualsEval:
             # The gold tail is a known fact: eval keeps it, serving won't.
             assert t[i] not in answer.entities
             # The served row is eval's filtered row (gold aside) to float
-            # equality regardless of batch shape...
+            # equality, whatever the batch shape.
             eval_row = eval_masked[i].copy()
             eval_row[t[i]] = np.nan
             np.testing.assert_allclose(row, eval_row, rtol=1e-5,
                                        atol=1e-6, equal_nan=True)
-            # ...and byte-for-byte when the group kept a matrix shape.
-            if len(np.unique(h[r == r[i]])) > 1:
-                assert row.tobytes() == eval_row.tobytes()
 
     @given(serving_case())
     @settings(max_examples=20, deadline=None)
@@ -160,21 +163,47 @@ class TestServeEqualsEval:
             assert h[i] not in answer.entities
 
 
-class TestGroupingBitwise:
-    """The regrouping the micro-batcher performs is bitwise-invisible for
-    multi-row groups — the property the byte-exact contract rests on."""
+def grouped_and_mixed(name, dim):
+    """Each multi-row relation group of a 16-query batch, scored alone and
+    as its rows of the mixed batch."""
+    store = generate_latent_kg(30, 4, 180, seed=9)
+    model = make_model(name, 30, 4, dim, seed=10)
+    h = store.train.heads[:16]
+    r = store.train.relations[:16]
+    mixed = model.score_all_tails(h, r)
+    for rel in np.unique(r):
+        members = np.flatnonzero(r == rel)
+        if len(members) > 1:
+            yield (model.score_all_tails(h[members],
+                                         np.full(len(members), rel)),
+                   mixed[members])
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
+
+class TestGroupingBitwise:
+    """The distance models score row by row, so the regrouping the
+    micro-batcher performs is bitwise-invisible for them."""
+
+    @pytest.mark.parametrize("name", DISTANCE_MODELS)
     def test_grouped_equals_mixed_bitwise(self, name):
-        store = generate_latent_kg(30, 4, 180, seed=9)
-        model = make_model(name, 30, 4, 8, seed=10)
-        h = store.train.heads[:16]
-        r = store.train.relations[:16]
-        mixed = model.score_all_tails(h, r)
-        for rel in np.unique(r):
-            members = np.flatnonzero(r == rel)
-            if len(members) < 2:
-                continue
-            grouped = model.score_all_tails(h[members],
-                                            np.full(len(members), rel))
-            assert grouped.tobytes() == mixed[members].tobytes()
+        for grouped, mixed in grouped_and_mixed(name, 8):
+            assert grouped.tobytes() == mixed.tobytes()
+
+
+class TestGroupingOrder:
+    """For the matmul models BLAS picks its kernel by batch shape, so a
+    regrouped block may differ from the mixed batch's rows in the last
+    bits (it does at dim 32 on OpenBLAS's small-matrix path).  It never
+    differs beyond float tolerance, and never in an id whose score is
+    apart from the id it trades places with by more than that."""
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("name", DOT_MODELS)
+    def test_grouped_matches_mixed_order(self, name, dim):
+        for grouped, mixed in grouped_and_mixed(name, dim):
+            np.testing.assert_allclose(grouped, mixed, rtol=1e-5, atol=1e-6)
+            for g, m in zip(grouped, mixed):
+                g_order, m_order = best_first(g, len(g)), best_first(m, len(m))
+                moved = g_order != m_order
+                np.testing.assert_allclose(g[g_order[moved]],
+                                           g[m_order[moved]],
+                                           rtol=1e-5, atol=1e-6)
