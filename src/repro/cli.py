@@ -1,84 +1,51 @@
-"""Command-line interface: train one configuration and print the summary.
+"""Command-line interface: train, serve and export.
 
-Examples
---------
+``python -m repro ...`` trains one configuration and prints its summary,
+``python -m repro serve ...`` answers link-prediction queries from a
+checkpoint, and ``python -m repro export-binary ...`` writes a checkpoint's
+1-bit sidecar.  Each command's parser is assembled from argparse parents
+for the options commands share — dataset (``--dataset``,
+``--dataset-file``, ``--scale``, ``--seed``), snapshot (``--checkpoint``,
+``--model``) and output (``--json``) — plus its own.  ``--dataset-file``
+takes a ``repro.kg.save_store`` file or an OpenKE directory.  README.md
+tours the flags; for example::
 
-Train the paper's full method on a simulated 4-node cluster::
-
-    python -m repro --dataset fb15k --scale 0.02 --strategy DRS+1-bit+RP+SS \
-        --nodes 4 --dim 16 --max-epochs 60
-
-Compare against the baseline::
-
-    python -m repro --dataset fb15k --scale 0.02 --strategy allreduce --nodes 4
-
-Run a chaos scenario (one 3x straggler, 5% message drop, dense fallback)::
-
-    python -m repro --strategy DRS+1-bit+RP+SS --nodes 4 \
-        --faults "straggler=2:3.0,drop=0.05,policy=fallback-dense"
-
-Train over a two-level topology (4 ranks per node, slow inter-node link)
-with the hierarchical compression-aware collective stack::
-
-    python -m repro --strategy DRS+1-bit+RP+SS --nodes 8 \
-        --net "rpn=4,inter=5e-6:1.25e-10" --collective hier
-
-Let the cost model pick per probe among flat ring, hierarchical and
-allgather::
-
-    python -m repro --strategy DRS+1-bit+RP+SS --nodes 8 \
-        --net "rpn=4" --collective auto
-
-Checkpoint every 5 epochs, then resume bitwise-exactly after a crash::
-
-    python -m repro --strategy DRS+1-bit+RP+SS --nodes 4 \
+    python -m repro --strategy DRS+1-bit+RP+SS --nodes 4 --max-epochs 60 \
         --checkpoint-dir ckpts --checkpoint-every 5
     python -m repro --strategy DRS+1-bit+RP+SS --nodes 4 --resume ckpts
-
-Kill rank 2 at epoch 3 and recover automatically on the survivors::
-
-    python -m repro --strategy DRS+1-bit+RP+SS --nodes 4 \
+    python -m repro --dataset-file FB15K/ --strategy allreduce --nodes 4
+    python -m repro --strategy DRS+1-bit+RP+SS --nodes 8 \
+        --net "rpn=4,inter=5e-6:1.25e-10" --collective hier \
         --faults "rankloss=2:3" --elastic --max-restarts 2
-
-Serve a trained checkpoint — answer top-10 tail queries and replay a
-Zipfian traffic simulation against it::
-
-    python -m repro serve --checkpoint ckpts --topk 10 --query 12,3
-    python -m repro serve --checkpoint ckpts --simulate 100000
-
-Export the 1-bit sidecar and serve from the binary memory tier (Hamming
-candidate generation + full-precision re-rank of the best 512)::
-
     python -m repro export-binary --checkpoint ckpts
     python -m repro serve --checkpoint ckpts --tier binary --rerank-k 512 \
-        --query 12,3
+        --query 12,3 --simulate 100000 --reload ckpts
 
-Chaos-test the serving layer — an overload burst plus latency spikes
-under the SLO degradation ladder — and hot-reload a fresher checkpoint
-halfway through the replay without dropping the engine::
-
-    python -m repro serve --checkpoint ckpts --simulate 100000 \
-        --serve-faults "burst=20000:30000:8,spike=0.02,spike_ms=25"
-    python -m repro serve --checkpoint ckpts --simulate 100000 \
-        --reload ckpts
-
-Exit codes: 0 success, 2 bad checkpoint resume/serve/export or bad query,
-3 training killed by an unrecovered collective fault or rank loss.
+Exit codes: 0 success; 2 bad input — a flag, dataset, checkpoint or query
+the command refuses, reported as one ``error: ...`` line before training
+starts; 3 training killed by an unrecovered collective fault or rank loss.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import os
 import sys
 
-import dataclasses
-
 from .bench.calibration import BENCH_NETWORK
+from .bench.harness import print_serve_table
 from .comm.faults import CollectiveFaultError, FaultPlan, RankLossError
 from .comm.topology import HierarchicalNetwork
 from .config import DEFAULT_SEED
 from .kg.datasets import load_store, make_fb15k_like, make_fb250k_like
+from .kg.io import load_openke_dir
+from .kg.triples import TripleStore
+from .models import MODEL_REGISTRY
+from .serve import (EmbeddingStore, QueryEngine, ServeFaultPlan, SLOConfig,
+                    TrafficSpec, ZipfianTraffic, export_binary, replay)
 from .training.checkpoint import CheckpointError
 from .training.elastic import ElasticSupervisor
 from .training.strategy import COLLECTIVES, PRESETS
@@ -87,19 +54,54 @@ from .training.trainer import DistributedTrainer, TrainConfig
 DATASETS = {"fb15k": make_fb15k_like, "fb250k": make_fb250k_like}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# -- options shared by several commands (argparse parents) -----------------
+
+def _dataset_options() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--dataset", choices=sorted(DATASETS), default="fb15k",
+                        help="synthetic dataset family; serving filters "
+                             "known facts with it, so it must match the "
+                             "training run (default: fb15k)")
+    parent.add_argument("--dataset-file", metavar="PATH",
+                        help="load the dataset from a file saved with "
+                             "repro.kg.save_store, or from an OpenKE "
+                             "directory (entity2id.txt, relation2id.txt, "
+                             "train2id.txt, valid2id.txt, test2id.txt), "
+                             "instead of generating one")
+    parent.add_argument("--scale", type=float, default=0.02,
+                        help="dataset scale factor in (0, 1] (default: 0.02)")
+    parent.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    return parent
+
+
+def _snapshot_options() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--checkpoint", required=True, metavar="DIR",
+                        help="checkpoint directory, or a parent directory "
+                             "(the newest checkpoint under it is used)")
+    parent.add_argument("--model", choices=sorted(MODEL_REGISTRY),
+                        default="complex",
+                        help="architecture that wrote the checkpoint "
+                             "(default: complex)")
+    return parent
+
+
+def _output_options() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--json", action="store_true",
+                        help="emit the result as JSON instead of text")
+    return parent
+
+
+# -- per-command parsers ---------------------------------------------------
+
+def _train_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Dynamic Strategies for High "
                     "Performance Training of Knowledge Graph Embeddings' "
-                    "(ICPP 2022)")
-    parser.add_argument("--dataset", choices=sorted(DATASETS), default="fb15k",
-                        help="synthetic dataset family (default: fb15k)")
-    parser.add_argument("--dataset-file", metavar="PATH",
-                        help="load a dataset saved with repro.kg.save_store "
-                             "instead of generating one")
-    parser.add_argument("--scale", type=float, default=0.02,
-                        help="dataset scale factor in (0, 1] (default: 0.02)")
+                    "(ICPP 2022)",
+        parents=[_dataset_options(), _output_options()])
     parser.add_argument("--strategy", choices=sorted(PRESETS),
                         default="allreduce",
                         help="strategy preset, Table 5 vocabulary")
@@ -114,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-epochs", type=int, default=60)
     parser.add_argument("--patience", type=int, default=6)
     parser.add_argument("--warmup", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--eval-chunk-entities", type=int, default=None,
                         metavar="N",
                         help="score at most N candidate entities at a time "
@@ -164,33 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "directory (or the newest checkpoint under "
                              "PATH); all settings except --max-epochs "
                              "and the checkpoint flags must match the "
-                             "interrupted run")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the summary as JSON instead of text")
+                             "interrupted run; not with --elastic")
     return parser
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    from .models import MODEL_REGISTRY
+def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve link-prediction queries from a training "
-                    "checkpoint (read-only load; no world reconstruction)")
-    parser.add_argument("--checkpoint", required=True, metavar="DIR",
-                        help="checkpoint directory, or a parent directory "
-                             "(the newest checkpoint under it is served)")
-    parser.add_argument("--model", choices=sorted(MODEL_REGISTRY),
-                        default="complex",
-                        help="architecture that wrote the checkpoint "
-                             "(default: complex)")
-    parser.add_argument("--dataset", choices=sorted(DATASETS),
-                        default="fb15k",
-                        help="dataset family for the known-fact filter "
-                             "(must match the training run)")
-    parser.add_argument("--dataset-file", metavar="PATH",
-                        help="load the filter dataset from a saved store")
-    parser.add_argument("--scale", type=float, default=0.02)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+                    "checkpoint (read-only load; no world reconstruction)",
+        parents=[_snapshot_options(), _dataset_options(), _output_options()])
     parser.add_argument("--no-filter", action="store_true",
                         help="serve raw top-k without excluding known "
                              "facts (skips loading the dataset)")
@@ -256,54 +240,46 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "halfway through the replay (the kill-and-keep-"
                              "serving demo); a failed reload keeps serving "
                              "the old snapshot")
-    parser.add_argument("--json", action="store_true",
-                        help="emit query answers and telemetry as JSON")
     return parser
 
 
-def build_export_binary_parser() -> argparse.ArgumentParser:
-    from .models import MODEL_REGISTRY
+def _export_binary_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro export-binary",
         description="Binarize a trained checkpoint's entity matrix into a "
                     "checksummed binary.npz sidecar (1 bit per dimension + "
                     "one float32 scale per row) for the serving layer's "
-                    "binary memory tier")
-    parser.add_argument("--checkpoint", required=True, metavar="DIR",
-                        help="checkpoint directory, or a parent directory "
-                             "(the newest checkpoint under it is exported)")
-    parser.add_argument("--model", choices=sorted(MODEL_REGISTRY),
-                        default="complex",
-                        help="architecture that wrote the checkpoint "
-                             "(default: complex)")
+                    "binary memory tier",
+        parents=[_snapshot_options(), _output_options()])
     parser.add_argument("--stat", choices=("avg", "max"), default="avg",
                         help="per-row scale statistic (default: avg)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the export summary as JSON")
     return parser
 
 
-def export_binary_main(argv: list[str]) -> int:
-    from .serve import export_binary
-    from .training.checkpoint import CheckpointError
+# -- bad input -------------------------------------------------------------
 
-    args = build_export_binary_parser().parse_args(argv)
+class _Refused(Exception):
+    """Bad input, worded for the user: ``main`` prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _refusing(context: str = ""):
+    """Re-raise bad input met inside — a ``ValueError``, ``OSError`` or
+    ``CheckpointError`` — as :class:`_Refused`, prefixed by ``context``."""
     try:
-        _, summary = export_binary(args.checkpoint, model_name=args.model,
-                                   stat=args.stat)
-    except (CheckpointError, ValueError) as exc:
-        print(f"error: cannot export {args.checkpoint}: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        json.dump(summary, sys.stdout, indent=2)
-        print()
-    else:
-        for key, value in summary.items():
-            if key == "memory_reduction":
-                value = f"{value:.1f}x"
-            print(f"{key:>18}: {value}")
-    return 0
+        yield
+    except (ValueError, OSError, CheckpointError) as exc:
+        raise _Refused(f"{context}{exc}") from exc
+
+
+def _load_dataset(args: argparse.Namespace) -> TripleStore:
+    """The store ``--dataset-file`` names — a ``save_store`` file or an
+    OpenKE directory — else the synthetic ``--dataset`` family."""
+    if args.dataset_file is None:
+        return DATASETS[args.dataset](scale=args.scale, seed=args.seed)
+    if os.path.isdir(args.dataset_file):
+        return load_openke_dir(args.dataset_file)
+    return load_store(args.dataset_file)
 
 
 def _parse_id_pair(text: str, what: str) -> tuple[int, int]:
@@ -315,27 +291,106 @@ def _parse_id_pair(text: str, what: str) -> tuple[int, int]:
     return first, second
 
 
-def serve_main(argv: list[str]) -> int:
-    from .bench.harness import print_serve_table
-    from .serve import EmbeddingStore, QueryEngine, ServeFaultPlan, \
-        SLOConfig, TrafficSpec, ZipfianTraffic, replay
-    from .training.checkpoint import CheckpointError
+# -- commands --------------------------------------------------------------
 
-    args = build_serve_parser().parse_args(argv)
-
-    dataset = None
-    if not args.no_filter:
-        if args.dataset_file:
-            dataset = load_store(args.dataset_file)
+def _train(args: argparse.Namespace) -> None:
+    with _refusing():
+        if args.elastic and args.resume:
+            raise ValueError("--resume cannot be combined with --elastic: "
+                             "the elastic supervisor always starts from "
+                             "epoch 0")
+        store = _load_dataset(args)
+        maker = PRESETS[args.strategy]
+        strategy = (maker(args.negatives) if args.negatives is not None
+                    else maker())
+        if args.collective != "flat":
+            strategy = dataclasses.replace(strategy,
+                                           collective=args.collective)
+        network = (HierarchicalNetwork.parse(args.net) if args.net
+                   else BENCH_NETWORK)
+        config = TrainConfig(dim=args.dim, batch_size=args.batch_size,
+                             base_lr=args.lr, max_epochs=args.max_epochs,
+                             lr_patience=args.patience,
+                             lr_warmup_epochs=args.warmup, seed=args.seed,
+                             eval_chunk_entities=args.eval_chunk_entities,
+                             time_scale=2.0e5,
+                             checkpoint_dir=args.checkpoint_dir,
+                             checkpoint_every=(args.checkpoint_every
+                                               if args.checkpoint_dir else 0),
+                             checkpoint_keep=args.checkpoint_keep)
+        faults = FaultPlan.parse(args.faults) if args.faults else None
+        if args.elastic:
+            job = ElasticSupervisor(
+                store, strategy, args.nodes, config=config,
+                network=network, faults=faults,
+                max_restarts=args.max_restarts,
+                allow_regrow=args.allow_regrow)
         else:
-            dataset = DATASETS[args.dataset](scale=args.scale,
-                                             seed=args.seed)
-    try:
-        serve_faults = (ServeFaultPlan.parse(args.serve_faults)
-                        if args.serve_faults else None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            job = DistributedTrainer(store, strategy, args.nodes,
+                                     config=config, network=network,
+                                     faults=faults)
+    if args.resume:
+        with _refusing(f"cannot resume from {args.resume}: "):
+            resumed_epoch = job.restore(args.resume)
+
+    if not args.json:
+        print(f"dataset : {store.summary()}")
+        print(f"strategy: {args.strategy} on {args.nodes} simulated node(s)")
+        if args.net:
+            print(f"network : {network.describe()} "
+                  f"(collective={strategy.collective})")
+        if faults is not None:
+            print(f"faults  : {faults.describe()}")
+        if args.elastic:
+            print(f"elastic : max_restarts={args.max_restarts} "
+                  f"regrow={'on' if args.allow_regrow else 'off'}")
+        if args.resume:
+            print(f"resume  : epoch {resumed_epoch} ({args.resume})")
+
+    # The training run: anything but a collective fault raised from here
+    # on is a bug, not bad input, and propagates.
+    result = job.run()
+
+    if args.elastic and not args.json:
+        for event in result.recovery_log:
+            print(f"recovery: {event['action']} rank {event['rank']} at "
+                  f"epoch {event['epoch']} -> world {event['world_after']}, "
+                  f"resume epoch {event['resume_epoch']}")
+
+    row = result.summary_row()
+    row.update(converged=result.converged,
+               bytes_communicated=result.bytes_total,
+               allreduce_fraction=round(result.allreduce_fraction, 3),
+               eval_seconds=round(result.eval_seconds, 3),
+               eval_queries_per_sec=round(result.eval_queries_per_sec, 1))
+    if strategy.collective != "flat":
+        row.update(hier_steps=result.hier_steps,
+                   comm_by_hop={hop: [v[0], v[1], round(v[2], 6), v[3]]
+                                for hop, v in result.comm_by_hop.items()})
+    if faults is not None:
+        row.update(comm_retries=result.comm_retries,
+                   comm_fallbacks=result.comm_fallbacks,
+                   straggler_skew=round(result.straggler_skew, 4),
+                   drs_switch_epoch=result.drs_switch_epoch)
+    if args.elastic:
+        row.update(restarts=result.restarts,
+                   world_lineage=result.world_lineage,
+                   recovery_hours=result.recovery_time / 3600.0,
+                   recovery_log=result.recovery_log)
+    if args.json:
+        json.dump(row, sys.stdout, indent=2)
+        print()
+    else:
+        print()
+        for key, value in row.items():
+            print(f"{key:>20}: {value}")
+
+
+@_refusing()
+def _serve(args: argparse.Namespace) -> None:
+    dataset = None if args.no_filter else _load_dataset(args)
+    serve_faults = (ServeFaultPlan.parse(args.serve_faults)
+                    if args.serve_faults else None)
     resilience = args.resilience or serve_faults is not None
     slo = SLOConfig(deadline_ms=args.slo_deadline_ms) if resilience else None
     # A long replay should not grow telemetry without bound; direct query
@@ -343,7 +398,7 @@ def serve_main(argv: list[str]) -> int:
     stats_window = args.stats_window
     if stats_window is None and args.simulate > 0:
         stats_window = 8192
-    try:
+    with _refusing(f"cannot serve {args.checkpoint}: "):
         store = EmbeddingStore.from_checkpoint(
             args.checkpoint, model_name=args.model, dataset=dataset,
             with_binary=args.tier == "binary")
@@ -353,53 +408,42 @@ def serve_main(argv: list[str]) -> int:
                              faults=serve_faults, slo=slo,
                              resilience=resilience or None,
                              stats_window=stats_window)
-    except (CheckpointError, ValueError) as exc:
-        print(f"error: cannot serve {args.checkpoint}: {exc}",
-              file=sys.stderr)
-        return 2
     out: dict = {"store": store.summary(), "answers": []}
     if not args.json:
         print(f"serving : {store.summary()}")
         if serve_faults is not None:
             print(f"faults  : {serve_faults.describe()}")
 
-    try:
-        queries = ([("tails", *_parse_id_pair(q, "--query"))
-                    for q in args.query]
-                   + [("heads", *_parse_id_pair(q, "--query-heads"))
-                      for q in args.query_heads]
-                   + [("nearest", int(e), -1) for e in args.nearest])
-        for kind, a, r in queries:
-            if kind == "tails":
-                res = engine.topk_tails(a, r, k=args.topk)
-                label = f"top-{args.topk} tails of ({a}, {r}, ?)"
-            elif kind == "heads":
-                res = engine.topk_heads(a, r, k=args.topk)
-                label = f"top-{args.topk} heads of (?, {r}, {a})"
-            else:
-                res = engine.nearest_entities(a, k=args.topk)
-                label = f"{args.topk} nearest neighbors of entity {a}"
-            if not hasattr(res, "entities"):
-                # Resilience shed the query (typed ShedResponse).
-                answer = {"query": label, "shed": res.reason,
-                          "state": res.state}
-                out["answers"].append(answer)
-                if not args.json:
-                    print(f"\n{label}: shed ({res.reason}, "
-                          f"state={res.state})")
-                continue
-            answer = {"query": label,
-                      "entities": [int(e) for e in res.entities],
-                      "scores": [float(s) for s in res.scores]}
+    queries = ([("tails", *_parse_id_pair(q, "--query")) for q in args.query]
+               + [("heads", *_parse_id_pair(q, "--query-heads"))
+                  for q in args.query_heads]
+               + [("nearest", int(e), -1) for e in args.nearest])
+    for kind, a, r in queries:
+        if kind == "tails":
+            res = engine.topk_tails(a, r, k=args.topk)
+            label = f"top-{args.topk} tails of ({a}, {r}, ?)"
+        elif kind == "heads":
+            res = engine.topk_heads(a, r, k=args.topk)
+            label = f"top-{args.topk} heads of (?, {r}, {a})"
+        else:
+            res = engine.nearest_entities(a, k=args.topk)
+            label = f"{args.topk} nearest neighbors of entity {a}"
+        if not hasattr(res, "entities"):
+            # Resilience shed the query (typed ShedResponse).
+            answer = {"query": label, "shed": res.reason,
+                      "state": res.state}
             out["answers"].append(answer)
             if not args.json:
-                print(f"\n{label}:")
-                for entity, value in zip(answer["entities"],
-                                         answer["scores"]):
-                    print(f"  {entity:>8}  {value:.6f}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                print(f"\n{label}: shed ({res.reason}, state={res.state})")
+            continue
+        answer = {"query": label,
+                  "entities": [int(e) for e in res.entities],
+                  "scores": [float(s) for s in res.scores]}
+        out["answers"].append(answer)
+        if not args.json:
+            print(f"\n{label}:")
+            for entity, value in zip(answer["entities"], answer["scores"]):
+                print(f"  {entity:>8}  {value:.6f}")
 
     if args.simulate > 0:
         traffic = ZipfianTraffic(
@@ -444,131 +488,57 @@ def serve_main(argv: list[str]) -> int:
     if args.json:
         json.dump(out, sys.stdout, indent=2)
         print()
-    return 0
+
+
+def _export_binary(args: argparse.Namespace) -> None:
+    with _refusing(f"cannot export {args.checkpoint}: "):
+        _, summary = export_binary(args.checkpoint, model_name=args.model,
+                                   stat=args.stat)
+    if args.json:
+        json.dump(summary, sys.stdout, indent=2)
+        print()
+    else:
+        for key, value in summary.items():
+            if key == "memory_reduction":
+                value = f"{value:.1f}x"
+            print(f"{key:>18}: {value}")
+
+
+#: Each command's parser builder and runner; ``train`` is the bare
+#: ``python -m repro ...`` form.
+COMMANDS = {
+    "train": (_train_parser, _train),
+    "serve": (_serve_parser, _serve),
+    "export-binary": (_export_binary_parser, _export_binary),
+}
+
+
+def build_parser(command: str = "train") -> argparse.ArgumentParser:
+    """The argument parser of one of :data:`COMMANDS`."""
+    return COMMANDS[command][0]()
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "export-binary":
-        return export_binary_main(argv[1:])
-    args = build_parser().parse_args(argv)
-
-    if args.dataset_file:
-        store = load_store(args.dataset_file)
-    else:
-        store = DATASETS[args.dataset](scale=args.scale, seed=args.seed)
-
-    maker = PRESETS[args.strategy]
-    strategy = maker(args.negatives) if args.negatives is not None else maker()
-    if args.collective != "flat":
-        strategy = dataclasses.replace(strategy, collective=args.collective)
-
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = "train"
+    if argv and argv[0] in COMMANDS.keys() - {"train"}:
+        command = argv.pop(0)
+    build, run = COMMANDS[command]
+    args = build().parse_args(argv)
     try:
-        network = (HierarchicalNetwork.parse(args.net) if args.net
-                   else BENCH_NETWORK)
-    except ValueError as exc:
+        run(args)
+    except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    config = TrainConfig(dim=args.dim, batch_size=args.batch_size,
-                         base_lr=args.lr, max_epochs=args.max_epochs,
-                         lr_patience=args.patience,
-                         lr_warmup_epochs=args.warmup, seed=args.seed,
-                         eval_chunk_entities=args.eval_chunk_entities,
-                         time_scale=2.0e5,
-                         checkpoint_dir=args.checkpoint_dir,
-                         checkpoint_every=(args.checkpoint_every
-                                           if args.checkpoint_dir else 0),
-                         checkpoint_keep=args.checkpoint_keep)
-
-    try:
-        faults = FaultPlan.parse(args.faults) if args.faults else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if not args.json:
-        print(f"dataset : {store.summary()}")
-        print(f"strategy: {args.strategy} on {args.nodes} simulated node(s)")
-        if args.net:
-            print(f"network : {network.describe()} "
-                  f"(collective={strategy.collective})")
-        if faults is not None:
-            print(f"faults  : {faults.describe()}")
-        if args.elastic:
-            print(f"elastic : max_restarts={args.max_restarts} "
-                  f"regrow={'on' if args.allow_regrow else 'off'}")
-
-    if args.elastic:
-        supervisor = ElasticSupervisor(
-            store, strategy, args.nodes, config=config,
-            network=network, faults=faults,
-            max_restarts=args.max_restarts,
-            allow_regrow=args.allow_regrow)
-        runner = supervisor.run
-    else:
-        trainer = DistributedTrainer(store, strategy, args.nodes,
-                                     config=config, network=network,
-                                     faults=faults)
-        if args.resume:
-            try:
-                resumed_epoch = trainer.restore(args.resume)
-            except CheckpointError as exc:
-                print(f"error: cannot resume from {args.resume}: {exc}",
-                      file=sys.stderr)
-                return 2
-            if not args.json:
-                print(f"resume  : epoch {resumed_epoch} ({args.resume})")
-        runner = trainer.run
-    try:
-        result = runner()
-    except RankLossError as exc:
-        print(f"error: rank loss killed training "
-              f"(rank={exc.rank}, epoch={exc.epoch}): {exc}",
-              file=sys.stderr)
+    except CollectiveFaultError as exc:  # RankLossError included
+        where = f"rank={exc.rank}, epoch={exc.epoch}"
+        if isinstance(exc, RankLossError):
+            what = f"rank loss killed training ({where})"
+        else:
+            what = (f"collective fault killed training "
+                    f"(collective={exc.op}, {where})")
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return 3
-    except CollectiveFaultError as exc:
-        print(f"error: collective fault killed training "
-              f"(collective={exc.op}, rank={exc.rank}, epoch={exc.epoch}): "
-              f"{exc}", file=sys.stderr)
-        return 3
-
-    if args.elastic and not args.json:
-        for event in result.recovery_log:
-            print(f"recovery: {event['action']} rank {event['rank']} at "
-                  f"epoch {event['epoch']} -> world {event['world_after']}, "
-                  f"resume epoch {event['resume_epoch']}")
-
-    row = result.summary_row()
-    row.update(converged=result.converged,
-               bytes_communicated=result.bytes_total,
-               allreduce_fraction=round(result.allreduce_fraction, 3),
-               eval_seconds=round(result.eval_seconds, 3),
-               eval_queries_per_sec=round(result.eval_queries_per_sec, 1))
-    if strategy.collective != "flat":
-        row.update(hier_steps=result.hier_steps,
-                   comm_by_hop={hop: [v[0], v[1], round(v[2], 6), v[3]]
-                                for hop, v in result.comm_by_hop.items()})
-    if faults is not None:
-        row.update(comm_retries=result.comm_retries,
-                   comm_fallbacks=result.comm_fallbacks,
-                   straggler_skew=round(result.straggler_skew, 4),
-                   drs_switch_epoch=result.drs_switch_epoch)
-    if args.elastic:
-        row.update(restarts=result.restarts,
-                   world_lineage=result.world_lineage,
-                   recovery_hours=result.recovery_time / 3600.0,
-                   recovery_log=result.recovery_log)
-    if args.json:
-        json.dump(row, sys.stdout, indent=2)
-        print()
-    else:
-        print()
-        for key, value in row.items():
-            print(f"{key:>20}: {value}")
     return 0
 
 

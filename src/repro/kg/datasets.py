@@ -40,7 +40,12 @@ overwriting facts by position, would turn into a different graph.
 
 from __future__ import annotations
 
+import tokenize
+import zipfile
+import zlib
+
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from ..config import DEFAULT_SEED, FB15K_SPEC, FB250K_SPEC
 from ..select import best_first
@@ -262,14 +267,59 @@ def save_store(store: TripleStore, path: str) -> None:
     )
 
 
+#: :func:`save_store`'s entries and the dtype kinds each may hold; the
+#: splits are ``(n, 3)`` arrays, the rest scalars.
+_STORE_ENTRIES = {"n_entities": "iu", "n_relations": "iu", "name": "U",
+                  "train": "iu", "valid": "iu", "test": "iu"}
+_SPLITS = ("train", "valid", "test")
+
+#: What ``np.load`` and ``zipfile`` raise on a damaged archive.
+_DAMAGED = (ValueError, OSError, EOFError, RuntimeError, NotImplementedError,
+            SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error)
+
+
+def _read_entry(data: NpzFile, key: str) -> np.ndarray:
+    """One entry of a saved dataset, checked for shape and dtype."""
+    if key not in data.files:
+        raise ValueError(f"entry {key!r} is missing")
+    try:
+        value = data[key]
+    except _DAMAGED as exc:
+        raise ValueError(f"entry {key!r}: {type(exc).__name__}: {exc}") \
+            from None
+    shape_ok = ((value.ndim == 2 and value.shape[1] == 3) if key in _SPLITS
+                else value.ndim == 0)
+    if not shape_ok or value.dtype.kind not in _STORE_ENTRIES[key]:
+        raise ValueError(f"entry {key!r} has dtype {value.dtype} and shape "
+                         f"{value.shape}")
+    return value
+
+
 def load_store(path: str) -> TripleStore:
-    """Load a dataset saved with :func:`save_store`."""
-    with np.load(path, allow_pickle=False) as data:
-        return TripleStore(
-            n_entities=int(data["n_entities"]),
-            n_relations=int(data["n_relations"]),
-            train=TripleSet.from_array(data["train"]),
-            valid=TripleSet.from_array(data["valid"]),
-            test=TripleSet.from_array(data["test"]),
-            name=str(data["name"]),
-        )
+    """Load a dataset saved with :func:`save_store`.
+
+    A file that cannot be opened raises ``OSError``.  A damaged or
+    malformed one raises ``ValueError`` naming ``path`` and, when one
+    entry is at fault, the entry.
+    """
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
+                arrays = {key: _read_entry(data, key)
+                          for key in _STORE_ENTRIES}
+            return TripleStore(
+                n_entities=int(arrays["n_entities"]),
+                n_relations=int(arrays["n_relations"]),
+                train=TripleSet.from_array(arrays["train"]),
+                valid=TripleSet.from_array(arrays["valid"]),
+                test=TripleSet.from_array(arrays["test"]),
+                name=str(arrays["name"]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except _DAMAGED as exc:
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") \
+                from None

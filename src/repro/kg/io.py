@@ -1,16 +1,12 @@
-"""Loaders for standard KGE dataset file formats.
+"""The OpenKE dataset layout, which ``--dataset-file DIR`` reads.
 
 The synthetic generators stand in for Freebase offline, but anyone holding
-the real FB15K/FB250K files can run every experiment on them unchanged:
-
-* **OpenKE layout** (what the paper's evaluation pipeline uses): a
-  directory with ``entity2id.txt``, ``relation2id.txt`` and
-  ``train2id.txt`` / ``valid2id.txt`` / ``test2id.txt``.  The first line of
-  each file is the count; triple files store ``head tail relation`` (note
-  the OpenKE column order!).
-* **TSV triples** (DGL-KE / PBG style): three tab-separated columns
-  ``head relation tail``, either already as integer ids or as strings to
-  be interned.
+the real FB15K/FB250K files can train and serve on them unchanged.  The
+OpenKE layout (what the paper's evaluation pipeline uses) is a directory
+with ``entity2id.txt``, ``relation2id.txt`` and ``train2id.txt`` /
+``valid2id.txt`` / ``test2id.txt``.  The first line of each file is the
+count; triple files store ``head tail relation`` (note the OpenKE column
+order!).
 """
 
 from __future__ import annotations
@@ -24,12 +20,20 @@ from .triples import TripleSet, TripleStore
 
 def _read_id_count(path: str) -> int:
     with open(path) as fh:
-        return int(fh.readline().strip())
+        line = fh.readline().strip()
+    try:
+        return int(line)
+    except ValueError:
+        raise ValueError(f"{path}: first line must be a count, got "
+                         f"{line!r}") from None
 
 
 def _read_openke_triples(path: str) -> TripleSet:
     """OpenKE ``*2id.txt``: first line count, then ``h t r`` per line."""
-    data = np.loadtxt(path, skiprows=1, dtype=np.int64, ndmin=2)
+    try:
+        data = np.loadtxt(path, skiprows=1, dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"{path} contains no triples")
     if data.shape[1] != 3:
@@ -39,21 +43,29 @@ def _read_openke_triples(path: str) -> TripleSet:
 
 
 def load_openke_dir(path: str, name: str | None = None) -> TripleStore:
-    """Load an OpenKE-format dataset directory."""
+    """Load an OpenKE-format dataset directory.
+
+    A missing file raises ``FileNotFoundError``; a malformed one raises
+    ``ValueError`` naming it.
+    """
     required = ["entity2id.txt", "relation2id.txt", "train2id.txt",
                 "valid2id.txt", "test2id.txt"]
     for fname in required:
         if not os.path.exists(os.path.join(path, fname)):
             raise FileNotFoundError(
                 f"OpenKE directory {path!r} is missing {fname}")
-    return TripleStore(
-        n_entities=_read_id_count(os.path.join(path, "entity2id.txt")),
-        n_relations=_read_id_count(os.path.join(path, "relation2id.txt")),
-        train=_read_openke_triples(os.path.join(path, "train2id.txt")),
-        valid=_read_openke_triples(os.path.join(path, "valid2id.txt")),
-        test=_read_openke_triples(os.path.join(path, "test2id.txt")),
-        name=name or os.path.basename(os.path.normpath(path)),
-    )
+    n_entities = _read_id_count(os.path.join(path, "entity2id.txt"))
+    n_relations = _read_id_count(os.path.join(path, "relation2id.txt"))
+    train, valid, test = (
+        _read_openke_triples(os.path.join(path, f"{split}2id.txt"))
+        for split in ("train", "valid", "test"))
+    try:
+        return TripleStore(
+            n_entities=n_entities, n_relations=n_relations,
+            train=train, valid=valid, test=test,
+            name=name or os.path.basename(os.path.normpath(path)))
+    except ValueError as exc:
+        raise ValueError(f"OpenKE directory {path!r}: {exc}") from None
 
 
 def save_openke_dir(store: TripleStore, path: str) -> None:
@@ -73,66 +85,3 @@ def save_openke_dir(store: TripleStore, path: str) -> None:
             fh.write(f"{len(split)}\n")
             for h, r, t in zip(split.heads, split.relations, split.tails):
                 fh.write(f"{h} {t} {r}\n")  # OpenKE order: head tail relation
-
-
-def load_tsv(train_path: str, valid_path: str, test_path: str,
-             name: str = "tsv") -> TripleStore:
-    """Load ``head<TAB>relation<TAB>tail`` files, interning string ids.
-
-    Integer-looking columns are used as-is when every value parses; any
-    non-integer token switches the loader to string interning.
-    """
-    raw = {}
-    for split, path in (("train", train_path), ("valid", valid_path),
-                        ("test", test_path)):
-        rows = []
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{line_no}: expected 3 tab-separated "
-                        f"columns, got {len(parts)}")
-                rows.append(parts)
-        if not rows:
-            raise ValueError(f"{path} contains no triples")
-        raw[split] = rows
-
-    all_rows = [row for rows in raw.values() for row in rows]
-    try:
-        _ = [(int(h), int(r), int(t)) for h, r, t in all_rows]
-        interned = False
-    except ValueError:
-        interned = True
-
-    if interned:
-        entities: dict[str, int] = {}
-        relations: dict[str, int] = {}
-
-        def eid(x: str) -> int:
-            return entities.setdefault(x, len(entities))
-
-        def rid(x: str) -> int:
-            return relations.setdefault(x, len(relations))
-
-        ids = {split: np.array([[eid(h), rid(r), eid(t)]
-                                for h, r, t in rows], dtype=np.int64)
-               for split, rows in raw.items()}
-        n_entities, n_relations = len(entities), len(relations)
-    else:
-        ids = {split: np.array([[int(h), int(r), int(t)]
-                                for h, r, t in rows], dtype=np.int64)
-               for split, rows in raw.items()}
-        n_entities = int(max(arr[:, [0, 2]].max() for arr in ids.values())) + 1
-        n_relations = int(max(arr[:, 1].max() for arr in ids.values())) + 1
-
-    return TripleStore(
-        n_entities=n_entities, n_relations=n_relations,
-        train=TripleSet.from_array(ids["train"]),
-        valid=TripleSet.from_array(ids["valid"]),
-        test=TripleSet.from_array(ids["test"]),
-        name=name,
-    )

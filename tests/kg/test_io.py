@@ -1,10 +1,10 @@
-"""Unit tests for standard-format dataset loaders."""
+"""Unit tests for the OpenKE directory loader."""
 
 import numpy as np
 import pytest
 
 from repro.kg.datasets import make_tiny_kg
-from repro.kg.io import load_openke_dir, load_tsv, save_openke_dir
+from repro.kg.io import load_openke_dir, save_openke_dir
 
 
 class TestOpenKE:
@@ -43,59 +43,31 @@ class TestOpenKE:
         save_openke_dir(store, path)
         assert load_openke_dir(path).name == "fb15k"
 
+    @pytest.mark.parametrize("fname, first_line", [
+        ("entity2id.txt", "fourteen\n"), ("relation2id.txt", "\n")])
+    def test_non_integer_count_names_the_file(self, tmp_path, fname,
+                                              first_line):
+        path = tmp_path / "openke"
+        save_openke_dir(make_tiny_kg(), str(path))
+        body = (path / fname).read_text().split("\n", 1)[1]
+        (path / fname).write_text(first_line + body)
+        with pytest.raises(ValueError, match="first line must be a count"
+                           ) as info:
+            load_openke_dir(str(path))
+        assert str(path / fname) in str(info.value)
 
-class TestTsv:
-    def _write(self, tmp_path, rows_by_split):
-        paths = {}
-        for split, rows in rows_by_split.items():
-            p = tmp_path / f"{split}.tsv"
-            p.write_text("".join("\t".join(row) + "\n" for row in rows))
-            paths[split] = str(p)
-        return paths
+    def test_malformed_triples_name_the_file(self, tmp_path):
+        path = tmp_path / "openke"
+        save_openke_dir(make_tiny_kg(), str(path))
+        (path / "valid2id.txt").write_text("1\n0 x 1\n")
+        with pytest.raises(ValueError) as info:
+            load_openke_dir(str(path))
+        assert str(path / "valid2id.txt") in str(info.value)
 
-    def test_string_ids_interned(self, tmp_path):
-        paths = self._write(tmp_path, {
-            "train": [("paris", "capital_of", "france"),
-                      ("berlin", "capital_of", "germany")],
-            "valid": [("rome", "capital_of", "italy")],
-            "test": [("madrid", "capital_of", "spain")],
-        })
-        store = load_tsv(paths["train"], paths["valid"], paths["test"])
-        assert store.n_relations == 1
-        assert store.n_entities == 8
-        assert len(store.train) == 2
-
-    def test_integer_ids_used_directly(self, tmp_path):
-        paths = self._write(tmp_path, {
-            "train": [("0", "0", "1"), ("1", "1", "2")],
-            "valid": [("2", "0", "0")],
-            "test": [("0", "1", "2")],
-        })
-        store = load_tsv(paths["train"], paths["valid"], paths["test"])
-        assert store.n_entities == 3
-        assert store.n_relations == 2
-        assert store.train.heads[0] == 0 and store.train.tails[0] == 1
-
-    def test_bad_column_count_raises(self, tmp_path):
-        p = tmp_path / "bad.tsv"
-        p.write_text("a\tb\n")
-        with pytest.raises(ValueError):
-            load_tsv(str(p), str(p), str(p))
-
-    def test_empty_file_raises(self, tmp_path):
-        p = tmp_path / "empty.tsv"
-        p.write_text("")
-        with pytest.raises(ValueError):
-            load_tsv(str(p), str(p), str(p))
-
-    def test_loaded_dataset_is_trainable(self, tmp_path):
-        """Full pipeline smoke: external format -> training run."""
-        store = make_tiny_kg()
-        path = str(tmp_path / "openke")
-        save_openke_dir(store, path)
-        back = load_openke_dir(path)
-        from repro import TrainConfig, baseline_allreduce, train
-        cfg = TrainConfig(dim=8, batch_size=128, max_epochs=2, lr_patience=5,
-                          eval_max_queries=20)
-        result = train(back, baseline_allreduce(1), 2, config=cfg)
-        assert result.epochs == 2
+    def test_out_of_range_id_names_the_directory(self, tmp_path):
+        path = tmp_path / "openke"
+        save_openke_dir(make_tiny_kg(), str(path))
+        (path / "entity2id.txt").write_text("3\n")
+        with pytest.raises(ValueError, match="out of range") as info:
+            load_openke_dir(str(path))
+        assert str(path) in str(info.value)

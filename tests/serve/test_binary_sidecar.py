@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import export_binary_main, serve_main
+from repro.cli import main
 from repro.kg.datasets import make_tiny_kg
 from repro.serve import EmbeddingStore, QueryEngine, export_binary
 from repro.training.checkpoint import (
@@ -88,14 +88,16 @@ class TestExport:
         assert summary["memory_reduction"] == pytest.approx(64 / 6)
 
     def test_cli_export_json(self, exported, capsys):
-        rc = export_binary_main(["--checkpoint", str(exported), "--json"])
+        rc = main(["export-binary", "--checkpoint", str(exported),
+                   "--json"])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["width_bits"] == 16
         assert summary["memory_reduction"] > 1.0
 
     def test_cli_export_missing_checkpoint_exits_2(self, tmp_path, capsys):
-        rc = export_binary_main(["--checkpoint", str(tmp_path / "nowhere")])
+        rc = main(["export-binary", "--checkpoint",
+                   str(tmp_path / "nowhere")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot export")
@@ -108,8 +110,8 @@ class TestNegative:
                                            dataset=store, with_binary=True)
 
     def test_cli_serve_missing_sidecar_exits_2(self, checkpoint, capsys):
-        rc = serve_main(["--checkpoint", str(checkpoint), "--tier", "binary",
-                         "--no-filter", "--query", "0,0"])
+        rc = main(["serve", "--checkpoint", str(checkpoint), "--tier",
+                   "binary", "--no-filter", "--query", "0,0"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot serve")
@@ -139,8 +141,8 @@ class TestNegative:
                            match="different snapshot"):
             EmbeddingStore.from_checkpoint(exported, model_name="complex",
                                            with_binary=True)
-        rc = serve_main(["--checkpoint", str(exported), "--tier", "binary",
-                         "--no-filter", "--query", "0,0"])
+        rc = main(["serve", "--checkpoint", str(exported), "--tier",
+                   "binary", "--no-filter", "--query", "0,0"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "binary.npz" in err and "export-binary" in err

@@ -1,12 +1,17 @@
 """Unit tests for the command-line interface."""
 
+import ast
 import json
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, build_serve_parser, main
+from repro import cli
+from repro.cli import build_parser, main
 from repro.kg.datasets import make_tiny_kg, save_store
+from repro.kg.io import save_openke_dir
 
 
 class TestParser:
@@ -100,6 +105,17 @@ class TestMain:
         assert rc == 2
         assert ("error: bad --faults value in 'drop=abc'"
                 in capsys.readouterr().err)
+
+    def test_elastic_with_resume_exits_2_naming_both_flags(self, tmp_path,
+                                                           capsys):
+        """The elastic supervisor cannot resume; it used to drop --resume
+        silently and train from scratch."""
+        rc = main(self._args(tmp_path, ["--nodes", "2", "--elastic",
+                                        "--resume", str(tmp_path)]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--elastic" in err and "--resume" in err
 
 
 class TestFaultExitCodes:
@@ -318,7 +334,7 @@ def served_checkpoint(tmp_path_factory):
 
 class TestServeCli:
     def test_serve_defaults(self):
-        args = build_serve_parser().parse_args(["--checkpoint", "x"])
+        args = build_parser("serve").parse_args(["--checkpoint", "x"])
         assert args.model == "complex"
         assert args.topk == 10
         assert args.cache_capacity == 4096
@@ -419,3 +435,93 @@ class TestServeCli:
                    flag, value, "--topk", "-1"])
         assert rc == 2
         assert "k must be >= 1, got -1" in capsys.readouterr().err
+
+
+TRAIN_SMALL = ["--dim", "8", "--batch-size", "128", "--max-epochs", "1",
+               "--warmup", "0"]
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["--scale", "0", *TRAIN_SMALL], "scale"),
+    (["--dataset-file", "{kg}", *TRAIN_SMALL, "--nodes", "0"], "nodes"),
+    (["--dataset-file", "{kg}", *TRAIN_SMALL, "--dim", "0"], "dim"),
+    (["--dataset-file", "{missing}", *TRAIN_SMALL], "{missing}"),
+    (["serve", "--checkpoint", "{ckpt}", "--dataset-file", "{missing}",
+      "--query", "0,0"], "{missing}"),
+    (["serve", "--checkpoint", "{ckpt}", "--dataset-file", "{garbage}",
+      "--query", "0,0"], "{garbage}"),
+], ids=["train-scale", "train-nodes", "train-dim", "train-missing-file",
+        "serve-missing-file", "serve-garbage-file"])
+def test_bad_input_exits_2_naming_the_culprit(served_checkpoint, tmp_path,
+                                              capsys, argv, culprit):
+    """Bad input is one `error:` line and exit 2, never a traceback."""
+    ckpt, dataset_file = served_checkpoint
+    (tmp_path / "garbage.npz").write_bytes(b"not a dataset")
+    paths = {"kg": dataset_file, "ckpt": ckpt,
+             "missing": str(tmp_path / "missing.npz"),
+             "garbage": str(tmp_path / "garbage.npz")}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert culprit.format(**paths) in err
+
+
+class TestDatasetFile:
+    def test_openke_directory_trains_then_serves(self, tmp_path, capsys):
+        """An OpenKE directory is a dataset for both commands, and serves
+        the same filtered answers as the same graph saved as a store."""
+        store = make_tiny_kg()
+        openke, npz = str(tmp_path / "openke"), str(tmp_path / "kg.npz")
+        save_openke_dir(store, openke)
+        save_store(store, npz)
+        ckpt = str(tmp_path / "ckpts")
+        rc = main(["--dataset-file", openke, "--dim", "8", "--batch-size",
+                   "128", "--max-epochs", "2", "--patience", "5",
+                   "--warmup", "0", "--nodes", "2", "--checkpoint-dir", ckpt,
+                   "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["N_epochs"] == 2
+        answers = []
+        for dataset in (openke, npz):
+            rc = main(["serve", "--checkpoint", ckpt, "--dataset-file",
+                       dataset, "--query", "3,1", "--json"])
+            assert rc == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["store"]["filtered"] is True
+            answers.append(out["answers"])
+        assert len(answers[0][0]["entities"]) == 10
+        assert answers[0] == answers[1]
+
+
+class TestOneParserFamily:
+    """Each option is declared once and each exit code has one path."""
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def test_each_option_is_declared_once(self):
+        calls = [node for node in ast.walk(self.tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "add_argument"]
+        options = Counter(arg.value for call in calls for arg in call.args
+                          if isinstance(arg, ast.Constant))
+        assert len(calls) == 46
+        # Two different options share a name: the training mini-batch and
+        # the serve replay's micro-batch window.
+        assert {opt for opt, n in options.items() if n > 1} == {
+            "--batch-size"}
+
+    def test_one_exit_2_and_one_exit_3(self):
+        codes = Counter(node.value.value for node in ast.walk(self.tree)
+                        if isinstance(node, ast.Return)
+                        and isinstance(node.value, ast.Constant))
+        assert codes[2] == 1
+        assert codes[3] == 1
+
+    @pytest.mark.parametrize("command", ["train", "serve", "export-binary"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(([] if command == "train" else [command]) + ["--help"])
+        assert info.value.code == 0
+        assert "--json" in capsys.readouterr().out
