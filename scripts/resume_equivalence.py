@@ -13,8 +13,10 @@ probe, so both kinds are dirty in the snapshot (other ``--epochs`` catch the
 node stores at least), and the script refuses to pass on a snapshot that
 carries no residual row at all.  Every deterministic output (epoch logs,
 simulated clock, bytes on the wire, retries, final embeddings, optimizer
-moments, every residual store) is diffed; any mismatch exits non-zero and
-prints the offending fields.  Last, the snapshot is served: the checkpoint
+moments, every residual store's ``(rows, values)`` bytes) is diffed; any
+mismatch exits non-zero and prints the offending fields.  The bytes each
+restored residual store holds in memory are printed too.  Last, the
+snapshot is served: the checkpoint
 directory loads through ``EmbeddingStore.from_checkpoint``, whose entity
 matrix must be the resumed trainer's and whose ``manifest_digest`` must be
 the SHA-256 of the newest manifest file.
@@ -96,10 +98,11 @@ def diff(straight, resumed) -> list[str]:
     ra, rb = residual_stores(straight), residual_stores(resumed)
     check("residual stores", sorted(ra), sorted(rb))
     for name in sorted(set(ra) & set(rb)):
-        check(f"residual.{name}.dirty",
-              ra[name]._dirty.tobytes(), rb[name]._dirty.tobytes())
+        check(f"residual.{name}.rows",
+              ra[name].rows.tobytes(), rb[name].rows.tobytes())
         check(f"residual.{name}.values",
-              ra[name]._residual.tobytes(), rb[name]._residual.tobytes())
+              (ra[name].values.shape, ra[name].values.tobytes()),
+              (rb[name].values.shape, rb[name].values.tobytes()))
     return bad
 
 
@@ -132,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     restored = {name: s.nnz_rows
                 for name, s in residual_stores(resumed).items() if s.nnz_rows}
     print(f"      residual rows restored: {restored}")
+    resident = {name: s.nbytes for name, s in residual_stores(resumed).items()}
+    print(f"      residual bytes resident: {resident}")
     resumed.run()
 
     bad = diff(straight, resumed)

@@ -25,11 +25,22 @@ import numpy as np
 from ..comm.sparse import SparseRows, combine_sparse
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` (no copy; ``arr`` itself stays as is)."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class ResidualStore:
     """Per-matrix residual memory for one worker.
 
-    Residuals are kept densely for the rows that have ever had one; lookup
-    and update cost scales with the touched rows only.
+    Only the rows holding a residual are kept, as a sorted ``(rows,
+    values)`` pair — the schema-3 checkpoint layout — so the memory it
+    holds scales with those rows, not with ``n_rows``.  Both arrays are
+    read-only: :meth:`store` and :meth:`clear` swap in a new pair and never
+    write into the old one, so a checkpoint snapshot may share them instead
+    of copying.
     """
 
     def __init__(self, n_rows: int, dim: int):
@@ -37,44 +48,47 @@ class ResidualStore:
             raise ValueError(f"invalid residual shape ({n_rows}, {dim})")
         self.n_rows = n_rows
         self.dim = dim
-        self._residual = np.zeros((n_rows, dim), dtype=np.float32)
-        self._dirty = np.zeros(n_rows, dtype=bool)
+        self._empty = (_frozen(np.empty(0, dtype=np.int64)),
+                       _frozen(np.empty((0, dim), dtype=np.float32)))
+        self.rows, self.values = self._empty
 
     @property
     def nnz_rows(self) -> int:
-        """Rows currently holding non-zero residual."""
-        return int(self._dirty.sum())
+        """Rows currently stored (a stored row may hold zeros)."""
+        return len(self.rows)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the stored rows occupy."""
+        return self.rows.nbytes + self.values.nbytes
 
     def inject(self, grad: SparseRows) -> SparseRows:
         """Add stored residuals into ``grad`` (union of row sets)."""
         if grad.n_rows != self.n_rows or (grad.nnz_rows and grad.dim != self.dim):
             raise ValueError("gradient shape does not match residual store")
-        dirty_idx = np.flatnonzero(self._dirty)
-        if len(dirty_idx) == 0:
+        if not self.nnz_rows:
             return grad
-        residual = SparseRows(indices=dirty_idx,
-                              values=self._residual[dirty_idx],
-                              n_rows=self.n_rows)
-        return combine_sparse([grad, residual])
+        return combine_sparse([grad, SparseRows(self.rows, self.values,
+                                                self.n_rows)])
 
     def store(self, residual: SparseRows) -> None:
-        """Replace stored residuals for the given rows."""
-        if residual.n_rows != self.n_rows:
-            raise ValueError("residual shape does not match store")
-        # Rows previously dirty but not refreshed keep their value only if
-        # they were not part of this step's compression input; inject()
-        # always folds every dirty row in, so after a store the dirty set is
-        # exactly the refreshed rows.
-        self._residual[self._dirty] = 0.0
-        self._dirty[:] = False
-        if residual.nnz_rows:
-            self._residual[residual.indices] = residual.values
-            self._dirty[residual.indices] = True
+        """Replace every stored residual with ``residual``'s rows.
+
+        inject() always folds every stored row in, so after a store the
+        stored set is exactly this step's compression error.
+        """
+        if residual.n_rows != self.n_rows or (residual.nnz_rows
+                                              and residual.dim != self.dim):
+            raise ValueError(
+                f"residual of shape ({residual.n_rows}, {residual.dim}) "
+                f"does not fit a ({self.n_rows}, {self.dim}) store")
+        self.rows, self.values = (
+            (_frozen(residual.indices), _frozen(residual.values))
+            if residual.nnz_rows else self._empty)
 
     def clear(self) -> None:
         """Drop all residual state."""
-        self._residual[self._dirty] = 0.0
-        self._dirty[:] = False
+        self.rows, self.values = self._empty
 
 
 class NodeResiduals:
@@ -94,10 +108,17 @@ class NodeResiduals:
         self.stores: dict[int, ResidualStore] = {
             node: ResidualStore(n_rows, dim) for node in ids}
 
+    def _store(self, node: int) -> ResidualStore:
+        try:
+            return self.stores[node]
+        except KeyError:
+            raise ValueError(f"node {node} holds no residual store; held "
+                             f"node ids: {sorted(self.stores)}") from None
+
     def inject(self, node: int, grad: SparseRows) -> SparseRows:
         """Fold node ``node``'s stored residual into its hop-boundary sum."""
-        return self.stores[node].inject(grad)
+        return self._store(node).inject(grad)
 
     def store(self, node: int, residual: SparseRows) -> None:
         """Replace node ``node``'s residual with this hop's fresh error."""
-        self.stores[node].store(residual)
+        self._store(node).store(residual)

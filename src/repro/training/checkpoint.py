@@ -232,10 +232,13 @@ def config_fingerprint(store, strategy, config, network, faults) -> str:
 # ---------------------------------------------------------------------------
 
 def _capture_residual(arrays: dict, key: str, store) -> None:
-    """Snapshot one residual store as its dirty rows (clean rows are 0)."""
-    rows = np.flatnonzero(store._dirty)
-    arrays[f"{key}/rows"] = rows
-    arrays[f"{key}/values"] = store._residual[rows]
+    """Snapshot one residual store as its dirty rows (clean rows are 0).
+
+    The store's arrays are read-only and replaced, never written, by later
+    steps, so the snapshot shares them instead of copying.
+    """
+    arrays[f"{key}/rows"] = store.rows
+    arrays[f"{key}/values"] = store.values
 
 
 def _parse_residual(store, arrays: dict, key: str) -> SparseRows:
@@ -255,8 +258,10 @@ def _parse_residual(store, arrays: dict, key: str) -> SparseRows:
 
 
 def capture_state(trainer) -> CheckpointState:
-    """Deep-copy everything a bitwise resume needs out of a trainer.
+    """Snapshot everything a bitwise resume needs out of a trainer.
 
+    Arrays training writes in place (embeddings, Adam moments, clocks) are
+    copied; residual stores are shared, as their arrays are read-only.
     Must be called at an epoch boundary (the only points where trainer
     state is consistent); the trainer does so after each completed epoch.
     """

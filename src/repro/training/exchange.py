@@ -45,6 +45,13 @@ from .rng import selection_rng
 from .strategy import StrategyConfig
 
 
+def _take(items: list, i: int):
+    """``items[i]``, leaving ``None`` in its place so the caller's list no
+    longer keeps it alive."""
+    item, items[i] = items[i], None
+    return item
+
+
 def push_pull_time(wire: Sequence[int], n_servers: int, network) -> float:
     """Parameter-server step time for per-worker payloads of ``wire`` bytes.
 
@@ -316,21 +323,23 @@ class GradientExchange:
                 dropped += stats.rows_in - stats.rows_kept
                 kept += stats.rows_kept
             sources.append(g)
+        del g  # ``sources`` alone holds the rank rows from here
+
+        # Each payload is decoded once; the same rows feed the residual
+        # update and the combine.  Payloads are encoded one at a time and
+        # each is dropped once encoded: a step holds its decoded rows and
+        # errors, never every payload beside them.
         if two_level:
             hierarchical.hier_intra_gather_bytes(
                 cluster, [g.nbytes_wire for g in sources], groups,
                 op_label=f"{m.kind}_hier")
-            node_sums = []
-            for node, members in zip(groups.node_ids, groups.members):
-                g = combine_sparse([sources[r] for r in members])
-                if m.node_residuals is not None:
-                    g = m.node_residuals.inject(node, g)
-                node_sums.append(g)
-            sources = node_sums
-
-        # Each payload is decoded once; the same rows feed the residual
-        # update and the combine.
-        decoded, wire, errors = zip(*(self._encode(g) for g in sources))
+            encoded = [self._encode(self._node_sum(m, node, members, sources))
+                       for node, members in zip(groups.node_ids,
+                                                groups.members)]
+        else:
+            encoded = [self._encode(_take(sources, rank))
+                       for rank in range(len(sources))]
+        decoded, wire, errors = zip(*encoded)
         if two_level:
             hierarchical.hier_inter_allgatherv_bytes(
                 cluster, wire, groups, op_label=f"{m.kind}_hier")
@@ -364,6 +373,15 @@ class GradientExchange:
 
         total_rows = dropped + kept
         return combined, dropped / total_rows if total_rows else 0.0
+
+    def _node_sum(self, m: MatrixState, node: int, members: Sequence[int],
+                  sources: list[SparseRows]) -> SparseRows:
+        """One node's hop-boundary sum: its members' rows, taken out of
+        ``sources``, combined plus its node residual."""
+        g = combine_sparse([_take(sources, r) for r in members])
+        if m.node_residuals is not None:
+            g = m.node_residuals.inject(node, g)
+        return g
 
     def _encode(self, g: SparseRows
                 ) -> tuple[SparseRows, int, SparseRows | None]:

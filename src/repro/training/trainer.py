@@ -430,6 +430,9 @@ class DistributedTrainer:
                     "relation", [o.relation_grad for o in outputs], mode)
                 self._apply("relation", combined)
             setattr(result, counter, getattr(result, counter) + 1)
+            # Applied: free this step's gradients before the next step
+            # computes its own.
+            del outputs, combined
 
         comm_time = self.cluster.stats.time_total - comm_before
         val_mrr, eval_time = self._evaluate_validation()

@@ -1,10 +1,12 @@
 """Unit tests for the error-feedback residual store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.comm.sparse import SparseRows
-from repro.compress.error_feedback import ResidualStore
+from repro.compress.error_feedback import NodeResiduals, ResidualStore
 from repro.compress.quantization import (
     dequantize,
     quantization_error,
@@ -59,7 +61,7 @@ class TestResidualStore:
         store = ResidualStore(10, 2)
         store.store(rows([1, 7], [[0.5, 0.5], [2.0, 2.0]]))
         out = store.inject(rows([1], [[1, 2]]))
-        assert not np.shares_memory(out.values, store._residual)
+        assert not np.shares_memory(out.values, store.values)
         out.values[:] = 99.0
         again = store.inject(rows([1], [[1, 2]]))
         np.testing.assert_allclose(again.to_dense()[[1, 7]],
@@ -79,6 +81,62 @@ class TestResidualStore:
             store.inject(rows([1], [[1, 1]], n_rows=20))
         with pytest.raises(ValueError):
             store.store(rows([1], [[1, 1]], n_rows=20))
+
+    def test_store_refuses_a_foreign_width_naming_both_shapes(self):
+        store = ResidualStore(10, 2)
+        with pytest.raises(ValueError, match=r"\(10, 3\).*\(10, 2\) store"):
+            store.store(rows([1, 4], [[1, 1, 1], [2, 2, 2]], dim=3))
+        assert store.nnz_rows == 0
+
+    def test_holds_its_rows_as_a_read_only_pair(self):
+        store = ResidualStore(10, 2)
+        assert store.rows.shape == (0,) and store.values.shape == (0, 2)
+        store.store(rows([3, 7], [[1, 2], [3, 4]]))
+        assert store.rows.tolist() == [3, 7]
+        assert store.values.tolist() == [[1, 2], [3, 4]]
+        assert store.nbytes == 2 * 8 + 2 * 2 * 4
+        held_rows, held_values = store.rows, store.values
+        for arr in held_rows, held_values:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # A store swaps in a new pair; the old one keeps its bytes.
+        store.store(rows([5], [[9, 9]]))
+        store.clear()
+        assert (store.nnz_rows, store.values.shape) == (0, (0, 2))
+        assert held_rows.tolist() == [3, 7]
+        assert held_values.tolist() == [[1, 2], [3, 4]]
+
+    def test_memory_scales_with_stored_rows_not_n_rows(self):
+        """A million-row store holding 1,000 rows costs those rows.  The
+        one ``n_rows``-sized allocation left is ``combine_sparse``'s row
+        tables inside ``inject`` (a bool mask and an intp slot map)."""
+        n_rows, dim, k = 10 ** 6, 64, 1000
+        rng = np.random.default_rng(0)
+        picked = np.sort(rng.choice(n_rows, size=k, replace=False))
+        residual = SparseRows(picked, rng.normal(size=(k, dim)), n_rows)
+        grad = SparseRows(picked[::2], rng.normal(size=(k // 2, dim)), n_rows)
+        tracemalloc.start()
+        try:
+            store = ResidualStore(n_rows, dim)
+            store.store(residual)
+            out = store.inject(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nnz_rows == k
+        tables = n_rows * (np.dtype(bool).itemsize + np.dtype(np.intp).itemsize)
+        assert peak - tables < 2 ** 20
+
+
+class TestNodeResiduals:
+    def test_unknown_node_names_it_and_the_held_ids(self):
+        nodes = NodeResiduals([3, 1], 10, 2)
+        g = rows([1], [[1, 1]])
+        for call in (nodes.inject, nodes.store):
+            with pytest.raises(ValueError,
+                               match=r"node 2 .*held node ids: \[1, 3\]"):
+                call(2, g)
 
 
 class TestErrorFeedbackLoop:

@@ -413,13 +413,14 @@ def dirty_every_store(trainer, fraction, seed=5):
 
 
 def assert_same_store(a, b):
-    assert a._dirty.tobytes() == b._dirty.tobytes()
-    assert a._residual.tobytes() == b._residual.tobytes()
+    assert a.rows.tobytes() == b.rows.tobytes()
+    assert a.values.shape == b.values.shape
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def assert_pristine(st):
-    assert not st._dirty.any()
-    assert st._residual.tobytes() == bytes(st._residual.nbytes)
+    assert st.rows.shape == (0,)
+    assert st.values.shape == (0, st.dim)
 
 
 @pytest.fixture(scope="module")
@@ -442,9 +443,9 @@ def test_residuals_round_trip_through_disk(store, tmp_path, fraction):
     path = write_checkpoint(capture_state(source), tmp_path / "snap")
     state = load_checkpoint(path, source.config_fingerprint())
     for key, st in residual_stores(source).items():
-        assert state.arrays[f"{key}/rows"].tolist() == \
-            np.flatnonzero(st._dirty).tolist()
+        assert state.arrays[f"{key}/rows"].tolist() == st.rows.tolist()
         assert state.arrays[f"{key}/values"].shape == (st.nnz_rows, st.dim)
+        assert state.arrays[f"{key}/values"].tobytes() == st.values.tobytes()
 
     target = ef_hier_trainer(store)
     dirty_every_store(target, 0.7, seed=6)  # stale state must not survive
@@ -510,10 +511,36 @@ def test_snapshot_stores_dirty_rows_only(ef_run):
     live = residual_stores(trainer)
     final = capture_state(trainer).arrays
     for key, st in live.items():
-        assert len(final[f"{key}/values"]) == int(st._dirty.sum())
-        assert len(final[f"{key}/rows"]) == int(st._dirty.sum())
+        # The snapshot shares the store's read-only pair, not a copy.
+        assert final[f"{key}/rows"] is st.rows
+        assert final[f"{key}/values"] is st.values
+        assert len(st.values) == len(st.rows) == st.nnz_rows
     assert all(live[f"residual/hier_entity/{node}"].nnz_rows > 0
                for node in (0, 1))
+
+
+def test_snapshot_residuals_survive_the_next_epoch(store):
+    """A snapshot shares the stores' arrays; the next epoch swaps new ones
+    into the stores and leaves the snapshot's bytes as captured."""
+    trainer = ef_hier_trainer(store, max_epochs=3)
+    trainer._stop_after = 2  # epoch 2 is the allgather probe
+    trainer.run()
+    snapshot = capture_state(trainer).arrays
+    keys = [key for key in snapshot if key.startswith("residual/")]
+    captured = {key: snapshot[key].tobytes() for key in keys}
+    assert len(snapshot["residual/entity/0/rows"]) > 0
+    assert len(snapshot["residual/hier_entity/0/rows"]) > 0
+
+    trainer._stop_after = None
+    trainer.run()  # epoch 3, hierarchical: clears ranks, re-stores nodes
+    assert trainer.result.logs[-1].comm_mode == "hierarchical"
+    live = capture_state(trainer).arrays
+    assert live["residual/entity/0/rows"].shape == (0,)
+    assert (live["residual/hier_entity/0/values"].tobytes()
+            != captured["residual/hier_entity/0/values"])
+    for key in keys:
+        assert snapshot[key].tobytes() == captured[key]
+        assert not snapshot[key].flags.writeable
 
 
 MALFORMED = {

@@ -1,6 +1,8 @@
 """Unit tests for the gradient exchange itself (codec x transport), driven
 directly on hand-built parts rather than through a training run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def same_rows(a, b):
 
 
 def store_bytes(exchange):
-    return {key: (st._dirty.tobytes(), st._residual.tobytes())
+    return {key: (st.rows.tobytes(), st.values.shape, st.values.tobytes())
             for key, _, st in exchange.residual_stores()}
 
 
@@ -223,3 +225,39 @@ def test_degenerate_inputs_have_pinned_outcomes(mode, codec, kind):
     else:
         assert same_rows(got, combine_sparse(parts))
         assert np.isnan(got.values).sum() == 1
+
+
+def test_two_level_step_holds_at_most_two_node_sums():
+    """One 1-bit two-level step over 8 ranks on 4 nodes, node residuals
+    mostly dirty: the hop boundary encodes node by node and drops each node
+    sum once it is encoded, so the step peaks at its decoded rows and
+    errors plus two node sums (plus ``combine_sparse``'s row tables), not
+    at every node sum held to the end."""
+    n_rows, width = 4000, 64
+    cluster = Cluster(8, NET)
+    exchange = GradientExchange(cluster, StrategyConfig(
+        comm_mode="allgather", collective="hier", quantization_bits=1,
+        error_feedback=True), {"entity": (n_rows, width, None)}, seed=7)
+    assert exchange.groups.members == ((0, 1), (2, 3), (4, 5), (6, 7))
+    rng = np.random.default_rng(0)
+    nodes = exchange.matrices["entity"].node_residuals.stores
+    for st in nodes.values():
+        rows = np.flatnonzero(rng.random(n_rows) < 0.9)
+        st.store(SparseRows(rows, rng.normal(size=(len(rows), width)), n_rows))
+    parts = []
+    for _ in range(8):
+        rows = np.flatnonzero(rng.random(n_rows) < 0.2)
+        parts.append(SparseRows(rows, rng.normal(size=(len(rows), width)),
+                                n_rows))
+    tracemalloc.start()
+    try:
+        exchange.exchange("entity", parts, "hierarchical")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each node's error covers exactly its node sum's rows, as does its
+    # decoded payload; a node sum holds at most every row.
+    errors = sum(st.nbytes for st in nodes.values())
+    row_bytes = width * 4 + 8
+    tables = n_rows * (np.dtype(bool).itemsize + np.dtype(np.intp).itemsize)
+    assert peak <= 2 * errors + 2 * n_rows * row_bytes + tables
