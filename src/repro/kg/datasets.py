@@ -27,7 +27,10 @@ generate **structurally similar, learnable** graphs:
 
 For entity counts whose ``E x E`` score matrix would not fit in memory the
 generator falls back to sampled candidate mining (``oversample`` random
-pairs per kept fact) — only relevant near ``scale=1``.
+pairs per kept fact) — only relevant near ``scale=1``.  It scores its
+candidates a block at a time, so one relation holds two index arrays plus
+one float32 per candidate plus one block: ~20 bytes per candidate, where
+the exhaustive path holds two ``E x E`` float32 matrices.
 
 Determinism: every generator is a pure function of its arguments including
 ``seed``, on every host.  Each relation's facts are its top pairs in
@@ -53,8 +56,12 @@ from .triples import TripleSet, TripleStore, encode_triples
 
 #: Above this many entities exhaustive mining, which peaks at two E x E
 #: float32 matrices per relation (~390MB at the limit), switches to sampled
-#: candidate mining.
+#: candidate mining, which peaks at two int64 index arrays plus one float32
+#: score per candidate plus one block (~20 bytes per candidate).
 EXHAUSTIVE_ENTITY_LIMIT = 7000
+
+#: Candidates the sampled miner scores at a time.
+_SAMPLED_BLOCK = 1 << 14
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -102,26 +109,64 @@ def _mine_exhaustive(e_re, e_im, r_re, r_im, rel: int, count: int) -> np.ndarray
     return np.stack([h, rel_col, t], axis=1)
 
 
-def _mine_sampled(e_re, e_im, r_re, r_im, rel: int, count: int,
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` for a ``(latent_dim, block)`` float32 array, added
+    in the order NumPy's pairwise ``np.sum`` adds a contiguous
+    ``latent_dim`` row: index order below 8 terms, eight running sums up to
+    128, halves cut at a multiple of 8 above.  So a column sums to the bits
+    its row would, on every host."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_rows(x[:half]) + _sum_rows(x[half:])
+    if n < 8:
+        acc = x[0].copy()
+        for row in x[1:]:
+            acc += row
+        return acc
+    run = x[:8].copy()
+    end = n - n % 8
+    for i in range(8, end, 8):
+        run += x[i:i + 8]
+    acc = (run[0] + run[1]) + (run[2] + run[3])
+    acc += (run[4] + run[5]) + (run[6] + run[7])
+    for row in x[end:]:
+        acc += row
+    return acc
+
+
+def _mine_sampled(e_re_t, e_im_t, r_re, r_im, rel: int, count: int,
                   oversample: int, rng: np.random.Generator) -> np.ndarray:
     """Top-``count`` pairs among ``count * oversample`` random candidates,
-    best first (ties toward the earlier candidate)."""
-    n_entities = e_re.shape[0]
+    best first (ties toward the earlier candidate).
+
+    ``e_re_t``/``e_im_t`` are the entity latents transposed to ``(latent_dim,
+    n_entities)``.  Candidates are scored ``_SAMPLED_BLOCK`` at a time into
+    one float32 array, a self-loop scoring NaN ("not a candidate" to
+    :func:`best_first`), so beside the two index arrays and the scores only
+    one block is ever live.
+    """
+    n_entities = e_re_t.shape[1]
     m = max(count * oversample, 64)
     h = rng.integers(0, n_entities, size=m)
     t = rng.integers(0, n_entities, size=m)
-    ok = h != t
-    h, t = h[ok], t[ok]
-    x_re, x_im = e_re[h], e_im[h]
-    hr_re = x_re * r_re[rel]
-    hr_re -= x_im * r_im[rel]
-    x_re *= r_im[rel]
-    x_im *= r_re[rel]
-    x_re += x_im  # hr_im, in the gathered buffer
-    hr_re *= e_re[t]
-    x_re *= e_im[t]
-    hr_re += x_re
-    top = best_first(hr_re.sum(axis=1), count)
+    rr, ri = r_re[rel][:, None], r_im[rel][:, None]
+    scores = np.empty(m, dtype=np.float32)
+    for lo in range(0, m, _SAMPLED_BLOCK):
+        hb, tb = h[lo:lo + _SAMPLED_BLOCK], t[lo:lo + _SAMPLED_BLOCK]
+        x_re, x_im = np.take(e_re_t, hb, axis=1), np.take(e_im_t, hb, axis=1)
+        hr_re = x_re * rr
+        hr_re -= x_im * ri
+        x_re *= ri
+        x_im *= rr
+        x_re += x_im  # hr_im, in the gathered buffer
+        hr_re *= np.take(e_re_t, tb, axis=1)
+        x_re *= np.take(e_im_t, tb, axis=1)
+        hr_re += x_re
+        block = _sum_rows(hr_re)
+        block[hb == tb] = np.nan
+        scores[lo:lo + len(block)] = block
+    top = best_first(scores, count)
     rel_col = np.full(len(top), rel, dtype=np.int64)
     return np.stack([h[top], rel_col, t[top]], axis=1)
 
@@ -154,6 +199,10 @@ def generate_latent_kg(
         raise ValueError(f"noise_fraction must be in [0, 1), got {noise_fraction}")
     if not 0 < valid_fraction + test_fraction < 1:
         raise ValueError("valid_fraction + test_fraction must be in (0, 1)")
+    if latent_dim < 1:
+        raise ValueError(f"latent_dim must be at least 1, got {latent_dim}")
+    if oversample < 1:
+        raise ValueError(f"oversample must be at least 1, got {oversample}")
     rng = np.random.default_rng(seed)
 
     # Ground-truth complex embeddings the facts will be consistent with.
@@ -165,15 +214,16 @@ def generate_latent_kg(
 
     rel_counts = _allocate_counts(n_triples,
                                   _zipf_weights(n_relations, relation_zipf))
-    exhaustive = n_entities <= EXHAUSTIVE_ENTITY_LIMIT
-    chunks: list[np.ndarray] = []
-    for rel in range(n_relations):
-        count = int(rel_counts[rel])
-        if exhaustive:
-            chunks.append(_mine_exhaustive(e_re, e_im, r_re, r_im, rel, count))
-        else:
-            chunks.append(_mine_sampled(e_re, e_im, r_re, r_im, rel, count,
-                                        oversample, rng))
+    counts = enumerate(rel_counts.tolist())
+    if n_entities <= EXHAUSTIVE_ENTITY_LIMIT:
+        chunks = [_mine_exhaustive(e_re, e_im, r_re, r_im, rel, count)
+                  for rel, count in counts]
+    else:
+        e_re_t = np.ascontiguousarray(e_re.T)
+        e_im_t = np.ascontiguousarray(e_im.T)
+        chunks = [_mine_sampled(e_re_t, e_im_t, r_re, r_im, rel, count,
+                                oversample, rng)
+                  for rel, count in counts]
     triples = np.concatenate(chunks, axis=0)
 
     if noise_fraction > 0:

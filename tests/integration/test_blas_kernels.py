@@ -1,10 +1,13 @@
-"""The goldens do not depend on which BLAS kernel NumPy's OpenBLAS runs.
+"""The goldens and the pinned graphs do not depend on which BLAS kernel
+NumPy's OpenBLAS runs.
 
 A ``DYNAMIC_ARCH`` OpenBLAS picks its matrix kernels from the host CPU, and
 kernels reduce in different orders.  Every candidate score behind eval's
 ranks is such a product (``KGEModel.score_tails_block``), while the golden
-runs pin each trajectory's MRR to the last bit.  This reruns the golden
-suite with the kernel forced to three x86 generations.
+runs pin each trajectory's MRR to the last bit.  The exhaustive fact
+miner's two ``E x E`` score matrices are products too, and
+``TestPinnedBytes`` fixes its graphs to the byte.  This reruns both with
+the kernel forced to three x86 generations.
 """
 
 import os
@@ -43,7 +46,8 @@ def test_goldens_pass_under_every_forced_core():
                         os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-s", "-p",
-             "no:cacheprovider", "tests/integration/test_golden.py"],
+             "no:cacheprovider", "tests/integration/test_golden.py",
+             "tests/kg/test_datasets.py::TestPinnedBytes"],
             cwd=root, env=env, capture_output=True, text=True)
         assert out.returncode == 0, (core, out.stdout[-2000:])
         found = re.search(r"^Core: (\w+)", out.stdout + out.stderr,

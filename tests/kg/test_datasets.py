@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.kg import datasets
 from repro.kg.datasets import (
     EXHAUSTIVE_ENTITY_LIMIT,
     _allocate_counts,
     _mine_exhaustive,
+    _mine_sampled,
     _zipf_weights,
     generate_latent_kg,
     load_store,
@@ -24,6 +26,7 @@ from repro.kg.datasets import (
     save_store,
 )
 from repro.kg.negative import NegativeBatch, select_hardest
+from repro.select import best_first
 from repro.training.checkpoint import store_fingerprint
 
 try:
@@ -108,6 +111,18 @@ class TestGenerator:
             generate_latent_kg(60, 6, 600, valid_fraction=0.6,
                                test_fraction=0.6)
 
+    @pytest.mark.parametrize("oversample", [0, -5])
+    def test_oversample_below_one_rejected(self, oversample):
+        """Not a graph short of its requested triples."""
+        with pytest.raises(ValueError, match=f"oversample .*{oversample}"):
+            generate_latent_kg(EXHAUSTIVE_ENTITY_LIMIT + 200, 12, 4000,
+                               oversample=oversample)
+
+    def test_latent_dim_below_one_rejected(self):
+        """Not a divide-by-zero warning and a graph with no signal."""
+        with pytest.raises(ValueError, match="latent_dim .*0"):
+            generate_latent_kg(60, 6, 600, latent_dim=0)
+
     def test_latent_structure_is_learnable_signal(self):
         """Facts must score higher than random pairs under a fresh latent
         re-derivation — i.e. the generator really mined top pairs."""
@@ -149,14 +164,18 @@ class TestScaledMakers:
 
 
 def host_digests() -> list[str]:
-    """sha256 of two noisy scaled graphs and one seeded m-of-n hardest
-    selection — the outputs a host-dependent top-k order would change."""
+    """sha256 of two noisy exhaustively mined graphs, one noisy sampled one
+    and one seeded m-of-n hardest selection — the outputs a host-dependent
+    top-k order or score would change."""
     rng = np.random.default_rng(3)
     batch = NegativeBatch(*rng.integers(0, 1000, size=(3, 64, 20)))
     scores = np.round(rng.normal(size=(64, 20)) * 4) / 4  # many ties
     picked = np.concatenate(select_hardest(batch, scores, m=10))
+    sampled = generate_latent_kg(EXHAUSTIVE_ENTITY_LIMIT + 200, 12, 2400,
+                                 noise_fraction=0.1)
     return [store_fingerprint(make_fb15k_like(scale=0.02)),
             store_fingerprint(make_fb250k_like(scale=0.002)),
+            store_fingerprint(sampled),
             hashlib.sha256(picked.tobytes()).hexdigest()]
 
 
@@ -196,6 +215,32 @@ class TestPinnedBytes:
         assert store_fingerprint(kg) == (
             "47a49929023308256156dbf9e963d4a2b5c4f162d938b62c2ffe2fe5432969dd")
 
+    def test_benchmark_graph(self):
+        """``perf``'s G15k graph, digest recorded from the row-layout
+        sampled miner."""
+        kg = generate_latent_kg(14951, 1345, 60000, seed=20220829)
+        assert store_fingerprint(kg) == (
+            "c10fe9bc04ea73146557203d90dc26c8d4cb9a48ab48554f101c439144dc4ff2")
+
+    def test_sampled_mining_peaks_near_20_bytes_per_candidate(self):
+        """One relation's 10**6 candidates: two int64 index arrays and one
+        float32 score each plus one block and ``best_first``'s pre-threshold
+        pass; gathering every candidate's latents at once took 81 bytes per
+        candidate."""
+        rng = np.random.default_rng(0)
+        e_re_t, e_im_t = rng.normal(size=(2, 4, 14951)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        count, oversample = 10_000, 100
+        tracemalloc.start()
+        try:
+            facts = _mine_sampled(e_re_t, e_im_t, r_re, r_im, 1, count,
+                                  oversample, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert facts.shape == (count, 3)
+        assert peak <= 26 * count * oversample
+
     def test_exhaustive_mining_peaks_at_two_score_matrices(self):
         """Deterministic allocation count, not RSS: the score matrix plus
         the second product's temporary, never a negated copy or an index
@@ -212,6 +257,80 @@ class TestPinnedBytes:
             tracemalloc.stop()
         assert facts.shape == (2000, 3)
         assert peak <= 2.1 * n * n * np.dtype(np.float32).itemsize
+
+
+def mine_sampled_rows(e_re, e_im, r_re, r_im, rel, count, oversample, rng):
+    """Oracle: the row-layout sampled miner, which gathers every
+    candidate's ``(latent_dim,)`` rows at once, compacts self-loops out of
+    the candidate arrays and sums each row with ``np.sum``."""
+    n_entities = e_re.shape[0]
+    m = max(count * oversample, 64)
+    h = rng.integers(0, n_entities, size=m)
+    t = rng.integers(0, n_entities, size=m)
+    ok = h != t
+    h, t = h[ok], t[ok]
+    x_re, x_im = e_re[h], e_im[h]
+    hr_re = x_re * r_re[rel]
+    hr_re -= x_im * r_im[rel]
+    x_re *= r_im[rel]
+    x_im *= r_re[rel]
+    x_re += x_im
+    hr_re *= e_re[t]
+    x_re *= e_im[t]
+    hr_re += x_re
+    top = best_first(hr_re.sum(axis=1), count)
+    rel_col = np.full(len(top), rel, dtype=np.int64)
+    return np.stack([h[top], rel_col, t[top]], axis=1)
+
+
+class TestStreamedMiner:
+    """The block-streamed sampled miner returns the row-layout oracle's
+    facts bitwise, whatever the block size."""
+
+    @pytest.mark.parametrize("latent_dim",
+                             [1, 4, 7, 8, 9, 13, 16, 24, 130, 300])
+    def test_column_sums_equal_row_sums(self, latent_dim):
+        """The score bits the row layout's ``np.sum`` gave: terms spanning
+        eight decades round differently in any other order, which the mined
+        facts alone rarely show."""
+        rng = np.random.default_rng(latent_dim)
+        shape = (4096, latent_dim)
+        rows = (rng.normal(size=shape)
+                * 10.0 ** rng.uniform(-4, 4, size=shape)).astype(np.float32)
+        cols = np.ascontiguousarray(rows.T)
+        np.testing.assert_array_equal(
+            datasets._sum_rows(cols), rows.sum(axis=1))
+
+    @pytest.mark.parametrize("block", [1, 3, 64, datasets._SAMPLED_BLOCK])
+    @pytest.mark.parametrize("latent_dim", [1, 4, 13, 130])
+    @pytest.mark.parametrize("quantized", [True, False],
+                             ids=["quantized", "normal"])
+    def test_equals_row_layout_oracle(self, monkeypatch, block, latent_dim,
+                                      quantized):
+        """Nine entities make every ninth candidate a self-loop and most
+        pairs repeats (tied scores); quantized latents tie distinct pairs
+        too.  No ``m`` below is a multiple of a block but the 1-wide one,
+        and ``oversample=1`` asks for more facts than there are
+        candidates."""
+        monkeypatch.setattr(datasets, "_SAMPLED_BLOCK", block)
+        rng = np.random.default_rng(latent_dim)
+        shape = (2, 9, latent_dim)
+        if quantized:
+            latents = rng.integers(-2, 3, size=shape) / 2
+        else:
+            latents = rng.normal(size=shape)
+        e_re, e_im = latents.astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 4, latent_dim)).astype(np.float32)
+        e_re_t, e_im_t = np.ascontiguousarray(latents.transpose(0, 2, 1),
+                                              dtype=np.float32)
+        cases = [(37, 5), (70, 1)] + ([(331, 100)] if block >= 64 else [])
+        for rel, (count, oversample) in enumerate(cases):
+            want = mine_sampled_rows(e_re, e_im, r_re, r_im, rel, count,
+                                     oversample, np.random.default_rng(rel))
+            got = _mine_sampled(e_re_t, e_im_t, r_re, r_im, rel, count,
+                                oversample, np.random.default_rng(rel))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPersistence:
