@@ -29,7 +29,7 @@ module is the serving half of that result:
   :meth:`BinaryStore.approx_scores` folds in the per-row scale according
   to the model's score geometry.  The top ``rerank_k`` become the
   candidate pool the full-precision scorers re-rank.  Selection is the
-  serve path's one rule, :func:`~repro.select.best_first` —
+  serve path's one rule in its set form, :func:`~repro.select.best_set` —
   descending approximate score, exact ties toward the smaller entity id
   — so ``rerank_k >= n_entities`` always yields the complete, id-ordered
   entity set and the tiered path collapses onto the dense engine bitwise.
@@ -44,7 +44,7 @@ import numpy as np
 from ..compress.packing import hamming_distances, pack_signs, unpack_signs
 from ..compress.quantization import binarize_matrix
 from ..models.base import KGEModel
-from ..select import best_first
+from ..select import best_set, check_take
 from ..training import checkpoint as ckpt
 
 #: Sidecar file stem: ``binary.npz`` + ``binary.json`` in a checkpoint dir.
@@ -213,31 +213,32 @@ class BinaryStore:
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``rerank_k`` candidate ids per query by approximate score.
 
-        Returns ``(pools, order)`` with ``k = min(rerank_k, n_entities)``:
-        ``pools`` is ``(batch, k)`` int64 in **ascending id order** (the
-        layout the re-rank stage's tie-breaks need); ``order`` is the same
-        candidates best-first — the candidate stage's own ranking, kept
-        for recall telemetry.  Each row is selected by
-        :func:`~repro.select.best_first`, so ``rerank_k >=
-        n_entities`` always yields the complete entity set.  ``masked``
-        — ``(rows, cols)`` index arrays of known facts from the CSR
-        filter — sinks known candidates to ``-inf`` so a partial pool
+        Returns ``(pools, approx)`` with ``k = min(rerank_k, n_entities)``:
+        ``pools`` is ``(batch, k)`` int64, each row the
+        :func:`~repro.select.best_set` of its query's approximate scores,
+        in **ascending id order** (the layout the re-rank stage's
+        tie-breaks need), so ``rerank_k >= n_entities`` always yields the
+        complete entity set; ``approx`` is ``(batch, k)`` float32, the
+        scores stage 1 selected those ids by, kept for recall telemetry.
+        ``masked`` — ``(rows, cols)`` index arrays of known facts from the
+        CSR filter — sinks known candidates to ``-inf`` so a partial pool
         never wastes slots on answers the re-rank stage must filter
         anyway; a NaN approximation (non-finite embedding) sinks with
         them and is dropped by the re-rank's own NaN.
         """
-        if rerank_k < 1:
-            raise ValueError(f"rerank_k must be >= 1, got {rerank_k}")
+        rerank_k = check_take("rerank_k", rerank_k)
         scores = self.approx_scores(vectors, geometry=geometry)
         if masked is not None and len(masked[0]):
             scores[masked[0], masked[1]] = -np.inf
         if np.isnan(scores.max(initial=-np.inf)):  # max propagates NaN
             scores[np.isnan(scores)] = -np.inf
-        take = min(int(rerank_k), self.n_entities)
-        order = np.empty((len(scores), take), dtype=np.int64)
+        take = min(rerank_k, self.n_entities)
+        pools = np.empty((len(scores), take), dtype=np.int64)
+        approx = np.empty(pools.shape, dtype=scores.dtype)
         for i, row in enumerate(scores):
-            order[i] = best_first(row, take)
-        return np.sort(order, axis=1), order
+            pools[i] = best_set(row, take)
+            approx[i] = row[pools[i]]
+        return pools, approx
 
 
 def binarize_model(model: KGEModel, stat: str = "avg",

@@ -75,9 +75,10 @@ engine behaves exactly as before):
 
 Determinism contract: every ranking is
 :func:`~repro.select.best_first` (*descending score, ascending
-entity id*), the scores returned are the bytes the scoring blocks
-produced, and a cache hit returns the identical immutable result object
-a cold miss computed.
+entity id*) and every stage-1 pool its set form
+:func:`~repro.select.best_set`, the scores returned are the bytes the
+scoring blocks produced, and a cache hit returns the identical immutable
+result object a cold miss computed.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eval.ranking import scatter_known_nan
-from ..select import best_first
+from ..select import best_first, best_set, check_take
 from ..training import checkpoint as ckpt
 from .binary import check_geometry
 from .cache import LRUCache
@@ -129,15 +130,17 @@ def _topk_row(row: np.ndarray, k: int) -> TopKResult:
     return TopKResult(entities=order, scores=row[order])
 
 
-def _agreement(entities: np.ndarray, order_row: np.ndarray) -> float:
+def _agreement(entities: np.ndarray, pool: np.ndarray,
+               approx: np.ndarray) -> float:
     """Recall proxy: fraction of the final top-k the candidate stage alone
-    would have returned (its own best-first ranking truncated to the same
-    length).  1.0 means re-ranking changed nothing; vacuously 1.0 for an
-    empty answer."""
+    would have returned (the same number of its best approximate scores).
+    1.0 means re-ranking changed nothing; vacuously 1.0 for an empty
+    answer."""
     kk = len(entities)
     if kk == 0:
         return 1.0
-    return len(np.intersect1d(entities, order_row[:kk])) / kk
+    stage1 = pool[best_set(approx, kk)]
+    return len(set(entities.tolist()).intersection(stage1.tolist())) / kk
 
 
 class QueryEngine:
@@ -152,8 +155,7 @@ class QueryEngine:
                  stats_window: int | None = None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}; one of {TIERS}")
-        if rerank_k < 1:
-            raise ValueError(f"rerank_k must be >= 1, got {rerank_k}")
+        rerank_k = check_take("rerank_k", rerank_k)
         if tier == "binary":
             if store.binary is None:
                 raise ValueError(
@@ -167,7 +169,7 @@ class QueryEngine:
         self.stats = ServeStats(window=stats_window)
         self.chunk_entities = chunk_entities
         self.tier = tier
-        self.rerank_k = int(rerank_k)
+        self.rerank_k = rerank_k
         # Cached results never cross tiers: a binary-tier answer at small
         # rerank_k is not the dense answer, so the key says which path —
         # and at which pool size — produced it.
@@ -270,8 +272,7 @@ class QueryEngine:
         the binary tier and shed others — and each query's answer can be
         a :class:`ShedResponse` instead of a :class:`TopKResult`.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_take("k", k)
         filt = self._resolve_filtered(filtered)
         parsed = []
         for query in queries:
@@ -319,8 +320,11 @@ class QueryEngine:
 
         pending = []
         for (rel, side, route), members in groups.items():
-            anchors = np.array([a for _, a in members], dtype=np.int64)
-            unique, inverse = np.unique(anchors, return_inverse=True)
+            # np.unique's sorted ids and inverse: block rows stay id-ordered.
+            unique = sorted({a for _, a in members})
+            slot = {a: u for u, a in enumerate(unique)}
+            inverse = [slot[a] for _, a in members]
+            unique = np.array(unique, dtype=np.int64)
             if route == "binary" and not self._sidecar_trusted():
                 route = "dense"
             pending.append((rel, side, route, members, unique, inverse))
@@ -424,7 +428,7 @@ class QueryEngine:
                 known_cols.append(cols)
         masked = ((np.concatenate(known_rows), np.concatenate(known_cols))
                   if filtered else None)
-        pools, order = binary.candidate_pools(
+        pools, approx = binary.candidate_pools(
             vectors, self.rerank_k, masked=masked,
             geometry=model.score_geometry)
         candidate_s = time.perf_counter() - t0
@@ -459,9 +463,9 @@ class QueryEngine:
                                           scores=local.scores))
         rerank_s = time.perf_counter() - t1
 
-        for result, order_row in zip(results, order):
+        for result, pool, row in zip(results, pools, approx):
             self.stats.record_tier("binary", candidate_s / m, rerank_s / m,
-                                   _agreement(result.entities, order_row))
+                                   _agreement(result.entities, pool, row))
         bounds = np.cumsum([len(a) for a, _, _ in blocks])
         return [results[lo:hi] for lo, hi in zip([0, *bounds[:-1]], bounds)]
 
@@ -483,8 +487,7 @@ class QueryEngine:
         """
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; one of {METRICS}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = check_take("k", k)
         e = int(e)
         self._check_ids([e], [])
         start = time.perf_counter()

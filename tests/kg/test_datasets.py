@@ -26,7 +26,7 @@ from repro.kg.datasets import (
     save_store,
 )
 from repro.kg.negative import NegativeBatch, select_hardest
-from repro.select import best_first
+from repro.select import best_first, best_set
 from repro.training.checkpoint import store_fingerprint
 
 try:
@@ -164,19 +164,26 @@ class TestScaledMakers:
 
 
 def host_digests() -> list[str]:
-    """sha256 of two noisy exhaustively mined graphs, one noisy sampled one
-    and one seeded m-of-n hardest selection — the outputs a host-dependent
-    top-k order or score would change."""
+    """sha256 of two noisy exhaustively mined graphs, one noisy sampled one,
+    one seeded m-of-n hardest selection and tie-heavy ``best_set`` pools
+    (short rows and rows long enough for the pre-threshold) — the outputs
+    a host-dependent top-k order or score would change."""
     rng = np.random.default_rng(3)
     batch = NegativeBatch(*rng.integers(0, 1000, size=(3, 64, 20)))
     scores = np.round(rng.normal(size=(64, 20)) * 4) / 4  # many ties
     picked = np.concatenate(select_hardest(batch, scores, m=10))
+    tied = (np.round(rng.normal(size=(16, 4096)) * 2) / 2).astype(np.float32)
+    tied[:, ::7] = np.nan  # rounding left both signed zeros
+    tied[:, 3::509], tied[:, 5::509] = np.inf, -np.inf
+    pools = np.concatenate([best_set(row, take) for row in tied
+                            for take in (1, 10, 1200, 4096)])
     sampled = generate_latent_kg(EXHAUSTIVE_ENTITY_LIMIT + 200, 12, 2400,
                                  noise_fraction=0.1)
     return [store_fingerprint(make_fb15k_like(scale=0.02)),
             store_fingerprint(make_fb250k_like(scale=0.002)),
             store_fingerprint(sampled),
-            hashlib.sha256(picked.tobytes()).hexdigest()]
+            hashlib.sha256(picked.tobytes()).hexdigest(),
+            hashlib.sha256(pools.tobytes()).hexdigest()]
 
 
 class TestHostIndependence:

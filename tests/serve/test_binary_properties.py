@@ -199,45 +199,50 @@ class TestSelection:
         store = binarize_model(_Model(matrix))
         rng = np.random.default_rng(seed)
         queries = rng.normal(size=(3, store.width)).astype(np.float32)
-        pools, order = store.candidate_pools(queries, rerank_k)
+        pools, approx = store.candidate_pools(queries, rerank_k)
         take = min(rerank_k, store.n_entities)
-        assert pools.shape == order.shape == (3, take)
-        # pools: ascending unique ids; order: the same set, best-first.
+        assert pools.shape == approx.shape == (3, take)
+        assert pools.dtype == np.int64 and approx.dtype == np.float32
+        # pools: ascending unique ids, the best ``take`` by approximate
+        # score; approx: those ids' approximate scores, bitwise.
         assert (np.diff(pools, axis=1) > 0).all()
-        assert np.array_equal(np.sort(order, axis=1), pools)
+        scores = store.approx_scores(queries)
+        expect = np.sort(np.stack([_reference.best_first(row, take)
+                                   for row in scores]), axis=1)
+        assert np.array_equal(pools, expect)
+        assert approx.tobytes() == np.take_along_axis(
+            scores, pools, axis=1).tobytes()
         if rerank_k >= store.n_entities:
             assert np.array_equal(
                 pools, np.tile(np.arange(store.n_entities), (3, 1)))
-        # Best-first really is the approximate-score order.
-        scores = store.approx_scores(queries)
-        ranked = np.take_along_axis(scores, order, axis=1)
-        assert (np.diff(ranked, axis=1) <= 0).all()
 
     @given(entity_matrix(), st.integers(1, 15),
            st.sampled_from(["dot", "distance"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_pools_equal_oracle_built_pools_under_masking(
             self, matrix, rerank_k, geometry, seed):
-        """``(pools, order)`` are the stable-argsort oracle's, with known
-        facts sunk to ``-inf`` first — both geometries, coarse queries so
-        approximate scores tie."""
+        """``(pools, approx)`` are the stable-argsort oracle's ids in id
+        order and the approximate scores at them, with known facts sunk
+        to ``-inf`` first — both geometries, coarse queries so approximate
+        scores tie."""
         store = binarize_model(_Model(matrix))
         rng = np.random.default_rng(seed)
         queries = rng.integers(-1, 2, size=(3, store.width)) \
             .astype(np.float32)
         known = rng.random((3, store.n_entities)) < 0.3
         masked = np.nonzero(known)
-        pools, order = store.candidate_pools(queries, rerank_k,
-                                             masked=masked,
-                                             geometry=geometry)
+        pools, approx = store.candidate_pools(queries, rerank_k,
+                                              masked=masked,
+                                              geometry=geometry)
         scores = store.approx_scores(queries, geometry=geometry)
         scores[masked] = -np.inf
         take = min(rerank_k, store.n_entities)
         expect = np.stack([_reference.best_first(row, take)
                            for row in scores])
-        assert order.dtype == pools.dtype == np.int64
-        assert np.array_equal(order, expect)
+        assert pools.dtype == np.int64
         assert np.array_equal(pools, np.sort(expect, axis=1))
+        assert approx.tobytes() == np.take_along_axis(
+            scores, pools, axis=1).tobytes()
 
     def test_non_finite_approximations_sink_instead_of_raising(self):
         """A NaN entity row has a NaN approximate score; the pool stays
@@ -246,9 +251,9 @@ class TestSelection:
         matrix[2] = np.nan
         store = binarize_model(_Model(matrix))
         queries = np.ones((2, 4), dtype=np.float32)
-        pools, order = store.candidate_pools(queries, 6)
+        pools, approx = store.candidate_pools(queries, 6)
         assert pools.shape == (2, 6)
-        assert (order[:, -1] == 2).all()
+        assert (approx[:, 2] == -np.inf).all()
         assert 2 not in store.candidate_pools(queries, 5)[0]
 
 

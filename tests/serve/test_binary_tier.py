@@ -6,6 +6,8 @@ cache isolation between tiers, the per-tier stage telemetry, and the
 zero-query edge of every derived rate.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,126 @@ class TestTierTelemetry:
         engine.topk_tails(1, 0, k=5, filtered=False)
         entry = engine.snapshot()["tiers"]["binary"]
         assert 0.0 <= entry["mean_agreement"] <= 1.0
+
+
+def _untouched(engine) -> bool:
+    """Nothing recorded: no latency, no tier sample, no cache lookup and
+    nothing on the ladder's virtual clock."""
+    ctrl = engine.resilience
+    return (engine.stats.n_queries == 0 and engine.stats.by_state == {}
+            and "tiers" not in engine.snapshot()
+            and engine.cache.hits == engine.cache.misses == 0
+            and len(engine.cache) == 0
+            and (ctrl.arrivals, ctrl.clock_ms, ctrl.free_ms) == (0, 0, 0))
+
+
+class TestIntegralSizes:
+    """``k`` and ``rerank_k`` are counts: a float or a bool is refused
+    with a ``ValueError`` naming the argument before anything is admitted
+    (NumPy used to raise its own ``TypeError`` from the partition, and
+    ``k=True`` served one answer); NumPy integers are counts too."""
+
+    @pytest.mark.parametrize("tier", ["dense", "binary"])
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.float32(2)])
+    def test_non_integral_k_refused_before_admission(self, served, tier, k):
+        engine = QueryEngine(served, tier=tier, rerank_k=10,
+                             resilience=True)
+        calls = [lambda: engine.topk_tails(1, 0, k=k),
+                 lambda: engine.topk_heads(1, 0, k=k),
+                 lambda: engine.topk_batch([(1, 0), (2, 1)], k=k),
+                 lambda: engine.nearest_entities(1, k=k)]
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"k must be an integer, got {k!r}")):
+                call()
+        assert _untouched(engine)
+
+    @pytest.mark.parametrize("rerank_k", [2.5, 40.0, True])
+    def test_non_integral_rerank_k_refused(self, served, rerank_k):
+        with pytest.raises(ValueError, match="rerank_k must be an integer"):
+            QueryEngine(served, tier="binary", rerank_k=rerank_k)
+        vectors = np.ones((2, served.binary.width), dtype=np.float32)
+        with pytest.raises(ValueError, match="rerank_k must be an integer"):
+            served.binary.candidate_pools(vectors, rerank_k)
+
+    def test_numpy_integers_are_counts(self, served):
+        engine = QueryEngine(served, tier="binary", rerank_k=np.int64(10),
+                             cache_capacity=0)
+        plain = QueryEngine(served, tier="binary", rerank_k=10,
+                            cache_capacity=0)
+        got = engine.topk_tails(1, 0, k=np.int32(4))
+        want = plain.topk_tails(1, 0, k=4)
+        assert got.entities.tobytes() == want.entities.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert len(engine.nearest_entities(1, k=np.uint8(3))) == 3
+
+
+class TestDegeneratePools:
+    """Pool sizes at the edges of ``[1, n]`` and an empty window."""
+
+    @pytest.fixture(scope="class")
+    def latent(self):
+        store = generate_latent_kg(30, 3, 180, seed=21)
+        model = ComplEx(30, 3, 8, seed=22)
+        return EmbeddingStore.from_model(model, dataset=store,
+                                         with_binary=True)
+
+    @staticmethod
+    def _queries(n):
+        return [(a, a % 3, a % 4 == 0) for a in range(0, n, 2)]
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_pool_of_n_and_more_is_the_dense_tier(self, latent, filtered,
+                                                  extra):
+        n = latent.n_entities
+        queries = self._queries(n)
+        dense = QueryEngine(latent, cache_capacity=0).topk_batch(
+            queries, k=n, filtered=filtered, tail_side=None)
+        binary = QueryEngine(latent, tier="binary", rerank_k=n + extra,
+                             cache_capacity=0).topk_batch(
+            queries, k=n, filtered=filtered, tail_side=None)
+        for d, b in zip(dense, binary):
+            assert d.entities.tobytes() == b.entities.tobytes()
+            assert d.scores.tobytes() == b.scores.tobytes()
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_pool_of_n_minus_one_drops_one_candidate(self, latent,
+                                                     filtered):
+        n = latent.n_entities
+        engine = QueryEngine(latent, tier="binary", rerank_k=n - 1,
+                             cache_capacity=0)
+        for answer in engine.topk_batch(self._queries(n), k=n,
+                                        filtered=filtered, tail_side=None):
+            assert len(answer) <= n - 1
+            assert len(np.unique(answer.entities)) == len(answer)
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_pool_of_one_answers_its_only_member(self, latent, filtered,
+                                                 monkeypatch):
+        engine = QueryEngine(latent, tier="binary", rerank_k=1,
+                             cache_capacity=0)
+        seen = []
+        scan = latent.binary.candidate_pools
+
+        def spy(*args, **kwargs):
+            pools, approx = scan(*args, **kwargs)
+            seen.extend(pools)
+            return pools, approx
+
+        monkeypatch.setattr(latent.binary, "candidate_pools", spy)
+        for query in self._queries(latent.n_entities):
+            answer, = engine.topk_batch([query], k=5, filtered=filtered,
+                                        tail_side=None)
+            assert seen[-1].shape == (1,)
+            assert answer.entities.tolist() == seen[-1].tolist()
+
+    @pytest.mark.parametrize("tier", ["dense", "binary"])
+    def test_empty_window_records_nothing(self, latent, tier):
+        engine = QueryEngine(latent, tier=tier, rerank_k=5,
+                             resilience=True)
+        assert engine.topk_batch([], k=3) == []
+        assert _untouched(engine)
 
 
 class TestZeroQueryStats:
