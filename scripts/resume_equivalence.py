@@ -36,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
-from repro.comm.topology import HierarchicalNetwork
+from repro.comm.network import NetworkModel
 from repro.kg.datasets import make_tiny_kg
 from repro.serve import EmbeddingStore
 from repro.training.checkpoint import MANIFEST_NAME
@@ -46,7 +46,7 @@ FAULTS = FaultPlan(seed=99, drop_prob=0.02, compute_slowdown=((1, 2.0),),
                    policy="fallback-dense")
 STRATEGY = replace(drs_1bit_rp_ss(), error_feedback=True, collective="auto",
                    drs_probe_interval=3)
-NETWORK = HierarchicalNetwork.parse(
+NETWORK = NetworkModel.parse(
     "rpn=2,intra=0.3e-6:2e-11,inter=5e-6:1.25e-10")
 
 

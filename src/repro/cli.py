@@ -38,7 +38,7 @@ import sys
 from .bench.calibration import BENCH_NETWORK
 from .bench.harness import print_serve_table
 from .comm.faults import CollectiveFaultError, FaultPlan, RankLossError
-from .comm.topology import HierarchicalNetwork
+from .comm.network import NetworkModel
 from .config import DEFAULT_SEED
 from .kg.datasets import load_store, make_fb15k_like, make_fb250k_like
 from .kg.io import load_openke_dir
@@ -126,10 +126,11 @@ def _train_parser() -> argparse.ArgumentParser:
                              "jitter=0.2,straggler=2:3.0,policy=fallback-dense'"
                              " (see repro.comm.faults.FaultPlan.parse)")
     parser.add_argument("--net", metavar="SPEC",
-                        help="two-level network topology, e.g. "
+                        help="network topology, e.g. "
                              "'rpn=4,intra=0.3e-6:2e-11,inter=5e-6:1.25e-10' "
-                             "(see repro.comm.topology.HierarchicalNetwork"
-                             ".parse; default: the flat benchmark network)")
+                             "(rpn=1 is flat; see repro.comm.network."
+                             "NetworkModel.parse; default: the flat "
+                             "benchmark network)")
     parser.add_argument("--collective", choices=sorted(COLLECTIVES),
                         default="flat",
                         help="dense collective stack: 'flat' single-level "
@@ -306,7 +307,7 @@ def _train(args: argparse.Namespace) -> None:
         if args.collective != "flat":
             strategy = dataclasses.replace(strategy,
                                            collective=args.collective)
-        network = (HierarchicalNetwork.parse(args.net) if args.net
+        network = (NetworkModel.parse(args.net) if args.net
                    else BENCH_NETWORK)
         config = TrainConfig(dim=args.dim, batch_size=args.batch_size,
                              base_lr=args.lr, max_epochs=args.max_epochs,

@@ -14,13 +14,8 @@ from .faults import (
     FaultPlan,
     RankLossError,
 )
-from .hierarchical import (
-    NodeGroups,
-    hier_allreduce_bytes,
-    hop_models,
-    resolve_groups,
-)
-from .network import DEFAULT_NETWORK, NetworkModel
+from .hierarchical import hier_allreduce_bytes
+from .network import DEFAULT_NETWORK, NetworkModel, NodeGroups
 from .payload import (
     compression_ratio,
     dense_bytes,
@@ -28,7 +23,6 @@ from .payload import (
     sparse_rows_bytes,
 )
 from .simulator import HOPS, Cluster, CommRecord, CommStats
-from .topology import HierarchicalNetwork
 from .tracing import ClusterTracer, TraceEvent
 from .sparse import SparseRows, combine_sparse
 
@@ -45,7 +39,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "HOPS",
-    "HierarchicalNetwork",
     "NodeGroups",
     "RankLossError",
     "TraceEvent",
@@ -58,8 +51,6 @@ __all__ = [
     "compression_ratio",
     "dense_bytes",
     "hier_allreduce_bytes",
-    "hop_models",
     "quantized_rows_bytes",
-    "resolve_groups",
     "sparse_rows_bytes",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .faults import CollectiveGaveUp
+from .network import rounds
 from .simulator import Cluster, CommRecord
 from .sparse import SparseRows, combine_sparse
 
@@ -71,21 +70,22 @@ def allreduce_bytes(cluster: Cluster, nbytes: int, algo: str = "ring",
     dense matrix — this helper charges that dense cost.
 
     ``network`` overrides the cost model (default: the cluster's own).  The
-    exchange's explicit collective stack uses it to price a *genuinely flat*
-    ring over a two-level topology — every hop on the between-node link —
-    where the cluster's :class:`~repro.comm.topology.HierarchicalNetwork`
-    would otherwise fold in its lump hierarchical approximation.
+    exchange's explicit collective stack passes the one-hop view
+    (:attr:`NetworkModel.inter <repro.comm.network.NetworkModel.inter>`) to
+    price a *genuinely flat* ring over a two-level topology — every hop on
+    the between-node link — where the cluster's own network would charge
+    its two levels as one lump time.
     """
     if nbytes < 0:
         raise ValueError("nbytes must be non-negative")
     net = cluster.network if network is None else network
     p = cluster.n_ranks
     if algo == "ring":
-        time = net.allreduce_ring_time(nbytes, p)
+        time = net.allreduce_ring_time(nbytes, cluster.groups)
         n_messages = 2 * (p - 1)
     elif algo == "recursive_doubling":
-        time = net.allreduce_recursive_doubling_time(nbytes, p)
-        n_messages = max(0, int(np.ceil(np.log2(p)))) if p > 1 else 0
+        time = net.allreduce_recursive_doubling_time(nbytes, cluster.groups)
+        n_messages = rounds(p)
     else:
         raise ValueError(f"unknown allreduce algorithm {algo!r}; "
                          f"choose from {ALLREDUCE_ALGOS}")
@@ -107,11 +107,11 @@ def allgatherv_bytes(cluster: Cluster, block_bytes: Sequence[int],
     if any(b < 0 for b in blocks):
         raise ValueError("block sizes must be non-negative")
     if algo == "ring":
-        time = cluster.network.allgatherv_ring_time(blocks, p)
+        time = cluster.network.allgatherv_ring_time(blocks, cluster.groups)
         n_messages = p - 1
     elif algo == "bruck":
-        time = cluster.network.allgatherv_bruck_time(blocks, p)
-        n_messages = max(0, int(np.ceil(np.log2(p)))) if p > 1 else 0
+        time = cluster.network.allgatherv_bruck_time(blocks, cluster.groups)
+        n_messages = rounds(p)
     else:
         raise ValueError(f"unknown allgather algorithm {algo!r}; "
                          f"choose from {ALLGATHER_ALGOS}")

@@ -43,12 +43,13 @@ outstanding.  Two consequences the property tests rely on:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..spec import Key, each, parse_spec
+from ..spec import Key, build, each, parse_spec
 from .network import NetworkModel
 
 FAULT_POLICIES = ("retry", "fallback-dense", "fail-fast")
@@ -218,6 +219,15 @@ class FaultPlan:
                 raise ValueError(
                     f"duplicate rank_loss event (rank {rank}, epoch {epoch})")
             seen_losses.add((rank, epoch))
+        for name, value in (
+                ("alpha_jitter", self.alpha_jitter),
+                ("beta_jitter", self.beta_jitter),
+                ("backoff_base", self.backoff_base),
+                ("backoff_factor", self.backoff_factor),
+                *((f"straggler factor of rank {rank}", factor)
+                  for rank, factor in self.compute_slowdown)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def is_null(self) -> bool:
@@ -243,7 +253,6 @@ class FaultPlan:
         "rankloss": Key(each(int, int), "rank:epoch", repeat=True),
         "retries": Key(int), "backoff": Key(float), "policy": Key(str),
     }
-    PARSE_KEYS = tuple(_KEYS)
     #: Spec key -> dataclass field (``jitter`` sets both sigmas).
     _FIELDS = {"seed": "seed", "drop": "drop_prob",
                "corrupt": "corruption_prob", "alpha_jitter": "alpha_jitter",
@@ -277,7 +286,7 @@ rankloss=2:3,policy=fallback-dense
             kwargs["compute_slowdown"] = tuple(sorted(entries["straggler"]))
         if "rankloss" in entries:
             kwargs["rank_loss"] = tuple(sorted(entries["rankloss"]))
-        return cls(**kwargs)
+        return build("--faults", spec, cls, **kwargs)
 
     def describe(self) -> str:
         """One-line human summary for CLI / bench output."""

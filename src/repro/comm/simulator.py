@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .faults import FaultInjector, FaultPlan
-from .network import DEFAULT_NETWORK, NetworkModel
+from .network import DEFAULT_NETWORK, NetworkModel, NodeGroups
 
 
 #: Link classes a collective's traffic can travel on.  Flat collectives
@@ -83,7 +83,8 @@ class Cluster:
     n_ranks:
         Number of simulated nodes (the paper scales 1..16).
     network:
-        Cost model used to charge time for collectives and compute.
+        Cost model used to charge time for collectives and compute.  Its
+        ``ranks_per_node`` places the members onto nodes (:attr:`groups`).
     faults:
         Optional :class:`~repro.comm.faults.FaultPlan`.  A null plan (all
         knobs at defaults) is ignored entirely, so passing one is
@@ -91,8 +92,9 @@ class Cluster:
     global_ranks:
         Optional local-rank -> original-world rank-id map for elastic
         worlds rebuilt over survivors; plan entries (stragglers,
-        rank-loss events) follow members through the renumbering.
-        ``None`` means the identity world.
+        rank-loss events) follow members through the renumbering, and
+        each member stays on its original node.  ``None`` means the
+        identity world.
     """
 
     def __init__(self, n_ranks: int, network: NetworkModel = DEFAULT_NETWORK,
@@ -109,6 +111,10 @@ class Cluster:
         self.global_ranks = (tuple(int(g) for g in global_ranks)
                              if global_ranks is not None
                              else tuple(range(n_ranks)))
+        #: The world's placement onto physical nodes, resolved once: every
+        #: two-level cost and the exchange's node residuals read it.
+        self.groups = NodeGroups.pack(self.global_ranks,
+                                      network.ranks_per_node)
         self.faults: FaultInjector | None = (
             FaultInjector(faults, n_ranks, global_ranks=global_ranks)
             if faults is not None and not faults.is_null else None)

@@ -41,11 +41,12 @@ with a freshly validated sidecar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..spec import Key, parse_spec
+from ..spec import Key, build, parse_spec
 from .traffic import BurstSpec, burst_factor_at, validate_bursts
 
 #: Ladder states, shallowest (full service) to deepest (no service).
@@ -193,12 +194,13 @@ class ServeFaultPlan:
             int(start), int(length), float(factor)),
             "start:length:factor", repeat=True),
     }
-    PARSE_KEYS = tuple(_KEYS)
     #: Spec key -> dataclass field.
     _FIELDS = {"seed": "seed", "spike": "spike_prob", "spike_ms": "spike_ms",
                "fail": "fail_prob", "sidecar_corrupt": "sidecar_corrupt_at"}
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.spike_ms):
+            raise ValueError(f"spike_ms must be finite, got {self.spike_ms}")
         for name, prob in (("spike", self.spike_prob),
                            ("fail", self.fail_prob)):
             if not 0.0 <= prob < 1.0:
@@ -232,7 +234,7 @@ sidecar_corrupt=500,seed=7
                   if key in entries}
         if "burst" in entries:
             kwargs["bursts"] = tuple(entries["burst"])
-        return cls(**kwargs)
+        return build("--serve-faults", spec, cls, **kwargs)
 
     @property
     def is_null(self) -> bool:

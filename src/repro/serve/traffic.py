@@ -16,6 +16,7 @@ compared across commits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class BurstSpec:
             raise ValueError(f"burst start must be >= 0, got {self.start}")
         if self.length < 1:
             raise ValueError(f"burst length must be >= 1, got {self.length}")
-        if self.factor <= 0:
-            raise ValueError(f"burst factor must be > 0, got {self.factor}")
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise ValueError(
+                f"burst factor must be finite and > 0, got {self.factor}")
 
     @property
     def stop(self) -> int:

@@ -23,7 +23,7 @@ the wrong number of ``:`` parts, and a part its converter rejects.
 
 The keys themselves are documented where they are declared:
 :meth:`repro.comm.faults.FaultPlan.parse` (``--faults``),
-:meth:`repro.comm.topology.HierarchicalNetwork.parse` (``--net``) and
+:meth:`repro.comm.network.NetworkModel.parse` (``--net``) and
 :meth:`repro.serve.resilience.ServeFaultPlan.parse` (``--serve-faults``).
 """
 
@@ -41,14 +41,12 @@ class Key:
     strings (one string when ``form`` is empty) and raises
     :class:`ValueError` on a bad one.  ``form`` names the parts of a
     multi-part value (``"rank:factor"``); it fixes their count and is
-    quoted in the wrong-count error, which calls the value a ``noun``
-    spec (default: the key itself).
+    quoted in the wrong-count error.
     """
 
     convert: Callable[..., Any]
     form: str = ""
     repeat: bool = False
-    noun: str | None = None
 
 
 def each(*converters: Callable[[str], Any]) -> Callable[..., tuple]:
@@ -96,7 +94,7 @@ def parse_spec(flag: str, spec: str, keys: Mapping[str, Key],
         parts = value.split(":") if rule.form else [value]
         if len(parts) != rule.form.count(":") + 1:
             raise ValueError(
-                f"bad {rule.noun or key} spec {value!r}; expected "
+                f"bad {flag} {key} spec {value!r}; expected "
                 f"{rule.form}")
         try:
             parsed = rule.convert(*parts)
@@ -108,3 +106,13 @@ def parse_spec(flag: str, spec: str, keys: Mapping[str, Key],
         else:
             entries[key] = parsed
     return entries
+
+
+def build(flag: str, spec: str, make: Callable[..., Any], **kwargs) -> Any:
+    """``make(**kwargs)`` for a parsed ``spec``; a :class:`ValueError` the
+    constructor raises (a value out of range, say) is re-raised naming the
+    flag."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} spec {spec!r}: {exc}") from None

@@ -156,13 +156,11 @@ class ElasticSupervisor:
     # -- state transitions ---------------------------------------------
 
     def _spawn(self, world: list[int]) -> DistributedTrainer:
-        """Build a trainer over ``world`` (a sorted list of global ranks)."""
-        network = self.network
-        if network is not None and hasattr(network, "with_membership"):
-            network = network.with_membership(world)
+        """Build a trainer over ``world`` (a sorted list of global ranks);
+        its cluster keeps every member on its original node."""
         trainer = DistributedTrainer(
             self.store, self.strategy, len(world), config=self.config,
-            network=network, faults=self.faults,
+            network=self.network, faults=self.faults,
             global_ranks=tuple(world))
         # Every completed epoch must be snapshotted in memory — it is the
         # rollback source — whether or not disk checkpointing is on.
@@ -180,7 +178,7 @@ class ElasticSupervisor:
         if trainer.n_nodes == 1:
             return 0.0
         return float(trainer.network.broadcast_time(state_bytes,
-                                                    trainer.n_nodes))
+                                                    trainer.cluster.groups))
 
     def _shrink(self, trainer: DistributedTrainer, world: list[int],
                 dead: list[int], exc: RankLossError

@@ -165,20 +165,18 @@ class GradientExchange:
         #: (set by :class:`~repro.training.baselines.ParameterServerTrainer`).
         self.n_servers = 0
 
-        # Topology-aware collective stack (collective != "flat"): node
-        # groups are resolved once per world from the network's membership
-        # (the elastic supervisor's survivor occupancy) or the global rank
-        # ids.  Over a flat NetworkModel the groups degenerate to
-        # singletons and the hierarchical stack *is* the flat ring, so
-        # "hier" is always safe to request.
-        self.groups = (hierarchical.resolve_groups(
-            network, world, global_ranks=cluster.global_ranks)
-            if strategy.collective != "flat" else None)
+        # Topology-aware collective stack (collective != "flat"): the node
+        # groups are the cluster's placement of this world.  Over a flat
+        # network the groups are singletons and the hierarchical stack
+        # *is* the flat ring, so "hier" is always safe to request.
+        self.groups = (cluster.groups if strategy.collective != "flat"
+                       else None)
         # With an explicit collective stack, "allreduce" means a genuinely
         # flat single-level ring: every hop priced on the between-node
-        # link, not the cluster network's lump hierarchical approximation.
-        self.flat_network = (hierarchical.hop_models(network)[1]
-                             if self.groups is not None else None)
+        # link (the network's one-hop view), not the cluster network's
+        # lump two-level time.
+        self.flat_network = (network.inter if self.groups is not None
+                             else None)
 
         self.matrices: dict[str, MatrixState] = {}
         for kind, (n_rows, width, zero_row_tol) in matrices.items():
@@ -217,7 +215,7 @@ class GradientExchange:
             nbytes = float(dense_bytes(entity.n_rows, entity.width))
             flat_time = self.flat_network.allreduce_ring_time(nbytes, world)
             other = "hierarchical"
-            if network.allreduce_ring_time(nbytes, world) < flat_time:
+            if network.allreduce_ring_time(nbytes, self.groups) < flat_time:
                 dense, other = other, dense
             if strategy.comm_mode == "dynamic":
                 probes = ("allgather", other)
@@ -284,7 +282,7 @@ class GradientExchange:
                 return self._exchange_sparse(m, parts, mode == "hierarchical")
             if mode == "hierarchical":
                 hierarchical.hier_allreduce_bytes(
-                    self.cluster, nbytes, self.groups, op_label=f"{kind}_hier")
+                    self.cluster, nbytes, op_label=f"{kind}_hier")
             else:
                 collectives.allreduce_bytes(
                     self.cluster, nbytes, algo=strategy.allreduce_algo,
@@ -331,7 +329,7 @@ class GradientExchange:
         # errors, never every payload beside them.
         if two_level:
             hierarchical.hier_intra_gather_bytes(
-                cluster, [g.nbytes_wire for g in sources], groups,
+                cluster, [g.nbytes_wire for g in sources],
                 op_label=f"{m.kind}_hier")
             encoded = [self._encode(self._node_sum(m, node, members, sources))
                        for node, members in zip(groups.node_ids,
@@ -342,7 +340,7 @@ class GradientExchange:
         decoded, wire, errors = zip(*encoded)
         if two_level:
             hierarchical.hier_inter_allgatherv_bytes(
-                cluster, wire, groups, op_label=f"{m.kind}_hier")
+                cluster, wire, op_label=f"{m.kind}_hier")
         elif self.n_servers:
             cluster.charge_collective(CommRecord(
                 op="ps_push_pull", nbytes_total=2 * sum(wire),
@@ -356,7 +354,7 @@ class GradientExchange:
         combined = combine_sparse(decoded)
         if two_level:
             hierarchical.hier_intra_bcast_bytes(
-                cluster, sum(wire), groups, op_label=f"{m.kind}_hier")
+                cluster, sum(wire), op_label=f"{m.kind}_hier")
 
         # Commit after delivery.  The two-level path clears the rank
         # residuals it injected and never re-stores them — the node-level

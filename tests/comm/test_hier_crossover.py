@@ -19,12 +19,10 @@ from repro.comm.hierarchical import (
     hier_inter_allgatherv_bytes,
     hier_intra_bcast_bytes,
     hier_intra_reduce_bytes,
-    resolve_groups,
 )
 from repro.comm.network import NetworkModel
 from repro.comm.payload import dense_bytes, quantized_rows_bytes
 from repro.comm.simulator import Cluster
-from repro.comm.topology import HierarchicalNetwork
 
 RPN = 4
 WORLDS = [2, 4, 8, 16, 32]
@@ -37,20 +35,19 @@ ONEBIT_NBYTES = quantized_rows_bytes(15_000, 32, bits=1)
 
 def _cell(world: int, ratio: float) -> dict:
     """Charge the three exchange styles for one (world, ratio) cell."""
-    net = HierarchicalNetwork(
-        intra=NetworkModel(alpha=0.3e-6, beta=INTER.beta / ratio),
-        inter=INTER, ranks_per_node=RPN)
-    groups = resolve_groups(net, world)
+    net = NetworkModel(
+        alpha=INTER.alpha, beta=INTER.beta, ranks_per_node=RPN,
+        intra=NetworkModel(alpha=0.3e-6, beta=INTER.beta / ratio))
     cluster = Cluster(world, net)
-    hier_1bit = hier_intra_reduce_bytes(cluster, DENSE_NBYTES, groups)
-    hier_1bit += hier_inter_allgatherv_bytes(
-        cluster, [ONEBIT_NBYTES] * groups.n_nodes, groups)
-    hier_1bit += hier_intra_bcast_bytes(
-        cluster, ONEBIT_NBYTES * groups.n_nodes, groups)
+    nodes = cluster.groups.n_nodes
+    hier_1bit = hier_intra_reduce_bytes(cluster, DENSE_NBYTES)
+    hier_1bit += hier_inter_allgatherv_bytes(cluster,
+                                             [ONEBIT_NBYTES] * nodes)
+    hier_1bit += hier_intra_bcast_bytes(cluster, ONEBIT_NBYTES * nodes)
     return {
         "flat_dense": INTER.allreduce_ring_time(DENSE_NBYTES, world),
-        "hier_dense": hier_allreduce_bytes(Cluster(world, net), DENSE_NBYTES,
-                                           groups),
+        "hier_dense": hier_allreduce_bytes(Cluster(world, net),
+                                           DENSE_NBYTES),
         "hier_1bit": hier_1bit,
     }
 

@@ -1,9 +1,12 @@
 """Unit tests for the alpha-beta network cost model."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.comm.network import DEFAULT_NETWORK, NetworkModel
 
 
@@ -40,6 +43,15 @@ class TestValidation:
     def test_block_count_mismatch_rejected(self, net):
         with pytest.raises(ValueError):
             net.allgatherv_ring_time([10.0, 10.0], 3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("beta", math.inf),
+        ("beta", math.nan), ("node_flops", math.nan),
+        ("node_flops", math.inf)])
+    def test_non_finite_parameter_rejected_naming_it(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be finite, got {value}"):
+            NetworkModel(**{field: value})
 
 
 class TestPointToPoint:
@@ -135,3 +147,19 @@ class TestBroadcast:
 def test_default_network_is_valid():
     assert DEFAULT_NETWORK.alpha > 0
     assert DEFAULT_NETWORK.transfer_time(1024) > 0
+
+
+def test_no_duck_typing_on_networks_in_source():
+    """One class prices collectives, so nothing probes a network's type
+    with ``getattr``/``hasattr``."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")):
+                target = ast.unparse(node.args[0])
+                if "net" in target or path.name == "network.py":
+                    offenders.append(f"{path.name}:{node.lineno} {target}")
+    assert offenders == []

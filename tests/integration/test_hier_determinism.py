@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig, train
 from repro.comm.network import NetworkModel
-from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
 from repro.training import drs_1bit_rp_ss, latest_checkpoint, rs_1bit
 from repro.training.elastic import ElasticSupervisor
@@ -35,10 +34,8 @@ def store():
     return make_tiny_kg()
 
 
-NET = HierarchicalNetwork(
-    intra=NetworkModel(alpha=1e-7, beta=1e-11),
-    inter=NetworkModel(alpha=5e-6, beta=1.25e-10),
-    ranks_per_node=2)
+NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
+                   intra=NetworkModel(alpha=1e-7, beta=1e-11))
 
 
 def config(**overrides):

@@ -106,6 +106,24 @@ class TestMain:
         assert ("error: bad --faults value in 'drop=abc'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--net", "rpn=2,inter=nan:1.25e-10"),
+        ("--net", "flops=inf"),
+        ("--faults", "jitter=nan"),
+        ("--faults", "backoff=inf"),
+        ("--faults", "straggler=1:nan"),
+    ])
+    def test_non_finite_spec_value_exits_2(self, tmp_path, capsys, flag,
+                                           spec):
+        """A NaN or infinite cost used to train on and print
+        ``TT_hours: nan``; it is refused before training."""
+        rc = main(self._args(tmp_path, ["--nodes", "4", "--strategy", "DRS",
+                                        flag, spec]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {flag} spec ")
+        assert "must be finite" in err
+
     def test_elastic_with_resume_exits_2_naming_both_flags(self, tmp_path,
                                                            capsys):
         """The elastic supervisor cannot resume; it used to drop --resume
@@ -398,6 +416,14 @@ class TestServeCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["store"]["filtered"] is False
+
+    def test_non_finite_serve_fault_exits_2(self, served_checkpoint, capsys):
+        ckpt, _ = served_checkpoint
+        rc = main(["serve", "--checkpoint", ckpt, "--no-filter",
+                   "--serve-faults", "spike_ms=inf", "--simulate", "10"])
+        assert rc == 2
+        assert ("error: bad --serve-faults spec 'spike_ms=inf': spike_ms "
+                "must be finite" in capsys.readouterr().err)
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["serve", "--checkpoint", str(tmp_path / "nope"),

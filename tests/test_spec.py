@@ -13,15 +13,15 @@ import pytest
 
 import repro
 from repro.comm.faults import FaultPlan
-from repro.comm.topology import HierarchicalNetwork
+from repro.comm.network import NetworkModel
 from repro.serve.resilience import ServeFaultPlan
 
 
 @pytest.mark.parametrize("cls, flag, entry", [
     (FaultPlan, "--faults", "drop=abc"),
     (FaultPlan, "--faults", "straggler=x:2"),
-    (HierarchicalNetwork, "--net", "rpn=x"),
-    (HierarchicalNetwork, "--net", "intra=a:b"),
+    (NetworkModel, "--net", "rpn=x"),
+    (NetworkModel, "--net", "intra=a:b"),
     (ServeFaultPlan, "--serve-faults", "spike=abc"),
 ])
 def test_converter_failure_names_flag_and_entry(cls, flag, entry):

@@ -19,7 +19,6 @@ from repro import DistributedTrainer, FaultPlan, TrainConfig
 from repro.comm.faults import CollectiveFaultError
 from repro.comm.network import NetworkModel
 from repro.comm.sparse import SparseRows
-from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
 from repro.training import (
     CheckpointChecksumError,
@@ -383,19 +382,16 @@ def test_failed_write_leaves_no_tmp_file(snapshot, tmp_path, monkeypatch):
 # Dirty-row residual storage (schema 3)
 # ---------------------------------------------------------------------------
 
-NET = HierarchicalNetwork(
-    intra=NetworkModel(alpha=1e-7, beta=1e-11),
-    inter=NetworkModel(alpha=5e-6, beta=1.25e-10),
-    ranks_per_node=2)
+NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
+                   intra=NetworkModel(alpha=1e-7, beta=1e-11))
 
 
 def ef_hier_trainer(store, global_ranks=None, **overrides):
     """Error feedback on the two-level stack: rank *and* node residuals."""
     strategy = replace(drs_1bit_rp_ss(), error_feedback=True,
                        collective="auto", drs_probe_interval=2)
-    network = NET if global_ranks is None else NET.with_membership(global_ranks)
     return DistributedTrainer(store, strategy, 4, config=config(**overrides),
-                              network=network, global_ranks=global_ranks)
+                              network=NET, global_ranks=global_ranks)
 
 
 def residual_stores(trainer) -> dict:

@@ -11,14 +11,11 @@ from repro.comm.faults import FaultPlan
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows, combine_sparse
-from repro.comm.topology import HierarchicalNetwork
 from repro.training.exchange import GradientExchange
 from repro.training.strategy import StrategyConfig
 
-NET = HierarchicalNetwork(
-    intra=NetworkModel(alpha=1e-7, beta=1e-11),
-    inter=NetworkModel(alpha=5e-6, beta=1.25e-10),
-    ranks_per_node=2)
+NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
+                   intra=NetworkModel(alpha=1e-7, beta=1e-11))
 #: RotatE-like: the relation matrix is narrower than the entity matrix.
 SHAPES = {"entity": (30, 16), "relation": (6, 8)}
 CODECS = {"raw": {}, "1bit": {"quantization_bits": 1},
@@ -83,12 +80,11 @@ def test_raw_flat_allgather_is_allgather_sparse():
 
 def test_two_level_dense_equals_flat_dense_on_uneven_nodes():
     ranks = (0, 1, 2, 4, 5)  # nodes 0, 1, 2 hold 2, 1, 2 members
-    network = NET.with_membership(ranks)
     parts = random_parts(5, "entity")
     parts[3] = empty_part("entity")
     results = {}
     for mode in ("allreduce", "hierarchical"):
-        exchange = make_exchange(5, network, global_ranks=ranks)
+        exchange = make_exchange(5, NET, global_ranks=ranks)
         assert exchange.groups.members == ((0, 1), (2,), (3, 4))
         results[mode], sparsity = exchange.exchange("entity", parts, mode)
         assert sparsity == 0.0
