@@ -122,3 +122,8 @@ class NodeResiduals:
     def store(self, node: int, residual: SparseRows) -> None:
         """Replace node ``node``'s residual with this hop's fresh error."""
         self._store(node).store(residual)
+
+    def clear(self) -> None:
+        """Drop every node's residual."""
+        for store in self.stores.values():
+            store.clear()

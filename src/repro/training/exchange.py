@@ -231,9 +231,21 @@ class GradientExchange:
         return self.drs.default_mode if mode == "allreduce" else mode
 
     def observe(self, mode: str, comm_time: float) -> None:
-        """Feed one epoch's measured comm time to the DRS decision."""
-        if self.strategy.comm_mode == "dynamic":
-            self.drs.observe(mode, comm_time)
+        """Feed one epoch's measured comm time to the DRS decision.
+
+        Only the quantized two-level transport reads the node residuals, so
+        a commit to any other one leaves them dead: they are cleared then,
+        rather than carried in every later snapshot.
+        """
+        drs = self.drs
+        if self.strategy.comm_mode != "dynamic" or drs.switched:
+            return
+        drs.observe(mode, comm_time)
+        if drs.switched and not (drs.current == "hierarchical"
+                                 and self.strategy.quantization_bits):
+            for m in self.matrices.values():
+                if m.node_residuals is not None:
+                    m.node_residuals.clear()
 
     # -- checkpoint surface ----------------------------------------------
 

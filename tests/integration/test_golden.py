@@ -10,6 +10,8 @@ introduced deliberately::
     PYTHONPATH=src python -m pytest tests/integration/test_golden.py --update-goldens
 
 and the regenerated files reviewed and committed alongside the change.
+A regeneration prints, for each file it replaces, the largest |Δ| of every
+field against the old file (add ``-s`` or ``-rs`` to see it).
 """
 
 import json
@@ -59,15 +61,42 @@ def run_digest(preset: str, n_nodes: int) -> dict:
     }
 
 
+def max_abs_deltas(old: dict, new: dict) -> dict:
+    """Per field of either digest, the largest |new - old| over its values
+    (a list field compares element by element); a field that is missing,
+    not numeric or changed length maps to ``"changed"`` unless equal."""
+    deltas = {}
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            deltas[key] = 0.0
+            continue
+        a, b = (a, b) if isinstance(a, list) else ([a], [b])
+        try:
+            deltas[key] = max(abs(float(y) - float(x))
+                              for x, y in zip(a, b, strict=True))
+        except (TypeError, ValueError):
+            deltas[key] = "changed"
+    return deltas
+
+
 @pytest.mark.parametrize("name", sorted(COMBOS))
 def test_golden_run(name, update_goldens):
     preset, n_nodes = COMBOS[name]
     digest = run_digest(preset, n_nodes)
     path = GOLDEN_DIR / f"{name}.json"
     if update_goldens:
+        report = "new file"
+        if path.is_file():
+            deltas = max_abs_deltas(json.loads(path.read_text()), digest)
+            report = ", ".join(f"{key} {value:.3g}"
+                               if isinstance(value, float)
+                               else f"{key} {value}"
+                               for key, value in deltas.items())
+        print(f"\n{path.name} max |Δ|: {report}")
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {path.name}")
+        pytest.skip(f"regenerated {path.name}; max |Δ|: {report}")
     assert path.is_file(), (
         f"golden file {path} is missing; generate it with "
         f"pytest --update-goldens and commit it")
@@ -94,3 +123,13 @@ def test_goldens_have_no_strays():
         f"tests/golden/ out of sync with COMBOS: "
         f"stray={sorted(committed - set(COMBOS))} "
         f"missing={sorted(set(COMBOS) - committed)}")
+
+
+def test_max_abs_deltas_reports_every_field():
+    old = {"loss": [0.5, 0.25], "epochs": 4, "strategy": "allreduce",
+           "val_mrr": [0.1], "drs_switch_epoch": 0}
+    new = {"loss": [0.5, 0.75], "epochs": 4, "strategy": "RS+1-bit",
+           "val_mrr": [0.1, 0.2], "drs_switch_epoch": None, "seed": 1}
+    assert max_abs_deltas(old, new) == {
+        "drs_switch_epoch": "changed", "epochs": 0.0, "loss": 0.5,
+        "seed": "changed", "strategy": "changed", "val_mrr": "changed"}

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig, train
 from repro.comm.network import NetworkModel
+from repro.compress.error_feedback import NodeResiduals
 from repro.kg.datasets import make_tiny_kg
 from repro.training import drs_1bit_rp_ss, latest_checkpoint, rs_1bit
 from repro.training.elastic import ElasticSupervisor
-from repro.training.exchange import DrsState
+from repro.training.exchange import DrsState, GradientExchange
 from repro.training.strategy import baseline_allreduce
 
 from .test_determinism import assert_identical
@@ -36,6 +37,11 @@ def store():
 
 NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
                    intra=NetworkModel(alpha=1e-7, beta=1e-11))
+#: An on-node link slower than the between-node one: the two-level path's
+#: full-precision intra gather then loses to the flat allgather probe, so
+#: DRS commits away from the node residuals.
+SLOW_INTRA = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
+                          intra=NetworkModel(alpha=5e-6, beta=1e-8))
 
 
 def config(**overrides):
@@ -127,6 +133,38 @@ class TestCompressedHierDeterminism:
                 == resumed.model.entity_emb.tobytes())
         assert (straight.model.relation_emb.tobytes()
                 == resumed.model.relation_emb.tobytes())
+
+    def test_drs_commit_retires_node_residuals(self, store, monkeypatch):
+        """After DRS commits to allgather nothing injects or stores a node
+        residual again, and every node store is empty from the commit
+        epoch on, so no later snapshot carries them."""
+        events = []
+
+        def spy(cls, name, after=None):
+            real = getattr(cls, name)
+
+            def call(self, *args):
+                out = real(self, *args)
+                events.append(after(self) if after else name)
+                return out
+            monkeypatch.setattr(cls, name, call)
+
+        spy(NodeResiduals, "inject")
+        spy(NodeResiduals, "store")
+        spy(GradientExchange, "observe", after=lambda ex: (
+            ex.drs.switched,
+            sum(res.nnz_rows for key, _, res in ex.residual_stores()
+                if "/hier_" in key)))
+        result = train(store, _hier(drs_1bit_rp_ss, error_feedback=True,
+                                    drs_probe_interval=2),
+                       4, config=config(max_epochs=6), network=SLOW_INTRA)
+        assert result.drs_switch_epoch == 2
+        epochs = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+        commit = next(i for i in epochs if events[i][0])
+        assert {"inject", "store"} <= set(events[:commit])
+        assert events[epochs[0]][1] > 0
+        assert all(isinstance(e, tuple) and e[1] == 0
+                   for e in events[commit:])
 
     def test_elastic_recovery_bitwise(self, store):
         """Rank loss mid-run over hierarchical paths: two supervised runs

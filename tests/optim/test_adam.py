@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm.sparse import SparseRows
 from repro.models import ComplEx
-from repro.optim.adam import Adam, AdamState
+from repro.optim.adam import ROW_BLOCK, Adam, AdamState
 
 
 def dense_adam_reference(param, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -23,6 +23,17 @@ def dense_adam_reference(param, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
+def all_rows(g):
+    """A dense gradient as a :class:`SparseRows` carrying every row."""
+    return SparseRows(np.arange(len(g)), g, len(g))
+
+
+def state_bits(state, param):
+    """Every array one update writes, as bytes."""
+    return (param.tobytes(), state.m.tobytes(), state.v.tobytes(),
+            state.steps.tobytes())
+
+
 class TestAdamState:
     def test_matches_dense_reference_when_all_rows_touched(self):
         rng = np.random.default_rng(0)
@@ -33,7 +44,7 @@ class TestAdamState:
         state = AdamState((5, 3))
         p = param.copy()
         for g in grads:
-            state.apply_dense(p, g, lr=0.01)
+            state.apply_sparse(p, all_rows(g), lr=0.01)
         np.testing.assert_allclose(p, expected, rtol=1e-4, atol=1e-6)
 
     def test_untouched_rows_unchanged(self):
@@ -90,34 +101,12 @@ class TestAdamState:
         with pytest.raises(ValueError):
             AdamState((2, 2), eps=0.0)
 
-    def test_dense_matches_sparse_all_rows_bitwise(self):
-        """apply_dense is apply_sparse with every row present — bitwise,
-        including moments, per-row step counters and the parameter."""
-        rng = np.random.default_rng(1)
-        shape = (7, 4)
-        grads = [rng.normal(size=shape).astype(np.float32) for _ in range(6)]
-        all_rows = np.arange(shape[0])
-
-        dense_state, sparse_state = AdamState(shape), AdamState(shape)
-        p_dense = rng.normal(size=shape).astype(np.float32)
-        p_sparse = p_dense.copy()
-        for g in grads:
-            dense_state.apply_dense(p_dense, g, lr=0.02)
-            sparse_state.apply_sparse(
-                p_sparse, SparseRows(all_rows, g.copy(), shape[0]), lr=0.02)
-        np.testing.assert_array_equal(p_dense.view(np.uint32),
-                                      p_sparse.view(np.uint32))
-        np.testing.assert_array_equal(dense_state.m.view(np.uint32),
-                                      sparse_state.m.view(np.uint32))
-        np.testing.assert_array_equal(dense_state.v.view(np.uint32),
-                                      sparse_state.v.view(np.uint32))
-        np.testing.assert_array_equal(dense_state.steps, sparse_state.steps)
-
-    def test_dense_advances_global_step_count(self):
+    def test_all_rows_advance_global_step_count(self):
         state = AdamState((4, 2))
         p = np.zeros((4, 2), dtype=np.float32)
         for _ in range(3):
-            state.apply_dense(p, np.ones((4, 2), dtype=np.float32), lr=0.01)
+            state.apply_sparse(p, all_rows(np.ones((4, 2), np.float32)),
+                               lr=0.01)
         np.testing.assert_array_equal(state.steps, 3)
 
     def test_sparse_matches_dense_reference_bias_correction(self):
@@ -143,15 +132,6 @@ class TestAdamState:
                                         lr=0.01)
         np.testing.assert_allclose(p[2:3], expected, rtol=1e-4, atol=1e-6)
 
-    def test_dense_grad_shape_mismatch_rejected(self):
-        state = AdamState((3, 2))
-        p = np.ones((3, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            state.apply_dense(p, np.ones((2, 2), dtype=np.float32), lr=0.1)
-        with pytest.raises(ValueError):
-            state.apply_dense(np.ones((4, 2), dtype=np.float32),
-                              np.ones((4, 2), dtype=np.float32), lr=0.1)
-
     def test_converges_on_quadratic(self):
         """Minimise ||x - target||^2 row-wise."""
         target = np.array([[1.0, -2.0], [3.0, 0.5]], dtype=np.float32)
@@ -159,8 +139,100 @@ class TestAdamState:
         state = AdamState((2, 2))
         for _ in range(800):
             g = 2 * (x - target)
-            state.apply_dense(x, g, lr=0.05)
+            state.apply_sparse(x, all_rows(g), lr=0.05)
         np.testing.assert_allclose(x, target, atol=1e-2)
+
+
+class TestFloat32Blocks:
+    """The float32 update over ``ROW_BLOCK``-row blocks: how close it stays
+    to the float64 textbook form, and the row-local behaviour the blocking
+    relies on."""
+
+    def test_tracks_float64_oracle_over_ten_thousand_steps(self):
+        """Rows 0-2 take every one of 10,200 steps, so their own count runs
+        to where ``1 - beta2**t`` is within 4e-5 of 1; rows 3-5 are first
+        touched at step 10,000 and take their 200 steps, starting from the
+        step-1 correction, in the same calls.  Both match the float64
+        oracle over the steps each row saw to rtol 1e-4."""
+        rng = np.random.default_rng(3)
+        n, width, total, late = 6, 8, 10_200, 10_000
+        param = rng.normal(size=(n, width)).astype(np.float32)
+        grads = rng.normal(size=(total, n, width)).astype(np.float32)
+        grads *= np.float32(0.1)
+        state, p = AdamState((n, width)), param.copy()
+        for step, g in enumerate(grads):
+            rows = np.arange(n if step >= late else 3)
+            state.apply_sparse(p, SparseRows(rows, g[rows], n), lr=1e-3)
+        np.testing.assert_array_equal(state.steps, [total] * 3 + [200] * 3)
+        np.testing.assert_allclose(
+            p[:3], dense_adam_reference(param[:3], grads[:, :3], lr=1e-3),
+            rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(
+            p[3:], dense_adam_reference(param[3:], grads[late:, 3:],
+                                        lr=1e-3),
+            rtol=1e-4, atol=1e-6)
+
+    def test_zero_gradient_row_leaves_fresh_parameter_unchanged(self):
+        """A fresh row with an all-zero gradient has ``m = v = 0``, so its
+        update is ``0 / eps_t``: the parameter keeps every bit while its
+        step count still advances."""
+        rng = np.random.default_rng(4)
+        state = AdamState((4, 3))
+        p = rng.normal(size=(4, 3)).astype(np.float32)
+        p[2] = [-0.0, 0.0, 1.5]
+        before = p.copy()
+        g = rng.normal(size=(4, 3)).astype(np.float32)
+        g[2] = 0.0
+        state.apply_sparse(p, all_rows(g), lr=0.1)
+        assert p[2].tobytes() == before[2].tobytes()
+        assert not state.m[2].any() and not state.v[2].any()
+        np.testing.assert_array_equal(state.steps, 1)
+        assert (p[[0, 1, 3]] != before[[0, 1, 3]]).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_poisons_only_its_row(self, bad):
+        rng = np.random.default_rng(5)
+        n, width, poisoned = 3 * ROW_BLOCK, 4, ROW_BLOCK + 7
+        param = rng.normal(size=(n, width)).astype(np.float32)
+        g = rng.normal(size=(n, width)).astype(np.float32)
+        g[poisoned, 1] = bad
+        rows = np.arange(n)
+        state, p = AdamState((n, width)), param.copy()
+        state.apply_sparse(p, SparseRows(rows, g, n), lr=0.01)
+        for arr in (p, state.m, state.v):
+            assert not np.isfinite(arr[poisoned]).all()
+        clean = rows != poisoned
+        ref_state, q = AdamState((n, width)), param.copy()
+        ref_state.apply_sparse(q, SparseRows(rows[clean], g[clean], n),
+                               lr=0.01)
+        for got, want in zip(state_bits(state, p), state_bits(ref_state, q)):
+            got = np.frombuffer(got, np.uint8).reshape(n, -1)[clean]
+            want = np.frombuffer(want, np.uint8).reshape(n, -1)[clean]
+            np.testing.assert_array_equal(got, want)
+
+    def test_row_update_independent_of_its_call_companions(self):
+        """Blocking is safe only if a row's bits do not depend on which
+        rows share its call or where its block starts: one call over four
+        blocks and a bit equals the same rows split over random smaller
+        calls, at every prior step count mix."""
+        rng = np.random.default_rng(6)
+        n, width = 4 * ROW_BLOCK + 37, 16
+        param = rng.normal(size=(n, width)).astype(np.float32)
+        together, p = AdamState((n, width)), param.copy()
+        apart, q = AdamState((n, width)), param.copy()
+        for _ in range(3):
+            g = rng.normal(size=(n, width)).astype(np.float32)
+            # Uneven per-row step counts: a random half of the rows first.
+            half = np.flatnonzero(rng.random(n) < 0.5)
+            for state, x in ((together, p), (apart, q)):
+                state.apply_sparse(x, SparseRows(half, g[half], n), lr=0.01)
+            together.apply_sparse(p, all_rows(g), lr=0.01)
+            cuts = np.sort(rng.choice(np.arange(1, n), 9, replace=False))
+            for rows in np.split(rng.permutation(n), cuts):
+                rows = np.sort(rows)
+                apart.apply_sparse(q, SparseRows(rows, g[rows], n), lr=0.01)
+        assert state_bits(together, p) == state_bits(apart, q)
 
 
 class TestAdamWrapper:

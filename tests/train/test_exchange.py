@@ -11,7 +11,7 @@ from repro.comm.faults import FaultPlan
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows, combine_sparse
-from repro.training.exchange import GradientExchange
+from repro.training.exchange import DrsState, GradientExchange
 from repro.training.strategy import StrategyConfig
 
 NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
@@ -176,6 +176,32 @@ def test_fallback_leaves_every_residual_store_untouched(mode, network,
     level = "hier_entity" if mode == "hierarchical" else "entity"
     assert changed and all(key.startswith(f"residual/{level}/")
                            for key in changed)
+
+
+@pytest.mark.parametrize("winner,cleared", [
+    ("allgather", True), ("allreduce", True), ("hierarchical", False)])
+def test_drs_commit_clears_node_residuals_it_leaves_dead(winner, cleared):
+    """Only the quantized two-level transport reads the node stores: a DRS
+    commit to anything else empties them and leaves the rank stores as
+    they were; a commit to it keeps every store."""
+    exchange = make_exchange(comm_mode="dynamic", selection="random",
+                             quantization_bits=1, error_feedback=True)
+    incumbent = "allreduce" if winner == "hierarchical" else "hierarchical"
+    exchange.drs = DrsState(default_mode=incumbent, probe_modes=(winner,))
+    exchange.exchange("entity", random_parts(4, "entity"), "hierarchical")
+    before = store_bytes(exchange)
+    node_keys = {key for key in before if "/hier_" in key}
+    assert any(before[key][1][0] for key in node_keys)
+    exchange.observe(incumbent, 1.0)
+    assert store_bytes(exchange) == before
+    exchange.observe(winner, 0.5)
+    assert exchange.drs.switched and exchange.drs.current == winner
+    after = store_bytes(exchange)
+    for key in before:
+        if cleared and key in node_keys:
+            assert after[key][1][0] == 0
+        else:
+            assert after[key] == before[key]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
