@@ -15,14 +15,19 @@ carries no residual row at all.  Every deterministic output (epoch logs,
 simulated clock, bytes on the wire, retries, final embeddings, optimizer
 moments, every residual store's ``(rows, values)`` bytes) is diffed; any
 mismatch exits non-zero and prints the offending fields.  The bytes each
-restored residual store holds in memory are printed too.  Last, the
-snapshot is served: the checkpoint
-directory loads through ``EmbeddingStore.from_checkpoint``, whose entity
-matrix must be the resumed trainer's and whose ``manifest_digest`` must be
-the SHA-256 of the newest manifest file.
+restored residual store holds in memory are printed too.
 
-The checkpoint directory is left in place (default: ``resume-ckpt/``) so CI
-can upload it as an artifact for post-mortem inspection.
+Both runs checkpoint every epoch — the straight run into ``<out>/straight``,
+the interrupted run and its resumption into ``<out>/resumed`` — and every
+epoch both directories hold must have byte-equal ``manifest.json`` and
+``state.npz`` files: a snapshot is a pure function of (seed, plan), with
+no wall clock in it.  Last, the resumed directory is served: it loads
+through ``EmbeddingStore.from_checkpoint``, whose entity matrix must be the
+resumed trainer's and whose ``manifest_digest`` must be the SHA-256 of the
+newest manifest file.
+
+The checkpoint directories are left in place (default: ``resume-ckpt/``)
+so CI can upload them as an artifact for post-mortem inspection.
 """
 
 from __future__ import annotations
@@ -39,7 +44,11 @@ from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
 from repro.comm.network import NetworkModel
 from repro.kg.datasets import make_tiny_kg
 from repro.serve import EmbeddingStore
-from repro.training.checkpoint import MANIFEST_NAME
+from repro.training.checkpoint import (
+    ARRAYS_NAME,
+    MANIFEST_NAME,
+    list_checkpoints,
+)
 from repro.training.strategy import drs_1bit_rp_ss
 
 FAULTS = FaultPlan(seed=99, drop_prob=0.02, compute_slowdown=((1, 2.0),),
@@ -50,10 +59,12 @@ NETWORK = NetworkModel.parse(
     "rpn=2,intra=0.3e-6:2e-11,inter=5e-6:1.25e-10")
 
 
-def build_trainer(store, max_epochs, *, checkpoint_dir=None, every=0):
+def build_trainer(store, max_epochs, checkpoint_dir):
+    """A trainer that checkpoints every epoch and keeps every checkpoint."""
     cfg = TrainConfig(dim=8, batch_size=128, max_epochs=max_epochs,
                       lr_patience=6, eval_max_queries=30, seed=20220829,
-                      checkpoint_dir=checkpoint_dir, checkpoint_every=every)
+                      checkpoint_dir=str(checkpoint_dir), checkpoint_every=1,
+                      checkpoint_keep=0)
     return DistributedTrainer(store, STRATEGY, 4, config=cfg,
                               network=NETWORK, faults=FAULTS)
 
@@ -106,32 +117,52 @@ def diff(straight, resumed) -> list[str]:
     return bad
 
 
+def diff_files(straight_dir: Path, resumed_dir: Path) -> list[str]:
+    """Byte-compare the snapshot files of every epoch both directories
+    hold, printing one line per file."""
+    straight = {path.name: path for _, path in list_checkpoints(straight_dir)}
+    resumed = {path.name: path for _, path in list_checkpoints(resumed_dir)}
+    shared = sorted(set(straight) & set(resumed))
+    bad = [] if shared else ["the two runs share no checkpointed epoch"]
+    for epoch in shared:
+        for name in (MANIFEST_NAME, ARRAYS_NAME):
+            equal = ((straight[epoch] / name).read_bytes()
+                     == (resumed[epoch] / name).read_bytes())
+            print(f"      {epoch}/{name}: {'EQUAL' if equal else 'DIFFER'}")
+            if not equal:
+                bad.append(f"{epoch}/{name} differs between the straight "
+                           f"and the resumed run")
+    return bad
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=6,
                         help="straight-run epoch budget (default: 6)")
     parser.add_argument("--out", default="resume-ckpt", metavar="DIR",
-                        help="checkpoint directory, kept for artifact upload")
+                        help="checkpoint root (straight/ and resumed/), kept "
+                        "for artifact upload")
     args = parser.parse_args(argv)
     kill_at = args.epochs // 2
+    straight_dir = Path(args.out, "straight")
+    resumed_dir = Path(args.out, "resumed")
 
     store = make_tiny_kg()
 
-    print(f"[1/3] straight run: {args.epochs} epochs under {FAULTS.describe()}")
-    straight = build_trainer(store, args.epochs)
+    print(f"[1/3] straight run: {args.epochs} epochs under "
+          f"{FAULTS.describe()}, checkpoints -> {straight_dir}/")
+    straight = build_trainer(store, args.epochs, straight_dir)
     straight.run()
 
     print(f"[2/3] interrupted run: killed after epoch {kill_at}, "
-          f"checkpoints -> {args.out}/")
-    interrupted = build_trainer(store, kill_at, checkpoint_dir=args.out,
-                                every=1)
+          f"checkpoints -> {resumed_dir}/")
+    interrupted = build_trainer(store, kill_at, resumed_dir)
     interrupted.run()
 
-    newest = latest_checkpoint(args.out)
+    newest = latest_checkpoint(resumed_dir)
     print(f"[3/3] resuming fresh trainer from {newest}")
-    resumed = build_trainer(store, args.epochs)
+    resumed = build_trainer(store, args.epochs, resumed_dir)
     resumed.restore(newest)
-    restored_entities = resumed.model.entity_emb.tobytes()
     restored = {name: s.nnz_rows
                 for name, s in residual_stores(resumed).items() if s.nnz_rows}
     print(f"      residual rows restored: {restored}")
@@ -143,12 +174,15 @@ def main(argv: list[str] | None = None) -> int:
     if not restored:
         bad.append(f"the epoch-{kill_at} snapshot restored no residual row; "
                    f"the run no longer exercises error-feedback state")
+    bad += diff_files(straight_dir, resumed_dir)
     served = EmbeddingStore.from_checkpoint(
-        args.out, model_name=resumed.config.model_name)
+        resumed_dir, model_name=resumed.config.model_name)
     print(f"      served {served.checkpoint_path}: epoch {served.epoch}, "
           f"manifest sha256 {served.manifest_digest[:12]}...")
-    if served.model.entity_emb.tobytes() != restored_entities:
+    if (served.model.entity_emb.tobytes()
+            != resumed.model.entity_emb.tobytes()):
         bad.append("served entity matrix differs from the resumed trainer's")
+    newest = latest_checkpoint(resumed_dir)
     newest_digest = hashlib.sha256(
         (newest / MANIFEST_NAME).read_bytes()).hexdigest()
     if served.manifest_digest != newest_digest:

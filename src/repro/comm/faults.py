@@ -357,7 +357,9 @@ class FaultInjector:
             dtype=np.float64)
         self._losses = set(plan.rank_loss)
         self.counters = FaultCounters()
-        self._calls = 0
+        #: Collectives perturbed so far: call ``n`` draws from substream
+        #: ``(plan.seed, n)``, so a checkpoint carries this counter.
+        self.calls = 0
         self._reliable_depth = 0
 
     # -- heterogeneity ---------------------------------------------------
@@ -404,8 +406,8 @@ class FaultInjector:
         when the retry budget is exhausted under the corresponding policy.
         """
         plan = self.plan
-        rng = np.random.default_rng((plan.seed, self._calls))
-        self._calls += 1
+        rng = np.random.default_rng((plan.seed, self.calls))
+        self.calls += 1
         if n_messages <= 0 or base_time <= 0.0:
             return base_time, 0
 

@@ -27,8 +27,10 @@ embeddings, the same epoch logs, the same DRS switch epoch, the same fault
 trajectory.  This holds because training state is *closed* over what the
 checkpoint captures — all randomness flows through the streams in
 :mod:`repro.training.rng` plus the fault injector's call counter, and both
-are snapshotted here.  (The only fields outside the contract are the real
-host wall-clock eval timings, which no two runs of anything share.)
+are snapshotted here.  A snapshot is itself a pure function of (seed,
+plan): no wall clock enters it (real eval seconds stay with the process
+that measured them), so two runs of one configuration, or a straight and a
+resumed run, write byte-identical checkpoint files for every epoch.
 
 Both files are written deterministically — sorted keys, fixed zip
 timestamps, atomic renames — so saving, loading and re-saving a checkpoint
@@ -45,9 +47,13 @@ A manifest's bytes are read once and parsed into the object plus the
 SHA-256 of those same bytes (the snapshot's identity); its type, format
 marker, schema version, fields and ``arrays`` table are checked there.  One
 array loader then verifies the npz against that table.  A parent directory
-is resolved to one snapshot once per load (:func:`resolve_checkpoint_dir`),
-and :func:`apply_state` parses every section before it writes a trainer
-field.
+is resolved to one snapshot once per load (:func:`resolve_checkpoint_dir`).
+
+One table names each field once (:func:`_sections`, :func:`_arrays`), and
+:func:`capture_state` and :func:`apply_state` both walk it; per-rank state
+goes through one ``remap`` over a ``rank_map`` checked once.  Every field
+a writer emits is required, and every section parses before the first
+trainer field is written.
 
 Failure modes are loud, distinct and typed: a truncated, bit-flipped or
 malformed file raises :class:`CheckpointCorruptError` (naming the file and
@@ -73,6 +79,7 @@ intentional, auditable act.  Without a ``rank_map``, a world mismatch raises
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -84,8 +91,8 @@ from pathlib import Path
 import numpy as np
 
 from ..comm.faults import FaultCounters
-from ..comm.simulator import CommStats
 from ..comm.sparse import SparseRows
+from .exchange import residual_key
 from .metrics import EpochLog
 from .rng import rng_state, set_rng_state
 
@@ -147,11 +154,11 @@ class CheckpointState:
     scalars: dict
     #: Fingerprint of the run configuration that produced this state.
     config_hash: str
-    #: Ranks in the world that captured this snapshot (0 = unknown/legacy).
-    world_size: int = 0
+    #: Ranks in the world that captured this snapshot.
+    world_size: int
     #: Every world size this training lineage has lived through, oldest
     #: first (``(4, 3)`` after one shrink; ``(4, 3, 4)`` after a regrow).
-    world_lineage: tuple = ()
+    world_lineage: tuple
     #: SHA-256 of the manifest bytes this state was parsed from, and the
     #: per-array SHA-256 it verified (empty for a captured state).
     manifest_digest: str = ""
@@ -231,30 +238,65 @@ def config_fingerprint(store, strategy, config, network, faults) -> str:
 # in one place, so the manifest schema has a single owner)
 # ---------------------------------------------------------------------------
 
-def _capture_residual(arrays: dict, key: str, store) -> None:
-    """Snapshot one residual store as its dirty rows (clean rows are 0).
+def _mapping(parse):
+    """Parser of a JSON object whose values each go through ``parse``."""
+    return lambda saved: {str(k): parse(v) for k, v in saved.items()}
 
-    The store's arrays are read-only and replaced, never written, by later
-    steps, so the snapshot shares them instead of copying.
+
+def _row(*types):
+    """Parser of a fixed-length list, one type per position."""
+    return lambda saved: [t(v) for t, v in zip(types, saved, strict=True)]
+
+
+def _sections(trainer) -> tuple:
+    """Every scalar section: ``(manifest key, owner, {field: parser})``.
+
+    A section is a JSON object of its owner's fields (``null`` for an
+    absent owner: no fault plan); the ``None`` key's fields sit directly
+    in ``state``.
     """
-    arrays[f"{key}/rows"] = store.rows
-    arrays[f"{key}/values"] = store.values
+    return (
+        ("scheduler", trainer.scheduler, {
+            "lr": float, "best": float, "bad_epochs": int, "done": bool,
+            "n_decays": int, "epoch": int}),
+        ("drs", trainer.exchange.drs, {
+            "current": str, "switched": bool, "last_incumbent_comm": float,
+            "probes": int, "probe_comms": _mapping(float)}),
+        ("result", trainer.result, {
+            "allreduce_steps": int, "allgather_steps": int,
+            "hier_steps": int, "drs_switch_epoch": int, "converged": bool,
+            "logs": lambda logs: [EpochLog(**log) for log in logs]}),
+        ("comm_stats", trainer.cluster.stats, {
+            "calls": int, "nbytes_total": int, "time_total": float,
+            "retries": int, "by_op": _mapping(_row(int, int, float)),
+            "by_hop": _mapping(_row(int, int, float, int))}),
+        (None, trainer.exchange, {"fallbacks": int}),
+        ("faults", trainer.cluster.faults, {
+            "calls": int,
+            "counters": lambda saved: FaultCounters(
+                **{k: int(v) for k, v in saved.items()})}),
+        ("eval_timer", trainer.eval_timer, {"queries": int}),
+    )
 
 
-def _parse_residual(store, arrays: dict, key: str) -> SparseRows:
-    """Inverse of :func:`_capture_residual`, refusing malformed rows."""
-    rows, values = arrays[f"{key}/rows"], arrays[f"{key}/values"]
-    try:
-        if rows.dtype.kind not in "iu" or values.shape[1:] != (store.dim,):
-            raise ValueError(
-                f"rows {rows.dtype} / values {values.shape} do not fit a "
-                f"({store.n_rows}, {store.dim}) store")
-        return SparseRows(rows, values, store.n_rows)
-    except ValueError as exc:
-        raise CheckpointCorruptError(
-            f"array {key + '/rows'!r} does not index {key + '/values'!r} "
-            f"as sorted in-range dirty rows ({exc}); the checkpoint is "
-            f"corrupt") from exc
+def _arrays(trainer) -> tuple:
+    """Every array restored as captured: ``(name, owner, field, dtype)``."""
+    model, opt = trainer.model, trainer.optimizer
+    return (("model/entity_emb", model, "entity_emb", np.float32),
+            ("model/relation_emb", model, "relation_emb", np.float32)) + tuple(
+        (f"adam/{name}/{part}", state, part, dtype)
+        for name, state in (("entity", opt.entity_state),
+                            ("relation", opt.relation_state))
+        for part, dtype in (("m", np.float32), ("v", np.float32),
+                            ("steps", np.int64)))
+
+
+def _plain(value):
+    """A JSON-ready deep copy: dataclasses become dicts."""
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return (dataclasses.asdict(value) if dataclasses.is_dataclass(value)
+            else copy.deepcopy(value))
 
 
 def capture_state(trainer) -> CheckpointState:
@@ -265,68 +307,23 @@ def capture_state(trainer) -> CheckpointState:
     Must be called at an epoch boundary (the only points where trainer
     state is consistent); the trainer does so after each completed epoch.
     """
-    arrays: dict = {
-        "model/entity_emb": trainer.model.entity_emb.copy(),
-        "model/relation_emb": trainer.model.relation_emb.copy(),
-        "cluster/clocks": trainer.cluster.clocks.copy(),
-        "cluster/wait": trainer.cluster.wait_total.copy(),
-    }
-    for name, state in (("entity", trainer.optimizer.entity_state),
-                        ("relation", trainer.optimizer.relation_state)):
-        arrays[f"adam/{name}/m"] = state.m.copy()
-        arrays[f"adam/{name}/v"] = state.v.copy()
-        arrays[f"adam/{name}/steps"] = state.steps.copy()
+    arrays = {name: getattr(owner, attr).copy()
+              for name, owner, attr, _ in _arrays(trainer)}
+    arrays["cluster/clocks"] = trainer.cluster.clocks.copy()
+    arrays["cluster/wait"] = trainer.cluster.wait_total.copy()
     for key, _, store in trainer.exchange.residual_stores():
-        _capture_residual(arrays, key, store)
+        arrays[f"{key}/rows"] = store.rows
+        arrays[f"{key}/values"] = store.values
 
-    sched = trainer.scheduler
-    drs = trainer.exchange.drs
-    result = trainer.result
-    stats = trainer.cluster.stats
-    injector = trainer.cluster.faults
-    timer = trainer.eval_timer
-    scalars = {
-        "scheduler": {
-            "lr": sched.lr, "best": sched.best,
-            "bad_epochs": sched.bad_epochs, "done": sched.done,
-            "n_decays": sched.n_decays, "epoch": sched.epoch,
-        },
-        "drs": {
-            "current": drs.current, "switched": drs.switched,
-            "last_incumbent_comm": drs.last_incumbent_comm,
-            "probes": drs.probes,
-            "probe_comms": {mode: float(t)
-                            for mode, t in sorted(drs.probe_comms.items())},
-        },
-        "rng": {
-            "trainer": rng_state(trainer.rng),
-            "selection": rng_state(trainer.exchange.rng),
-            "workers": [rng_state(w.rng) for w in trainer.workers],
-        },
-        "result": {
-            "allreduce_steps": result.allreduce_steps,
-            "allgather_steps": result.allgather_steps,
-            "hier_steps": result.hier_steps,
-            "drs_switch_epoch": result.drs_switch_epoch,
-            "converged": result.converged,
-            "logs": [dataclasses.asdict(log) for log in result.logs],
-        },
-        "comm_stats": {
-            "calls": stats.calls, "nbytes_total": stats.nbytes_total,
-            "time_total": stats.time_total, "retries": stats.retries,
-            "by_op": {op: list(v) for op, v in stats.by_op.items()},
-            "by_hop": {hop: list(v) for hop, v in stats.by_hop.items()},
-        },
-        "fallbacks": trainer.exchange.fallbacks,
-        "faults": (None if injector is None else {
-            "calls": injector._calls,
-            "counters": dataclasses.asdict(injector.counters),
-        }),
-        "eval_timer": {
-            "seconds": timer.seconds, "queries": timer.queries,
-            "sections": timer.sections,
-        },
-    }
+    scalars: dict = {"rng": {
+        "trainer": rng_state(trainer.rng),
+        "selection": rng_state(trainer.exchange.rng),
+        "workers": [rng_state(w.rng) for w in trainer.workers],
+    }}
+    for key, owner, fields in _sections(trainer):
+        section = None if owner is None else {
+            name: _plain(getattr(owner, name)) for name in fields}
+        scalars.update(section if key is None else {key: section})
     return CheckpointState(epoch=trainer._completed_epochs, arrays=arrays,
                            scalars=scalars,
                            config_hash=trainer.config_fingerprint(),
@@ -352,104 +349,65 @@ def apply_state(trainer, state: CheckpointState,
     supervisor hands them a rejoin stream).  Without a ``rank_map``, any
     world-size difference raises :class:`CheckpointWorldMismatchError`.
 
-    A malformed section raises :class:`CheckpointCorruptError` naming it
-    before the first trainer field is written.
+    A missing or malformed field raises :class:`CheckpointCorruptError`
+    naming it before the first trainer field is written.
     """
-    arrays = state.arrays
-    scalars = state.scalars
-
+    arrays, scalars, old_world = state.arrays, state.scalars, state.world_size
     if rank_map is None:
-        if state.world_size and state.world_size != trainer.n_nodes:
+        if old_world != trainer.n_nodes:
             raise CheckpointWorldMismatchError(
-                f"checkpoint was captured by a {state.world_size}-rank world "
+                f"checkpoint was captured by a {old_world}-rank world "
                 f"(lineage {list(state.world_lineage)}) but this trainer has "
                 f"{trainer.n_nodes} ranks; plain resume requires matching "
                 f"worlds — use the elastic supervisor (--elastic) to shrink "
                 f"or regrow across a membership change")
         rank_map = list(range(trainer.n_nodes))
-    if len(rank_map) != trainer.n_nodes:
-        raise ValueError(
-            f"rank_map names {len(rank_map)} ranks for a "
-            f"{trainer.n_nodes}-rank trainer")
-    old_world = state.world_size or len(rank_map)
-    for old in rank_map:
-        if old is not None and not 0 <= old < old_world:
-            raise ValueError(
-                f"rank_map entry {old} outside the capturing world "
-                f"[0, {old_world})")
     survivors = [old for old in rank_map if old is not None]
-    if len(set(survivors)) != len(survivors):
-        raise ValueError(f"rank_map maps two ranks to one source: {rank_map}")
-    if not survivors:
-        raise ValueError("rank_map carries no surviving rank; a world of "
-                         "entirely fresh members cannot restore a snapshot")
+    if (len(rank_map) != trainer.n_nodes or not survivors
+            or len(set(survivors)) != len(survivors)
+            or not all(0 <= old < old_world for old in survivors)):
+        raise ValueError(
+            f"rank_map {rank_map} must name, for each of this trainer's "
+            f"{trainer.n_nodes} ranks, a distinct rank of the capturing "
+            f"{old_world}-rank world or None, with at least one survivor")
 
-    writes = []  # run only once every section has parsed
-
-    def put(obj, **values):
-        writes.extend((setattr, obj, k, v) for k, v in values.items())
+    def remap(values, fresh):
+        """Per local rank: its source rank's entry, or ``fresh``."""
+        return [fresh if old is None else values[old] for old in rank_map]
 
     cluster = trainer.cluster
+    writes = []  # run only once every section has parsed
     where = "arrays"
     try:
-        put(trainer.model,
-            entity_emb=np.array(arrays["model/entity_emb"], dtype=np.float32),
-            relation_emb=np.array(arrays["model/relation_emb"],
-                                  dtype=np.float32))
-        for name, opt in (("entity", trainer.optimizer.entity_state),
-                          ("relation", trainer.optimizer.relation_state)):
-            put(opt, m=np.array(arrays[f"adam/{name}/m"], dtype=np.float32),
-                v=np.array(arrays[f"adam/{name}/v"], dtype=np.float32),
-                steps=np.array(arrays[f"adam/{name}/steps"], dtype=np.int64))
-        # Rank stores follow ``rank_map`` (a fresh member starts pristine).
-        # Hop-boundary stores restore by node-id intersection: a node the
-        # new world still occupies gets its snapshot back; a freshly
-        # (re)grown node starts pristine; a snapshot node with no survivors
-        # is dropped (its residual died with its last member, as a real
-        # node buffer would).
-        for key, rank, store in trainer.exchange.residual_stores():
-            if rank is not None:
-                old = rank_map[rank]
-                key = None if old is None else f"{key.rpartition('/')[0]}/{old}"
-            elif f"{key}/rows" not in arrays:
-                key = None
-            writes.append((store.clear,) if key is None else
-                          (store.store, _parse_residual(store, arrays, key)))
-        old_clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
-        old_wait = np.asarray(arrays["cluster/wait"], dtype=np.float64)
-        join_clock = float(max(old_clocks[old] for old in survivors))
-        put(cluster, clocks=np.array([join_clock if old is None else
-                                      old_clocks[old] for old in rank_map]),
-            wait_total=np.array([0.0 if old is None else old_wait[old]
-                                 for old in rank_map]))
-        writes.append((cluster.records.clear,))
-
-        where = "state.comm_stats"
-        comm = scalars["comm_stats"]
-        put(cluster, stats=CommStats(
-            calls=int(comm["calls"]), nbytes_total=int(comm["nbytes_total"]),
-            time_total=float(comm["time_total"]),
-            retries=int(comm["retries"]),
-            by_op={op: [int(v[0]), int(v[1]), float(v[2])]
-                   for op, v in comm["by_op"].items()},
-            by_hop={hop: [int(v[0]), int(v[1]), float(v[2]), int(v[3])]
-                    for hop, v in comm.get("by_hop", {}).items()}))
-
-        where = "state.scheduler"
-        sched = scalars["scheduler"]
-        put(trainer.scheduler, lr=float(sched["lr"]),
-            best=float(sched["best"]), bad_epochs=int(sched["bad_epochs"]),
-            done=bool(sched["done"]), n_decays=int(sched["n_decays"]),
-            epoch=int(sched["epoch"]))
-
-        where = "state.drs"
-        saved = scalars["drs"]
-        put(trainer.exchange.drs, current=str(saved["current"]),
-            switched=bool(saved["switched"]),
-            last_incumbent_comm=float(saved["last_incumbent_comm"]),
-            probes=int(saved["probes"]),
-            probe_comms={str(mode): float(t) for mode, t
-                         in saved.get("probe_comms", {}).items()})
+        for name, owner, attr, dtype in _arrays(trainer):
+            writes.append((setattr, owner, attr,
+                           np.array(arrays[name], dtype=dtype)))
+        clocks = np.asarray(arrays["cluster/clocks"], dtype=np.float64)
+        wait = np.asarray(arrays["cluster/wait"], dtype=np.float64)
+        join_clock = float(max(clocks[old] for old in survivors))
+        writes += [
+            (setattr, cluster, "clocks", np.array(remap(clocks, join_clock))),
+            (setattr, cluster, "wait_total", np.array(remap(wait, 0.0))),
+            (cluster.records.clear,)]
+        # Rank stores follow ``rank_map``; node stores restore by node-id
+        # intersection: a (re)grown node starts pristine, and a snapshot
+        # node with no survivors is dropped (its residual died with its
+        # last member, as a real node buffer would).
+        for key, owner, store in trainer.exchange.residual_stores():
+            if owner is not None:
+                kind, rank = owner
+                key = (None if rank_map[rank] is None
+                       else residual_key(kind, rank_map[rank]))
+            if key is None or (owner is None and f"{key}/rows" not in arrays):
+                writes.append((store.clear,))
+                continue
+            where = f"{key}/rows"  # sorted in-range ids of rows in /values
+            rows, values = arrays[where], arrays[f"{key}/values"]
+            if rows.dtype.kind not in "iu" or values.shape[1:] != (store.dim,):
+                raise ValueError(
+                    f"rows {rows.dtype} / values {values.shape} do not fit a "
+                    f"({store.n_rows}, {store.dim}) store")
+            writes.append((store.store, SparseRows(rows, values, store.n_rows)))
 
         where = "state.rng"
         rng = scalars["rng"]
@@ -459,48 +417,33 @@ def apply_state(trainer, state: CheckpointState,
                 f"for a world of {old_world} ranks")
         for generator, position in [
                 (trainer.rng, rng["trainer"]),
-                (trainer.exchange.rng, rng["selection"])] + [
-                (worker.rng, rng["workers"][old])
-                for worker, old in zip(trainer.workers, rank_map)
-                if old is not None]:
-            type(generator.bit_generator)(0).state = position  # refuses junk
-            writes.append((set_rng_state, generator, position))
+                (trainer.exchange.rng, rng["selection"]),
+                *zip((w.rng for w in trainer.workers),
+                     remap(rng["workers"], None))]:
+            if position is not None:  # None: a fresh member keeps its own
+                type(generator.bit_generator)(0).state = position  # or raise
+                writes.append((set_rng_state, generator, position))
 
-        where = "state.result"
-        partial = scalars["result"]
-        put(trainer.result, allreduce_steps=int(partial["allreduce_steps"]),
-            allgather_steps=int(partial["allgather_steps"]),
-            hier_steps=int(partial.get("hier_steps", 0)),
-            drs_switch_epoch=int(partial["drs_switch_epoch"]),
-            converged=bool(partial["converged"]),
-            logs=[EpochLog(**log) for log in partial["logs"]])
-
-        where = "state.fallbacks"
-        put(trainer.exchange, fallbacks=int(scalars["fallbacks"]))
-        where = "state.faults"
-        faults = scalars["faults"]
-        if (faults is None) != (cluster.faults is None):
-            raise CheckpointCorruptError(
-                "checkpoint fault-injector state does not match the "
-                "trainer's fault plan (the config hash should have caught "
-                "this)")
-        if faults is not None:
-            put(cluster.faults, _calls=int(faults["calls"]),
-                counters=FaultCounters(**{
-                    k: int(v) for k, v in faults["counters"].items()}))
-
-        where = "state.eval_timer"
-        timer = scalars["eval_timer"]
-        put(trainer.eval_timer, seconds=float(timer["seconds"]),
-            queries=int(timer["queries"]), sections=int(timer["sections"]))
+        for key, owner, fields in _sections(trainer):
+            where = f"state.{key}" if key else "state"
+            saved = scalars[key] if key else scalars
+            if (saved is None) != (owner is None):
+                raise CheckpointCorruptError(
+                    f"checkpoint field {where!r} does not match the trainer "
+                    f"(the config hash should have caught this)")
+            if owner is None:
+                continue
+            for name, parse in fields.items():
+                where = f"state.{key + '.' if key else ''}{name}"
+                writes.append((setattr, owner, name, parse(saved[name])))
 
         where = "world_lineage"
-        lineage = [int(w) for w in state.world_lineage] or (
-            [int(state.world_size)] if state.world_size else [trainer.n_nodes])
+        lineage = [int(w) for w in state.world_lineage]
         if lineage[-1] != trainer.n_nodes:
             lineage.append(trainer.n_nodes)
-        put(trainer, world_lineage=lineage,
-            _completed_epochs=int(state.epoch), _last_snapshot=None)
+        writes += [(setattr, trainer, "world_lineage", lineage),
+                   (setattr, trainer, "_completed_epochs", int(state.epoch)),
+                   (setattr, trainer, "_last_snapshot", None)]
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:  # what a malformed value raises
         raise CheckpointCorruptError(

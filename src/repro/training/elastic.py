@@ -199,6 +199,9 @@ class ElasticSupervisor:
         wasted = max(0.0, trainer.cluster.elapsed - float(snap_clocks.max()))
 
         new_trainer = self._spawn(survivors)
+        # Wall seconds are this process's; the restore sets the lineage's
+        # query count.
+        new_trainer.eval_timer = trainer.eval_timer
         rank_map = [world.index(g) for g in survivors]
         ckpt.apply_state(new_trainer, snapshot, rank_map=rank_map)
         new_trainer.cluster.recovery_time = trainer.cluster.recovery_time
@@ -234,6 +237,7 @@ class ElasticSupervisor:
                     for g in new_world]
 
         new_trainer = self._spawn(new_world)
+        new_trainer.eval_timer = trainer.eval_timer
         ckpt.apply_state(new_trainer, snapshot, rank_map=rank_map)
         new_trainer.cluster.recovery_time = trainer.cluster.recovery_time
         # Re-admitted ranks must not replay their original stream from

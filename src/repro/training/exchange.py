@@ -23,7 +23,8 @@ untouched gradients, so every store must stay exactly as the step found it.
 
 The exchange owns all state the strategies keep between steps, and the
 checkpoint layer reads it here: :meth:`GradientExchange.residual_stores`
-and the public fields ``rng``, ``drs`` and ``fallbacks``.
+(keyed by :func:`residual_key`) and the public fields ``rng``, ``drs`` and
+``fallbacks``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def _take(items: list, i: int):
     longer keeps it alive."""
     item, items[i] = items[i], None
     return item
+
+
+def residual_key(kind: str, owner: int, hier: bool = False) -> str:
+    """Checkpoint key of a rank's error-feedback store, or a node's."""
+    return f"residual/{'hier_' if hier else ''}{kind}/{owner}"
 
 
 def push_pull_time(wire: Sequence[int], n_servers: int, network) -> float:
@@ -249,22 +255,23 @@ class GradientExchange:
 
     # -- checkpoint surface ----------------------------------------------
 
-    def residual_stores(self) -> Iterator[tuple[str, int | None,
+    def residual_stores(self) -> Iterator[tuple[str, tuple[str, int] | None,
                                                 ResidualStore]]:
-        """Every error-feedback store as ``(checkpoint key, rank, store)``.
+        """Every error-feedback store as ``(checkpoint key, owner, store)``.
 
-        ``rank`` is the owning local rank of a rank-level store and ``None``
-        for a node-level one, whose key carries the stable physical node id
-        instead (a cross-world restore intersects node sets rather than
-        remapping ranks).
+        ``owner`` is ``(kind, local rank)`` for a rank-level store, whose
+        state a cross-world restore finds under :func:`residual_key` of the
+        rank it had there, and ``None`` for a node-level one, whose key
+        carries the stable physical node id instead (a cross-world restore
+        intersects node sets rather than remapping ranks).
         """
         for m in self.matrices.values():
             for rank, store in enumerate(m.rank_residuals or ()):
-                yield f"residual/{m.kind}/{rank}", rank, store
+                yield residual_key(m.kind, rank), (m.kind, rank), store
         for m in self.matrices.values():
             if m.node_residuals is not None:
                 for node, store in m.node_residuals.stores.items():
-                    yield f"residual/hier_{m.kind}/{node}", None, store
+                    yield residual_key(m.kind, node, hier=True), None, store
 
     # -- the pipeline ----------------------------------------------------
 

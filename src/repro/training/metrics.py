@@ -14,12 +14,16 @@ class EvalTimer:
     — this timer measures what evaluation actually costs the host process,
     which is what the filtered-ranking fast path optimises.  One ranking
     query = one (head or tail) candidate sweep, so a triple contributes two.
+
+    ``queries`` counts the whole training lineage (a checkpoint carries it);
+    ``seconds`` and :attr:`queries_per_sec` describe this process only —
+    wall time is no function of (seed, plan), so no snapshot holds it.
     """
 
     def __init__(self) -> None:
         self.seconds = 0.0
         self.queries = 0
-        self.sections = 0
+        self._timed = 0  # queries this process ran
 
     @contextmanager
     def measure(self):
@@ -29,18 +33,18 @@ class EvalTimer:
             yield self
         finally:
             self.seconds += time.perf_counter() - start
-            self.sections += 1
 
     def count(self, queries: int) -> None:
         """Record ranking queries executed inside the current section."""
         self.queries += int(queries)
+        self._timed += int(queries)
 
     @property
     def queries_per_sec(self) -> float:
-        """Measured evaluation throughput (0 before any timed section)."""
+        """This process's queries per eval second (0 before any section)."""
         if self.seconds <= 0.0:
             return 0.0
-        return self.queries / self.seconds
+        return self._timed / self.seconds
 
 
 @dataclass
@@ -96,10 +100,15 @@ class TrainResult:
     straggler_skew: float = 0.0
     #: Epoch at which DRS committed its allgather switch (0 = never).
     drs_switch_epoch: int = 0
-    #: Real wall seconds the host spent in ranking evaluation (not simulated).
+    #: Real wall seconds this process spent in ranking evaluation (not
+    #: simulated, not carried by a checkpoint).
     eval_seconds: float = 0.0
-    #: Ranking queries executed (head + tail sweeps count separately).
+    #: Ranking queries of the whole training lineage (head + tail sweeps
+    #: count separately; a resumed run counts the epochs before the resume).
     eval_queries: int = 0
+    #: This process's measured evaluation throughput: its own queries over
+    #: ``eval_seconds`` (0 if untimed).
+    eval_queries_per_sec: float = 0.0
     #: Elastic-supervisor restarts survived (0 = never lost a rank).
     restarts: int = 0
     #: Simulated seconds (time-scaled) spent on elastic recovery: rolled-back
@@ -111,13 +120,6 @@ class TrainResult:
     #: Elastic recovery log: one dict per membership change (see
     #: repro.training.elastic.RecoveryEvent.as_dict), empty when static.
     recovery_log: list = field(default_factory=list)
-
-    @property
-    def eval_queries_per_sec(self) -> float:
-        """Measured evaluation throughput of the run (0 if untimed)."""
-        if self.eval_seconds <= 0.0:
-            return 0.0
-        return self.eval_queries / self.eval_seconds
 
     @property
     def total_hours(self) -> float:

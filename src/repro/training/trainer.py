@@ -357,6 +357,7 @@ class DistributedTrainer:
         result.test_tca = tca.accuracy
         result.eval_seconds = self.eval_timer.seconds
         result.eval_queries = self.eval_timer.queries
+        result.eval_queries_per_sec = self.eval_timer.queries_per_sec
         return result
 
     def _apply(self, kind: str, grad: SparseRows) -> None:

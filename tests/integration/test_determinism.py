@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig, train
 from repro.kg.datasets import make_tiny_kg
-from repro.training import drs_1bit_rp_ss, latest_checkpoint, rs_1bit
+from repro.training import (
+    drs_1bit_rp_ss,
+    latest_checkpoint,
+    load_checkpoint,
+    rs_1bit,
+)
 from repro.training.strategy import baseline_allreduce
 
 
@@ -146,6 +151,38 @@ def test_resume_is_bitwise_identical(store, tmp_path, label):
             == resumed.model.entity_emb.tobytes())
     assert (straight.model.relation_emb.tobytes()
             == resumed.model.relation_emb.tobytes())
+
+
+def test_checkpoints_are_a_function_of_seed_and_plan(store, tmp_path):
+    """Two runs of one (seed, plan) write byte-identical checkpoint
+    directories — manifests included, so no wall clock is snapshotted."""
+    strategy = replace(drs_1bit_rp_ss(), error_feedback=True,
+                       drs_probe_interval=2)
+    faults = FaultPlan(seed=5, drop_prob=0.05, compute_slowdown=((1, 2.0),),
+                       policy="fallback-dense")
+    files = []
+    for run in ("first", "second"):
+        root = tmp_path / run
+        DistributedTrainer(store, strategy, 4, faults=faults, config=config(
+            checkpoint_dir=str(root), checkpoint_every=1,
+            checkpoint_keep=0)).run()
+        files.append({path.relative_to(root): path.read_bytes()
+                      for path in sorted(root.rglob("*")) if path.is_file()})
+    assert len(files[0]) == 2 * 4
+    assert files[0] == files[1]
+
+
+def test_resumed_eval_rate_is_the_resuming_process_rate(store, tmp_path):
+    """``eval_queries`` counts the whole lineage; the rate divides only the
+    queries the resumed process ran by the seconds it spent."""
+    straight, resumed = _straight_and_resumed(store, drs_1bit_rp_ss, 4, None,
+                                              tmp_path)
+    carried = load_checkpoint(latest_checkpoint(tmp_path)).scalars[
+        "eval_timer"]["queries"]
+    result = resumed.result
+    assert result.eval_queries == straight.result.eval_queries > carried > 0
+    assert result.eval_queries_per_sec == pytest.approx(
+        (result.eval_queries - carried) / result.eval_seconds)
 
 
 def test_resume_crosses_the_drs_switch(store, tmp_path):

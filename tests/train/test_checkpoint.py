@@ -143,6 +143,27 @@ def test_save_load_save_is_byte_identical(snapshot, tmp_path):
         assert (copy / name).read_bytes() == (path / name).read_bytes()
 
 
+def test_eval_timer_section_carries_queries_not_wall_time(store, snapshot,
+                                                         tmp_path):
+    """The snapshot holds the lineage's query count only; a schema-3
+    manifest that still carries the old wall-clock fields restores, and
+    they are ignored."""
+    trainer, path = snapshot
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["state"]["eval_timer"] == {
+        "queries": trainer.eval_timer.queries}
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / ARRAYS_NAME).write_bytes((path / ARRAYS_NAME).read_bytes())
+    manifest["state"]["eval_timer"].update(seconds=12.5, sections=3)
+    (old / MANIFEST_NAME).write_text(json.dumps(manifest))
+    other = make_trainer(store)
+    assert other.restore(old) == 2
+    assert other.eval_timer.queries == trainer.eval_timer.queries > 0
+    assert other.eval_timer.seconds == 0.0
+    assert capture_state(other).scalars == load_checkpoint(path).scalars
+
+
 def test_error_feedback_residuals_are_captured(store):
     maker = lambda: replace(rs_1bit(), error_feedback=True)
     trainer = make_trainer(store, maker=maker, n_nodes=2)
@@ -580,7 +601,8 @@ def test_write_checkpoint_never_holds_a_second_copy(tmp_path):
     arrays["mask"] = rng.random(1 << 20) < 0.5
     arrays["empty"] = np.empty((0, 8), dtype=np.float32)
     state = CheckpointState(epoch=1, arrays=arrays, scalars={},
-                            config_hash="0" * 64)
+                            config_hash="0" * 64, world_size=1,
+                            world_lineage=(1,))
     total = sum(a.nbytes for a in arrays.values())
 
     tracemalloc.start()

@@ -104,6 +104,13 @@ class TestEvalFieldsOnResult:
         assert r.eval_queries_per_sec == 0.0
 
     def test_queries_per_sec(self):
-        r = TrainResult("x", 1, 0, 0.0, float("nan"),
-                        eval_seconds=2.0, eval_queries=100)
-        assert r.eval_queries_per_sec == pytest.approx(50.0)
+        # The rate is the reporting process's own: queries a restore
+        # carried into the timer ran in another process.
+        from repro.training.metrics import EvalTimer
+        timer = EvalTimer()
+        timer.queries = 1000
+        with timer.measure():
+            sum(range(10000))
+        timer.count(100)
+        assert timer.queries == 1100
+        assert timer.queries_per_sec == pytest.approx(100 / timer.seconds)

@@ -33,6 +33,7 @@ from repro.serve import EmbeddingStore, export_binary
 from repro.training.checkpoint import (
     ARRAYS_NAME,
     MANIFEST_NAME,
+    CheckpointCorruptError,
     CheckpointError,
     capture_state,
     list_checkpoints,
@@ -167,10 +168,29 @@ def test_only_typed_errors_escape_and_restore_is_all_or_nothing(
             pass
         (snap / name).write_bytes(original[name])
     # Most damage is refused.  What restores is harmless: the unused
-    # dtype/shape columns of the arrays table, an optional field, a flipped
-    # digit in a counter.
+    # dtype/shape columns of the arrays table, a value its parser still
+    # accepts (any JSON value reads as a flag), a flipped digit in a
+    # counter.  Every field a writer emits is required.
     assert len(cases) > 500
     assert restored < len(cases) // 2
+
+
+@pytest.mark.parametrize("section,field", [
+    ("comm_stats", "by_hop"), ("drs", "probe_comms"),
+    ("result", "hier_steps")])
+def test_missing_field_is_corrupt_and_writes_nothing(snapshot, tmp_path,
+                                                     section, field):
+    store, pristine = snapshot
+    snap = tmp_path / "snap"
+    shutil.copytree(pristine, snap)
+    manifest = json.loads((snap / MANIFEST_NAME).read_text())
+    del manifest["state"][section][field]
+    (snap / MANIFEST_NAME).write_text(json.dumps(manifest))
+    trainer = make_trainer(store)
+    before = image(trainer)
+    with pytest.raises(CheckpointCorruptError, match=f"state.{section}"):
+        trainer.restore(snap)
+    assert image(trainer) == before
 
 
 CLI_TRAIN = ["--dim", "8", "--batch-size", "128", "--max-epochs", "2",
@@ -201,6 +221,15 @@ RESUME_ONLY = {
                            lambda doc: doc["state"].pop("scheduler")),
     "no state.drs.probes": (MANIFEST_NAME,
                             lambda doc: doc["state"]["drs"].pop("probes")),
+    # Written by every schema-3 writer, so required: no silent default.
+    "no state.drs.probe_comms": (
+        MANIFEST_NAME, lambda doc: doc["state"]["drs"].pop("probe_comms")),
+    "no state.comm_stats.by_hop": (
+        MANIFEST_NAME, lambda doc: doc["state"]["comm_stats"].pop("by_hop")),
+    "no state.result.hier_steps": (
+        MANIFEST_NAME, lambda doc: doc["state"]["result"].pop("hier_steps")),
+    "lineage is empty": (MANIFEST_NAME,
+                         lambda doc: doc.update(world_lineage=[])),
 }
 SERVE_ONLY = {
     "sidecar entry is a string": (
