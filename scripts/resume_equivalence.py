@@ -24,7 +24,9 @@ epoch both directories hold must have byte-equal ``manifest.json`` and
 no wall clock in it.  Last, the resumed directory is served: it loads
 through ``EmbeddingStore.from_checkpoint``, whose entity matrix must be the
 resumed trainer's and whose ``manifest_digest`` must be the SHA-256 of the
-newest manifest file.
+newest manifest file.  That manifest's ``model`` must be the trainer's
+``model_name``, and serving the snapshot as any other registered model
+must raise ``ValueError``.
 
 The checkpoint directories are left in place (default: ``resume-ckpt/``)
 so CI can upload them as an artifact for post-mortem inspection.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
 from repro.comm.network import NetworkModel
 from repro.kg.datasets import make_tiny_kg
+from repro.models import MODEL_REGISTRY
 from repro.serve import EmbeddingStore
 from repro.training.checkpoint import (
     ARRAYS_NAME,
@@ -135,6 +139,25 @@ def diff_files(straight_dir: Path, resumed_dir: Path) -> list[str]:
     return bad
 
 
+def check_model_name(ckpt_dir: Path, recorded: str, trained: str
+                     ) -> list[str]:
+    """The manifest names the model that wrote it, and serving the snapshot
+    as any other registered model is refused with ``ValueError``."""
+    bad = []
+    if recorded != trained:
+        bad.append(f"manifest model {recorded!r} is not the trainer's "
+                   f"model_name {trained!r}")
+    for other in sorted(set(MODEL_REGISTRY) - {trained}):
+        try:
+            EmbeddingStore.from_checkpoint(ckpt_dir, model_name=other)
+        except ValueError as exc:
+            print(f"      served as {other!r}: refused ({exc})")
+        else:
+            bad.append(f"serving the {trained!r} snapshot as {other!r} "
+                       f"was not refused")
+    return bad
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=6,
@@ -183,11 +206,13 @@ def main(argv: list[str] | None = None) -> int:
             != resumed.model.entity_emb.tobytes()):
         bad.append("served entity matrix differs from the resumed trainer's")
     newest = latest_checkpoint(resumed_dir)
-    newest_digest = hashlib.sha256(
-        (newest / MANIFEST_NAME).read_bytes()).hexdigest()
+    manifest_bytes = (newest / MANIFEST_NAME).read_bytes()
+    newest_digest = hashlib.sha256(manifest_bytes).hexdigest()
     if served.manifest_digest != newest_digest:
         bad.append(f"served manifest_digest {served.manifest_digest[:12]}... "
                    f"is not the newest manifest's {newest_digest[:12]}...")
+    bad += check_model_name(resumed_dir, json.loads(manifest_bytes)["model"],
+                            resumed.config.model_name)
     if bad:
         print(f"\nFAIL: resume diverged from the straight run "
               f"({len(bad)} field(s)):")

@@ -20,7 +20,7 @@ Subpackages
     Triples, synthetic FB15K/FB250K-like datasets, partitioning, negative
     sampling.
 ``repro.models``
-    ComplEx (the paper's model), DistMult, TransE — closed-form gradients.
+    ComplEx (the paper's model) and DistMult — closed-form gradients.
 ``repro.optim``
     Sparse-row Adam, the paper's plateau lr schedule.
 ``repro.compress``
@@ -58,7 +58,7 @@ from .kg import (
     relation_partition,
     uniform_partition,
 )
-from .models import ComplEx, DistMult, RotatE, TransE, make_model
+from .models import ComplEx, DistMult, make_model
 from .optim import Adam, PlateauScheduler, scaled_initial_lr
 from .serve import EmbeddingStore, QueryEngine, ZipfianTraffic
 from .training import (
@@ -108,12 +108,10 @@ __all__ = [
     "PlateauScheduler",
     "QueryEngine",
     "RankLossError",
-    "RotatE",
     "SparseRows",
     "StrategyConfig",
     "TrainConfig",
     "TrainResult",
-    "TransE",
     "TripleSet",
     "TripleStore",
     "ZipfianTraffic",

@@ -116,11 +116,6 @@ def _train_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-epochs", type=int, default=60)
     parser.add_argument("--patience", type=int, default=6)
     parser.add_argument("--warmup", type=int, default=12)
-    parser.add_argument("--eval-chunk-entities", type=int, default=None,
-                        metavar="N",
-                        help="score at most N candidate entities at a time "
-                             "during evaluation (bounds peak memory; "
-                             "default: unchunked)")
     parser.add_argument("--faults", metavar="SPEC",
                         help="chaos scenario, e.g. 'drop=0.05,corrupt=0.01,"
                              "jitter=0.2,straggler=2:3.0,policy=fallback-dense'"
@@ -184,10 +179,6 @@ def _serve_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="LRU result-cache entries (0 disables; "
                              "default: 4096)")
-    parser.add_argument("--chunk-entities", type=int, default=None,
-                        metavar="N",
-                        help="score at most N candidates at a time "
-                             "(bounds peak memory)")
     parser.add_argument("--tier", choices=("dense", "binary"),
                         default="dense",
                         help="memory tier: 'dense' scores every candidate "
@@ -313,7 +304,6 @@ def _train(args: argparse.Namespace) -> None:
                              base_lr=args.lr, max_epochs=args.max_epochs,
                              lr_patience=args.patience,
                              lr_warmup_epochs=args.warmup, seed=args.seed,
-                             eval_chunk_entities=args.eval_chunk_entities,
                              time_scale=2.0e5,
                              checkpoint_dir=args.checkpoint_dir,
                              checkpoint_every=(args.checkpoint_every
@@ -404,7 +394,6 @@ def _serve(args: argparse.Namespace) -> None:
             args.checkpoint, model_name=args.model, dataset=dataset,
             with_binary=args.tier == "binary")
         engine = QueryEngine(store, cache_capacity=args.cache_capacity,
-                             chunk_entities=args.chunk_entities,
                              tier=args.tier, rerank_k=args.rerank_k,
                              faults=serve_faults, slo=slo,
                              resilience=resilience or None,

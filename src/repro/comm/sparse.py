@@ -8,7 +8,7 @@ gathering everyone's rows.
 
 Both accumulation entry points replay an input-order scatter-add's exact
 float additions (the property suites pin them bitwise against
-``repro._reference.scatter_add_rows``).  :meth:`SparseRows.from_rows` takes
+``tests._reference.scatter_add_rows``).  :meth:`SparseRows.from_rows` takes
 arbitrary duplicated updates through the sorted-segment CSR fold in
 :mod:`repro.kg.spmat`; :func:`combine_sparse` knows every part's indices
 are already unique and sorted, so it adds the parts in order into one

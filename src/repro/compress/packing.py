@@ -9,7 +9,7 @@ byte accounting in :mod:`repro.comm.payload` corresponds to real buffers.
 
 Decoding gathers one row of a 256-entry float32 table per code byte; the
 ``unpackbits`` / shift formulas the tables are pinned against live in
-:mod:`repro._reference`.
+``tests._reference``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ on the raw block, and each query's known competitors (its
 :class:`~repro.kg.triples.FilterIndex` list, gold excluded) that beat or
 tie the true score are subtracted.  Filter cost scales with the known
 facts, not ``batch * n_entities``, and the integer counts pin ranks bitwise
-to ``repro._reference.filtered_naive``, which hashes every candidate.
+to ``tests._reference.filtered_naive``, which hashes every candidate.
 
 A true score of ``-inf`` or NaN (which beats and ties nothing) clamps to
 the worst defined rank, the number of surviving candidates.
@@ -109,14 +109,9 @@ def scatter_known_nan(scores: np.ndarray, index,
 
 
 def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
-                 batch_size: int = 512,
-                 chunk_entities: int | None = None
+                 batch_size: int = 512
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query ranks: (head_raw, head_filtered, tail_raw, tail_filtered).
-
-    ``chunk_entities`` bounds the candidate-scoring working set (see
-    :meth:`~repro.models.base.KGEModel.score_all_tails`).
-    """
+    """Per-query ranks: (head_raw, head_filtered, tail_raw, tail_filtered)."""
     index = store.filter_index
     n = len(triples)
     head_raw = np.empty(n)
@@ -136,11 +131,11 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
         # in the last bits and flip ties).  Each block is dropped before
         # the next is scored.
         tail_raw[sl], tail_filt[sl] = _raw_and_filtered_ranks(
-            model.score_all_tails(h, r, chunk_entities=chunk_entities), t,
+            model.score_all_tails(h, r), t,
             index.known_tails(h, r))
         # Head replacement: (*, r, t)
         head_raw[sl], head_filt[sl] = _raw_and_filtered_ranks(
-            model.score_all_heads(r, t, chunk_entities=chunk_entities), h,
+            model.score_all_heads(r, t), h,
             index.known_heads(r, t))
 
     return head_raw, head_filt, tail_raw, tail_filt
@@ -149,8 +144,7 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
 def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
                      batch_size: int = 512,
                      max_queries: int | None = None,
-                     rng: np.random.Generator | None = None,
-                     chunk_entities: int | None = None) -> RankingResult:
+                     rng: np.random.Generator | None = None) -> RankingResult:
     """Full link-prediction evaluation of one split.
 
     ``max_queries`` subsamples the split (deterministically unless ``rng``
@@ -167,8 +161,7 @@ def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
         triples = triples.subset(idx)
 
     head_raw, head_filt, tail_raw, tail_filt = rank_triples(
-        model, triples, store, batch_size=batch_size,
-        chunk_entities=chunk_entities)
+        model, triples, store, batch_size=batch_size)
     filt = np.concatenate([head_filt, tail_filt])
     raw = np.concatenate([head_raw, tail_raw])
     return RankingResult(

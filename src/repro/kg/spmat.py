@@ -7,7 +7,7 @@ slot) into the embedding rows it touches is a sparse matrix product:
 ``A.T`` once per batch (:class:`FoldPlan`) and applies it with a
 vectorised sorted-segment reduction (:func:`fold_rows`) that is **bitwise
 identical** to the reference ``np.add.at`` scatter
-(``repro._reference.scatter_add_rows``) — the invariant the golden-run
+(``tests._reference.scatter_add_rows``) — the invariant the golden-run
 suite and the accumulation property tests pin.
 
 Why not ``np.add.reduceat``: its SIMD-unrolled partial sums differ from

@@ -3,15 +3,11 @@
 from .base import KGEModel
 from .complex_model import ComplEx
 from .distmult import DistMult
-from .loss import logistic_loss, margin_ranking_loss, sigmoid, softplus
-from .rotate import RotatE
-from .transe import TransE
+from .loss import logistic_loss, sigmoid, softplus
 
 MODEL_REGISTRY = {
     "complex": ComplEx,
     "distmult": DistMult,
-    "rotate": RotatE,
-    "transe": TransE,
 }
 
 
@@ -32,11 +28,8 @@ __all__ = [
     "DistMult",
     "KGEModel",
     "MODEL_REGISTRY",
-    "RotatE",
-    "TransE",
     "logistic_loss",
     "make_model",
-    "margin_ranking_loss",
     "sigmoid",
     "softplus",
 ]

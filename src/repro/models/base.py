@@ -10,12 +10,11 @@ term and the fold into :class:`~repro.comm.sparse.SparseRows` (only the
 rows a batch touches are non-zero — the fact the paper's whole
 communication strategy rests on).
 
-For ranking, a dot model (DistMult, ComplEx) writes one more function,
+For ranking, a model writes one more function,
 :meth:`KGEModel.query_vector`: the linear form its score contracts with a
 candidate entity.  The base class scores every candidate from it with one
 contiguous matrix product; the training forward stays the reference it
-agrees with to float tolerance.  Distance models (TransE, RotatE) write
-their own block scorers.
+agrees with to float tolerance.
 """
 
 from __future__ import annotations
@@ -44,13 +43,6 @@ class KGEModel(abc.ABC):
 
     #: Real-valued storage width multiplier (2 for complex-valued models).
     width_factor: int = 1
-
-    #: How the score relates the query vector to the candidate: "dot"
-    #: (score is a dot product — DistMult, ComplEx) or "distance" (score
-    #: is a negated distance to a target point — TransE, RotatE).  The
-    #: binarized serving tier picks its candidate-ranking approximation
-    #: from this (see repro.serve.binary.BinaryStore.approx_scores).
-    score_geometry: str = "dot"
 
     def __init__(self, n_entities: int, n_relations: int, dim: int,
                  seed: int = 0):
@@ -134,80 +126,33 @@ class KGEModel(abc.ABC):
                                      n_rows=self.n_entities),
                 SparseRows.from_rows(r, g_relation, n_rows=self.n_relations))
 
-    # -- candidate scoring (chunked driver) --------------------------------
+    # -- candidate scoring -------------------------------------------------
 
-    def score_tails_block(self, h: np.ndarray, r: np.ndarray,
-                          lo: int, hi: int) -> np.ndarray:
-        """Scores of (h_i, r_i, e) for candidate entities ``e in [lo, hi)``.
+    def score_all_tails(self, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Scores of (h_i, r_i, every entity): shape (batch, n_entities),
+        one contraction of the :meth:`query_vector` linear form with the
+        contiguous entity matrix."""
+        return self.query_vector(h, r) @ self.entity_emb.T
 
-        Returns shape ``(batch, hi - lo)``; the chunking driver in
-        :meth:`score_all_tails` builds the full matrix from blocks.  A
-        dot-geometry score is linear in the candidate, so the block is one
-        contraction of the :meth:`query_vector` linear form with the
-        contiguous candidate rows.  Distance models override both block
-        scorers.
-        """
-        return self.query_vector(h, r) @ self.entity_emb[lo:hi].T
-
-    def score_heads_block(self, r: np.ndarray, t: np.ndarray,
-                          lo: int, hi: int) -> np.ndarray:
-        """Scores of (e, r_i, t_i) for candidate entities ``e in [lo, hi)``."""
-        return (self.query_vector(t, r, tail_side=False)
-                @ self.entity_emb[lo:hi].T)
-
-    def score_all_tails(self, h: np.ndarray, r: np.ndarray,
-                        chunk_entities: int | None = None) -> np.ndarray:
-        """Scores of (h_i, r_i, every entity): shape (batch, n_entities).
-
-        ``chunk_entities`` bounds peak intermediate memory: candidates are
-        scored ``chunk_entities`` at a time, so models whose block scoring
-        materialises ``batch x block x width`` intermediates (TransE,
-        RotatE) stay within ``batch x chunk x width`` instead of
-        ``batch x n_entities x width``.  ``None`` scores in one block.
-        """
-        return self._score_chunked(self.score_tails_block, h, r,
-                                   chunk_entities)
-
-    def score_all_heads(self, r: np.ndarray, t: np.ndarray,
-                        chunk_entities: int | None = None) -> np.ndarray:
+    def score_all_heads(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Scores of (every entity, r_i, t_i): shape (batch, n_entities)."""
-        return self._score_chunked(self.score_heads_block, r, t,
-                                   chunk_entities)
-
-    def _score_chunked(self, block_fn, a: np.ndarray, b: np.ndarray,
-                       chunk_entities: int | None) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if chunk_entities is not None and chunk_entities < 1:
-            raise ValueError(
-                f"chunk_entities must be >= 1, got {chunk_entities}")
-        if chunk_entities is None or chunk_entities >= self.n_entities:
-            return block_fn(a, b, 0, self.n_entities)
-        out = np.empty((len(a), self.n_entities), dtype=np.float32)
-        for lo in range(0, self.n_entities, chunk_entities):
-            hi = min(lo + chunk_entities, self.n_entities)
-            out[:, lo:hi] = block_fn(a, b, lo, hi)
-        return out
+        return self.query_vector(t, r, tail_side=False) @ self.entity_emb.T
 
     # -- the query's side of a candidate score -----------------------------
 
+    @abc.abstractmethod
     def query_vector(self, anchors: np.ndarray, rels: np.ndarray,
                      tail_side: bool = True) -> np.ndarray:
         """Full-precision query vector of each partial triple.
 
         Returns shape ``(batch, entity_width)`` float32: for each partial
         triple — ``(anchor, rel, ?)`` when ``tail_side`` else
-        ``(?, rel, anchor)`` — a vector in *entity* coordinates.  For
-        dot-product models it is the exact linear form the score contracts
+        ``(?, rel, anchor)`` — the exact linear form the score contracts
         with the candidate (``score = q . e``), written nowhere else: the
-        block scorers, :meth:`score_candidates` and the binary tier's
-        stage 1 all contract it.  For distance models it is the
-        translation/rotation target the candidate should sit near.  Either
-        way its sign pattern predicts good completions, which is what the
-        binary tier's :class:`~repro.serve.binary.BinaryStore` scan ranks.
+        dense block scorers, :meth:`score_candidates` and the binary
+        tier's stage-1 lookup table
+        (:class:`~repro.serve.binary.BinaryStore`) all contract it.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a query vector")
 
     def score_candidates(self, anchors: np.ndarray, rels: np.ndarray,
                          candidates: np.ndarray,
@@ -217,30 +162,14 @@ class KGEModel(abc.ABC):
         ``candidates`` is ``(batch, k)`` int64 — row ``i`` holds the
         entity ids completing query ``i``'s partial triple.  Returns
         ``(batch, k)`` float32 scores, higher = more plausible, the
-        binary tier's re-rank primitive.  Unlike the flat triple scorer
-        this gathers each query's candidate rows once and scores them as
-        a block, so a pool re-rank costs one batched contraction instead
-        of ``batch * k`` independent triple gathers.
-
-        Dot-geometry models contract the :meth:`query_vector` linear form
-        with the gathered rows here; distance models override with their
-        own residual norm.
+        binary tier's re-rank primitive: each query's :meth:`query_vector`
+        contracted with its gathered candidate rows, so a pool re-rank
+        costs one batched contraction instead of ``batch * k``
+        independent triple gathers.
         """
-        anchors = np.asarray(anchors, dtype=np.int64)
-        rels = np.asarray(rels, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if self.score_geometry == "dot":
-            q = self.query_vector(anchors, rels, tail_side=tail_side)
-            return np.einsum("mw,mkw->mk", q, self.entity_emb[candidates])
-        m, take = candidates.shape
-        flat_anchor = np.repeat(anchors, take)
-        flat_rel = np.repeat(rels, take)
-        flat_cand = candidates.ravel()
-        if tail_side:
-            flat = self.score(flat_anchor, flat_rel, flat_cand)
-        else:
-            flat = self.score(flat_cand, flat_rel, flat_anchor)
-        return np.asarray(flat, dtype=np.float32).reshape(m, take)
+        q = self.query_vector(anchors, rels, tail_side=tail_side)
+        rows = self.entity_emb[np.asarray(candidates, dtype=np.int64)]
+        return np.einsum("mw,mkw->mk", q, rows)
 
     # -- geometry access ---------------------------------------------------
 

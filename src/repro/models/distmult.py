@@ -2,7 +2,9 @@
 
 Score: ``phi(h, r, t) = sum_d h_d r_d t_d``.  The paper notes that all its
 strategies except negative-sample selection are model-agnostic; DistMult
-(and TransE) let the benchmarks demonstrate that.
+lets the benchmarks demonstrate that.  It is also the ``width_factor = 1``
+case of the :meth:`~repro.models.base.KGEModel.query_vector` contract,
+which ComplEx fills at width factor 2.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ The paper trains ComplEx with the logistic loss
     L = sum log(1 + exp(-Y * phi)) + lambda * ||theta||^2
 
 where ``Y`` is +1 for facts and -1 for corrupted triples.  We provide the
-numerically stable softplus form and its derivative, plus the margin ranking
-loss TransE-style models use.
+numerically stable softplus form and its derivative.
 """
 
 from __future__ import annotations
@@ -57,27 +56,3 @@ def logistic_loss(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     loss = float(softplus(-margin).mean())
     grad = (-labels * sigmoid(-margin) / len(scores)).astype(np.float32)
     return loss, grad
-
-
-def margin_ranking_loss(pos_scores: np.ndarray, neg_scores: np.ndarray,
-                        margin: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
-    """max(0, margin - pos + neg) for distance-based models (TransE).
-
-    ``pos_scores``/``neg_scores`` are *scores* (higher = better), aligned
-    one-to-one.  Returns mean loss and dL/dscore for both sides.
-    """
-    pos_scores = np.asarray(pos_scores, dtype=np.float64)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if pos_scores.shape != neg_scores.shape:
-        raise ValueError(
-            f"pos {pos_scores.shape} and neg {neg_scores.shape} must align"
-        )
-    if len(pos_scores) == 0:
-        raise ValueError("empty batch")
-    violation = margin - pos_scores + neg_scores
-    active = violation > 0
-    loss = float(np.where(active, violation, 0.0).mean())
-    scale = 1.0 / len(pos_scores)
-    g_pos = np.where(active, -scale, 0.0).astype(np.float32)
-    g_neg = np.where(active, scale, 0.0).astype(np.float32)
-    return loss, g_pos, g_neg

@@ -3,7 +3,7 @@
 The training stack ends at a checkpoint; this package starts there.  A
 :class:`EmbeddingStore` loads a snapshot read-only, a :class:`QueryEngine`
 answers ``score`` / ``topk_tails`` / ``topk_heads`` / ``nearest_entities``
-queries through the chunked scoring blocks and CSR known-fact filter the
+queries through the block scorers and CSR known-fact filter the
 evaluator uses, an exact :class:`LRUCache` absorbs skewed traffic, and
 :class:`ServeStats` reports latency percentiles and hit rates.
 :class:`ZipfianTraffic` + :func:`replay` simulate the "millions of users"

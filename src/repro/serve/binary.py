@@ -26,10 +26,10 @@ module is the serving half of that result:
   :meth:`BinaryStore.sign_dots` generalises packed-XOR-popcount Hamming
   scoring (``sign(q) . sign(t) = width - 2 * hamming``) to the query's
   real per-dimension magnitudes via per-byte lookup tables, and
-  :meth:`BinaryStore.approx_scores` folds in the per-row scale according
-  to the model's score geometry.  The top ``rerank_k`` become the
-  candidate pool the full-precision scorers re-rank.  Selection is the
-  serve path's one rule in its set form, :func:`~repro.select.best_set` —
+  :meth:`BinaryStore.approx_scores` folds in the per-row scale.  The top
+  ``rerank_k`` become the candidate pool the full-precision scorers
+  re-rank.  Selection is the serve path's one rule in its set form,
+  :func:`~repro.select.best_set` —
   descending approximate score, exact ties toward the smaller entity id
   — so ``rerank_k >= n_entities`` always yields the complete, id-ordered
   entity set and the tiered path collapses onto the dense engine bitwise.
@@ -177,39 +177,22 @@ class BinaryStore:
             acc += lut[j].take(self.codes[:, j], axis=0)
         return np.ascontiguousarray(acc.T)
 
-    def approx_scores(self, vectors: np.ndarray,
-                      geometry: str = "dot") -> np.ndarray:
+    def approx_scores(self, vectors: np.ndarray) -> np.ndarray:
         """Candidate-ranking scores from the packed tier, higher = better.
 
         The tier stores ``(sign bits, scale)`` per entity, so the best
         available stand-in for an embedding is the rank-1 reconstruction
         ``t ~ s * sign(t)``; :meth:`sign_dots` supplies the exact
-        ``q . sign(t)`` from the packed codes.
-
-        ``geometry="dot"`` (DistMult, ComplEx): the true score is
-        ``q . t``, so candidates rank by ``s * (q . sign(t))`` — the
-        query scored against the reconstruction, scale included (a pure
+        ``q . sign(t)`` from the packed codes.  The true score is
+        ``q . t``, so candidates rank by ``s * (q . sign(t))`` — the query
+        scored against the reconstruction, scale included (a pure
         sign-agreement count is blind to candidate norms, which dominate
-        dot models' dense rankings).
-
-        ``geometry="distance"`` (TransE, RotatE): the true score is
-        ``-|q - t|``; expanding ``|q - t|^2`` against the reconstruction
-        and dropping the per-query ``|q|^2`` constant ranks candidates by
-        ``2 s (q . sign(t)) - width s^2`` — the norm term now *penalises*
-        far-out candidates instead of rewarding them.
+        the dense rankings).
         """
-        if geometry not in ("dot", "distance"):
-            raise ValueError(
-                f"unknown geometry {geometry!r}; 'dot' or 'distance'")
-        dots = self.sign_dots(vectors)
-        if geometry == "dot":
-            return dots * self.scales[None, :]
-        return (2.0 * dots * self.scales[None, :]
-                - np.float32(self.width) * self.scales[None, :] ** 2)
+        return self.sign_dots(vectors) * self.scales[None, :]
 
     def candidate_pools(self, vectors: np.ndarray, rerank_k: int,
                         masked: tuple[np.ndarray, np.ndarray] | None = None,
-                        geometry: str = "dot",
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``rerank_k`` candidate ids per query by approximate score.
 
@@ -227,7 +210,7 @@ class BinaryStore:
         them and is dropped by the re-rank's own NaN.
         """
         rerank_k = check_take("rerank_k", rerank_k)
-        scores = self.approx_scores(vectors, geometry=geometry)
+        scores = self.approx_scores(vectors)
         if masked is not None and len(masked[0]):
             scores[masked[0], masked[1]] = -np.inf
         if np.isnan(scores.max(initial=-np.inf)):  # max propagates NaN

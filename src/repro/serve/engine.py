@@ -7,7 +7,7 @@ The engine answers four query shapes against a frozen
     Plausibility of one (or a batch of) explicit triple(s).
 ``topk_tails(h, r, k)`` / ``topk_heads(t, r, k)``
     The k most plausible completions of a partial triple, scored through
-    the *same* chunked ``score_tails_block`` / ``score_heads_block`` path
+    the *same* ``score_all_tails`` / ``score_all_heads`` block calls
     filtered evaluation uses, with known facts excluded by scattering the
     CSR :class:`~repro.kg.triples.FilterIndex` — the serve-time twin of
     eval's filtered protocol (minus the gold-entity exemption: a live
@@ -20,17 +20,18 @@ The engine answers four query shapes against a frozen
 Link-prediction queries run in one of two **memory tiers**:
 
 ``tier="dense"`` (default)
-    Every candidate is scored through the full-precision block scorers —
-    the exact filtered-evaluation path.
+    Every candidate is scored in full precision, one
+    :meth:`~repro.models.base.KGEModel.query_vector` contraction with the
+    entity matrix — the exact filtered-evaluation path.
 ``tier="binary"``
     Two stages.  Stage 1 scores every entity from the 1-bit
     :class:`~repro.serve.binary.BinaryStore` alone: the model's
     full-precision :meth:`~repro.models.base.KGEModel.query_vector` is
     folded into a 256-entry lookup table per code byte, one gather per
     stored byte gives the exact ``q . sign(t)`` (32x less state touched
-    than dense scoring), weighted by each candidate's stored scale per
-    the model's score geometry, keeping the best ``rerank_k``.  Stage 2
-    re-ranks *only that pool* with the full-precision scorers.  Both
+    than dense scoring), weighted by each candidate's stored scale,
+    keeping the best ``rerank_k``.  Stage 2 re-ranks *only that pool*
+    with the same query vector contracted in full precision.  Both
     stages run once per window, over every binary-route miss of it
     stacked into one block.  Known
     facts are pushed behind every unknown candidate in stage 1 and
@@ -47,7 +48,7 @@ Two serving mechanisms sit on top of raw scoring:
   even a small cache absorb most of the load;
 * micro-batching: :meth:`topk_batch` groups the cache-missing queries
   per ``(relation, direction)``, deduplicating repeated anchors.  On the
-  dense tier each group is **one** chunked scoring call, so a burst of
+  dense tier each group is **one** block scoring call, so a burst of
   queries against a hot relation costs one matrix pass.  On the binary
   tier the whole window is one stage-1 scan and one re-rank per
   direction, whatever its relations: uniform traffic makes nearly every
@@ -147,7 +148,7 @@ class QueryEngine:
     """Serving facade over one :class:`EmbeddingStore`."""
 
     def __init__(self, store: EmbeddingStore, cache_capacity: int = 4096,
-                 chunk_entities: int | None = None, tier: str = "dense",
+                 tier: str = "dense",
                  rerank_k: int = 1024,
                  faults: ServeFaultPlan | None = None,
                  slo: SLOConfig | None = None,
@@ -167,7 +168,6 @@ class QueryEngine:
         self.store = store
         self.cache = LRUCache(cache_capacity)
         self.stats = ServeStats(window=stats_window)
-        self.chunk_entities = chunk_entities
         self.tier = tier
         self.rerank_k = rerank_k
         # Cached results never cross tiers: a binary-tier answer at small
@@ -257,10 +257,10 @@ class QueryEngine:
         checked before the first query is admitted, so a rejected batch
         leaves no trace.  Cache hits are answered immediately; the misses
         are grouped per ``(relation, direction)`` and repeated anchors
-        deduplicated.  Each dense group is scored in one chunked block
-        call; the binary groups are answered together, one stage-1 scan
-        for the whole batch (:meth:`_window_topk_binary`).  Results come
-        back in query order.
+        deduplicated.  Each dense group is scored in one block call; the
+        binary groups are answered together, one stage-1 scan for the
+        whole batch (:meth:`_window_topk_binary`).  Results come back in
+        query order.
 
         Latency accounting: a dense group's scoring time is split evenly
         across the queries it answered, the binary groups' time across
@@ -371,15 +371,13 @@ class QueryEngine:
     def _group_topk_dense(self, anchors: np.ndarray, rel: int,
                           tail_side: bool, k: int,
                           filtered: bool) -> list[TopKResult]:
-        """One chunked scoring call for every anchor sharing a relation."""
+        """One block scoring call for every anchor sharing a relation."""
         model = self.store.model
         rels = np.full(len(anchors), rel, dtype=np.int64)
         if tail_side:
-            scores = model.score_all_tails(anchors, rels,
-                                           chunk_entities=self.chunk_entities)
+            scores = model.score_all_tails(anchors, rels)
         else:
-            scores = model.score_all_heads(rels, anchors,
-                                           chunk_entities=self.chunk_entities)
+            scores = model.score_all_heads(rels, anchors)
         if filtered:
             scores, _ = scatter_known_nan(scores, self.store.filter_index,
                                           anchors, rels, tail_side=tail_side)
@@ -428,9 +426,8 @@ class QueryEngine:
                 known_cols.append(cols)
         masked = ((np.concatenate(known_rows), np.concatenate(known_cols))
                   if filtered else None)
-        pools, approx = binary.candidate_pools(
-            vectors, self.rerank_k, masked=masked,
-            geometry=model.score_geometry)
+        pools, approx = binary.candidate_pools(vectors, self.rerank_k,
+                                               masked=masked)
         candidate_s = time.perf_counter() - t0
 
         # Stage 2: full-precision re-rank of the pool only.
@@ -477,8 +474,8 @@ class QueryEngine:
 
         ``metric="l2"`` returns ascending Euclidean distances over the
         entity's full geometric coordinates; ``metric="cosine"`` returns
-        descending cosine similarities.  Complex-valued models (ComplEx,
-        RotatE) store ``[real | imag]`` halves — components are paired per
+        descending cosine similarities.  A complex-valued model (ComplEx)
+        stores ``[real | imag]`` halves — components are paired per
         complex coordinate via ``entity_components()``, never by reshaping
         the raw row (which would marry the real part of one coordinate to
         the imaginary part of another).  Ties break toward the smaller

@@ -80,20 +80,27 @@ class EmbeddingStore:
                         with_binary: bool = False) -> "EmbeddingStore":
         """Serve the (latest) checkpoint under ``path``.
 
-        The manifest does not record the model architecture — the config
-        fingerprint is an opaque hash — so the caller names it;
-        ``model_name`` must match the run that wrote the snapshot.  The
-        embedding dimension is inferred from the stored array shapes and
-        cross-checked against the model class's relation layout, so naming
-        the wrong architecture fails loudly here instead of producing
-        garbage scores.  ``dataset`` (the training TripleStore, or any
-        store with the same vocabularies) enables known-fact filtering.
+        ``model_name`` must be the architecture the manifest records
+        (``TrainConfig.model_name`` of the run that wrote the snapshot):
+        naming another fails loudly here with a ``ValueError`` instead of
+        producing garbage scores.  The embedding dimension is inferred
+        from the stored array shapes.  ``dataset`` (the training
+        TripleStore, or any store with the same vocabularies) enables
+        known-fact filtering.
         ``with_binary`` additionally loads the ``binary.npz`` sidecar
         (written by ``repro export-binary``) and cross-checks it against
         the embeddings it claims to describe.
         """
+        if model_name not in MODEL_REGISTRY:
+            raise ValueError(f"unknown model {model_name!r}; choose from "
+                             f"{sorted(MODEL_REGISTRY)}")
         path = ckpt.resolve_checkpoint_dir(path)
         state = ckpt.load_checkpoint(path)
+        if state.model_name != model_name:
+            raise ValueError(
+                f"checkpoint at {path} was written by model "
+                f"{state.model_name!r}; serving it as {model_name!r} names "
+                f"the wrong architecture")
         try:
             entity_emb = state.arrays[ENTITY_EMB_KEY]
             relation_emb = state.arrays[RELATION_EMB_KEY]
@@ -102,9 +109,6 @@ class EmbeddingStore:
                 f"checkpoint at {path} has no {exc.args[0]!r} array; it is "
                 f"not a trainer snapshot") from exc
 
-        if model_name not in MODEL_REGISTRY:
-            raise ValueError(f"unknown model {model_name!r}; choose from "
-                             f"{sorted(MODEL_REGISTRY)}")
         width_factor = MODEL_REGISTRY[model_name].width_factor
         n_entities, entity_width = entity_emb.shape
         n_relations, relation_width = relation_emb.shape

@@ -4,9 +4,10 @@ A checkpoint is a directory holding exactly two files:
 
 ``manifest.json``
     Schema version, a config hash binding the snapshot to the run that
-    produced it, per-array SHA-256 checksums, and every piece of scalar
-    training state (scheduler, DRS switch state, RNG stream positions,
-    cumulative counters, the epoch logs so far).
+    produced it, the name of the model that wrote it, per-array SHA-256
+    checksums, and every piece of scalar training state (scheduler, DRS
+    switch state, RNG stream positions, cumulative counters, the epoch
+    logs so far).
 ``state.npz``
     Every array-valued piece of state: embeddings, full Adam moments,
     error-feedback residuals, and the cluster's virtual clocks.  A residual
@@ -92,6 +93,7 @@ import numpy as np
 
 from ..comm.faults import FaultCounters
 from ..comm.sparse import SparseRows
+from ..models import MODEL_REGISTRY
 from .exchange import residual_key
 from .metrics import EpochLog
 from .rng import rng_state, set_rng_state
@@ -100,7 +102,8 @@ from .rng import rng_state, set_rng_state
 #: versions are refused with :class:`CheckpointSchemaError`, never converted.
 #: 2: added world_size / world_lineage; dropped n_nodes from the config hash.
 #: 3: residual stores carry ``rows`` + ``values[rows]``, not dense + mask.
-SCHEMA_VERSION = 3
+#: 4: a top-level ``model`` names the architecture that wrote the snapshot.
+SCHEMA_VERSION = 4
 
 #: Marker distinguishing our manifests from arbitrary JSON files.
 FORMAT_NAME = "repro-checkpoint"
@@ -154,6 +157,9 @@ class CheckpointState:
     scalars: dict
     #: Fingerprint of the run configuration that produced this state.
     config_hash: str
+    #: Registry name of the model that wrote the embeddings
+    #: (``TrainConfig.model_name``); serving refuses any other.
+    model_name: str
     #: Ranks in the world that captured this snapshot.
     world_size: int
     #: Every world size this training lineage has lived through, oldest
@@ -327,6 +333,7 @@ def capture_state(trainer) -> CheckpointState:
     return CheckpointState(epoch=trainer._completed_epochs, arrays=arrays,
                            scalars=scalars,
                            config_hash=trainer.config_fingerprint(),
+                           model_name=trainer.config.model_name,
                            world_size=trainer.n_nodes,
                            world_lineage=tuple(trainer.world_lineage))
 
@@ -529,6 +536,7 @@ def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
         "format": FORMAT_NAME,
         "schema_version": SCHEMA_VERSION,
         "config_hash": state.config_hash,
+        "model": state.model_name,
         "epoch": state.epoch,
         "world_size": state.world_size,
         "world_lineage": list(state.world_lineage),
@@ -544,8 +552,9 @@ def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 #: Fields every checkpoint manifest carries, with their JSON types.
-_CHECKPOINT_FIELDS = {"config_hash": str, "epoch": int, "world_size": int,
-                      "world_lineage": list, "state": dict}
+_CHECKPOINT_FIELDS = {"config_hash": str, "model": str, "epoch": int,
+                      "world_size": int, "world_lineage": list,
+                      "state": dict}
 
 
 def _read_manifest(path: Path, fmt: str = FORMAT_NAME,
@@ -632,6 +641,11 @@ def load_checkpoint(path: str | Path,
     """
     path = Path(path)
     manifest, digest = _read_manifest(path / MANIFEST_NAME)
+    if manifest["model"] not in MODEL_REGISTRY:
+        raise CheckpointCorruptError(
+            f"{path / MANIFEST_NAME}: field 'model' is "
+            f"{manifest['model'][:60]!r}, expected one of "
+            f"{sorted(MODEL_REGISTRY)}")
     config_hash = manifest["config_hash"]
     if expected_config_hash is not None and config_hash != expected_config_hash:
         raise CheckpointConfigMismatchError(
@@ -646,6 +660,7 @@ def load_checkpoint(path: str | Path,
         epoch=manifest["epoch"],
         arrays=_read_arrays(path / ARRAYS_NAME, declared),
         scalars=manifest["state"], config_hash=config_hash,
+        model_name=manifest["model"],
         world_size=manifest["world_size"],
         world_lineage=tuple(manifest["world_lineage"]),
         manifest_digest=digest,

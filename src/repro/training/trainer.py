@@ -72,10 +72,6 @@ class TrainConfig:
     max_epochs: int = 500
     eval_max_queries: int = 200
     eval_batch_size: int = 256
-    #: Cap on candidate entities scored at once during evaluation; bounds
-    #: peak scoring memory to batch x chunk instead of batch x n_entities
-    #: (None = unchunked).
-    eval_chunk_entities: int | None = None
     seed: int = DEFAULT_SEED
     zero_row_tol: float = 1e-5
     model_name: str = "complex"
@@ -113,10 +109,6 @@ class TrainConfig:
             raise ValueError(
                 f"compute_time_mode must be 'modeled' or 'measured', "
                 f"got {self.compute_time_mode!r}")
-        if self.eval_chunk_entities is not None and self.eval_chunk_entities < 1:
-            raise ValueError(
-                f"eval_chunk_entities must be >= 1 or None, "
-                f"got {self.eval_chunk_entities}")
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
@@ -267,7 +259,6 @@ class DistributedTrainer:
             result = evaluate_ranking(
                 self.model, split, self.store,
                 batch_size=cfg.eval_batch_size,
-                chunk_entities=cfg.eval_chunk_entities,
                 max_queries=(cfg.eval_max_queries
                              if split is self.store.valid else None))
             self.eval_timer.count(2 * result.n_queries)

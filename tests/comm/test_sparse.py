@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro._reference import scatter_add_rows
 from repro.comm.sparse import SparseRows, combine_sparse
+from tests._reference import scatter_add_rows
 
 
 def make(indices, values, n_rows=10):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import _reference
 from repro.compress.packing import (
     pack_signs,
     pack_ternary,
     unpack_signs,
     unpack_ternary,
 )
+from tests import _reference
 
 
 class TestSignPacking:
@@ -80,7 +80,7 @@ class TestTernaryPacking:
 
 class TestTableDecodeMatchesReference:
     """The lookup-table decoders are bit-for-bit the ``unpackbits`` / shift
-    formulas kept in ``repro._reference`` — on every byte value (also the
+    formulas kept in ``tests._reference`` — on every byte value (also the
     0b11 field no encoder emits), widths that are not multiples of 8 or 4,
     and zero rows."""
 

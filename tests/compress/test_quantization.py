@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import _reference
 from repro.comm.sparse import SparseRows
 from repro.compress.quantization import (
     ONE_BIT_STATS,
@@ -15,6 +14,7 @@ from repro.compress.quantization import (
     quantize_1bit,
     quantize_2bit,
 )
+from tests import _reference
 
 
 def grad_from(values, n_rows=None):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro._reference import rank_triples_reference
 from repro.eval.ranking import RankingResult, evaluate_ranking, rank_triples
 from repro.kg.datasets import generate_latent_kg
 from repro.kg.triples import TripleSet, TripleStore
 from repro.models import ComplEx, DistMult
+from tests._reference import rank_triples_reference
 
 
 def toy_store(n_entities=8, n_relations=2):
@@ -76,21 +76,21 @@ class TestRankMechanics:
 class NegInfModel(DistMult):
     """Degenerate scorer: every candidate (true triple included) is -inf."""
 
-    def score_tails_block(self, h, r, lo, hi):
-        return np.full((len(h), hi - lo), -np.inf, dtype=np.float32)
+    def score_all_tails(self, h, r):
+        return np.full((len(h), self.n_entities), -np.inf, dtype=np.float32)
 
-    def score_heads_block(self, r, t, lo, hi):
-        return np.full((len(r), hi - lo), -np.inf, dtype=np.float32)
+    def score_all_heads(self, r, t):
+        return np.full((len(r), self.n_entities), -np.inf, dtype=np.float32)
 
 
 class NaNModel(DistMult):
     """Diverged scorer: every candidate (true triple included) is NaN."""
 
-    def score_tails_block(self, h, r, lo, hi):
-        return np.full((len(h), hi - lo), np.nan, dtype=np.float32)
+    def score_all_tails(self, h, r):
+        return np.full((len(h), self.n_entities), np.nan, dtype=np.float32)
 
-    def score_heads_block(self, r, t, lo, hi):
-        return np.full((len(r), hi - lo), np.nan, dtype=np.float32)
+    def score_all_heads(self, r, t):
+        return np.full((len(r), self.n_entities), np.nan, dtype=np.float32)
 
 
 class TestDegenerateScores:
@@ -147,14 +147,6 @@ class TestDegenerateScores:
         res = evaluate_ranking(m, store.test, store)
         assert res.hits_at_10 == 0.0
         assert res.mrr < 0.1
-
-
-class TestChunkArg:
-    def test_bad_chunk_rejected(self):
-        store = toy_store()
-        m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
-        with pytest.raises(ValueError):
-            rank_triples(m, store.test, store, chunk_entities=0)
 
 
 class TestEvaluateRanking:

@@ -3,7 +3,7 @@ NumPy's OpenBLAS runs.
 
 A ``DYNAMIC_ARCH`` OpenBLAS picks its matrix kernels from the host CPU, and
 kernels reduce in different orders.  Every candidate score behind eval's
-ranks is such a product (``KGEModel.score_tails_block``), while the golden
+ranks is such a product (``KGEModel.score_all_tails``), while the golden
 runs pin each trajectory's MRR to the last bit.  The exhaustive fact
 miner's two ``E x E`` score matrices are products too, and
 ``TestPinnedBytes`` fixes its graphs to the byte.  This reruns both with

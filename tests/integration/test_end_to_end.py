@@ -80,7 +80,7 @@ class TestDistributedConsistency:
 
 
 class TestOtherModels:
-    @pytest.mark.parametrize("model_name", ["distmult", "transe"])
+    @pytest.mark.parametrize("model_name", ["distmult"])
     def test_strategies_generalise_to_other_models(self, store, model_name):
         """Paper future work: the pipeline runs unchanged for other KGEs."""
         result = train(store, baseline_allreduce(negatives=4), 2,

@@ -1,7 +1,7 @@
 """Unit + property tests for the scipy-free sparse kernels (repro.kg.spmat).
 
 The load-bearing invariant: ``fold_rows`` must be **bitwise** equal to the
-reference ``np.add.at`` scatter (``repro._reference.scatter_add_rows``) for
+reference ``np.add.at`` scatter (``tests._reference.scatter_add_rows``) for
 every index pattern — float32 addition
 is non-associative, so this only holds if the fold replays the scatter's
 exact input-order addition sequence.
@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro._reference import scatter_add_rows
 from repro.kg.datasets import _zipf_weights
 from repro.kg.spmat import FOLD_RANK_CUTOVER, build_fold_plan, fold_rows
+from tests._reference import scatter_add_rows
 
 
 class TestBuildFoldPlan:

@@ -3,9 +3,9 @@
 The goldens' embeddings predate the incidence-CSR fold and the fused
 gather / forward / backward kernels, so ``KGEModel.batch_gradients`` must
 produce a loss and SparseRows **bitwise identical** to the unfused
-pipeline — ``score`` -> loss -> ``repro._reference.score_grad`` ->
+pipeline — ``score`` -> loss -> ``tests._reference.score_grad`` ->
 out-of-place L2 -> input-order scatter-add
-(``repro._reference.scatter_add_rows``) — for every model and index
+(``tests._reference.scatter_add_rows``) — for every model and index
 pattern.  These properties pin that across all four
 scoring models under duplicate head/tail indices, single-example batches
 and active L2 regularisation, and once more through ``Worker.compute_step``
@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._reference import scatter_add_rows, score_grad
 from repro.comm.sparse import SparseRows
 from repro.kg.datasets import make_tiny_kg
 from repro.models import MODEL_REGISTRY, logistic_loss, make_model
 from repro.training.strategy import StrategyConfig
 from repro.training.worker import Worker
+from tests._reference import scatter_add_rows, score_grad
 
 N_ENTITIES = 12
 N_RELATIONS = 5

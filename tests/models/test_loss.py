@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models.loss import (
-    logistic_loss,
-    margin_ranking_loss,
-    sigmoid,
-    softplus,
-)
+from repro.models.loss import logistic_loss, sigmoid, softplus
 
 
 class TestSigmoid:
@@ -86,38 +81,3 @@ class TestLogisticLoss:
                                    np.array([-1.0, 1.0]))
         assert np.isfinite(loss) and np.isfinite(grad).all()
 
-
-class TestMarginRankingLoss:
-    def test_satisfied_margin_zero_loss(self):
-        loss, g_pos, g_neg = margin_ranking_loss(
-            np.array([5.0]), np.array([1.0]), margin=1.0)
-        assert loss == 0.0
-        assert g_pos[0] == 0.0 and g_neg[0] == 0.0
-
-    def test_violated_margin_linear_loss(self):
-        loss, g_pos, g_neg = margin_ranking_loss(
-            np.array([0.0]), np.array([0.0]), margin=1.0)
-        assert loss == pytest.approx(1.0)
-        assert g_pos[0] == pytest.approx(-1.0)
-        assert g_neg[0] == pytest.approx(1.0)
-
-    def test_gradient_matches_numeric(self):
-        rng = np.random.default_rng(1)
-        pos = rng.normal(size=6)
-        neg = rng.normal(size=6)
-        _, g_pos, g_neg = margin_ranking_loss(pos, neg)
-        eps = 1e-6
-        for i in range(6):
-            up = pos.copy(); up[i] += eps
-            dn = pos.copy(); dn[i] -= eps
-            num = (margin_ranking_loss(up, neg)[0]
-                   - margin_ranking_loss(dn, neg)[0]) / (2 * eps)
-            assert g_pos[i] == pytest.approx(num, abs=1e-4)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            margin_ranking_loss(np.zeros(2), np.zeros(3))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            margin_ranking_loss(np.zeros(0), np.zeros(0))

@@ -4,19 +4,14 @@ gradient checks against numerical differentiation."""
 import numpy as np
 import pytest
 
-from repro._reference import score_grad
-from repro.models import (MODEL_REGISTRY, ComplEx, DistMult, KGEModel, TransE,
-                          make_model)
+from repro.models import MODEL_REGISTRY, ComplEx, DistMult, make_model
+from tests._reference import score_grad
 
-DOT_MODELS = sorted(name for name, cls in MODEL_REGISTRY.items()
-                    if cls.score_geometry == "dot")
-BLOCK_SCORERS = ("score_tails_block", "score_heads_block")
+MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 MODELS = [
     pytest.param(lambda: ComplEx(12, 4, 5, seed=0), id="complex"),
     pytest.param(lambda: DistMult(12, 4, 5, seed=0), id="distmult"),
-    pytest.param(lambda: TransE(12, 4, 5, seed=0, norm=2), id="transe-l2"),
-    pytest.param(lambda: TransE(12, 4, 5, seed=0, norm=1), id="transe-l1"),
 ]
 
 
@@ -127,8 +122,8 @@ class TestScoring:
 
 
 class TestDotCandidateScoring:
-    """A dot model's candidate scores are its ``query_vector`` contracted
-    with the contiguous entity matrix, and nothing else."""
+    """A model's candidate scores are its ``query_vector`` contracted with
+    the contiguous entity matrix, and nothing else."""
 
     N_ENTITIES = 300
 
@@ -139,7 +134,7 @@ class TestDotCandidateScoring:
                 rng.integers(0, 5, n_queries))
 
     @pytest.mark.parametrize("n_queries", [1, 7])
-    @pytest.mark.parametrize("name", DOT_MODELS)
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_blocks_are_one_query_vector_contraction(self, name, n_queries):
         m, anchors, rels = self.queries(name, n_queries)
         for side, scores in ((True, m.score_all_tails(anchors, rels)),
@@ -147,7 +142,7 @@ class TestDotCandidateScoring:
             q = m.query_vector(anchors, rels, tail_side=side)
             assert scores.tobytes() == (q @ m.entity_emb.T).tobytes()
 
-    @pytest.mark.parametrize("name", DOT_MODELS)
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_rows_agree_with_the_training_forward(self, name):
         m, anchors, rels = self.queries(name, 7)
         every = np.arange(self.N_ENTITIES)
@@ -160,14 +155,6 @@ class TestDotCandidateScoring:
                                        rtol=1e-5, atol=1e-6)
             np.testing.assert_allclose(heads[i], m.score(every, r, a),
                                        rtol=1e-5, atol=1e-6)
-
-    def test_only_distance_models_write_block_scorers(self):
-        for cls in MODEL_REGISTRY.values():
-            own = {name for name in BLOCK_SCORERS
-                   if getattr(cls, name) is not getattr(KGEModel, name)}
-            expected = set() if cls.score_geometry == "dot" else set(
-                BLOCK_SCORERS)
-            assert own == expected, cls.__name__
 
 
 class TestComplExSpecifics:
@@ -201,23 +188,6 @@ class TestDistMultSpecifics:
         assert s_fwd[0] == pytest.approx(s_rev[0])
 
 
-class TestTransESpecifics:
-    def test_scores_are_negative_distances(self):
-        m = TransE(6, 3, 4, seed=0, norm=2)
-        s = m.score(np.array([0, 1]), np.array([0, 1]), np.array([2, 3]))
-        assert (s <= 0).all()
-
-    def test_perfect_translation_scores_zero(self):
-        m = TransE(6, 3, 4, seed=0, norm=1)
-        m.entity_emb[2] = m.entity_emb[0] + m.relation_emb[1]
-        s = m.score(np.array([0]), np.array([1]), np.array([2]))
-        assert s[0] == pytest.approx(0.0, abs=1e-6)
-
-    def test_invalid_norm_rejected(self):
-        with pytest.raises(ValueError):
-            TransE(6, 3, 4, norm=3)
-
-
 class TestRegistry:
     def test_make_model_by_name(self):
         m = make_model("complex", 10, 3, 4)
@@ -226,6 +196,15 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_model("rescal", 10, 3, 4)
+
+    @pytest.mark.parametrize("name", ["rotate", "transe"])
+    def test_distance_models_are_gone(self, name):
+        """Every registered model scores by one dot product; a distance
+        model's name is refused, naming the ones that remain."""
+        assert sorted(MODEL_REGISTRY) == ["complex", "distmult"]
+        with pytest.raises(ValueError,
+                           match=r"choose from \['complex', 'distmult'\]"):
+            make_model(name, 10, 3, 4)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -253,81 +232,3 @@ class TestL2Regularisation:
                                      np.array([1]),
                                      lambda scores: (0.0, np.zeros(1)), l2=0.0)
         np.testing.assert_allclose(eg.to_dense(), 0.0)
-
-
-class TestRotatESpecifics:
-    def _model(self):
-        from repro.models import RotatE
-        return RotatE(10, 4, 5, seed=1)
-
-    def test_relation_width_is_phases(self):
-        m = self._model()
-        assert m.relation_emb.shape == (4, 5)   # phases, not 2*dim
-        assert m.entity_emb.shape == (10, 10)   # complex storage
-
-    def test_scores_are_negative_moduli(self):
-        m = self._model()
-        s = m.score(np.array([0, 1]), np.array([0, 1]), np.array([2, 3]))
-        assert (s <= 0).all()
-
-    def test_perfect_rotation_scores_zero(self):
-        m = self._model()
-        # Make tail = head rotated by theta exactly.
-        h_re, h_im = m.entity_emb[0, :5], m.entity_emb[0, 5:]
-        theta = m.relation_emb[1]
-        t_re = h_re * np.cos(theta) - h_im * np.sin(theta)
-        t_im = h_re * np.sin(theta) + h_im * np.cos(theta)
-        m.entity_emb[7, :5] = t_re
-        m.entity_emb[7, 5:] = t_im
-        s = m.score(np.array([0]), np.array([1]), np.array([7]))
-        assert s[0] == pytest.approx(0.0, abs=1e-3)
-
-    def test_gradients_match_numerical(self):
-        m = self._model()
-        rng = np.random.default_rng(3)
-        h = rng.integers(0, 10, 4)
-        r = rng.integers(0, 4, 4)
-        t = rng.integers(0, 10, 4)
-        upstream = rng.normal(size=4).astype(np.float32)
-        g_h, g_r, g_t = score_grad(m, h, r, t, upstream)
-        eps = 1e-3
-
-        def objective():
-            return float(np.dot(upstream, m.score(h, r, t)))
-
-        for ex in range(4):
-            for coord in range(0, 5, 2):
-                orig = m.relation_emb[r[ex], coord]
-                m.relation_emb[r[ex], coord] = orig + eps
-                up = objective()
-                m.relation_emb[r[ex], coord] = orig - eps
-                dn = objective()
-                m.relation_emb[r[ex], coord] = orig
-                num = (up - dn) / (2 * eps)
-                analytic = sum(g_r[j, coord] for j in range(4)
-                               if r[j] == r[ex])
-                assert analytic == pytest.approx(num, abs=2e-2)
-
-    def test_all_tails_matches_pointwise(self):
-        m = self._model()
-        h = np.array([0, 3])
-        r = np.array([1, 2])
-        all_scores = m.score_all_tails(h, r)
-        for i in range(2):
-            for t in range(10):
-                expected = m.score(h[i:i + 1], r[i:i + 1], np.array([t]))[0]
-                assert all_scores[i, t] == pytest.approx(expected, abs=1e-4)
-
-    def test_all_heads_matches_pointwise(self):
-        m = self._model()
-        r = np.array([1, 2])
-        t = np.array([5, 8])
-        all_scores = m.score_all_heads(r, t)
-        for i in range(2):
-            for h in range(10):
-                expected = m.score(np.array([h]), r[i:i + 1], t[i:i + 1])[0]
-                assert all_scores[i, h] == pytest.approx(expected, abs=1e-4)
-
-    def test_registered(self):
-        from repro.models import make_model, RotatE
-        assert isinstance(make_model("rotate", 6, 2, 3), RotatE)

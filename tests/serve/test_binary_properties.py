@@ -24,7 +24,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _reference
 from repro.compress.packing import unpack_signs
 from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
@@ -32,6 +31,7 @@ from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import EmbeddingStore, QueryEngine
 from repro.serve.binary import _BYTE_SIGNS, BinaryStore, binarize_model
 from repro.select import best_first
+from tests import _reference
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -216,15 +216,13 @@ class TestSelection:
             assert np.array_equal(
                 pools, np.tile(np.arange(store.n_entities), (3, 1)))
 
-    @given(entity_matrix(), st.integers(1, 15),
-           st.sampled_from(["dot", "distance"]), st.integers(0, 2**32 - 1))
+    @given(entity_matrix(), st.integers(1, 15), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_pools_equal_oracle_built_pools_under_masking(
-            self, matrix, rerank_k, geometry, seed):
+            self, matrix, rerank_k, seed):
         """``(pools, approx)`` are the stable-argsort oracle's ids in id
         order and the approximate scores at them, with known facts sunk
-        to ``-inf`` first — both geometries, coarse queries so approximate
-        scores tie."""
+        to ``-inf`` first — coarse queries so approximate scores tie."""
         store = binarize_model(_Model(matrix))
         rng = np.random.default_rng(seed)
         queries = rng.integers(-1, 2, size=(3, store.width)) \
@@ -232,9 +230,8 @@ class TestSelection:
         known = rng.random((3, store.n_entities)) < 0.3
         masked = np.nonzero(known)
         pools, approx = store.candidate_pools(queries, rerank_k,
-                                              masked=masked,
-                                              geometry=geometry)
-        scores = store.approx_scores(queries, geometry=geometry)
+                                              masked=masked)
+        scores = store.approx_scores(queries)
         scores[masked] = -np.inf
         take = min(rerank_k, store.n_entities)
         expect = np.stack([_reference.best_first(row, take)

@@ -44,7 +44,7 @@ class TestScore:
         assert listed.tobytes() == batch.tobytes()
 
     def test_score_matches_model(self, dataset):
-        engine = build_engine(dataset, "transe")
+        engine = build_engine(dataset, "distmult")
         h, r, t = np.array([0, 5]), np.array([1, 3]), np.array([2, 7])
         expected = engine.store.model.score(h, r, t)
         assert engine.score(h, r, t).tobytes() == expected.tobytes()
@@ -97,8 +97,8 @@ class TestTopK:
         assert len(raw) == dataset.n_entities
 
     def test_filtered_without_index_raises(self, dataset):
-        model = make_model("transe", dataset.n_entities, dataset.n_relations,
-                           8, seed=21)
+        model = make_model("distmult", dataset.n_entities,
+                           dataset.n_relations, 8, seed=21)
         engine = QueryEngine(EmbeddingStore.from_model(model))
         with pytest.raises(ValueError, match="filter index"):
             engine.topk_tails(0, 0, k=3, filtered=True)
@@ -106,7 +106,7 @@ class TestTopK:
         assert len(engine.topk_tails(0, 0, k=3)) == 3
 
     def test_heads_side_uses_head_scoring(self, dataset):
-        engine = build_engine(dataset, "transe")
+        engine = build_engine(dataset, "complex")
         t, r = 4, 2
         result = engine.topk_heads(t, r, k=dataset.n_entities,
                                    filtered=False)
@@ -183,7 +183,7 @@ class TestMicroBatching:
         assert batched[0] is batched[1]
 
     def test_mixed_direction_batch(self, dataset):
-        engine = build_engine(dataset, "transe", cache_capacity=0)
+        engine = build_engine(dataset, "complex", cache_capacity=0)
         mixed = engine.topk_batch([(3, 1, True), (3, 1, False)], k=6,
                                   tail_side=None)
         tails = engine.topk_tails(3, 1, k=6)
@@ -222,14 +222,14 @@ class TestNearestEntities:
                 assert (np.diff(result.scores) <= 0).all()
 
     def test_exclude_self_drops_exactly_self(self, dataset):
-        engine = build_engine(dataset, "rotate")
+        engine = build_engine(dataset, "distmult")
         with_self = engine.nearest_entities(9, k=6, exclude_self=False)
         without = engine.nearest_entities(9, k=5, exclude_self=True)
         assert with_self.entities[0] == 9
         assert 9 not in without.entities
         assert np.array_equal(without.entities, with_self.entities[1:])
 
-    @pytest.mark.parametrize("name", ["complex", "rotate"])
+    @pytest.mark.parametrize("name", ["complex"])
     def test_imag_half_participates_in_distance(self, name):
         """Adversarial layout probe: entities 0 and 1 share the real half
         and differ only in the imaginary half; 2 matches 0's imaginary
@@ -254,9 +254,9 @@ class TestNearestEntities:
         assert result.scores[1] == pytest.approx(np.sqrt(30.0))
 
     def test_real_models_use_full_row(self):
-        """TransE/DistMult have no imaginary half; the whole row is the
-        geometry and entity_components reflects that."""
-        model = make_model("transe", 3, 1, 4, seed=0)
+        """DistMult has no imaginary half; the whole row is the geometry
+        and entity_components reflects that."""
+        model = make_model("distmult", 3, 1, 4, seed=0)
         model.entity_emb[:] = [[0, 0, 0, 0], [3, 4, 0, 0], [0, 0, 0, 1]]
         engine = QueryEngine(EmbeddingStore.from_model(model))
         result = engine.nearest_entities(0, k=2, metric="l2")
@@ -287,7 +287,7 @@ class TestTelemetry:
         assert snap["cache_size"] == 2
 
     def test_score_does_not_touch_cache_counters(self, dataset):
-        engine = build_engine(dataset, "transe", cache_capacity=8)
+        engine = build_engine(dataset, "distmult", cache_capacity=8)
         engine.score(0, 0, 1)
         engine.score(0, 0, 1)
         assert engine.stats.cache_hits == 0

@@ -1,7 +1,7 @@
 """The one selection kernel, and the serve path's call sites, bitwise.
 
 ``repro.select.best_first`` is *defined* as the full stable argsort
-kept in ``repro._reference``, and its set form ``best_set`` as the same
+kept in ``tests._reference``, and its set form ``best_set`` as the same
 ids in id order; these tests pin those definitions on hostile rows
 (signed zeros, infinities, NaN, heavy duplication, ties straddling the
 cut — short rows and rows long enough for the strided pre-threshold,
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _reference
 from repro import select as select_module
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
@@ -28,6 +27,7 @@ from repro.serve import EmbeddingStore, QueryEngine
 from repro.serve import binary as binary_module
 from repro.serve import engine as engine_module
 from repro.select import _LONG, _STRIDE, best_first, best_set
+from tests import _reference
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -316,7 +316,7 @@ class TestNearestCandidates:
     candidates, and ``k`` is validated like every other top-k."""
 
     def _engine(self, bad_row=7):
-        model = make_model("transe", 50, 2, 4, seed=3)
+        model = make_model("distmult", 50, 2, 4, seed=3)
         model.entity_emb[bad_row] = np.nan
         return QueryEngine(EmbeddingStore.from_model(model))
 

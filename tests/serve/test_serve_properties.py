@@ -8,22 +8,22 @@ live query has no gold entity, so serving masks *every* known fact.
 
 Eval never materialises that row: it counts ranks from the raw block and
 the ``FilterIndex`` known columns.  The row it ranks is defined by the
-oracle ``repro._reference.filtered_naive`` (a NaN-masked copy, gold
+oracle ``tests._reference.filtered_naive`` (a NaN-masked copy, gold
 kept), which the eval suite pins rank for rank, so these properties
 compare the serve mask against that oracle.
 
 Bitwise footnote.  The engine scores each (relation, direction) group in
 one block call over the group's *unique anchors*; ``rank_triples`` scores
-the mixed evaluation batch.  For the matmul models (DistMult, ComplEx)
-the batch shape picks the BLAS kernel, and kernels reduce in different
-orders: a single-row group takes matrix-vector BLAS, and OpenBLAS's
+the mixed evaluation batch.  Every model (DistMult, ComplEx) scores by
+one matrix product, so the batch shape picks the BLAS kernel, and
+kernels reduce in different orders: a single-row group takes
+matrix-vector BLAS, and OpenBLAS's
 small-matrix path (contraction length >= 32, a few hundred entities)
 reduces a regrouped multi-row block differently too.  The byte-exact
 property therefore compares against a reference built with the engine's
 own call shapes; the mixed-batch eval rows are asserted equal to float
 tolerance, and ``TestGroupingOrder`` pins that regrouping moves no id whose
-score differs beyond that tolerance.  The distance models score row by
-row in NumPy, so for them regrouping is bitwise-invisible.
+score differs beyond that tolerance.
 """
 
 import numpy as np
@@ -31,17 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._reference import filtered_naive
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.select import best_first
 from repro.serve import EmbeddingStore, QueryEngine
+from tests._reference import filtered_naive
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
-DOT_MODELS = [name for name in MODEL_NAMES
-              if MODEL_REGISTRY[name].score_geometry == "dot"]
-DISTANCE_MODELS = [name for name in MODEL_NAMES if name not in DOT_MODELS]
 
 
 @st.composite
@@ -179,25 +176,15 @@ def grouped_and_mixed(name, dim):
                    mixed[members])
 
 
-class TestGroupingBitwise:
-    """The distance models score row by row, so the regrouping the
-    micro-batcher performs is bitwise-invisible for them."""
-
-    @pytest.mark.parametrize("name", DISTANCE_MODELS)
-    def test_grouped_equals_mixed_bitwise(self, name):
-        for grouped, mixed in grouped_and_mixed(name, 8):
-            assert grouped.tobytes() == mixed.tobytes()
-
-
 class TestGroupingOrder:
-    """For the matmul models BLAS picks its kernel by batch shape, so a
-    regrouped block may differ from the mixed batch's rows in the last
-    bits (it does at dim 32 on OpenBLAS's small-matrix path).  It never
-    differs beyond float tolerance, and never in an id whose score is
-    apart from the id it trades places with by more than that."""
+    """BLAS picks its kernel by batch shape, so a regrouped block may
+    differ from the mixed batch's rows in the last bits (it does at dim 32
+    on OpenBLAS's small-matrix path).  It never differs beyond float
+    tolerance, and never in an id whose score is apart from the id it
+    trades places with by more than that."""
 
     @pytest.mark.parametrize("dim", [8, 32])
-    @pytest.mark.parametrize("name", DOT_MODELS)
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_grouped_matches_mixed_order(self, name, dim):
         for grouped, mixed in grouped_and_mixed(name, dim):
             np.testing.assert_allclose(grouped, mixed, rtol=1e-5, atol=1e-6)

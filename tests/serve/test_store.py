@@ -99,10 +99,11 @@ class TestLoad:
 
     def test_wrong_architecture_rejected(self, store, snapshot):
         _, path = snapshot
-        # ComplEx wrote a 2*dim-wide relation matrix; RotatE expects dim
-        # phases and TransE a dim-wide entity matrix at the same dim.
+        # The manifest names the model that wrote it.  A ComplEx snapshot
+        # has DistMult's array shapes at twice the dim, so only that name
+        # tells the two apart.
         with pytest.raises(ValueError, match="layout|architecture"):
-            EmbeddingStore.from_checkpoint(path, model_name="rotate")
+            EmbeddingStore.from_checkpoint(path, model_name="distmult")
 
     def test_unknown_model_name_rejected(self, snapshot):
         _, path = snapshot

@@ -315,10 +315,6 @@ class TestEvalKnobs:
                 "--max-epochs", "2", "--patience", "5", "--warmup", "0",
                 *extra]
 
-    def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.eval_chunk_entities is None
-
     def test_json_reports_eval_throughput(self, tmp_path, capsys):
         rc = main(self._args(tmp_path, ["--json"]))
         assert rc == 0
@@ -326,12 +322,14 @@ class TestEvalKnobs:
         assert row["eval_seconds"] > 0
         assert row["eval_queries_per_sec"] > 0
 
-    def test_chunking_runs(self, tmp_path, capsys):
-        rc = main(self._args(tmp_path, ["--eval-chunk-entities", "7",
-                                        "--json"]))
-        assert rc == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["eval_seconds"] > 0
+    def test_eval_chunk_flag_is_gone(self, tmp_path, capsys):
+        """Every block is ``(batch, n_entities)`` whatever the chunk, so
+        there is no chunk knob to set."""
+        with pytest.raises(SystemExit) as info:
+            main(self._args(tmp_path, ["--eval-chunk-entities", "7"]))
+        assert info.value.code == 2
+        assert ("unrecognized arguments: --eval-chunk-entities"
+                in capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")
@@ -433,10 +431,29 @@ class TestServeCli:
 
     def test_wrong_model_name_exits_2(self, served_checkpoint, capsys):
         ckpt, _ = served_checkpoint
-        rc = main(["serve", "--checkpoint", ckpt, "--model", "rotate",
+        rc = main(["serve", "--checkpoint", ckpt, "--model", "distmult",
                    "--no-filter"])
         assert rc == 2
         assert "cannot serve" in capsys.readouterr().err
+
+    def test_distance_model_name_exits_2(self, served_checkpoint, capsys):
+        ckpt, _ = served_checkpoint
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--checkpoint", ckpt, "--model", "transe",
+                  "--no-filter"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'transe'" in err
+        assert "'complex'" in err and "'distmult'" in err
+
+    def test_chunk_flag_is_gone(self, served_checkpoint, capsys):
+        ckpt, _ = served_checkpoint
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--checkpoint", ckpt, "--no-filter",
+                  "--chunk-entities", "7", "--query", "3,1"])
+        assert info.value.code == 2
+        assert ("unrecognized arguments: --chunk-entities"
+                in capsys.readouterr().err)
 
     def test_malformed_query_exits_2(self, served_checkpoint, capsys):
         ckpt, _ = served_checkpoint
@@ -532,7 +549,7 @@ class TestOneParserFamily:
                  and node.func.attr == "add_argument"]
         options = Counter(arg.value for call in calls for arg in call.args
                           if isinstance(arg, ast.Constant))
-        assert len(calls) == 46
+        assert len(calls) == 44
         # Two different options share a name: the training mini-batch and
         # the serve replay's micro-batch window.
         assert {opt for opt, n in options.items() if n > 1} == {

@@ -36,12 +36,12 @@ def test_too_many_parts_is_a_bad_tuple_not_a_converter_leak():
 
 
 def test_reference_kernels_are_imported_by_no_production_module():
-    """``repro._reference`` holds test oracles; production must not use it."""
+    """The oracles live in ``tests/_reference.py``: no module under
+    ``src/repro`` imports ``tests`` or anything named ``_reference``."""
     root = Path(repro.__file__).parent
+    assert not list(root.rglob("_reference.py"))
     offenders = []
     for path in root.rglob("*.py"):
-        if path.name == "_reference.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported = [a.name for a in node.names]
@@ -49,6 +49,7 @@ def test_reference_kernels_are_imported_by_no_production_module():
                 imported = [node.module or ""] + [a.name for a in node.names]
             else:
                 continue
-            if any(name.split(".")[-1] == "_reference" for name in imported):
+            if any(name.split(".")[0] == "tests" or "_reference" in
+                   name.split(".") for name in imported):
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []

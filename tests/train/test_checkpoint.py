@@ -98,7 +98,8 @@ def test_checkpoint_layout_and_manifest(snapshot):
     assert (path / ARRAYS_NAME).is_file()
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["schema_version"] == 3
+    assert manifest["schema_version"] == 4
+    assert manifest["model"] == trainer.config.model_name == "complex"
     assert manifest["epoch"] == 2
     assert manifest["world_size"] == 3
     assert manifest["world_lineage"] == [3]
@@ -206,7 +207,31 @@ def test_schema_2_checkpoints_are_refused_not_converted(snapshot, tmp_path):
     one reader, so the previous version is refused like any other."""
     _, path = snapshot
     dst = _with_schema_version(path, tmp_path, 2)
-    with pytest.raises(CheckpointSchemaError, match="version 2 .*expected 3"):
+    with pytest.raises(CheckpointSchemaError, match="version 2 .*expected 4"):
+        load_checkpoint(dst)
+
+
+def test_schema_3_checkpoints_are_refused_not_defaulted(snapshot, tmp_path):
+    """Schema 3 did not name the model; nothing guesses it for them."""
+    _, path = snapshot
+    dst = _with_schema_version(path, tmp_path, 3)
+    manifest = json.loads((dst / MANIFEST_NAME).read_text())
+    del manifest["model"]
+    (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointSchemaError, match="version 3 .*expected 4"):
+        load_checkpoint(dst)
+
+
+def test_unregistered_model_is_corrupt(snapshot, tmp_path):
+    """Only a registered model name parses, so serving never has to guess
+    what a manifest's ``model`` means."""
+    _, path = snapshot
+    dst = _copy_checkpoint(path, tmp_path)
+    manifest = json.loads((dst / MANIFEST_NAME).read_text())
+    manifest["model"] = "rotate"
+    (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointCorruptError,
+                       match=r"field 'model' is 'rotate', expected one of"):
         load_checkpoint(dst)
 
 
@@ -601,8 +626,8 @@ def test_write_checkpoint_never_holds_a_second_copy(tmp_path):
     arrays["mask"] = rng.random(1 << 20) < 0.5
     arrays["empty"] = np.empty((0, 8), dtype=np.float32)
     state = CheckpointState(epoch=1, arrays=arrays, scalars={},
-                            config_hash="0" * 64, world_size=1,
-                            world_lineage=(1,))
+                            config_hash="0" * 64, model_name="complex",
+                            world_size=1, world_lineage=(1,))
     total = sum(a.nbytes for a in arrays.values())
 
     tracemalloc.start()

@@ -16,7 +16,8 @@ from repro.training.strategy import StrategyConfig
 
 NET = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
                    intra=NetworkModel(alpha=1e-7, beta=1e-11))
-#: RotatE-like: the relation matrix is narrower than the entity matrix.
+#: The relation matrix is narrower than the entity matrix, so a codec that
+#: sized one buffer from the other would fail here.
 SHAPES = {"entity": (30, 16), "relation": (6, 8)}
 CODECS = {"raw": {}, "1bit": {"quantization_bits": 1},
           "2bit": {"quantization_bits": 2}}

@@ -42,10 +42,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TrainConfig(time_scale=0.0)
 
-    def test_invalid_eval_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(eval_chunk_entities=0)
-
     def test_relation_partition_builds_disjoint_shards(self, store):
         strat = StrategyConfig(relation_partition=True)
         tr = DistributedTrainer(store, strat, 4, config=tiny_config())
