@@ -45,8 +45,7 @@ def test_ablation_quantizer_statistic(benchmark):
     rows = [[stat, res.test_mrr, res.test_tca, res.epochs]
             for stat, res in results.items()]
     print_table("Ablation: 1-bit quantizer statistic (FB15K, 4 nodes)",
-                ["stat", "MRR", "TCA", "epochs"], rows,
-                widths=[8, 8, 8, 8])
+                ["stat", "MRR", "TCA", "epochs"], rows)
     mrrs = {stat: res.test_mrr for stat, res in results.items()}
     # max must be competitive with every alternative (paper's choice).
     assert mrrs["max"] >= max(mrrs.values()) - 0.05
@@ -68,7 +67,7 @@ def test_ablation_lr_scaling_cap(benchmark):
                 [["min(4, p)", capped.test_mrr, capped.test_tca,
                   capped.epochs],
                  ["linear (p)", uncapped.test_mrr, uncapped.test_tca,
-                  uncapped.epochs]], widths=[10, 8, 8, 8])
+                  uncapped.epochs]])
     # The cap never hurts, and usually helps (8x base lr is aggressive).
     assert capped.test_mrr >= uncapped.test_mrr - 0.02
 
@@ -101,8 +100,7 @@ def test_ablation_error_feedback(benchmark):
                 "(FB15K, 4 nodes)",
                 ["variant", "MRR", "TCA", "epochs"],
                 [[f"{stat}{'+EF' if ef else ''}", r.test_mrr, r.test_tca,
-                  r.epochs] for (stat, ef), r in results.items()],
-                widths=[11, 8, 8, 8])
+                  r.epochs] for (stat, ef), r in results.items()])
     # EF collapses training with the non-contraction max-scaled compressor
     # (residuals grow without bound)...
     assert results[("max", True)].test_mrr < \
@@ -126,8 +124,7 @@ def test_ablation_allgather_algorithm(benchmark):
     print_table("Ablation: allgather algorithm (FB250K, 8 nodes)",
                 ["algo", "TT (h)", "MB sent"],
                 [["ring", ring.total_hours, ring.bytes_total / 1e6],
-                 ["bruck", bruck.total_hours, bruck.bytes_total / 1e6]],
-                widths=[7, 9, 9])
+                 ["bruck", bruck.total_hours, bruck.bytes_total / 1e6]])
     # Identical volume; only the latency term differs.
     assert ring.bytes_total == bruck.bytes_total
     assert bruck.total_hours <= ring.total_hours * 1.01
@@ -148,7 +145,7 @@ def test_ablation_partition_balance(benchmark):
                 ["scheme", "imbalance", "relations disjoint"],
                 [["relation", rel.imbalance(), str(rel.relations_disjoint())],
                  ["entity (PBG)", ent.imbalance(),
-                  str(ent.relations_disjoint())]], widths=[13, 10, 18])
+                  str(ent.relations_disjoint())]])
     assert rel.relations_disjoint()
     assert not ent.relations_disjoint()
     # Zipf-heavy relations make perfect balance impossible; stay bounded.
@@ -172,8 +169,7 @@ def test_ablation_parameter_server_cost(benchmark):
     ps1, ps4, ar = run_once_benchmarked(benchmark, _run)
     print_table("Ablation: per-step comm time (s), PS vs ring allreduce",
                 ["nodes", "PS (1 server)", "allreduce"],
-                [[p, ps1[i], ar[i]] for i, p in enumerate((2, 4, 8, 16))],
-                widths=[6, 14, 10])
+                [[p, ps1[i], ar[i]] for i, p in enumerate((2, 4, 8, 16))])
     # Allreduce scales (bounded in p); the single server does not.
     assert ar[-1] < ps1[-1]
     assert ps1[-1] > ps1[0]

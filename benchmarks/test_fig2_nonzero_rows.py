@@ -12,6 +12,7 @@ from repro import baseline_allgather
 from repro.bench import (
     bench_store,
     print_series,
+    print_table,
     run_once,
     train_config,
     trend_slope,
@@ -34,13 +35,14 @@ def test_fig2_nonzero_rows(benchmark):
     rows = result.series("nonzero_entity_rows")
     epochs = list(range(1, len(rows) + 1))
     stride = max(1, len(rows) // 12)
+    early = float(np.mean(rows[: len(rows) // 4]))
+    late = float(np.mean(rows[-len(rows) // 4:]))
     print_series("Fig 2: non-zero gradient rows over training", "epoch",
                  epochs[::stride], {"nonzero rows": rows[::stride]})
+    print_table("Fig 2: mean non-zero rows, first vs last quarter of epochs",
+                ["early mean", "late mean"], [[early, late]])
 
     # Shape: the count trends down over training.
     assert trend_slope(rows) < 0, "non-zero rows did not decrease"
     # And the late-training average sits clearly below the early one.
-    early = float(np.mean(rows[: len(rows) // 4]))
-    late = float(np.mean(rows[-len(rows) // 4:]))
-    print(f"\nearly mean {early:.1f} rows -> late mean {late:.1f} rows")
     assert late < early

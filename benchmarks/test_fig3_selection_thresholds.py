@@ -41,8 +41,7 @@ def test_fig3_selection_thresholds(benchmark):
         rows.append([name, res.test_tca, res.test_mrr, sparsity,
                      res.bytes_total / 1e6])
     print_table("Fig 3: selection thresholds (FB15K, 2 nodes)",
-                ["policy", "TCA", "MRR", "sparsity", "MB sent"], rows,
-                widths=[14, 8, 8, 9, 10])
+                ["policy", "TCA", "MRR", "sparsity", "MB sent"], rows)
 
     dense = results["dense"][0]
     random_sel = results["random"][0]

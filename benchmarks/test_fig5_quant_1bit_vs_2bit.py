@@ -35,6 +35,9 @@ def test_fig5_1bit_vs_2bit(benchmark):
     print_series("Fig 5b: MRR", "nodes", FB15K_NODES,
                  {name: [r.test_mrr for r in runs]
                   for name, runs in results.items()})
+    print_series("Fig 5: MB sent", "nodes", FB15K_NODES,
+                 {name: [r.bytes_total / 1e6 for r in runs]
+                  for name, runs in results.items()})
 
     one_bit, two_bit = results["1-bit"], results["2-bit"]
     # (a) 1-bit communicates fewer bytes at every node count (the paper's

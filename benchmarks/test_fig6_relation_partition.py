@@ -33,8 +33,8 @@ def _run():
     return fb15k, fb250k
 
 
-def test_fig6_relation_partition(benchmark):
-    fb15k, fb250k = run_once_benchmarked(benchmark, _run)
+def test_fig6a_relation_partition_convergence(benchmark):
+    fb15k, _ = run_once_benchmarked(benchmark, _run)
 
     # (a) convergence comparison on FB15K.
     without = fb15k["without partition"][0]
@@ -53,6 +53,10 @@ def test_fig6_relation_partition(benchmark):
     late_without = float(np.mean(without.series("val_mrr")[-5:]))
     late_with = float(np.mean(with_rp.series("val_mrr")[-5:]))
     assert late_with >= late_without - 0.05
+
+
+def test_fig6b_relation_partition_traffic(benchmark):
+    _, fb250k = run_once_benchmarked(benchmark, _run)
 
     # (b) epoch-time comparison on FB250K.
     def mean_epoch(r):

@@ -9,7 +9,8 @@ saturates; (d) epochs to converge decrease as n grows.
 import numpy as np
 
 from repro import StrategyConfig
-from repro.bench import bench_store, print_series, sweep, trend_slope
+from repro.bench import bench_store, print_series, print_table, \
+    sweep, trend_slope
 
 from conftest import run_once_benchmarked
 
@@ -41,6 +42,8 @@ def test_fig7_sampling_schemes(benchmark):
     one, all_ = run_once_benchmarked(benchmark, _run)
     one_results = [one[f"1-of-{n}"][0] for n in SAMPLED]
     all_results = [all_[f"{n}-of-{n}"][0] for n in SAMPLED[1:]]
+    mrrs = [r.test_mrr for r in one_results]
+    epochs = [float(r.epochs) for r in one_results]
 
     print_series("Fig 7b: total time (h) vs n (FB15K, 2 nodes)", "n",
                  list(SAMPLED),
@@ -55,6 +58,9 @@ def test_fig7_sampling_schemes(benchmark):
                  {"1 out of n": [float(r.epochs) for r in one_results],
                   "n out of n": [float("nan")] + [float(r.epochs)
                                                   for r in all_results]})
+    print_table("Fig 7d: epoch-count trend of 1 out of n",
+                ["slope (epochs per n step)", "bound"],
+                [[trend_slope(epochs), max(epochs) * 0.02]])
 
     # (b) for the same n, 1-of-n is much cheaper than n-of-n.
     for r1, rn, n in zip(one_results[1:], all_results, SAMPLED[1:]):
@@ -63,7 +69,6 @@ def test_fig7_sampling_schemes(benchmark):
 
     # (c) MRR improves from n=1 to larger n, then saturates: the gain from
     # the last step is smaller than the gain from the first.
-    mrrs = [r.test_mrr for r in one_results]
     assert max(mrrs[1:]) > mrrs[0], "hard negatives never helped"
     first_gain = mrrs[1] - mrrs[0]
     last_gain = mrrs[-1] - mrrs[-2]
@@ -77,6 +82,4 @@ def test_fig7_sampling_schemes(benchmark):
 
     # (d) epochs to converge trend down as n grows (paper Fig. 7d) —
     # allow noise but reject a clearly increasing trend.
-    epochs = [float(r.epochs) for r in one_results]
     assert trend_slope(epochs) <= max(epochs) * 0.02
-    print(f"\n1-of-n epochs: {epochs}, MRRs: {[round(m, 3) for m in mrrs]}")

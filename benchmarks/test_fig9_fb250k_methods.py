@@ -17,7 +17,8 @@ from repro import (
     drs_1bit,
     drs_1bit_rp_ss,
 )
-from repro.bench import bench_store, print_series, sweep, trend_slope
+from repro.bench import bench_store, paper, print_series, print_table, \
+    sweep, trend_slope
 
 from conftest import FB250K_NODES, run_once_benchmarked
 
@@ -48,7 +49,6 @@ def test_fig9_fb250k_methods(benchmark):
     ar = results["allreduce"]
     ag = results["allgather"]
     full = results["DRS+1-bit+RP+SS"]
-    quant = results["DRS+1-bit"]
 
     # The full method beats both baselines at every node count.
     for f, a, g in zip(full, ar, ag):
@@ -65,16 +65,30 @@ def test_fig9_fb250k_methods(benchmark):
     for f, a in zip(full, ar):
         assert f.test_mrr >= a.test_mrr - 0.03
 
-    # Section 4.3: quantization shifts DRS decisively toward allgather.
+
+def test_fig9_allreduce_fraction(benchmark):
+    """Section 4.3: quantization shifts DRS decisively toward allgather."""
+    results = run_once_benchmarked(benchmark, _run)
+    quant = results["DRS+1-bit"]
     frac_drs = np.mean([r.allreduce_fraction for r in results["DRS"][1:]])
     frac_q = np.mean([r.allreduce_fraction for r in quant[1:]])
-    print(f"\nallreduce fraction: DRS {frac_drs:.2f} -> DRS+1-bit "
-          f"{frac_q:.2f} (paper: ~60% drop)")
+    drop = 1 - frac_q / frac_drs if frac_drs > 0 else 0.0
+    print_table("Section 4.3: DRS allreduce fraction, p >= 2",
+                ["DRS", "DRS+1-bit", "drop", "paper drop"],
+                [[frac_drs, frac_q, drop,
+                  paper.QUANT_ALLREDUCE_FRACTION_DROP]])
     assert frac_q <= frac_drs + 1e-9
 
-    # Abstract headline: at the largest node count the full method cuts
-    # total time substantially (paper: 11.5h -> 6h, a ~48% cut).
+
+def test_fig9_16_node_cut(benchmark):
+    """Abstract headline: at the largest node count the full method cuts
+    total time substantially (paper: 11.5h -> 6h on 16 nodes)."""
+    results = run_once_benchmarked(benchmark, _run)
+    ar = results["allreduce"]
+    full = results["DRS+1-bit+RP+SS"]
     cut = 1 - full[-1].total_hours / ar[-1].total_hours
-    print(f"time cut vs allreduce at p={FB250K_NODES[-1]}: {cut:.1%} "
-          f"(paper ~48%)")
+    print_table(f"Abstract: time cut vs allreduce at p={FB250K_NODES[-1]}",
+                ["measured", "paper"],
+                [[cut, 1 - paper.FB250K_16N_FULL_METHOD_HOURS
+                  / paper.FB250K_16N_BASELINE_HOURS]])
     assert cut > 0.15

@@ -59,8 +59,7 @@ def test_summary_improvements(benchmark):
                 [["FB15K", red15, paper.FB15K_FULL_METHOD_TT_REDUCTION,
                   gain15, paper.FB15K_FULL_METHOD_MRR_GAIN],
                  ["FB250K", red250, paper.FB250K_FULL_METHOD_TT_REDUCTION,
-                  gain250, paper.FB250K_FULL_METHOD_MRR_GAIN]],
-                widths=[8, 13, 7, 9, 7])
+                  gain250, paper.FB250K_FULL_METHOD_MRR_GAIN]])
 
     # Direction: meaningful average time reduction on both datasets.
     assert red15 > 0.15, f"FB15K time reduction too small: {red15:.1%}"

@@ -42,7 +42,7 @@ def test_table4_sample_selection(benchmark):
     print_table("Table 4: sample selection (FB15K, 2 nodes, 1-bit quant)",
                 ["ratio", "TT(h)", "N", "MRR", "TCA",
                  "paper TT", "paper N", "paper MRR", "paper TCA"],
-                rows, widths=[10, 8, 6, 7, 7, 9, 8, 9, 9])
+                rows)
 
     r_1of1 = results[(1, 1)]
     r_1of10 = results[(1, 10)]

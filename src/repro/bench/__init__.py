@@ -1,6 +1,6 @@
 """Benchmark harness, calibration, and the paper's reference numbers."""
 
-from . import paper, report
+from . import paper
 from .calibration import (
     BENCH_NETWORK,
     FULL,
@@ -12,8 +12,8 @@ from .calibration import (
 )
 from .harness import (
     bench_store,
-    fault_summary_row,
     hop_breakdown,
+    markdown_table,
     print_baseline_table,
     print_fault_table,
     print_serve_table,
@@ -21,7 +21,6 @@ from .harness import (
     print_table,
     reduction,
     run_once,
-    serve_summary_row,
     sweep,
     trend_slope,
 )
@@ -34,10 +33,9 @@ __all__ = [
     "QUICK",
     "active_profile",
     "bench_store",
-    "fault_summary_row",
     "hop_breakdown",
+    "markdown_table",
     "paper",
-    "report",
     "print_baseline_table",
     "print_fault_table",
     "print_serve_table",
@@ -45,7 +43,6 @@ __all__ = [
     "print_table",
     "reduction",
     "run_once",
-    "serve_summary_row",
     "sweep",
     "train_config",
     "trend_slope",

@@ -19,9 +19,10 @@ chosen for the scaled regime:
 Bench profiles
 --------------
 
-``quick`` (default) finishes the full suite in minutes; ``full`` uses larger
-graphs and paper-faithful patience.  Select with the ``REPRO_BENCH_PROFILE``
-environment variable.
+``quick`` (default) finishes the full suite in 18-23 minutes on a 2-core
+box (1,065-1,138 s of test calls, led by Figure 9 at 204 s, Figure 1 at
+168-213 s and Figure 6 at 128-142 s); ``full`` uses larger graphs and
+paper-faithful patience.  Select with ``REPRO_BENCH_PROFILE``.
 """
 
 from __future__ import annotations

@@ -1,71 +1,108 @@
-"""Render benchmark results as Markdown (used to build EXPERIMENTS.md).
+"""Render the benchmark results file into EXPERIMENTS.md.
 
-The harness prints plain-text tables to stdout for interactive runs; this
-module renders the same data as Markdown tables and paper-vs-measured
-sections so results can be committed as documentation.
+A session of ``pytest benchmarks`` writes ``results/paper_<profile>.json``
+(see ``benchmarks/conftest.py``): per test, its verdict, the first line of
+its failure message and every table it printed.  Rendering rebuilds the
+page's marked blocks from it and leaves everything else alone:
+``<!-- measured: <test> -->`` holds that test's verdict and tables,
+``<!-- claims -->`` one row per :data:`repro.bench.paper.CLAIMS` entry, and
+``<!-- deviations -->`` every test that is not reproduced.  Usage::
+
+    python -m repro.bench.report results/paper_quick.json EXPERIMENTS.md
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import json
+import re
+import sys
+from pathlib import Path
 
-from ..training.metrics import TrainResult
+from . import paper
+from .harness import markdown_table
 
+REPRODUCED = "reproduced"
+NOT_REPRODUCED = "not reproduced"
 
-def markdown_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """A GitHub-flavoured Markdown table."""
-    if not header:
-        raise ValueError("header must not be empty")
-
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            if value != 0 and abs(value) < 5e-3:
-                return f"{value:.2e}"
-            return f"{value:.3f}"
-        return str(value)
-
-    lines = ["| " + " | ".join(str(h) for h in header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"row width {len(row)} != header width {len(header)}")
-        lines.append("| " + " | ".join(fmt(v) for v in row) + " |")
-    return "\n".join(lines)
+#: A marked block: its opening marker (kind, and the test for "measured"),
+#: the content that rendering replaces, and the closing marker.
+_BLOCK = re.compile(r"(<!-- ((measured|claims|deviations)(?:: (\S+))?) -->)"
+                    r".*?(<!-- /\3 -->)", re.DOTALL)
+_HEADING = re.compile(r"^## (.+)$", re.MULTILINE)
 
 
-def results_table(results: Sequence[TrainResult],
-                  paper_rows: Sequence | None = None) -> str:
-    """Paper-style TT/N/TCA/MRR table, optionally with reference columns."""
-    if paper_rows is not None and len(paper_rows) != len(results):
-        raise ValueError("paper_rows must align with results")
-    if paper_rows is None:
-        header = ["nodes", "TT (h)", "N", "TCA", "MRR"]
-        rows = [[r.n_nodes, r.total_hours, r.epochs, r.test_tca, r.test_mrr]
-                for r in results]
-    else:
-        header = ["nodes", "TT (h)", "N", "TCA", "MRR",
-                  "paper TT", "paper N", "paper TCA", "paper MRR"]
-        rows = [[r.n_nodes, r.total_hours, r.epochs, r.test_tca, r.test_mrr,
-                 p.tt_hours, p.epochs, p.tca, p.mrr]
-                for r, p in zip(results, paper_rows)]
-    return markdown_table(header, rows)
+def _entry(results: dict, test: str) -> dict:
+    try:
+        return results[test]
+    except KeyError:
+        raise KeyError(f"the page names {test!r}, which has no entry in "
+                       f"the results file") from None
 
 
-def series_table(x_label: str, xs: Sequence,
-                 series: dict[str, Sequence[float]]) -> str:
-    """One x column plus one column per named curve."""
-    for name, values in series.items():
-        if len(values) != len(xs):
-            raise ValueError(f"series {name!r} length != x axis length")
-    header = [x_label] + list(series)
-    rows = [[x] + [series[name][i] for name in series]
-            for i, x in enumerate(xs)]
-    return markdown_table(header, rows)
+def measured_block(entry: dict) -> str:
+    """One test's verdict line followed by every table it printed."""
+    verdict = f"**Verdict: {entry['verdict']}.**"
+    if entry["message"]:
+        verdict += f" `{entry['message']}`"
+    parts = [verdict]
+    for table in entry["tables"]:
+        parts.append(f"*{table['title']}*\n\n"
+                     + markdown_table(table["header"], table["rows"]))
+    return "\n\n".join(parts)
 
 
-def comparison_line(label: str, measured: float, paper: float,
-                    unit: str = "") -> str:
-    """A one-line paper-vs-measured bullet."""
-    return (f"- **{label}**: measured {measured:.3g}{unit} "
-            f"vs paper {paper:.3g}{unit}")
+def claims_table(results: dict) -> str:
+    """The page's summary: each paper claim, its test, and that verdict."""
+    rows = [[claim, text, f"`{test}`", _entry(results, test)["verdict"]]
+            for claim, (text, test) in paper.CLAIMS.items()]
+    return markdown_table(["claim", "statement", "test", "verdict"], rows)
+
+
+def deviations(page: str, results: dict) -> str:
+    """One line per measured block whose test is not reproduced."""
+    lines = []
+    for m in _BLOCK.finditer(page):
+        entry = _entry(results, m[4]) if m[3] == "measured" else None
+        if entry and entry["verdict"] == NOT_REPRODUCED:
+            section = (_HEADING.findall(page, 0, m.start()) or ["above"])[-1]
+            lines.append(f"- `{m[4]}`: `{entry['message']}` "
+                         f"(see *{section}*).")
+    return "\n".join(lines) or "- none"
+
+
+def render(page: str, results: dict) -> str:
+    """``page`` with every marked block rebuilt from ``results``.
+
+    Raises ``KeyError`` naming a test that a marker or claim names but the
+    results lack, or one the results hold but no marker shows.
+    """
+    shown = {m[4] for m in _BLOCK.finditer(page) if m[3] == "measured"}
+    if set(results) - shown:
+        raise KeyError(f"results entries with no measured block on the "
+                       f"page: {sorted(set(results) - shown)}")
+
+    def rebuild(m: re.Match) -> str:
+        if m[3] == "measured":
+            body = measured_block(_entry(results, m[4]))
+        elif m[3] == "claims":
+            body = claims_table(results)
+        else:
+            body = deviations(page, results)
+        return f"{m[1]}\n\n{body}\n\n{m[5]}"
+
+    return _BLOCK.sub(rebuild, page)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with open(argv[1]) as fh:
+        results = json.load(fh)
+    page = Path(argv[2])
+    page.write_text(render(page.read_text(), results))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

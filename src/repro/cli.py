@@ -49,7 +49,8 @@ from .serve import (EmbeddingStore, QueryEngine, ServeFaultPlan, SLOConfig,
 from .training.checkpoint import CheckpointError
 from .training.elastic import ElasticSupervisor
 from .training.strategy import COLLECTIVES, PRESETS
-from .training.trainer import DistributedTrainer, TrainConfig
+from .training.trainer import (DistributedTrainer, NonFiniteClockError,
+                               TrainConfig)
 
 DATASETS = {"fb15k": make_fb15k_like, "fb250k": make_fb250k_like}
 
@@ -338,9 +339,12 @@ def _train(args: argparse.Namespace) -> None:
         if args.resume:
             print(f"resume  : epoch {resumed_epoch} ({args.resume})")
 
-    # The training run: anything but a collective fault raised from here
-    # on is a bug, not bad input, and propagates.
-    result = job.run()
+    # The training run: anything but a collective fault or a non-finite
+    # clock (bad --net costs) raised from here on is a bug and propagates.
+    try:
+        result = job.run()
+    except NonFiniteClockError as exc:
+        raise _Refused(f"--net {args.net!r}: {exc}") from exc
 
     if args.elastic and not args.json:
         for event in result.recovery_log:

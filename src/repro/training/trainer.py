@@ -56,6 +56,10 @@ from .strategy import StrategyConfig
 from .worker import Worker
 
 
+class NonFiniteClockError(ArithmeticError):
+    """The simulated clock (or the time it scales to) is no longer finite."""
+
+
 @dataclass
 class TrainConfig:
     """Run-level hyper-parameters (paper Section 3.3 scaled down)."""
@@ -315,6 +319,11 @@ class DistributedTrainer:
                         self._last_snapshot,
                         ckpt_dir / f"failure-epoch-{self._last_snapshot.epoch:04d}")
                 raise
+            if not math.isfinite(self.cluster.elapsed * cfg.time_scale):
+                raise NonFiniteClockError(
+                    f"simulated time after epoch {epoch} is "
+                    f"{self.cluster.elapsed * cfg.time_scale} s: the network "
+                    f"model prices a step beyond the float range")
             self._completed_epochs = epoch
             if snapshotting:
                 self._last_snapshot = ckpt.capture_state(self)

@@ -124,6 +124,20 @@ class TestMain:
         assert err.startswith(f"error: bad {flag} spec ")
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("spec", ["rpn=1,flops=1e-300",
+                                      "rpn=1,inter=1e300:1e300"])
+    def test_finite_net_that_prices_infinite_time_exits_2(self, tmp_path,
+                                                         capsys, spec):
+        """Finite costs whose times overflow used to print
+        ``TT_hours: Infinity`` (not JSON) and exit 0."""
+        rc = main(self._args(tmp_path, ["--nodes", "2", "--max-epochs", "2",
+                                        "--net", spec, "--json"]))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --net {spec!r}: ")
+        assert "beyond the float range" in captured.err
+
     def test_elastic_with_resume_exits_2_naming_both_flags(self, tmp_path,
                                                            capsys):
         """The elastic supervisor cannot resume; it used to drop --resume

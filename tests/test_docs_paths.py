@@ -4,10 +4,10 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
         *sorted(ROOT.glob("docs/*.md"))]
 PATH = re.compile(
-    r"(?<![\w/.-])((?:src|tests|scripts|benchmarks|examples|perf|docs)"
+    r"(?<![\w/.-])((?:src|tests|scripts|benchmarks|examples|perf|docs|results)"
     r"/[\w/.-]*\.(?:py|json|sh|md)|BENCH_\w+\.json)\b")
 
 
