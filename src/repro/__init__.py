@@ -26,9 +26,9 @@ Subpackages
 ``repro.compress``
     Gradient-row selection, 1-/2-bit quantization, bit packing, error
     feedback.
-``repro.train``
+``repro.training``
     StrategyConfig presets (Table 5 vocabulary), the distributed trainer,
-    the parameter-server comparator.
+    checkpoints and elastic recovery.
 ``repro.eval``
     Filtered/raw MRR, Hits@k, triple classification accuracy.
 ``repro.serve``
@@ -82,7 +82,6 @@ from .training import (
     rs_1bit,
     rs_1bit_rp_ss,
     train,
-    train_elastic,
 )
 
 __version__ = "1.0.0"
@@ -135,6 +134,5 @@ __all__ = [
     "rs_1bit_rp_ss",
     "scaled_initial_lr",
     "train",
-    "train_elastic",
     "uniform_partition",
 ]

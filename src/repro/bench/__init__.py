@@ -19,7 +19,6 @@ from .harness import (
     print_serve_table,
     print_series,
     print_table,
-    reduction,
     run_once,
     sweep,
     trend_slope,
@@ -41,7 +40,6 @@ __all__ = [
     "print_serve_table",
     "print_series",
     "print_table",
-    "reduction",
     "run_once",
     "sweep",
     "train_config",

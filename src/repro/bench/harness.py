@@ -182,10 +182,3 @@ def trend_slope(values) -> float:
         return 0.0
     x = np.arange(len(values), dtype=np.float64)
     return float(np.polyfit(x, values, 1)[0])
-
-
-def reduction(baseline: float, improved: float) -> float:
-    """Fractional reduction of ``improved`` relative to ``baseline``."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return 1.0 - improved / baseline

@@ -507,11 +507,6 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str = "train") -> argparse.ArgumentParser:
-    """The argument parser of one of :data:`COMMANDS`."""
-    return COMMANDS[command][0]()
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = "train"

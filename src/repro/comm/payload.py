@@ -17,7 +17,6 @@ to report communication-volume statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 FLOAT32_BYTES = 4
 INDEX_BYTES = 4
@@ -35,37 +34,19 @@ def sparse_rows_bytes(n_rows: int, dim: int) -> int:
     return n_rows * (INDEX_BYTES + dim * FLOAT32_BYTES)
 
 
-def quantized_rows_bytes(n_rows: int, dim: int, bits: int) -> int:
+def quantized_rows_bytes(n_rows: int, dim: int, bits: int,
+                         n_scales: int = 1) -> int:
     """Wire size of ``n_rows`` quantized rows.
 
-    Each row carries its 4-byte index, a 4-byte float32 scale, and
-    ``ceil(dim * bits / 8)`` bytes of packed codes.
+    Each row carries its 4-byte index, ``n_scales`` 4-byte float32 scales
+    (two for the sign-split 1-bit statistics), and ``ceil(dim * bits / 8)``
+    bytes of packed codes.
     """
     _check_nonneg(n_rows=n_rows, dim=dim)
     if bits not in (1, 2):
         raise ValueError(f"bits must be 1 or 2, got {bits}")
     packed = math.ceil(dim * bits / 8)
-    return n_rows * (INDEX_BYTES + FLOAT32_BYTES + packed)
-
-
-@dataclass(frozen=True)
-class PayloadSize:
-    """A payload's size and how many point-to-point messages it needs."""
-
-    nbytes: int
-    n_messages: int = 1
-
-    def __post_init__(self) -> None:
-        _check_nonneg(nbytes=self.nbytes, n_messages=self.n_messages)
-
-
-def compression_ratio(n_rows: int, dim: int, bits: int) -> float:
-    """Dense-to-quantized size ratio for a full matrix (paper quotes ~32x)."""
-    dense = dense_bytes(n_rows, dim)
-    quant = quantized_rows_bytes(n_rows, dim, bits)
-    if quant == 0:
-        return float("inf")
-    return dense / quant
+    return n_rows * (INDEX_BYTES + n_scales * FLOAT32_BYTES + packed)
 
 
 def _check_nonneg(**kwargs: int) -> None:

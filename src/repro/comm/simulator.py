@@ -169,12 +169,6 @@ class Cluster:
         self.records.append(record)
         self.stats.add(record)
 
-    def barrier(self) -> None:
-        """Synchronise clocks without charging communication time."""
-        sync_point = self.clocks.max()
-        self.wait_total += sync_point - self.clocks
-        self.clocks[:] = sync_point
-
     def charge_recovery(self, seconds: float) -> None:
         """Charge elastic-recovery downtime to every rank's clock.
 
@@ -202,12 +196,6 @@ class Cluster:
         if self.elapsed <= 0.0:
             return 0.0
         return float(self.wait_total.max()) / self.elapsed
-
-    def reset_clocks(self) -> None:
-        """Zero all clocks and drop records (stats are kept)."""
-        self.clocks[:] = 0.0
-        self.wait_total[:] = 0.0
-        self.records.clear()
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:

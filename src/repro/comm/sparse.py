@@ -78,26 +78,6 @@ class SparseRows:
         return sparse_rows_bytes(self.nnz_rows, self.dim)
 
     @classmethod
-    def from_dense(cls, matrix: np.ndarray, zero_tol: float = 0.0) -> "SparseRows":
-        """Extract rows whose 2-norm exceeds ``zero_tol``.
-
-        ``zero_tol = 0`` keeps every row with any non-zero element (the
-        baseline's definition of a "non-zero gradient row").
-        """
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-        if zero_tol == 0.0:
-            # Exact check: a float32 norm of subnormal values can underflow
-            # to zero and silently drop a row that has non-zero elements.
-            mask = (matrix != 0).any(axis=1)
-        else:
-            norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-            mask = norms > zero_tol
-        idx = np.flatnonzero(mask)
-        return cls(indices=idx, values=matrix[idx], n_rows=matrix.shape[0])
-
-    @classmethod
     def from_rows(cls, indices: np.ndarray, values: np.ndarray,
                   n_rows: int) -> "SparseRows":
         """Build from possibly-unsorted, possibly-duplicated row updates.
@@ -116,12 +96,6 @@ class SparseRows:
         plan = build_fold_plan(indices, n_rows)
         return cls(indices=plan.rows, values=fold_rows(plan, values),
                    n_rows=n_rows)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the full ``(n_rows, dim)`` matrix."""
-        out = np.zeros((self.n_rows, self.dim), dtype=np.float32)
-        out[self.indices] = self.values
-        return out
 
     def select(self, keep_mask: np.ndarray) -> "SparseRows":
         """Keep only rows where ``keep_mask`` is True (same length as nnz)."""

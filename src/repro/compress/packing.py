@@ -56,46 +56,6 @@ def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
     return _decode(_SIGN_TABLE, packed, dim)
 
 
-#: Bits set in each possible byte value — the popcount kernel behind
-#: packed-XOR Hamming scoring.  uint16 keeps the LUT lookup result wide
-#: enough that per-byte sums never wrap before NumPy promotes the reduce.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
-                     dtype=np.uint16)
-
-#: NumPy >= 2.0 ships a vectorized ufunc popcount; the 256-entry LUT
-#: gather stays as the fallback for older runtimes.  Identical results —
-#: both count set bits per byte — only throughput differs.
-_BITWISE_COUNT = getattr(np, "bitwise_count", None)
-
-
-def popcount_bytes(packed: np.ndarray) -> np.ndarray:
-    """Per-row set-bit count of a packed uint8 array (last axis summed)."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    if _BITWISE_COUNT is not None:
-        return _BITWISE_COUNT(packed).sum(axis=-1, dtype=np.int64)
-    return _POPCOUNT[packed].sum(axis=-1).astype(np.int64)
-
-
-def hamming_distances(query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Hamming distances between packed sign rows: ``popcount(a XOR b)``.
-
-    ``query`` is one packed row ``(n_bytes,)`` or a batch ``(m, n_bytes)``;
-    ``codes`` is the candidate matrix ``(n, n_bytes)``.  Returns int64 of
-    shape ``(n,)`` / ``(m, n)``.  Both sides must be packed with the same
-    :func:`pack_signs` convention so their padding bits agree (``packbits``
-    pads with zeros, which XOR away).
-    """
-    query = np.asarray(query, dtype=np.uint8)
-    codes = np.asarray(codes, dtype=np.uint8)
-    if query.shape[-1] != codes.shape[-1]:
-        raise ValueError(
-            f"packed widths differ: query has {query.shape[-1]} byte(s) per "
-            f"row, codes {codes.shape[-1]}")
-    if query.ndim == 1:
-        return popcount_bytes(query[None, :] ^ codes)
-    return popcount_bytes(query[:, None, :] ^ codes[None, :, :])
-
-
 _TERNARY_TO_CODE = {-1: 0, 0: 1, 1: 2}
 
 

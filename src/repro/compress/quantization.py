@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..comm.payload import FLOAT32_BYTES, INDEX_BYTES
+from ..comm.payload import quantized_rows_bytes
 from ..comm.sparse import SparseRows
 from .packing import pack_signs, pack_ternary, unpack_signs, unpack_ternary
 
@@ -58,9 +58,8 @@ class QuantizedRows:
     @property
     def nbytes_wire(self) -> int:
         """Index + packed code bytes + scale bytes per row."""
-        per_row = (INDEX_BYTES + self.codes.shape[1]
-                   + self.scales.shape[1] * FLOAT32_BYTES)
-        return self.nnz_rows * per_row
+        return quantized_rows_bytes(self.nnz_rows, self.dim, self.bits,
+                                    self.scales.shape[1])
 
 
 def _split_scales(values: np.ndarray, stat: str) -> np.ndarray:

@@ -18,24 +18,37 @@ import numpy as np
 from .triples import TripleSet, TripleStore
 
 
-def _read_id_count(path: str) -> int:
-    with open(path) as fh:
-        line = fh.readline().strip()
+def _read_counted(path: str) -> list[str]:
+    """The non-blank lines after an OpenKE file's count line.
+
+    The first line must be an integer equal to the number of those lines.
+    """
     try:
-        return int(line)
+        with open(path) as fh:
+            header = fh.readline().strip()
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        count = int(header)
     except ValueError:
         raise ValueError(f"{path}: first line must be a count, got "
-                         f"{line!r}") from None
+                         f"{header!r}") from None
+    if count != len(rows):
+        raise ValueError(f"{path}: first line counts {count} rows, the "
+                         f"file holds {len(rows)}")
+    return rows
 
 
 def _read_openke_triples(path: str) -> TripleSet:
     """OpenKE ``*2id.txt``: first line count, then ``h t r`` per line."""
+    rows = _read_counted(path)
+    if not rows:
+        raise ValueError(f"{path} contains no triples")
     try:
-        data = np.loadtxt(path, skiprows=1, dtype=np.int64, ndmin=2)
+        data = np.loadtxt(rows, dtype=np.int64, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if data.size == 0:
-        raise ValueError(f"{path} contains no triples")
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {data.shape[1]}")
     # OpenKE column order is (head, tail, relation).
@@ -54,8 +67,8 @@ def load_openke_dir(path: str, name: str | None = None) -> TripleStore:
         if not os.path.exists(os.path.join(path, fname)):
             raise FileNotFoundError(
                 f"OpenKE directory {path!r} is missing {fname}")
-    n_entities = _read_id_count(os.path.join(path, "entity2id.txt"))
-    n_relations = _read_id_count(os.path.join(path, "relation2id.txt"))
+    n_entities = len(_read_counted(os.path.join(path, "entity2id.txt")))
+    n_relations = len(_read_counted(os.path.join(path, "relation2id.txt")))
     train, valid, test = (
         _read_openke_triples(os.path.join(path, f"{split}2id.txt"))
         for split in ("train", "valid", "test"))
@@ -66,22 +79,3 @@ def load_openke_dir(path: str, name: str | None = None) -> TripleStore:
             name=name or os.path.basename(os.path.normpath(path)))
     except ValueError as exc:
         raise ValueError(f"OpenKE directory {path!r}: {exc}") from None
-
-
-def save_openke_dir(store: TripleStore, path: str) -> None:
-    """Write a dataset in the OpenKE layout (ids are synthetic labels)."""
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "entity2id.txt"), "w") as fh:
-        fh.write(f"{store.n_entities}\n")
-        for i in range(store.n_entities):
-            fh.write(f"e{i}\t{i}\n")
-    with open(os.path.join(path, "relation2id.txt"), "w") as fh:
-        fh.write(f"{store.n_relations}\n")
-        for i in range(store.n_relations):
-            fh.write(f"r{i}\t{i}\n")
-    for split_name in ("train", "valid", "test"):
-        split: TripleSet = getattr(store, split_name)
-        with open(os.path.join(path, f"{split_name}2id.txt"), "w") as fh:
-            fh.write(f"{len(split)}\n")
-            for h, r, t in zip(split.heads, split.relations, split.tails):
-                fh.write(f"{h} {t} {r}\n")  # OpenKE order: head tail relation

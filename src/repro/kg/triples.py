@@ -259,10 +259,6 @@ class TripleStore:
             np.concatenate([s.tails for s in splits]),
             self.n_entities, self.n_relations)
 
-    @property
-    def n_train(self) -> int:
-        return len(self.train)
-
     def is_known(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorised membership test against train+valid+test.
 
@@ -270,18 +266,6 @@ class TripleStore:
         see :meth:`FilterIndex.contains`.
         """
         return self.filter_index.contains(h, r, t)
-
-    def relation_counts(self, split: str = "train") -> np.ndarray:
-        """Number of triples per relation id in the given split."""
-        triples = getattr(self, split)
-        return np.bincount(triples.relations, minlength=self.n_relations)
-
-    def entity_degrees(self, split: str = "train") -> np.ndarray:
-        """Number of train triples each entity participates in (h or t)."""
-        triples = getattr(self, split)
-        deg = np.bincount(triples.heads, minlength=self.n_entities)
-        deg += np.bincount(triples.tails, minlength=self.n_entities)
-        return deg
 
     def summary(self) -> dict:
         """Human-readable dataset statistics."""

@@ -209,11 +209,6 @@ class KGEModel(abc.ABC):
         clone.relation_emb = self.relation_emb.copy()
         return clone
 
-    def state_norms(self) -> tuple[float, float]:
-        """Frobenius norms of the two embedding matrices (diagnostics)."""
-        return (float(np.linalg.norm(self.entity_emb)),
-                float(np.linalg.norm(self.relation_emb)))
-
     def flops_per_example(self, backward: bool = True) -> int:
         """Rough flop count of scoring (and optionally backprop) one triple.
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..compress.packing import hamming_distances, pack_signs, unpack_signs
 from ..compress.quantization import binarize_matrix
 from ..models.base import KGEModel
 from ..select import best_set, check_take
@@ -116,30 +115,7 @@ class BinaryStore:
         """Resident bytes of the candidate-generation tier."""
         return self.codes.nbytes + self.scales.nbytes
 
-    def approx_entity_emb(self) -> np.ndarray:
-        """The rank-1 reconstruction ``sign * scale`` (float32).
-
-        This is what the 1-bit tier *believes* the entity matrix is; the
-        round-trip property tests pin it against
-        ``dequantize(quantize_1bit(...))`` exactly.
-        """
-        return unpack_signs(self.codes, self.width) * self.scales[:, None]
-
     # -- stage 1: Hamming candidate generation ------------------------------
-
-    def pack_queries(self, vectors: np.ndarray) -> np.ndarray:
-        """Pack query vectors' sign bits with the entity-code convention."""
-        vectors = np.asarray(vectors)
-        if vectors.ndim != 2 or vectors.shape[1] != self.width:
-            raise ValueError(
-                f"query vectors must be (batch, {self.width}), got "
-                f"{vectors.shape}")
-        return pack_signs(vectors)
-
-    def hamming(self, vectors: np.ndarray) -> np.ndarray:
-        """Hamming distances of each query's sign pattern to every entity:
-        shape ``(batch, n_entities)`` int64."""
-        return hamming_distances(self.pack_queries(vectors), self.codes)
 
     def sign_dots(self, vectors: np.ndarray) -> np.ndarray:
         """Exact ``q . sign(t)`` for every (query, entity) pair, float32

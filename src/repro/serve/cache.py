@@ -79,12 +79,6 @@ class LRUCache:
         self.invalidations += 1
         return dropped
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups so far (0.0 before any lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
     def keys(self) -> list:
         """Keys in LRU -> MRU order (exposed for eviction-order tests)."""
         return list(self._entries.keys())

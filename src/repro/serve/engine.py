@@ -13,8 +13,8 @@ The engine answers four query shapes against a frozen
     eval's filtered protocol (minus the gold-entity exemption: a live
     query has no gold entity).
 ``nearest_entities(e, k)``
-    Embedding-space neighbors under L2 or cosine geometry, with complex
-    models' ``[real | imag]`` half layout paired per coordinate through
+    Embedding-space neighbors by L2 distance, with complex models'
+    ``[real | imag]`` half layout paired per coordinate through
     :meth:`~repro.models.base.KGEModel.entity_components`.
 
 Link-prediction queries run in one of two **memory tiers**:
@@ -99,7 +99,6 @@ from .resilience import (ResilienceController, ServeFaultPlan, ShedResponse,
 from .stats import ServeStats
 from .store import EmbeddingStore
 
-METRICS = ("l2", "cosine")
 TIERS = ("dense", "binary")
 
 
@@ -108,9 +107,8 @@ class TopKResult:
     """One answered top-k query.
 
     ``scores`` are raw model scores for link-prediction queries (higher is
-    better), distances for ``metric="l2"`` neighbor queries (lower is
-    better, returned ascending) and similarities for ``metric="cosine"``
-    (higher is better, returned descending).
+    better) and L2 distances for neighbor queries (lower is better,
+    returned ascending).
     """
 
     entities: np.ndarray
@@ -162,8 +160,7 @@ class QueryEngine:
                 raise ValueError(
                     "tier='binary' needs a binarized store; export a "
                     "sidecar with `repro export-binary` and load with "
-                    "with_binary=True, or build the store via "
-                    "EmbeddingStore.from_model(..., with_binary=True)")
+                    "with_binary=True")
             check_geometry(store.binary, store)
         self.store = store
         self.cache = LRUCache(cache_capacity)
@@ -468,22 +465,17 @@ class QueryEngine:
 
     # -- nearest neighbors ---------------------------------------------------
 
-    def nearest_entities(self, e: int, k: int = 10, metric: str = "l2",
-                         exclude_self: bool = True) -> TopKResult:
-        """Embedding-space neighbors of entity ``e``.
+    def nearest_entities(self, e: int, k: int = 10) -> TopKResult:
+        """The ``k`` entities nearest to entity ``e``, by ascending Euclidean
+        distance over the entity's full geometric coordinates.
 
-        ``metric="l2"`` returns ascending Euclidean distances over the
-        entity's full geometric coordinates; ``metric="cosine"`` returns
-        descending cosine similarities.  A complex-valued model (ComplEx)
-        stores ``[real | imag]`` halves — components are paired per
-        complex coordinate via ``entity_components()``, never by reshaping
-        the raw row (which would marry the real part of one coordinate to
-        the imaginary part of another).  Ties break toward the smaller
-        entity id, so an entity is always its own nearest neighbor when
-        ``exclude_self=False``; a non-finite row is not a candidate.
+        A complex-valued model (ComplEx) stores ``[real | imag]`` halves —
+        components are paired per complex coordinate via
+        ``entity_components()``, never by reshaping the raw row (which
+        would marry the real part of one coordinate to the imaginary part
+        of another).  Ties break toward the smaller entity id; ``e``
+        itself and a non-finite row are not candidates.
         """
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; one of {METRICS}")
         k = check_take("k", k)
         e = int(e)
         self._check_ids([e], [])
@@ -493,7 +485,7 @@ class QueryEngine:
             admission = self.resilience.admit("nearest")
             if admission.state == "shed":
                 return self._shed("nearest", "overload", admission, start)
-        key = ("nearest", e, metric, k, exclude_self)
+        key = ("nearest", e, k)
         hit = self.cache.get(key)
         if hit is not None:
             self.stats.record("nearest", time.perf_counter() - start,
@@ -508,29 +500,15 @@ class QueryEngine:
             return self._shed("nearest", "scorer_failure", admission, start)
 
         re, im = self.store.model.entity_components()
-        if metric == "l2":
-            diff = re - re[e]
-            sq = np.einsum("ij,ij->i", diff, diff)
-            if im is not None:
-                diff_im = im - im[e]
-                sq = sq + np.einsum("ij,ij->i", diff_im, diff_im)
-            values = np.sqrt(sq)
-            ranking = -values  # nearest first: best_first descends
-        else:
-            dots = re @ re[e]
-            self_sq = re[e] @ re[e]
-            norms_sq = np.einsum("ij,ij->i", re, re)
-            if im is not None:
-                dots = dots + im @ im[e]
-                self_sq = self_sq + im[e] @ im[e]
-                norms_sq = norms_sq + np.einsum("ij,ij->i", im, im)
-            denom = np.sqrt(norms_sq) * np.sqrt(self_sq)
-            values = dots / np.maximum(denom, 1e-12)
-            ranking = values
-        if exclude_self:
-            # NaN is "not a candidate", exactly like a non-finite row.
-            ranking = ranking.copy()
-            ranking[e] = np.nan
+        diff = re - re[e]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        if im is not None:
+            diff_im = im - im[e]
+            sq = sq + np.einsum("ij,ij->i", diff_im, diff_im)
+        values = np.sqrt(sq)
+        ranking = -values  # nearest first: best_first descends
+        # NaN is "not a candidate", exactly like a non-finite row.
+        ranking[e] = np.nan
         order = best_first(ranking, k)
         result = TopKResult(entities=order, scores=values[order])
         self.cache.put(key, result)

@@ -150,10 +150,6 @@ class ServeStats:
         self.reloads += 1
         self.last_reload = {"old_epoch": old_epoch, "new_epoch": new_epoch}
 
-    def latency_percentiles(self, qs=(50.0, 99.0)) -> dict:
-        """Exact latency percentiles in milliseconds, keyed ``p50``-style."""
-        return _percentiles_ms(self._view(self._latencies), qs)
-
     def snapshot(self) -> dict:
         """Flat summary: counts, p50/p99/mean latency, service rate, cache.
 
@@ -177,7 +173,7 @@ class ServeStats:
             "cache_hit_rate": self.cache_hit_rate,
             "stats_window": self.window,
         }
-        out.update(self.latency_percentiles())
+        out.update(_percentiles_ms(self._view(self._latencies)))
         by_kind_latency = {
             kind: _percentiles_ms(self._view(window))
             for kind, window in self._latencies_by_kind.items()
@@ -239,9 +235,10 @@ def _mean(window) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def _percentiles_ms(window, qs=(50.0, 99.0)) -> dict:
+def _percentiles_ms(window) -> dict:
+    """Exact p50 and p99 of ``window`` in milliseconds, keyed ``p50_ms``."""
     values = np.asarray(window, dtype=np.float64)
     if not values.size:
-        return {f"p{q:g}_ms": 0.0 for q in qs}
-    points = np.percentile(values, qs)
-    return {f"p{q:g}_ms": float(v) * 1e3 for q, v in zip(qs, points)}
+        return {"p50_ms": 0.0, "p99_ms": 0.0}
+    p50, p99 = np.percentile(values, (50.0, 99.0))
+    return {"p50_ms": float(p50) * 1e3, "p99_ms": float(p99) * 1e3}

@@ -42,8 +42,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class EmbeddingStore:
     """Frozen model + optional filter index, ready to serve queries.
 
-    Build one via :meth:`from_checkpoint` (production path) or
-    :meth:`from_model` (tests, benchmarks that skip training).
+    Build one via :meth:`from_checkpoint`, or from the constructor over an
+    in-memory model.
     """
 
     model: KGEModel
@@ -146,26 +146,6 @@ class EmbeddingStore:
         if store.binary is not None:
             check_geometry(store.binary, store)
         return store
-
-    @classmethod
-    def from_model(cls, model: KGEModel,
-                   dataset: TripleStore | None = None,
-                   with_binary: bool = False) -> "EmbeddingStore":
-        """Wrap an in-memory model (a private copy; the original stays
-        writeable for continued training).  ``with_binary`` binarizes the
-        entity matrix in-process — the test/benchmark shortcut that skips
-        the sidecar round-trip."""
-        from .binary import binarize_model
-
-        index = None
-        if dataset is not None:
-            if dataset.n_entities != model.n_entities:
-                raise ValueError(
-                    f"dataset has {dataset.n_entities} entities but the "
-                    f"model embeds {model.n_entities}")
-            index = dataset.filter_index
-        binary = binarize_model(model) if with_binary else None
-        return cls(model=model.copy(), filter_index=index, binary=binary)
 
     # -- introspection -----------------------------------------------------
 

@@ -1,11 +1,6 @@
-"""Distributed training engine: strategies, workers, trainer, baselines."""
+"""Distributed training engine: strategies, workers, trainer, closed forms."""
 
-from .baselines import (
-    ParameterServerTopology,
-    ParameterServerTrainer,
-    allreduce_time_per_step,
-    parameter_server_time_per_step,
-)
+from .baselines import allreduce_time_per_step, parameter_server_time_per_step
 from .checkpoint import (
     SCHEMA_VERSION,
     CheckpointChecksumError,
@@ -22,7 +17,7 @@ from .checkpoint import (
     prune_checkpoints,
     write_checkpoint,
 )
-from .elastic import ElasticSupervisor, RecoveryEvent, train_elastic
+from .elastic import ElasticSupervisor, RecoveryEvent
 from .metrics import EpochLog, EvalTimer, TrainResult
 from .rng import rejoin_rng, selection_rng, trainer_rng, worker_rng
 from .strategy import (
@@ -55,8 +50,6 @@ __all__ = [
     "EvalTimer",
     "RecoveryEvent",
     "PRESETS",
-    "ParameterServerTopology",
-    "ParameterServerTrainer",
     "SCHEMA_VERSION",
     "StepOutput",
     "StrategyConfig",
@@ -83,5 +76,4 @@ __all__ = [
     "rs_1bit",
     "rs_1bit_rp_ss",
     "train",
-    "train_elastic",
 ]

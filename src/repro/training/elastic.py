@@ -258,17 +258,3 @@ class ElasticSupervisor:
                 world_before=tuple(world), world_after=tuple(new_world),
                 rollback_epochs=0, overhead=overhead))
         return new_trainer, new_world, []
-
-
-def train_elastic(store: TripleStore, strategy: StrategyConfig,
-                  n_nodes: int = 1, config: TrainConfig | None = None,
-                  network: NetworkModel | None = None,
-                  faults: FaultPlan | None = None,
-                  max_restarts: int = 1,
-                  allow_regrow: bool = False) -> TrainResult:
-    """Convenience one-call API: build an elastic supervisor and run it."""
-    supervisor = ElasticSupervisor(store, strategy, n_nodes, config=config,
-                                   network=network, faults=faults,
-                                   max_restarts=max_restarts,
-                                   allow_regrow=allow_regrow)
-    return supervisor.run()

@@ -11,8 +11,7 @@ the ranks' gradients of one matrix for one step.
    rank on the flat allgather, each node at the two-level hop boundary):
    1-/2-bit quantization or nothing;
 3. **move** — the transport charges its collectives on the simulated
-   cluster: flat allgatherv, two-level gather -> allgatherv -> bcast, or the
-   parameter-server push/pull;
+   cluster: flat allgatherv or two-level gather -> allgatherv -> bcast;
 4. **combine** — every receiver sums the decoded rows.
 
 The dense transports (flat ring, two-level) are lossless and skip 1-2.
@@ -37,7 +36,7 @@ import numpy as np
 from ..comm import collectives, hierarchical
 from ..comm.faults import CollectiveGaveUp
 from ..comm.payload import dense_bytes
-from ..comm.simulator import Cluster, CommRecord
+from ..comm.simulator import Cluster
 from ..comm.sparse import SparseRows, combine_sparse
 from ..compress.error_feedback import NodeResiduals, ResidualStore
 from ..compress.quantization import dequantize, quantization_error, quantize
@@ -56,21 +55,6 @@ def _take(items: list, i: int):
 def residual_key(kind: str, owner: int, hier: bool = False) -> str:
     """Checkpoint key of a rank's error-feedback store, or a node's."""
     return f"residual/{'hier_' if hier else ''}{kind}/{owner}"
-
-
-def push_pull_time(wire: Sequence[int], n_servers: int, network) -> float:
-    """Parameter-server step time for per-worker payloads of ``wire`` bytes.
-
-    Each worker pushes its rows and pulls the same rows back after the
-    servers applied the update.  The server tier must absorb every worker's
-    traffic (ingress bytes over ``n_servers`` links): the bottleneck term.
-    """
-    total = 2 * sum(wire)  # push + pull
-    server_time = network.transfer_time(total / n_servers,
-                                        n_messages=2 * len(wire))
-    worker_time = max(network.transfer_time(2 * b, n_messages=2)
-                      for b in wire)
-    return max(server_time, worker_time)
 
 
 @dataclass
@@ -166,10 +150,6 @@ class GradientExchange:
         self.rng = selection_rng(seed)
         #: Steps re-sent through the dense fallback (checkpointed).
         self.fallbacks = 0
-        #: Parameter-server tier size; > 0 moves sparse payloads by
-        #: push/pull through that many servers instead of an allgatherv
-        #: (set by :class:`~repro.training.baselines.ParameterServerTrainer`).
-        self.n_servers = 0
 
         # Topology-aware collective stack (collective != "flat"): the node
         # groups are the cluster's placement of this world.  Over a flat
@@ -360,11 +340,6 @@ class GradientExchange:
         if two_level:
             hierarchical.hier_inter_allgatherv_bytes(
                 cluster, wire, op_label=f"{m.kind}_hier")
-        elif self.n_servers:
-            cluster.charge_collective(CommRecord(
-                op="ps_push_pull", nbytes_total=2 * sum(wire),
-                n_messages=2 * len(wire),
-                time=push_pull_time(wire, self.n_servers, cluster.network)))
         else:
             codec = "quant" if strategy.quantization_bits else "sparse"
             collectives.allgatherv_bytes(

@@ -231,14 +231,6 @@ class DistributedTrainer:
                 self.faults)
         return self._config_hash
 
-    def save_checkpoint(self, path: str | Path) -> Path:
-        """Snapshot the complete training state into ``path``.
-
-        Only meaningful at an epoch boundary (before :meth:`run`, or from
-        the epoch-driven checkpoint hooks inside it).
-        """
-        return ckpt.write_checkpoint(ckpt.capture_state(self), path)
-
     def restore(self, path: str | Path) -> int:
         """Load a checkpoint and arm :meth:`run` to continue from it.
 
@@ -466,16 +458,8 @@ class DistributedTrainer:
 def train(store: TripleStore, strategy: StrategyConfig, n_nodes: int = 1,
           config: TrainConfig | None = None,
           network: NetworkModel | None = None,
-          faults: FaultPlan | None = None,
-          resume_from: str | Path | None = None) -> TrainResult:
-    """Convenience one-call API: build a trainer and run it.
-
-    ``resume_from`` restores a checkpoint (a checkpoint directory, or a
-    parent directory whose newest checkpoint is taken) before running;
-    the resumed run is bitwise identical to an uninterrupted one.
-    """
+          faults: FaultPlan | None = None) -> TrainResult:
+    """Convenience one-call API: build a trainer and run it."""
     trainer = DistributedTrainer(store, strategy, n_nodes, config=config,
                                  network=network, faults=faults)
-    if resume_from is not None:
-        trainer.restore(resume_from)
     return trainer.run()

@@ -10,6 +10,7 @@ from repro.comm.faults import FaultPlan
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows
+from tests._fixtures import sparse_to_dense
 
 
 @given(st.integers(1, 32), st.integers(0, 1 << 22))
@@ -57,9 +58,9 @@ def test_allgather_sparse_equals_dense_sum(p, n_rows, dim, seed):
         parts.append(SparseRows(idx, values, n_rows))
     cluster = Cluster(p)
     combined = allgather_sparse(cluster, parts)
-    expected = np.sum([part.to_dense().astype(np.float64)
+    expected = np.sum([sparse_to_dense(part).astype(np.float64)
                        for part in parts], axis=0)
-    np.testing.assert_allclose(combined.to_dense(), expected,
+    np.testing.assert_allclose(sparse_to_dense(combined), expected,
                                rtol=1e-5, atol=1e-5)
 
 
@@ -87,7 +88,7 @@ def test_allgather_ring_equals_bruck(p, n_rows, dim, seed, faults):
     for algo in ("ring", "bruck"):
         cluster = Cluster(p, faults=faults)
         outs[algo] = allgather_sparse(cluster, parts, algo=algo)
-    np.testing.assert_array_equal(outs["ring"].to_dense(),
-                                  outs["bruck"].to_dense())
+    np.testing.assert_array_equal(sparse_to_dense(outs["ring"]),
+                                  sparse_to_dense(outs["bruck"]))
     np.testing.assert_array_equal(outs["ring"].indices,
                                   outs["bruck"].indices)

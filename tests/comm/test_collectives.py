@@ -12,6 +12,7 @@ from repro.comm.collectives import (
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows
+from tests._fixtures import sparse_to_dense
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ class TestAllgatherSparse:
             SparseRows(np.array([4]), np.array([[4.0]], np.float32), 5),
         ]
         out = allgather_sparse(cluster, parts)
-        np.testing.assert_allclose(out.to_dense()[:, 0], [1, 0, 5, 0, 4])
+        np.testing.assert_allclose(sparse_to_dense(out)[:, 0], [1, 0, 5, 0, 4])
 
     def test_bytes_are_sum_of_blocks(self, cluster):
         parts = [

@@ -15,7 +15,6 @@ from repro.comm.faults import (
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster, CommRecord, CommStats
 from repro.comm.sparse import SparseRows
-from repro.comm.tracing import ClusterTracer
 
 NET = NetworkModel(alpha=1e-6, beta=1e-9)
 
@@ -226,14 +225,15 @@ class TestJitter:
 
 
 class TestTracingIntegration:
+    """The cluster's comm record log is its trace of every collective."""
+
     def test_trace_records_retries(self):
         plan = FaultPlan(drop_prob=0.5, seed=1)
         cluster = Cluster(4, NET, faults=plan)
-        with ClusterTracer(cluster) as tracer:
-            allreduce_bytes(cluster, 256)
-        event = tracer.comm_events()[0]
-        assert event.args.get("retries", 0) == cluster.stats.retries
-        assert event.args["retries"] > 0
+        allreduce_bytes(cluster, 256)
+        (record,) = cluster.records
+        assert record.retries == cluster.stats.retries
+        assert record.retries > 0
 
 
 class TestNetworkSplit:

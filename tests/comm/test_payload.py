@@ -3,8 +3,6 @@
 import pytest
 
 from repro.comm.payload import (
-    PayloadSize,
-    compression_ratio,
     dense_bytes,
     quantized_rows_bytes,
     sparse_rows_bytes,
@@ -50,27 +48,3 @@ class TestQuantized:
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
             quantized_rows_bytes(1, 8, 3)
-
-
-class TestCompressionRatio:
-    def test_1bit_approaches_32x_for_wide_rows(self):
-        """The paper's headline factor: 32 bits -> 1 bit per element."""
-        ratio = compression_ratio(1000, 1024, 1)
-        assert 23 < ratio < 32
-
-    def test_2bit_approaches_16x(self):
-        ratio = compression_ratio(1000, 1024, 2)
-        assert 13 < ratio < 16
-
-    def test_overhead_dominates_narrow_rows(self):
-        assert compression_ratio(1000, 8, 1) < 4
-
-
-class TestPayloadSize:
-    def test_fields(self):
-        ps = PayloadSize(nbytes=100, n_messages=3)
-        assert ps.nbytes == 100 and ps.n_messages == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            PayloadSize(nbytes=-5)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.collectives import allreduce_bytes
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster, CommRecord, CommStats
 
@@ -51,10 +52,12 @@ class TestCollectiveSemantics:
         cluster.charge_collective(CommRecord("allreduce", 100, 2, 0.5))
         assert all(c == 5.5 for c in cluster.clocks)
 
-    def test_barrier_synchronises_without_cost(self, cluster):
-        cluster.advance_compute(3, 2.0)
-        cluster.barrier()
-        assert all(c == 2.0 for c in cluster.clocks)
+    def test_library_collective_starts_at_straggler_clock(self, cluster):
+        cluster.advance_compute(1, 2.0)
+        allreduce_bytes(cluster, 16)
+        (record,) = cluster.records
+        assert record.time > 0
+        assert all(c == 2.0 + record.time for c in cluster.clocks)
 
     def test_records_are_kept_in_order(self, cluster):
         cluster.charge_collective(CommRecord("a", 1, 1, 0.1))
@@ -80,13 +83,6 @@ class TestStats:
         assert s.time_total == pytest.approx(0.85)
         assert s.by_op["allreduce"][0] == 2
         assert s.by_op["allreduce"][1] == 150
-
-    def test_reset_clocks_keeps_stats(self, cluster):
-        cluster.charge_collective(CommRecord("x", 5, 1, 1.0))
-        cluster.reset_clocks()
-        assert cluster.elapsed == 0.0
-        assert cluster.stats.calls == 1
-        assert cluster.records == []
 
 
 def test_comm_stats_standalone():

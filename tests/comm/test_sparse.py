@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.comm.sparse import SparseRows, combine_sparse
+from tests._fixtures import sparse_from_dense, sparse_to_dense
 from tests._reference import scatter_add_rows
 
 
@@ -51,25 +52,25 @@ class TestFromDense:
         m = np.zeros((5, 3), dtype=np.float32)
         m[1] = [1, 0, 0]
         m[4] = [0, 2, 0]
-        s = SparseRows.from_dense(m)
+        s = sparse_from_dense(m)
         assert list(s.indices) == [1, 4]
-        np.testing.assert_array_equal(s.to_dense(), m)
+        np.testing.assert_array_equal(sparse_to_dense(s), m)
 
     def test_zero_tolerance_prunes_tiny_rows(self):
         m = np.zeros((3, 2), dtype=np.float32)
         m[0] = [1e-9, 0]
         m[2] = [1.0, 1.0]
-        s = SparseRows.from_dense(m, zero_tol=1e-6)
+        s = sparse_from_dense(m, zero_tol=1e-6)
         assert list(s.indices) == [2]
 
     def test_all_zero_matrix(self):
-        s = SparseRows.from_dense(np.zeros((4, 2)))
+        s = sparse_from_dense(np.zeros((4, 2)))
         assert s.nnz_rows == 0
-        assert s.to_dense().shape == (4, 2)
+        assert sparse_to_dense(s).shape == (4, 2)
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
-            SparseRows.from_dense(np.zeros(5))
+            sparse_from_dense(np.zeros(5))
 
 
 class TestFromRows:
@@ -139,7 +140,7 @@ class TestCombine:
         a = make([1, 2], [[1.0], [10.0]])
         b = make([2, 5], [[5.0], [7.0]])
         c = combine_sparse([a, b])
-        np.testing.assert_allclose(c.to_dense()[:6, 0],
+        np.testing.assert_allclose(sparse_to_dense(c)[:6, 0],
                                    [0, 1, 15, 0, 0, 7])
 
     def test_empty_parts(self):
@@ -276,19 +277,21 @@ class TestProperties:
     @given(sparse_rows())
     @settings(max_examples=50, deadline=None)
     def test_dense_roundtrip(self, s):
-        back = SparseRows.from_dense(s.to_dense())
-        np.testing.assert_array_equal(back.to_dense(), s.to_dense())
+        back = sparse_from_dense(sparse_to_dense(s))
+        np.testing.assert_array_equal(sparse_to_dense(back),
+                                      sparse_to_dense(s))
 
     @given(st.lists(sparse_rows(), min_size=1, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_combine_matches_dense_sum(self, parts):
         combined = combine_sparse(parts)
-        expected = sum(p.to_dense().astype(np.float64) for p in parts)
-        np.testing.assert_allclose(combined.to_dense(), expected, atol=1e-3)
+        expected = sum(sparse_to_dense(p).astype(np.float64) for p in parts)
+        np.testing.assert_allclose(sparse_to_dense(combined), expected,
+                                   atol=1e-3)
 
     @given(sparse_rows(), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_scale_linearity(self, s, factor):
-        np.testing.assert_allclose(s.scale(factor).to_dense(),
-                                   s.to_dense() * np.float32(factor),
+        np.testing.assert_allclose(sparse_to_dense(s.scale(factor)),
+                                   sparse_to_dense(s) * np.float32(factor),
                                    rtol=1e-5, atol=1e-5)

@@ -12,6 +12,7 @@ from repro.compress.quantization import (
     quantization_error,
     quantize_1bit,
 )
+from tests._fixtures import sparse_to_dense
 
 
 def rows(indices, values, n_rows=10, dim=2):
@@ -28,7 +29,7 @@ class TestResidualStore:
         store = ResidualStore(10, 2)
         g = rows([1, 3], [[1, 2], [3, 4]])
         out = store.inject(g)
-        np.testing.assert_array_equal(out.to_dense(), g.to_dense())
+        np.testing.assert_array_equal(sparse_to_dense(out), sparse_to_dense(g))
 
     def test_store_then_inject_adds(self):
         store = ResidualStore(10, 2)
@@ -36,8 +37,8 @@ class TestResidualStore:
         assert store.nnz_rows == 1
         g = rows([1, 3], [[1, 2], [3, 4]])
         out = store.inject(g)
-        np.testing.assert_allclose(out.to_dense()[1], [1.5, 2.5])
-        np.testing.assert_allclose(out.to_dense()[3], [3, 4])
+        np.testing.assert_allclose(sparse_to_dense(out)[1], [1.5, 2.5])
+        np.testing.assert_allclose(sparse_to_dense(out)[3], [3, 4])
 
     def test_inject_includes_rows_not_in_gradient(self):
         """Residuals for rows absent from this batch still flow in."""
@@ -55,7 +56,7 @@ class TestResidualStore:
         out = store.inject(g)
         # Row 1's residual was cleared by the second store.
         assert set(out.indices.tolist()) == {2, 5}
-        np.testing.assert_allclose(out.to_dense()[2], [9, 9])
+        np.testing.assert_allclose(sparse_to_dense(out)[2], [9, 9])
 
     def test_inject_result_does_not_alias_the_store(self):
         store = ResidualStore(10, 2)
@@ -64,7 +65,7 @@ class TestResidualStore:
         assert not np.shares_memory(out.values, store.values)
         out.values[:] = 99.0
         again = store.inject(rows([1], [[1, 2]]))
-        np.testing.assert_allclose(again.to_dense()[[1, 7]],
+        np.testing.assert_allclose(sparse_to_dense(again)[[1, 7]],
                                    [[1.5, 2.5], [2.0, 2.0]])
 
     def test_clear(self):

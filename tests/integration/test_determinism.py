@@ -27,7 +27,9 @@ from repro.training import (
     latest_checkpoint,
     load_checkpoint,
     rs_1bit,
+    write_checkpoint,
 )
+from repro.training.checkpoint import capture_state
 from repro.training.strategy import baseline_allreduce
 
 
@@ -231,7 +233,7 @@ def test_save_load_save_byte_identity_property(seed, epochs):
     trainer.run()
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / "first"
-        trainer.save_checkpoint(first)
+        write_checkpoint(capture_state(trainer), first)
         second = write_checkpoint(load_checkpoint(first), Path(tmp) / "second")
         for name in (MANIFEST_NAME, ARRAYS_NAME):
             assert (second / name).read_bytes() == (first / name).read_bytes()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.kg.datasets import make_tiny_kg
-from repro.kg.io import load_openke_dir, save_openke_dir
+from repro.kg.io import load_openke_dir
+from tests._fixtures import save_openke_dir
 
 
 class TestOpenKE:
@@ -67,7 +68,34 @@ class TestOpenKE:
     def test_out_of_range_id_names_the_directory(self, tmp_path):
         path = tmp_path / "openke"
         save_openke_dir(make_tiny_kg(), str(path))
-        (path / "entity2id.txt").write_text("3\n")
+        (path / "entity2id.txt").write_text("3\ne0\t0\ne1\t1\ne2\t2\n")
         with pytest.raises(ValueError, match="out of range") as info:
             load_openke_dir(str(path))
         assert str(path) in str(info.value)
+
+
+def _rewrite(path, fname, edit):
+    lines = (path / fname).read_text().splitlines(keepends=True)
+    (path / fname).write_text("".join(edit(lines)))
+
+
+@pytest.mark.parametrize("fname, edit, message", [
+    ("train2id.txt", lambda lines: lines[:10],
+     "first line counts 720 rows, the file holds 9"),
+    ("train2id.txt", lambda lines: ["abc\n", *lines[1:]],
+     "first line must be a count, got 'abc'"),
+    ("valid2id.txt", lambda lines: ["\n", *lines[1:]],
+     "first line must be a count, got ''"),
+    ("entity2id.txt", lambda lines: ["10000000000000\n"],
+     "first line counts 10000000000000 rows, the file holds 0"),
+], ids=["truncated-rows", "word-header", "empty-header", "count-no-labels"])
+def test_count_line_disagreeing_with_the_file_names_it(tmp_path, fname, edit,
+                                                       message):
+    """Each file's first line is its row count, and the loader holds the
+    file to it."""
+    path = tmp_path / "openke"
+    save_openke_dir(make_tiny_kg(), str(path))
+    _rewrite(path, fname, edit)
+    with pytest.raises(ValueError, match=message) as info:
+        load_openke_dir(str(path))
+    assert str(path / fname) in str(info.value)

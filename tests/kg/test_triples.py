@@ -130,15 +130,6 @@ class TestTripleStore:
                              for a, b, c in zip(h, r, t)])
         np.testing.assert_array_equal(got, expected)
 
-    def test_relation_counts(self):
-        store = small_store()
-        np.testing.assert_array_equal(store.relation_counts(), [2, 2, 1])
-
-    def test_entity_degrees(self):
-        store = small_store()
-        deg = store.entity_degrees()
-        assert deg.sum() == 2 * len(store.train)
-
     def test_summary(self):
         s = small_store().summary()
         assert s["entities"] == 4 and s["train"] == 5

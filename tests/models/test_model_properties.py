@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import ComplEx, DistMult
+from tests._fixtures import sparse_to_dense
 from tests._reference import score_grad
 
 MODEL_CLASSES = [ComplEx, DistMult]
@@ -65,12 +66,12 @@ class TestBatchAccumulation:
         expected_e = np.zeros((10, g_h.shape[1]), dtype=np.float64)
         np.add.at(expected_e, h, g_h)
         np.add.at(expected_e, t, g_t)
-        np.testing.assert_allclose(eg.to_dense(), expected_e,
+        np.testing.assert_allclose(sparse_to_dense(eg), expected_e,
                                    rtol=1e-4, atol=1e-5)
 
         expected_r = np.zeros((4, g_r.shape[1]), dtype=np.float64)
         np.add.at(expected_r, r, g_r)
-        np.testing.assert_allclose(rg.to_dense(), expected_r,
+        np.testing.assert_allclose(sparse_to_dense(rg), expected_r,
                                    rtol=1e-4, atol=1e-5)
 
 

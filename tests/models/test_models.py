@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.models import MODEL_REGISTRY, ComplEx, DistMult, make_model
+from tests._fixtures import sparse_to_dense
 from tests._reference import score_grad
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
@@ -222,13 +223,13 @@ class TestL2Regularisation:
             h, r, t, lambda scores: (0.0, zero_up), l2=0.5)
         # With zero upstream the only gradient is 2 * l2 * embedding.
         np.testing.assert_allclose(
-            eg.to_dense()[0], m.entity_emb[0], rtol=1e-5)
+            sparse_to_dense(eg)[0], m.entity_emb[0], rtol=1e-5)
         np.testing.assert_allclose(
-            rg.to_dense()[0], m.relation_emb[0], rtol=1e-5)
+            sparse_to_dense(rg)[0], m.relation_emb[0], rtol=1e-5)
 
     def test_no_l2_means_no_decay(self):
         m = ComplEx(8, 3, 4, seed=0)
         _, eg, _ = m.batch_gradients(np.array([0]), np.array([0]),
                                      np.array([1]),
                                      lambda scores: (0.0, np.zeros(1)), l2=0.0)
-        np.testing.assert_allclose(eg.to_dense(), 0.0)
+        np.testing.assert_allclose(sparse_to_dense(eg), 0.0)

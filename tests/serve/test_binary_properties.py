@@ -28,10 +28,11 @@ from repro.compress.packing import unpack_signs
 from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
-from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import QueryEngine
 from repro.serve.binary import _BYTE_SIGNS, BinaryStore, binarize_model
 from repro.select import best_first
 from tests import _reference
+from tests._fixtures import store_from_model
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -70,8 +71,8 @@ class TestRoundTrip:
         assert store.codes.tobytes() == q.codes.tobytes()
         assert store.scales.tobytes() == \
             q.scales[:, 0].astype(np.float32).tobytes()
-        assert store.approx_entity_emb().tobytes() == \
-            dequantize(q).values.tobytes()
+        approx = unpack_signs(store.codes, store.width) * store.scales[:, None]
+        assert approx.tobytes() == dequantize(q).values.tobytes()
 
     @given(entity_matrix())
     @settings(max_examples=60, deadline=None)
@@ -81,8 +82,8 @@ class TestRoundTrip:
         in every coordinate (zeros pack as the positive sign bit, so a
         negative coordinate proves the bit survived the trip)."""
         store = binarize_model(_Model(matrix), stat="avg")
-        approx = store.approx_entity_emb()
         signs = unpack_signs(store.codes, store.width)
+        approx = signs * store.scales[:, None]
         assert (store.scales >= 0).all()
         for i, row in enumerate(matrix):
             if not np.any(row):  # all ±0.0
@@ -106,22 +107,6 @@ class TestRoundTrip:
 
 
 class TestPackedScoring:
-    @given(entity_matrix(), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_hamming_matches_bit_loop(self, matrix, n_queries, seed):
-        store = binarize_model(_Model(matrix))
-        rng = np.random.default_rng(seed)
-        queries = rng.normal(size=(n_queries, store.width)) \
-            .astype(np.float32)
-        got = store.hamming(queries)
-        q_bits = queries >= 0
-        t_bits = unpack_signs(store.codes, store.width) > 0
-        for a in range(n_queries):
-            for b in range(store.n_entities):
-                expect = sum(int(q_bits[a, d] != t_bits[b, d])
-                             for d in range(store.width))
-                assert got[a, b] == expect
-
     @given(entity_matrix(), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_sign_dots_matches_dense_dot(self, matrix, n_queries, seed):
@@ -143,8 +128,10 @@ class TestPackedScoring:
         rng = np.random.default_rng(seed)
         queries = np.where(rng.random((n_queries, store.width)) < 0.5,
                            -1.0, 1.0).astype(np.float32)
-        expect = (store.width - 2 * store.hamming(queries)) \
-            .astype(np.float32)
+        q_bits = queries > 0
+        t_bits = unpack_signs(store.codes, store.width) > 0
+        hamming = (q_bits[:, None, :] != t_bits[None, :, :]).sum(axis=2)
+        expect = (store.width - 2 * hamming).astype(np.float32)
         assert store.sign_dots(queries).tobytes() == expect.tobytes()
 
     @given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -280,8 +267,7 @@ class TestFullPoolEqualsDense:
         the tiered engine must return byte-identical answers to the dense
         engine — entities, scores, filtering, tie-breaks."""
         store, model, picks, k, filtered, tails = case
-        served = EmbeddingStore.from_model(model, dataset=store,
-                                           with_binary=True)
+        served = store_from_model(model, dataset=store, with_binary=True)
         dense = QueryEngine(served, cache_capacity=0, tier="dense")
         binary = QueryEngine(served, cache_capacity=0, tier="binary",
                              rerank_k=store.n_entities)
@@ -302,8 +288,7 @@ class TestFullPoolEqualsDense:
         (determinism), answers never contain known facts when filtered,
         and every answer is a subset of the candidate pool."""
         store, model, picks, k, filtered, tails = case
-        served = EmbeddingStore.from_model(model, dataset=store,
-                                           with_binary=True)
+        served = store_from_model(model, dataset=store, with_binary=True)
         rerank_k = max(k, store.n_entities // 3)
         engines = [QueryEngine(served, cache_capacity=0, tier="binary",
                                rerank_k=rerank_k) for _ in range(2)]

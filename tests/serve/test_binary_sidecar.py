@@ -26,6 +26,8 @@ from repro.training.checkpoint import (
     CheckpointError,
     CheckpointSchemaError,
     _write_npz,
+    capture_state,
+    write_checkpoint,
 )
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
@@ -45,7 +47,7 @@ def checkpoint(store, tmp_path_factory):
                            lr_patience=6, eval_max_queries=20, seed=777))
     trainer.run()
     path = tmp_path_factory.mktemp("binary-ckpt") / "snap"
-    trainer.save_checkpoint(path)
+    write_checkpoint(capture_state(trainer), path)
     return path
 
 

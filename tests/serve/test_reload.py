@@ -25,6 +25,7 @@ from repro.training.checkpoint import (ARRAYS_NAME, MANIFEST_NAME,
                                        manifest_digest)
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
+from tests._fixtures import store_from_model
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def _train_and_save(dataset, path, seed, max_epochs=2):
     trainer = DistributedTrainer(dataset, baseline_allreduce(), 2,
                                  config=config)
     trainer.run()
-    trainer.save_checkpoint(path)
+    ckpt.write_checkpoint(ckpt.capture_state(trainer), path)
     return path
 
 
@@ -253,7 +254,7 @@ class TestRollback:
         engine = _engine_on(ckpt_a, dataset)
         before = _answers(engine)
         old_store, warm = engine.store, len(engine.cache)
-        other = EmbeddingStore.from_model(
+        other = store_from_model(
             ComplEx(dataset.n_entities + 5, dataset.n_relations, 8, seed=1))
         with pytest.raises(ValueError, match="graft"):
             engine.reload(other)

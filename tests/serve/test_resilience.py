@@ -16,10 +16,11 @@ import pytest
 
 from repro.models import make_model
 from repro.serve import (SERVE_STATES, SHED_REASONS, BurstSpec,
-                         EmbeddingStore, QueryEngine, ResilienceController,
+                         QueryEngine, ResilienceController,
                          ServeFaultPlan, ServeStats, ShedResponse,
                          SidecarCorruptionError, SLOConfig, TopKResult,
                          ZipfianTraffic, replay)
+from tests._fixtures import store_from_model
 
 N_ENTITIES, N_RELATIONS, DIM = 160, 8, 8
 
@@ -27,7 +28,7 @@ N_ENTITIES, N_RELATIONS, DIM = 160, 8, 8
 @pytest.fixture(scope="module")
 def store():
     model = make_model("complex", N_ENTITIES, N_RELATIONS, DIM, seed=11)
-    return EmbeddingStore.from_model(model, with_binary=True)
+    return store_from_model(model, with_binary=True)
 
 
 def run_plan(store, plan, n_queries=1200, seed=4, batch_size=32, **engine_kw):

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 from repro import select as select_module
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
-from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import QueryEngine
 from repro.serve import binary as binary_module
 from repro.serve import engine as engine_module
 from repro.select import _LONG, _STRIDE, best_first, best_set
 from tests import _reference
+from tests._fixtures import store_from_model
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -266,8 +267,7 @@ class TestCallSitesEqualTheOracleEngine:
         # is exercised, not just the order of distinct values.
         model.entity_emb[:] = np.round(model.entity_emb * 4) / 4
         model.relation_emb[:] = np.round(model.relation_emb * 4) / 4
-        return EmbeddingStore.from_model(model, dataset=graph,
-                                         with_binary=True)
+        return store_from_model(model, dataset=graph, with_binary=True)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("tails", [True, False])
@@ -293,16 +293,12 @@ class TestCallSitesEqualTheOracleEngine:
             _same_answers(ours, answers(k))
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    @pytest.mark.parametrize("exclude_self", [True, False])
-    def test_nearest(self, graph, oracle_selection, name, metric,
-                     exclude_self):
+    def test_nearest(self, graph, oracle_selection, name):
         served = self._served(graph, name)
 
         def answers():
             engine = QueryEngine(served, cache_capacity=0)
-            return [engine.nearest_entities(e, k=k, metric=metric,
-                                            exclude_self=exclude_self)
+            return [engine.nearest_entities(e, k=k)
                     for e in (0, 17, 59) for k in (1, 9, 200)]
 
         got = answers()
@@ -312,30 +308,19 @@ class TestCallSitesEqualTheOracleEngine:
 
 class TestNearestCandidates:
     """``nearest_entities`` speaks the kernel's NaN convention: the query
-    entity under ``exclude_self`` and any non-finite row are simply not
-    candidates, and ``k`` is validated like every other top-k."""
+    entity and any non-finite row are simply not candidates, and ``k`` is
+    validated like every other top-k."""
 
     def _engine(self, bad_row=7):
         model = make_model("distmult", 50, 2, 4, seed=3)
         model.entity_emb[bad_row] = np.nan
-        return QueryEngine(EmbeddingStore.from_model(model))
+        return QueryEngine(store_from_model(model))
 
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    def test_exclude_self_never_returns_self_beside_a_bad_row(self, metric):
-        result = self._engine().nearest_entities(3, k=49, metric=metric)
+    def test_exclude_self_never_returns_self_beside_a_bad_row(self):
+        result = self._engine().nearest_entities(3, k=49)
         assert len(result) == 48
         assert 3 not in result.entities and 7 not in result.entities
         assert np.isfinite(result.scores).all()
-
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    def test_include_self_drops_only_the_bad_row(self, metric):
-        result = self._engine().nearest_entities(3, k=50, metric=metric,
-                                                 exclude_self=False)
-        assert len(result) == 49
-        assert result.entities[0] == 3
-        assert 7 not in result.entities
-        assert np.array_equal(np.sort(result.entities),
-                              np.delete(np.arange(50), 7))
 
     @pytest.mark.parametrize("k", [0, -1, -3])
     def test_k_below_one_raises_like_topk(self, k):

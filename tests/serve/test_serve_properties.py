@@ -35,7 +35,8 @@ from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.select import best_first
-from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import QueryEngine
+from tests._fixtures import store_from_model
 from tests._reference import filtered_naive
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
@@ -88,7 +89,7 @@ class TestServeEqualsEval:
         r = store.train.relations[picks]
         t = store.train.tails[picks]
 
-        engine = QueryEngine(EmbeddingStore.from_model(model, dataset=store),
+        engine = QueryEngine(store_from_model(model, dataset=store),
                              cache_capacity=0)
         answers = engine.topk_batch(list(zip(h, r)), k=k, filtered=True)
 
@@ -145,7 +146,7 @@ class TestServeEqualsEval:
         r = store.train.relations[picks]
         t = store.train.tails[picks]
 
-        engine = QueryEngine(EmbeddingStore.from_model(model, dataset=store),
+        engine = QueryEngine(store_from_model(model, dataset=store),
                              cache_capacity=0)
         answers = engine.topk_batch(list(zip(t, r)), k=k, filtered=True,
                                     tail_side=False)

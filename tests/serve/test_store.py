@@ -23,9 +23,12 @@ from repro.training.checkpoint import (
     CheckpointSchemaError,
     CheckpointWorldMismatchError,
     _write_npz,
+    capture_state,
+    write_checkpoint,
 )
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
+from tests._fixtures import store_from_model
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +50,7 @@ def snapshot(store, tmp_path_factory):
     trainer = make_trainer(store)
     trainer.run()
     path = tmp_path_factory.mktemp("serve-ckpt") / "snap"
-    trainer.save_checkpoint(path)
+    write_checkpoint(capture_state(trainer), path)
     return trainer, path
 
 
@@ -92,7 +95,7 @@ class TestLoad:
     def test_from_model_freezes_a_copy(self, store):
         from repro.models import ComplEx
         model = ComplEx(store.n_entities, store.n_relations, 8, seed=3)
-        served = EmbeddingStore.from_model(model, dataset=store)
+        served = store_from_model(model, dataset=store)
         with pytest.raises(ValueError, match="read-only"):
             served.model.entity_emb[0, 0] = 1.0
         model.entity_emb[0, 0] = 1.0  # the original stays trainable

@@ -5,10 +5,10 @@ import pytest
 
 from repro.kg.datasets import make_tiny_kg
 from repro.models import ComplEx
-from repro.serve import (EmbeddingStore, QueryEngine, TrafficSpec,
-                         ZipfianTraffic, replay)
+from repro.serve import QueryEngine, TrafficSpec, ZipfianTraffic, replay
 from repro.serve.traffic import (KIND_HEADS, KIND_NEAREST, KIND_SCORE,
                                  KIND_TAILS, QUERY_DTYPE)
+from tests._fixtures import store_from_model
 
 
 class TestSpecValidation:
@@ -184,8 +184,8 @@ class TestReplay:
     def test_replay_serves_everything_and_reports(self):
         dataset = make_tiny_kg(seed=31)
         model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=31)
-        engine = QueryEngine(EmbeddingStore.from_model(model,
-                                                       dataset=dataset),
+        engine = QueryEngine(store_from_model(model,
+                                              dataset=dataset),
                              cache_capacity=256)
         traffic = ZipfianTraffic(dataset.n_entities, dataset.n_relations,
                                  seed=31)
@@ -207,7 +207,7 @@ class TestReplay:
 
         def run():
             engine = QueryEngine(
-                EmbeddingStore.from_model(model, dataset=dataset),
+                store_from_model(model, dataset=dataset),
                 cache_capacity=10_000)
             traffic = ZipfianTraffic(dataset.n_entities,
                                      dataset.n_relations, seed=33)
@@ -228,8 +228,8 @@ class TestReplay:
         every window-mate is still served."""
         dataset = make_tiny_kg(seed=31)
         model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=31)
-        engine = QueryEngine(EmbeddingStore.from_model(model,
-                                                       dataset=dataset),
+        engine = QueryEngine(store_from_model(model,
+                                              dataset=dataset),
                              cache_capacity=0)
         real = engine._group_topk_dense
 
@@ -262,8 +262,7 @@ class TestReplay:
     def test_clean_replay_reports_zero_errors(self):
         dataset = make_tiny_kg(seed=31)
         model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=31)
-        engine = QueryEngine(EmbeddingStore.from_model(model,
-                                                       dataset=dataset))
+        engine = QueryEngine(store_from_model(model, dataset=dataset))
         traffic = ZipfianTraffic(dataset.n_entities, dataset.n_relations,
                                  seed=31)
         snap = replay(engine, traffic, 200, batch_size=32, topk=5)

@@ -17,7 +17,6 @@ from repro.bench.calibration import (
 )
 from repro.bench.harness import (
     bench_store,
-    reduction,
     run_once,
     trend_slope,
 )
@@ -70,11 +69,6 @@ class TestHarnessHelpers:
         assert trend_slope([1, 2, 3, 4]) == pytest.approx(1.0)
         assert trend_slope([4, 3, 2, 1]) == pytest.approx(-1.0)
         assert trend_slope([7]) == 0.0
-
-    def test_reduction(self):
-        assert reduction(10.0, 4.0) == pytest.approx(0.6)
-        with pytest.raises(ValueError):
-            reduction(0.0, 1.0)
 
     def test_bench_store_cached(self):
         a = bench_store("fb15k", scale=0.005)

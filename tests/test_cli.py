@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.kg.datasets import make_tiny_kg, save_store
-from repro.kg.io import save_openke_dir
+from tests._fixtures import save_openke_dir
+
+
+def build_parser(command="train"):
+    return cli.COMMANDS[command][0]()
 
 
 class TestParser:
@@ -549,6 +553,16 @@ class TestDatasetFile:
             answers.append(out["answers"])
         assert len(answers[0][0]["entities"]) == 10
         assert answers[0] == answers[1]
+
+    def test_truncated_openke_directory_exits_2(self, tmp_path, capsys):
+        openke = tmp_path / "openke"
+        save_openke_dir(make_tiny_kg(), str(openke))
+        train = openke / "train2id.txt"
+        train.write_text("".join(train.read_text().splitlines(True)[:10]))
+        rc = main(["--dataset-file", str(openke), *TRAIN_SMALL])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(train) in err
 
 
 class TestOneParserFamily:

@@ -1,40 +1,12 @@
-"""Unit tests for the parameter-server comparator."""
+"""Unit tests for the parameter-server and allreduce closed forms."""
 
-import numpy as np
 import pytest
 
 from repro.comm.network import NetworkModel
-from repro.kg.datasets import make_tiny_kg
 from repro.training.baselines import (
-    ParameterServerTopology,
-    ParameterServerTrainer,
     allreduce_time_per_step,
     parameter_server_time_per_step,
 )
-from repro.training.trainer import TrainConfig
-
-
-@pytest.fixture(scope="module")
-def store():
-    return make_tiny_kg(n_entities=100, n_relations=12, n_triples=1200)
-
-
-def tiny_config(**overrides):
-    defaults = dict(dim=8, batch_size=128, max_epochs=3, lr_patience=2,
-                    eval_max_queries=30)
-    defaults.update(overrides)
-    return TrainConfig(**defaults)
-
-
-class TestTopology:
-    def test_zero_servers_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterServerTopology(n_servers=0)
-
-    def test_servers_must_be_fewer_than_nodes(self, store):
-        with pytest.raises(ValueError):
-            ParameterServerTrainer(store, 4, config=tiny_config(),
-                                   topology=ParameterServerTopology(4))
 
 
 class TestClosedFormTimes:
@@ -63,38 +35,3 @@ class TestClosedFormTimes:
         net = NetworkModel()
         with pytest.raises(ValueError):
             parameter_server_time_per_step(0, 1, 10, 8, net)
-
-
-class TestPsTrainer:
-    def test_runs_and_converges_like_allgather(self, store):
-        r = ParameterServerTrainer(store, 4, config=tiny_config(),
-                                   negatives=2).run()
-        assert r.epochs == 3
-        assert np.isfinite(r.test_mrr)
-        assert r.bytes_total > 0
-
-    def test_records_ps_ops(self, store):
-        tr = ParameterServerTrainer(store, 4, config=tiny_config(),
-                                    negatives=1)
-        r = tr.run()
-        ops = {rec.op for rec in tr.cluster.records}
-        assert "ps_push_pull" in ops
-
-    def test_single_node_no_comm(self, store):
-        r = ParameterServerTrainer(store, 1, config=tiny_config()).run()
-        assert all(log.comm_time == 0.0 for log in r.logs)
-
-
-class TestPsLosslessEquivalence:
-    def test_ps_learning_matches_allgather_baseline(self, store):
-        """The PS comparator changes only the communication *cost* model;
-        its lossless pull/push must produce exactly the collective
-        baseline's learning trajectory for the same seed."""
-        from repro.training.strategy import baseline_allgather
-        from repro.training.trainer import DistributedTrainer
-        cfg = tiny_config(max_epochs=3)
-        ps = ParameterServerTrainer(store, 4, config=cfg, negatives=2).run()
-        ag = DistributedTrainer(store, baseline_allgather(negatives=2), 4,
-                                config=cfg).run()
-        assert ps.series("loss") == ag.series("loss")
-        assert ps.test_mrr == ag.test_mrr

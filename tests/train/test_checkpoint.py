@@ -67,7 +67,7 @@ def snapshot(store, tmp_path_factory):
     trainer = make_trainer(store)
     trainer.run()
     path = tmp_path_factory.mktemp("ckpt") / "snap"
-    trainer.save_checkpoint(path)
+    write_checkpoint(capture_state(trainer), path)
     return trainer, path
 
 

@@ -15,9 +15,9 @@ from repro.training import (
     CheckpointWorldMismatchError,
     ElasticSupervisor,
     train,
-    train_elastic,
 )
-from repro.training.checkpoint import capture_state, list_checkpoints
+from repro.training.checkpoint import (capture_state, list_checkpoints,
+                                       write_checkpoint)
 from repro.training.elastic import RecoveryEvent
 from repro.training.strategy import baseline_allreduce, drs_1bit_rp_ss
 
@@ -154,14 +154,15 @@ class TestShrink:
 
     def test_max_restarts_exhaustion_reraises(self, store):
         with pytest.raises(RankLossError, match="rank 2"):
-            train_elastic(store, drs_1bit_rp_ss(), 4, config=config(),
-                          faults=PLAN, max_restarts=0)
+            ElasticSupervisor(store, drs_1bit_rp_ss(), 4, config=config(),
+                              faults=PLAN, max_restarts=0).run()
 
     def test_single_rank_world_cannot_shrink(self, store):
         plan = FaultPlan(seed=7, rank_loss=((0, 1),))
         with pytest.raises(RankLossError):
-            train_elastic(store, baseline_allreduce(), 1, config=config(),
-                          faults=plan, max_restarts=3)
+            ElasticSupervisor(store, baseline_allreduce(), 1,
+                              config=config(), faults=plan,
+                              max_restarts=3).run()
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,9 @@ class TestRegrow:
 
     def test_determinism_with_regrow(self, store, regrown):
         _, result = regrown
-        again = train_elastic(store, drs_1bit_rp_ss(), 4, config=config(),
-                              faults=PLAN, max_restarts=2, allow_regrow=True)
+        again = ElasticSupervisor(store, drs_1bit_rp_ss(), 4,
+                                  config=config(), faults=PLAN,
+                                  max_restarts=2, allow_regrow=True).run()
         assert again.recovery_log == result.recovery_log
         assert again.logs == result.logs
 
@@ -253,7 +255,7 @@ class TestWorldMismatch:
     def test_plain_restore_across_worlds_is_refused(self, store, tmp_path):
         donor = DistributedTrainer(store, drs_1bit_rp_ss(), 4,
                                    config=config())
-        donor.save_checkpoint(tmp_path / "snap")
+        write_checkpoint(capture_state(donor), tmp_path / "snap")
         other = DistributedTrainer(store, drs_1bit_rp_ss(), 3,
                                    config=config())
         with pytest.raises(CheckpointWorldMismatchError, match="--elastic"):

@@ -132,16 +132,6 @@ def test_op_labels(mode, codec, kind):
         f"{kind}_{suffixes[0]}_aborted", f"{kind}_fallback_dense_ring"}
 
 
-def test_parameter_server_moves_by_push_pull():
-    exchange = make_exchange(collective="flat")
-    exchange.n_servers = 1
-    parts = random_parts(4, "relation")
-    got, _ = exchange.exchange("relation", parts, "allgather")
-    assert same_rows(got, combine_sparse(parts))
-    calls, nbytes, _ = exchange.cluster.stats.by_op["ps_push_pull"]
-    assert (calls, nbytes) == (1, 2 * sum(p.nbytes_wire for p in parts))
-
-
 @pytest.mark.parametrize("network,world", [(NetworkModel(), 2), (NET, 4)],
                          ids=["singleton-nodes", "two-per-node"])
 @pytest.mark.parametrize("mode", ["allgather", "hierarchical"])

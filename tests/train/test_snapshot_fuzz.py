@@ -38,6 +38,7 @@ from repro.training.checkpoint import (
     capture_state,
     list_checkpoints,
     load_checkpoint,
+    write_checkpoint,
 )
 from repro.training.strategy import drs_1bit_rp_ss
 from repro.training.trainer import DistributedTrainer, TrainConfig
@@ -122,7 +123,7 @@ def snapshot(tmp_path_factory):
     trainer = make_trainer(store)
     trainer.run()
     pristine = tmp_path_factory.mktemp("fuzz-src") / "snap"
-    trainer.save_checkpoint(pristine)
+    write_checkpoint(capture_state(trainer), pristine)
     export_binary(pristine)
     return store, pristine
 

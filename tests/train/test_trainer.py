@@ -135,6 +135,17 @@ class TestCommModes:
                   config=tiny_config())
         assert r.allreduce_steps == 0 and r.allgather_steps > 0
 
+    def test_allgather_charges_two_gathers_per_step(self, store):
+        """One entity and one relation gather per step, and nothing else."""
+        trainer = DistributedTrainer(store, baseline_allgather(1), 3,
+                                     config=tiny_config(max_epochs=2,
+                                                        lr_patience=5))
+        trainer.run()
+        steps = 2 * trainer.steps_per_epoch
+        ops = [record.op for record in trainer.cluster.records]
+        assert ops == ["entity_allgather_sparse_ring",
+                       "relation_allgather_sparse_ring"] * steps
+
     def test_allreduce_bytes_independent_of_sparsity(self, store):
         """Dense wire format: bytes per step = full matrix regardless."""
         r = train(store, baseline_allreduce(negatives=1), 2,
