@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import rs_1bit
 from repro.bench import BENCH_NETWORK, bench_store, print_table, run_once, \
-    sweep, train_config
+    train_config
 from repro.bench.calibration import active_profile
 from repro.compress.quantization import ONE_BIT_STATS
 from repro.kg.partition import entity_partition, relation_partition

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro import StrategyConfig, baseline_allgather
-from repro.bench import bench_store, print_table, run_once, sweep
+from repro import StrategyConfig
+from repro.bench import bench_store, print_table, sweep
 
 from conftest import run_once_benchmarked
 

@@ -6,8 +6,6 @@ far below n-of-n (no extra backward passes); (c) MRR improves with n but
 saturates; (d) epochs to converge decrease as n grows.
 """
 
-import numpy as np
-
 from repro import StrategyConfig
 from repro.bench import bench_store, print_series, print_table, \
     sweep, trend_slope

@@ -54,6 +54,9 @@ from .network import NetworkModel
 
 FAULT_POLICIES = ("retry", "fallback-dense", "fail-fast")
 
+#: Growth of the retransmission backoff per round (binary exponential).
+BACKOFF_FACTOR = 2.0
+
 #: Hard ceiling on retransmission rounds under the unbounded ``retry``
 #: policy — a backstop against a mis-parameterised near-one failure
 #: probability, far above anything a sane plan reaches.
@@ -143,9 +146,10 @@ class FaultPlan:
     max_retries:
         Retransmission rounds before the degradation policy engages
         (ignored by the ``retry`` policy, which never gives up).
-    backoff_base / backoff_factor:
-        Exponential backoff: round ``k`` adds ``base * factor**(k-1)``
-        seconds on top of the retransmission time.
+    backoff_base:
+        Exponential backoff: round ``k`` adds
+        ``base * BACKOFF_FACTOR**(k-1)`` seconds on top of the
+        retransmission time.
     policy:
         ``"retry"``, ``"fallback-dense"`` or ``"fail-fast"`` (see module
         docstring).
@@ -166,7 +170,6 @@ class FaultPlan:
     corruption_prob: float = 0.0
     max_retries: int = 8
     backoff_base: float = 1.0e-4
-    backoff_factor: float = 2.0
     policy: str = "retry"
     rank_loss: tuple[tuple[int, int], ...] = ()
 
@@ -187,9 +190,9 @@ class FaultPlan:
             raise ValueError("jitter sigmas must be >= 0")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
+        if self.backoff_base < 0:
             raise ValueError(
-                "backoff_base must be >= 0 and backoff_factor >= 1")
+                f"backoff_base must be >= 0, got {self.backoff_base}")
         seen: set[int] = set()
         for entry in self.compute_slowdown:
             if len(entry) != 2:
@@ -223,7 +226,6 @@ class FaultPlan:
                 ("alpha_jitter", self.alpha_jitter),
                 ("beta_jitter", self.beta_jitter),
                 ("backoff_base", self.backoff_base),
-                ("backoff_factor", self.backoff_factor),
                 *((f"straggler factor of rank {rank}", factor)
                   for rank, factor in self.compute_slowdown)):
             if not math.isfinite(value):
@@ -464,7 +466,7 @@ class FaultInjector:
                 err.op = op
                 raise err
             time += (outstanding * message_time
-                     + plan.backoff_base * plan.backoff_factor ** (round_no - 1))
+                     + plan.backoff_base * BACKOFF_FACTOR ** (round_no - 1))
             retries += outstanding
             draws = rng.random(n_messages)
             failed = draws[:outstanding] < p_fail

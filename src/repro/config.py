@@ -2,8 +2,9 @@
 
 Centralises the constants the paper fixes in its experimental setup
 (Section 3.3) plus the knobs our simulated substrate adds (network model
-parameters, dataset scale factors).  Everything is overridable per
-experiment; these are only the paper-faithful defaults.
+parameters, dataset scale factors).  Some are the defaults of settings that
+experiments vary (batch size, lr patience, DRS probe interval); the rest,
+such as the lr decay factor, no experiment varies and are used as-is.
 """
 
 from __future__ import annotations

@@ -143,21 +143,17 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
 
 def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
                      batch_size: int = 512,
-                     max_queries: int | None = None,
-                     rng: np.random.Generator | None = None) -> RankingResult:
+                     max_queries: int | None = None) -> RankingResult:
     """Full link-prediction evaluation of one split.
 
-    ``max_queries`` subsamples the split (deterministically unless ``rng``
-    is given) — validation during training uses a subsample for speed, the
-    final test evaluation uses everything.
+    ``max_queries`` subsamples the split at evenly spaced positions —
+    validation during training uses a subsample for speed, the final test
+    evaluation uses everything.
     """
     if len(triples) == 0:
         raise ValueError("cannot evaluate an empty split")
     if max_queries is not None and max_queries < len(triples):
-        if rng is None:
-            idx = np.linspace(0, len(triples) - 1, max_queries).astype(np.int64)
-        else:
-            idx = rng.choice(len(triples), size=max_queries, replace=False)
+        idx = np.linspace(0, len(triples) - 1, max_queries).astype(np.int64)
         triples = triples.subset(idx)
 
     head_raw, head_filt, tail_raw, tail_filt = rank_triples(

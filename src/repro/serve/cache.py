@@ -78,7 +78,3 @@ class LRUCache:
         self._entries.clear()
         self.invalidations += 1
         return dropped
-
-    def keys(self) -> list:
-        """Keys in LRU -> MRU order (exposed for eviction-order tests)."""
-        return list(self._entries.keys())

@@ -94,8 +94,8 @@ from ..select import best_first, best_set, check_take
 from ..training import checkpoint as ckpt
 from .binary import check_geometry
 from .cache import LRUCache
-from .resilience import (ResilienceController, ServeFaultPlan, ShedResponse,
-                         SidecarCorruptionError, SLOConfig)
+from .resilience import (SERVICE_MS, ResilienceController, ServeFaultPlan,
+                         ShedResponse, SidecarCorruptionError, SLOConfig)
 from .stats import ServeStats
 from .store import EmbeddingStore
 
@@ -226,7 +226,7 @@ class QueryEngine:
         self.stats.record("score", time.perf_counter() - start,
                           cache_hit=None)
         if admission is not None:
-            self._complete(admission, self.slo.score_ms)
+            self._complete(admission, SERVICE_MS["score"])
         return float(scores[0]) if scalar else scores
 
     # -- top-k link prediction ---------------------------------------------
@@ -299,7 +299,7 @@ class QueryEngine:
                 self.stats.record(kind, time.perf_counter() - start,
                                   cache_hit=True)
                 if admission is not None:
-                    self._complete(admission, self.slo.cache_ms)
+                    self._complete(admission, SERVICE_MS["cache"])
             elif admission is not None and admission.state == "cache_only":
                 results[i] = self._shed(kind, "cache_only_miss", admission,
                                         start)
@@ -312,7 +312,7 @@ class QueryEngine:
                     # its modeled cost are known now), keeping the queue
                     # strictly arrival-ordered: grouped scoring must not
                     # smear a window's service to the window boundary.
-                    self._complete(admission, self.slo.service_ms(route))
+                    self._complete(admission, SERVICE_MS[route])
                 groups.setdefault((rel, side, route), []).append((i, anchor))
 
         pending = []
@@ -491,7 +491,7 @@ class QueryEngine:
             self.stats.record("nearest", time.perf_counter() - start,
                               cache_hit=True)
             if admission is not None:
-                self._complete(admission, self.slo.cache_ms)
+                self._complete(admission, SERVICE_MS["cache"])
             return hit
         if admission is not None and admission.state == "cache_only":
             return self._shed("nearest", "cache_only_miss", admission,
@@ -515,7 +515,7 @@ class QueryEngine:
         self.stats.record("nearest", time.perf_counter() - start,
                           cache_hit=False)
         if admission is not None:
-            self._complete(admission, self.slo.nearest_ms)
+            self._complete(admission, SERVICE_MS["nearest"])
         return result
 
     # -- resilience ----------------------------------------------------------
@@ -546,7 +546,7 @@ class QueryEngine:
                                 state=admission.state,
                                 query_index=admission.index)
         self.stats.record(kind, time.perf_counter() - start, cache_hit=None)
-        virtual = self.resilience.complete(admission, self.slo.shed_ms)
+        virtual = self.resilience.complete(admission, SERVICE_MS["shed"])
         self.stats.record_resilience(admission.state, virtual,
                                      shed_reason=reason)
         return response
@@ -560,8 +560,7 @@ class QueryEngine:
 
     # -- hot reload ----------------------------------------------------------
 
-    def reload(self, checkpoint, model_name: str | None = None,
-               dataset=None, with_binary: bool | None = None) -> dict:
+    def reload(self, checkpoint, dataset=None) -> dict:
         """Atomically swap the served snapshot for ``checkpoint``.
 
         ``checkpoint`` is a checkpoint path (resolved exactly like
@@ -576,10 +575,11 @@ class QueryEngine:
         cache (stale ``(tier, rerank_k)``-keyed answers must not survive
         the swap) and re-arms the circuit breaker.
 
-        Defaults follow the running engine: same architecture, same
-        binary-tier requirement; with no ``dataset``, the old filter
-        index is grafted onto the new store when the entity vocabulary
-        matches (and refused loudly when it does not).
+        The replacement follows the running engine: same architecture,
+        and a binary sidecar whenever the engine serves the binary tier or
+        its store has one; with no ``dataset``, the old filter index is
+        grafted onto the new store when the entity vocabulary matches (and
+        refused loudly when it does not).
 
         Reloading the very snapshot already served (same manifest digest)
         is a no-op — cache kept warm — so a reload poller is idempotent.
@@ -590,22 +590,19 @@ class QueryEngine:
         if isinstance(checkpoint, EmbeddingStore):
             new = checkpoint
         else:
-            if with_binary is None:
-                with_binary = self.tier == "binary" or old.binary is not None
-            name = model_name or old.model_name or "complex"
             path = ckpt.resolve_checkpoint_dir(checkpoint)
             if ckpt.manifest_digest(path) == old.manifest_digest:
                 return {"swapped": False, "reason": "same manifest digest",
                         "checkpoint": str(path), "epoch": old.epoch}
             new = EmbeddingStore.from_checkpoint(
-                path, model_name=name, dataset=dataset,
-                with_binary=with_binary)
+                path, model_name=old.model_name or "complex", dataset=dataset,
+                with_binary=self.tier == "binary" or old.binary is not None)
         # -- validate the replacement against this engine's contract ------
         if self.tier == "binary" and new.binary is None:
             raise ValueError(
                 "reload onto a store without a binary sidecar, but this "
                 "engine serves tier='binary'; export a sidecar first or "
-                "reload with with_binary=True")
+                "build the store with with_binary=True")
         if new.binary is not None:
             check_geometry(new.binary, new)
         if new.filter_index is None and old.filter_index is not None:

@@ -93,47 +93,39 @@ class ShedResponse:
                              f"{SHED_REASONS}")
 
 
+#: The virtual cost model behind the ladder, in virtual milliseconds: the
+#: gap between arrivals at burst factor 1, and the service cost of one
+#: query per route / query kind.  Deliberately simple — dense scoring costs
+#: more than binary candidate generation, a cache hit is nearly free — and
+#: chosen so that fault-free traffic is a stable queue (mean service <
+#: interarrival) that never degrades.
+INTERARRIVAL_MS = 1.0
+SERVICE_MS = {"dense": 0.8, "binary": 0.25, "cache": 0.05, "score": 0.1,
+              "nearest": 0.8, "shed": 0.01}
+#: Recovery threshold as a fraction of the current rung's entry backlog.
+HYSTERESIS = 0.5
+
+
 @dataclass(frozen=True)
 class SLOConfig:
-    """The service-level objective and the virtual cost model behind it.
+    """The service-level objective: ``deadline_ms``, the p99 target in
+    virtual milliseconds.
 
-    All values are virtual milliseconds.  ``deadline_ms`` is the p99
-    target; the ladder's entry thresholds are expressed as backlog
-    multiples of it (enter binary when the virtual backlog exceeds one
-    deadline, cache-only at three, shed at eight), and recovery steps one
-    rung shallower only once the backlog falls under ``hysteresis`` times
-    the current rung's entry threshold — so a backlog oscillating around
-    a threshold cannot flap the state.
-
-    The per-route service costs are a deliberately simple model — dense
-    scoring costs more than binary candidate generation, a cache hit is
-    nearly free — chosen so that fault-free traffic at the default
-    interarrival gap is a stable queue (mean service < interarrival) and
-    never degrades.
+    The ladder's entry thresholds are backlog multiples of it (enter
+    binary when the virtual backlog exceeds one deadline, cache-only at
+    three, shed at eight), and recovery steps one rung shallower only once
+    the backlog falls under :data:`HYSTERESIS` times the current rung's
+    entry threshold — so a backlog oscillating around a threshold cannot
+    flap the state.  Costs come from :data:`INTERARRIVAL_MS` and
+    :data:`SERVICE_MS`.
     """
 
     deadline_ms: float = 10.0
-    #: Virtual gap between arrivals at burst factor 1.
-    interarrival_ms: float = 1.0
-    #: Virtual service cost per route / query kind.
-    dense_ms: float = 0.8
-    binary_ms: float = 0.25
-    cache_ms: float = 0.05
-    score_ms: float = 0.1
-    nearest_ms: float = 0.8
-    shed_ms: float = 0.01
-    #: Recovery threshold as a fraction of the rung's entry backlog.
-    hysteresis: float = 0.5
 
     def __post_init__(self) -> None:
-        costs = (self.deadline_ms, self.interarrival_ms, self.dense_ms,
-                 self.binary_ms, self.cache_ms, self.score_ms,
-                 self.nearest_ms, self.shed_ms)
-        if any(c <= 0 for c in costs):
-            raise ValueError(f"SLO times must be > 0, got {self}")
-        if not 0.0 < self.hysteresis < 1.0:
+        if not self.deadline_ms > 0:
             raise ValueError(
-                f"hysteresis must be in (0, 1), got {self.hysteresis}")
+                f"deadline_ms must be > 0, got {self.deadline_ms}")
 
     @property
     def binary_enter_ms(self) -> float:
@@ -152,12 +144,6 @@ class SLOConfig:
         return {"dense": 0.0, "binary": self.binary_enter_ms,
                 "cache_only": self.cache_only_enter_ms,
                 "shed": self.shed_enter_ms}[state]
-
-    def service_ms(self, route: str) -> float:
-        """Virtual cost of serving one query through ``route``."""
-        return {"dense": self.dense_ms, "binary": self.binary_ms,
-                "cache": self.cache_ms, "score": self.score_ms,
-                "nearest": self.nearest_ms, "shed": self.shed_ms}[route]
 
 
 @dataclass(frozen=True)
@@ -289,7 +275,7 @@ class ResilienceController:
     wait — picks the ladder state.  Degradation jumps straight to the
     deepest rung whose threshold the backlog exceeds (overload is
     urgent); recovery walks back one rung per arrival, and only once the
-    backlog has fallen under ``hysteresis`` x the current rung's entry
+    backlog has fallen under :data:`HYSTERESIS` x the current rung's entry
     threshold.  Everything is integer-indexed and virtual-clocked, so the
     trajectory is a pure function of ``(plan.seed, plan)``.
     """
@@ -328,7 +314,7 @@ class ResilienceController:
         factor = 1.0
         if self.plan is not None and self.plan.bursts:
             factor = burst_factor_at(self.plan.bursts, index)
-        self.clock_ms += self.slo.interarrival_ms / factor
+        self.clock_ms += INTERARRIVAL_MS / factor
         backlog = max(0.0, self.free_ms - self.clock_ms)
         self.last_backlog_ms = backlog
         self._transition(index, backlog)
@@ -368,7 +354,7 @@ class ResilienceController:
         if _DEPTH[target] > _DEPTH[current]:
             self._move(index, target, backlog, "backlog")
         elif _DEPTH[target] < _DEPTH[current]:
-            exit_ms = self.slo.hysteresis * self.slo.enter_ms(current)
+            exit_ms = HYSTERESIS * self.slo.enter_ms(current)
             if backlog <= exit_ms:
                 shallower = _RECOVER[current]
                 if shallower == "binary" and not self.binary_available:

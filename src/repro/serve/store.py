@@ -153,8 +153,8 @@ class EmbeddingStore:
     def model_name(self) -> str | None:
         """Registry name of the served architecture (None if foreign).
 
-        Hot reload defaults to loading the new checkpoint as the same
-        architecture the old store serves.
+        Hot reload loads the new checkpoint as the same architecture the
+        old store serves.
         """
         for name, cls in MODEL_REGISTRY.items():
             if type(self.model) is cls:

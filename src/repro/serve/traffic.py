@@ -6,7 +6,7 @@ queries.  :class:`ZipfianTraffic` models both with rank-frequency power
 laws — entity ``i``'s draw probability is proportional to
 ``1 / (i + 1) ** exponent`` over a seeded permutation of the id space (so
 "popular" ids are scattered across the vocabulary, not clustered at 0) —
-and mixes query kinds with configurable fractions.
+and mixes query kinds in the fixed proportions of :data:`KIND_MIX`.
 
 Everything is driven by one ``numpy`` generator seeded at construction:
 the same ``(spec, seed)`` always replays the identical query stream, which
@@ -88,30 +88,8 @@ class TrafficSpec:
     entity_exponent: float = 1.0
     #: Rank-frequency skew over relations.
     relation_exponent: float = 0.8
-    #: Query-kind mix; the four fractions must sum to exactly 1.
-    tail_fraction: float = 0.70
-    head_fraction: float = 0.20
-    score_fraction: float = 0.08
-    nearest_fraction: float = 0.02
 
     def __post_init__(self) -> None:
-        fractions = {"tail_fraction": self.tail_fraction,
-                     "head_fraction": self.head_fraction,
-                     "score_fraction": self.score_fraction,
-                     "nearest_fraction": self.nearest_fraction}
-        negative = {k: v for k, v in fractions.items() if v < 0}
-        if negative:
-            raise ValueError(
-                f"query-kind fractions must be >= 0, got {negative}")
-        total = sum(fractions.values())
-        if abs(total - 1.0) > 1e-6:
-            # Validated here, with the fields named, instead of surfacing
-            # later as an opaque "probabilities do not sum to 1" from
-            # rng.choice deep inside generate().
-            raise ValueError(
-                f"query-kind fractions must sum to 1.0 "
-                f"(tail_fraction + head_fraction + score_fraction + "
-                f"nearest_fraction), got {total!r} from {fractions}")
         if self.entity_exponent < 0 or self.relation_exponent < 0:
             raise ValueError("zipf exponents must be >= 0")
 
@@ -123,6 +101,10 @@ QUERY_DTYPE = np.dtype([("kind", np.int8), ("anchor", np.int64),
                         ("relation", np.int64), ("other", np.int64)])
 
 KIND_TAILS, KIND_HEADS, KIND_SCORE, KIND_NEAREST = 0, 1, 2, 3
+
+#: Query-kind mix, indexed by kind: 70% tail top-k, 20% head top-k, 8%
+#: triple scores, 2% nearest-entity lookups.
+KIND_MIX = (0.70, 0.20, 0.08, 0.02)
 
 
 class ZipfianTraffic:
@@ -171,12 +153,9 @@ class ZipfianTraffic:
         """
         if n_queries < 0:
             raise ValueError(f"n_queries must be >= 0, got {n_queries}")
-        spec = self.spec
-        # Exact-sum normalization: the spec validated the fractions to
-        # within eps; rng.choice demands they sum to 1.0 to the last ulp.
-        probs = np.array([spec.tail_fraction, spec.head_fraction,
-                          spec.score_fraction, spec.nearest_fraction],
-                         dtype=np.float64)
+        # Exact-sum normalization: rng.choice demands the mix sum to 1.0
+        # to the last ulp.
+        probs = np.array(KIND_MIX, dtype=np.float64)
         kinds = self._rng.choice(
             4, size=n_queries, p=probs / probs.sum()).astype(np.int8)
         out = np.zeros(n_queries, dtype=QUERY_DTYPE)

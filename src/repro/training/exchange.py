@@ -66,9 +66,9 @@ class DrsState:
     topology-aware collective stack extends this to a per-probe choice over
     several challengers (``probe_modes``): probe epochs cycle through them,
     and once every challenger has a measurement, the cheapest one commits —
-    but only if it also beats the incumbent ``default_mode``'s last measured
-    comm time by the margin.  With the default single-challenger tuple this
-    reduces *exactly* to the paper's rule.
+    but only if it is also strictly faster than the incumbent
+    ``default_mode``'s last measured comm time.  With the default
+    single-challenger tuple this reduces *exactly* to the paper's rule.
     """
 
     #: Mode every epoch uses after the switch commits (the winning probe).
@@ -78,9 +78,6 @@ class DrsState:
     #: epoch.
     last_incumbent_comm: float = float("inf")
     probes: int = 0
-    #: Probe must beat margin * last incumbent comm to commit the switch
-    #: (1.0 = paper's strict comparison; < 1 is hysteresis against jitter).
-    switch_margin: float = 1.0
     #: Mode of every non-probe epoch before the switch.
     default_mode: str = "allreduce"
     #: Challenger modes, probed round-robin on probe epochs.
@@ -108,8 +105,7 @@ class DrsState:
         if not all(m in self.probe_comms for m in self.probe_modes):
             return
         winner = min(self.probe_modes, key=lambda m: self.probe_comms[m])
-        if self.probe_comms[winner] \
-                < self.switch_margin * self.last_incumbent_comm:
+        if self.probe_comms[winner] < self.last_incumbent_comm:
             self.switched = True
             self.current = winner
 
@@ -205,8 +201,7 @@ class GradientExchange:
                 dense, other = other, dense
             if strategy.comm_mode == "dynamic":
                 probes = ("allgather", other)
-        return DrsState(switch_margin=strategy.drs_switch_margin,
-                        default_mode=dense, probe_modes=probes)
+        return DrsState(default_mode=dense, probe_modes=probes)
 
     def mode_for_epoch(self, epoch: int) -> str:
         """The transport every step of ``epoch`` uses."""
@@ -284,8 +279,8 @@ class GradientExchange:
                     self.cluster, nbytes, op_label=f"{kind}_hier")
             else:
                 collectives.allreduce_bytes(
-                    self.cluster, nbytes, algo=strategy.allreduce_algo,
-                    op_label=f"{kind}_allreduce", network=self.flat_network)
+                    self.cluster, nbytes, op_label=f"{kind}_allreduce",
+                    network=self.flat_network)
         except CollectiveGaveUp:
             # fallback-dense policy: a collective exhausted its retry
             # budget (the aborted attempt's time is already on the clocks).
@@ -293,8 +288,7 @@ class GradientExchange:
             # unbounded retries so the fallback cannot abort recursively.
             with self.cluster.faults.reliable():
                 collectives.allreduce_bytes(
-                    self.cluster, nbytes, algo=strategy.allreduce_algo,
-                    op_label=f"{kind}_fallback_dense")
+                    self.cluster, nbytes, op_label=f"{kind}_fallback_dense")
             self.fallbacks += 1
         return combine_sparse(parts), 0.0
 

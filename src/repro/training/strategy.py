@@ -66,15 +66,14 @@ class StrategyConfig:
         Accumulate quantization error locally and re-inject next step
         (extension; the paper cites but does not adopt it).
     drs_probe_interval:
-        Probe allgather every k-th epoch (k = 10 in the paper).
-    drs_switch_margin:
-        A DRS probe only commits the switch when its comm time is below
-        ``margin * last allreduce comm time``.  1.0 (default) reproduces
-        the paper's strict comparison; values < 1 add hysteresis so
-        network jitter (see :mod:`repro.comm.faults`) cannot flip the
-        switch on a lucky probe.
-    allreduce_algo / allgather_algo:
-        Collective algorithm (ablation knob).
+        Probe allgather every k-th epoch (k = 10 in the paper).  DRS needs
+        k >= 2: at k = 1 every epoch is a probe, no epoch measures the
+        incumbent, and the first probe commits unopposed.  A probe commits
+        the switch only when its comm time is strictly below the
+        incumbent's last one (the paper's "if it is faster").
+    allgather_algo:
+        Allgather algorithm (ablation knob); the dense allreduce is always
+        the ring.
     collective:
         Dense-collective stack (extension): ``flat`` reproduces the paper's
         single-level ring; ``hier`` reduces intra-node first, sends one
@@ -95,8 +94,6 @@ class StrategyConfig:
     negatives_used: int = 1
     error_feedback: bool = False
     drs_probe_interval: int = PAPER_DRS_PROBE_INTERVAL
-    drs_switch_margin: float = 1.0
-    allreduce_algo: str = "ring"
     allgather_algo: str = "ring"
     collective: str = "flat"
 
@@ -124,9 +121,11 @@ class StrategyConfig:
                 "baseline; disable sample_selection instead")
         if self.drs_probe_interval < 1:
             raise ValueError("drs_probe_interval must be >= 1")
-        if self.drs_switch_margin <= 0:
+        if self.comm_mode == "dynamic" and self.drs_probe_interval < 2:
             raise ValueError(
-                f"drs_switch_margin must be > 0, got {self.drs_switch_margin}")
+                f"drs_probe_interval must be >= 2 with comm_mode='dynamic' "
+                f"(every epoch would be a probe), got "
+                f"{self.drs_probe_interval}")
         if self.collective not in COLLECTIVES:
             raise ValueError(
                 f"collective must be one of {COLLECTIVES}, "

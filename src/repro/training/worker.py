@@ -23,6 +23,10 @@ from ..models.loss import logistic_loss
 from .rng import worker_rng
 from .strategy import StrategyConfig
 
+#: Entity-gradient rows at or below this 2-norm count as zero: they are not
+#: reported as non-zero and never travel on a sparse wire.
+ZERO_ROW_TOL = 1e-5
+
 
 @dataclass
 class StepOutput:
@@ -42,18 +46,16 @@ class Worker:
 
     def __init__(self, rank: int, shard: TripleSet, n_entities: int,
                  strategy: StrategyConfig, seed: int, l2: float = 0.0,
-                 zero_row_tol: float = 1e-5,
                  store: TripleStore | None = None):
         if len(shard) == 0:
             raise ValueError(f"rank {rank} received an empty shard")
-        if l2 < 0 or zero_row_tol < 0:
-            raise ValueError("l2 and zero_row_tol must be non-negative")
+        if l2 < 0:
+            raise ValueError(f"l2 must be non-negative, got {l2}")
         self.rank = rank
         self.shard = shard
         self.n_entities = n_entities
         self.strategy = strategy
         self.l2 = l2
-        self.zero_row_tol = zero_row_tol
         self.store = store
         self.rng = worker_rng(seed, rank)
         self._order = np.arange(len(shard))
@@ -124,7 +126,7 @@ class Worker:
             l2=self.l2 / n_examples)
 
         nonzero = int((np.linalg.norm(entity_grad.values, axis=1)
-                       > self.zero_row_tol).sum())
+                       > ZERO_ROW_TOL).sum())
         flops = (n_examples * model.flops_per_example(backward=True)
                  + forward_only * model.flops_per_example(backward=False))
         return StepOutput(entity_grad=entity_grad, relation_grad=relation_grad,

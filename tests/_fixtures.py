@@ -1,14 +1,17 @@
 """Fixture builders that only tests call.
 
 Nothing under ``src/repro`` imports this module (``tests/test_spec.py``
-enforces it).  Each builder goes through the public surface only:
+enforces it).  Each builder goes through the public surface only, and
+:func:`cache_keys` is the one reader of private state:
 
 * :func:`sparse_from_dense` / :func:`sparse_to_dense` — a dense matrix to
   its non-zero :class:`~repro.comm.sparse.SparseRows` and back;
 * :func:`save_openke_dir` — the writer of the OpenKE directory layout that
   :func:`repro.kg.io.load_openke_dir` reads;
 * :func:`store_from_model` — a serving store over an in-memory model,
-  skipping the checkpoint round trip.
+  skipping the checkpoint round trip;
+* :func:`cache_keys` — an :class:`~repro.serve.cache.LRUCache`'s keys in
+  eviction order, which the cache itself never needs to expose.
 """
 
 from __future__ import annotations
@@ -80,3 +83,9 @@ def store_from_model(model, dataset=None,
         model=model.copy(),
         filter_index=dataset.filter_index if dataset is not None else None,
         binary=binarize_model(model) if with_binary else None)
+
+
+def cache_keys(cache) -> list:
+    """``cache``'s keys in LRU -> MRU (eviction) order, without promoting
+    any entry."""
+    return list(cache._entries)

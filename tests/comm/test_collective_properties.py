@@ -1,7 +1,6 @@
 """Property-based tests for collective cost formulas and the sparse combine."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

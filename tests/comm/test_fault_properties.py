@@ -11,7 +11,6 @@ c. the same fault seed yields an identical training trajectory
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -51,7 +51,7 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             FaultPlan(max_retries=0)
         with pytest.raises(ValueError):
-            FaultPlan(backoff_factor=0.5)
+            FaultPlan(backoff_base=-1e-4)
         with pytest.raises(ValueError):
             FaultPlan(alpha_jitter=-0.1)
 

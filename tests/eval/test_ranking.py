@@ -172,13 +172,6 @@ class TestEvaluateRanking:
         b = evaluate_ranking(m, store.test, store, max_queries=1)
         assert a.mrr == b.mrr and a.n_queries == 1
 
-    def test_subsampling_with_rng(self):
-        store = toy_store()
-        m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
-        res = evaluate_ranking(m, store.test, store, max_queries=1,
-                               rng=np.random.default_rng(0))
-        assert res.n_queries == 1
-
     def test_subsample_one_query_is_first_triple(self):
         """max_queries=1: linspace picks exactly index 0."""
         store = toy_store()
@@ -208,16 +201,6 @@ class TestEvaluateRanking:
         assert (np.diff(idx) > 0).all()
         assert len(np.unique(idx)) == k
         assert idx[0] == 0 and idx[-1] <= n - 1
-
-    def test_rng_subsampling_reproducible_under_fixed_seed(self):
-        store = generate_latent_kg(20, 3, 120, seed=1)
-        m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
-        a = evaluate_ranking(m, store.test, store, max_queries=3,
-                             rng=np.random.default_rng(42))
-        b = evaluate_ranking(m, store.test, store, max_queries=3,
-                             rng=np.random.default_rng(42))
-        assert a == b
-        assert a.n_queries == 3
 
     def test_max_queries_at_least_split_size_is_noop(self):
         store = toy_store()

@@ -8,11 +8,10 @@ from repro import (
     baseline_allreduce,
     evaluate_ranking,
     make_model,
-    make_tiny_kg,
     train,
 )
 from repro.kg.datasets import generate_latent_kg, load_store, save_store
-from repro.training import PRESETS, DistributedTrainer
+from repro.training import PRESETS
 
 
 @pytest.fixture(scope="module")

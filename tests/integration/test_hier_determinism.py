@@ -220,6 +220,18 @@ class TestThreeWayDrs:
         legacy.observe("allgather", 1.0)
         assert legacy.switched and legacy.current == "allgather"
 
+    def test_probe_equal_to_incumbent_keeps_incumbent(self):
+        """The paper switches only "if it is faster": a probe whose comm
+        time ties the incumbent's keeps the incumbent, a strictly lower
+        one commits."""
+        tie = DrsState()
+        tie.observe("allreduce", 2.0)
+        tie.observe("allgather", 2.0)
+        assert not tie.switched and tie.current == "allreduce"
+        tie.observe("allreduce", 2.0)
+        tie.observe("allgather", 2.0 - 2.0 ** -51)
+        assert tie.switched and tie.current == "allgather"
+
     def test_ties_break_toward_earlier_challenger(self):
         drs = DrsState(default_mode="hierarchical",
                        probe_modes=("allgather", "allreduce"))

@@ -46,15 +46,6 @@ class TestLosslessPathEquivalence:
         assert a.test_mrr == b.test_mrr
         assert a.bytes_total == b.bytes_total
 
-    def test_allreduce_algo_does_not_change_learning(self, store):
-        from dataclasses import replace
-        ring = baseline_allreduce(negatives=2)
-        rd = replace(ring, allreduce_algo="recursive_doubling")
-        a = train(store, ring, 4, config=cfg())
-        b = train(store, rd, 4, config=cfg())
-        assert a.test_mrr == b.test_mrr
-
-
 class TestTimingInvariance:
     def test_network_speed_does_not_change_learning(self, store):
         """The cost model must never leak into the math."""

@@ -1,7 +1,6 @@
 """Property-based tests for KGE model gradients."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -29,7 +29,7 @@ from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import QueryEngine
-from repro.serve.binary import _BYTE_SIGNS, BinaryStore, binarize_model
+from repro.serve.binary import _BYTE_SIGNS, binarize_model
 from repro.select import best_first
 from tests import _reference
 from tests._fixtures import store_from_model

@@ -12,7 +12,7 @@ import pytest
 from repro.kg.datasets import make_tiny_kg
 from repro.models import ComplEx
 from repro.serve import LRUCache, QueryEngine
-from tests._fixtures import store_from_model
+from tests._fixtures import cache_keys, store_from_model
 
 
 class TestLRUCacheUnit:
@@ -34,16 +34,16 @@ class TestLRUCacheUnit:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)
-        assert cache.keys() == ["a", "b", "c"]
+        assert cache_keys(cache) == ["a", "b", "c"]
 
         assert cache.get("a") == 1          # a promoted: order b, c, a
         cache.put("d", 4)                   # evicts b (the LRU)
-        assert cache.keys() == ["c", "a", "d"]
+        assert cache_keys(cache) == ["c", "a", "d"]
         assert cache.get("b") is None
 
         cache.put("c", 30)                  # refresh promotes c
         cache.put("e", 5)                   # evicts a
-        assert cache.keys() == ["d", "c", "e"]
+        assert cache_keys(cache) == ["d", "c", "e"]
         assert cache.get("a") is None
         assert cache.get("c") == 30
 

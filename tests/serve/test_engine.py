@@ -13,7 +13,7 @@ import pytest
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import make_tiny_kg
 from repro.models import MODEL_REGISTRY, make_model
-from repro.serve import QueryEngine, TopKResult
+from repro.serve import QueryEngine
 from tests._fixtures import store_from_model
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)

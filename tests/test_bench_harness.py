@@ -3,7 +3,6 @@
 import ast
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.bench import paper

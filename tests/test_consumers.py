@@ -8,6 +8,14 @@ a name, an attribute, an imported name, or one ``:``/``.``-separated part of
 a string constant (``perf/layers.py`` names its trace targets by string).
 A re-export is not a consumer, so the ``from ... import`` lines and
 ``__all__`` of ``src/repro/**/__init__.py`` do not count.
+
+The match is by bare name, with no type information: a test-only method
+whose name some unrelated object also carries (``keys``, ``get``, ``clear``)
+passes as consumed.  Review such names by hand.
+
+Two more audits share the file: every field of the configuration
+dataclasses takes a second value somewhere in production (a field that
+only ever holds its default is a constant), and every imported name is read.
 """
 
 import ast
@@ -116,3 +124,277 @@ def test_allowlist_is_short_and_current():
     defined = {qualname for qualname, *_ in _definitions()}
     assert len(ALLOWED) <= 2
     assert ALLOWED <= defined, ALLOWED - defined
+
+
+# -- settings: every field takes a second value ------------------------------
+
+#: Configuration dataclasses whose fields must each be set to a value other
+#: than their default somewhere under ``CONSUMER_DIRS``.  A field that only
+#: ever holds its default is a constant, not a setting.
+SETTINGS = ("StrategyConfig", "TrainConfig", "SLOConfig", "TrafficSpec",
+            "FaultPlan", "ServeFaultPlan", "NetworkModel")
+
+SETTINGS_ALLOWED = {
+    # ``perf/workloads.py`` passes the default by keyword, and ROADMAP
+    # item 9 runs the ``"measured"`` timing path.
+    "TrainConfig.compute_time_mode",
+    # The manifest records it and the serving side reads it back: ``serve
+    # --model`` and ``export-binary --model`` name the architecture that
+    # wrote a checkpoint, and a DistMult snapshot can only come from a run
+    # with ``model_name="distmult"``.
+    "TrainConfig.model_name",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        if isinstance(deco, ast.Call):
+            deco = deco.func
+        if getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _callee(node: ast.Call):
+    func = node.func
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _consumer_trees():
+    for top in CONSUMER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _module_constants(trees) -> dict:
+    """Module-level ``NAME = <literal>`` bindings, for defaults such as
+    ``DEFAULT_SEED``."""
+    out = {}
+    for _, tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                value = _literal(node.value, {})
+                if value is not _UNKNOWN:
+                    out[node.targets[0].id] = value
+    return out
+
+
+_UNKNOWN = object()
+_ARITHMETIC = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator,
+               ast.unaryop, ast.Tuple, ast.Load)
+
+
+def _literal(node, constants: dict):
+    """The value of a literal or constant-arithmetic expression, a known
+    module constant, or ``_UNKNOWN``."""
+    if node is None:
+        return _UNKNOWN
+    if isinstance(node, ast.Name):
+        return constants.get(node.id, _UNKNOWN)
+    if all(isinstance(n, _ARITHMETIC) for n in ast.walk(node)):
+        return eval(compile(ast.Expression(node), "<default>", "eval"),
+                    {"__builtins__": {}})
+    return _UNKNOWN
+
+
+def _dataclasses(trees) -> dict:
+    """``{class name: {field: default node or None}}`` for every dataclass."""
+    out = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out[node.name] = {
+                    stmt.target.id: stmt.value for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)}
+    return out
+
+
+def _presets(trees) -> dict:
+    """Functions annotated to return a settings class: keywords passed to
+    them reach that class (``train_config(profile, lr_scale_cap=16)``)."""
+    out = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                ret = node.returns
+                name = (ret.value if isinstance(ret, ast.Constant)
+                        else getattr(ret, "id", getattr(ret, "attr", None)))
+                if name in SETTINGS:
+                    out[node.name] = name
+    return out
+
+
+def _keyword_sites(trees, classes: dict, presets: dict):
+    """Yield ``(class, keyword)`` for each keyword that reaches a dataclass:
+    a call of the class or of a preset, ``cls(...)`` or ``build(..., cls,
+    ...)`` inside the class, ``kwargs["field"] = ...`` inside the class,
+    and ``replace(...)`` (matched to every class with that field)."""
+    for _, tree in trees:
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                for inner in ast.walk(node):
+                    owners[id(inner)] = node.name
+        for node in ast.walk(tree):
+            owner = owners.get(id(node))
+            if isinstance(node, ast.Assign) and owner is not None:
+                for target in node.targets:
+                    if (isinstance(target, ast.Subscript)
+                            and isinstance(target.slice, ast.Constant)
+                            and target.slice.value in classes[owner]):
+                        yield owner, ast.keyword(arg=target.slice.value,
+                                                 value=node.value)
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            if name in classes:
+                targets = (name,)
+            elif name in presets:
+                targets = (presets[name],)
+            elif name in ("cls", "build") and owner is not None:
+                targets = (owner,)
+            elif name == "replace":
+                targets = tuple(classes)
+            else:
+                continue
+            for kw in node.keywords:
+                for cls in targets:
+                    if kw.arg in classes[cls]:
+                        yield cls, kw
+
+
+def _spec_fields(trees) -> set:
+    """``Class.field`` set by a spec key: a ``_KEYS`` key or a ``_FIELDS``
+    value in the class body."""
+    out = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and node.name in SETTINGS):
+                continue
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.Assign)
+                        and isinstance(stmt.value, ast.Dict)):
+                    continue
+                names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+                side = (stmt.value.keys if "_KEYS" in names
+                        else stmt.value.values if "_FIELDS" in names else ())
+                out.update(f"{node.name}.{c.value}" for c in side
+                           if isinstance(c, ast.Constant))
+    return out
+
+
+def _cli_dests(trees) -> set:
+    """Destinations of every ``add_argument`` flag."""
+    out = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and _callee(node) == "add_argument"):
+                continue
+            dest = next((kw.value.value for kw in node.keywords
+                         if kw.arg == "dest"), None)
+            flags = [a.value for a in node.args
+                     if isinstance(a, ast.Constant)
+                     and str(a.value).startswith("--")]
+            if dest is None and flags:
+                dest = flags[0][2:].replace("-", "_")
+            if dest:
+                out.add(dest)
+    return out
+
+
+def unvaried_settings() -> list:
+    """``Class.field`` of every settings field no production code sets to a
+    second value.
+
+    A keyword counts unless its value equals the default or is a same-named
+    pass-through (``x=x``, ``x=cfg.x``).  A pass-through from another
+    dataclass counts when that dataclass's own field takes a second value
+    (``relation_exponent=workload.relation_exponent``).  A CLI flag whose
+    destination is the field's name, or a spec key naming it, also counts.
+    """
+    trees = list(_consumer_trees())
+    constants = _module_constants(trees)
+    classes = _dataclasses(trees)
+    presets = _presets(trees)
+
+    varied, forwarded = set(), set()
+    for cls, kw in _keyword_sites(trees, classes, presets):
+        value = kw.value
+        if getattr(value, "id", getattr(value, "attr", None)) == kw.arg:
+            forwarded.add((cls, kw.arg))
+            continue
+        default = _literal(classes[cls][kw.arg], constants)
+        given = _literal(value, constants)
+        same = (given == default if _UNKNOWN not in (given, default)
+                else classes[cls][kw.arg] is not None
+                and ast.dump(value) == ast.dump(classes[cls][kw.arg]))
+        if not same:
+            varied.add((cls, kw.arg))
+    varied |= {(cls, name) for cls, name in forwarded
+               if any((other, name) in varied
+                      for other in classes if other != cls)}
+
+    set_by_name = _spec_fields(trees)
+    dests = _cli_dests(trees)
+    return [f"{cls}.{name}" for cls in SETTINGS for name in classes[cls]
+            if (cls, name) not in varied
+            and f"{cls}.{name}" not in set_by_name
+            and name not in dests
+            and f"{cls}.{name}" not in SETTINGS_ALLOWED]
+
+
+def test_every_setting_takes_a_second_value():
+    constant = unvaried_settings()
+    assert not constant, ("fields that only ever hold their default (make "
+                          "them constants): " + ", ".join(constant))
+
+
+def test_settings_allowlist_is_short_and_current():
+    classes = _dataclasses(list(_consumer_trees()))
+    assert len(SETTINGS_ALLOWED) <= 2
+    for entry in SETTINGS_ALLOWED:
+        cls, name = entry.split(".")
+        assert name in classes[cls], entry
+
+
+# -- imports: every imported name is read ------------------------------------
+
+IMPORT_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
+
+
+def unread_imports() -> list:
+    """``path:line name`` for each imported name the module never reads.
+
+    Package ``__init__`` files (re-exports) and ``# noqa: F401`` lines are
+    exempt."""
+    out = []
+    for top in IMPORT_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text)
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                if any("noqa: F401" in lines[i - 1] for i in _span(node)):
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in read:
+                        rel = path.relative_to(ROOT)
+                        out.append(f"{rel}:{node.lineno} {bound}")
+    return out
+
+
+def test_every_imported_name_is_read():
+    unread = unread_imports()
+    assert not unread, "imported but never read: " + ", ".join(unread)

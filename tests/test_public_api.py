@@ -1,7 +1,5 @@
 """Tests of the top-level public API surface."""
 
-import pytest
-
 import repro
 
 

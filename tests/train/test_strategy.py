@@ -1,5 +1,7 @@
 """Unit tests for strategy configuration and presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.training.strategy import (
@@ -46,6 +48,14 @@ class TestValidation:
     def test_bad_probe_interval_rejected(self):
         with pytest.raises(ValueError):
             StrategyConfig(drs_probe_interval=0)
+
+    def test_dynamic_needs_an_incumbent_epoch_between_probes(self):
+        """At k = 1 every epoch is a probe: the incumbent is never
+        measured, so the first probe would commit against +inf."""
+        with pytest.raises(ValueError, match="drs_probe_interval"):
+            replace(drs(), drs_probe_interval=1)
+        assert replace(drs(), drs_probe_interval=2).drs_probe_interval == 2
+        StrategyConfig(comm_mode="allgather", drs_probe_interval=1)
 
 
 class TestPresets:

@@ -186,7 +186,6 @@ class TestFalseNegativeFiltering:
         """Among k uniform corruptions, candidates that are true facts score
         highest on a fitted model; with a store attached the worker must
         mask them out of hardest-negative selection."""
-        from repro.kg.triples import TripleStore
         strat = StrategyConfig(sample_selection=True, negatives_sampled=20,
                                negatives_used=1)
         w = Worker(rank=0, shard=store.train, n_entities=store.n_entities,
