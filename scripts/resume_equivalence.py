@@ -24,9 +24,9 @@ epoch both directories hold must have byte-equal ``manifest.json`` and
 no wall clock in it.  Last, the resumed directory is served: it loads
 through ``EmbeddingStore.from_checkpoint``, whose entity matrix must be the
 resumed trainer's and whose ``manifest_digest`` must be the SHA-256 of the
-newest manifest file.  That manifest's ``model`` must be the trainer's
-``model_name``, and serving the snapshot as any other registered model
-must raise ``ValueError``.
+newest manifest file.  That manifest's ``model`` must be ``"complex"``,
+and serving the snapshot as ``model_name="distmult"`` must raise a
+``ValueError`` naming it.
 
 The checkpoint directories are left in place (default: ``resume-ckpt/``)
 so CI can upload them as an artifact for post-mortem inspection.
@@ -46,7 +46,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import DistributedTrainer, FaultPlan, TrainConfig, latest_checkpoint
 from repro.comm.network import NetworkModel
 from repro.kg.datasets import make_tiny_kg
-from repro.models import MODEL_REGISTRY
 from repro.serve import EmbeddingStore
 from repro.training.checkpoint import (
     ARRAYS_NAME,
@@ -139,22 +138,20 @@ def diff_files(straight_dir: Path, resumed_dir: Path) -> list[str]:
     return bad
 
 
-def check_model_name(ckpt_dir: Path, recorded: str, trained: str
-                     ) -> list[str]:
-    """The manifest names the model that wrote it, and serving the snapshot
-    as any other registered model is refused with ``ValueError``."""
+def check_model_name(ckpt_dir: Path, recorded: str) -> list[str]:
+    """The manifest names ComplEx, and serving the snapshot as another
+    model is refused with a ``ValueError`` naming it."""
     bad = []
-    if recorded != trained:
-        bad.append(f"manifest model {recorded!r} is not the trainer's "
-                   f"model_name {trained!r}")
-    for other in sorted(set(MODEL_REGISTRY) - {trained}):
-        try:
-            EmbeddingStore.from_checkpoint(ckpt_dir, model_name=other)
-        except ValueError as exc:
-            print(f"      served as {other!r}: refused ({exc})")
-        else:
-            bad.append(f"serving the {trained!r} snapshot as {other!r} "
-                       f"was not refused")
+    if recorded != "complex":
+        bad.append(f"manifest model {recorded!r} is not 'complex'")
+    try:
+        EmbeddingStore.from_checkpoint(ckpt_dir, model_name="distmult")
+    except ValueError as exc:
+        print(f"      served as 'distmult': refused ({exc})")
+        if "'distmult'" not in str(exc):
+            bad.append(f"the refusal does not name 'distmult': {exc}")
+    else:
+        bad.append("serving the snapshot as 'distmult' was not refused")
     return bad
 
 
@@ -198,8 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         bad.append(f"the epoch-{kill_at} snapshot restored no residual row; "
                    f"the run no longer exercises error-feedback state")
     bad += diff_files(straight_dir, resumed_dir)
-    served = EmbeddingStore.from_checkpoint(
-        resumed_dir, model_name=resumed.config.model_name)
+    served = EmbeddingStore.from_checkpoint(resumed_dir)
     print(f"      served {served.checkpoint_path}: epoch {served.epoch}, "
           f"manifest sha256 {served.manifest_digest[:12]}...")
     if (served.model.entity_emb.tobytes()
@@ -211,8 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     if served.manifest_digest != newest_digest:
         bad.append(f"served manifest_digest {served.manifest_digest[:12]}... "
                    f"is not the newest manifest's {newest_digest[:12]}...")
-    bad += check_model_name(resumed_dir, json.loads(manifest_bytes)["model"],
-                            resumed.config.model_name)
+    bad += check_model_name(resumed_dir, json.loads(manifest_bytes)["model"])
     if bad:
         print(f"\nFAIL: resume diverged from the straight run "
               f"({len(bad)} field(s)):")

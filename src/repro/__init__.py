@@ -20,7 +20,7 @@ Subpackages
     Triples, synthetic FB15K/FB250K-like datasets, partitioning, negative
     sampling.
 ``repro.models``
-    ComplEx (the paper's model) and DistMult — closed-form gradients.
+    ComplEx, the paper's model, with closed-form gradients.
 ``repro.optim``
     Sparse-row Adam, the paper's plateau lr schedule.
 ``repro.compress``
@@ -58,7 +58,7 @@ from .kg import (
     relation_partition,
     uniform_partition,
 )
-from .models import ComplEx, DistMult, make_model
+from .models import ComplEx
 from .optim import Adam, PlateauScheduler, scaled_initial_lr
 from .serve import EmbeddingStore, QueryEngine, ZipfianTraffic
 from .training import (
@@ -95,7 +95,6 @@ __all__ = [
     "CollectiveFaultError",
     "ComplEx",
     "DEFAULT_SEED",
-    "DistMult",
     "DistributedTrainer",
     "ElasticSupervisor",
     "EmbeddingStore",
@@ -126,7 +125,6 @@ __all__ = [
     "load_checkpoint",
     "make_fb15k_like",
     "make_fb250k_like",
-    "make_model",
     "make_tiny_kg",
     "relation_partition",
     "rs",

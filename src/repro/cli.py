@@ -5,8 +5,8 @@
 checkpoint, and ``python -m repro export-binary ...`` writes a checkpoint's
 1-bit sidecar.  Each command's parser is assembled from argparse parents
 for the options commands share — dataset (``--dataset``,
-``--dataset-file``, ``--scale``, ``--seed``), snapshot (``--checkpoint``,
-``--model``) and output (``--json``) — plus its own.  ``--dataset-file``
+``--dataset-file``, ``--scale``, ``--seed``), snapshot (``--checkpoint``)
+and output (``--json``) — plus its own.  ``--dataset-file``
 takes a ``repro.kg.save_store`` file or an OpenKE directory.  README.md
 tours the flags; for example::
 
@@ -43,7 +43,6 @@ from .config import DEFAULT_SEED
 from .kg.datasets import load_store, make_fb15k_like, make_fb250k_like
 from .kg.io import load_openke_dir
 from .kg.triples import TripleStore
-from .models import MODEL_REGISTRY
 from .serve import (EmbeddingStore, QueryEngine, ServeFaultPlan, SLOConfig,
                     TrafficSpec, ZipfianTraffic, export_binary, replay)
 from .training.checkpoint import CheckpointError
@@ -80,10 +79,6 @@ def _snapshot_options() -> argparse.ArgumentParser:
     parent.add_argument("--checkpoint", required=True, metavar="DIR",
                         help="checkpoint directory, or a parent directory "
                              "(the newest checkpoint under it is used)")
-    parent.add_argument("--model", choices=sorted(MODEL_REGISTRY),
-                        default="complex",
-                        help="architecture that wrote the checkpoint "
-                             "(default: complex)")
     return parent
 
 
@@ -395,7 +390,7 @@ def _serve(args: argparse.Namespace) -> None:
         stats_window = 8192
     with _refusing(f"cannot serve {args.checkpoint}: "):
         store = EmbeddingStore.from_checkpoint(
-            args.checkpoint, model_name=args.model, dataset=dataset,
+            args.checkpoint, dataset=dataset,
             with_binary=args.tier == "binary")
         engine = QueryEngine(store, cache_capacity=args.cache_capacity,
                              tier=args.tier, rerank_k=args.rerank_k,
@@ -486,8 +481,7 @@ def _serve(args: argparse.Namespace) -> None:
 
 def _export_binary(args: argparse.Namespace) -> None:
     with _refusing(f"cannot export {args.checkpoint}: "):
-        _, summary = export_binary(args.checkpoint, model_name=args.model,
-                                   stat=args.stat)
+        _, summary = export_binary(args.checkpoint, stat=args.stat)
     if args.json:
         json.dump(summary, sys.stdout, indent=2)
         print()

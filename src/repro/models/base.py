@@ -35,14 +35,15 @@ class KGEModel(abc.ABC):
     n_entities, n_relations:
         Vocabulary sizes.
     dim:
-        Embedding dimension.  For complex-valued models this is the number
-        of *complex* dimensions; the real storage width is ``2 * dim``.
+        Embedding dimension: the number of *complex* dimensions; the real
+        storage width is ``width_factor * dim``.
     seed:
         Initialisation seed (Xavier-style uniform init).
     """
 
-    #: Real-valued storage width multiplier (2 for complex-valued models).
-    width_factor: int = 1
+    #: Real columns stored per embedding dimension (2 for ComplEx's
+    #: ``[real | imag]`` halves); set by the concrete model.
+    width_factor: int
 
     def __init__(self, n_entities: int, n_relations: int, dim: int,
                  seed: int = 0):
@@ -173,20 +174,17 @@ class KGEModel(abc.ABC):
 
     # -- geometry access ---------------------------------------------------
 
-    def entity_components(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The entity matrix split into its geometric components.
+    def entity_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entity matrix split into its (real, imag) components.
 
-        Real-valued models return ``(entity_emb, None)``.  Complex-valued
-        models (``width_factor == 2``) store each entity as ``[real | imag]``
-        *halves* — NOT interleaved ``(re, im)`` pairs — so the d-th complex
-        coordinate of entity ``i`` is ``(emb[i, d], emb[i, dim + d])``.
-        Geometry-aware consumers (nearest-neighbor search over complex
-        embeddings) must pair components through this accessor; reshaping
-        the row to ``(dim, 2)`` or truncating to the first ``dim`` columns
-        silently mixes real and imaginary parts of different coordinates.
+        Each entity is stored as ``[real | imag]`` *halves* — NOT
+        interleaved ``(re, im)`` pairs — so the d-th complex coordinate of
+        entity ``i`` is ``(emb[i, d], emb[i, dim + d])``.  Geometry-aware
+        consumers (nearest-neighbor search) must pair components through
+        this accessor; reshaping the row to ``(dim, 2)`` or truncating to
+        the first ``dim`` columns silently mixes real and imaginary parts
+        of different coordinates.
         """
-        if self.width_factor == 1:
-            return self.entity_emb, None
         return self._split(self.entity_emb)
 
     def _split(self, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +206,3 @@ class KGEModel(abc.ABC):
         clone.entity_emb = self.entity_emb.copy()
         clone.relation_emb = self.relation_emb.copy()
         return clone
-
-    def flops_per_example(self, backward: bool = True) -> int:
-        """Rough flop count of scoring (and optionally backprop) one triple.
-
-        Used by the modeled-compute timing path.  Subclasses may override;
-        the default counts the multiply-adds of a trilinear form.
-        """
-        width = self.dim * self.width_factor
-        forward = 6 * width
-        return forward * (3 if backward else 1)

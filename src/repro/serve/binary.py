@@ -20,7 +20,7 @@ module is the serving half of that result:
   exported from, so serving a sidecar against the wrong checkpoint fails
   loudly instead of generating candidates from someone else's geometry.
 * :meth:`BinaryStore.candidate_pools` is the first stage of the tiered
-  query path: the engine asks each model for its full-precision
+  query path: the engine asks the model for its full-precision
   :meth:`~repro.models.base.KGEModel.query_vector` and ranks every entity
   against the 1-bit reconstruction, reading only packed bytes —
   :meth:`BinaryStore.sign_dots` generalises packed-XOR-popcount Hamming

@@ -13,7 +13,7 @@ The engine answers four query shapes against a frozen
     eval's filtered protocol (minus the gold-entity exemption: a live
     query has no gold entity).
 ``nearest_entities(e, k)``
-    Embedding-space neighbors by L2 distance, with complex models'
+    Embedding-space neighbors by L2 distance, with ComplEx's
     ``[real | imag]`` half layout paired per coordinate through
     :meth:`~repro.models.base.KGEModel.entity_components`.
 
@@ -469,11 +469,10 @@ class QueryEngine:
         """The ``k`` entities nearest to entity ``e``, by ascending Euclidean
         distance over the entity's full geometric coordinates.
 
-        A complex-valued model (ComplEx) stores ``[real | imag]`` halves —
-        components are paired per complex coordinate via
-        ``entity_components()``, never by reshaping the raw row (which
-        would marry the real part of one coordinate to the imaginary part
-        of another).  Ties break toward the smaller entity id; ``e``
+        ComplEx stores ``[real | imag]`` halves — components are paired
+        per complex coordinate via ``entity_components()``, never by
+        reshaping the raw row (which would marry the real part of one
+        coordinate to the imaginary part of another).  Ties break toward the smaller entity id; ``e``
         itself and a non-finite row are not candidates.
         """
         k = check_take("k", k)
@@ -501,11 +500,9 @@ class QueryEngine:
 
         re, im = self.store.model.entity_components()
         diff = re - re[e]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        if im is not None:
-            diff_im = im - im[e]
-            sq = sq + np.einsum("ij,ij->i", diff_im, diff_im)
-        values = np.sqrt(sq)
+        diff_im = im - im[e]
+        values = np.sqrt(np.einsum("ij,ij->i", diff, diff)
+                         + np.einsum("ij,ij->i", diff_im, diff_im))
         ranking = -values  # nearest first: best_first descends
         # NaN is "not a candidate", exactly like a non-finite row.
         ranking[e] = np.nan
@@ -595,7 +592,7 @@ class QueryEngine:
                 return {"swapped": False, "reason": "same manifest digest",
                         "checkpoint": str(path), "epoch": old.epoch}
             new = EmbeddingStore.from_checkpoint(
-                path, model_name=old.model_name or "complex", dataset=dataset,
+                path, dataset=dataset,
                 with_binary=self.tier == "binary" or old.binary is not None)
         # -- validate the replacement against this engine's contract ------
         if self.tier == "binary" and new.binary is None:

@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..kg.triples import FilterIndex, TripleStore
-from ..models import MODEL_REGISTRY, make_model
-from ..models.base import KGEModel
+from ..models import ComplEx, KGEModel
 from ..training import checkpoint as ckpt
 from .binary import BinaryStore, check_geometry, load_sidecar
 
@@ -75,32 +74,27 @@ class EmbeddingStore:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_checkpoint(cls, path: str | Path, model_name: str = "complex",
+    def from_checkpoint(cls, path: str | Path,
+                        model_name: str = ckpt.MODEL_NAME,
                         dataset: TripleStore | None = None,
                         with_binary: bool = False) -> "EmbeddingStore":
         """Serve the (latest) checkpoint under ``path``.
 
-        ``model_name`` must be the architecture the manifest records
-        (``TrainConfig.model_name`` of the run that wrote the snapshot):
-        naming another fails loudly here with a ``ValueError`` instead of
-        producing garbage scores.  The embedding dimension is inferred
-        from the stored array shapes.  ``dataset`` (the training
-        TripleStore, or any store with the same vocabularies) enables
-        known-fact filtering.
+        ``model_name`` must be ``"complex"``, the one architecture a
+        snapshot records: naming another fails loudly here with a
+        ``ValueError`` instead of producing garbage scores.  The embedding
+        dimension is inferred from the stored array shapes.  ``dataset``
+        (the training TripleStore, or any store with the same
+        vocabularies) enables known-fact filtering.
         ``with_binary`` additionally loads the ``binary.npz`` sidecar
         (written by ``repro export-binary``) and cross-checks it against
         the embeddings it claims to describe.
         """
-        if model_name not in MODEL_REGISTRY:
-            raise ValueError(f"unknown model {model_name!r}; choose from "
-                             f"{sorted(MODEL_REGISTRY)}")
+        if model_name != ckpt.MODEL_NAME:
+            raise ValueError(f"unknown model {model_name!r}; snapshots are "
+                             f"served as {ckpt.MODEL_NAME!r}")
         path = ckpt.resolve_checkpoint_dir(path)
         state = ckpt.load_checkpoint(path)
-        if state.model_name != model_name:
-            raise ValueError(
-                f"checkpoint at {path} was written by model "
-                f"{state.model_name!r}; serving it as {model_name!r} names "
-                f"the wrong architecture")
         try:
             entity_emb = state.arrays[ENTITY_EMB_KEY]
             relation_emb = state.arrays[RELATION_EMB_KEY]
@@ -109,22 +103,21 @@ class EmbeddingStore:
                 f"checkpoint at {path} has no {exc.args[0]!r} array; it is "
                 f"not a trainer snapshot") from exc
 
-        width_factor = MODEL_REGISTRY[model_name].width_factor
         n_entities, entity_width = entity_emb.shape
-        n_relations, relation_width = relation_emb.shape
-        if entity_width % width_factor:
+        n_relations = len(relation_emb)
+        if entity_width % ComplEx.width_factor:
             raise ValueError(
-                f"checkpoint entity width {entity_width} is not a multiple "
-                f"of {model_name}'s width factor {width_factor}")
-        dim = entity_width // width_factor
+                f"checkpoint entity width {entity_width} is odd; ComplEx "
+                f"stores [real | imag] halves")
+        dim = entity_width // ComplEx.width_factor
 
-        model = make_model(model_name, n_entities, n_relations, dim, seed=0)
+        model = ComplEx(n_entities, n_relations, dim, seed=0)
         if model.relation_emb.shape != relation_emb.shape:
             raise ValueError(
                 f"checkpoint relation matrix {relation_emb.shape} does not "
-                f"match {model_name}'s layout "
-                f"{model.relation_emb.shape} at dim={dim}; the snapshot was "
-                f"written by a different architecture")
+                f"match ComplEx's layout {model.relation_emb.shape} at "
+                f"dim={dim}; the snapshot was written by a different "
+                f"architecture")
         model.entity_emb = np.asarray(entity_emb, dtype=np.float32)
         model.relation_emb = np.asarray(relation_emb, dtype=np.float32)
 
@@ -148,18 +141,6 @@ class EmbeddingStore:
         return store
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def model_name(self) -> str | None:
-        """Registry name of the served architecture (None if foreign).
-
-        Hot reload loads the new checkpoint as the same architecture the
-        old store serves.
-        """
-        for name, cls in MODEL_REGISTRY.items():
-            if type(self.model) is cls:
-                return name
-        return None
 
     @property
     def n_entities(self) -> int:

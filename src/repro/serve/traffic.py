@@ -28,6 +28,15 @@ def _zipf_probs(n: int, exponent: float) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(n, p=probs)`` builds on
+    every call, built once: :meth:`ZipfianTraffic._draw` over it replays
+    ``choice``'s stream exactly."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class BurstSpec:
     """One overload phase: arrivals ``[start, start+length)`` land
@@ -130,20 +139,23 @@ class ZipfianTraffic:
         # spread over the vocabulary.
         self._entity_ids = self._rng.permutation(n_entities)
         self._relation_ids = self._rng.permutation(n_relations)
-        self._entity_probs = _zipf_probs(n_entities,
-                                         self.spec.entity_exponent)
-        self._relation_probs = _zipf_probs(n_relations,
-                                           self.spec.relation_exponent)
+        self._entity_cdf = _cdf(_zipf_probs(n_entities,
+                                            self.spec.entity_exponent))
+        self._relation_cdf = _cdf(_zipf_probs(n_relations,
+                                              self.spec.relation_exponent))
+        # Normalized to an exact sum, like the rng.choice stream it replays.
+        mix = np.array(KIND_MIX, dtype=np.float64)
+        self._kind_cdf = _cdf(mix / mix.sum())
+
+    def _draw(self, cdf: np.ndarray, n: int) -> np.ndarray:
+        """``n`` ranks drawn from the distribution ``cdf`` tabulates."""
+        return cdf.searchsorted(self._rng.random(n), side="right")
 
     def _draw_entities(self, n: int) -> np.ndarray:
-        ranks = self._rng.choice(self.n_entities, size=n,
-                                 p=self._entity_probs)
-        return self._entity_ids[ranks]
+        return self._entity_ids[self._draw(self._entity_cdf, n)]
 
     def _draw_relations(self, n: int) -> np.ndarray:
-        ranks = self._rng.choice(self.n_relations, size=n,
-                                 p=self._relation_probs)
-        return self._relation_ids[ranks]
+        return self._relation_ids[self._draw(self._relation_cdf, n)]
 
     def generate(self, n_queries: int) -> np.ndarray:
         """The next ``n_queries`` as a structured array (QUERY_DTYPE).
@@ -153,11 +165,7 @@ class ZipfianTraffic:
         """
         if n_queries < 0:
             raise ValueError(f"n_queries must be >= 0, got {n_queries}")
-        # Exact-sum normalization: rng.choice demands the mix sum to 1.0
-        # to the last ulp.
-        probs = np.array(KIND_MIX, dtype=np.float64)
-        kinds = self._rng.choice(
-            4, size=n_queries, p=probs / probs.sum()).astype(np.int8)
+        kinds = self._draw(self._kind_cdf, n_queries).astype(np.int8)
         out = np.zeros(n_queries, dtype=QUERY_DTYPE)
         out["kind"] = kinds
         out["anchor"] = self._draw_entities(n_queries)

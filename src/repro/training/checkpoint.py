@@ -93,7 +93,6 @@ import numpy as np
 
 from ..comm.faults import FaultCounters
 from ..comm.sparse import SparseRows
-from ..models import MODEL_REGISTRY
 from .exchange import residual_key
 from .metrics import EpochLog
 from .rng import rng_state, set_rng_state
@@ -104,6 +103,10 @@ from .rng import rng_state, set_rng_state
 #: 3: residual stores carry ``rows`` + ``values[rows]``, not dense + mask.
 #: 4: a top-level ``model`` names the architecture that wrote the snapshot.
 SCHEMA_VERSION = 4
+
+#: The manifest's ``model``: the one architecture a trainer writes, and
+#: the only one a loader accepts.
+MODEL_NAME = "complex"
 
 #: Marker distinguishing our manifests from arbitrary JSON files.
 FORMAT_NAME = "repro-checkpoint"
@@ -157,9 +160,6 @@ class CheckpointState:
     scalars: dict
     #: Fingerprint of the run configuration that produced this state.
     config_hash: str
-    #: Registry name of the model that wrote the embeddings
-    #: (``TrainConfig.model_name``); serving refuses any other.
-    model_name: str
     #: Ranks in the world that captured this snapshot.
     world_size: int
     #: Every world size this training lineage has lived through, oldest
@@ -333,7 +333,6 @@ def capture_state(trainer) -> CheckpointState:
     return CheckpointState(epoch=trainer._completed_epochs, arrays=arrays,
                            scalars=scalars,
                            config_hash=trainer.config_fingerprint(),
-                           model_name=trainer.config.model_name,
                            world_size=trainer.n_nodes,
                            world_lineage=tuple(trainer.world_lineage))
 
@@ -536,7 +535,7 @@ def write_checkpoint(state: CheckpointState, path: str | Path) -> Path:
         "format": FORMAT_NAME,
         "schema_version": SCHEMA_VERSION,
         "config_hash": state.config_hash,
-        "model": state.model_name,
+        "model": MODEL_NAME,
         "epoch": state.epoch,
         "world_size": state.world_size,
         "world_lineage": list(state.world_lineage),
@@ -641,11 +640,10 @@ def load_checkpoint(path: str | Path,
     """
     path = Path(path)
     manifest, digest = _read_manifest(path / MANIFEST_NAME)
-    if manifest["model"] not in MODEL_REGISTRY:
+    if manifest["model"] != MODEL_NAME:
         raise CheckpointCorruptError(
             f"{path / MANIFEST_NAME}: field 'model' is "
-            f"{manifest['model'][:60]!r}, expected one of "
-            f"{sorted(MODEL_REGISTRY)}")
+            f"{manifest['model'][:60]!r}, expected {MODEL_NAME!r}")
     config_hash = manifest["config_hash"]
     if expected_config_hash is not None and config_hash != expected_config_hash:
         raise CheckpointConfigMismatchError(
@@ -660,7 +658,6 @@ def load_checkpoint(path: str | Path,
         epoch=manifest["epoch"],
         arrays=_read_arrays(path / ARRAYS_NAME, declared),
         scalars=manifest["state"], config_hash=config_hash,
-        model_name=manifest["model"],
         world_size=manifest["world_size"],
         world_lineage=tuple(manifest["world_lineage"]),
         manifest_digest=digest,

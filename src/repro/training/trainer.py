@@ -45,7 +45,7 @@ from ..eval.classification import evaluate_classification
 from ..eval.ranking import RankingResult, evaluate_ranking
 from ..kg.partition import make_partition
 from ..kg.triples import TripleStore
-from ..models import make_model
+from ..models import ComplEx
 from ..optim.adam import Adam
 from ..optim.lr_schedule import PlateauScheduler, scaled_initial_lr
 from . import checkpoint as ckpt
@@ -88,7 +88,6 @@ class TrainConfig:
     max_epochs: int = 500
     eval_max_queries: int = 200
     seed: int = DEFAULT_SEED
-    model_name: str = "complex"
     #: "modeled" charges flops/node_flops per rank (deterministic, the
     #: default); "measured" charges each rank's real NumPy wall time.
     compute_time_mode: str = "modeled"
@@ -163,8 +162,8 @@ class DistributedTrainer:
         self.eval_timer = EvalTimer()
 
         cfg = self.config
-        self.model = make_model(cfg.model_name, store.n_entities,
-                                store.n_relations, cfg.dim, seed=cfg.seed)
+        self.model = ComplEx(store.n_entities, store.n_relations, cfg.dim,
+                             seed=cfg.seed)
         self.optimizer = Adam(self.model)
         # All RNG streams derive from cfg.seed via repro.training.rng —
         # the checkpoint layer snapshots their exact positions.

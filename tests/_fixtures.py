@@ -11,7 +11,9 @@ enforces it).  Each builder goes through the public surface only, and
 * :func:`store_from_model` — a serving store over an in-memory model,
   skipping the checkpoint round trip;
 * :func:`cache_keys` — an :class:`~repro.serve.cache.LRUCache`'s keys in
-  eviction order, which the cache itself never needs to expose.
+  eviction order, which the cache itself never needs to expose;
+* :data:`MODELS` — the model classes the model-generic suites
+  parametrize over.
 """
 
 from __future__ import annotations
@@ -19,10 +21,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 
 from repro.comm.sparse import SparseRows
+from repro.models import ComplEx
 from repro.serve.binary import binarize_model
 from repro.serve.store import EmbeddingStore
+
+#: Every model class, under its test id.
+MODELS = [pytest.param(ComplEx, id="complex")]
 
 
 def sparse_from_dense(matrix: np.ndarray,

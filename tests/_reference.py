@@ -18,7 +18,9 @@ compare the production kernels against these:
   bit for bit;
 * :func:`best_first` — the full stable argsort the O(n) top-k rule that
   serves answers and mines facts (:func:`repro.select.best_first`) equals
-  on every row.
+  on every row;
+* :class:`ChoiceTraffic` — the ``Generator.choice(n, p=...)`` query stream
+  that :class:`repro.serve.ZipfianTraffic` replays from CDFs built once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.eval.ranking import _realistic_ranks
+from repro.serve.traffic import (KIND_MIX, KIND_NEAREST, KIND_SCORE,
+                                 QUERY_DTYPE, _zipf_probs)
 
 
 def score_grad(model, h: np.ndarray, r: np.ndarray, t: np.ndarray,
@@ -122,3 +126,32 @@ def best_first(row: np.ndarray, take: int) -> np.ndarray:
     row = np.asarray(row)
     n_valid = int((~np.isnan(row)).sum())
     return np.argsort(-row, kind="stable")[:min(take, n_valid)]
+
+
+class ChoiceTraffic:
+    """:class:`repro.serve.ZipfianTraffic`'s stream drawn with
+    ``Generator.choice``, which re-validates and re-accumulates each
+    probability vector on every call."""
+
+    def __init__(self, n_entities: int, n_relations: int, spec, seed: int):
+        self.rng = np.random.default_rng((0x5E12FE, seed))
+        self.entity_ids = self.rng.permutation(n_entities)
+        self.relation_ids = self.rng.permutation(n_relations)
+        self.entity_probs = _zipf_probs(n_entities, spec.entity_exponent)
+        self.relation_probs = _zipf_probs(n_relations,
+                                          spec.relation_exponent)
+
+    def generate(self, n: int) -> np.ndarray:
+        mix = np.array(KIND_MIX, dtype=np.float64)
+        kinds = self.rng.choice(4, size=n, p=mix / mix.sum()).astype(np.int8)
+        out = np.zeros(n, dtype=QUERY_DTYPE)
+        out["kind"] = kinds
+        out["anchor"] = self.entity_ids[self.rng.choice(
+            len(self.entity_ids), size=n, p=self.entity_probs)]
+        relations = self.relation_ids[self.rng.choice(
+            len(self.relation_ids), size=n, p=self.relation_probs)]
+        out["relation"] = np.where(kinds == KIND_NEAREST, -1, relations)
+        others = self.entity_ids[self.rng.choice(
+            len(self.entity_ids), size=n, p=self.entity_probs)]
+        out["other"] = np.where(kinds == KIND_SCORE, others, -1)
+        return out

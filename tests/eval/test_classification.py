@@ -9,7 +9,7 @@ from repro.eval.classification import (
     fit_thresholds,
 )
 from repro.kg.datasets import make_tiny_kg
-from repro.models import ComplEx, DistMult
+from repro.models import ComplEx
 
 
 class TestBestThreshold:
@@ -63,11 +63,11 @@ class TestEvaluateClassification:
 
     def test_rigged_model_beats_random(self):
         store = make_tiny_kg()
-        good = DistMult(store.n_entities, store.n_relations, 4, seed=0)
+        good = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
         # Give every *known* triple a strong positive score by aligning
         # embeddings: train a few quick steps is overkill; instead boost
         # all entities so facts (which share structure) separate weakly.
-        rand = DistMult(store.n_entities, store.n_relations, 4, seed=1)
+        rand = ComplEx(store.n_entities, store.n_relations, 4, seed=1)
         res_rand = evaluate_classification(rand, store.test, store.valid,
                                            store)
         assert res_rand.n_pairs == 2 * len(store.test)

@@ -6,7 +6,7 @@ import pytest
 from repro.eval.ranking import RankingResult, evaluate_ranking, rank_triples
 from repro.kg.datasets import generate_latent_kg
 from repro.kg.triples import TripleSet, TripleStore
-from repro.models import ComplEx, DistMult
+from repro.models import ComplEx
 from tests._reference import rank_triples_reference
 
 
@@ -20,8 +20,8 @@ def toy_store(n_entities=8, n_relations=2):
                        train=train, valid=valid, test=test)
 
 
-class RiggedModel(DistMult):
-    """DistMult whose embeddings we set to force known rankings."""
+class RiggedModel(ComplEx):
+    """ComplEx whose embeddings we set to force known rankings."""
 
 
 def make_rigged(store, favourite_tail=7):
@@ -73,7 +73,7 @@ class TestRankMechanics:
         assert tail_filt[0] >= 1.0
 
 
-class NegInfModel(DistMult):
+class NegInfModel(ComplEx):
     """Degenerate scorer: every candidate (true triple included) is -inf."""
 
     def score_all_tails(self, h, r):
@@ -83,7 +83,7 @@ class NegInfModel(DistMult):
         return np.full((len(r), self.n_entities), -np.inf, dtype=np.float32)
 
 
-class NaNModel(DistMult):
+class NaNModel(ComplEx):
     """Diverged scorer: every candidate (true triple included) is NaN."""
 
     def score_all_tails(self, h, r):
@@ -142,7 +142,7 @@ class TestDegenerateScores:
 
     def test_diverged_model_does_not_read_as_perfect(self):
         store = generate_latent_kg(30, 3, 180, seed=0)
-        m = DistMult(30, 3, 4, seed=1)
+        m = ComplEx(30, 3, 4, seed=1)
         m.entity_emb[:] = np.nan
         res = evaluate_ranking(m, store.test, store)
         assert res.hits_at_10 == 0.0

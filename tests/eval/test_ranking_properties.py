@@ -12,7 +12,7 @@ from repro.eval.ranking import (evaluate_ranking, rank_triples,
                                 scatter_known_nan)
 from repro.kg.datasets import generate_latent_kg
 from repro.kg.triples import TripleSet, TripleStore
-from repro.models import ComplEx, DistMult
+from repro.models import ComplEx
 from tests._reference import filtered_naive, rank_triples_reference
 
 
@@ -23,8 +23,7 @@ def store_and_model(draw):
     n_relations = draw(st.integers(2, 6))
     store = generate_latent_kg(n_entities, n_relations,
                                n_triples=n_entities * 6, seed=seed)
-    model_cls = draw(st.sampled_from([ComplEx, DistMult]))
-    model = model_cls(n_entities, n_relations, 4, seed=seed + 1)
+    model = ComplEx(n_entities, n_relations, 4, seed=seed + 1)
     return store, model
 
 
@@ -64,12 +63,12 @@ class TestScoreMonotonicity:
         """Raising the true tail's alignment with every query direction
         must not hurt its rank."""
         store = generate_latent_kg(20, 3, 120, seed=0)
-        model = DistMult(20, 3, 4, seed=1)
+        model = ComplEx(20, 3, 4, seed=1)
         query = store.test.subset(np.array([0]))
         _, _, before, _ = rank_triples(model, query, store)
-        # Push the true tail embedding toward the (h * r) direction.
+        # Push the true tail embedding toward the query's direction.
         h, r, t = query.heads[0], query.relations[0], query.tails[0]
-        direction = model.entity_emb[h] * model.relation_emb[r]
+        direction = model.query_vector([h], [r])[0]
         model.entity_emb[t] += 10.0 * direction / np.linalg.norm(direction)
         _, _, after, _ = rank_triples(model, query, store)
         assert after[0] <= before[0]
@@ -120,7 +119,7 @@ def assert_filter_matches_reference(model, store, queries=None):
         assert a.tobytes() == b.tobytes()
 
 
-class TableModel(DistMult):
+class TableModel(ComplEx):
     """Scores every candidate from a small value table, indexed by a hash of
     the (anchor, relation, candidate) ids: most rows tie the true score
     many times over, known columns included, and ``-0.0`` ties ``0.0``."""
@@ -153,8 +152,6 @@ class TestFilterMatchesReference:
     """The count-based filter must be *bitwise* identical to the reference
     mask's ranks."""
 
-    MODELS = [ComplEx, DistMult]
-
     def test_queries_not_in_the_store(self):
         """Gold is then not among the known columns, and nothing of it may
         be subtracted."""
@@ -165,8 +162,8 @@ class TestFilterMatchesReference:
             gold_known = store.is_known(queries.heads, queries.relations,
                                         queries.tails)
             assert not gold_known.all()
-            model = self.MODELS[seed % len(self.MODELS)](
-                store.n_entities, store.n_relations, 4, seed=seed)
+            model = ComplEx(store.n_entities, store.n_relations, 4,
+                            seed=seed)
             assert_filter_matches_reference(model, store, queries)
 
     @pytest.mark.parametrize("values", [
@@ -203,8 +200,7 @@ class TestFilterMatchesReference:
             n_relations = int(rng.integers(2, 7))
             store = generate_latent_kg(n_entities, n_relations,
                                        n_triples=n_entities * 6, seed=seed)
-            model_cls = self.MODELS[seed % len(self.MODELS)]
-            model = model_cls(n_entities, n_relations, 4, seed=seed + 1)
+            model = ComplEx(n_entities, n_relations, 4, seed=seed + 1)
             assert_filter_matches_reference(model, store)
 
     @given(store_and_model())

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import (
-    TrainConfig,
-    baseline_allreduce,
-    evaluate_ranking,
-    make_model,
-    train,
-)
+from repro import (ComplEx, TrainConfig, baseline_allreduce, evaluate_ranking,
+                   train)
 from repro.kg.datasets import generate_latent_kg, load_store, save_store
 from repro.training import PRESETS
 
@@ -29,8 +24,8 @@ def config(**overrides):
 
 class TestLearning:
     def test_training_beats_untrained_model(self, store):
-        untrained = make_model("complex", store.n_entities, store.n_relations,
-                               12, seed=store.n_entities)
+        untrained = ComplEx(store.n_entities, store.n_relations, 12,
+                            seed=store.n_entities)
         base = evaluate_ranking(untrained, store.test, store).mrr
         result = train(store, baseline_allreduce(negatives=4), 1,
                        config=config())
@@ -45,8 +40,8 @@ class TestLearning:
     def test_all_presets_learn(self, store):
         """Every strategy combination must still converge to something
         useful — lossy compression may cost accuracy, not break training."""
-        untrained = make_model("complex", store.n_entities, store.n_relations,
-                               12, seed=store.n_entities)
+        untrained = ComplEx(store.n_entities, store.n_relations, 12,
+                            seed=store.n_entities)
         floor = evaluate_ranking(untrained, store.test, store).mrr * 2
         for name, maker in PRESETS.items():
             # Hardest-negative selection has a slow warmup phase; give the
@@ -76,16 +71,6 @@ class TestDistributedConsistency:
         result = train(store, rs_1bit_rp_ss(negatives_sampled=5), 4,
                        config=config())
         assert result.test_mrr > 0.05
-
-
-class TestOtherModels:
-    @pytest.mark.parametrize("model_name", ["distmult"])
-    def test_strategies_generalise_to_other_models(self, store, model_name):
-        """Paper future work: the pipeline runs unchanged for other KGEs."""
-        result = train(store, baseline_allreduce(negatives=4), 2,
-                       config=config(model_name=model_name, max_epochs=10))
-        assert np.isfinite(result.test_mrr)
-        assert result.epochs == 10 or result.converged
 
 
 class TestPersistenceRoundtrip:

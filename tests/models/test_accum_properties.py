@@ -5,11 +5,11 @@ gather / forward / backward kernels, so ``KGEModel.batch_gradients`` must
 produce a loss and SparseRows **bitwise identical** to the unfused
 pipeline — ``score`` -> loss -> ``tests._reference.score_grad`` ->
 out-of-place L2 -> input-order scatter-add
-(``tests._reference.scatter_add_rows``) — for every model and index
-pattern.  These properties pin that across all four
-scoring models under duplicate head/tail indices, single-example batches
-and active L2 regularisation, and once more through ``Worker.compute_step``
-with and without hardest-negative selection.
+(``tests._reference.scatter_add_rows``) — for every index pattern.
+These properties pin that under duplicate head/tail indices,
+single-example batches and active L2 regularisation, and once more
+through ``Worker.compute_step`` with and without hardest-negative
+selection.
 """
 
 import numpy as np
@@ -19,16 +19,15 @@ from hypothesis import strategies as st
 
 from repro.comm.sparse import SparseRows
 from repro.kg.datasets import make_tiny_kg
-from repro.models import MODEL_REGISTRY, logistic_loss, make_model
+from repro.models import logistic_loss
 from repro.training.strategy import StrategyConfig
 from repro.training.worker import Worker
+from tests._fixtures import MODELS
 from tests._reference import scatter_add_rows, score_grad
 
 N_ENTITIES = 12
 N_RELATIONS = 5
 DIM = 4
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 
 def reference_gradients(model, h, r, t, loss_fn, l2=0.0):
@@ -79,21 +78,21 @@ def batches(draw):
 
 
 class TestBitwiseEquivalence:
-    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("model_cls", MODELS)
     @given(batch=batches(), l2=st.sampled_from([0.0, 1e-6, 1e-2]))
     @settings(max_examples=40, deadline=None)
-    def test_equals_reference(self, name, batch, l2):
+    def test_equals_reference(self, model_cls, batch, l2):
         h, r, t, seed = batch
-        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=seed)
+        model = model_cls(N_ENTITIES, N_RELATIONS, DIM, seed=seed)
         rng = np.random.default_rng(seed)
         upstream = rng.normal(size=len(h)).astype(np.float32)
         fixed = lambda scores: (0.0, upstream)
         assert_same_step(reference_gradients(model, h, r, t, fixed, l2=l2),
                          model.batch_gradients(h, r, t, fixed, l2=l2))
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_single_example_batch(self, name):
-        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=2)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_single_example_batch(self, model_cls):
+        model = model_cls(N_ENTITIES, N_RELATIONS, DIM, seed=2)
         h = np.array([3]); r = np.array([1]); t = np.array([3])
         fixed = lambda scores: (0.0, np.array([-0.5], dtype=np.float32))
         got = model.batch_gradients(h, r, t, fixed)
@@ -101,11 +100,11 @@ class TestBitwiseEquivalence:
         # h == t: the entity gradient folds both contributions into row 3.
         assert list(got[1].indices) == [3]
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_every_example_hits_one_entity(self, name):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_every_example_hits_one_entity(self, model_cls):
         """Worst-case hub: every head and tail is the same entity, pushing
         the fold deep into its sequential-chain tail."""
-        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=3)
+        model = model_cls(N_ENTITIES, N_RELATIONS, DIM, seed=3)
         b = 64
         h = np.zeros(b, dtype=np.int64)
         t = np.zeros(b, dtype=np.int64)
@@ -118,13 +117,13 @@ class TestBitwiseEquivalence:
             reference_gradients(model, h, r, t, fixed, l2=1e-3), got)
         assert got[1].nnz_rows == 1
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_score_grad_blocks_do_not_alias(self, name):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_score_grad_blocks_do_not_alias(self, model_cls):
         """The fused step adds the L2 term to each block in place, so a
         model that hands one array back as two blocks (TransE's head and
         relation gradients are equal) would leak the entity penalty into
         the relation gradient."""
-        model = make_model(name, N_ENTITIES, N_RELATIONS, DIM, seed=5)
+        model = model_cls(N_ENTITIES, N_RELATIONS, DIM, seed=5)
         h = np.array([0, 1, 2]); r = np.array([0, 1, 0]); t = np.array([3, 4, 5])
         g_h, g_r, g_t = score_grad(model, h, r, t,
                                    np.ones(3, dtype=np.float32))
@@ -159,11 +158,10 @@ class TestFusedWorkerStep:
 
     @pytest.mark.parametrize("l2", [0.0, 1e-6])
     @pytest.mark.parametrize("ss", [False, True], ids=["uniform", "ss"])
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_compute_step_equals_unfused_oracle(self, name, ss, l2):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_compute_step_equals_unfused_oracle(self, model_cls, ss, l2):
         store = make_tiny_kg(seed=1)
-        model = make_model(name, store.n_entities, store.n_relations, DIM,
-                           seed=2)
+        model = model_cls(store.n_entities, store.n_relations, DIM, seed=2)
         batches = []
         fused = model.batch_gradients
 
@@ -184,14 +182,13 @@ class TestFusedWorkerStep:
             assert_same_step(expected,
                              (out.loss, out.entity_grad, out.relation_grad))
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_one_gather_per_batch(self, name):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_one_gather_per_batch(self, model_cls):
         """A training batch indexes the entity matrix twice (heads, tails)
         and the relation matrix once; hardest-negative selection adds one
         more forward over the candidates, nothing else."""
         store = make_tiny_kg(seed=1)
-        model = make_model(name, store.n_entities, store.n_relations, DIM,
-                           seed=2)
+        model = model_cls(store.n_entities, store.n_relations, DIM, seed=2)
         model.entity_emb = model.entity_emb.view(RecordingArray)
         model.relation_emb = model.relation_emb.view(RecordingArray)
         for ss, forwards in ((False, 1), (True, 2)):

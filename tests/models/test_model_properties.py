@@ -4,18 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import ComplEx, DistMult
+from repro.models import ComplEx
 from tests._fixtures import sparse_to_dense
 from tests._reference import score_grad
-
-MODEL_CLASSES = [ComplEx, DistMult]
 
 
 @st.composite
 def model_and_batch(draw):
-    cls = draw(st.sampled_from(MODEL_CLASSES))
     seed = draw(st.integers(0, 1000))
-    model = cls(10, 4, 3, seed=seed)
+    model = ComplEx(10, 4, 3, seed=seed)
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(seed + 1)
     h = rng.integers(0, 10, n)
@@ -75,17 +72,15 @@ class TestBatchAccumulation:
 
 
 class TestDeterminism:
-    @given(st.sampled_from(MODEL_CLASSES), st.integers(0, 1000))
+    @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
-    def test_same_seed_same_init(self, cls, seed):
-        a = cls(8, 3, 4, seed=seed)
-        b = cls(8, 3, 4, seed=seed)
+    def test_same_seed_same_init(self, seed):
+        a = ComplEx(8, 3, 4, seed=seed)
+        b = ComplEx(8, 3, 4, seed=seed)
         np.testing.assert_array_equal(a.entity_emb, b.entity_emb)
         np.testing.assert_array_equal(a.relation_emb, b.relation_emb)
 
-    @given(st.sampled_from(MODEL_CLASSES))
-    @settings(max_examples=10, deadline=None)
-    def test_different_seed_different_init(self, cls):
-        a = cls(8, 3, 4, seed=0)
-        b = cls(8, 3, 4, seed=1)
+    def test_different_seed_different_init(self):
+        a = ComplEx(8, 3, 4, seed=0)
+        b = ComplEx(8, 3, 4, seed=1)
         assert not np.array_equal(a.entity_emb, b.entity_emb)

@@ -1,19 +1,15 @@
 """Unit tests common to all KGE models: scoring identities and exact
 gradient checks against numerical differentiation."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
-from repro.models import MODEL_REGISTRY, ComplEx, DistMult, make_model
-from tests._fixtures import sparse_to_dense
+import repro.models
+from repro.models import ComplEx
+from tests._fixtures import MODELS, sparse_to_dense
 from tests._reference import score_grad
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
-
-MODELS = [
-    pytest.param(lambda: ComplEx(12, 4, 5, seed=0), id="complex"),
-    pytest.param(lambda: DistMult(12, 4, 5, seed=0), id="distmult"),
-]
 
 
 def batch(rng, n=6, n_entities=12, n_relations=4):
@@ -21,15 +17,15 @@ def batch(rng, n=6, n_entities=12, n_relations=4):
             rng.integers(0, n_entities, n))
 
 
-@pytest.mark.parametrize("maker", MODELS)
+@pytest.mark.parametrize("model_cls", MODELS)
 class TestScoring:
-    def test_score_shape(self, maker):
-        m = maker()
+    def test_score_shape(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         h, r, t = batch(np.random.default_rng(0))
         assert m.score(h, r, t).shape == (6,)
 
-    def test_score_all_tails_matches_pointwise(self, maker):
-        m = maker()
+    def test_score_all_tails_matches_pointwise(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         rng = np.random.default_rng(1)
         h, r, _ = batch(rng, n=4)
         all_scores = m.score_all_tails(h, r)
@@ -39,8 +35,8 @@ class TestScoring:
                 expected = m.score(h[i:i + 1], r[i:i + 1], np.array([t]))[0]
                 assert all_scores[i, t] == pytest.approx(expected, abs=1e-4)
 
-    def test_score_all_heads_matches_pointwise(self, maker):
-        m = maker()
+    def test_score_all_heads_matches_pointwise(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         rng = np.random.default_rng(2)
         _, r, t = batch(rng, n=4)
         all_scores = m.score_all_heads(r, t)
@@ -50,9 +46,9 @@ class TestScoring:
                 expected = m.score(np.array([h]), r[i:i + 1], t[i:i + 1])[0]
                 assert all_scores[i, h] == pytest.approx(expected, abs=1e-4)
 
-    def test_gradients_match_numerical(self, maker):
+    def test_gradients_match_numerical(self, model_cls):
         """The closed-form backward equals central finite differences."""
-        m = maker()
+        m = model_cls(12, 4, 5, seed=0)
         rng = np.random.default_rng(3)
         h, r, t = batch(rng, n=5)
         upstream = rng.normal(size=5).astype(np.float32)
@@ -98,8 +94,8 @@ class TestScoring:
                 assert analytic == pytest.approx(num, abs=2e-2), \
                     f"relation grad mismatch at ex={ex} coord={coord}"
 
-    def test_batch_gradients_sparse_shape(self, maker):
-        m = maker()
+    def test_batch_gradients_sparse_shape(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         rng = np.random.default_rng(4)
         h, r, t = batch(rng)
         upstream = rng.normal(size=6)
@@ -109,14 +105,14 @@ class TestScoring:
         assert set(eg.indices.tolist()) == set(h.tolist()) | set(t.tolist())
         assert set(rg.indices.tolist()) == set(r.tolist())
 
-    def test_copy_is_independent(self, maker):
-        m = maker()
+    def test_copy_is_independent(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         clone = m.copy()
         clone.entity_emb[0, 0] += 1.0
         assert m.entity_emb[0, 0] != clone.entity_emb[0, 0]
 
-    def test_flops_positive_and_backward_heavier(self, maker):
-        m = maker()
+    def test_flops_positive_and_backward_heavier(self, model_cls):
+        m = model_cls(12, 4, 5, seed=0)
         fwd = m.flops_per_example(backward=False)
         bwd = m.flops_per_example(backward=True)
         assert 0 < fwd < bwd
@@ -128,24 +124,25 @@ class TestDotCandidateScoring:
 
     N_ENTITIES = 300
 
-    def queries(self, name, n_queries):
-        model = make_model(name, self.N_ENTITIES, 5, 32, seed=3)
+    def queries(self, model_cls, n_queries):
+        model = model_cls(self.N_ENTITIES, 5, 32, seed=3)
         rng = np.random.default_rng(n_queries)
         return (model, rng.integers(0, self.N_ENTITIES, n_queries),
                 rng.integers(0, 5, n_queries))
 
     @pytest.mark.parametrize("n_queries", [1, 7])
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_blocks_are_one_query_vector_contraction(self, name, n_queries):
-        m, anchors, rels = self.queries(name, n_queries)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_blocks_are_one_query_vector_contraction(self, model_cls,
+                                                     n_queries):
+        m, anchors, rels = self.queries(model_cls, n_queries)
         for side, scores in ((True, m.score_all_tails(anchors, rels)),
                              (False, m.score_all_heads(rels, anchors))):
             q = m.query_vector(anchors, rels, tail_side=side)
             assert scores.tobytes() == (q @ m.entity_emb.T).tobytes()
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_rows_agree_with_the_training_forward(self, name):
-        m, anchors, rels = self.queries(name, 7)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_rows_agree_with_the_training_forward(self, model_cls):
+        m, anchors, rels = self.queries(model_cls, 7)
         every = np.arange(self.N_ENTITIES)
         tails = m.score_all_tails(anchors, rels)
         heads = m.score_all_heads(rels, anchors)
@@ -173,39 +170,26 @@ class TestComplExSpecifics:
         assert m.entity_emb.shape == (6, 8)
 
     def test_asymmetric_relations_supported(self):
-        """ComplEx can give (h, r, t) and (t, r, h) different scores —
-        the property DistMult lacks."""
+        """ComplEx can give (h, r, t) and (t, r, h) different scores."""
         m = ComplEx(6, 3, 4, seed=2)
         s_fwd = m.score(np.array([0]), np.array([0]), np.array([1]))
         s_rev = m.score(np.array([1]), np.array([0]), np.array([0]))
         assert abs(s_fwd[0] - s_rev[0]) > 1e-6
 
 
-class TestDistMultSpecifics:
-    def test_symmetric_in_head_tail(self):
-        m = DistMult(6, 3, 4, seed=2)
-        s_fwd = m.score(np.array([0]), np.array([0]), np.array([1]))
-        s_rev = m.score(np.array([1]), np.array([0]), np.array([0]))
-        assert s_fwd[0] == pytest.approx(s_rev[0])
-
-
 class TestRegistry:
-    def test_make_model_by_name(self):
-        m = make_model("complex", 10, 3, 4)
-        assert isinstance(m, ComplEx)
+    """``repro.models`` offers one architecture, ComplEx, and no name
+    to choose it by."""
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_model("rescal", 10, 3, 4)
+    def test_complex_is_the_only_model(self):
+        assert repro.models.__all__ == [
+            "ComplEx", "KGEModel", "logistic_loss", "sigmoid", "softplus"]
+        assert not hasattr(repro, "make_model")
+        assert importlib.util.find_spec("repro.models.distmult") is None
 
     @pytest.mark.parametrize("name", ["rotate", "transe"])
     def test_distance_models_are_gone(self, name):
-        """Every registered model scores by one dot product; a distance
-        model's name is refused, naming the ones that remain."""
-        assert sorted(MODEL_REGISTRY) == ["complex", "distmult"]
-        with pytest.raises(ValueError,
-                           match=r"choose from \['complex', 'distmult'\]"):
-            make_model(name, 10, 3, 4)
+        assert importlib.util.find_spec(f"repro.models.{name}") is None
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -27,14 +27,12 @@ from hypothesis import strategies as st
 from repro.compress.packing import unpack_signs
 from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
-from repro.models import MODEL_REGISTRY, make_model
+from repro.models import ComplEx
 from repro.serve import QueryEngine
 from repro.serve.binary import _BYTE_SIGNS, binarize_model
 from repro.select import best_first
 from tests import _reference
 from tests._fixtures import store_from_model
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 finite32 = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False,
                      width=32)
@@ -248,8 +246,7 @@ def tier_case(draw):
     n_relations = draw(st.integers(2, 6))
     store = generate_latent_kg(n_entities, n_relations,
                                n_triples=n_entities * 6, seed=seed)
-    name = draw(st.sampled_from(MODEL_NAMES))
-    model = make_model(name, n_entities, n_relations, 4, seed=seed + 1)
+    model = ComplEx(n_entities, n_relations, 4, seed=seed + 1)
     n_queries = draw(st.integers(2, 10))
     picks = draw(st.lists(st.integers(0, len(store.train) - 1),
                           min_size=n_queries, max_size=n_queries))

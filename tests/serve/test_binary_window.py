@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.kg.datasets import generate_latent_kg
-from repro.models import MODEL_REGISTRY, make_model
+from repro.models import ComplEx
 from repro.serve import QueryEngine, ServeFaultPlan, TopKResult, replay
 from repro.serve.binary import binarize_model
 from repro.serve.traffic import KIND_TAILS
@@ -44,8 +44,6 @@ try:
     from numpy._core._multiarray_umath import __cpu_dispatch__
 except ImportError:  # NumPy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 
 def same_bytes(a: TopKResult, b: TopKResult) -> bool:
@@ -60,8 +58,7 @@ def window_case(draw):
     n_relations = draw(st.integers(2, 5))
     store = generate_latent_kg(n_entities, n_relations,
                                n_triples=n_entities * 6, seed=seed)
-    model = make_model(draw(st.sampled_from(MODEL_NAMES)), n_entities,
-                       n_relations, 4, seed=seed + 1)
+    model = ComplEx(n_entities, n_relations, 4, seed=seed + 1)
     if draw(st.booleans()):
         # Coarse values: approximate and exact scores tie all over.
         model.entity_emb = np.round(model.entity_emb * 2) / 2
@@ -104,33 +101,30 @@ class TestWindowEqualsAlone:
 
 
 def stacked_row_mismatches() -> list[str]:
-    """``model/direction/kernel`` of every stacked block one of whose rows
+    """``direction/kernel`` of every stacked block one of whose rows
     differs from the same query computed alone (empty when none does)."""
     rng = np.random.default_rng(5)
     m, n = 14, 300
     bad = set()
-    for name in MODEL_NAMES:
-        model = make_model(name, n, 6, 16, seed=2)
-        store = binarize_model(model)
-        anchors = rng.integers(0, n, m)
-        rels = rng.integers(0, 6, m)
-        pools = np.sort(rng.permuted(np.tile(np.arange(n), (m, 1)),
-                                     axis=1)[:, :40], axis=1)
-        for side in (True, False):
-            def kernels(rows):
-                q = model.query_vector(anchors[rows], rels[rows],
-                                       tail_side=side)
-                return {"query_vector": q, "sign_dots": store.sign_dots(q),
-                        "score_candidates": model.score_candidates(
-                            anchors[rows], rels[rows], pools[rows],
-                            tail_side=side)}
+    model = ComplEx(n, 6, 16, seed=2)
+    store = binarize_model(model)
+    anchors = rng.integers(0, n, m)
+    rels = rng.integers(0, 6, m)
+    pools = np.sort(rng.permuted(np.tile(np.arange(n), (m, 1)),
+                                 axis=1)[:, :40], axis=1)
+    for side in (True, False):
+        def kernels(rows):
+            q = model.query_vector(anchors[rows], rels[rows], tail_side=side)
+            return {"query_vector": q, "sign_dots": store.sign_dots(q),
+                    "score_candidates": model.score_candidates(
+                        anchors[rows], rels[rows], pools[rows],
+                        tail_side=side)}
 
-            stacked = kernels(slice(None))
-            for i in range(m):
-                for kernel, row in kernels(slice(i, i + 1)).items():
-                    if stacked[kernel][i:i + 1].tobytes() != row.tobytes():
-                        bad.add(f"{name}/{'tails' if side else 'heads'}/"
-                                f"{kernel}")
+        stacked = kernels(slice(None))
+        for i in range(m):
+            for kernel, row in kernels(slice(i, i + 1)).items():
+                if stacked[kernel][i:i + 1].tobytes() != row.tobytes():
+                    bad.add(f"{'tails' if side else 'heads'}/{kernel}")
     return sorted(bad)
 
 
@@ -161,7 +155,7 @@ class TestStackedRowsHostIndependence:
 @pytest.fixture(scope="module")
 def latent():
     store = generate_latent_kg(60, 6, 360, seed=3)
-    model = make_model("complex", 60, 6, 8, seed=4)
+    model = ComplEx(60, 6, 8, seed=4)
     return store_from_model(model, dataset=store, with_binary=True)
 
 
@@ -224,8 +218,8 @@ class TestBreakerInsideWindow:
         is answered dense, byte for byte, and cached under the dense key;
         every later group of the window stays binary.  The transition log
         is the one the per-group engine wrote."""
-        served = store_from_model(
-            make_model("complex", 160, 8, 8, seed=11), with_binary=True)
+        served = store_from_model(ComplEx(160, 8, 8, seed=11),
+                                  with_binary=True)
         engine = QueryEngine(served, rerank_k=16, faults=ServeFaultPlan.parse(
             "burst=0:64:8,sidecar_corrupt=40"))
         dense = QueryEngine(served, cache_capacity=0)

@@ -12,11 +12,9 @@ import pytest
 
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import make_tiny_kg
-from repro.models import MODEL_REGISTRY, make_model
+from repro.models import ComplEx
 from repro.serve import QueryEngine
-from tests._fixtures import store_from_model
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
+from tests._fixtures import MODELS, store_from_model
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +22,14 @@ def dataset():
     return make_tiny_kg(seed=21)
 
 
-def build_engine(dataset, name, seed=21, **kwargs):
-    model = make_model(name, dataset.n_entities, dataset.n_relations, 8,
-                       seed=seed)
+def build_engine(dataset, model_cls=ComplEx, seed=21, **kwargs):
+    model = model_cls(dataset.n_entities, dataset.n_relations, 8, seed=seed)
     return QueryEngine(store_from_model(model, dataset=dataset), **kwargs)
 
 
 class TestScore:
     def test_scalar_in_scalar_out(self, dataset):
-        engine = build_engine(dataset, "complex")
+        engine = build_engine(dataset)
         value = engine.score(1, 2, 3)
         assert isinstance(value, float)
         batch = engine.score(np.array([1, 1]), np.array([2, 2]),
@@ -44,7 +41,7 @@ class TestScore:
         assert listed.tobytes() == batch.tobytes()
 
     def test_score_matches_model(self, dataset):
-        engine = build_engine(dataset, "distmult")
+        engine = build_engine(dataset)
         h, r, t = np.array([0, 5]), np.array([1, 3]), np.array([2, 7])
         expected = engine.store.model.score(h, r, t)
         assert engine.score(h, r, t).tobytes() == expected.tobytes()
@@ -54,7 +51,7 @@ class TestScore:
         leaked NumPy's IndexError and a short relation array broadcast.
         Each raises a ValueError naming the culprit now, and the ladder's
         virtual clock is charged nothing."""
-        engine = build_engine(dataset, "complex", resilience=True)
+        engine = build_engine(dataset, resilience=True)
         n, n_rel = dataset.n_entities, dataset.n_relations
         for args, message in [((-1, 0, 5), "entity id -1 "),
                               ((n, 0, 5), f"entity id {n} "),
@@ -70,10 +67,10 @@ class TestScore:
 
 
 class TestTopK:
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_ordering_contract(self, dataset, name):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_ordering_contract(self, dataset, model_cls):
         """Descending score, ascending entity id on ties, no NaN."""
-        engine = build_engine(dataset, name)
+        engine = build_engine(dataset, model_cls)
         result = engine.topk_tails(3, 1, k=12)
         assert len(result) == 12
         assert not np.isnan(result.scores).any()
@@ -83,7 +80,7 @@ class TestTopK:
                 assert result.entities[i] < result.entities[i + 1]
 
     def test_filtered_excludes_known_facts(self, dataset):
-        engine = build_engine(dataset, "complex")
+        engine = build_engine(dataset)
         h, r = int(dataset.train.heads[0]), int(dataset.train.relations[0])
         _, known, _ = dataset.filter_index.known_tails(
             np.array([h]), np.array([r]))
@@ -97,8 +94,7 @@ class TestTopK:
         assert len(raw) == dataset.n_entities
 
     def test_filtered_without_index_raises(self, dataset):
-        model = make_model("distmult", dataset.n_entities,
-                           dataset.n_relations, 8, seed=21)
+        model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=21)
         engine = QueryEngine(store_from_model(model))
         with pytest.raises(ValueError, match="filter index"):
             engine.topk_tails(0, 0, k=3, filtered=True)
@@ -106,7 +102,7 @@ class TestTopK:
         assert len(engine.topk_tails(0, 0, k=3)) == 3
 
     def test_heads_side_uses_head_scoring(self, dataset):
-        engine = build_engine(dataset, "complex")
+        engine = build_engine(dataset)
         t, r = 4, 2
         result = engine.topk_heads(t, r, k=dataset.n_entities,
                                    filtered=False)
@@ -124,13 +120,13 @@ class TestTopK:
         np.testing.assert_allclose(result.scores, per_triple, rtol=1e-5)
 
     def test_k_larger_than_candidates_truncates(self, dataset):
-        engine = build_engine(dataset, "distmult")
+        engine = build_engine(dataset)
         result = engine.topk_tails(0, 0, k=10 * dataset.n_entities,
                                    filtered=False)
         assert len(result) == dataset.n_entities
 
     def test_invalid_k_and_ids(self, dataset):
-        engine = build_engine(dataset, "complex")
+        engine = build_engine(dataset)
         with pytest.raises(ValueError, match="k must be"):
             engine.topk_tails(0, 0, k=0)
         with pytest.raises(ValueError, match="entity id"):
@@ -141,7 +137,7 @@ class TestTopK:
             engine.nearest_entities(-1)
 
     def test_results_are_frozen(self, dataset):
-        engine = build_engine(dataset, "complex")
+        engine = build_engine(dataset)
         result = engine.topk_tails(1, 1, k=4)
         with pytest.raises(ValueError, match="read-only"):
             result.entities[0] = 0
@@ -153,9 +149,9 @@ class TestMicroBatching:
     """topk_batch coalesces per (relation, direction) without changing any
     answer: a burst must equal the per-query grouped reference."""
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_batch_matches_grouped_reference(self, dataset, name):
-        engine = build_engine(dataset, name, cache_capacity=0)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_batch_matches_grouped_reference(self, dataset, model_cls):
+        engine = build_engine(dataset, model_cls, cache_capacity=0)
         queries = [(1, 0), (2, 0), (1, 0), (9, 3), (2, 0), (5, 3)]
         batched = engine.topk_batch(queries, k=8)
 
@@ -178,12 +174,12 @@ class TestMicroBatching:
             assert result.scores.tobytes() == scores.tobytes()
 
     def test_duplicate_queries_share_one_result(self, dataset):
-        engine = build_engine(dataset, "complex", cache_capacity=0)
+        engine = build_engine(dataset, cache_capacity=0)
         batched = engine.topk_batch([(7, 1), (7, 1)], k=5)
         assert batched[0] is batched[1]
 
     def test_mixed_direction_batch(self, dataset):
-        engine = build_engine(dataset, "complex", cache_capacity=0)
+        engine = build_engine(dataset, cache_capacity=0)
         mixed = engine.topk_batch([(3, 1, True), (3, 1, False)], k=6,
                                   tail_side=None)
         tails = engine.topk_tails(3, 1, k=6)
@@ -194,7 +190,7 @@ class TestMicroBatching:
         assert mixed[1].scores.tobytes() == heads.scores.tobytes()
 
     def test_batch_order_preserved(self, dataset):
-        engine = build_engine(dataset, "distmult", cache_capacity=4)
+        engine = build_engine(dataset, cache_capacity=4)
         engine.topk_tails(2, 1, k=5)  # pre-warm one of the three
         results = engine.topk_batch([(8, 1), (2, 1), (4, 2)], k=5)
         for (anchor, rel), result in zip([(8, 1), (2, 1), (4, 2)], results):
@@ -205,9 +201,9 @@ class TestMicroBatching:
 class TestNearestEntities:
     """Satellite regression battery: complex [real | imag] layout."""
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_distances_ascend_under_every_model(self, dataset, name):
-        engine = build_engine(dataset, name)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_distances_ascend_under_every_model(self, dataset, model_cls):
+        engine = build_engine(dataset, model_cls)
         for e in (0, 17, dataset.n_entities - 1):
             result = engine.nearest_entities(e, k=5)
             assert (np.diff(result.scores) >= 0).all()
@@ -215,7 +211,7 @@ class TestNearestEntities:
     def test_exclude_self_drops_exactly_self(self, dataset):
         """The answer is the full L2 ranking (ties toward the smaller id)
         with only the query entity taken out."""
-        engine = build_engine(dataset, "distmult")
+        engine = build_engine(dataset)
         diff = engine.store.model.entity_emb - engine.store.model.entity_emb[9]
         order = np.argsort(np.sqrt(np.einsum("ij,ij->i", diff, diff)),
                            kind="stable")
@@ -223,15 +219,15 @@ class TestNearestEntities:
         assert order[0] == 9
         assert np.array_equal(result.entities, order[1:6])
 
-    @pytest.mark.parametrize("name", ["complex"])
-    def test_imag_half_participates_in_distance(self, name):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_imag_half_participates_in_distance(self, model_cls):
         """Adversarial layout probe: entities 0 and 1 share the real half
         and differ only in the imaginary half; 2 matches 0's imaginary
         half but not its real half, yet is closer overall.  A distance
         that truncates to the first ``dim`` columns calls 0 and 1
         identical; one that reshapes the row into adjacent (re, im) pairs
         scrambles the margin."""
-        model = make_model(name, 4, 2, 4, seed=0)
+        model = model_cls(4, 2, 4, seed=0)
         emb = np.zeros((4, 8))
         emb[0] = [1, 2, 3, 4, 5, 6, 7, 8]       # re=1..4  im=5..8
         emb[1] = [1, 2, 3, 4, 9, 9, 9, 9]       # same re, far im
@@ -247,21 +243,10 @@ class TestNearestEntities:
         # entity 1: im diff (4, 3, 2, 1) -> sqrt(16 + 9 + 4 + 1)
         assert result.scores[1] == pytest.approx(np.sqrt(30.0))
 
-    def test_real_models_use_full_row(self):
-        """DistMult has no imaginary half; the whole row is the geometry
-        and entity_components reflects that."""
-        model = make_model("distmult", 3, 1, 4, seed=0)
-        model.entity_emb[:] = [[0, 0, 0, 0], [3, 4, 0, 0], [0, 0, 0, 1]]
-        engine = QueryEngine(store_from_model(model))
-        result = engine.nearest_entities(0, k=2)
-        assert np.array_equal(result.entities, [2, 1])
-        assert result.scores[0] == pytest.approx(1.0)
-        assert result.scores[1] == pytest.approx(5.0)
-
 
 class TestTelemetry:
     def test_snapshot_shape(self, dataset):
-        engine = build_engine(dataset, "complex", cache_capacity=16)
+        engine = build_engine(dataset, cache_capacity=16)
         engine.score(0, 0, 1)
         engine.topk_tails(0, 0, k=3)
         engine.topk_tails(0, 0, k=3)
@@ -276,7 +261,7 @@ class TestTelemetry:
         assert snap["cache_size"] == 2
 
     def test_score_does_not_touch_cache_counters(self, dataset):
-        engine = build_engine(dataset, "distmult", cache_capacity=8)
+        engine = build_engine(dataset, cache_capacity=8)
         engine.score(0, 0, 1)
         engine.score(0, 0, 1)
         assert engine.stats.cache_hits == 0

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.models import make_model
+from repro.models import ComplEx
 from repro.serve import (SERVE_STATES, SHED_REASONS, BurstSpec,
                          QueryEngine, ResilienceController,
                          ServeFaultPlan, ServeStats, ShedResponse,
@@ -26,7 +26,7 @@ N_ENTITIES, N_RELATIONS, DIM = 160, 8, 8
 
 @pytest.fixture(scope="module")
 def store():
-    model = make_model("complex", N_ENTITIES, N_RELATIONS, DIM, seed=11)
+    model = ComplEx(N_ENTITIES, N_RELATIONS, DIM, seed=11)
     return store_from_model(model, with_binary=True)
 
 

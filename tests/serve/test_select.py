@@ -22,15 +22,13 @@ from hypothesis import strategies as st
 
 from repro import select as select_module
 from repro.kg.datasets import generate_latent_kg
-from repro.models import MODEL_REGISTRY, make_model
+from repro.models import ComplEx
 from repro.serve import QueryEngine
 from repro.serve import binary as binary_module
 from repro.serve import engine as engine_module
 from repro.select import _LONG, _STRIDE, best_first, best_set
 from tests import _reference
-from tests._fixtures import store_from_model
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
+from tests._fixtures import MODELS, store_from_model
 
 SPECIAL = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0, -1.0,
            1e-40, 2.5]
@@ -260,23 +258,22 @@ class TestCallSitesEqualTheOracleEngine:
     def graph(self):
         return generate_latent_kg(60, 5, 420, seed=5)
 
-    def _served(self, graph, name):
-        model = make_model(name, graph.n_entities, graph.n_relations, 4,
-                           seed=6)
+    def _served(self, graph, model_cls):
+        model = model_cls(graph.n_entities, graph.n_relations, 4, seed=6)
         # Coarse embeddings: many exactly tied scores, so the tie-break
         # is exercised, not just the order of distinct values.
         model.entity_emb[:] = np.round(model.entity_emb * 4) / 4
         model.relation_emb[:] = np.round(model.relation_emb * 4) / 4
         return store_from_model(model, dataset=graph, with_binary=True)
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("model_cls", MODELS)
     @pytest.mark.parametrize("tails", [True, False])
     @pytest.mark.parametrize("filtered", [True, False])
     @pytest.mark.parametrize("tier, rerank_k", [
         ("dense", 1), ("binary", 20), ("binary", 60)])
-    def test_topk(self, graph, oracle_selection, name, tails, filtered,
+    def test_topk(self, graph, oracle_selection, model_cls, tails, filtered,
                   tier, rerank_k):
-        served = self._served(graph, name)
+        served = self._served(graph, model_cls)
         train = graph.train
         anchors = train.heads if tails else train.tails
         queries = list(zip(anchors[:40], train.relations[:40]))
@@ -292,9 +289,9 @@ class TestCallSitesEqualTheOracleEngine:
         for k, ours in got.items():
             _same_answers(ours, answers(k))
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_nearest(self, graph, oracle_selection, name):
-        served = self._served(graph, name)
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_nearest(self, graph, oracle_selection, model_cls):
+        served = self._served(graph, model_cls)
 
         def answers():
             engine = QueryEngine(served, cache_capacity=0)
@@ -312,7 +309,7 @@ class TestNearestCandidates:
     validated like every other top-k."""
 
     def _engine(self, bad_row=7):
-        model = make_model("distmult", 50, 2, 4, seed=3)
+        model = ComplEx(50, 2, 4, seed=3)
         model.entity_emb[bad_row] = np.nan
         return QueryEngine(store_from_model(model))
 

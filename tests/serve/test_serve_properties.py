@@ -14,10 +14,9 @@ compare the serve mask against that oracle.
 
 Bitwise footnote.  The engine scores each (relation, direction) group in
 one block call over the group's *unique anchors*; ``rank_triples`` scores
-the mixed evaluation batch.  Every model (DistMult, ComplEx) scores by
-one matrix product, so the batch shape picks the BLAS kernel, and
-kernels reduce in different orders: a single-row group takes
-matrix-vector BLAS, and OpenBLAS's
+the mixed evaluation batch.  ComplEx scores by one matrix product, so
+the batch shape picks the BLAS kernel, and kernels reduce in different
+orders: a single-row group takes matrix-vector BLAS, and OpenBLAS's
 small-matrix path (contraction length >= 32, a few hundred entities)
 reduces a regrouped multi-row block differently too.  The byte-exact
 property therefore compares against a reference built with the engine's
@@ -33,13 +32,11 @@ from hypothesis import strategies as st
 
 from repro.eval.ranking import scatter_known_nan
 from repro.kg.datasets import generate_latent_kg
-from repro.models import MODEL_REGISTRY, make_model
+from repro.models import ComplEx
 from repro.select import best_first
 from repro.serve import QueryEngine
-from tests._fixtures import store_from_model
+from tests._fixtures import MODELS, store_from_model
 from tests._reference import filtered_naive
-
-MODEL_NAMES = sorted(MODEL_REGISTRY)
 
 
 @st.composite
@@ -49,8 +46,7 @@ def serving_case(draw):
     n_relations = draw(st.integers(2, 6))
     store = generate_latent_kg(n_entities, n_relations,
                                n_triples=n_entities * 6, seed=seed)
-    name = draw(st.sampled_from(MODEL_NAMES))
-    model = make_model(name, n_entities, n_relations, 4, seed=seed + 1)
+    model = ComplEx(n_entities, n_relations, 4, seed=seed + 1)
     n_queries = draw(st.integers(2, 12))
     picks = draw(st.lists(st.integers(0, len(store.train) - 1),
                           min_size=n_queries, max_size=n_queries))
@@ -161,11 +157,11 @@ class TestServeEqualsEval:
             assert h[i] not in answer.entities
 
 
-def grouped_and_mixed(name, dim):
+def grouped_and_mixed(model_cls, dim):
     """Each multi-row relation group of a 16-query batch, scored alone and
     as its rows of the mixed batch."""
     store = generate_latent_kg(30, 4, 180, seed=9)
-    model = make_model(name, 30, 4, dim, seed=10)
+    model = model_cls(30, 4, dim, seed=10)
     h = store.train.heads[:16]
     r = store.train.relations[:16]
     mixed = model.score_all_tails(h, r)
@@ -185,9 +181,9 @@ class TestGroupingOrder:
     trades places with by more than that."""
 
     @pytest.mark.parametrize("dim", [8, 32])
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_grouped_matches_mixed_order(self, name, dim):
-        for grouped, mixed in grouped_and_mixed(name, dim):
+    @pytest.mark.parametrize("model_cls", MODELS)
+    def test_grouped_matches_mixed_order(self, model_cls, dim):
+        for grouped, mixed in grouped_and_mixed(model_cls, dim):
             np.testing.assert_allclose(grouped, mixed, rtol=1e-5, atol=1e-6)
             for g, m in zip(grouped, mixed):
                 g_order, m_order = best_first(g, len(g)), best_first(m, len(m))

@@ -14,6 +14,7 @@ import pytest
 
 from repro.kg.datasets import make_tiny_kg
 from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve.store import ENTITY_EMB_KEY, RELATION_EMB_KEY
 from repro.training.checkpoint import (
     ARRAYS_NAME,
     MANIFEST_NAME,
@@ -24,6 +25,7 @@ from repro.training.checkpoint import (
     CheckpointWorldMismatchError,
     _write_npz,
     capture_state,
+    load_checkpoint,
     write_checkpoint,
 )
 from repro.training.strategy import baseline_allreduce
@@ -100,18 +102,33 @@ class TestLoad:
             served.model.entity_emb[0, 0] = 1.0
         model.entity_emb[0, 0] = 1.0  # the original stays trainable
 
-    def test_wrong_architecture_rejected(self, store, snapshot):
+    def test_wrong_architecture_rejected(self, snapshot, tmp_path):
+        """Arrays that are not ComplEx's ``[real | imag]`` layout fail
+        loudly, whatever the manifest names."""
         _, path = snapshot
-        # The manifest names the model that wrote it.  A ComplEx snapshot
-        # has DistMult's array shapes at twice the dim, so only that name
-        # tells the two apart.
+        state = load_checkpoint(path)
+        relation_emb = state.arrays[RELATION_EMB_KEY]
+        state.arrays[RELATION_EMB_KEY] = np.ascontiguousarray(
+            relation_emb[:, :relation_emb.shape[1] // 2])
+        write_checkpoint(state, tmp_path / "narrow")
         with pytest.raises(ValueError, match="layout|architecture"):
-            EmbeddingStore.from_checkpoint(path, model_name="distmult")
+            EmbeddingStore.from_checkpoint(tmp_path / "narrow")
+
+    def test_odd_entity_width_rejected(self, snapshot, tmp_path):
+        _, path = snapshot
+        state = load_checkpoint(path)
+        state.arrays[ENTITY_EMB_KEY] = np.ascontiguousarray(
+            state.arrays[ENTITY_EMB_KEY][:, 1:])
+        write_checkpoint(state, tmp_path / "odd")
+        with pytest.raises(ValueError, match="entity width 15 is odd"):
+            EmbeddingStore.from_checkpoint(tmp_path / "odd")
 
     def test_unknown_model_name_rejected(self, snapshot):
         _, path = snapshot
         with pytest.raises(ValueError, match="unknown model"):
             EmbeddingStore.from_checkpoint(path, model_name="magic")
+        with pytest.raises(ValueError, match="'distmult'"):
+            EmbeddingStore.from_checkpoint(path, model_name="distmult")
 
     def test_vocabulary_mismatch_rejected(self, snapshot):
         _, path = snapshot

@@ -9,6 +9,7 @@ from repro.serve import QueryEngine, TrafficSpec, ZipfianTraffic, replay
 from repro.serve.traffic import (KIND_HEADS, KIND_MIX, KIND_NEAREST,
                                  KIND_SCORE, KIND_TAILS, QUERY_DTYPE)
 from tests._fixtures import cache_keys, store_from_model
+from tests._reference import ChoiceTraffic
 
 
 class TestSpecValidation:
@@ -75,6 +76,36 @@ class TestStream:
         assert fractions[KIND_HEADS] == pytest.approx(0.20, abs=0.02)
         assert fractions[KIND_SCORE] == pytest.approx(0.08, abs=0.02)
         assert fractions[KIND_NEAREST] == pytest.approx(0.02, abs=0.02)
+
+
+class TestChoiceOracle:
+    """Drawing from CDFs built once replays ``Generator.choice``'s stream
+    exactly, window for window."""
+
+    @staticmethod
+    def assert_same_stream(n_entities, n_relations, spec, seed, sizes):
+        fast = ZipfianTraffic(n_entities, n_relations, spec=spec, seed=seed)
+        oracle = ChoiceTraffic(n_entities, n_relations, spec, seed)
+        for size in sizes:
+            assert (fast.generate(size).tobytes()
+                    == oracle.generate(size).tobytes()), (size, seed)
+
+    def test_fuzzed_vocabularies_exponents_and_sizes(self):
+        rng = np.random.default_rng(20220829)
+        for case in range(40):
+            spec = TrafficSpec(entity_exponent=float(rng.uniform(0.0, 2.0)),
+                               relation_exponent=float(rng.uniform(0.0, 2.0)))
+            self.assert_same_stream(
+                int(rng.integers(1, 3_000)), int(rng.integers(1, 300)), spec,
+                case, rng.integers(0, 301, size=int(rng.integers(1, 6))))
+
+    def test_empty_windows_draw_nothing(self):
+        self.assert_same_stream(50, 4, TrafficSpec(), 1, [0, 16, 0, 0, 7])
+
+    def test_one_entity_and_one_relation(self):
+        self.assert_same_stream(1, 1, TrafficSpec(), 2, [0, 1, 16, 300])
+        queries = ZipfianTraffic(1, 1, seed=2).generate(64)
+        assert (queries["anchor"] == 0).all()
 
 
 class TestBursts:

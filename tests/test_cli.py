@@ -11,6 +11,7 @@ import pytest
 from repro import cli
 from repro.cli import main
 from repro.kg.datasets import make_tiny_kg, save_store
+from repro.training.checkpoint import latest_checkpoint
 from tests._fixtures import save_openke_dir
 
 
@@ -369,7 +370,7 @@ def served_checkpoint(tmp_path_factory):
 class TestServeCli:
     def test_serve_defaults(self):
         args = build_parser("serve").parse_args(["--checkpoint", "x"])
-        assert args.model == "complex"
+        assert not hasattr(args, "model")
         assert args.topk == 10
         assert args.cache_capacity == 4096
 
@@ -447,22 +448,35 @@ class TestServeCli:
         assert rc == 2
         assert "cannot serve" in capsys.readouterr().err
 
-    def test_wrong_model_name_exits_2(self, served_checkpoint, capsys):
-        ckpt, _ = served_checkpoint
-        rc = main(["serve", "--checkpoint", ckpt, "--model", "distmult",
-                   "--no-filter"])
+    def test_wrong_model_name_exits_2(self, served_checkpoint, tmp_path,
+                                      capsys):
+        """A snapshot whose manifest names DistMult is refused naming the
+        one model there is: serving and resuming it both exit 2."""
+        ckpt, dataset_file = served_checkpoint
+        snap = tmp_path / "distmult"
+        shutil.copytree(latest_checkpoint(ckpt), snap)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["model"] = "distmult"
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["serve", "--checkpoint", str(snap), "--no-filter"])
         assert rc == 2
-        assert "cannot serve" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot serve" in err and "expected 'complex'" in err
+        rc = main(["--dataset-file", dataset_file, "--dim", "8",
+                   "--batch-size", "128", "--max-epochs", "3",
+                   "--resume", str(snap), "--json"])
+        assert rc == 2
+        assert "expected 'complex'" in capsys.readouterr().err
 
-    def test_distance_model_name_exits_2(self, served_checkpoint, capsys):
+    def test_model_option_is_gone(self, served_checkpoint, capsys):
+        """ComplEx is the one architecture: no option names it."""
         ckpt, _ = served_checkpoint
         with pytest.raises(SystemExit) as info:
-            main(["serve", "--checkpoint", ckpt, "--model", "transe",
+            main(["serve", "--checkpoint", ckpt, "--model", "complex",
                   "--no-filter"])
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'transe'" in err
-        assert "'complex'" in err and "'distmult'" in err
+        assert ("unrecognized arguments: --model complex"
+                in capsys.readouterr().err)
 
     def test_chunk_flag_is_gone(self, served_checkpoint, capsys):
         ckpt, _ = served_checkpoint
@@ -577,7 +591,7 @@ class TestOneParserFamily:
                  and node.func.attr == "add_argument"]
         options = Counter(arg.value for call in calls for arg in call.args
                           if isinstance(arg, ast.Constant))
-        assert len(calls) == 44
+        assert len(calls) == 43
         # Two different options share a name: the training mini-batch and
         # the serve replay's micro-batch window.
         assert {opt for opt, n in options.items() if n > 1} == {

@@ -138,11 +138,6 @@ SETTINGS_ALLOWED = {
     # ``perf/workloads.py`` passes the default by keyword, and ROADMAP
     # item 9 runs the ``"measured"`` timing path.
     "TrainConfig.compute_time_mode",
-    # The manifest records it and the serving side reads it back: ``serve
-    # --model`` and ``export-binary --model`` name the architecture that
-    # wrote a checkpoint, and a DistMult snapshot can only come from a run
-    # with ``model_name="distmult"``.
-    "TrainConfig.model_name",
 }
 
 
@@ -354,7 +349,7 @@ def test_every_setting_takes_a_second_value():
 
 def test_settings_allowlist_is_short_and_current():
     classes = _dataclasses(list(_consumer_trees()))
-    assert len(SETTINGS_ALLOWED) <= 2
+    assert len(SETTINGS_ALLOWED) <= 1
     for entry in SETTINGS_ALLOWED:
         cls, name = entry.split(".")
         assert name in classes[cls], entry

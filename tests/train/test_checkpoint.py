@@ -20,6 +20,7 @@ from repro.comm.faults import CollectiveFaultError
 from repro.comm.network import NetworkModel
 from repro.comm.sparse import SparseRows
 from repro.kg.datasets import make_tiny_kg
+from repro.serve import EmbeddingStore
 from repro.training import (
     CheckpointChecksumError,
     CheckpointConfigMismatchError,
@@ -99,7 +100,7 @@ def test_checkpoint_layout_and_manifest(snapshot):
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     assert manifest["format"] == "repro-checkpoint"
     assert manifest["schema_version"] == 4
-    assert manifest["model"] == trainer.config.model_name == "complex"
+    assert manifest["model"] == "complex"
     assert manifest["epoch"] == 2
     assert manifest["world_size"] == 3
     assert manifest["world_lineage"] == [3]
@@ -223,16 +224,33 @@ def test_schema_3_checkpoints_are_refused_not_defaulted(snapshot, tmp_path):
 
 
 def test_unregistered_model_is_corrupt(snapshot, tmp_path):
-    """Only a registered model name parses, so serving never has to guess
-    what a manifest's ``model`` means."""
+    """Only ``"complex"`` parses, so serving never has to guess what a
+    manifest's ``model`` means."""
     _, path = snapshot
     dst = _copy_checkpoint(path, tmp_path)
     manifest = json.loads((dst / MANIFEST_NAME).read_text())
     manifest["model"] = "rotate"
     (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(CheckpointCorruptError,
-                       match=r"field 'model' is 'rotate', expected one of"):
+                       match=r"field 'model' is 'rotate', expected 'complex'"):
         load_checkpoint(dst)
+
+
+def test_distmult_model_is_corrupt(store, snapshot, tmp_path):
+    """A manifest naming DistMult, which no trainer writes any more, is
+    refused by loading, resuming and serving alike."""
+    _, path = snapshot
+    dst = _copy_checkpoint(path, tmp_path)
+    manifest = json.loads((dst / MANIFEST_NAME).read_text())
+    manifest["model"] = "distmult"
+    (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+    expected = r"field 'model' is 'distmult', expected 'complex'"
+    with pytest.raises(CheckpointCorruptError, match=expected):
+        load_checkpoint(dst)
+    with pytest.raises(CheckpointCorruptError, match=expected):
+        make_trainer(store).restore(dst)
+    with pytest.raises(CheckpointCorruptError, match=expected):
+        EmbeddingStore.from_checkpoint(dst)
 
 
 def test_config_hash_mismatch_rejected(store, snapshot):
@@ -626,8 +644,8 @@ def test_write_checkpoint_never_holds_a_second_copy(tmp_path):
     arrays["mask"] = rng.random(1 << 20) < 0.5
     arrays["empty"] = np.empty((0, 8), dtype=np.float32)
     state = CheckpointState(epoch=1, arrays=arrays, scalars={},
-                            config_hash="0" * 64, model_name="complex",
-                            world_size=1, world_lineage=(1,))
+                            config_hash="0" * 64, world_size=1,
+                            world_lineage=(1,))
     total = sum(a.nbytes for a in arrays.values())
 
     tracemalloc.start()

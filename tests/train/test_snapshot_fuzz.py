@@ -217,10 +217,12 @@ RESUME_AND_SERVE = {
     "arrays table is a list": (MANIFEST_NAME,
                                lambda doc: doc.update(arrays=[])),
     # Schema 4 names the model that wrote the snapshot: required, and
-    # only a registered name parses.
+    # only "complex" parses.
     "no model": (MANIFEST_NAME, lambda doc: doc.pop("model")),
     "model is unregistered": (MANIFEST_NAME,
                               lambda doc: doc.update(model="rotate")),
+    "model is distmult": (MANIFEST_NAME,
+                          lambda doc: doc.update(model="distmult")),
 }
 RESUME_ONLY = {
     "no state.scheduler": (MANIFEST_NAME,
@@ -238,10 +240,6 @@ RESUME_ONLY = {
                          lambda doc: doc.update(world_lineage=[])),
 }
 SERVE_ONLY = {
-    # Serving as ``--model complex`` (the default) what the manifest says
-    # another model wrote is refused by name.
-    "model is the other registered model": (
-        MANIFEST_NAME, lambda doc: doc.update(model="distmult")),
     "sidecar entry is a string": (
         "binary.json",
         lambda doc: doc["arrays"].update({"binary/entity_codes": "x"})),
