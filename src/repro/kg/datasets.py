@@ -25,20 +25,32 @@ generate **structurally similar, learnable** graphs:
   paper's datasets; a ``scale`` knob shrinks everything proportionally so
   experiments run on one machine.
 
-For entity counts whose ``E x E`` score matrix would not fit in memory the
-generator falls back to sampled candidate mining (``oversample`` random
-pairs per kept fact) — only relevant near ``scale=1``.  It scores its
-candidates a block at a time, so one relation holds two index arrays plus
-one float32 per candidate plus one block: ~20 bytes per candidate, where
-the exhaustive path holds two ``E x E`` float32 matrices.
+Up to ``EXHAUSTIVE_ENTITY_LIMIT`` entities each relation's facts are its
+exact top pairs.  The exhaustive miner never builds the ``E x E`` score
+matrix: a score is bounded by the product of two norms, so it scores heads
+a block at a time, in descending norm, against only the tails whose bound
+can still reach the running top ``k``, and stops at the first head whose
+bound cannot — about 10% of the cells at ``make_fb15k_like(scale=0.1)``,
+with one block of scores live.  Above the limit the generator falls back
+to sampled candidate mining (``oversample`` random pairs per kept fact) —
+only relevant near ``scale=1``.  It scores its candidates a block at a
+time, so one relation holds two index arrays plus one float32 per
+candidate plus one block: ~20 bytes per candidate.
 
 Determinism: every generator is a pure function of its arguments including
-``seed``, on every host.  Each relation's facts are its top pairs in
-descending score, ties toward the smaller pair id (exhaustive:
-``h * n_entities + t``; sampled: candidate draw order), chosen by
-:func:`repro.select.best_first` — never by a partition whose output order
-depends on the SIMD kernel NumPy dispatches to, which the noise step,
-overwriting facts by position, would turn into a different graph.
+``seed`` and of the float32 scores the host computes.  Each relation's
+facts are its top pairs in descending score, ties toward the smaller pair
+id (exhaustive: ``h * n_entities + t``; sampled: candidate draw order),
+chosen by :func:`repro.select.best_first` — never by a partition whose
+output order depends on the SIMD kernel NumPy dispatches to, which the
+noise step, overwriting facts by position, would turn into a different
+graph.  The sampled miner sums each score in a fixed order; the exhaustive
+one takes its scores from the BLAS matrix product, whose kernels can round
+a score differently (OpenBLAS's Haswell and SkylakeX kernels against
+Prescott and Sandybridge), so a near tie at a relation's last fact can
+fall the other way on another CPU; the graphs
+``tests/integration/test_blas_kernels.py`` pins under three kernels do not
+have one.
 """
 
 from __future__ import annotations
@@ -51,14 +63,18 @@ import numpy as np
 from numpy.lib.npyio import NpzFile
 
 from ..config import DEFAULT_SEED, FB15K_SPEC, FB250K_SPEC
-from ..select import best_first
+from ..select import best_first, best_set
 from .triples import TripleSet, TripleStore, encode_triples
 
-#: Above this many entities exhaustive mining, which peaks at two E x E
-#: float32 matrices per relation (~390MB at the limit), switches to sampled
-#: candidate mining, which peaks at two int64 index arrays plus one float32
-#: score per candidate plus one block (~20 bytes per candidate).
+#: Above this many entities exhaustive mining, whose time grows with E**2
+#: times the share of cells whose norm bound reaches the top k, switches to
+#: sampled candidate mining, which peaks at two int64 index arrays plus one
+#: float32 score per candidate plus one block (~20 bytes per candidate).
+#: Moving the limit changes every graph it crosses.
 EXHAUSTIVE_ENTITY_LIMIT = 7000
+
+#: Scores (heads x tails) the exhaustive miner computes at a time.
+_MINE_CELLS = 1 << 15
 
 #: Candidates the sampled miner scores at a time.
 _SAMPLED_BLOCK = 1 << 14
@@ -95,18 +111,93 @@ def _allocate_counts(total: int, weights: np.ndarray, minimum: int = 1) -> np.nd
     return counts
 
 
-def _mine_exhaustive(e_re, e_im, r_re, r_im, rel: int, count: int) -> np.ndarray:
-    """Exactly the top-``count`` (h, t) pairs for one relation, best first
-    (ties toward the smaller ``h * n_entities + t``)."""
-    hr_re = e_re * r_re[rel] - e_im * r_im[rel]
-    hr_im = e_re * r_im[rel] + e_im * r_re[rel]
-    scores = hr_re @ e_re.T
-    scores += hr_im @ e_im.T
-    np.fill_diagonal(scores, -np.inf)  # forbid self-loops
-    count = min(count, scores.size - scores.shape[0])
-    h, t = np.divmod(best_first(scores.ravel(), count), scores.shape[1])
-    rel_col = np.full(count, rel, dtype=np.int64)
-    return np.stack([h, rel_col, t], axis=1)
+def _norms(x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
+    """float64 Euclidean norm of each ``[x_re | x_im]`` row."""
+    x = np.concatenate([x_re, x_im], axis=1, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _mine_exhaustive(e_re, e_im, r_re, r_im, counts: list[int]
+                     ) -> list[np.ndarray]:
+    """Exactly the top-``counts[rel]`` (h, t) pairs of each relation, best
+    first (ties toward the smaller ``h * n_entities + t``), scoring only
+    the cells that can reach them.
+
+    A score is the dot of the rotated head ``q_h = (hr_re, hr_im)`` with
+    the tail ``e_t = (e_re, e_im)``, so ``|score| <= |q_h| |e_t|`` (norms
+    in float64, lifted by a relative slack over float32 rounding).  Heads
+    go in descending ``|q_h|``, about ``_MINE_CELLS`` scores at a time: a
+    block scores the prefix of tails, in descending ``|e_t|``, whose bound
+    reaches ``tau``, the running ``count``-th best score, and the first
+    head whose bound falls short of ``tau`` ends the relation.  Candidates
+    reaching ``tau`` pile up and are cut back to the ``count`` best each
+    time they double; one :func:`best_first` over the survivors in pair-id
+    order picks the facts.
+
+    Every product has at least two rows and two columns (a one-row or
+    one-column product runs through GEMV, which sums in another order), so
+    a cell holds the bits it has in the full ``E x E`` product wherever
+    the BLAS kernel's cell bits do not depend on the product's shape: on
+    OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernels up to
+    seven latent dims (the generators use four), but not on Haswell or
+    Prescott from eight on.
+    """
+    n = len(e_re)
+    # Two K-term float32 dots and one add stray at most about
+    # (K + 1) * eps / 2 * |q| |e| from the exact score; (K + 2) * eps
+    # covers that and the float64 norms' own rounding.
+    slack = 1.0 + (e_re.shape[1] + 2) * float(np.finfo(np.float32).eps)
+    reach = _norms(e_re, e_im)
+    tails = np.argsort(-reach)
+    reach = reach[tails] * slack
+    t_re, t_im = np.take(e_re, tails, axis=0), np.take(e_im, tails, axis=0)
+    slot = np.empty(n, dtype=np.int64)  # each entity's place among tails
+    slot[tails] = np.arange(n)
+    facts = []
+    for rel, count in enumerate(counts):
+        count = min(count, n * n - n)
+        hr_re = e_re * r_re[rel] - e_im * r_im[rel]
+        hr_im = e_re * r_im[rel] + e_im * r_re[rel]
+        q = _norms(hr_re, hr_im)
+        heads = np.argsort(-q)
+        scores = np.empty(0, dtype=np.float32)
+        ids = np.empty(0, dtype=np.int64)
+        tau = -np.inf
+        lo = 0
+        while lo < n:
+            width = np.count_nonzero(reach * q[heads[lo]] >= tau)
+            if width == 0:
+                break
+            width = max(width, 2)
+            hi = min(n, lo + max(2, _MINE_CELLS // width))
+            if n - hi == 1:
+                hi = n  # no one-row block
+            hb = heads[lo:hi]
+            lo = hi
+            block = np.take(hr_re, hb, axis=0) @ t_re[:width].T
+            block += np.take(hr_im, hb, axis=0) @ t_im[:width].T
+            own = slot[hb]
+            loops = (own < width).nonzero()[0]
+            block[loops, own[loops]] = np.nan  # forbid self-loops
+            flat = block.ravel()
+            if tau == -np.inf and flat.size - len(loops) >= count:
+                neg = -flat
+                neg.partition(count - 1)  # NaN partitions last
+                tau = -neg[count - 1]
+            cells = (flat >= tau).nonzero()[0]  # NaN compares False
+            row, col = np.divmod(cells, width)
+            scores = np.concatenate([scores, flat[cells]])
+            ids = np.concatenate([ids, hb[row] * n + tails[col]])
+            if len(scores) >= 2 * count:  # keep the best, in id order
+                keep = np.argsort(ids)
+                keep = keep[best_set(scores[keep], count)]
+                scores, ids = scores[keep], ids[keep]
+                tau = scores.min()
+        order = np.argsort(ids)
+        h, t = np.divmod(ids[order[best_first(scores[order], count)]], n)
+        rel_col = np.full(count, rel, dtype=np.int64)
+        facts.append(np.stack([h, rel_col, t], axis=1))
+    return facts
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -214,16 +305,14 @@ def generate_latent_kg(
 
     rel_counts = _allocate_counts(n_triples,
                                   _zipf_weights(n_relations, relation_zipf))
-    counts = enumerate(rel_counts.tolist())
     if n_entities <= EXHAUSTIVE_ENTITY_LIMIT:
-        chunks = [_mine_exhaustive(e_re, e_im, r_re, r_im, rel, count)
-                  for rel, count in counts]
+        chunks = _mine_exhaustive(e_re, e_im, r_re, r_im, rel_counts.tolist())
     else:
         e_re_t = np.ascontiguousarray(e_re.T)
         e_im_t = np.ascontiguousarray(e_im.T)
         chunks = [_mine_sampled(e_re_t, e_im_t, r_re, r_im, rel, count,
                                 oversample, rng)
-                  for rel, count in counts]
+                  for rel, count in enumerate(rel_counts.tolist())]
     triples = np.concatenate(chunks, axis=0)
 
     if noise_fraction > 0:

@@ -27,6 +27,13 @@ import numpy as np
 from ..comm.sparse import SparseRows
 
 
+def _rows(emb: np.ndarray, ids) -> np.ndarray:
+    """``emb[ids]`` for an index array of any shape, the same bytes:
+    ``np.take`` along the rows copies each row whole, where fancy indexing
+    takes up to twice as long."""
+    return np.take(emb, np.asarray(ids, dtype=np.int64), axis=0)
+
+
 class KGEModel(abc.ABC):
     """Base class for knowledge-graph-embedding models.
 
@@ -89,9 +96,8 @@ class KGEModel(abc.ABC):
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A triple batch's embedding rows: the only place scoring or
         differentiating one indexes the two matrices."""
-        return (self.entity_emb[np.asarray(h, dtype=np.int64)],
-                self.relation_emb[np.asarray(r, dtype=np.int64)],
-                self.entity_emb[np.asarray(t, dtype=np.int64)])
+        return (_rows(self.entity_emb, h), _rows(self.relation_emb, r),
+                _rows(self.entity_emb, t))
 
     def _slot_gradients(self, h, r, t, loss_fn, l2: float
                         ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -169,8 +175,7 @@ class KGEModel(abc.ABC):
         independent triple gathers.
         """
         q = self.query_vector(anchors, rels, tail_side=tail_side)
-        rows = self.entity_emb[np.asarray(candidates, dtype=np.int64)]
-        return np.einsum("mw,mkw->mk", q, rows)
+        return np.einsum("mw,mkw->mk", q, _rows(self.entity_emb, candidates))
 
     # -- geometry access ---------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KGEModel
+from .base import KGEModel, _rows
 
 
 class ComplEx(KGEModel):
@@ -76,10 +76,8 @@ class ComplEx(KGEModel):
         ``q = (r_re t_re + r_im t_im, r_re t_im - r_im t_re)`` on the head
         side.  Because ``q`` has the entity rows' layout, every candidate
         score is one ``2 * dim``-term dot with a contiguous entity row."""
-        anchors = np.asarray(anchors, dtype=np.int64)
-        rels = np.asarray(rels, dtype=np.int64)
-        e_re, e_im = self._split(self.entity_emb[anchors])
-        r_re, r_im = self._split(self.relation_emb[rels])
+        e_re, e_im = self._split(_rows(self.entity_emb, anchors))
+        r_re, r_im = self._split(_rows(self.relation_emb, rels))
         if tail_side:
             return np.concatenate([e_re * r_re - e_im * r_im,
                                    e_re * r_im + e_im * r_re], axis=-1)

@@ -20,13 +20,18 @@ compare the production kernels against these:
   serves answers and mines facts (:func:`repro.select.best_first`) equals
   on every row;
 * :class:`ChoiceTraffic` — the ``Generator.choice(n, p=...)`` query stream
-  that :class:`repro.serve.ZipfianTraffic` replays from CDFs built once.
+  that :class:`repro.serve.ZipfianTraffic` replays from CDFs built once;
+* :func:`mine_exhaustive` — the full ``E x E`` score matrix whose top
+  pairs the norm-bounded fact miner
+  (:func:`repro.kg.datasets._mine_exhaustive`) returns bit for bit
+  wherever the BLAS kernel keeps a cell's bits in a smaller product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import select
 from repro.eval.ranking import _realistic_ranks
 from repro.serve.traffic import (KIND_MIX, KIND_NEAREST, KIND_SCORE,
                                  QUERY_DTYPE, _zipf_probs)
@@ -155,3 +160,23 @@ class ChoiceTraffic:
             len(self.entity_ids), size=n, p=self.entity_probs)]
         out["other"] = np.where(kinds == KIND_SCORE, others, -1)
         return out
+
+
+def mine_exhaustive(e_re, e_im, r_re, r_im, counts) -> list[np.ndarray]:
+    """:func:`repro.kg.datasets._mine_exhaustive` over the full ``E x E``
+    score matrix: every pair of each relation scored, self-loops at
+    ``-inf``, one :func:`repro.select.best_first` over the flat
+    ``h * E + t`` ids."""
+    facts = []
+    for rel, count in enumerate(counts):
+        hr_re = e_re * r_re[rel] - e_im * r_im[rel]
+        hr_im = e_re * r_im[rel] + e_im * r_re[rel]
+        scores = hr_re @ e_re.T
+        scores += hr_im @ e_im.T
+        np.fill_diagonal(scores, -np.inf)
+        count = min(count, scores.size - scores.shape[0])
+        h, t = np.divmod(select.best_first(scores.ravel(), count),
+                         scores.shape[1])
+        rel_col = np.full(count, rel, dtype=np.int64)
+        facts.append(np.stack([h, rel_col, t], axis=1))
+    return facts

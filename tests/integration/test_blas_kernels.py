@@ -5,9 +5,11 @@ A ``DYNAMIC_ARCH`` OpenBLAS picks its matrix kernels from the host CPU, and
 kernels reduce in different orders.  Every candidate score behind eval's
 ranks is such a product (``KGEModel.score_all_tails``), while the golden
 runs pin each trajectory's MRR to the last bit.  The exhaustive fact
-miner's two ``E x E`` score matrices are products too, and
-``TestPinnedBytes`` fixes its graphs to the byte.  This reruns both with
-the kernel forced to three x86 generations.
+miner scores blocks of heads against prefixes of tails, products whose
+cells must hold the bits of the full ``E x E`` product
+(``TestPrunedMiner`` checks them against it), and ``TestPinnedBytes``
+fixes its graphs to the byte.  This reruns all three with the kernel
+forced to three x86 generations.
 """
 
 import os
@@ -47,7 +49,8 @@ def test_goldens_pass_under_every_forced_core():
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-s", "-p",
              "no:cacheprovider", "tests/integration/test_golden.py",
-             "tests/kg/test_datasets.py::TestPinnedBytes"],
+             "tests/kg/test_datasets.py::TestPinnedBytes",
+             "tests/kg/test_datasets.py::TestPrunedMiner"],
             cwd=root, env=env, capture_output=True, text=True)
         assert out.returncode == 0, (core, out.stdout[-2000:])
         found = re.search(r"^Core: (\w+)", out.stdout + out.stderr,

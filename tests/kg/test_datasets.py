@@ -28,6 +28,7 @@ from repro.kg.datasets import (
 from repro.kg.negative import NegativeBatch, select_hardest
 from repro.select import best_first, best_set
 from repro.training.checkpoint import store_fingerprint
+from tests._reference import mine_exhaustive
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__
@@ -248,22 +249,182 @@ class TestPinnedBytes:
         assert facts.shape == (count, 3)
         assert peak <= 26 * count * oversample
 
-    def test_exhaustive_mining_peaks_at_two_score_matrices(self):
-        """Deterministic allocation count, not RSS: the score matrix plus
-        the second product's temporary, never a negated copy or an index
-        array as long as the matrix."""
+    def test_train_converge_graph(self):
+        """``perf``'s G1k graph, mined exhaustively; digest recorded from
+        the full ``E x E`` miner."""
+        kg = make_fb15k_like(scale=0.1, seed=20220829)
+        assert store_fingerprint(kg) == (
+            "18c3ae5c7a34a296437dd7c25299570bc7c5b77c9754b68a53ae431dd5e25e8a")
+
+    def test_exhaustive_mining_peaks_at_a_few_blocks(self):
+        """Deterministic allocation count, not RSS: at most eight blocks of
+        ``_MINE_CELLS`` float32 scores (1 MiB), where the full ``E x E``
+        miner peaked at two score matrices (17.9 MB at this ``E``)."""
         rng = np.random.default_rng(0)
         n = 1495
         e_re, e_im = rng.normal(size=(2, n, 4)).astype(np.float32)
         r_re, r_im = rng.normal(size=(2, 3, 4)).astype(np.float32)
         tracemalloc.start()
         try:
-            facts = _mine_exhaustive(e_re, e_im, r_re, r_im, 1, 2000)
+            facts = _mine_exhaustive(e_re, e_im, r_re, r_im, [2000])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert facts.shape == (2000, 3)
-        assert peak <= 2.1 * n * n * np.dtype(np.float32).itemsize
+        assert facts[0].shape == (2000, 3)
+        assert peak <= 8 * datasets._MINE_CELLS * np.dtype(np.float32).itemsize
+
+
+def cells_keep_their_bits(dim: int) -> bool:
+    """Whether this host's float32 matrix product gives each cell of a
+    few row-by-column sub-products the bits it has in the full product, at
+    inner width ``dim`` (OpenBLAS's Prescott and Haswell kernels do not
+    from eight on)."""
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(2, 96, dim)).astype(np.float32)
+    full = a @ b.T
+    for shape in ((2, 2), (5, 37), (17, 96)):
+        rows, cols = (rng.permutation(96)[:k] for k in shape)
+        if not np.array_equal(a[rows] @ b[cols].T, full[np.ix_(rows, cols)]):
+            return False
+    return True
+
+
+def assert_mines_like_reference(e_re, e_im, r_re, r_im, counts):
+    want = mine_exhaustive(e_re, e_im, r_re, r_im, counts)
+    got = _mine_exhaustive(e_re, e_im, r_re, r_im, counts)
+    assert len(got) == len(want)
+    for rel, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype, rel
+        np.testing.assert_array_equal(g, w, err_msg=f"relation {rel}")
+
+
+class TestPrunedMiner:
+    """The norm-bounded miner returns the full ``E x E`` miner's facts, in
+    its order: each scored cell has the full product's bits (wherever the
+    BLAS kernel keeps a cell's bits in a smaller product) and no cell it
+    skips could have made the top ``count``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_latents(self, monkeypatch, seed):
+        """Small blocks (down to two rows) so that many relations end early
+        and blocks cut the tails; ``count`` up to ``E**2 - E``."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 160))
+        dim = int(rng.integers(1, 8))
+        monkeypatch.setattr(datasets, "_MINE_CELLS",
+                            int(rng.choice([1, n, 3 * n, 1 << 15])))
+        e_re, e_im = rng.normal(size=(2, n, dim)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 5, dim)).astype(np.float32)
+        counts = [1, int(rng.integers(1, n)), int(rng.integers(1, 4 * n)),
+                  int(rng.integers(1, n * n)), n * n - n]
+        assert_mines_like_reference(e_re, e_im, r_re, r_im, counts)
+
+    @pytest.mark.parametrize("dim", [8, 13])
+    def test_wide_latents(self, monkeypatch, dim):
+        """From eight latent dims on, some kernels sum a cell in an order
+        set by its place in the product, and no miner that scores fewer
+        cells can hold the full product's bits; on the others it does."""
+        if not cells_keep_their_bits(dim):
+            pytest.skip(f"this BLAS kernel's cell bits depend on the "
+                        f"product's shape at {dim} latent dims")
+        monkeypatch.setattr(datasets, "_MINE_CELLS", 200)
+        rng = np.random.default_rng(dim)
+        n = 90
+        e_re, e_im = rng.normal(size=(2, n, dim)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 4, dim)).astype(np.float32)
+        assert_mines_like_reference(e_re, e_im, r_re, r_im,
+                                    [1, 40, 700, 3000])
+
+    @pytest.mark.parametrize("rows", [2, 3, 8])
+    def test_no_one_row_block(self, monkeypatch, rows):
+        """``n = 1 (mod rows)``: the last head would be a block of its own,
+        a product NumPy hands to GEMV, so it joins the block before."""
+        n = 8 * rows + 1
+        taken, real_take = [], np.take
+
+        def take(a, ids, axis=None):
+            taken.append(len(ids))
+            return real_take(a, ids, axis=axis)
+
+        monkeypatch.setattr(datasets, "_MINE_CELLS", rows * n)
+        rng = np.random.default_rng(rows)
+        e_re, e_im = rng.normal(size=(2, n, 4)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 2, 4)).astype(np.float32)
+        # A zero relation bounds no score below tau: every block is mined.
+        r_re[0] = r_im[0] = 0
+        want = mine_exhaustive(e_re, e_im, r_re, r_im, [n, n * n - n])
+        monkeypatch.setattr(datasets.np, "take", take)
+        got = _mine_exhaustive(e_re, e_im, r_re, r_im, [n, n * n - n])
+        monkeypatch.undo()
+        assert min(taken) >= 2
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("count", [1, 5, 12])
+    def test_four_entities(self, count):
+        rng = np.random.default_rng(count)
+        e_re, e_im = rng.normal(size=(2, 4, 3)).astype(np.float32)
+        r_re, r_im = rng.normal(size=(2, 2, 3)).astype(np.float32)
+        assert_mines_like_reference(e_re, e_im, r_re, r_im, [count, 99])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_across_the_count_boundary(self, monkeypatch, seed):
+        """Latents on a half-integer grid tie many pairs; each ``count``
+        cuts some tie class, which goes toward the smaller pair id."""
+        monkeypatch.setattr(datasets, "_MINE_CELLS", 64)
+        rng = np.random.default_rng(seed)
+        n = 40
+        e_re, e_im = (rng.integers(-2, 3, size=(2, n, 2)) / 2).astype(
+            np.float32)
+        r_re, r_im = (rng.integers(-2, 3, size=(2, 6, 2)) / 2).astype(
+            np.float32)
+        counts = [3, 17, 100, 333, 800, 1555]
+        assert_mines_like_reference(e_re, e_im, r_re, r_im, counts)
+        ref = mine_exhaustive(e_re, e_im, r_re, r_im, counts)
+        tied = 0
+        for rel, facts in enumerate(ref):
+            hr_re = e_re * r_re[rel] - e_im * r_im[rel]
+            hr_im = e_re * r_im[rel] + e_im * r_re[rel]
+            scores = hr_re @ e_re.T + hr_im @ e_im.T
+            np.fill_diagonal(scores, -np.inf)
+            tied += (scores == scores[facts[-1, 0], facts[-1, 2]]).sum() > 1
+        assert tied >= 4  # most counts really cut a tie class
+
+    def test_zero_relation_takes_the_smallest_ids(self):
+        """Every score is zero, no bound prunes, and the facts are the
+        first ``count`` off-diagonal pairs in id order."""
+        rng = np.random.default_rng(0)
+        n = 30
+        e_re, e_im = rng.normal(size=(2, n, 4)).astype(np.float32)
+        r_re = r_im = np.zeros((1, 4), dtype=np.float32)
+        facts = _mine_exhaustive(e_re, e_im, r_re, r_im, [50])[0]
+        pairs = [(h, t) for h in range(n) for t in range(n) if h != t][:50]
+        np.testing.assert_array_equal(facts[:, [0, 2]], pairs)
+        assert_mines_like_reference(e_re, e_im, r_re, r_im, [50])
+
+    def test_negative_top_scores(self, monkeypatch):
+        """Every score is negative, so ``tau`` is too and no bound prunes."""
+        monkeypatch.setattr(datasets, "_MINE_CELLS", 100)
+        rng = np.random.default_rng(1)
+        n = 50
+        e_re = rng.uniform(0.1, 1.0, size=(n, 4)).astype(np.float32)
+        e_im = np.zeros((n, 4), dtype=np.float32)
+        r_re = -np.ones((1, 4), dtype=np.float32)
+        r_im = np.zeros((1, 4), dtype=np.float32)
+        facts = _mine_exhaustive(e_re, e_im, r_re, r_im, [200])[0]
+        h, t = facts[:, 0], facts[:, 2]
+        assert ((e_re[h] * e_re[t]).sum(axis=1) > 0).all()
+        assert_mines_like_reference(e_re, e_im, r_re, r_im, [200])
+
+    def test_whole_graphs_equal_the_reference(self, monkeypatch):
+        """Noisy graphs, the noise step overwriting facts by position."""
+        got = [generate_latent_kg(n, 9, 40 * n, seed=n, noise_fraction=0.1)
+               for n in (64, 301)]
+        monkeypatch.setattr(datasets, "_mine_exhaustive", mine_exhaustive)
+        want = [generate_latent_kg(n, 9, 40 * n, seed=n, noise_fraction=0.1)
+                for n in (64, 301)]
+        assert ([store_fingerprint(kg) for kg in got]
+                == [store_fingerprint(kg) for kg in want])
 
 
 def mine_sampled_rows(e_re, e_im, r_re, r_im, rel, count, oversample, rng):

@@ -133,8 +133,9 @@ class TestBitwiseEquivalence:
 
 
 class RecordingArray(np.ndarray):
-    """Counts how often *this* array is indexed; arrays derived from it
-    (gathered rows, half views) start their own count."""
+    """Counts how often *this* array is indexed or ``np.take``-n from;
+    arrays derived from it (gathered rows, half views) start their own
+    count."""
 
     def __array_finalize__(self, obj):
         self.reads = 0
@@ -142,6 +143,10 @@ class RecordingArray(np.ndarray):
     def __getitem__(self, item):
         self.reads += 1
         return super().__getitem__(item)
+
+    def take(self, *args, **kwargs):
+        self.reads += 1
+        return super().take(*args, **kwargs)
 
 
 def make_worker(store, ss, l2):
