@@ -7,8 +7,9 @@ rank 2 at epoch 3.  The run must:
 
 1. complete on the 3 survivors (world lineage 4 -> 3, one restart);
 2. be bitwise deterministic — a second invocation produces identical
-   embeddings, optimizer state, epoch logs and recovery log;
-3. produce a recovery log matching the pinned golden
+   embeddings, optimizer state, epoch logs and decision log;
+3. produce a decision log (the ``elastic`` shrink record, plus any DRS
+   decision) matching the pinned golden
    (``tests/golden/elastic-recovery.json``; regenerate with ``--update``).
 
 Any mismatch exits non-zero and prints the offending fields.
@@ -51,7 +52,8 @@ def diff(first, second) -> list[str]:
 
     sup_a, res_a = first
     sup_b, res_b = second
-    check("recovery_log", res_a.recovery_log, res_b.recovery_log)
+    check("decisions", json.dumps(res_a.decisions),
+          json.dumps(res_b.decisions))
     check("world_lineage", res_a.world_lineage, res_b.world_lineage)
     check("restarts", res_a.restarts, res_b.restarts)
     check("epochs", res_a.epochs, res_b.epochs)
@@ -81,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--epochs", type=int, default=6,
                         help="epoch budget (default: 6)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the golden recovery log and exit")
+                        help="rewrite the golden decision log and exit")
     args = parser.parse_args(argv)
 
     store = make_tiny_kg()
@@ -90,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     first = run(store, args.epochs)
     supervisor, result = first
 
-    log = supervisor.recovery_log()
+    log = result.decisions
     if args.update:
         GOLDEN.write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")
@@ -109,14 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     second = run(store, args.epochs)
     failures += diff(first, second)
 
-    print(f"[3/3] recovery log vs golden ({GOLDEN.name})")
+    print(f"[3/3] decision log vs golden ({GOLDEN.name})")
     if not GOLDEN.is_file():
         failures.append(f"golden {GOLDEN} missing; run with --update")
     else:
         golden = json.loads(GOLDEN.read_text())
         if golden != log:
             failures.append(
-                f"recovery log diverged from golden:\n"
+                f"decision log diverged from golden:\n"
                 f"  golden: {json.dumps(golden, sort_keys=True)}\n"
                 f"  actual: {json.dumps(log, sort_keys=True)}")
 

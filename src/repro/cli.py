@@ -341,11 +341,10 @@ def _train(args: argparse.Namespace) -> None:
     except NonFiniteClockError as exc:
         raise _Refused(f"--net {args.net!r}: {exc}") from exc
 
-    if args.elastic and not args.json:
-        for event in result.recovery_log:
-            print(f"recovery: {event['action']} rank {event['rank']} at "
-                  f"epoch {event['epoch']} -> world {event['world_after']}, "
-                  f"resume epoch {event['resume_epoch']}")
+    if not args.json:
+        for d in result.decisions:
+            print(f"decision: {d['mechanism']} at {d['at']}: {d['choice']} "
+                  f"over {d['alternative']} {json.dumps(d['inputs'])}")
 
     row = result.summary_row()
     row.update(converged=result.converged,
@@ -365,9 +364,10 @@ def _train(args: argparse.Namespace) -> None:
     if args.elastic:
         row.update(restarts=result.restarts,
                    world_lineage=result.world_lineage,
-                   recovery_hours=result.recovery_time / 3600.0,
-                   recovery_log=result.recovery_log)
+                   recovery_hours=result.recovery_time / 3600.0)
     if args.json:
+        if result.decisions:
+            row.update(decisions=result.decisions)
         json.dump(row, sys.stdout, indent=2)
         print()
     else:

@@ -2,14 +2,14 @@
 
 The paper's system is synchronous data parallelism: every node computes
 gradients on its shard, a collective combines them, everyone applies the
-same update.  We simulate the cluster inside one process: each *rank* is a
-slot holding real NumPy state, and a per-rank **virtual clock** accumulates
-modeled compute and communication time.  Collectives (see
-:mod:`repro.comm.collectives`) move real data between rank slots and advance
-all clocks past a synchronisation barrier, exactly like a blocking MPI
-collective would.
+same update.  We simulate the cluster inside one process: each *rank* has
+a **virtual clock** that accumulates modeled compute and communication
+time.  The collectives (:mod:`repro.comm.collectives`,
+:mod:`repro.comm.hierarchical`) are charge-only: they price a call's bytes
+and advance all clocks past a synchronisation barrier like a blocking MPI
+collective, while the gradient exchange combines the real NumPy rows.
 
-Because the data movement is real, every *convergence* effect (lossy
+Because the combined data is real, every *convergence* effect (lossy
 compression, effective batch size, stale residuals) is genuine; only the
 wall-clock seconds are modeled via :class:`repro.comm.network.NetworkModel`.
 """
@@ -122,12 +122,7 @@ class Cluster:
         #: Per-rank idle seconds spent waiting at collective entry barriers;
         #: under heterogeneity the fast ranks accumulate the stragglers' lag.
         self.wait_total = np.zeros(n_ranks, dtype=np.float64)
-        self.records: list[CommRecord] = []
         self.stats = CommStats()
-        #: Virtual seconds spent on elastic recovery (rollback replay debt
-        #: plus the modeled state re-broadcast); charged via
-        #: :meth:`charge_recovery`, already included in the clocks.
-        self.recovery_time = 0.0
 
     # -- time accounting ------------------------------------------------
 
@@ -166,7 +161,6 @@ class Cluster:
         sync_point = float(self.clocks.max())
         self.wait_total += sync_point - self.clocks
         self.clocks[:] = sync_point + record.time
-        self.records.append(record)
         self.stats.add(record)
 
     def charge_recovery(self, seconds: float) -> None:
@@ -179,7 +173,6 @@ class Cluster:
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         self.clocks += seconds
-        self.recovery_time += seconds
 
     @property
     def elapsed(self) -> float:

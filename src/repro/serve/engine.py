@@ -67,12 +67,11 @@ engine behaves exactly as before):
   circuit breaker that trips the binary rung to dense when the 1-bit
   sidecar fails its checksum at query time.  Shed queries return a typed
   :class:`~repro.serve.resilience.ShedResponse` instead of a result.
-* **hot reload** (:meth:`QueryEngine.reload`): atomically swap in a new
-  checkpoint — the replacement store (embeddings + binary sidecar +
-  filter index) is fully built and validated *before* a single install
-  step replaces the old one, the result cache is invalidated, and the
-  breaker re-arms; any validation failure rolls back to the old store,
-  which never stopped serving.
+* **hot reload** (:meth:`QueryEngine.reload`): swap in a new checkpoint,
+  built and validated before one install step replaces the old store.
+
+Ladder moves, breaker trips and swaps are records of the engine's
+decision log, ``stats.decisions`` (:mod:`repro.obs`).
 
 Determinism contract: every ranking is
 :func:`~repro.select.best_first` (*descending score, ascending
@@ -90,6 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eval.ranking import scatter_known_nan
+from ..obs import Decision
 from ..select import best_first, best_set, check_take
 from ..training import checkpoint as ckpt
 from .binary import check_geometry
@@ -614,7 +614,9 @@ class QueryEngine:
         dropped = self.cache.invalidate()
         if self.resilience is not None:
             self.resilience.arm_binary(new.binary is not None)
-        self.stats.record_reload(old.epoch, new.epoch)
+        self.stats.decisions.append(Decision(
+            "reload", self.stats.n_queries, "swap", "keep",
+            {"old_epoch": old.epoch, "new_epoch": new.epoch}).as_dict())
         return {"swapped": True, "old_epoch": old.epoch,
                 "new_epoch": new.epoch,
                 "checkpoint": new.checkpoint_path,

@@ -1,8 +1,8 @@
 """Serve-side resilience: fault injection, SLO ladder, admission control.
 
-The training stack earned its failure story across PRs 1-4 (seeded fault
-plans, bitwise resume, elastic recovery); this module gives the serving
-stack the same treatment.  Three pieces:
+The training stack has a failure story (seeded fault plans, bitwise
+resume, elastic recovery); this module gives the serving stack the same
+treatment.  Three pieces:
 
 * :class:`ServeFaultPlan` — a declarative, seeded chaos scenario for the
   *query* path, parsed from the CLI's ``--serve-faults`` mini-language in
@@ -24,7 +24,7 @@ stack the same treatment.  Three pieces:
   milliseconds — never ``time.perf_counter()`` — the full trajectory
   (states, transition indices, shed decisions) is a pure function of
   ``(seed, plan)``: two replays of the same plan produce byte-identical
-  transition logs, which is what lets the chaos tests gate on it.
+  decision logs, which is what lets the chaos tests gate on it.
 * :class:`ShedResponse` — the explicit degraded answer.  A shed query is
   not an exception: the engine returns a typed response carrying the
   taxonomy (``overload``, ``cache_only_miss``, ``scorer_failure``) so
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import Decision
 from ..spec import Key, build, parse_spec
 from .traffic import BurstSpec, burst_factor_at, validate_bursts
 
@@ -79,7 +80,7 @@ class ShedResponse:
     ``reason`` is one of :data:`SHED_REASONS`; ``state`` is the ladder
     state that made the call; ``query_index`` is the admission index (the
     position in the engine's arrival order), so a replay can line sheds
-    up against the transition log.
+    up against the ladder's decision log.
     """
 
     kind: str
@@ -291,7 +292,6 @@ class ResilienceController:
         self.clock_ms = 0.0
         self.free_ms = 0.0
         self.last_backlog_ms = 0.0
-        self.breaker_tripped = False
         self._sidecar_fired = False
         # Salted stream: serve-fault draws never alias the traffic stream
         # or a training fault stream derived from the same user seed.
@@ -361,11 +361,14 @@ class ResilienceController:
                     shallower = "dense"
                 self._move(index, shallower, backlog, "recovered")
 
+    def _log(self, decision: Decision) -> None:
+        if self.stats is not None:
+            self.stats.decisions.append(decision.as_dict())
+
     def _move(self, index: int, state: str, backlog: float,
               reason: str) -> None:
-        if self.stats is not None:
-            self.stats.record_transition(index, self.state, state,
-                                         backlog, reason)
+        self._log(Decision("ladder", index, state, self.state, {
+            "backlog_ms": round(backlog, 6), "reason": reason}))
         self.state = state
 
     # -- circuit breaker ---------------------------------------------------
@@ -391,10 +394,9 @@ class ResilienceController:
 
     def trip_binary(self, detail: str) -> None:
         """Remove the binary rung: sidecar can no longer be trusted."""
-        self.breaker_tripped = True
         self.binary_available = False
-        if self.stats is not None:
-            self.stats.record_breaker(self.arrivals - 1, detail)
+        self._log(Decision("breaker", self.arrivals - 1, "dense", "binary",
+                           {"detail": detail}))
         if self.state == "binary":
             self._move(self.arrivals - 1, "dense", self.last_backlog_ms,
                        "breaker")
@@ -406,5 +408,4 @@ class ResilienceController:
         resets; a reload onto a store without a sidecar leaves the rung
         out of the ladder.
         """
-        self.breaker_tripped = False
         self.binary_available = bool(available)

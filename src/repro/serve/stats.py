@@ -9,13 +9,12 @@ summed-time totals always cover the whole lifetime.  ``snapshot()`` folds
 everything into the flat dict the CLI and :func:`repro.serve.replay`
 report.
 
-When a :class:`~repro.serve.resilience.ResilienceController` is attached
-to the engine, the snapshot grows a ``resilience`` section: per-state
-query counts, the shed taxonomy, the full state-transition log (byte-
-identical across runs of the same ``(seed, plan)`` — the determinism
-surface ``tests/serve/test_resilience.py`` gates on), breaker/reload
-counters and virtual-latency percentiles from the admission controller's
-queue model.
+Every snapshot carries the decision log (:mod:`repro.obs`): ladder moves,
+breaker trips and reloads, byte-identical across runs of one ``(seed,
+plan)``.  With a :class:`~repro.serve.resilience.ResilienceController`
+attached, it also grows a ``resilience`` section: per-state query counts,
+the shed taxonomy, counts over the log and virtual-latency percentiles
+from the admission controller's queue model.
 """
 
 from __future__ import annotations
@@ -57,16 +56,12 @@ class ServeStats:
         self._tier_candidate_s: dict[str, array] = {}
         self._tier_rerank_s: dict[str, array] = {}
         self._tier_agreement: dict[str, array] = {}
-        # Resilience telemetry (populated only when a controller serves).
-        self.resilience_enabled = False
+        # Resilience telemetry: a controller fills it; by_state gates it.
         self.by_state: dict[str, int] = {}
         self.shed_by_reason: dict[str, int] = {}
-        self.transitions: list[dict] = []
-        self.breaker_trips = 0
-        self.reloads = 0
-        self.last_breaker: dict | None = None
-        self.last_reload: dict | None = None
         self._virtual_ms = array("d")
+        #: The decision log: ladder, breaker and reload records, in order.
+        self.decisions: list[dict] = []
 
     @property
     def n_queries(self) -> int:
@@ -122,33 +117,11 @@ class ServeStats:
         """One query as the ladder saw it: the state it was admitted
         under, its virtual latency (queue wait + service on the admission
         controller's clock), and — when it was shed — the taxonomy."""
-        self.resilience_enabled = True
         self.by_state[state] = self.by_state.get(state, 0) + 1
         self._append(self._virtual_ms, virtual_ms)
         if shed_reason is not None:
             self.shed_by_reason[shed_reason] = \
                 self.shed_by_reason.get(shed_reason, 0) + 1
-
-    def record_transition(self, index: int, old: str, new: str,
-                          backlog_ms: float, reason: str) -> None:
-        """One ladder move, logged at the arrival index that caused it.
-
-        The log is the determinism contract's surface: the same
-        ``(seed, plan)`` must reproduce it byte-identically.
-        """
-        self.resilience_enabled = True
-        self.transitions.append({"index": index, "from": old, "to": new,
-                                 "backlog_ms": round(backlog_ms, 6),
-                                 "reason": reason})
-
-    def record_breaker(self, index: int, detail: str) -> None:
-        self.resilience_enabled = True
-        self.breaker_trips += 1
-        self.last_breaker = {"index": index, "detail": detail}
-
-    def record_reload(self, old_epoch: int, new_epoch: int) -> None:
-        self.reloads += 1
-        self.last_reload = {"old_epoch": old_epoch, "new_epoch": new_epoch}
 
     def snapshot(self) -> dict:
         """Flat summary: counts, p50/p99/mean latency, service rate, cache.
@@ -207,7 +180,8 @@ class ServeStats:
             tiers[tier] = entry
         if tiers:
             out["tiers"] = tiers
-        if self.resilience_enabled:
+        out["decisions"] = list(self.decisions)
+        if self.by_state:
             shed_total = sum(self.shed_by_reason.values())
             # Virtual latencies come off the admission controller's clock
             # already in milliseconds — no seconds-to-ms scaling here.
@@ -219,15 +193,17 @@ class ServeStats:
                 "shed": dict(sorted(self.shed_by_reason.items())),
                 "shed_total": shed_total,
                 "shed_rate": shed_total / n if n else 0.0,
-                "transitions": list(self.transitions),
-                "n_transitions": len(self.transitions),
-                "breaker_trips": self.breaker_trips,
-                "reloads": self.reloads,
+                "n_transitions": self._count("ladder"),
+                "breaker_trips": self._count("breaker"),
+                "reloads": self._count("reload"),
                 "virtual_mean_ms": _mean(virtual),
                 "virtual_p50_ms": float(vp50),
                 "virtual_p99_ms": float(vp99),
             }
         return out
+
+    def _count(self, mechanism: str) -> int:
+        return sum(d["mechanism"] == mechanism for d in self.decisions)
 
 
 def _mean(window) -> float:

@@ -17,7 +17,7 @@ from .checkpoint import (
     prune_checkpoints,
     write_checkpoint,
 )
-from .elastic import ElasticSupervisor, RecoveryEvent
+from .elastic import ElasticSupervisor
 from .metrics import EpochLog, EvalTimer, TrainResult
 from .rng import rejoin_rng, selection_rng, trainer_rng, worker_rng
 from .strategy import (
@@ -48,7 +48,6 @@ __all__ = [
     "ElasticSupervisor",
     "EpochLog",
     "EvalTimer",
-    "RecoveryEvent",
     "PRESETS",
     "SCHEMA_VERSION",
     "StepOutput",

@@ -7,7 +7,7 @@ A checkpoint is a directory holding exactly two files:
     produced it, the name of the model that wrote it, per-array SHA-256
     checksums, and every piece of scalar training state (scheduler, DRS
     switch state, RNG stream positions, cumulative counters, the epoch
-    logs so far).
+    logs and the decision log so far).
 ``state.npz``
     Every array-valued piece of state: embeddings, full Adam moments,
     error-feedback residuals, and the cluster's virtual clocks.  A residual
@@ -93,6 +93,7 @@ import numpy as np
 
 from ..comm.faults import FaultCounters
 from ..comm.sparse import SparseRows
+from ..obs import Decision
 from .exchange import residual_key
 from .metrics import EpochLog
 from .rng import rng_state, set_rng_state
@@ -102,7 +103,8 @@ from .rng import rng_state, set_rng_state
 #: 2: added world_size / world_lineage; dropped n_nodes from the config hash.
 #: 3: residual stores carry ``rows`` + ``values[rows]``, not dense + mask.
 #: 4: a top-level ``model`` names the architecture that wrote the snapshot.
-SCHEMA_VERSION = 4
+#: 5: ``state.result.decisions`` carries the run's decision log.
+SCHEMA_VERSION = 5
 
 #: The manifest's ``model``: the one architecture a trainer writes, and
 #: the only one a loader accepts.
@@ -271,7 +273,8 @@ def _sections(trainer) -> tuple:
         ("result", trainer.result, {
             "allreduce_steps": int, "allgather_steps": int,
             "hier_steps": int, "drs_switch_epoch": int, "converged": bool,
-            "logs": lambda logs: [EpochLog(**log) for log in logs]}),
+            "logs": lambda logs: [EpochLog(**log) for log in logs],
+            "decisions": lambda log: [Decision(**d).as_dict() for d in log]}),
         ("comm_stats", trainer.cluster.stats, {
             "calls": int, "nbytes_total": int, "time_total": float,
             "retries": int, "by_op": _mapping(_row(int, int, float)),
@@ -393,8 +396,7 @@ def apply_state(trainer, state: CheckpointState,
         join_clock = float(max(clocks[old] for old in survivors))
         writes += [
             (setattr, cluster, "clocks", np.array(remap(clocks, join_clock))),
-            (setattr, cluster, "wait_total", np.array(remap(wait, 0.0))),
-            (cluster.records.clear,)]
+            (setattr, cluster, "wait_total", np.array(remap(wait, 0.0)))]
         # Rank stores follow ``rank_map``; node stores restore by node-id
         # intersection: a (re)grown node starts pristine, and a snapshot
         # node with no survivors is dropped (its residual died with its

@@ -41,6 +41,7 @@ from ..comm.sparse import SparseRows, combine_sparse
 from ..compress.error_feedback import NodeResiduals, ResidualStore
 from ..compress.quantization import dequantize, quantization_error, quantize
 from ..compress.selection import select
+from ..obs import Decision
 from .rng import selection_rng
 from .strategy import StrategyConfig
 
@@ -92,22 +93,29 @@ class DrsState:
             return self.probe_modes[self.probes % len(self.probe_modes)]
         return self.default_mode
 
-    def observe(self, epoch_mode: str, comm_time: float) -> None:
+    def observe(self, epoch: int, epoch_mode: str,
+                comm_time: float) -> Decision | None:
+        """Take ``epoch``'s measured comm time; returns the ``drs.probe``
+        decision (a commit, or the incumbent kept) once it can decide."""
         if self.switched:
-            return
+            return None
         if epoch_mode == self.default_mode:
             self.last_incumbent_comm = comm_time
-            return
+            return None
         # Probe epoch result: record it; decide once every challenger has
         # a measurement (ties break toward the earlier probe_modes entry).
         self.probes += 1
         self.probe_comms[epoch_mode] = comm_time
         if not all(m in self.probe_comms for m in self.probe_modes):
-            return
+            return None
         winner = min(self.probe_modes, key=lambda m: self.probe_comms[m])
         if self.probe_comms[winner] < self.last_incumbent_comm:
-            self.switched = True
-            self.current = winner
+            self.switched, self.current = True, winner
+        taken, other = ((winner, self.default_mode) if self.switched
+                        else (self.default_mode, winner))
+        return Decision("drs.probe", epoch, taken, other, {
+            "incumbent_comm": self.last_incumbent_comm,
+            "probe_comms": dict(self.probe_comms)})
 
 
 @dataclass
@@ -171,11 +179,13 @@ class GradientExchange:
                                                      n_rows, width)
             self.matrices[kind] = m
 
-        self.drs = self._initial_drs()
+        #: DRS state, and the ``collective="auto"`` closed-form pick of the
+        #: dense mode for this world (None for an explicit collective or p=1).
+        self.drs, self.resolution = self._initial_drs()
 
     # -- mode choice -----------------------------------------------------
 
-    def _initial_drs(self) -> DrsState:
+    def _initial_drs(self) -> tuple[DrsState, Decision | None]:
         """Resolve the dense mode and the DRS challengers for this world.
 
         Non-allgather steps use one dense collective: ``flat`` and ``hier``
@@ -189,19 +199,23 @@ class GradientExchange:
         the switch a three-way measured choice.
         """
         strategy, world = self.strategy, self.cluster.n_ranks
-        dense, probes = "allreduce", ("allgather",)
+        dense, probes, resolution = "allreduce", ("allgather",), None
         if strategy.collective == "hier" and world > 1:
             dense = "hierarchical"
         elif strategy.collective == "auto" and world > 1:
             entity, network = self.matrices["entity"], self.cluster.network
             nbytes = float(dense_bytes(entity.n_rows, entity.width))
             flat_time = self.flat_network.allreduce_ring_time(nbytes, world)
+            hier_time = network.allreduce_ring_time(nbytes, self.groups)
             other = "hierarchical"
-            if network.allreduce_ring_time(nbytes, self.groups) < flat_time:
+            if hier_time < flat_time:
                 dense, other = other, dense
             if strategy.comm_mode == "dynamic":
                 probes = ("allgather", other)
-        return DrsState(default_mode=dense, probe_modes=probes)
+            resolution = Decision("drs.resolve", 0, dense, other, {
+                "allreduce": flat_time, "hierarchical": hier_time,
+                "world": world})
+        return DrsState(default_mode=dense, probe_modes=probes), resolution
 
     def mode_for_epoch(self, epoch: int) -> str:
         """The transport every step of ``epoch`` uses."""
@@ -211,8 +225,10 @@ class GradientExchange:
                                            self.strategy.drs_probe_interval)
         return self.drs.default_mode if mode == "allreduce" else mode
 
-    def observe(self, mode: str, comm_time: float) -> None:
-        """Feed one epoch's measured comm time to the DRS decision.
+    def observe(self, epoch: int, mode: str,
+                comm_time: float) -> Decision | None:
+        """Feed one epoch's measured comm time to the DRS decision; returns
+        the ``drs.probe`` decision it made, if any.
 
         Only the quantized two-level transport reads the node residuals, so
         a commit to any other one leaves them dead: they are cleared then,
@@ -220,13 +236,14 @@ class GradientExchange:
         """
         drs = self.drs
         if self.strategy.comm_mode != "dynamic" or drs.switched:
-            return
-        drs.observe(mode, comm_time)
+            return None
+        decision = drs.observe(epoch, mode, comm_time)
         if drs.switched and not (drs.current == "hierarchical"
                                  and self.strategy.quantization_bits):
             for m in self.matrices.values():
                 if m.node_residuals is not None:
                     m.node_residuals.clear()
+        return decision
 
     # -- checkpoint surface ----------------------------------------------
 

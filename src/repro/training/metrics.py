@@ -109,22 +109,24 @@ class TrainResult:
     #: This process's measured evaluation throughput: its own queries over
     #: ``eval_seconds`` (0 if untimed).
     eval_queries_per_sec: float = 0.0
-    #: Elastic-supervisor restarts survived (0 = never lost a rank).
-    restarts: int = 0
-    #: Simulated seconds (time-scaled) spent on elastic recovery: rolled-back
-    #: epoch progress plus the modeled state re-broadcast.  Included in
-    #: ``total_time``.
+    #: Simulated seconds (time-scaled) spent on elastic recovery: the
+    #: ``overhead`` of every ``elastic`` decision (rolled-back epoch progress
+    #: plus the modeled state re-broadcast).  Included in ``total_time``.
     recovery_time: float = 0.0
     #: Every world size the run lived through, oldest first ([n] = static).
     world_lineage: list = field(default_factory=list)
-    #: Elastic recovery log: one dict per membership change (see
-    #: repro.training.elastic.RecoveryEvent.as_dict), empty when static.
-    recovery_log: list = field(default_factory=list)
+    #: The decision log: DRS and elastic :class:`~repro.obs.Decision` dicts.
+    decisions: list = field(default_factory=list)
 
     @property
     def total_hours(self) -> float:
         """Simulated wall-clock hours (the unit the paper reports)."""
         return self.total_time / 3600.0
+
+    @property
+    def restarts(self) -> int:
+        """Elastic-supervisor restarts survived: the log's shrinks."""
+        return sum(d["choice"] == "shrink" for d in self.decisions)
 
     @property
     def allreduce_fraction(self) -> float:

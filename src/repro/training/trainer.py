@@ -2,7 +2,7 @@
 
 One :class:`DistributedTrainer` run reproduces one cell of the paper's
 tables: train ComplEx on a simulated ``n_nodes``-node cluster under a
-:class:`~repro.train.strategy.StrategyConfig`, early-stopping on a
+:class:`~repro.training.strategy.StrategyConfig`, early-stopping on a
 validation-MRR plateau, and report total (simulated) time, epoch count and
 test metrics.
 
@@ -209,6 +209,8 @@ class DistributedTrainer:
         self.result = TrainResult(strategy_label=strategy.label(),
                                   n_nodes=n_nodes, epochs=0, total_time=0.0,
                                   final_val_mrr=float("nan"))
+        if self.exchange.resolution is not None:
+            self.result.decisions.append(self.exchange.resolution.as_dict())
         self._completed_epochs = 0
         self._last_snapshot: ckpt.CheckpointState | None = None
         self._config_hash: str | None = None
@@ -334,7 +336,9 @@ class DistributedTrainer:
 
         result.epochs = len(result.logs)
         result.total_time = self.cluster.elapsed * cfg.time_scale
-        result.recovery_time = self.cluster.recovery_time * cfg.time_scale
+        result.recovery_time = cfg.time_scale * sum(
+            d["inputs"]["overhead"] for d in result.decisions
+            if d["mechanism"] == "elastic")
         result.world_lineage = list(self.world_lineage)
         result.final_val_mrr = result.logs[-1].val_mrr if result.logs else float("nan")
         result.bytes_total = self.cluster.stats.nbytes_total
@@ -440,7 +444,9 @@ class DistributedTrainer:
 
         lr_used = self.scheduler.lr
         self.scheduler.step(val_mrr)
-        self.exchange.observe(mode, comm_time)
+        decision = self.exchange.observe(epoch, mode, comm_time)
+        if decision is not None:
+            result.decisions.append(decision.as_dict())
         if self.exchange.drs.switched and result.drs_switch_epoch == 0:
             result.drs_switch_epoch = epoch
 

@@ -12,6 +12,8 @@ enforces it).  Each builder goes through the public surface only, and
   skipping the checkpoint round trip;
 * :func:`cache_keys` — an :class:`~repro.serve.cache.LRUCache`'s keys in
   eviction order, which the cache itself never needs to expose;
+* :func:`capture_charges` — every :class:`~repro.comm.simulator.CommRecord`
+  a cluster charges from then on, which the cluster itself only sums;
 * :data:`MODELS` — the model classes the model-generic suites
   parametrize over.
 """
@@ -96,3 +98,18 @@ def cache_keys(cache) -> list:
     """``cache``'s keys in LRU -> MRU (eviction) order, without promoting
     any entry."""
     return list(cache._entries)
+
+
+def capture_charges(cluster) -> list:
+    """A list that receives every :class:`~repro.comm.simulator.CommRecord`
+    ``cluster`` charges from now on, in order (wraps the instance's
+    ``charge_collective``)."""
+    records: list = []
+    charge = cluster.charge_collective
+
+    def recording(record):
+        charge(record)
+        records.append(record)
+
+    cluster.charge_collective = recording
+    return records

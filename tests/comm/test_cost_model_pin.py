@@ -24,6 +24,7 @@ from repro.comm.faults import FaultPlan
 from repro.comm.network import NetworkModel
 from repro.comm.payload import dense_bytes, quantized_rows_bytes
 from repro.comm.simulator import Cluster
+from tests._fixtures import capture_charges
 
 DIGEST = "5a4d2532a316d373bae570a0e11a23d391ed56811349285a4885f3b9e7e25a8a"
 N_LINES = 11829
@@ -96,9 +97,9 @@ def method_lines(lines):
             lines.append(f"{name} compute {n} {h(net.compute_time(n * 1e3))}")
 
 
-def records(cluster):
+def records(charged):
     return [f"{r.op} {r.nbytes_total} {r.n_messages} {h(r.time)} "
-            f"{r.retries} {r.hop}" for r in cluster.records]
+            f"{r.retries} {r.hop}" for r in charged]
 
 
 def record_lines(lines):
@@ -108,6 +109,7 @@ def record_lines(lines):
                 continue
             for faults in (None, FAULTS):
                 cluster = Cluster(p, net, faults=faults, global_ranks=ranks)
+                charged = capture_charges(cluster)
                 member_bytes = [int(b) for b in blocks(p)]
                 H.hier_allreduce_bytes(cluster, 1 << 20)
                 H.hier_intra_reduce_bytes(cluster, 5000, "x")
@@ -127,7 +129,7 @@ def record_lines(lines):
                                                  algo=algo)
                 ftag = "faults" if faults else "clean"
                 lines.extend(f"{name} {tag} {ftag} {r}"
-                             for r in records(cluster))
+                             for r in records(charged))
                 lines.append(f"{name} {tag} {ftag} elapsed "
                              f"{h(cluster.elapsed)}")
 
@@ -142,18 +144,20 @@ def crossover_lines(lines):
                 alpha=inter.alpha, beta=inter.beta, ranks_per_node=4,
                 intra=NetworkModel(alpha=0.3e-6, beta=inter.beta / ratio))
             one = Cluster(world, net)
+            charged_one = capture_charges(one)
             nodes = one.groups.n_nodes
             H.hier_intra_reduce_bytes(one, dense)
             H.hier_inter_allgatherv_bytes(one, [onebit] * nodes)
             H.hier_intra_bcast_bytes(one, onebit * nodes)
             two = Cluster(world, net)
+            charged_two = capture_charges(two)
             H.hier_allreduce_bytes(two, dense)
             lines.append(f"crossover {world} {ratio} flat "
                          f"{h(inter.allreduce_ring_time(dense, world))}")
             lines.extend(f"crossover {world} {ratio} 1bit {r}"
-                         for r in records(one))
+                         for r in records(charged_one))
             lines.extend(f"crossover {world} {ratio} dense {r}"
-                         for r in records(two))
+                         for r in records(charged_two))
 
 
 def pin_lines():

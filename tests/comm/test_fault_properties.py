@@ -23,7 +23,7 @@ from repro.comm.faults import FaultInjector, FaultPlan
 from repro.comm.network import NetworkModel
 from repro.comm.simulator import Cluster
 from repro.comm.sparse import SparseRows
-from tests._fixtures import sparse_to_dense
+from tests._fixtures import capture_charges, sparse_to_dense
 
 NET = NetworkModel(alpha=1e-6, beta=1e-9)
 
@@ -122,10 +122,11 @@ class TestSeededReproducibility:
         snapshots = []
         for _ in range(2):
             cluster = Cluster(4, NET, faults=plan)
+            records = capture_charges(cluster)
             for _ in range(5):
                 allreduce_bytes(cluster, 1 << 14)
             snapshots.append((cluster.elapsed, cluster.stats.retries,
-                              [r.time for r in cluster.records]))
+                              [r.time for r in records]))
         assert snapshots[0] == snapshots[1]
 
     def test_train_result_reproducible_under_faults(self):

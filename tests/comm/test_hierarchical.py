@@ -8,6 +8,7 @@ from repro.comm.faults import FaultPlan
 from repro.comm.hierarchical import hier_allreduce_bytes
 from repro.comm.network import NetworkModel, NodeGroups
 from repro.comm.simulator import HOPS, Cluster
+from tests._fixtures import capture_charges
 
 
 def hier_net(rpn=4):
@@ -93,10 +94,11 @@ class TestHopCharging:
     def test_records_carry_hop_labels(self):
         net = hier_net(rpn=2)
         cluster = Cluster(4, net)
+        records = capture_charges(cluster)
         hier_allreduce_bytes(cluster, 1 << 16)
-        hops = [r.hop for r in cluster.records]
+        hops = [r.hop for r in records]
         assert hops == ["intra", "inter", "intra"]
-        assert all(r.hop in HOPS for r in cluster.records)
+        assert all(r.hop in HOPS for r in records)
 
     def test_by_hop_stats_accumulate(self):
         net = hier_net(rpn=2)
@@ -125,14 +127,16 @@ class TestHopCharging:
     def test_single_node_skips_inter_ring(self):
         net = hier_net(rpn=4)
         cluster = Cluster(4, net)
+        records = capture_charges(cluster)
         hier_allreduce_bytes(cluster, 1 << 16)
-        assert all(r.hop == "intra" for r in cluster.records)
+        assert all(r.hop == "intra" for r in records)
 
     def test_singleton_groups_skip_intra_hops(self):
         net = hier_net(rpn=1)
         cluster = Cluster(4, net)
+        records = capture_charges(cluster)
         hier_allreduce_bytes(cluster, 1 << 16)
-        assert all(r.hop == "inter" for r in cluster.records)
+        assert all(r.hop == "inter" for r in records)
 
     def test_negative_bytes_rejected(self):
         net = hier_net(rpn=2)
@@ -167,9 +171,10 @@ def test_hier_faults_change_time_not_data(p, seed):
     net = hier_net(rpn=2)
     clean = Cluster(p, net)
     faulty = Cluster(p, net, faults=FaultPlan(drop_prob=0.5, seed=seed))
+    charged = [capture_charges(cluster) for cluster in (clean, faulty)]
     for cluster in (clean, faulty):
         hier_allreduce_bytes(cluster, 6 * 3 * 4)
-    assert [(r.op, r.hop, r.nbytes_total) for r in faulty.records] == \
-        [(r.op, r.hop, r.nbytes_total) for r in clean.records]
+    assert [(r.op, r.hop, r.nbytes_total) for r in charged[1]] == \
+        [(r.op, r.hop, r.nbytes_total) for r in charged[0]]
     if faulty.stats.retries > 0:
         assert faulty.elapsed > clean.elapsed

@@ -12,6 +12,7 @@ embedding bytes — across strategy combos, fault plans, and (via Hypothesis)
 randomly drawn seeds and interruption points.
 """
 
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +56,7 @@ def assert_identical(a, b):
     assert a.bytes_total == b.bytes_total
     assert a.comm_retries == b.comm_retries
     assert a.straggler_skew == b.straggler_skew
+    assert json.dumps(a.decisions) == json.dumps(b.decisions)
 
 
 @pytest.mark.parametrize("strategy_maker,n_nodes", [
@@ -196,6 +198,14 @@ def test_resume_crosses_the_drs_switch(store, tmp_path):
     assert straight.result.drs_switch_epoch > 1
     assert resumed.result.drs_switch_epoch == straight.result.drs_switch_epoch
     assert_identical(straight.result, resumed.result)
+    # The switch is the drs.probe decision that committed allgather.
+    commits = [d for d in resumed.result.decisions
+               if d["mechanism"] == "drs.probe"
+               and d["choice"] == "allgather"]
+    assert [d["at"] for d in commits] == [straight.result.drs_switch_epoch]
+    assert commits[0]["alternative"] == "allreduce"
+    assert (commits[0]["inputs"]["probe_comms"]["allgather"]
+            < commits[0]["inputs"]["incumbent_comm"])
 
 
 @settings(max_examples=5)

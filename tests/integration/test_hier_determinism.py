@@ -22,6 +22,7 @@ from repro import DistributedTrainer, FaultPlan, TrainConfig, train
 from repro.comm.network import NetworkModel
 from repro.compress.error_feedback import NodeResiduals
 from repro.kg.datasets import make_tiny_kg
+from repro.obs import Decision
 from repro.training import drs_1bit_rp_ss, latest_checkpoint, rs_1bit
 from repro.training.elastic import ElasticSupervisor
 from repro.training.exchange import DrsState, GradientExchange
@@ -192,32 +193,39 @@ class TestThreeWayDrs:
                        probe_modes=("allgather", "allreduce"))
         assert drs.mode_for_epoch(1, 2) == "hierarchical"
         assert drs.mode_for_epoch(2, 2) == "allgather"
-        drs.observe("allgather", 1.0)
+        drs.observe(2, "allgather", 1.0)
         assert drs.mode_for_epoch(4, 2) == "allreduce"
 
     def test_commit_waits_for_all_challengers(self):
         drs = DrsState(default_mode="hierarchical",
                        probe_modes=("allgather", "allreduce"))
-        drs.observe("hierarchical", 10.0)
-        drs.observe("allgather", 1.0)
+        assert drs.observe(1, "hierarchical", 10.0) is None
+        assert drs.observe(2, "allgather", 1.0) is None
         assert not drs.switched
-        drs.observe("allreduce", 2.0)
+        decision = drs.observe(4, "allreduce", 2.0)
         assert drs.switched
         assert drs.current == "allgather"
+        assert decision == Decision(
+            "drs.probe", 4, "allgather", "hierarchical",
+            {"incumbent_comm": 10.0,
+             "probe_comms": {"allgather": 1.0, "allreduce": 2.0}})
+        assert drs.observe(5, "allgather", 0.1) is None
 
     def test_incumbent_keeps_seat_when_cheapest(self):
         drs = DrsState(default_mode="hierarchical",
                        probe_modes=("allgather", "allreduce"))
-        drs.observe("hierarchical", 0.5)
-        drs.observe("allgather", 1.0)
-        drs.observe("allreduce", 2.0)
+        drs.observe(1, "hierarchical", 0.5)
+        drs.observe(2, "allgather", 1.0)
+        decision = drs.observe(4, "allreduce", 2.0)
         assert not drs.switched
+        assert (decision.choice, decision.alternative) == ("hierarchical",
+                                                          "allgather")
         assert drs.mode_for_epoch(1, 2) == "hierarchical"
 
     def test_single_challenger_reduces_to_paper_rule(self):
         legacy = DrsState()
-        legacy.observe("allreduce", 2.0)
-        legacy.observe("allgather", 1.0)
+        legacy.observe(1, "allreduce", 2.0)
+        legacy.observe(2, "allgather", 1.0)
         assert legacy.switched and legacy.current == "allgather"
 
     def test_probe_equal_to_incumbent_keeps_incumbent(self):
@@ -225,19 +233,19 @@ class TestThreeWayDrs:
         time ties the incumbent's keeps the incumbent, a strictly lower
         one commits."""
         tie = DrsState()
-        tie.observe("allreduce", 2.0)
-        tie.observe("allgather", 2.0)
+        tie.observe(1, "allreduce", 2.0)
+        tie.observe(2, "allgather", 2.0)
         assert not tie.switched and tie.current == "allreduce"
-        tie.observe("allreduce", 2.0)
-        tie.observe("allgather", 2.0 - 2.0 ** -51)
+        tie.observe(3, "allreduce", 2.0)
+        tie.observe(4, "allgather", 2.0 - 2.0 ** -51)
         assert tie.switched and tie.current == "allgather"
 
     def test_ties_break_toward_earlier_challenger(self):
         drs = DrsState(default_mode="hierarchical",
                        probe_modes=("allgather", "allreduce"))
-        drs.observe("hierarchical", 10.0)
-        drs.observe("allgather", 1.0)
-        drs.observe("allreduce", 1.0)
+        drs.observe(1, "hierarchical", 10.0)
+        drs.observe(2, "allgather", 1.0)
+        drs.observe(4, "allreduce", 1.0)
         assert drs.current == "allgather"
 
     @given(st.integers(0, 2**16),
@@ -252,10 +260,10 @@ class TestThreeWayDrs:
         for _ in range(2):
             drs = DrsState(default_mode="hierarchical",
                            probe_modes=("allgather", "allreduce"))
-            for mode, t in zip(rounds, times):
-                drs.observe(mode, t)
+            log = [drs.observe(epoch, mode, t) for epoch, (mode, t)
+                   in enumerate(zip(rounds, times), 1)]
             states.append((drs.switched, drs.current, drs.probes,
-                           dict(drs.probe_comms)))
+                           dict(drs.probe_comms), log))
         assert states[0] == states[1]
 
     def test_auto_runs_are_deterministic(self, store):

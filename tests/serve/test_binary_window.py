@@ -229,11 +229,13 @@ class TestBreakerInsideWindow:
                     for j in range(16)] for w in range(4)]
         for window in windows[:2]:
             engine.topk_batch(window, k=5, tail_side=None)
-        assert engine.stats.breaker_trips == 0
+        assert not [d for d in engine.stats.decisions
+                    if d["mechanism"] == "breaker"]
 
         window = windows[2]
         answers = engine.topk_batch(window, k=5, tail_side=None)
-        assert engine.stats.last_breaker["index"] == 47
+        assert engine.stats.decisions[-2]["mechanism"] == "breaker"
+        assert engine.stats.decisions[-2]["at"] == 47
         assert len({(rel, side) for _, rel, side in window}) >= 8
         first = window[0][1:]
         tripped = [q for q in window if q[1:] == first]
@@ -251,8 +253,11 @@ class TestBreakerInsideWindow:
                 assert same_bytes(got, alone)
 
         engine.topk_batch(windows[3], k=5, tail_side=None)
-        assert engine.stats.transitions == [
-            {"index": 15, "from": "dense", "to": "binary",
-             "backlog_ms": 10.125, "reason": "backlog"},
-            {"index": 47, "from": "binary", "to": "dense",
-             "backlog_ms": 14.125, "reason": "breaker"}]
+        assert [d for d in engine.stats.decisions
+                if d["mechanism"] == "ladder"] == [
+            {"mechanism": "ladder", "at": 15, "choice": "binary",
+             "alternative": "dense",
+             "inputs": {"backlog_ms": 10.125, "reason": "backlog"}},
+            {"mechanism": "ladder", "at": 47, "choice": "dense",
+             "alternative": "binary",
+             "inputs": {"backlog_ms": 14.125, "reason": "breaker"}}]

@@ -138,14 +138,20 @@ class TestSwap:
         assert summary["reason"] == "same manifest digest"
         assert len(engine.cache) == warm
         assert engine.cache.invalidations == 0
-        assert engine.stats.reloads == 0
+        assert engine.stats.decisions == []
 
     def test_reload_counters_and_snapshot(self, dataset, ckpt_a, ckpt_b):
         engine = _engine_on(ckpt_a, dataset)
+        answered = engine.stats.n_queries
         engine.reload(ckpt_b, dataset=dataset)
-        assert engine.stats.reloads == 1
-        assert engine.stats.last_reload == {"old_epoch": 2, "new_epoch": 3}
-        assert engine.snapshot()["cache_invalidations"] == 1
+        reload = {"mechanism": "reload", "at": answered, "choice": "swap",
+                  "alternative": "keep",
+                  "inputs": {"new_epoch": 3, "old_epoch": 2}}
+        assert engine.stats.decisions == [reload]
+        snap = engine.snapshot()
+        assert snap["cache_invalidations"] == 1
+        # Reported without a resilience controller too.
+        assert "resilience" not in snap and snap["decisions"] == [reload]
 
     def test_filter_index_grafts_when_no_dataset_given(self, dataset,
                                                        ckpt_a, ckpt_b):
@@ -203,7 +209,7 @@ class TestRollback:
         assert engine.store is old_store
         assert len(engine.cache) == warm
         assert _answers(engine) == before
-        assert engine.stats.reloads == 0
+        assert engine.stats.decisions == []
 
     def test_corrupted_new_checkpoint_rolls_back(self, dataset, ckpt_a,
                                                  ckpt_b, tmp_path):
@@ -271,11 +277,12 @@ class TestBreakerRearm:
         engine = QueryEngine(store, tier="binary", rerank_k=12, faults=plan)
         for i in range(6):
             engine.topk_tails(i, 0, k=4)
-        assert engine.resilience.breaker_tripped
+        assert [d["mechanism"] for d in engine.stats.decisions] == [
+            "breaker"]
         assert not engine.resilience.binary_available
 
         engine.reload(ckpt_b, dataset=dataset)
-        assert not engine.resilience.breaker_tripped
+        assert engine.stats.decisions[-1]["mechanism"] == "reload"
         assert engine.resilience.binary_available
         # Binary routing is live again on the new snapshot.
         got = engine.topk_tails(3, 1, k=4)

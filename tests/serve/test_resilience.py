@@ -38,6 +38,11 @@ def run_plan(store, plan, n_queries=1200, seed=4, batch_size=32, **engine_kw):
     return engine, snapshot
 
 
+def ladder_log(snapshot) -> list[dict]:
+    """The ladder moves of a snapshot's decision log, oldest first."""
+    return [d for d in snapshot["decisions"] if d["mechanism"] == "ladder"]
+
+
 class TestPlanParse:
     def test_full_spec_roundtrip(self):
         plan = ServeFaultPlan.parse(
@@ -106,7 +111,7 @@ class TestLadder:
         engine, snap = run_plan(store, ServeFaultPlan.parse(""))
         res = snap["resilience"]
         assert res["shed_total"] == 0
-        assert res["transitions"] == []
+        assert res["n_transitions"] == 0 and snap["decisions"] == []
         assert set(res["by_state"]) == {"dense"}
         assert snap["errors"] == 0
         assert engine.resilience.state == "dense"
@@ -119,34 +124,39 @@ class TestLadder:
         engine, snap = run_plan(store, plan, n_queries=2000,
                                 stats_window=512)
         res = snap["resilience"]
-        visited = {t["to"] for t in res["transitions"]}
+        moves = ladder_log(snap)
+        assert res["n_transitions"] == len(moves)
+        visited = {t["choice"] for t in moves}
         assert "binary" in visited and "cache_only" in visited
         assert res["shed"].get("cache_only_miss", 0) > 0
         # After the burst drains, the ladder must walk back to dense.
         assert engine.resilience.state == "dense"
-        assert res["transitions"][-1]["to"] == "dense"
+        assert moves[-1]["choice"] == "dense"
         # ... within 400 arrivals of the burst's end (200 + 600), with the
         # windowed virtual p99 back under the SLO deadline.
-        assert res["transitions"][-1]["index"] <= 800 + 400
+        assert moves[-1]["at"] <= 800 + 400
         assert res["virtual_p99_ms"] <= engine.slo.deadline_ms
         # Transition indices are arrival-ordered; reasons legal; states
         # move one announced rung at a time on recovery.
-        indices = [t["index"] for t in res["transitions"]]
+        indices = [t["at"] for t in moves]
         assert indices == sorted(indices)
-        for t in res["transitions"]:
-            assert t["from"] in SERVE_STATES and t["to"] in SERVE_STATES
-            assert t["reason"] in ("backlog", "recovered", "breaker")
+        for t in moves:
+            assert t["alternative"] in SERVE_STATES
+            assert t["choice"] in SERVE_STATES
+            assert t["inputs"]["reason"] in ("backlog", "recovered",
+                                             "breaker")
 
     def test_trajectory_is_deterministic(self, store):
         """Acceptance criterion: same (seed, plan) -> byte-identical
-        state-transition log and resilience counters across two runs."""
+        decision log and resilience counters across two runs."""
         plan = ServeFaultPlan.parse(
             "burst=100:700:9,spike=0.02,spike_ms=20,fail=0.005,seed=3")
         _, snap_a = run_plan(store, plan, n_queries=1800)
         _, snap_b = run_plan(store, plan, n_queries=1800)
         res_a, res_b = snap_a["resilience"], snap_b["resilience"]
-        assert json.dumps(res_a["transitions"]) == \
-            json.dumps(res_b["transitions"])
+        assert ladder_log(snap_a)
+        assert json.dumps(snap_a["decisions"]) == \
+            json.dumps(snap_b["decisions"])
         assert res_a["by_state"] == res_b["by_state"]
         assert res_a["shed"] == res_b["shed"]
         assert res_a["virtual_p99_ms"] == res_b["virtual_p99_ms"]
@@ -240,9 +250,11 @@ class TestCircuitBreaker:
         engine = QueryEngine(store, tier="binary", rerank_k=16, faults=plan)
         reference = QueryEngine(store)  # plain dense engine
         results = engine.topk_batch([(i, 1) for i in range(12)], k=5)
-        assert engine.resilience.breaker_tripped
         assert not engine.resilience.binary_available
-        assert engine.stats.breaker_trips == 1
+        (trip,) = [d for d in engine.stats.decisions
+                   if d["mechanism"] == "breaker"]
+        assert (trip["choice"], trip["alternative"]) == ("dense", "binary")
+        assert engine.snapshot()["resilience"]["breaker_trips"] == 1
         # Post-trip queries serve the *dense* answer, bitwise.
         post = engine.topk_batch([(77, 2)], k=5)[0]
         expected = reference.topk_batch([(77, 2)], k=5)[0]
@@ -257,9 +269,12 @@ class TestCircuitBreaker:
         ctrl.state = "binary"
         ctrl.trip_binary("checksum mismatch")
         assert ctrl.state == "dense"
-        assert stats.transitions[-1]["reason"] == "breaker"
-        assert stats.breaker_trips == 1
-        assert stats.last_breaker["detail"] == "checksum mismatch"
+        trip, move = stats.decisions
+        assert trip["mechanism"] == "breaker"
+        assert trip["inputs"] == {"detail": "checksum mismatch"}
+        assert move["mechanism"] == "ladder"
+        assert (move["choice"], move["alternative"]) == ("dense", "binary")
+        assert move["inputs"]["reason"] == "breaker"
 
     def test_injector_fires_exactly_once(self):
         plan = ServeFaultPlan.parse("sidecar_corrupt=0")

@@ -11,7 +11,7 @@ import pytest
 from repro import cli
 from repro.cli import main
 from repro.kg.datasets import make_tiny_kg, save_store
-from repro.training.checkpoint import latest_checkpoint
+from repro.training.checkpoint import latest_checkpoint, list_checkpoints
 from tests._fixtures import save_openke_dir
 
 
@@ -198,8 +198,10 @@ class TestElasticCli:
         assert row["restarts"] == 1
         assert row["world_lineage"] == [4, 3]
         assert row["recovery_hours"] > 0
-        assert row["recovery_log"][0]["action"] == "shrink"
-        assert row["recovery_log"][0]["rank"] == 2
+        (shrink,) = row["decisions"]
+        assert (shrink["mechanism"], shrink["at"]) == ("elastic", 2)
+        assert shrink["choice"] == "shrink"
+        assert shrink["inputs"]["rank"] == 2
 
     def test_elastic_text_output_narrates_recovery(self, tmp_path, capsys):
         rc = main(self._args(tmp_path, [
@@ -208,7 +210,7 @@ class TestElasticCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "elastic : max_restarts=1 regrow=off" in out
-        assert "recovery: shrink rank 2 at epoch 2" in out
+        assert "decision: elastic at 2: shrink over abort {" in out
 
     def test_regrow_flag_readmits_rank(self, tmp_path, capsys):
         rc = main(self._args(tmp_path, [
@@ -217,7 +219,7 @@ class TestElasticCli:
         assert rc == 0
         row = json.loads(capsys.readouterr().out)
         assert row["world_lineage"] == [4, 3, 4]
-        actions = [e["action"] for e in row["recovery_log"]]
+        actions = [e["choice"] for e in row["decisions"]]
         assert actions == ["shrink", "regrow"]
 
     def test_elastic_without_faults_is_transparent(self, tmp_path, capsys):
@@ -226,7 +228,7 @@ class TestElasticCli:
         assert rc == 0
         row = json.loads(capsys.readouterr().out)
         assert row["restarts"] == 0 and row["world_lineage"] == [2]
-        assert row["recovery_log"] == []
+        assert "decisions" not in row
 
     def test_checkpoint_keep_flag_prunes(self, tmp_path, capsys):
         from repro.training.checkpoint import list_checkpoints
@@ -277,6 +279,11 @@ class TestCollectiveCli:
         assert rc == 0
         row = json.loads(capsys.readouterr().out)
         assert "hier" in row["method"]
+        # The closed-form pick is a decision, reported without --elastic.
+        (resolve,) = row["decisions"]
+        assert resolve["mechanism"] == "drs.resolve"
+        assert resolve["choice"] == "hierarchical"
+        assert resolve["inputs"]["world"] == 4
 
     def test_net_text_output_describes_topology(self, tmp_path, capsys):
         rc = main(self._args(tmp_path, [
@@ -403,6 +410,23 @@ class TestServeCli:
         assert telemetry["n_queries"] == 301  # 300 replayed + 1 direct
         assert telemetry["p99_ms"] > 0
         assert telemetry["cache_hit_rate"] > 0
+
+    def test_serve_json_reports_a_reload_without_resilience(
+            self, served_checkpoint, capsys):
+        ckpt, dataset_file = served_checkpoint
+        (_, first), _ = list_checkpoints(ckpt)
+        rc = main(["serve", "--checkpoint", str(first),
+                   "--dataset-file", dataset_file, "--simulate", "200",
+                   "--reload", ckpt, "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["reload"]["swapped"] is True
+        telemetry = out["telemetry"]
+        assert "resilience" not in telemetry
+        assert telemetry["decisions"] == [{
+            "mechanism": "reload", "at": 100, "choice": "swap",
+            "alternative": "keep",
+            "inputs": {"new_epoch": 2, "old_epoch": 1}}]
 
     def test_export_then_serve_binary_partial_pool(self, served_checkpoint,
                                                    tmp_path, capsys):

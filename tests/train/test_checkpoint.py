@@ -99,7 +99,7 @@ def test_checkpoint_layout_and_manifest(snapshot):
     assert (path / ARRAYS_NAME).is_file()
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["schema_version"] == 4
+    assert manifest["schema_version"] == 5
     assert manifest["model"] == "complex"
     assert manifest["epoch"] == 2
     assert manifest["world_size"] == 3
@@ -208,7 +208,7 @@ def test_schema_2_checkpoints_are_refused_not_converted(snapshot, tmp_path):
     one reader, so the previous version is refused like any other."""
     _, path = snapshot
     dst = _with_schema_version(path, tmp_path, 2)
-    with pytest.raises(CheckpointSchemaError, match="version 2 .*expected 4"):
+    with pytest.raises(CheckpointSchemaError, match="version 2 .*expected 5"):
         load_checkpoint(dst)
 
 
@@ -219,8 +219,23 @@ def test_schema_3_checkpoints_are_refused_not_defaulted(snapshot, tmp_path):
     manifest = json.loads((dst / MANIFEST_NAME).read_text())
     del manifest["model"]
     (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointSchemaError, match="version 3 .*expected 4"):
+    with pytest.raises(CheckpointSchemaError, match="version 3 .*expected 5"):
         load_checkpoint(dst)
+
+
+def test_schema_4_checkpoints_are_refused_by_restore_and_serve(
+        store, snapshot, tmp_path):
+    """Schema 4 had no decision log; resume and serving both refuse it
+    rather than start one empty."""
+    _, path = snapshot
+    dst = _with_schema_version(path, tmp_path, 4)
+    manifest = json.loads((dst / MANIFEST_NAME).read_text())
+    del manifest["state"]["result"]["decisions"]
+    (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointSchemaError, match="version 4 .*expected 5"):
+        make_trainer(store).restore(dst)
+    with pytest.raises(CheckpointSchemaError, match="version 4 .*expected 5"):
+        EmbeddingStore.from_checkpoint(dst)
 
 
 def test_unregistered_model_is_corrupt(snapshot, tmp_path):

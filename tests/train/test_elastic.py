@@ -4,12 +4,14 @@ The expensive six-epoch elastic runs are module-scoped fixtures shared by
 many assertions; everything here runs on the tiny synthetic KG.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro import DistributedTrainer, FaultPlan, TrainConfig
 from repro.comm.faults import CollectiveFaultError, RankLossError
+from repro.comm.network import NetworkModel
 from repro.kg.datasets import make_tiny_kg
 from repro.training import (
     CheckpointWorldMismatchError,
@@ -18,7 +20,6 @@ from repro.training import (
 )
 from repro.training.checkpoint import (capture_state, list_checkpoints,
                                        write_checkpoint)
-from repro.training.elastic import RecoveryEvent
 from repro.training.strategy import baseline_allreduce, drs_1bit_rp_ss
 
 PLAN = FaultPlan(seed=7, rank_loss=((2, 3),))
@@ -34,6 +35,11 @@ def config(**overrides):
                     eval_max_queries=30, seed=20220829)
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+def elastic_log(result) -> list[dict]:
+    """The ``elastic`` records of a run's decision log, oldest first."""
+    return [d for d in result.decisions if d["mechanism"] == "elastic"]
 
 
 def elastic_run(store, allow_regrow=False, **overrides):
@@ -115,16 +121,15 @@ class TestShrink:
         assert supervisor.trainer.global_ranks == (0, 1, 3)
 
     def test_recovery_log(self, shrunk):
-        supervisor, result = shrunk
-        assert [e.action for e in supervisor.events] == ["shrink"]
-        event = supervisor.events[0]
-        assert isinstance(event, RecoveryEvent)
-        assert event.rank == 2 and event.epoch == 3
-        assert event.world_before == (0, 1, 2, 3)
-        assert event.world_after == (0, 1, 3)
-        assert event.resume_epoch == 3
-        assert event.overhead > 0.0
-        assert result.recovery_log == supervisor.recovery_log()
+        _, result = shrunk
+        (event,) = elastic_log(result)
+        assert (event["choice"], event["alternative"]) == ("shrink", "abort")
+        inputs = event["inputs"]
+        assert inputs["rank"] == 2 and event["at"] == 3
+        assert inputs["world_before"] == [0, 1, 2, 3]
+        assert inputs["world_after"] == [0, 1, 3]
+        assert inputs["resume_epoch"] == 3
+        assert inputs["overhead"] > 0.0
 
     def test_recovery_overhead_charged(self, shrunk):
         _, result = shrunk
@@ -179,7 +184,7 @@ class TestDeterminism:
     def test_identical_recovery_logs_and_trajectory(self, shrunk,
                                                     shrunk_again):
         ra, rb = shrunk[1], shrunk_again[1]
-        assert ra.recovery_log == rb.recovery_log
+        assert json.dumps(ra.decisions) == json.dumps(rb.decisions)
         assert ra.logs == rb.logs
         assert ra.total_time == rb.total_time
         assert ra.bytes_total == rb.bytes_total
@@ -210,18 +215,20 @@ class TestRegrow:
     def test_lineage_and_log(self, regrown):
         supervisor, result = regrown
         assert result.world_lineage == [4, 3, 4]
-        assert [e.action for e in supervisor.events] == ["shrink", "regrow"]
-        regrow = supervisor.events[1]
-        assert regrow.rank == 2
-        assert regrow.world_after == (0, 1, 2, 3)
-        assert regrow.rollback_epochs == 0
+        events = elastic_log(result)
+        assert [e["choice"] for e in events] == ["shrink", "regrow"]
+        regrow = events[1]
+        assert regrow["alternative"] == "stay"
+        assert regrow["inputs"]["rank"] == 2
+        assert regrow["inputs"]["world_after"] == [0, 1, 2, 3]
+        assert regrow["inputs"]["rollback_epochs"] == 0
         assert supervisor.trainer.n_nodes == 4
 
     def test_regrow_happens_at_next_boundary(self, regrown):
-        supervisor, result = regrown
-        shrink, regrow = supervisor.events
-        assert regrow.epoch == shrink.resume_epoch
-        assert regrow.resume_epoch == regrow.epoch + 1
+        _, result = regrown
+        shrink, regrow = elastic_log(result)
+        assert regrow["at"] == shrink["inputs"]["resume_epoch"]
+        assert regrow["inputs"]["resume_epoch"] == regrow["at"] + 1
         worlds = [log.world_size for log in result.logs]
         assert worlds == [4, 4, 3, 4, 4, 4]
 
@@ -243,8 +250,55 @@ class TestRegrow:
         again = ElasticSupervisor(store, drs_1bit_rp_ss(), 4,
                                   config=config(), faults=PLAN,
                                   max_restarts=2, allow_regrow=True).run()
-        assert again.recovery_log == result.recovery_log
+        assert json.dumps(again.decisions) == json.dumps(result.decisions)
         assert again.logs == result.logs
+
+
+# ---------------------------------------------------------------------------
+# The decision log across membership changes
+# ---------------------------------------------------------------------------
+
+#: Two ranks per node on a cheap on-node link: the two-level stack wins.
+TWO_LEVEL = NetworkModel(alpha=5e-6, beta=1.25e-10, ranks_per_node=2,
+                         intra=NetworkModel(alpha=0.3e-6, beta=1e-11))
+
+
+class TestDecisionLog:
+    def test_auto_pick_is_logged_and_redone_by_the_shrunk_world(self,
+                                                                 store):
+        strategy = replace(drs_1bit_rp_ss(), collective="auto")
+        fresh = DistributedTrainer(store, strategy, 4, config=config(),
+                                   network=TWO_LEVEL)
+        (resolve,) = fresh.result.decisions
+        assert (resolve["mechanism"], resolve["at"]) == ("drs.resolve", 0)
+        assert resolve["choice"] == fresh.exchange.drs.default_mode
+        assert resolve["choice"] == "hierarchical"
+        assert resolve["alternative"] == "allreduce"
+        costs = resolve["inputs"]
+        assert costs["hierarchical"] < costs["allreduce"]
+        assert costs["world"] == 4
+
+        supervisor = ElasticSupervisor(store, strategy, 4, config=config(),
+                                       network=TWO_LEVEL, faults=PLAN)
+        result = supervisor.run()
+        log = [(d["mechanism"], d["at"]) for d in result.decisions
+               if d["mechanism"] != "drs.probe"]
+        assert log == [("drs.resolve", 0), ("elastic", 3),
+                       ("drs.resolve", 3)]
+        again = result.decisions[2]
+        assert again["inputs"]["world"] == 3
+        assert again["choice"] == supervisor.trainer.exchange.drs.default_mode
+
+    def test_a_rollback_keeps_the_records_before_it(self, store):
+        """The second loss rolls the shrunk world back to its pre-epoch
+        snapshot, which already holds the first shrink."""
+        plan = FaultPlan(seed=7, rank_loss=((2, 3), (1, 3)))
+        result = ElasticSupervisor(store, drs_1bit_rp_ss(), 4,
+                                   config=config(), faults=plan,
+                                   max_restarts=2).run()
+        assert [(d["at"], d["inputs"]["rank"], d["inputs"]["world_after"])
+                for d in elastic_log(result)] == [(3, 1, [0, 2, 3]),
+                                                  (3, 2, [0, 3])]
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,9 @@ def test_drs_commit_clears_node_residuals_it_leaves_dead(winner, cleared):
     before = store_bytes(exchange)
     node_keys = {key for key in before if "/hier_" in key}
     assert any(before[key][1][0] for key in node_keys)
-    exchange.observe(incumbent, 1.0)
+    exchange.observe(1, incumbent, 1.0)
     assert store_bytes(exchange) == before
-    exchange.observe(winner, 0.5)
+    exchange.observe(2, winner, 0.5)
     assert exchange.drs.switched and exchange.drs.current == winner
     after = store_bytes(exchange)
     for key in before:

@@ -122,6 +122,10 @@ def snapshot(tmp_path_factory):
     store = make_tiny_kg(seed=7)
     trainer = make_trainer(store)
     trainer.run()
+    # Epoch 2 probes allgather and decides, so the path-wise fuzzer below
+    # damages a real decision record.
+    assert any(d["mechanism"] == "drs.probe"
+               for d in trainer.result.decisions)
     pristine = tmp_path_factory.mktemp("fuzz-src") / "snap"
     write_checkpoint(capture_state(trainer), pristine)
     export_binary(pristine)
@@ -178,7 +182,7 @@ def test_only_typed_errors_escape_and_restore_is_all_or_nothing(
 
 @pytest.mark.parametrize("section,field", [
     ("comm_stats", "by_hop"), ("drs", "probe_comms"),
-    ("result", "hier_steps")])
+    ("result", "hier_steps"), ("result", "decisions")])
 def test_missing_field_is_corrupt_and_writes_nothing(snapshot, tmp_path,
                                                      section, field):
     store, pristine = snapshot
@@ -190,6 +194,31 @@ def test_missing_field_is_corrupt_and_writes_nothing(snapshot, tmp_path,
     trainer = make_trainer(store)
     before = image(trainer)
     with pytest.raises(CheckpointCorruptError, match=f"state.{section}"):
+        trainer.restore(snap)
+    assert image(trainer) == before
+
+
+@pytest.mark.parametrize("damage", [
+    lambda record: record.pop("inputs"),
+    lambda record: record.update(at="2"),
+    lambda record: record.update(mechanism="plateau"),
+    lambda record: record.update(choice=None),
+    lambda record: record.update(inputs=[]),
+    lambda record: record.update(extra=1),
+], ids=["no-inputs", "at-string", "unknown-mechanism", "choice-null",
+        "inputs-list", "extra-field"])
+def test_malformed_decision_is_corrupt_and_writes_nothing(snapshot, tmp_path,
+                                                          damage):
+    store, pristine = snapshot
+    snap = tmp_path / "snap"
+    shutil.copytree(pristine, snap)
+    manifest = json.loads((snap / MANIFEST_NAME).read_text())
+    damage(manifest["state"]["result"]["decisions"][-1])
+    (snap / MANIFEST_NAME).write_text(json.dumps(manifest))
+    trainer = make_trainer(store)
+    before = image(trainer)
+    with pytest.raises(CheckpointCorruptError,
+                       match="state.result.decisions"):
         trainer.restore(snap)
     assert image(trainer) == before
 
@@ -236,6 +265,12 @@ RESUME_ONLY = {
         MANIFEST_NAME, lambda doc: doc["state"]["comm_stats"].pop("by_hop")),
     "no state.result.hier_steps": (
         MANIFEST_NAME, lambda doc: doc["state"]["result"].pop("hier_steps")),
+    # Schema 5: the decision log is required, and each record typed.
+    "no state.result.decisions": (
+        MANIFEST_NAME, lambda doc: doc["state"]["result"].pop("decisions")),
+    "decision record has only a mechanism": (
+        MANIFEST_NAME, lambda doc: doc["state"]["result"]["decisions"].append(
+            {"mechanism": "drs.probe"})),
     "lineage is empty": (MANIFEST_NAME,
                          lambda doc: doc.update(world_lineage=[])),
 }

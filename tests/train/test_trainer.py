@@ -14,6 +14,7 @@ from repro.training.strategy import (
     rs_1bit_rp_ss,
 )
 from repro.training.trainer import DistributedTrainer, TrainConfig, train
+from tests._fixtures import capture_charges
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +131,10 @@ class TestCommModes:
         trainer = DistributedTrainer(store, baseline_allgather(1), 3,
                                      config=tiny_config(max_epochs=2,
                                                         lr_patience=5))
+        records = capture_charges(trainer.cluster)
         trainer.run()
         steps = 2 * trainer.steps_per_epoch
-        ops = [record.op for record in trainer.cluster.records]
+        ops = [record.op for record in records]
         assert ops == ["entity_allgather_sparse_ring",
                        "relation_allgather_sparse_ring"] * steps
 
