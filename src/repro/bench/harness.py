@@ -149,16 +149,14 @@ def hop_breakdown(result: TrainResult) -> str:
 
 
 def print_serve_table(title: str, snapshots: list[dict]) -> None:
-    """Serving report of :func:`repro.serve.replay` snapshots (wall-clock
-    q/s, else the engine's service rate): latency, throughput, cache."""
-    print_table(title, ["queries", "p50(ms)", "p99(ms)", "q/s", "hit rate",
-                        "evictions"],
-                [[snap.get("n_queries", 0), snap.get("p50_ms", 0.0),
-                  snap.get("p99_ms", 0.0),
-                  snap.get("wall_queries_per_sec",
-                           snap.get("queries_per_sec", 0.0)),
-                  snap.get("cache_hit_rate", 0.0),
-                  snap.get("cache_evictions", 0)] for snap in snapshots])
+    """Serving report of :func:`repro.serve.replay` snapshots: per-window
+    wall latency, wall-clock throughput, cache."""
+    print_table(title, ["queries", "window p50(ms)", "window p99(ms)", "q/s",
+                        "hit rate", "evictions"],
+                [[snap["n_queries"], snap["window_p50_ms"],
+                  snap["window_p99_ms"], snap["wall_queries_per_sec"],
+                  snap["cache_hit_rate"], snap["cache_evictions"]]
+                 for snap in snapshots])
 
 
 def print_fault_table(title: str, results: list[TrainResult]) -> None:

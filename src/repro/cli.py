@@ -218,11 +218,6 @@ def _serve_parser() -> argparse.ArgumentParser:
                         metavar="MS",
                         help="virtual p99 deadline driving the degradation "
                              "ladder's backlog thresholds (default: 10)")
-    parser.add_argument("--stats-window", type=int, default=None, metavar="N",
-                        help="bound latency telemetry to the most recent N "
-                             "observations per window (exact percentiles "
-                             "within the window); --simulate defaults to "
-                             "8192, direct queries to unbounded")
     parser.add_argument("--reload", metavar="DIR",
                         help="with --simulate: hot-reload this checkpoint "
                              "halfway through the replay (the kill-and-keep-"
@@ -349,9 +344,7 @@ def _train(args: argparse.Namespace) -> None:
     row = result.summary_row()
     row.update(converged=result.converged,
                bytes_communicated=result.bytes_total,
-               allreduce_fraction=round(result.allreduce_fraction, 3),
-               eval_seconds=round(result.eval_seconds, 3),
-               eval_queries_per_sec=round(result.eval_queries_per_sec, 1))
+               allreduce_fraction=round(result.allreduce_fraction, 3))
     if strategy.collective != "flat":
         row.update(hier_steps=result.hier_steps,
                    comm_by_hop={hop: [v[0], v[1], round(v[2], 6), v[3]]
@@ -378,16 +371,16 @@ def _train(args: argparse.Namespace) -> None:
 
 @_refusing()
 def _serve(args: argparse.Namespace) -> None:
+    if args.simulate < 0:
+        raise ValueError(f"--simulate must be >= 0, got {args.simulate}")
+    if args.reload and not args.simulate:
+        raise ValueError("--reload swaps the checkpoint halfway through a "
+                         "replay; it needs --simulate N")
     dataset = None if args.no_filter else _load_dataset(args)
     serve_faults = (ServeFaultPlan.parse(args.serve_faults)
                     if args.serve_faults else None)
     resilience = args.resilience or serve_faults is not None
     slo = SLOConfig(deadline_ms=args.slo_deadline_ms) if resilience else None
-    # A long replay should not grow telemetry without bound; direct query
-    # mode keeps every observation.
-    stats_window = args.stats_window
-    if stats_window is None and args.simulate > 0:
-        stats_window = 8192
     with _refusing(f"cannot serve {args.checkpoint}: "):
         store = EmbeddingStore.from_checkpoint(
             args.checkpoint, dataset=dataset,
@@ -395,8 +388,7 @@ def _serve(args: argparse.Namespace) -> None:
         engine = QueryEngine(store, cache_capacity=args.cache_capacity,
                              tier=args.tier, rerank_k=args.rerank_k,
                              faults=serve_faults, slo=slo,
-                             resilience=resilience or None,
-                             stats_window=stats_window)
+                             resilience=resilience or None)
     out: dict = {"store": store.summary(), "answers": []}
     if not args.json:
         print(f"serving : {store.summary()}")

@@ -5,9 +5,9 @@ The training stack ends at a checkpoint; this package starts there.  A
 answers ``score`` / ``topk_tails`` / ``topk_heads`` / ``nearest_entities``
 queries through the block scorers and CSR known-fact filter the
 evaluator uses, an exact :class:`LRUCache` absorbs skewed traffic, and
-:class:`ServeStats` reports latency percentiles and hit rates.
+:class:`ServeStats` counts queries, routes and cache hits.
 :class:`ZipfianTraffic` + :func:`replay` simulate the "millions of users"
-workload for benchmarks.  :class:`BinaryStore` (see
+workload for benchmarks and time it per window.  :class:`BinaryStore` (see
 :mod:`repro.serve.binary`) adds the 1-bit memory tier: Hamming-space
 candidate generation re-ranked by the full-precision scorers
 (``QueryEngine(tier="binary")``).  :mod:`repro.serve.resilience` adds the

@@ -169,21 +169,19 @@ class BinaryStore:
 
     def candidate_pools(self, vectors: np.ndarray, rerank_k: int,
                         masked: tuple[np.ndarray, np.ndarray] | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> np.ndarray:
         """Top-``rerank_k`` candidate ids per query by approximate score.
 
-        Returns ``(pools, approx)`` with ``k = min(rerank_k, n_entities)``:
-        ``pools`` is ``(batch, k)`` int64, each row the
-        :func:`~repro.select.best_set` of its query's approximate scores,
-        in **ascending id order** (the layout the re-rank stage's
-        tie-breaks need), so ``rerank_k >= n_entities`` always yields the
-        complete entity set; ``approx`` is ``(batch, k)`` float32, the
-        scores stage 1 selected those ids by, kept for recall telemetry.
-        ``masked`` — ``(rows, cols)`` index arrays of known facts from the
-        CSR filter — sinks known candidates to ``-inf`` so a partial pool
-        never wastes slots on answers the re-rank stage must filter
-        anyway; a NaN approximation (non-finite embedding) sinks with
-        them and is dropped by the re-rank's own NaN.
+        Returns ``(batch, k)`` int64 pools with ``k = min(rerank_k,
+        n_entities)``, each row the :func:`~repro.select.best_set` of its
+        query's approximate scores, in **ascending id order** (the layout
+        the re-rank stage's tie-breaks need), so ``rerank_k >=
+        n_entities`` always yields the complete entity set.  ``masked`` —
+        ``(rows, cols)`` index arrays of known facts from the CSR filter —
+        sinks known candidates to ``-inf`` so a partial pool never wastes
+        slots on answers the re-rank stage must filter anyway; a NaN
+        approximation (non-finite embedding) sinks with them and is
+        dropped by the re-rank's own NaN.
         """
         rerank_k = check_take("rerank_k", rerank_k)
         scores = self.approx_scores(vectors)
@@ -193,11 +191,9 @@ class BinaryStore:
             scores[np.isnan(scores)] = -np.inf
         take = min(rerank_k, self.n_entities)
         pools = np.empty((len(scores), take), dtype=np.int64)
-        approx = np.empty(pools.shape, dtype=scores.dtype)
         for i, row in enumerate(scores):
             pools[i] = best_set(row, take)
-            approx[i] = row[pools[i]]
-        return pools, approx
+        return pools
 
 
 def binarize_model(model: KGEModel, stat: str = "avg",

@@ -71,7 +71,11 @@ engine behaves exactly as before):
   built and validated before one install step replaces the old store.
 
 Ladder moves, breaker trips and swaps are records of the engine's
-decision log, ``stats.decisions`` (:mod:`repro.obs`).
+decision log, ``stats.decisions`` (:mod:`repro.obs`).  The engine counts
+— queries per kind and per route, cache hits, ladder states — and never
+reads the wall clock: its snapshot is a function of the store and the
+query stream.  A caller that wants latency times its own calls, as
+:func:`~repro.serve.replay` does per window.
 
 Determinism contract: every ranking is
 :func:`~repro.select.best_first` (*descending score, ascending
@@ -83,14 +87,13 @@ result object a cold miss computed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..eval.ranking import scatter_known_nan
 from ..obs import Decision
-from ..select import best_first, best_set, check_take
+from ..select import best_first, check_take
 from ..training import checkpoint as ckpt
 from .binary import check_geometry
 from .cache import LRUCache
@@ -129,19 +132,6 @@ def _topk_row(row: np.ndarray, k: int) -> TopKResult:
     return TopKResult(entities=order, scores=row[order])
 
 
-def _agreement(entities: np.ndarray, pool: np.ndarray,
-               approx: np.ndarray) -> float:
-    """Recall proxy: fraction of the final top-k the candidate stage alone
-    would have returned (the same number of its best approximate scores).
-    1.0 means re-ranking changed nothing; vacuously 1.0 for an empty
-    answer."""
-    kk = len(entities)
-    if kk == 0:
-        return 1.0
-    stage1 = pool[best_set(approx, kk)]
-    return len(set(entities.tolist()).intersection(stage1.tolist())) / kk
-
-
 class QueryEngine:
     """Serving facade over one :class:`EmbeddingStore`."""
 
@@ -150,8 +140,7 @@ class QueryEngine:
                  rerank_k: int = 1024,
                  faults: ServeFaultPlan | None = None,
                  slo: SLOConfig | None = None,
-                 resilience: bool | None = None,
-                 stats_window: int | None = None):
+                 resilience: bool | None = None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}; one of {TIERS}")
         rerank_k = check_take("rerank_k", rerank_k)
@@ -164,7 +153,7 @@ class QueryEngine:
             check_geometry(store.binary, store)
         self.store = store
         self.cache = LRUCache(cache_capacity)
-        self.stats = ServeStats(window=stats_window)
+        self.stats = ServeStats()
         self.tier = tier
         self.rerank_k = rerank_k
         # Cached results never cross tiers: a binary-tier answer at small
@@ -202,29 +191,27 @@ class QueryEngine:
         arrival on the virtual clock), and a degraded ladder answers a
         :class:`ShedResponse` — ``score`` has no cache, so every state
         past ``binary`` sheds it.  ``h``, ``r`` and ``t`` must be equally
-        long and every id in range; a bad batch raises ``ValueError``
-        before it is admitted.
+        long and every id a whole number in range; a bad batch raises
+        ``ValueError`` before it is admitted.
         """
         scalar = np.ndim(h) == 0
         h, r, t = np.atleast_1d(h, r, t)
         if not len(h) == len(r) == len(t):
             raise ValueError(f"score needs equally long h, r, t; got "
                              f"lengths {len(h)}, {len(r)}, {len(t)}")
-        self._check_ids(np.concatenate([h, t]), r)
-        start = time.perf_counter()
+        h, t, r = (self._ids(h, "entity"), self._ids(t, "entity"),
+                   self._ids(r, "relation"))
         admission = None
         if self.resilience is not None:
             admission = self.resilience.admit("score")
             if admission.state in ("cache_only", "shed"):
                 reason = ("overload" if admission.state == "shed"
                           else "cache_only_miss")
-                return self._shed("score", reason, admission, start)
+                return self._shed("score", reason, admission)
             if admission.scorer_fail:
-                return self._shed("score", "scorer_failure", admission,
-                                  start)
+                return self._shed("score", "scorer_failure", admission)
         scores = self.store.model.score(h, r, t)
-        self.stats.record("score", time.perf_counter() - start,
-                          cache_hit=None)
+        self.stats.record("score", cache_hit=None)
         if admission is not None:
             self._complete(admission, SERVICE_MS["score"])
         return float(scores[0]) if scalar else scores
@@ -259,11 +246,6 @@ class QueryEngine:
         whole batch (:meth:`_window_topk_binary`).  Results come back in
         query order.
 
-        Latency accounting: a dense group's scoring time is split evenly
-        across the queries it answered, the binary groups' time across
-        all of theirs, so percentiles reflect per-query service cost, not
-        burst size.
-
         Under resilience the misses group per ``(relation, direction,
         route)`` — the ladder may send some queries of a batch through
         the binary tier and shed others — and each query's answer can be
@@ -271,24 +253,22 @@ class QueryEngine:
         """
         k = check_take("k", k)
         filt = self._resolve_filtered(filtered)
-        parsed = []
-        for query in queries:
-            anchor, rel, side = (query if tail_side is None
-                                 else (*query, tail_side))
-            parsed.append((int(anchor), int(rel), bool(side)))
-        self._check_ids([a for a, _, _ in parsed], [r for _, r, _ in parsed])
+        raw = [query if tail_side is None else (*query, tail_side)
+               for query in queries]
+        anchors = self._ids([a for a, _, _ in raw], "entity")
+        rels = self._ids([r for _, r, _ in raw], "relation")
+        parsed = [(a, r, bool(side)) for a, r, (_, _, side)
+                  in zip(anchors.tolist(), rels.tolist(), raw)]
         results: list = [None] * len(parsed)
         groups: dict[tuple[int, bool, str], list] = {}
 
         for i, (anchor, rel, side) in enumerate(parsed):
-            start = time.perf_counter()
             kind = "topk_tails" if side else "topk_heads"
             admission = None
             if self.resilience is not None:
                 admission = self.resilience.admit(kind)
                 if admission.state == "shed":
-                    results[i] = self._shed(kind, "overload", admission,
-                                            start)
+                    results[i] = self._shed(kind, "overload", admission)
                     continue
             route = self._route(admission.state if admission else None)
             key = (self._key_for(route), "tails" if side else "heads",
@@ -296,16 +276,13 @@ class QueryEngine:
             hit = self.cache.get(key)
             if hit is not None:
                 results[i] = hit
-                self.stats.record(kind, time.perf_counter() - start,
-                                  cache_hit=True)
+                self.stats.record(kind, cache_hit=True)
                 if admission is not None:
                     self._complete(admission, SERVICE_MS["cache"])
             elif admission is not None and admission.state == "cache_only":
-                results[i] = self._shed(kind, "cache_only_miss", admission,
-                                        start)
+                results[i] = self._shed(kind, "cache_only_miss", admission)
             elif admission is not None and admission.scorer_fail:
-                results[i] = self._shed(kind, "scorer_failure", admission,
-                                        start)
+                results[i] = self._shed(kind, "scorer_failure", admission)
             else:
                 if admission is not None:
                     # Virtual cost is charged at admission (the route and
@@ -330,18 +307,12 @@ class QueryEngine:
                   for rel, side, route, _, unique, _ in pending
                   if route == "binary"]
         if binary:
-            start = time.perf_counter()
             answered = iter(self._window_topk_binary(binary, k, filt))
-            binary_share = (time.perf_counter() - start) / sum(
-                len(members) for _, _, route, members, _, _ in pending
-                if route == "binary")
         for rel, side, route, members, unique, inverse in pending:
             if route == "binary":
-                scored, share = next(answered), binary_share
+                scored = next(answered)
             else:
-                start = time.perf_counter()
                 scored = self._group_topk_dense(unique, rel, side, k, filt)
-                share = (time.perf_counter() - start) / len(members)
             kind = "topk_tails" if side else "topk_heads"
             for (i, anchor), u in zip(members, inverse):
                 result = scored[u]
@@ -349,7 +320,7 @@ class QueryEngine:
                 key = (self._key_for(route), "tails" if side else "heads",
                        anchor, rel, k, filt)
                 self.cache.put(key, result)
-                self.stats.record(kind, share, cache_hit=False)
+                self.stats.record(kind, cache_hit=False)
         return results
 
     def _sidecar_trusted(self) -> bool:
@@ -408,7 +379,6 @@ class QueryEngine:
 
         # Stage 1: rank every entity by the scale-weighted per-byte LUT
         # score of the query vectors, keep the best rerank_k.
-        t0 = time.perf_counter()
         vectors = np.empty((m, binary.width), dtype=np.float32)
         known_rows, known_cols = [], []
         for side, rows in sides:
@@ -423,12 +393,9 @@ class QueryEngine:
                 known_cols.append(cols)
         masked = ((np.concatenate(known_rows), np.concatenate(known_cols))
                   if filtered else None)
-        pools, approx = binary.candidate_pools(vectors, self.rerank_k,
-                                               masked=masked)
-        candidate_s = time.perf_counter() - t0
+        pools = binary.candidate_pools(vectors, self.rerank_k, masked=masked)
 
         # Stage 2: full-precision re-rank of the pool only.
-        t1 = time.perf_counter()
         if pools.shape[1] >= n:
             # Complete pool: the dense path *is* the re-rank — same block
             # calls per group, same NaN scatter, same tie-breaks, so the
@@ -455,11 +422,8 @@ class QueryEngine:
                 local = _topk_row(row, k)
                 results.append(TopKResult(entities=pool[local.entities],
                                           scores=local.scores))
-        rerank_s = time.perf_counter() - t1
 
-        for result, pool, row in zip(results, pools, approx):
-            self.stats.record_tier("binary", candidate_s / m, rerank_s / m,
-                                   _agreement(result.entities, pool, row))
+        self.stats.by_tier["binary"] += m
         bounds = np.cumsum([len(a) for a, _, _ in blocks])
         return [results[lo:hi] for lo, hi in zip([0, *bounds[:-1]], bounds)]
 
@@ -476,27 +440,23 @@ class QueryEngine:
         itself and a non-finite row are not candidates.
         """
         k = check_take("k", k)
-        e = int(e)
-        self._check_ids([e], [])
-        start = time.perf_counter()
+        e = int(self._ids([e], "entity")[0])
         admission = None
         if self.resilience is not None:
             admission = self.resilience.admit("nearest")
             if admission.state == "shed":
-                return self._shed("nearest", "overload", admission, start)
+                return self._shed("nearest", "overload", admission)
         key = ("nearest", e, k)
         hit = self.cache.get(key)
         if hit is not None:
-            self.stats.record("nearest", time.perf_counter() - start,
-                              cache_hit=True)
+            self.stats.record("nearest", cache_hit=True)
             if admission is not None:
                 self._complete(admission, SERVICE_MS["cache"])
             return hit
         if admission is not None and admission.state == "cache_only":
-            return self._shed("nearest", "cache_only_miss", admission,
-                              start)
+            return self._shed("nearest", "cache_only_miss", admission)
         if admission is not None and admission.scorer_fail:
-            return self._shed("nearest", "scorer_failure", admission, start)
+            return self._shed("nearest", "scorer_failure", admission)
 
         re, im = self.store.model.entity_components()
         diff = re - re[e]
@@ -509,8 +469,7 @@ class QueryEngine:
         order = best_first(ranking, k)
         result = TopKResult(entities=order, scores=values[order])
         self.cache.put(key, result)
-        self.stats.record("nearest", time.perf_counter() - start,
-                          cache_hit=False)
+        self.stats.record("nearest", cache_hit=False)
         if admission is not None:
             self._complete(admission, SERVICE_MS["nearest"])
         return result
@@ -536,13 +495,13 @@ class QueryEngine:
     def _key_for(self, route: str):
         return "dense" if route == "dense" else ("binary", self.rerank_k)
 
-    def _shed(self, kind: str, reason: str, admission, start: float):
+    def _shed(self, kind: str, reason: str, admission):
         """Refuse one query: typed response, taxonomy counted, virtual
         shed cost charged (shedding is cheap, not free)."""
         response = ShedResponse(kind=kind, reason=reason,
                                 state=admission.state,
                                 query_index=admission.index)
-        self.stats.record(kind, time.perf_counter() - start, cache_hit=None)
+        self.stats.record(kind, cache_hit=None)
         virtual = self.resilience.complete(admission, SERVICE_MS["shed"])
         self.stats.record_resilience(admission.state, virtual,
                                      shed_reason=reason)
@@ -624,15 +583,22 @@ class QueryEngine:
 
     # -- misc ----------------------------------------------------------------
 
-    def _check_ids(self, entities, rels) -> None:
-        """Raise a ``ValueError`` naming the first entity id, then the
-        first relation id, that is out of range."""
-        for ids, n, what in ((entities, self.store.n_entities, "entity"),
-                             (rels, self.store.n_relations, "relation")):
-            ids = np.asarray(ids)
-            bad = ids[(ids < 0) | (ids >= n)]
-            if len(bad):
-                raise ValueError(f"{what} id {bad[0]} outside [0, {n})")
+    def _ids(self, ids, what: str) -> np.ndarray:
+        """``ids`` as int64, or a ``ValueError`` naming the first ``what``
+        (``"entity"`` or ``"relation"``) id that is fractional, NaN or out
+        of range."""
+        n = (self.store.n_entities if what == "entity"
+             else self.store.n_relations)
+        ids = np.asarray(ids)
+        if ids.dtype.kind == "f":
+            fractional = ids[ids != np.trunc(ids)]  # NaN included
+            if len(fractional):
+                raise ValueError(f"{what} id {fractional[0]} is not an "
+                                 f"integer")
+        bad = ids[(ids < 0) | (ids >= n)]
+        if len(bad):
+            raise ValueError(f"{what} id {bad[0]} outside [0, {n})")
+        return ids.astype(np.int64)
 
     def snapshot(self) -> dict:
         """Telemetry summary: stats plus live cache counters."""

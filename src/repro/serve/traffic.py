@@ -17,6 +17,7 @@ compared across commits.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +205,11 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
     Top-k queries inside one window are dispatched through
     :meth:`~repro.serve.engine.QueryEngine.topk_batch` (the micro-batcher);
     ``score`` and ``nearest`` queries go through their direct calls.  The
-    returned snapshot adds end-to-end wall-clock throughput on top of the
-    engine's own service-rate telemetry.
+    returned snapshot is the engine's counters plus the wall clock, which
+    only this loop reads: end-to-end seconds and queries per second, and
+    the p50/p99 of each window's wall milliseconds (``window_p50_ms``,
+    ``window_p99_ms``) — one sample per micro-batch window, so a window's
+    queries share its cost.
 
     Error accounting: one bad query must not kill a million-query replay.
     Per-query exceptions are caught and counted (``errors``), with the
@@ -214,9 +218,9 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
     the blame lands on the actual offender and its window-mates are still
     served.
     """
-    import time
-
-    start = time.perf_counter()
+    clock = time.perf_counter
+    window_s = []
+    start = clock()
     served = 0
     errors = 0
     first_error = None
@@ -230,6 +234,7 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
                            "detail": str(exc)}
 
     for window in traffic.batches(n_queries, batch_size):
+        began = clock()
         topk_queries = []
         for q in window:
             kind = int(q["kind"])
@@ -268,10 +273,14 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
                             exc, "topk_tails" if side else "topk_heads",
                             [anchor, rel])
         served += len(window)
-    elapsed = time.perf_counter() - start
+        window_s.append(clock() - began)
+    elapsed = clock() - start
+    p50, p99 = (np.percentile(window_s, (50.0, 99.0)) * 1e3 if window_s
+                else (0.0, 0.0))
     snap = engine.snapshot()
     snap.update(wall_seconds=elapsed,
                 wall_queries_per_sec=served / elapsed if elapsed > 0 else 0.0,
+                window_p50_ms=float(p50), window_p99_ms=float(p99),
                 batch_size=batch_size, topk=topk,
                 errors=errors, first_error=first_error)
     return snap

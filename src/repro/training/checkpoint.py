@@ -29,8 +29,7 @@ trajectory.  This holds because training state is *closed* over what the
 checkpoint captures — all randomness flows through the streams in
 :mod:`repro.training.rng` plus the fault injector's call counter, and both
 are snapshotted here.  A snapshot is itself a pure function of (seed,
-plan): no wall clock enters it (real eval seconds stay with the process
-that measured them), so two runs of one configuration, or a straight and a
+plan): no wall clock enters it, so two runs of one configuration, or a straight and a
 resumed run, write byte-identical checkpoint files for every epoch.
 
 Both files are written deterministically — sorted keys, fixed zip

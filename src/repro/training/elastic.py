@@ -141,9 +141,6 @@ class ElasticSupervisor:
                     for g in new_world]
         resume = snapshot.epoch + 1
         new_trainer = self._spawn(new_world)
-        # Wall seconds are this process's; the restore sets the lineage's
-        # query count.
-        new_trainer.eval_timer = trainer.eval_timer
         ckpt.apply_state(new_trainer, snapshot, rank_map=rank_map)
         # Re-admitted ranks must not replay their original stream from
         # epoch 1: they draw from a fresh rejoin stream keyed on (seed,

@@ -1,50 +1,23 @@
-"""Training telemetry: per-epoch logs, eval timing and the final result."""
+"""Training telemetry: per-epoch logs, the eval-query count and the final
+result."""
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
+@dataclass
 class EvalTimer:
-    """Accumulates real wall seconds and query counts of evaluation calls.
+    """Ranking queries evaluated over the whole training lineage.
 
-    The simulated cluster charges *modeled* eval time (``EpochLog.eval_time``)
-    — this timer measures what evaluation actually costs the host process,
-    which is what the filtered-ranking fast path optimises.  One ranking
-    query = one (head or tail) candidate sweep, so a triple contributes two.
-
-    ``queries`` counts the whole training lineage (a checkpoint carries it);
-    ``seconds`` and :attr:`queries_per_sec` describe this process only —
-    wall time is no function of (seed, plan), so no snapshot holds it.
+    One ranking query = one (head or tail) candidate sweep, so a triple
+    contributes two.  A checkpoint carries the count (its ``eval_timer``
+    section).  The simulated cluster charges *modeled* eval time
+    (``EpochLog.eval_time``); real wall time is no function of (seed,
+    plan), so the caller that wants it times the run itself.
     """
 
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self.queries = 0
-        self._timed = 0  # queries this process ran
-
-    @contextmanager
-    def measure(self):
-        """Time one evaluation section (wall clock)."""
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.seconds += time.perf_counter() - start
-
-    def count(self, queries: int) -> None:
-        """Record ranking queries executed inside the current section."""
-        self.queries += int(queries)
-        self._timed += int(queries)
-
-    @property
-    def queries_per_sec(self) -> float:
-        """This process's queries per eval second (0 before any section)."""
-        if self.seconds <= 0.0:
-            return 0.0
-        return self._timed / self.seconds
+    queries: int = 0
 
 
 @dataclass
@@ -100,15 +73,9 @@ class TrainResult:
     straggler_skew: float = 0.0
     #: Epoch at which DRS committed its allgather switch (0 = never).
     drs_switch_epoch: int = 0
-    #: Real wall seconds this process spent in ranking evaluation (not
-    #: simulated, not carried by a checkpoint).
-    eval_seconds: float = 0.0
     #: Ranking queries of the whole training lineage (head + tail sweeps
     #: count separately; a resumed run counts the epochs before the resume).
     eval_queries: int = 0
-    #: This process's measured evaluation throughput: its own queries over
-    #: ``eval_seconds`` (0 if untimed).
-    eval_queries_per_sec: float = 0.0
     #: Simulated seconds (time-scaled) spent on elastic recovery: the
     #: ``overhead`` of every ``elastic`` decision (rolled-back epoch progress
     #: plus the modeled state re-broadcast).  Included in ``total_time``.

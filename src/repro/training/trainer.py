@@ -256,15 +256,14 @@ class DistributedTrainer:
     # ------------------------------------------------------------------
 
     def _rank_split(self, split) -> RankingResult:
-        """Filtered-ranking evaluation of one split, wall-clock timed."""
+        """Filtered-ranking evaluation of one split, its queries counted."""
         cfg = self.config
-        with self.eval_timer.measure():
-            result = evaluate_ranking(
-                self.model, split, self.store,
-                batch_size=EVAL_BATCH_SIZE,
-                max_queries=(cfg.eval_max_queries
-                             if split is self.store.valid else None))
-            self.eval_timer.count(2 * result.n_queries)
+        result = evaluate_ranking(
+            self.model, split, self.store,
+            batch_size=EVAL_BATCH_SIZE,
+            max_queries=(cfg.eval_max_queries
+                         if split is self.store.valid else None))
+        self.eval_timer.queries += 2 * result.n_queries
         return result
 
     def _evaluate_validation(self) -> tuple[float, float]:
@@ -356,9 +355,7 @@ class DistributedTrainer:
                                       self.store.valid, self.store,
                                       seed=cfg.seed)
         result.test_tca = tca.accuracy
-        result.eval_seconds = self.eval_timer.seconds
         result.eval_queries = self.eval_timer.queries
-        result.eval_queries_per_sec = self.eval_timer.queries_per_sec
         return result
 
     def _apply(self, kind: str, grad: SparseRows) -> None:

@@ -14,7 +14,7 @@ randomly drawn seeds and interruption points.
 
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -70,6 +70,8 @@ def test_same_seed_identical_runs(store, strategy_maker, n_nodes):
     a = train(store, strategy_maker(), n_nodes, config=cfg)
     b = train(store, strategy_maker(), n_nodes, config=cfg)
     assert_identical(a, b)
+    # Every field, none excepted: a result holds no wall-clock reading.
+    assert asdict(a) == asdict(b)
 
 
 def test_null_fault_plan_is_byte_identical_to_none(store):
@@ -176,17 +178,15 @@ def test_checkpoints_are_a_function_of_seed_and_plan(store, tmp_path):
     assert files[0] == files[1]
 
 
-def test_resumed_eval_rate_is_the_resuming_process_rate(store, tmp_path):
-    """``eval_queries`` counts the whole lineage; the rate divides only the
-    queries the resumed process ran by the seconds it spent."""
+def test_resumed_eval_queries_count_the_lineage(store, tmp_path):
+    """``eval_queries`` counts the whole lineage: a resumed run reports
+    the queries of the epochs before the resume too."""
     straight, resumed = _straight_and_resumed(store, drs_1bit_rp_ss, 4, None,
                                               tmp_path)
     carried = load_checkpoint(latest_checkpoint(tmp_path)).scalars[
         "eval_timer"]["queries"]
     result = resumed.result
     assert result.eval_queries == straight.result.eval_queries > carried > 0
-    assert result.eval_queries_per_sec == pytest.approx(
-        (result.eval_queries - carried) / result.eval_seconds)
 
 
 def test_resume_crosses_the_drs_switch(store, tmp_path):

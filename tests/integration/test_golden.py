@@ -39,8 +39,6 @@ def run_digest(preset: str, n_nodes: int) -> dict:
     cfg = TrainConfig(dim=8, batch_size=128, max_epochs=4, lr_patience=6,
                       eval_max_queries=30, seed=20220829)
     result = train(store, PRESETS[preset](), n_nodes, config=cfg)
-    # Every field below is deterministic; real wall-clock timings
-    # (eval_seconds) are deliberately excluded.
     return {
         "strategy": result.strategy_label,
         "n_nodes": n_nodes,

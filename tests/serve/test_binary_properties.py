@@ -184,19 +184,16 @@ class TestSelection:
         store = binarize_model(_Model(matrix))
         rng = np.random.default_rng(seed)
         queries = rng.normal(size=(3, store.width)).astype(np.float32)
-        pools, approx = store.candidate_pools(queries, rerank_k)
+        pools = store.candidate_pools(queries, rerank_k)
         take = min(rerank_k, store.n_entities)
-        assert pools.shape == approx.shape == (3, take)
-        assert pools.dtype == np.int64 and approx.dtype == np.float32
-        # pools: ascending unique ids, the best ``take`` by approximate
-        # score; approx: those ids' approximate scores, bitwise.
+        assert pools.shape == (3, take)
+        assert pools.dtype == np.int64
+        # Ascending unique ids, the best ``take`` by approximate score.
         assert (np.diff(pools, axis=1) > 0).all()
         scores = store.approx_scores(queries)
         expect = np.sort(np.stack([_reference.best_first(row, take)
                                    for row in scores]), axis=1)
         assert np.array_equal(pools, expect)
-        assert approx.tobytes() == np.take_along_axis(
-            scores, pools, axis=1).tobytes()
         if rerank_k >= store.n_entities:
             assert np.array_equal(
                 pools, np.tile(np.arange(store.n_entities), (3, 1)))
@@ -205,17 +202,16 @@ class TestSelection:
     @settings(max_examples=80, deadline=None)
     def test_pools_equal_oracle_built_pools_under_masking(
             self, matrix, rerank_k, seed):
-        """``(pools, approx)`` are the stable-argsort oracle's ids in id
-        order and the approximate scores at them, with known facts sunk
-        to ``-inf`` first — coarse queries so approximate scores tie."""
+        """The pools are the stable-argsort oracle's ids in id order, with
+        known facts sunk to ``-inf`` first — coarse queries so
+        approximate scores tie."""
         store = binarize_model(_Model(matrix))
         rng = np.random.default_rng(seed)
         queries = rng.integers(-1, 2, size=(3, store.width)) \
             .astype(np.float32)
         known = rng.random((3, store.n_entities)) < 0.3
         masked = np.nonzero(known)
-        pools, approx = store.candidate_pools(queries, rerank_k,
-                                              masked=masked)
+        pools = store.candidate_pools(queries, rerank_k, masked=masked)
         scores = store.approx_scores(queries)
         scores[masked] = -np.inf
         take = min(rerank_k, store.n_entities)
@@ -223,8 +219,6 @@ class TestSelection:
                            for row in scores])
         assert pools.dtype == np.int64
         assert np.array_equal(pools, np.sort(expect, axis=1))
-        assert approx.tobytes() == np.take_along_axis(
-            scores, pools, axis=1).tobytes()
 
     def test_non_finite_approximations_sink_instead_of_raising(self):
         """A NaN entity row has a NaN approximate score; the pool stays
@@ -233,10 +227,11 @@ class TestSelection:
         matrix[2] = np.nan
         store = binarize_model(_Model(matrix))
         queries = np.ones((2, 4), dtype=np.float32)
-        pools, approx = store.candidate_pools(queries, 6)
+        pools = store.candidate_pools(queries, 6)
         assert pools.shape == (2, 6)
-        assert (approx[:, 2] == -np.inf).all()
-        assert 2 not in store.candidate_pools(queries, 5)[0]
+        # One slot short, every real candidate fits and the NaN row not.
+        assert np.array_equal(store.candidate_pools(queries, 5),
+                              [[0, 1, 3, 4, 5]] * 2)
 
 
 @st.composite

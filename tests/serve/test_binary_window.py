@@ -181,8 +181,8 @@ class TestOneScanPerWindow:
         answers = engine.topk_batch(window, k=5, tail_side=None)
         assert all(isinstance(a, TopKResult) for a in answers)
         assert calls["stage1"] == 1 and calls["rerank"] <= 2
-        # record_tier still runs once per scored query.
-        assert engine.snapshot()["tiers"]["binary"]["n_queries"] == 16
+        # The per-route count still sees every scored query.
+        assert engine.snapshot()["by_tier"]["binary"] == 16
 
 
 class TestRejectedBatch:

@@ -217,7 +217,7 @@ class TestKernel:
                 order[i] = best_first(row, take)
             return np.sort(order, axis=1)
 
-        pools, _ = store.candidate_pools(vectors, 1200)
+        pools = store.candidate_pools(vectors, 1200)
         assert np.array_equal(pools, ranked_then_sorted(vectors, 1200))
         # Interleaved best of N: a noisy neighbour slows both sides alike.
         best = {ranked_then_sorted: float("inf"),
@@ -240,7 +240,6 @@ def oracle_selection(monkeypatch):
     def install():
         monkeypatch.setattr(engine_module, "best_first",
                             _reference.best_first)
-        monkeypatch.setattr(engine_module, "best_set", oracle_set)
         monkeypatch.setattr(binary_module, "best_set", oracle_set)
     return install
 

@@ -196,7 +196,7 @@ class TestReplay:
         assert sum(snap["by_kind"].values()) == 600
         assert all(count > 0 for count in snap["by_kind"].values())
         assert snap["cache_hit_rate"] > 0   # tiny vocabulary: many repeats
-        assert 0 < snap["p50_ms"] <= snap["p99_ms"]
+        assert 0 < snap["window_p50_ms"] <= snap["window_p99_ms"]
         assert snap["wall_seconds"] > 0
         assert snap["wall_queries_per_sec"] > 0
         assert snap["batch_size"] == 50 and snap["topk"] == 5

@@ -147,6 +147,4 @@ class TestEvalTable:
                           eval_max_queries=20)
         result = DistributedTrainer(store, baseline_allreduce(1), 1,
                                     config=cfg).run()
-        assert result.eval_seconds > 0.0
         assert result.eval_queries > 0
-        assert result.eval_queries_per_sec > 0.0

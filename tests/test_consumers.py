@@ -13,9 +13,10 @@ The match is by bare name, with no type information: a test-only method
 whose name some unrelated object also carries (``keys``, ``get``, ``clear``)
 passes as consumed.  Review such names by hand.
 
-Two more audits share the file: every field of the configuration
+Three more audits share the file: every field of the configuration
 dataclasses takes a second value somewhere in production (a field that
-only ever holds its default is a constant), and every imported name is read.
+only ever holds its default is a constant), every imported name is read,
+and only the callers named in ``CLOCK_READERS`` read the wall clock.
 """
 
 import ast
@@ -393,3 +394,69 @@ def unread_imports() -> list:
 def test_every_imported_name_is_read():
     unread = unread_imports()
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+# -- wall clock: only the callers read it ------------------------------------
+
+#: ``time`` functions that read a clock.
+WALL_CLOCKS = {"perf_counter", "perf_counter_ns", "time", "time_ns",
+               "monotonic", "monotonic_ns", "process_time",
+               "process_time_ns"}
+
+#: The code under ``src/repro`` allowed to read one, as ``module`` or
+#: ``module::function``.  The library counts and models time; only a
+#: caller times.
+CLOCK_READERS = {
+    # ``compute_time_mode="measured"`` feeds a step's wall seconds into
+    # the simulated clock.
+    "training/worker.py",
+    # The traffic replay times its own windows, end to end.
+    "serve/traffic.py::replay",
+}
+
+
+def wall_clock_reads() -> list:
+    """``(module, enclosing function, line)`` of every reference to a
+    ``time`` clock under ``src/repro`` — called or bound to a name."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        modules, clocks = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names
+                            if a.name == "time"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "time":
+                clocks |= {a.asname or a.name for a in node.names
+                           if a.name in WALL_CLOCKS}
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                where = f"{where}.{node.name}" if where else node.name
+            if (isinstance(node, ast.Attribute) and node.attr in WALL_CLOCKS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules) or (
+                    isinstance(node, ast.Name) and node.id in clocks):
+                out.append((module, where, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+        visit(tree, "")
+    return out
+
+
+def test_only_the_callers_read_the_wall_clock():
+    stray = [f"{module}::{where or '<module>'} line {line}"
+             for module, where, line in wall_clock_reads()
+             if not {module, f"{module}::{where}"} & CLOCK_READERS]
+    assert not stray, "wall clock read inside the library: " + \
+        ", ".join(stray)
+
+
+def test_clock_readers_are_short_and_current():
+    sites = wall_clock_reads()
+    assert len(CLOCK_READERS) <= 2
+    for reader in CLOCK_READERS:
+        assert any(reader in (module, f"{module}::{where}")
+                   for module, where, _ in sites), reader

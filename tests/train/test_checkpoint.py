@@ -162,7 +162,7 @@ def test_eval_timer_section_carries_queries_not_wall_time(store, snapshot,
     other = make_trainer(store)
     assert other.restore(old) == 2
     assert other.eval_timer.queries == trainer.eval_timer.queries > 0
-    assert other.eval_timer.seconds == 0.0
+    assert not hasattr(other.eval_timer, "seconds")
     assert capture_state(other).scalars == load_checkpoint(path).scalars
 
 

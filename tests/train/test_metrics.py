@@ -63,54 +63,9 @@ class TestEpochLog:
         assert log.eval_time == 1.5
 
 
-class TestEvalTimer:
-    def test_measure_accumulates(self):
-        from repro.training.metrics import EvalTimer
-        timer = EvalTimer()
-        with timer.measure():
-            sum(range(1000))
-        with timer.measure():
-            pass
-        assert timer.seconds > 0.0
-
-    def test_measure_charges_on_exception(self):
-        from repro.training.metrics import EvalTimer
-        timer = EvalTimer()
-        with pytest.raises(RuntimeError):
-            with timer.measure():
-                raise RuntimeError("boom")
-        assert timer.seconds > 0.0
-
-    def test_count_and_throughput(self):
-        from repro.training.metrics import EvalTimer
-        timer = EvalTimer()
-        with timer.measure():
-            sum(range(10000))
-        timer.count(500)
-        assert timer.queries == 500
-        assert timer.queries_per_sec == pytest.approx(500 / timer.seconds)
-
-    def test_zero_time_throughput_is_zero(self):
-        from repro.training.metrics import EvalTimer
-        timer = EvalTimer()
-        timer.count(10)
-        assert timer.queries_per_sec == 0.0
-
-
 class TestEvalFieldsOnResult:
     def test_defaults(self):
         r = TrainResult("x", 1, 0, 0.0, float("nan"))
-        assert r.eval_seconds == 0.0 and r.eval_queries == 0
-        assert r.eval_queries_per_sec == 0.0
-
-    def test_queries_per_sec(self):
-        # The rate is the reporting process's own: queries a restore
-        # carried into the timer ran in another process.
-        from repro.training.metrics import EvalTimer
-        timer = EvalTimer()
-        timer.queries = 1000
-        with timer.measure():
-            sum(range(10000))
-        timer.count(100)
-        assert timer.queries == 1100
-        assert timer.queries_per_sec == pytest.approx(100 / timer.seconds)
+        assert r.eval_queries == 0
+        assert not hasattr(r, "eval_seconds")
+        assert not hasattr(r, "eval_queries_per_sec")
