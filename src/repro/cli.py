@@ -265,6 +265,14 @@ def _load_dataset(args: argparse.Namespace) -> TripleStore:
     return load_store(args.dataset_file)
 
 
+def _parse_id(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}: expected an integer "
+                         f"like '12'") from None
+
+
 def _parse_id_pair(text: str, what: str) -> tuple[int, int]:
     try:
         first, second = (int(part) for part in text.split(","))
@@ -398,7 +406,8 @@ def _serve(args: argparse.Namespace) -> None:
     queries = ([("tails", *_parse_id_pair(q, "--query")) for q in args.query]
                + [("heads", *_parse_id_pair(q, "--query-heads"))
                   for q in args.query_heads]
-               + [("nearest", int(e), -1) for e in args.nearest])
+               + [("nearest", _parse_id(e, "--nearest"), -1)
+                  for e in args.nearest])
     for kind, a, r in queries:
         if kind == "tails":
             res = engine.topk_tails(a, r, k=args.topk)
@@ -432,13 +441,10 @@ def _serve(args: argparse.Namespace) -> None:
             spec=TrafficSpec(entity_exponent=args.zipf),
             seed=args.traffic_seed,
             bursts=serve_faults.bursts if serve_faults else ())
-        if args.reload:
-            # Kill-and-keep-serving demo: replay half the traffic, swap
-            # the checkpoint under live load, replay the rest.  A failed
-            # reload is reported but never stops serving.
-            first_half = args.simulate // 2
-            replay(engine, traffic, first_half,
-                   batch_size=args.batch_size, topk=args.topk)
+        def swap():
+            # Kill-and-keep-serving demo: swap the checkpoint under live
+            # load halfway through the replay.  A failed reload is
+            # reported but never stops serving.
             try:
                 reload_info = engine.reload(args.reload, dataset=dataset)
             except (CheckpointError, ValueError) as exc:
@@ -446,11 +452,10 @@ def _serve(args: argparse.Namespace) -> None:
             out["reload"] = reload_info
             if not args.json:
                 print(f"reload  : {reload_info}")
-            snapshot = replay(engine, traffic, args.simulate - first_half,
-                              batch_size=args.batch_size, topk=args.topk)
-        else:
-            snapshot = replay(engine, traffic, args.simulate,
-                              batch_size=args.batch_size, topk=args.topk)
+
+        snapshot = replay(engine, traffic, args.simulate,
+                          batch_size=args.batch_size, topk=args.topk,
+                          midway=swap if args.reload else None)
         out["telemetry"] = snapshot
         if not args.json:
             print_serve_table(

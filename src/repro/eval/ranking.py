@@ -17,6 +17,11 @@ tie the true score are subtracted.  Filter cost scales with the known
 facts, not ``batch * n_entities``, and the integer counts pin ranks bitwise
 to ``tests._reference.filtered_naive``, which hashes every candidate.
 
+Blocks are sized by score cells, not rows: each holds at most
+:data:`SCORE_BLOCK_CELLS` float32 scores, so the transient stays at 4 MiB
+whatever the entity count.  A query's rank reads only its own row, so the
+block size never moves a bit of the result.
+
 A true score of ``-inf`` or NaN (which beats and ties nothing) clamps to
 the worst defined rank, the number of surviving candidates.
 """
@@ -29,6 +34,10 @@ import numpy as np
 
 from ..kg.triples import TripleSet, TripleStore
 from ..models.base import KGEModel
+
+#: Score cells per ranking block: ``max(1, SCORE_BLOCK_CELLS // n_entities)``
+#: queries are scored at once (70 at FB15K's 14,951 entities).
+SCORE_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,12 +117,12 @@ def scatter_known_nan(scores: np.ndarray, index,
     return masked, scores.shape[1] - counts
 
 
-def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
-                 batch_size: int = 512
+def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-query ranks: (head_raw, head_filtered, tail_raw, tail_filtered)."""
     index = store.filter_index
     n = len(triples)
+    batch_size = max(1, SCORE_BLOCK_CELLS // store.n_entities)
     head_raw = np.empty(n)
     head_filt = np.empty(n)
     tail_raw = np.empty(n)
@@ -142,7 +151,6 @@ def rank_triples(model: KGEModel, triples: TripleSet, store: TripleStore,
 
 
 def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
-                     batch_size: int = 512,
                      max_queries: int | None = None) -> RankingResult:
     """Full link-prediction evaluation of one split.
 
@@ -157,7 +165,7 @@ def evaluate_ranking(model: KGEModel, triples: TripleSet, store: TripleStore,
         triples = triples.subset(idx)
 
     head_raw, head_filt, tail_raw, tail_filt = rank_triples(
-        model, triples, store, batch_size=batch_size)
+        model, triples, store)
     filt = np.concatenate([head_filt, tail_filt])
     raw = np.concatenate([head_raw, tail_raw])
     return RankingResult(

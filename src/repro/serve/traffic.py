@@ -199,7 +199,7 @@ class ZipfianTraffic:
 
 def replay(engine, traffic: ZipfianTraffic, n_queries: int,
            batch_size: int = 64, topk: int = 10,
-           filtered: bool | None = None) -> dict:
+           filtered: bool | None = None, midway=None) -> dict:
     """Drive ``engine`` with ``n_queries`` from ``traffic``; return telemetry.
 
     Top-k queries inside one window are dispatched through
@@ -217,6 +217,11 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
     class, message).  A failing micro-batch is retried query-by-query so
     the blame lands on the actual offender and its window-mates are still
     served.
+
+    ``midway``, if given, is called once between windows after the first
+    ``n_queries // 2`` queries (the CLI's ``--reload`` swaps the
+    checkpoint there), so every field of the one snapshot covers both
+    sides of the swap; ``wall_seconds`` includes the swap itself.
     """
     clock = time.perf_counter
     window_s = []
@@ -233,7 +238,16 @@ def replay(engine, traffic: ZipfianTraffic, n_queries: int,
                            "error": type(exc).__name__,
                            "detail": str(exc)}
 
-    for window in traffic.batches(n_queries, batch_size):
+    def windows():
+        if midway is None:
+            yield from traffic.batches(n_queries, batch_size)
+            return
+        half = n_queries // 2
+        yield from traffic.batches(half, batch_size)
+        midway()
+        yield from traffic.batches(n_queries - half, batch_size)
+
+    for window in windows():
         began = clock()
         topk_queries = []
         for q in window:

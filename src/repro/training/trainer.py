@@ -62,8 +62,6 @@ class NonFiniteClockError(ArithmeticError):
 
 #: L2 penalty on the embeddings touched by a batch, per example.
 L2 = 1e-6
-#: Queries per block of the filtered-ranking evaluation.
-EVAL_BATCH_SIZE = 256
 
 
 @dataclass
@@ -73,8 +71,7 @@ class TrainConfig:
     The plateau schedule keeps
     :class:`~repro.optim.lr_schedule.PlateauScheduler`'s defaults: the
     paper's decay factor of 0.1, down to a floor of 1e-5.  The L2 penalty
-    (:data:`L2`), the evaluation block size (:data:`EVAL_BATCH_SIZE`) and
-    the sparse-wire row threshold
+    (:data:`L2`) and the sparse-wire row threshold
     (:data:`~repro.training.worker.ZERO_ROW_TOL`) are module constants,
     and the modeled time of every validation pass is charged to the clock.
     """
@@ -260,7 +257,6 @@ class DistributedTrainer:
         cfg = self.config
         result = evaluate_ranking(
             self.model, split, self.store,
-            batch_size=EVAL_BATCH_SIZE,
             max_queries=(cfg.eval_max_queries
                          if split is self.store.valid else None))
         self.eval_timer.queries += 2 * result.n_queries
@@ -324,6 +320,8 @@ class DistributedTrainer:
                     f"model prices a step beyond the float range")
             self._completed_epochs = epoch
             if snapshotting:
+                # Drop the old snapshot first: at most one is alive.
+                self._last_snapshot = None
                 self._last_snapshot = ckpt.capture_state(self)
             if (ckpt_dir is not None and cfg.checkpoint_every
                     and epoch % cfg.checkpoint_every == 0):

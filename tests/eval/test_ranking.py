@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.eval import ranking
 from repro.eval.ranking import RankingResult, evaluate_ranking, rank_triples
 from repro.kg.datasets import generate_latent_kg
 from repro.kg.triples import TripleSet, TripleStore
@@ -217,11 +218,15 @@ class TestEvaluateRanking:
         with pytest.raises(ValueError):
             evaluate_ranking(m, empty, store)
 
-    def test_batching_does_not_change_result(self):
+    def test_batching_does_not_change_result(self, monkeypatch):
         store = toy_store()
         m = ComplEx(store.n_entities, store.n_relations, 4, seed=0)
-        a = evaluate_ranking(m, store.test, store, batch_size=1)
-        b = evaluate_ranking(m, store.test, store, batch_size=512)
+        # Blocks of 1 and of 512 queries.
+        monkeypatch.setattr(ranking, "SCORE_BLOCK_CELLS", store.n_entities)
+        a = evaluate_ranking(m, store.test, store)
+        monkeypatch.setattr(ranking, "SCORE_BLOCK_CELLS",
+                            512 * store.n_entities)
+        b = evaluate_ranking(m, store.test, store)
         assert a.mrr == pytest.approx(b.mrr)
 
     def test_perfect_model_gets_high_mrr(self):

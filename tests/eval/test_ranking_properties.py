@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval import ranking
 from repro.eval.ranking import (evaluate_ranking, rank_triples,
                                 scatter_known_nan)
 from repro.kg.datasets import generate_latent_kg
@@ -74,9 +75,9 @@ class TestScoreMonotonicity:
         assert after[0] <= before[0]
 
 
-def fb15k_width_store():
-    """A random store at FB15K's 14,951 entities with 128 test queries,
-    and a dim-16 ComplEx over it."""
+def fb15k_width_store(n_test=128):
+    """A random store at FB15K's 14,951 entities with ``n_test`` test
+    queries, and a dim-16 ComplEx over it."""
     n_entities, n_relations = 14_951, 200
     rng = np.random.default_rng(0)
 
@@ -87,7 +88,7 @@ def fb15k_width_store():
 
     store = TripleStore(n_entities=n_entities, n_relations=n_relations,
                         train=split(45_000), valid=split(2_000),
-                        test=split(128))
+                        test=split(n_test))
     return store, ComplEx(n_entities, n_relations, 16, seed=1)
 
 
@@ -113,9 +114,12 @@ def assert_filter_matches_reference(model, store, queries=None):
         # Bytes, not values: this pins signed zeros and NaN positions too.
         assert masked.tobytes() == ref_masked.tobytes()
         np.testing.assert_array_equal(n_cand, ref_n_cand - gold_known)
-    for a, b in zip(rank_triples_reference(model, queries, store),
-                    rank_triples(model, queries, store,
-                                 batch_size=len(queries))):
+    # One block holding every query, as the reference ranks them.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranking, "SCORE_BLOCK_CELLS",
+                   len(queries) * store.n_entities)
+        ranks = rank_triples(model, queries, store)
+    for a, b in zip(rank_triples_reference(model, queries, store), ranks):
         assert a.tobytes() == b.tobytes()
 
 
@@ -236,7 +240,8 @@ class TestFilterMatchesReference:
             best[ranker] = min(best[ranker], time.perf_counter() - start)
         assert best[rank_triples_reference] >= 5.0 * best[rank_triples], best
 
-    def test_one_batch_peaks_under_one_and_a_half_score_blocks(self):
+    def test_one_batch_peaks_under_one_and_a_half_score_blocks(
+            self, monkeypatch):
         """Deterministic memory gate: ranking one 128-query batch at
         14,951 entities allocates at most 1.5x one ``(b, n_entities)``
         float32 block at its peak (measured 1.26x).  The filter gathers
@@ -247,10 +252,27 @@ class TestFilterMatchesReference:
         store, model = fb15k_width_store()
         test = store.test
         block = len(test) * store.n_entities * 4
+        monkeypatch.setattr(ranking, "SCORE_BLOCK_CELLS",
+                            len(test) * store.n_entities)
         tracemalloc.start()
         try:
-            rank_triples(model, test, store, batch_size=len(test))
+            rank_triples(model, test, store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * block, peak / block
+
+    def test_evaluation_peaks_under_the_cell_budget(self):
+        """Deterministic memory gate: a whole 1,000-query evaluation at
+        14,951 entities peaks under 1.5x one :data:`SCORE_BLOCK_CELLS`
+        float32 block (4 MiB), however many queries the split holds.
+        Blocks sized by rows (256 or 512 of them) peaked at 19-38 MB."""
+        store, model = fb15k_width_store(n_test=1_000)
+        tracemalloc.start()
+        try:
+            evaluate_ranking(model, store.test, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = ranking.SCORE_BLOCK_CELLS * 4
+        assert peak <= 1.5 * budget, peak / budget

@@ -432,6 +432,12 @@ class TestServeCli:
             "mechanism": "reload", "at": 100, "choice": "swap",
             "alternative": "keep",
             "inputs": {"new_epoch": 2, "old_epoch": 1}}]
+        # One replay spans the swap: the wall fields count every query the
+        # counters do, not only the post-reload half.
+        assert telemetry["n_queries"] == 200
+        assert (telemetry["wall_queries_per_sec"] * telemetry["wall_seconds"]
+                == pytest.approx(200))
+        assert telemetry["errors"] == 0
 
     def test_export_then_serve_binary_partial_pool(self, served_checkpoint,
                                                    tmp_path, capsys):
@@ -539,6 +545,13 @@ class TestServeCli:
                    "--query", "3:1"])
         assert rc == 2
         assert "bad --query" in capsys.readouterr().err
+
+    def test_malformed_nearest_exits_2(self, served_checkpoint, capsys):
+        ckpt, _ = served_checkpoint
+        rc = main(["serve", "--checkpoint", ckpt, "--no-filter",
+                   "--nearest", "2.6"])
+        assert rc == 2
+        assert "bad --nearest '2.6'" in capsys.readouterr().err
 
     def test_out_of_range_id_exits_2(self, served_checkpoint, capsys):
         ckpt, _ = served_checkpoint

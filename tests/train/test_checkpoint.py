@@ -377,6 +377,26 @@ def test_default_retention_keeps_last_two(store, tmp_path):
     assert epochs == [3, 4]
 
 
+def test_one_snapshot_alive_at_each_capture(store, tmp_path, monkeypatch):
+    """The trainer lets go of the previous epoch's snapshot before it
+    captures the next, so two full copies of the embeddings and Adam
+    moments never coexist."""
+    trainer = make_trainer(store, maker=baseline_allreduce, n_nodes=1,
+                           max_epochs=3, checkpoint_dir=str(tmp_path),
+                           checkpoint_every=1)
+    captured = []
+
+    def spy(t):
+        assert t._last_snapshot is None, f"epoch {t._completed_epochs}"
+        captured.append(t._completed_epochs)
+        return capture_state(t)
+
+    monkeypatch.setattr("repro.training.checkpoint.capture_state", spy)
+    trainer.run()
+    assert captured == [0, 1, 2, 3]
+    assert trainer._last_snapshot.epoch == 3
+
+
 def test_checkpoint_config_validation():
     with pytest.raises(ValueError, match="checkpoint_every"):
         TrainConfig(checkpoint_every=-1)
